@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	_ "embed"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,6 +13,13 @@ import (
 )
 
 const fig9GoldenPath = "testdata/fig9_golden.json"
+
+// The golden is embedded rather than read at run time: a fixture that goes
+// missing (an over-broad .gitignore pattern once swallowed it) then breaks
+// the test build instead of surfacing only in the non-short run.
+//
+//go:embed testdata/fig9_golden.json
+var fig9Golden []byte
 
 // fig9PinConfigs is the Fig. 9 configuration matrix shared with
 // TestEventLoopMatchesPerCycleStats: baseline plus the four
@@ -101,13 +109,12 @@ func TestTomPolicyPinsFig9Golden(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(fig9GoldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with GOLDEN_UPDATE=1): %v", err)
-	}
 	var golden map[string]json.RawMessage
-	if err := json.Unmarshal(data, &golden); err != nil {
+	if err := json.Unmarshal(fig9Golden, &golden); err != nil {
 		t.Fatalf("decode golden: %v", err)
+	}
+	if len(golden) != len(fresh) {
+		t.Errorf("golden pins %d cells, the Fig. 9 matrix has %d", len(golden), len(fresh))
 	}
 	for cell, want := range golden {
 		got, ok := fresh[cell]
