@@ -207,8 +207,14 @@ func (v *Vault) BankOf(addr uint64) int {
 // pick visits each bank once instead of scanning one global queue twice.
 func (v *Vault) Tick(now int64) {
 	for len(v.compl) > 0 && v.compl[0].at <= now {
+		// Copy down rather than re-slice the head away: the list is a
+		// handful of bursts long, and re-slicing burns its capacity so a
+		// busy vault reallocates forever. The vacated slot is zeroed so the
+		// fired callback is not retained.
 		c := v.compl[0]
-		v.compl = v.compl[1:]
+		n := copy(v.compl, v.compl[1:])
+		v.compl[n] = completion{}
+		v.compl = v.compl[:n]
 		v.horizonValid = false
 		if c.done != nil {
 			c.done(now)
@@ -251,7 +257,9 @@ func (v *Vault) Tick(now int64) {
 		return
 	}
 	b := &v.banks[pickBank]
-	b.queue = append(b.queue[:pickIdx], b.queue[pickIdx+1:]...)
+	n := copy(b.queue[pickIdx:], b.queue[pickIdx+1:])
+	b.queue[pickIdx+n] = nil
+	b.queue = b.queue[:pickIdx+n]
 	if len(b.queue) == 0 {
 		v.occ &^= 1 << pickBank
 	}

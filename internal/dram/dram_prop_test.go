@@ -119,7 +119,10 @@ func TestBankFoldPreservesRowResidency(t *testing.T) {
 // property the event-driven loop rests on: between `now` and the horizon
 // the vault is provably inert, so a reported horizon that is ever too late
 // (skipping a cycle where the per-cycle vault issues or completes) shows up
-// here as a completion-time or counter divergence.
+// here as a completion-time or counter divergence. The last trial pushes
+// 10^5 requests through one vault; in every trial the completion list's and
+// the bank queues' capacity must stay within a small multiple of their peak
+// occupancy.
 func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 	type arrival struct {
 		at    int64
@@ -127,13 +130,17 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 		bytes int
 		write bool
 	}
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 9; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 900))
-		var sched []arrival
+		requests := 300
+		if trial == 8 {
+			requests = 100_000
+		}
+		sched := make([]arrival, 0, requests)
 		at := int64(0)
-		for i := 0; i < 300; i++ {
+		for i := 0; i < requests; i++ {
 			at += int64(rng.Intn(40)) // bursty: many same-cycle arrivals
-			a := arrival{at: at, addr: uint64(rng.Intn(1 << 22)) &^ 127, bytes: 128}
+			a := arrival{at: at, addr: uint64(rng.Intn(1<<22)) &^ 127, bytes: 128}
 			if rng.Intn(3) == 0 {
 				a.addr = uint64(i) * 128 % (1 << 16) // row-friendly
 			}
@@ -149,6 +156,13 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 			doneAt := make([]int64, len(sched))
 			for i := range doneAt {
 				doneAt[i] = -1
+			}
+			peakCompl, peakBank := 0, 0
+			observe := func() {
+				peakCompl = max(peakCompl, len(v.compl))
+				for b := range v.banks {
+					peakBank = max(peakBank, len(v.banks[b].queue))
+				}
 			}
 			i := 0
 			now := int64(0)
@@ -166,13 +180,16 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 					}
 					i++
 				}
+				observe()
 				if !jump {
 					v.Tick(now)
+					observe()
 					now++
 					continue
 				}
 				if h := v.NextEvent(); h >= 0 && h <= now {
 					v.Tick(now)
+					observe()
 				}
 				// Next cycle anything can happen: the vault's own horizon,
 				// the next scheduled arrival, or an immediate retry while the
@@ -203,6 +220,14 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 					t.Fatal("event run did not drain")
 				}
 			}
+			if c := cap(v.compl); c > 4*peakCompl {
+				t.Errorf("trial %d: completion list capacity %d with at most %d bursts in flight", trial, c, peakCompl)
+			}
+			for b := range v.banks {
+				if c := cap(v.banks[b].queue); c > 4*peakBank {
+					t.Errorf("trial %d: bank %d queue capacity %d with at most %d requests queued", trial, b, c, peakBank)
+				}
+			}
 			return doneAt, v.Snapshot(), v.RowHits, v.Activations
 		}
 
@@ -218,5 +243,37 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 			t.Fatalf("trial %d: counters diverged: per-cycle %+v (hits %d acts %d), event %+v (hits %d acts %d)",
 				trial, refSnap, refHits, refActs, gotSnap, gotHits, gotActs)
 		}
+	}
+}
+
+// TestVaultSteadyStateDoesNotAllocate: once its queues have grown to the
+// traffic's peak, a vault enqueues, issues and completes without allocating.
+func TestVaultSteadyStateDoesNotAllocate(t *testing.T) {
+	v := NewVault(DefaultTiming())
+	done := 0
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{Addr: uint64(i*7919) << 7, Bytes: 128, Write: i%4 == 0, Done: func(int64) { done++ }}
+	}
+	now := int64(0)
+	burst := func() {
+		for i := 0; i < len(reqs); {
+			if v.Enqueue(&reqs[i]) {
+				i++
+			}
+			v.Tick(now)
+			now++
+		}
+		for v.Active() {
+			v.Tick(now)
+			now++
+		}
+	}
+	burst() // grow the queues
+	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+		t.Errorf("a warmed-up vault allocates %.2f times per %d-request burst, want 0", avg, len(reqs))
+	}
+	if done != 102*len(reqs) {
+		t.Errorf("%d requests completed, %d enqueued", done, 102*len(reqs))
 	}
 }

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cfgx"
@@ -145,5 +147,125 @@ func TestStepCountsMatchActiveLanes(t *testing.T) {
 		if res.ActiveLanes != pop {
 			t.Fatalf("ActiveLanes=%d, mask popcount=%d at pc %d", res.ActiveLanes, pop, res.PC)
 		}
+	}
+}
+
+// dirtyWarp returns a warp in the worst state a timing model can hand back
+// for recycling: every register of the largest register file non-zero, a
+// deep SIMT stack, a full access buffer, and stale identity fields.
+func dirtyWarp() *Warp {
+	w := &Warp{
+		WInfo:  WarpInfo{CtaID: 77, WarpInCTA: 3, NTid: 999, NCtaid: 999},
+		Shared: make([]uint32, 8),
+		Regs:   make([][isa.WarpSize]uint64, isa.MaxRegs),
+		alive:  0xdeadbeef,
+	}
+	for r := range w.Regs {
+		for lane := range w.Regs[r] {
+			w.Regs[r][lane] = 0xbad0_0000_0000_0000 | uint64(r)<<8 | uint64(lane)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		w.stack = append(w.stack, simtEntry{pc: 100 + i, rpc: 200 + i, mask: 0xffff_ffff})
+	}
+	for lane := 0; lane < isa.WarpSize; lane++ {
+		w.accesses = append(w.accesses, Access{Lane: lane, Addr: 0xbad, Store: true})
+	}
+	return w
+}
+
+// stepLockstep runs a fresh and a recycled warp side by side over their own
+// copies of one memory image: every step's result, every register and the
+// final memory must agree bit for bit.
+func stepLockstep(t *testing.T, what string, fresh, recycled *Warp, mFresh, mRecycled *mem.Flat) {
+	t.Helper()
+	for step := 0; !fresh.Done(); step++ {
+		if step > 100_000 {
+			t.Fatalf("%s: warp did not terminate", what)
+		}
+		if recycled.Done() {
+			t.Fatalf("%s: recycled warp finished at step %d, fresh one is at pc %d", what, step, fresh.PC())
+		}
+		rf, rr := fresh.Step(), recycled.Step()
+		if !reflect.DeepEqual(rf, rr) {
+			t.Fatalf("%s step %d: fresh stepped %+v, recycled %+v", what, step, rf, rr)
+		}
+		if !reflect.DeepEqual(fresh.Regs, recycled.Regs) {
+			t.Fatalf("%s step %d (pc %d): register files differ", what, step, rf.PC)
+		}
+		if fresh.ActiveMask() != recycled.ActiveMask() || fresh.PC() != recycled.PC() {
+			t.Fatalf("%s step %d: fresh at pc %d mask %#x, recycled at pc %d mask %#x", what, step,
+				fresh.PC(), fresh.ActiveMask(), recycled.PC(), recycled.ActiveMask())
+		}
+	}
+	if !recycled.Done() {
+		t.Fatalf("%s: recycled warp still running after the fresh one finished", what)
+	}
+	if ok, addr := mem.Equal(mFresh, mRecycled); !ok {
+		t.Fatalf("%s: memory images differ at %#x", what, addr)
+	}
+}
+
+// TestRecycledWarpStepsLikeFresh: Reset and ResetRegion over a dirtied warp
+// give exactly the warp NewWarp and NewRegionWarp build, over the random
+// kernels of TestRandomKernelsDeterministic. In the region shape the caller's
+// register array holds garbage outside the live-in set, so the registers the
+// liveness analysis did not name must read zero — from the recycled register
+// file as from a fresh one.
+func TestRecycledWarpStepsLikeFresh(t *testing.T) {
+	const base, n = 0x1000_0000, 256
+	mk := func() *mem.Flat {
+		m := mem.NewFlat()
+		for i := uint64(0); i < n; i++ {
+			m.Store4(base+4*i, uint32(i*2654435761))
+		}
+		return m
+	}
+	r := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		k := randomStructuredKernel(r)
+		info, err := cfgx.Analyze(k)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		wi := WarpInfo{CtaID: trial % 2, WarpInCTA: trial % 2, NTid: 48, NCtaid: 2}
+		params := []uint64{base, n}
+
+		mf, mr := mk(), mk()
+		fresh := NewWarp(k, info, wi, mf, nil, params)
+		recycled := dirtyWarp()
+		recycled.Reset(k, info, wi, mr, nil, params)
+		stepLockstep(t, fmt.Sprintf("trial %d", trial), fresh, recycled, mf, mr)
+
+		// Region shape: everything between the address prologue and the
+		// exit, entered with the prologue's registers live and the rest of
+		// the caller's array poisoned.
+		const prologue = 5
+		pro := NewWarp(k, info, wi, mk(), nil, params)
+		for i := 0; i < prologue; i++ {
+			pro.Step()
+		}
+		liveIn := uint64(1<<prologue - 1) // r0..r4
+		regs := make([][isa.WarpSize]uint64, k.NumRegs)
+		for reg := range regs {
+			for lane := range regs[reg] {
+				regs[reg][lane] = 0x0bad_0bad_0bad_0bad
+			}
+			if liveIn&(1<<reg) != 0 {
+				regs[reg] = pro.Regs[reg]
+			}
+		}
+		endPC := len(k.Instrs) - 1 // the exit
+		mf, mr = mk(), mk()
+		fresh = NewRegionWarp(k, info, wi, mf, pro.ActiveMask(), prologue, endPC, liveIn, regs)
+		recycled = dirtyWarp()
+		recycled.ResetRegion(k, info, wi, mr, pro.ActiveMask(), prologue, endPC, liveIn, regs)
+		for reg := range recycled.Regs {
+			if liveIn&(1<<reg) == 0 && recycled.Regs[reg] != [isa.WarpSize]uint64{} {
+				t.Fatalf("trial %d: recycled region warp starts with r%d = %#x, not live-in so it must read zero",
+					trial, reg, recycled.Regs[reg][0])
+			}
+		}
+		stepLockstep(t, fmt.Sprintf("trial %d region", trial), fresh, recycled, mf, mr)
 	}
 }

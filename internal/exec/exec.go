@@ -98,14 +98,15 @@ type Warp struct {
 // NewWarp creates a warp ready to execute from pc 0 with all lanes whose
 // global thread index is inside the CTA's thread count active.
 func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, params []uint64) *Warp {
-	w := &Warp{
-		Kernel: k,
-		Info:   info,
-		WInfo:  wi,
-		Mem:    mem,
-		Shared: shared,
-		Regs:   make([][isa.WarpSize]uint64, k.NumRegs),
-	}
+	w := new(Warp)
+	w.Reset(k, info, wi, mem, shared, params)
+	return w
+}
+
+// Reset makes w the warp NewWarp would return for the same arguments,
+// reusing w's register file, SIMT stack and access buffer. A timing model
+// that retires and dispatches warps continuously recycles them through it.
+func (w *Warp) Reset(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, params []uint64) {
 	var mask uint32
 	base := wi.WarpInCTA * isa.WarpSize
 	for lane := 0; lane < isa.WarpSize; lane++ {
@@ -113,6 +114,7 @@ func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []u
 			mask |= 1 << lane
 		}
 	}
+	w.init(k, info, wi, mem, shared, simtEntry{pc: 0, rpc: -1, mask: mask})
 	for i, v := range params {
 		if i >= k.NumRegs {
 			break
@@ -121,9 +123,6 @@ func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []u
 			w.Regs[i][lane] = v
 		}
 	}
-	w.alive = mask
-	w.stack = []simtEntry{{pc: 0, rpc: -1, mask: mask}}
-	return w
 }
 
 // NewRegionWarp creates a warp positioned to execute the region
@@ -133,21 +132,44 @@ func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []u
 // exercises the liveness analysis for real.
 func NewRegionWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, mask uint32,
 	startPC, endPC int, liveIn uint64, regs [][isa.WarpSize]uint64) *Warp {
-	w := &Warp{
-		Kernel: k,
-		Info:   info,
-		WInfo:  wi,
-		Mem:    mem,
-		Regs:   make([][isa.WarpSize]uint64, k.NumRegs),
-	}
+	w := new(Warp)
+	w.ResetRegion(k, info, wi, mem, mask, startPC, endPC, liveIn, regs)
+	return w
+}
+
+// ResetRegion is Reset for the NewRegionWarp shape.
+func (w *Warp) ResetRegion(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, mask uint32,
+	startPC, endPC int, liveIn uint64, regs [][isa.WarpSize]uint64) {
+	w.init(k, info, wi, mem, nil, simtEntry{pc: startPC, rpc: endPC, mask: mask})
 	for r := 0; r < k.NumRegs; r++ {
 		if liveIn&(1<<r) != 0 {
 			w.Regs[r] = regs[r]
 		}
 	}
-	w.alive = mask
-	w.stack = []simtEntry{{pc: startPC, rpc: endPC, mask: mask}}
-	return w
+}
+
+// init is the one place a warp's state is established, fresh or recycled:
+// every field is assigned, the register file reads zero, and only backing
+// storage survives from w's previous use.
+func (w *Warp) init(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, base simtEntry) {
+	regs := w.Regs
+	if cap(regs) < k.NumRegs {
+		regs = make([][isa.WarpSize]uint64, k.NumRegs)
+	} else {
+		regs = regs[:k.NumRegs]
+		clear(regs)
+	}
+	*w = Warp{
+		Kernel:   k,
+		Info:     info,
+		WInfo:    wi,
+		Mem:      mem,
+		Shared:   shared,
+		Regs:     regs,
+		alive:    base.mask,
+		stack:    append(w.stack[:0], base),
+		accesses: w.accesses[:0],
+	}
 }
 
 // Done reports whether the warp has finished (all lanes exited or the
@@ -398,6 +420,11 @@ func (w *Warp) Step() StepResult {
 
 	case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomAdd:
 		res.Kind = StepMem
+		if w.accesses == nil {
+			// Full capacity at once: a step records at most one access per
+			// lane, and the buffer lives as long as the (recycled) warp.
+			w.accesses = make([]Access, 0, isa.WarpSize)
+		}
 		w.accesses = w.accesses[:0]
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if mask&(1<<lane) == 0 {

@@ -59,16 +59,23 @@ func RunInstrumented(m Memory, l Launch, hook StepHook) error {
 	if err != nil {
 		return err
 	}
+	// CTAs run one after the other, so one CTA's worth of warps, shared
+	// memory and barrier flags serves the whole grid.
 	wpc := l.WarpsPerCTA()
+	shared := make([]uint32, (l.Kernel.SharedBytes+3)/4)
+	warps := make([]*Warp, wpc)
+	for wi := range warps {
+		warps[wi] = new(Warp)
+	}
+	atBarrier := make([]bool, wpc)
 	for cta := 0; cta < l.Grid; cta++ {
-		shared := make([]uint32, (l.Kernel.SharedBytes+3)/4)
-		warps := make([]*Warp, wpc)
-		for wi := 0; wi < wpc; wi++ {
-			warps[wi] = NewWarp(l.Kernel, info, WarpInfo{
+		clear(shared)
+		clear(atBarrier)
+		for wi, w := range warps {
+			w.Reset(l.Kernel, info, WarpInfo{
 				CtaID: cta, WarpInCTA: wi, NTid: l.Block, NCtaid: l.Grid,
 			}, m, shared, l.Params)
 		}
-		atBarrier := make([]bool, wpc)
 		for {
 			busy := 0
 			progressed := false

@@ -35,14 +35,50 @@ type inflight struct {
 	at int64
 }
 
+// fifo is a growable ring buffer. Popping advances a head index and zeroes
+// the vacated slot, so a link in steady state reuses its capacity instead of
+// reallocating (re-slicing the head away burns capacity for good) and a
+// delivered packet's callback is not kept reachable by a dead prefix.
+type fifo[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
+
+func (q *fifo[T]) back() *T { return &q.buf[(q.head+q.n-1)&(len(q.buf)-1)] }
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
+}
+
 // Link is a unidirectional bandwidth-limited channel.
 type Link struct {
 	Name          string
 	BytesPerCycle float64
 	PropLatency   int64
 
-	queue     []qpacket
-	inflight  []inflight
+	queue     fifo[qpacket]
+	inflight  fifo[inflight]
 	busWindow busyMonitor
 
 	// burstStart is the first serialization cycle of the current burst (a
@@ -76,7 +112,7 @@ func New(name string, bytesPerCycle float64, propLatency int64) *Link {
 // the packet.
 func (l *Link) Send(p Packet, now int64) {
 	l.account(now - 1)
-	if len(l.queue) == 0 {
+	if l.queue.len() == 0 {
 		// acctThrough ≥ now-1 after the account call, so the burst starts
 		// at `now` when the link has not been advanced this cycle yet, and
 		// at now+1 when it has.
@@ -97,16 +133,16 @@ func (l *Link) Send(p Packet, now int64) {
 	for float64(k)*l.BytesPerCycle < l.burstBytes {
 		k++
 	}
-	l.queue = append(l.queue, qpacket{p: p, finish: l.burstStart + k - 1})
+	l.queue.push(qpacket{p: p, finish: l.burstStart + k - 1})
 }
 
 // QueuedPackets returns the number of packets not yet moved to the
 // propagation stage as of the last accounting point (loop diagnostics; for
 // exact occupancy at a cycle use Snapshot, which accounts first).
-func (l *Link) QueuedPackets() int { return len(l.queue) }
+func (l *Link) QueuedPackets() int { return l.queue.len() }
 
 // Active reports whether the link has pending work.
-func (l *Link) Active() bool { return len(l.queue) > 0 || len(l.inflight) > 0 }
+func (l *Link) Active() bool { return l.queue.len() > 0 || l.inflight.len() > 0 }
 
 // account applies serialization effects for all cycles through `target`:
 // busy-cycle counting (one per cycle the queue is non-empty, matching the
@@ -117,25 +153,24 @@ func (l *Link) account(target int64) {
 	if target <= l.acctThrough {
 		return
 	}
-	if len(l.queue) > 0 {
+	if l.queue.len() > 0 {
 		a := l.acctThrough + 1
 		if a < l.burstStart {
 			a = l.burstStart
 		}
 		b := target
-		if last := l.queue[len(l.queue)-1].finish; b > last {
+		if last := l.queue.back().finish; b > last {
 			b = last
 		}
 		if a <= b {
 			l.BusyCycles += uint64(b - a + 1)
 			l.busWindow.addSpan(a, b)
 		}
-		for len(l.queue) > 0 && l.queue[0].finish <= target {
-			q := l.queue[0]
-			l.queue = l.queue[1:]
+		for l.queue.len() > 0 && l.queue.front().finish <= target {
+			q := l.queue.pop()
 			l.BytesSent += uint64(q.p.Bytes)
 			l.PacketsSent++
-			l.inflight = append(l.inflight, inflight{p: q.p, at: q.finish + l.PropLatency})
+			l.inflight.push(inflight{p: q.p, at: q.finish + l.PropLatency})
 		}
 	}
 	l.acctThrough = target
@@ -148,9 +183,8 @@ func (l *Link) account(target int64) {
 // event-driven loop) produce identical state and identical delivery times.
 func (l *Link) AdvanceTo(now int64) {
 	l.account(now)
-	for len(l.inflight) > 0 && l.inflight[0].at <= now {
-		f := l.inflight[0]
-		l.inflight = l.inflight[1:]
+	for l.inflight.len() > 0 && l.inflight.front().at <= now {
+		f := l.inflight.pop()
 		if f.p.Deliver != nil {
 			f.p.Deliver(now)
 		}
@@ -181,11 +215,11 @@ func (l *Link) SkipTo(now int64) {
 // monotone; the head queued packet's delivery can never precede them.
 func (l *Link) NextEvent() int64 {
 	next := int64(-1)
-	if len(l.inflight) > 0 {
-		next = l.inflight[0].at
+	if l.inflight.len() > 0 {
+		next = l.inflight.front().at
 	}
-	if len(l.queue) > 0 {
-		if t := l.queue[0].finish + l.PropLatency; next < 0 || t < next {
+	if l.queue.len() > 0 {
+		if t := l.queue.front().finish + l.PropLatency; next < 0 || t < next {
 			next = t
 		}
 	}
@@ -221,7 +255,7 @@ func (l *Link) Snapshot(now int64) Snapshot {
 		BytesSent:   l.BytesSent,
 		PacketsSent: l.PacketsSent,
 		BusyCycles:  l.BusyCycles,
-		Queued:      len(l.queue),
+		Queued:      l.queue.len(),
 		Utilization: l.busWindow.utilization(now),
 	}
 }

@@ -83,18 +83,25 @@ func TestLatencyLowerBound(t *testing.T) {
 // same counters, and the same Channel Busy Monitor readings at every probe.
 // The probes deliberately land at cycles the event run would otherwise skip,
 // exercising the lazy bulk accounting path (account through now-1 on read).
+// The last trial pushes 10^5 packets through one link, so the queue and
+// in-flight rings wrap thousands of times; in every trial their capacity
+// must stay within a small multiple of the peak occupancy.
 func TestLinkEventJumpMatchesPerCycle(t *testing.T) {
 	type send struct {
 		at    int64
 		bytes int
 	}
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 9; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 40))
 		bw := []float64{7.14, 28.57, 57.14, 1.999}[trial%4]
 		lat := int64(5 + rng.Intn(40))
-		var sched []send
+		packets := 250
+		if trial == 8 {
+			packets = 100_000
+		}
+		sched := make([]send, 0, packets)
 		at := int64(0)
-		for i := 0; i < 250; i++ {
+		for i := 0; i < packets; i++ {
 			at += int64(rng.Intn(60))
 			sched = append(sched, send{at: at, bytes: 4 + rng.Intn(300)})
 		}
@@ -107,6 +114,7 @@ func TestLinkEventJumpMatchesPerCycle(t *testing.T) {
 			l := New("t", bw, lat)
 			deliveredAt := make([]int64, len(sched))
 			var utils []float64
+			peakQueue, peakInflight := 0, 0
 			si, pi := 0, 0
 			now := int64(0)
 			for si < len(sched) || l.Active() {
@@ -120,6 +128,13 @@ func TestLinkEventJumpMatchesPerCycle(t *testing.T) {
 						Deliver: func(c int64) { deliveredAt[id] = c }}, now)
 					si++
 				}
+				// Occupancy peaks between the two halves of an advance: after
+				// serialized packets moved to the propagation stage, before
+				// due ones are delivered. Accounting is idempotent, so doing
+				// the first half here changes nothing.
+				peakQueue = max(peakQueue, l.queue.len())
+				l.account(now)
+				peakInflight = max(peakInflight, l.inflight.len())
 				if !jump {
 					l.Tick(now)
 					now++
@@ -147,6 +162,12 @@ func TestLinkEventJumpMatchesPerCycle(t *testing.T) {
 					t.Fatal("event run did not drain")
 				}
 			}
+			if c := len(l.queue.buf); c > max(4, 2*peakQueue) {
+				t.Errorf("trial %d: queue capacity %d with at most %d packets queued", trial, c, peakQueue)
+			}
+			if c := len(l.inflight.buf); c > max(4, 2*peakInflight) {
+				t.Errorf("trial %d: in-flight capacity %d with at most %d packets in flight", trial, c, peakInflight)
+			}
 			return deliveredAt, utils, l.BytesSent, l.PacketsSent, l.BusyCycles
 		}
 
@@ -171,5 +192,32 @@ func TestLinkEventJumpMatchesPerCycle(t *testing.T) {
 					trial, bw, i, probes[i], refU[i], gotU[i])
 			}
 		}
+	}
+}
+
+// TestLinkSteadyStateDoesNotAllocate: once its rings have grown to the
+// traffic's peak, a link sends and delivers without allocating.
+func TestLinkSteadyStateDoesNotAllocate(t *testing.T) {
+	l := New("t", 16, 20)
+	delivered := 0
+	deliver := func(int64) { delivered++ }
+	now := int64(0)
+	burst := func() {
+		for i := 0; i < 50; i++ {
+			l.Send(Packet{Bytes: 64 + i, Deliver: deliver}, now)
+			l.Tick(now)
+			now++
+		}
+		for l.Active() {
+			l.Tick(now)
+			now++
+		}
+	}
+	burst() // grow the rings
+	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+		t.Errorf("a warmed-up link allocates %.2f times per 50-packet burst, want 0", avg)
+	}
+	if delivered != 102*50 {
+		t.Errorf("delivered %d packets, sent %d", delivered, 102*50)
 	}
 }

@@ -46,8 +46,21 @@ func (f *Flat) page(addr uint64) *[pageWords]uint32 {
 }
 
 // Load4 reads the 32-bit word at addr (addr is truncated to word align).
+// A load never materialises a page: an untouched address reads zero and
+// leaves the memory — its page set and the lookup cache — as it was, so a
+// stray index or a dry run costs no 64 KB page that every later Clone and
+// Equal would then carry.
 func (f *Flat) Load4(addr uint64) uint32 {
-	return f.page(addr)[addr%pageBytes/4]
+	tag := addr / pageBytes
+	if tag == f.lastTag {
+		return f.lastPage[addr%pageBytes/4]
+	}
+	p, ok := f.pages[tag]
+	if !ok {
+		return 0
+	}
+	f.lastTag, f.lastPage = tag, p
+	return p[addr%pageBytes/4]
 }
 
 // Store4 writes the 32-bit word at addr.

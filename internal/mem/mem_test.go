@@ -1,0 +1,59 @@
+package mem
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// TestLoadDoesNotMaterialisePages: loads from untouched addresses read zero
+// and leave no trace — no page is inserted, and Equal and Snapshot see the
+// memory exactly as before.
+func TestLoadDoesNotMaterialisePages(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fresh := NewFlat()
+	for i := 0; i < 10_000; i++ {
+		if v := fresh.Load4(rng.Uint64() &^ 3); v != 0 {
+			t.Fatalf("load %d from a fresh memory = %#x, want 0", i, v)
+		}
+	}
+	if n := len(fresh.pages); n != 0 {
+		t.Fatalf("%d loads materialised %d pages in a fresh memory", 10_000, n)
+	}
+
+	// A populated memory: stray loads between real accesses must neither add
+	// pages nor disturb what the real accesses read and wrote.
+	m := NewFlat()
+	const base = AllocBase
+	for i := uint64(0); i < 64; i++ {
+		m.Store4(base+i*pageBytes/2, uint32(i+1))
+	}
+	before := m.Clone()
+	snap := m.Snapshot()
+	pages := len(m.pages)
+	for i := 0; i < 10_000; i++ {
+		if v := m.Load4(base + 1<<40 + rng.Uint64()%(1<<30)&^3); v != 0 {
+			t.Fatalf("stray load = %#x, want 0", v)
+		}
+		j := uint64(rng.Intn(64))
+		if v := m.Load4(base + j*pageBytes/2); v != uint32(j+1) {
+			t.Fatalf("word %d reads %d after a stray load, want %d", j, v, j+1)
+		}
+	}
+	if len(m.pages) != pages {
+		t.Errorf("stray loads grew the memory from %d to %d pages", pages, len(m.pages))
+	}
+	if ok, addr := Equal(before, m); !ok {
+		t.Errorf("Equal changed by loads: first difference at %#x", addr)
+	}
+	if !reflect.DeepEqual(m.Snapshot(), snap) {
+		t.Error("Snapshot changed by loads")
+	}
+	// The absent page did not displace the lookup cache either: a store right
+	// after a stray load still lands in the right page.
+	m.Load4(base + 1<<41)
+	m.Store4(base, 99)
+	if got := m.Load4(base); got != 99 {
+		t.Errorf("store after a stray load read back %d, want 99", got)
+	}
+}

@@ -1,0 +1,63 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/workloads"
+)
+
+// TestSteadyStateAllocBudget keeps the timing model's host allocation under
+// committed ceilings, so a regression fails `go test` and not only the
+// benchmark's host_alloc_b_per_winstr. One cell that offloads everything
+// (stack SMs, offload jobs, cross-stack flights) and one baseline cell (L2
+// misses over the GPU links): heap bytes and objects allocated by New+Run,
+// per simulated warp-instruction. The counts repeat from run to run to three
+// digits; the ceilings are about 1.5x what the cells allocate.
+func TestSteadyStateAllocBudget(t *testing.T) {
+	noctrlBmap := DefaultConfig()
+	noctrlBmap.Offload = OffloadUncontrolled
+	noctrlBmap.Mapping = MapBaseline
+	for _, tc := range []struct {
+		abbr, name string
+		cfg        Config
+		maxBytes   float64 // per warp-instruction
+		maxMallocs float64
+	}{
+		{"BFS", "noctrl-bmap", noctrlBmap, 145, 0.50},
+		{"FWT", "baseline", BaselineConfig(), 22, 0.12},
+	} {
+		w, err := workloads.ByAbbr(tc.abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Build(0.03)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.cfg.MaxCycles = 100_000_000
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys := New(tc.cfg, inst.Mem, inst.Alloc)
+		err = sys.Run(inst.Launches)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.abbr, tc.name, err)
+		}
+
+		winstr := float64(sys.Stats().WarpInstrs)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / winstr
+		mallocs := float64(after.Mallocs-before.Mallocs) / winstr
+		t.Logf("%s/%s: %.1f B and %.3f mallocs per warp-instruction (%.0f warp-instructions)",
+			tc.abbr, tc.name, bytes, mallocs, winstr)
+		if bytes > tc.maxBytes {
+			t.Errorf("%s/%s allocates %.1f B per warp-instruction, budget %.0f",
+				tc.abbr, tc.name, bytes, tc.maxBytes)
+		}
+		if mallocs > tc.maxMallocs {
+			t.Errorf("%s/%s allocates %.3f objects per warp-instruction, budget %.2f",
+				tc.abbr, tc.name, mallocs, tc.maxMallocs)
+		}
+	}
+}

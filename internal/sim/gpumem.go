@@ -11,29 +11,6 @@ import (
 type l2sys struct {
 	sys   *System
 	banks []*l2bank
-	// free recycles MSHR entries (and their waiter slices' capacity): an
-	// L2 miss in steady state allocates nothing.
-	free []*l2entry
-}
-
-// getEntry returns an empty MSHR entry, reusing a recycled one if possible.
-func (l2 *l2sys) getEntry() *l2entry {
-	if n := len(l2.free); n > 0 {
-		e := l2.free[n-1]
-		l2.free = l2.free[:n-1]
-		return e
-	}
-	return &l2entry{}
-}
-
-// putEntry recycles a drained MSHR entry, dropping txn references so the
-// pool does not retain completed transactions.
-func (l2 *l2sys) putEntry(e *l2entry) {
-	for i := range e.waiters {
-		e.waiters[i] = nil
-	}
-	e.waiters = e.waiters[:0]
-	l2.free = append(l2.free, e)
 }
 
 type l2bank struct {
@@ -119,12 +96,12 @@ func (b *l2bank) tick(now int64) {
 		b.tags.Lookup(t.line)
 		n := copy(b.queue, b.queue[1:])
 		b.queue = b.queue[:n]
-		sys.wheel.afterEvent(sys.cfg.L2Lat/3, wheelEvent{kind: wevRouteStore, t: t})
+		sys.wheel.afterEvent(sys.cfg.L2Lat/3, wheelEvent{kind: wevRoute, line: t.line, t: t})
 		return
 	}
 	// Load.
-	if _, merged := sys.l2mshr[t.line]; merged {
-		sys.l2mshr[t.line].waiters = append(sys.l2mshr[t.line].waiters, t)
+	if e, merged := sys.l2mshr[t.line]; merged {
+		e.waiters = append(e.waiters, t)
 		n := copy(b.queue, b.queue[1:])
 		b.queue = b.queue[:n]
 		sys.stats.L2Hits++ // merged under an outstanding fill
@@ -143,10 +120,10 @@ func (b *l2bank) tick(now int64) {
 	sys.stats.L2Misses++
 	n := copy(b.queue, b.queue[1:])
 	b.queue = b.queue[:n]
-	e := sys.l2.getEntry()
-	e.waiters = append(e.waiters, t)
+	e := sys.l2entries.get()
+	*e = l2entry{waiters: append(e.waiters[:0], t)}
 	sys.l2mshr[t.line] = e
-	sys.wheel.afterEvent(sys.cfg.L2Lat/3, wheelEvent{kind: wevRouteLoad, line: t.line})
+	sys.wheel.afterEvent(sys.cfg.L2Lat/3, wheelEvent{kind: wevRoute, line: t.line})
 }
 
 // l2fill completes an outstanding L2 miss: install the tag and wake every
@@ -161,57 +138,5 @@ func (sys *System) l2fill(line uint64, now int64) {
 	for _, t := range e.waiters {
 		t.complete(now)
 	}
-	sys.l2.putEntry(e)
-}
-
-// routeLoad sends an L2 miss toward memory: the owning stack's vault, or
-// CPU memory over PCI-E during the learning phase.
-func (sys *System) routeLoad(line uint64, now int64) {
-	if sys.learning {
-		sys.pcieLoad(line, now)
-		return
-	}
-	s := sys.stackOf(line)
-	sys.txLinks[s].Send(packetOf(reqHeaderBytes, func(at int64) {
-		sys.stacks[s].serveLine(line, 0, false, at, func(done int64) {
-			sys.rxLinks[s].Send(packetOf(sys.cfg.LineBytes+lineRespExtra, func(rx int64) {
-				sys.l2fill(line, rx)
-			}), done)
-		})
-	}), now)
-}
-
-// routeStore sends a write-through store (or atomic) to its memory stack.
-func (sys *System) routeStore(t *txn, now int64) {
-	if sys.learning {
-		sys.pcieStore(t, now)
-		return
-	}
-	s := sys.stackOf(t.line)
-	bytes := reqHeaderBytes + t.bytes
-	ack := storeAckBytes
-	if t.atom {
-		ack = reqHeaderBytes // atomics return the old value
-	}
-	sys.txLinks[s].Send(packetOf(bytes, func(at int64) {
-		sys.stacks[s].serveLine(t.line, t.bytes, true, at, func(done int64) {
-			sys.rxLinks[s].Send(packetOf(ack, t.complete), done)
-		})
-	}), now)
-}
-
-// pcieLoad / pcieStore model the learning phase running out of CPU memory
-// (§4.3 step 2): every access crosses the measured-latency PCI-E path.
-func (sys *System) pcieLoad(line uint64, now int64) {
-	sys.pcieTX.Send(packetOf(reqHeaderBytes, func(at int64) {
-		sys.pcieRX.Send(packetOf(sys.cfg.LineBytes+lineRespExtra, func(rx int64) {
-			sys.l2fill(line, rx)
-		}), at)
-	}), now)
-}
-
-func (sys *System) pcieStore(t *txn, now int64) {
-	sys.pcieTX.Send(packetOf(reqHeaderBytes+t.bytes, func(at int64) {
-		sys.pcieRX.Send(packetOf(storeAckBytes, t.complete), at)
-	}), now)
+	sys.l2entries.put(e)
 }

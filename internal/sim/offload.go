@@ -12,6 +12,10 @@ import (
 // offloadJob carries one offloaded candidate instance: the request the
 // Offload Controller packs (live-in registers, PCs, active mask — §4.2) and
 // the acknowledgment state (live-out registers, dirty-line list — §4.4.2).
+// liveIn and liveOut are indexed by register; only the entries the
+// candidate's LiveIn/LiveOut masks name are written and read. Jobs are
+// recycled (System.jobs) from buildJob to finishOffload, keeping the two
+// register buffers, the emptied dirty set and deliver.
 type offloadJob struct {
 	cand    *compiler.Candidate
 	srcSM   *SM
@@ -23,6 +27,32 @@ type offloadJob struct {
 	liveIn  [][isa.WarpSize]uint64
 	liveOut [][isa.WarpSize]uint64
 	dirty   map[uint64]struct{}
+
+	// deliver is the link callback of both of the job's packets, bound to
+	// job.delivered once, when the job is first created: the request
+	// reaching the stack, then (acked) the acknowledgment reaching the GPU.
+	acked   bool
+	deliver func(now int64)
+}
+
+// delivered is deliver's target.
+func (job *offloadJob) delivered(now int64) {
+	sys := job.srcSM.sys
+	if job.acked {
+		sys.finishOffload(job, now)
+		return
+	}
+	sm := sys.stacks[job.dest].spawnTarget()
+	sm.spawnQ = append(sm.spawnQ, job)
+}
+
+// regBuf returns buf resized to n registers, reallocating only to grow.
+// Contents are unspecified: callers write the entries they later read.
+func regBuf(buf [][isa.WarpSize]uint64, n int) [][isa.WarpSize]uint64 {
+	if cap(buf) < n {
+		return make([][isa.WarpSize]uint64, n)
+	}
+	return buf[:n]
 }
 
 // polEnv binds the simulator's state at one deciding cycle to the
@@ -84,7 +114,9 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 	if sys.learning {
 		sys.stats.LearnEntries++
 		sys.stats.PCStats.At(cand.StartPC).LearnEntries++
-		sw.collect = &collectState{cand: cand}
+		c := sys.collects.get()
+		*c = collectState{cand: cand, addrs: c.addrs[:0]}
+		sw.collect = c
 		return false
 	}
 	if sys.cfg.Offload == OffloadOff {
@@ -178,13 +210,18 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 // buildJob packs one offload request: warp identity, active mask, and the
 // live-in register lanes (the request payload).
 func (sys *System) buildJob(sm *SM, sw *smWarp, cand *compiler.Candidate, dest, vault int) *offloadJob {
-	job := &offloadJob{
-		cand: cand, srcSM: sm, srcWarp: sw, dest: dest, vault: vault,
-		mask: sw.w.ActiveMask(), winfo: sw.w.WInfo,
-		dirty: make(map[uint64]struct{}),
+	job := sys.jobs.get()
+	if job.deliver == nil {
+		job.deliver = job.delivered
+		job.dirty = make(map[uint64]struct{})
 	}
 	k := sw.w.Kernel
-	job.liveIn = make([][isa.WarpSize]uint64, k.NumRegs)
+	*job = offloadJob{
+		cand: cand, srcSM: sm, srcWarp: sw, dest: dest, vault: vault,
+		mask: sw.w.ActiveMask(), winfo: sw.w.WInfo,
+		liveIn: regBuf(job.liveIn, k.NumRegs), liveOut: regBuf(job.liveOut, k.NumRegs),
+		dirty: job.dirty, deliver: job.deliver,
+	}
 	for r := 0; r < k.NumRegs; r++ {
 		if cand.LiveIn&(1<<r) != 0 {
 			job.liveIn[r] = sw.w.Regs[r]
@@ -244,7 +281,8 @@ func (sm *SM) spawn(job *offloadJob, now int64) {
 	}
 	cand := job.cand
 	md := job.srcWarp.md
-	w := exec.NewRegionWarp(md.Kernel, md.Info, job.winfo, sm.sys.mem, job.mask,
+	w := sm.sys.warps.get()
+	w.ResetRegion(md.Kernel, md.Info, job.winfo, sm.sys.mem, job.mask,
 		cand.StartPC, cand.EndPC, cand.LiveIn, job.liveIn)
 	slot := sm.findFreeSlot()
 	sw := &smWarp{sm: sm, slot: slot, w: w, md: md, job: job}
@@ -272,13 +310,13 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	}
 
 	cand := job.cand
-	k := sw.w.Kernel
-	job.liveOut = make([][isa.WarpSize]uint64, k.NumRegs)
-	for r := 0; r < k.NumRegs; r++ {
+	for r := range job.liveOut {
 		if cand.LiveOut&(1<<r) != 0 {
 			job.liveOut[r] = sw.w.Regs[r]
 		}
 	}
+	sys.warps.put(sw.w)
+	sw.w = nil
 	// The ack carries the same offload header as the request: per §4.4.2 it
 	// must identify the requesting warp and region (see types.go).
 	ackBytes := offloadHdrBytes + cand.NumLiveOut()*isa.WarpSize*regLaneBytes
@@ -295,9 +333,8 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 		sys.wheel.afterEvent(1, wheelEvent{kind: wevFinishOffload, job: job})
 		return
 	}
-	sys.rxLinks[job.dest].Send(packetOf(ackBytes, func(at int64) {
-		sys.finishOffload(job, at)
-	}), now)
+	job.acked = true
+	sys.rxLinks[job.dest].Send(packetOf(ackBytes, job.deliver), now)
 }
 
 // finishOffload resumes the requesting warp: write live-outs, invalidate
@@ -336,6 +373,8 @@ func (sys *System) finishOffload(job *offloadJob, now int64) {
 	sw.notReadyUntil = now + 1 + invalidateCost
 	sw.state = wsWaitDep
 	sm.reconsider(sw, now)
+	clear(job.dirty)
+	sys.jobs.put(job)
 }
 
 // destStack finds the memory stack the candidate's first global-memory

@@ -1,0 +1,24 @@
+package sim
+
+// freeList recycles the objects of one type within one System: get hands
+// out a returned object if there is one and a zero one otherwise, put takes
+// an object back at the single point its lifetime ends. The lists belong to
+// the System (no sync.Pool, no package state): concurrent Systems share
+// nothing, and nothing outlives a run. DESIGN.md "Object lifetimes" says,
+// per type, where that point is and who may still hold a pointer after it.
+//
+// The taker re-initialises the object by assigning a whole struct literal,
+// carrying over only backing storage (slices cut to length zero, a cleared
+// map) and callbacks bound to the object itself.
+type freeList[T any] struct{ free []*T }
+
+func (f *freeList[T]) get() *T {
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+func (f *freeList[T]) put(x *T) { f.free = append(f.free, x) }

@@ -34,7 +34,7 @@ type SM struct {
 	cur   int // GTO: last issued slot
 
 	lsu  []*txn
-	mshr map[uint64][]loadWaiter
+	mshr map[uint64]*mshrEntry
 
 	ctas   []*ctaCtx // active CTAs (main SMs)
 	spawnQ []*offloadJob
@@ -69,7 +69,16 @@ type loadWaiter struct {
 	reg isa.Reg
 }
 
-// smWarp is the scheduling wrapper around an architectural warp.
+// mshrEntry is one outstanding L1 miss: the register clears waiting on the
+// line. Entries are recycled (System.mshrs) with their waiter capacity.
+type mshrEntry struct {
+	waiters []loadWaiter
+}
+
+// smWarp is the scheduling wrapper around an architectural warp. The
+// wrapper outlives the warp: late wake-ups, MSHR waiters and a CTA's warp
+// list may still point at it after retirement, and all of them stop at the
+// state check. Only w is recycled then (and set nil).
 type smWarp struct {
 	sm   *SM
 	slot int
@@ -111,14 +120,9 @@ type ctaCtx struct {
 }
 
 type collectState struct {
-	cand  *compiler.Candidate
-	addrs []uint64     // lane addresses, first = home-defining
-	seq   []instAccess // leader (pc, addr) stream for Fig. 5
-}
-
-type instAccess struct {
-	pc   int
-	addr uint64
+	cand      *compiler.Candidate
+	addrs     []uint64 // lane addresses, first = home-defining
+	memInstrs int      // warp memory instructions observed (learnWindow)
 }
 
 func newSM(sys *System, id int, isStack bool, stackID int, warpSlots int) *SM {
@@ -135,7 +139,7 @@ func newSM(sys *System, id int, isStack bool, stackID int, warpSlots int) *SM {
 		l1:         cache.New(c.L1Bytes, c.L1Ways, c.LineBytes),
 		warps:      make([]*smWarp, warpSlots),
 		ready:      newBitset(maxInt(warpSlots, 64)),
-		mshr:       make(map[uint64][]loadWaiter),
+		mshr:       make(map[uint64]*mshrEntry),
 		freeSlots:  warpSlots,
 		issueWidth: width,
 	}
@@ -170,7 +174,7 @@ func (sm *SM) reconsider(sw *smWarp, now int64) {
 		if d < ringSlots {
 			sm.ringAfter(d, now, smEvent{sw: sw, reg: -1})
 		} else {
-			sm.sys.wheel.afterEvent(d, wheelEvent{kind: wevReconsider, sm: sm, sw: sw})
+			sm.sys.wheel.afterEvent(d, wheelEvent{kind: wevReconsider, sw: sw})
 		}
 		return
 	}
@@ -271,6 +275,8 @@ func (sm *SM) retire(sw *smWarp, now int64) {
 	sm.unready(sw, wsRetired)
 	sm.warps[sw.slot] = nil
 	sm.freeSlots++
+	sm.sys.warps.put(sw.w)
+	sw.w = nil
 	if sw.job != nil {
 		return // stack warps have no CTA
 	}
@@ -326,7 +332,8 @@ func (sm *SM) dispatchCTAs(lc *launchCtx) {
 		}
 		for wi := 0; wi < wpc; wi++ {
 			slot := sm.findFreeSlot()
-			w := exec.NewWarp(lc.l.Kernel, lc.md.Info, exec.WarpInfo{
+			w := sm.sys.warps.get()
+			w.Reset(lc.l.Kernel, lc.md.Info, exec.WarpInfo{
 				CtaID: ctaID, WarpInCTA: wi, NTid: lc.l.Block, NCtaid: lc.l.Grid,
 			}, sm.sys.mem, cta.shared, lc.l.Params)
 			sw := &smWarp{sm: sm, slot: slot, w: w, cta: cta, md: lc.md}
@@ -472,7 +479,7 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 			sm.unready(sw, wsWaitLSU)
 			// MSHR-full wakeups ride on fills; LSU wakeups on drain.
 			if len(sm.mshr) >= sm.cfg.MSHRsPerSM {
-				sm.sys.wheel.afterEvent(8, wheelEvent{kind: wevLSURetry, sm: sm, sw: sw})
+				sm.sys.wheel.afterEvent(8, wheelEvent{kind: wevLSURetry, sw: sw})
 			}
 			return
 		}
@@ -558,8 +565,8 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 		if isStore {
 			// Write-through, no-allocate: touch L1 LRU if present.
 			sm.l1.Lookup(li.line)
-			t := &txn{line: li.line, bytes: li.lanes * isa.WordBytes, store: true,
-				atom: res.Op == isa.OpAtomAdd, sm: sm, sw: sw, reg: reg}
+			t := sm.sys.newTxn(txn{line: li.line, bytes: li.lanes * isa.WordBytes, store: true,
+				atom: res.Op == isa.OpAtomAdd, sm: sm, sw: sw, reg: reg})
 			if res.Op == isa.OpAtomAdd {
 				sw.regCount[reg]++
 			}
@@ -569,8 +576,8 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 		}
 		// Load path.
 		sw.regCount[reg]++
-		if waiters, outstanding := sm.mshr[li.line]; outstanding {
-			sm.mshr[li.line] = append(waiters, loadWaiter{sw: sw, reg: reg})
+		if e, outstanding := sm.mshr[li.line]; outstanding {
+			e.waiters = append(e.waiters, loadWaiter{sw: sw, reg: reg})
 			continue
 		}
 		if sm.l1.Lookup(li.line) {
@@ -579,9 +586,11 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 			continue
 		}
 		sm.noteL1(false)
-		sm.mshr[li.line] = []loadWaiter{{sw: sw, reg: reg}}
+		e := sm.sys.mshrs.get()
+		*e = mshrEntry{waiters: append(e.waiters[:0], loadWaiter{sw: sw, reg: reg})}
+		sm.mshr[li.line] = e
 		sm.sys.inflight++
-		sm.lsu = append(sm.lsu, &txn{line: li.line, sm: sm})
+		sm.lsu = append(sm.lsu, sm.sys.newTxn(txn{line: li.line, sm: sm}))
 	}
 }
 
@@ -602,10 +611,12 @@ func (sm *SM) noteL1(hit bool) {
 // fill delivers a returned line: L1 allocation plus waiter register clears.
 func (sm *SM) fill(line uint64, now int64) {
 	sm.l1.Fill(line)
-	waiters := sm.mshr[line]
-	delete(sm.mshr, line)
-	for _, wt := range waiters {
-		sm.regClear(wt.sw, wt.reg, now)
+	if e := sm.mshr[line]; e != nil {
+		delete(sm.mshr, line)
+		for _, wt := range e.waiters {
+			sm.regClear(wt.sw, wt.reg, now)
+		}
+		sm.sys.mshrs.put(e)
 	}
 	// MSHR space freed: wake MSHR-stalled warps.
 	sm.retryLSUStalls(now)

@@ -2,13 +2,8 @@ package sim
 
 import (
 	"repro/internal/dram"
-	"repro/internal/link"
 	"repro/internal/mapping"
 )
-
-func packetOf(bytes int, deliver func(now int64)) link.Packet {
-	return link.Packet{Bytes: bytes, Deliver: deliver}
-}
 
 // stackNode is one 3D memory stack: a crossbar in front of 16 FR-FCFS
 // vaults, plus one or more logic-layer SMs (Table 1 uses one; the paper's
@@ -48,17 +43,17 @@ func newStack(sys *System, id int) *stackNode {
 	return s
 }
 
-// serveLine routes a request through the crossbar into its vault, retrying
-// while the vault queue is full, and calls done when the DRAM burst
-// completes.
-func (s *stackNode) serveLine(line uint64, storeBytes int, write bool, now int64, done func(int64)) {
-	v := s.vaults[mapping.VaultOf(line, len(s.vaults))]
+// serveLine routes a flight's request through the crossbar into its vault,
+// retrying while the vault queue is full; the vault calls fl.done when the
+// DRAM burst completes.
+func (s *stackNode) serveLine(fl *flight, now int64) {
 	bytes := s.sys.cfg.LineBytes
-	if write && storeBytes > 0 {
-		bytes = storeBytes
+	if fl.isStore() && fl.t.bytes > 0 {
+		bytes = fl.t.bytes
 	}
-	req := &dram.Request{Addr: line, Bytes: bytes, Write: write, Done: done}
-	s.sys.wheel.afterEvent(s.sys.cfg.XbarLat, wheelEvent{kind: wevVaultTry, vault: v, req: req})
+	fl.vault = s.vaults[mapping.VaultOf(fl.line, len(s.vaults))]
+	fl.req = dram.Request{Addr: fl.line, Bytes: bytes, Write: fl.isStore(), Done: fl.done}
+	s.sys.wheel.afterEvent(s.sys.cfg.XbarLat, wheelEvent{kind: wevVaultTry, fl: fl})
 }
 
 func (s *stackNode) tick(now int64, elide bool) {
@@ -108,23 +103,11 @@ func (p *stackPort) accept(now int64, t *txn) bool {
 	}
 	if home == p.node.id {
 		// Local: crossbar + vault only.
-		p.node.serveLine(t.line, t.bytes, t.store, now, func(done int64) {
-			sys.wheel.afterEvent(2, wheelEvent{kind: wevTxnDone, t: t})
-		})
+		p.node.serveLine(sys.newFlight(flLocal, t.line, t, home, home), now)
 		return true
 	}
 	// Remote: request over the cross-stack link, response back.
-	reqBytes := reqHeaderBytes
-	respBytes := sys.cfg.LineBytes + lineRespExtra
-	if t.store {
-		reqBytes += t.bytes
-		respBytes = storeAckBytes
-	}
-	from, to := p.node.id, home
-	sys.crossLinks[from][to].Send(packetOf(reqBytes, func(at int64) {
-		sys.stacks[to].serveLine(t.line, t.bytes, t.store, at, func(done int64) {
-			sys.crossLinks[to][from].Send(packetOf(respBytes, t.complete), done)
-		})
-	}), now)
+	fl := sys.newFlight(flRemote, t.line, t, home, p.node.id)
+	sys.crossLinks[fl.from][fl.home].Send(packetOf(reqHeaderBytes+t.bytes, fl.deliver), now)
 	return true
 }

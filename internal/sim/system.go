@@ -79,6 +79,16 @@ type System struct {
 
 	// ob is non-nil iff cfg.Observer is set (see observe.go).
 	ob *obsState
+
+	// Free lists of the per-request objects (pool.go): Run allocates in
+	// steady state only when one of them is empty.
+	warps     freeList[exec.Warp]
+	txns      freeList[txn]
+	flights   freeList[flight]
+	mshrs     freeList[mshrEntry]
+	l2entries freeList[l2entry]
+	jobs      freeList[offloadJob]
+	collects  freeList[collectState]
 }
 
 // New builds a system over the given memory and allocation table.
@@ -289,9 +299,9 @@ func (sys *System) recordCollection(sw *smWarp, res exec.StepResult) {
 		c.addrs = append(c.addrs, a.Addr)
 	}
 	if len(res.Accesses) > 0 {
-		c.seq = append(c.seq, instAccess{pc: res.PC, addr: res.Accesses[0].Addr})
+		c.memInstrs++
 	}
-	if len(c.seq) >= learnWindow {
+	if c.memInstrs >= learnWindow {
 		sys.finishCollection(sw)
 	}
 }
@@ -299,10 +309,14 @@ func (sys *System) recordCollection(sw *smWarp, res exec.StepResult) {
 func (sys *System) finishCollection(sw *smWarp) {
 	c := sw.collect
 	sw.collect = nil
-	if len(c.addrs) == 0 {
+	observed := len(c.addrs) > 0
+	if observed {
+		sys.analyzer.ObserveInstance(c.addrs) // copies what it keeps
+	}
+	sys.collects.put(c)
+	if !observed {
 		return
 	}
-	sys.analyzer.ObserveInstance(c.addrs)
 	sys.learnSeen++
 	if sys.learning && sys.learnGoal > 0 && sys.learnSeen >= sys.learnGoal {
 		sys.endLearning()

@@ -22,8 +22,18 @@ type txn struct {
 	reg isa.Reg
 }
 
-// complete delivers the load data (or store ack) back to the issuing SM —
-// the typed equivalent of the old per-txn onData closure.
+// newTxn takes a transaction from the System's free list.
+func (sys *System) newTxn(v txn) *txn {
+	t := sys.txns.get()
+	*t = v
+	return t
+}
+
+// complete delivers the load data (or store ack) back to the issuing SM and
+// ends the transaction's life: by now it has left the LSU queue, the L2 bank
+// queue, the L2 MSHR, its wheel event and its flight, one after the other,
+// so nothing else refers to it. It is zeroed on the way back so that a use
+// after this point fails loudly instead of acting on a stale target.
 func (t *txn) complete(now int64) {
 	sm := t.sm
 	sm.sys.inflight--
@@ -35,6 +45,8 @@ func (t *txn) complete(now int64) {
 	} else {
 		sm.fill(t.line, now)
 	}
+	*t = txn{}
+	sm.sys.txns.put(t)
 }
 
 // Packet size constants (bytes). The paper normalizes address/data/register

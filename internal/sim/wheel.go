@@ -1,19 +1,23 @@
 package sim
 
-import "repro/internal/dram"
-
 // The wheel is the simulator's global timer: a fixed-horizon timer wheel
 // whose slots hold typed events. The hot schedulers (offload pipeline,
 // L2 routing, vault crossbar retries, warp wakeups) file small value
-// structs instead of closures, so the steady-state loop allocates nothing
-// per scheduled event; cold paths can still pass an arbitrary callback
-// (wevFunc). Delays at or beyond the horizon land in an overflow bucket
-// and are re-filed into the wheel once they come within range — a long
-// modeled latency (scaled PCIe, future LLM-workload delays) is an input
-// condition, not a model bug.
+// structs instead of closures. Delays at or beyond the horizon land in an
+// overflow bucket and are re-filed into the wheel once they come within
+// range — a long modeled latency (scaled PCIe, future LLM-workload delays)
+// is an input condition, not a model bug.
+//
+// Events live in one slab of nodes; a slot is the head and tail index of a
+// singly linked FIFO threaded through the slab, and fired nodes go onto a
+// free list. The slab therefore grows to the peak number of events pending
+// at once and no further — not to 8192 slots × each slot's own peak — and
+// a fresh System pays no per-slot warm-up.
 type wheel struct {
 	sys      *System
-	slots    [][]wheelEvent
+	slots    [wheelHorizon]wheelSlot
+	nodes    []wheelNode
+	free     int32 // head of the free-node list, noNode when empty
 	now      int64
 	count    int
 	overflow []farEvent // due >= now+wheelHorizon; re-filed once in range
@@ -21,32 +25,39 @@ type wheel struct {
 
 const wheelHorizon = 1 << 13 // 8192 cycles covers every fixed delay used
 
-// Event kinds. wevFunc runs an arbitrary callback; the others are the
-// allocation-free encodings of the hot schedule sites.
+const noNode int32 = -1
+
+// wheelSlot is one due cycle's FIFO: events fire in the order filed.
+type wheelSlot struct{ head, tail int32 }
+
+type wheelNode struct {
+	ev   wheelEvent
+	next int32
+}
+
+// Event kinds. wevFunc runs an arbitrary callback and exists for the wheel's
+// own tests; the simulator files only the typed kinds.
 const (
 	wevFunc          uint8 = iota // fn(now)
-	wevReconsider                 // sm.reconsider(sw, now): far-future warp wakeup
+	wevReconsider                 // sw.sm.reconsider(sw, now): far-future warp wakeup
 	wevLSURetry                   // MSHR-full retry: re-ready sw if still stalled
 	wevSendOffload                // offload pipeline done: send job's request packet
 	wevFinishOffload              // ideal-mode ack: resume job's requesting warp
-	wevRouteLoad                  // L2 miss of `line` leaves the L2 toward memory
-	wevRouteStore                 // write-through store txn leaves the L2
-	wevVaultTry                   // crossbar delivery: enqueue req into vault (retry on full)
+	wevRoute                      // an L2 miss of `line` (t nil) or a write-through store t leaves the L2
+	wevVaultTry                   // crossbar delivery: enqueue fl's request into its vault (retry on full)
 	wevTxnDone                    // t.complete(now): load data / store ack reaches the SM
 )
 
 // wheelEvent is one scheduled occurrence. Exactly the fields its kind
-// needs are set; the struct is stored by value in the slot slices.
+// needs are set; the struct is stored by value in the slab.
 type wheelEvent struct {
-	kind  uint8
-	fn    func(now int64)
-	sm    *SM
-	sw    *smWarp
-	job   *offloadJob
-	t     *txn
-	vault *dram.Vault
-	req   *dram.Request
-	line  uint64
+	kind uint8
+	fn   func(now int64)
+	sw   *smWarp
+	job  *offloadJob
+	t    *txn
+	fl   *flight
+	line uint64
 }
 
 type farEvent struct {
@@ -55,7 +66,11 @@ type farEvent struct {
 }
 
 func newWheel(sys *System) *wheel {
-	return &wheel{sys: sys, slots: make([][]wheelEvent, wheelHorizon)}
+	w := &wheel{sys: sys, free: noNode}
+	for i := range w.slots {
+		w.slots[i] = wheelSlot{head: noNode, tail: noNode}
+	}
+	return w
 }
 
 // after schedules fn to run at now+delay (delay >= 1).
@@ -74,8 +89,26 @@ func (w *wheel) afterEvent(delay int64, ev wheelEvent) {
 		w.overflow = append(w.overflow, farEvent{at: w.now + delay, ev: ev})
 		return
 	}
-	i := (w.now + delay) % wheelHorizon
-	w.slots[i] = append(w.slots[i], ev)
+	w.file(w.now+delay, ev)
+}
+
+// file appends ev to the FIFO of the slot for cycle `at`.
+func (w *wheel) file(at int64, ev wheelEvent) {
+	n := w.free
+	if n != noNode {
+		w.free = w.nodes[n].next
+		w.nodes[n] = wheelNode{ev: ev, next: noNode}
+	} else {
+		n = int32(len(w.nodes))
+		w.nodes = append(w.nodes, wheelNode{ev: ev, next: noNode})
+	}
+	s := &w.slots[at%wheelHorizon]
+	if s.head == noNode {
+		s.head = n
+	} else {
+		w.nodes[s.tail].next = n
+	}
+	s.tail = n
 }
 
 // tick runs events due at cycle `now`. Must be called with monotonically
@@ -87,15 +120,21 @@ func (w *wheel) tick(now int64) {
 	if len(w.overflow) > 0 {
 		w.refileOverflow(now)
 	}
-	i := now % wheelHorizon
-	due := w.slots[i]
-	if len(due) == 0 {
-		return
-	}
-	w.slots[i] = due[:0]
-	w.count -= len(due)
-	for k := range due {
-		w.sys.runEvent(&due[k], now)
+	s := &w.slots[now%wheelHorizon]
+	n := s.head
+	*s = wheelSlot{head: noNode, tail: noNode}
+	for n != noNode {
+		// Copy the event out and free its node before running it: the
+		// handler may file further events, which can reuse the node or grow
+		// (and so move) the slab. Nothing it files can land in this slot —
+		// delays are in [1, horizon) — so the detached chain is stable.
+		node := &w.nodes[n]
+		ev, next := node.ev, node.next
+		*node = wheelNode{next: w.free}
+		w.free = n
+		w.count--
+		w.sys.runEvent(&ev, now)
+		n = next
 	}
 }
 
@@ -105,12 +144,12 @@ func (w *wheel) refileOverflow(now int64) {
 	kept := w.overflow[:0]
 	for _, fe := range w.overflow {
 		if fe.at-now < wheelHorizon {
-			i := fe.at % wheelHorizon
-			w.slots[i] = append(w.slots[i], fe.ev)
+			w.file(fe.at, fe.ev)
 		} else {
 			kept = append(kept, fe)
 		}
 	}
+	clear(w.overflow[len(kept):])
 	w.overflow = kept
 }
 
@@ -118,15 +157,15 @@ func (w *wheel) refileOverflow(now int64) {
 func (w *wheel) pending() int { return w.count }
 
 // nextDue returns the earliest cycle > w.now with a pending event, or -1.
-// The scan walks forward from w.now, so its cost is proportional to the
-// distance to the next event — the same distance the event-driven loop is
-// about to skip.
+// The scan walks slot heads forward from w.now, so its cost is proportional
+// to the distance to the next event — the same distance the event-driven
+// loop is about to skip.
 func (w *wheel) nextDue() int64 {
 	if w.count == 0 {
 		return -1
 	}
 	for d := int64(1); d <= wheelHorizon; d++ {
-		if len(w.slots[(w.now+d)%wheelHorizon]) > 0 {
+		if w.slots[(w.now+d)%wheelHorizon].head != noNode {
 			return w.now + d
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +126,132 @@ func TestWheelCascading(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != 2 || order[1] != 5 {
 		t.Errorf("cascade order = %v, want [2 5]", order)
+	}
+}
+
+// TestWheelMatchesReferenceModel drives the wheel with random traffic and
+// checks it against the definition of a timer: events fire at exactly their
+// due cycle, ordered by (due cycle, filing sequence). Delays cover the
+// clamped zero, the per-slot FIFO (many events per cycle), the far end of
+// the horizon and the overflow bucket; handlers file further events while
+// their slot is being drained (so the slab grows and reuses nodes mid-tick);
+// and time advances by single cycles, by jumps that stop short of the next
+// due cycle, and by jumps straight to it, the way the event loop does.
+func TestWheelMatchesReferenceModel(t *testing.T) {
+	type filed struct {
+		due int64
+		id  int // filing sequence number
+	}
+	type fired struct {
+		id int
+		at int64
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := newWheel(&System{})
+		var model []filed // every event ever filed
+		var got []fired
+		pending := map[int]int64{} // id -> due, for the nextDue check
+		now := int64(0)
+
+		var file func(depth int)
+		file = func(depth int) {
+			var delay int64
+			switch rng.Intn(6) {
+			case 0:
+				delay = 0 // clamped to 1
+			case 1:
+				delay = 1 + rng.Int63n(4) // crowds a few slots
+			case 2:
+				delay = 1 + rng.Int63n(200)
+			case 3:
+				delay = wheelHorizon - 1 - rng.Int63n(3)
+			case 4:
+				delay = wheelHorizon + rng.Int63n(3) // first cycles of the overflow
+			default:
+				delay = wheelHorizon + rng.Int63n(2*wheelHorizon)
+			}
+			id := len(model)
+			due := now + max(delay, 1)
+			model = append(model, filed{due: due, id: id})
+			pending[id] = due
+			w.after(delay, func(at int64) {
+				got = append(got, fired{id: id, at: at})
+				delete(pending, id)
+				for depth < 3 && rng.Intn(3) == 0 {
+					file(depth + 1)
+					depth++
+				}
+			})
+		}
+
+		w.tick(now)
+		for step := 0; ; step++ { // file for 1000 steps, then drain
+			if step < 1000 {
+				for n := rng.Intn(4); n > 0; n-- {
+					file(0)
+				}
+			}
+			next := w.nextDue()
+			want := int64(-1)
+			for _, due := range pending {
+				if want < 0 || due < want {
+					want = due
+				}
+			}
+			if next != want {
+				t.Fatalf("seed %d cycle %d: nextDue = %d, earliest pending is %d", seed, now, next, want)
+			}
+			if next < 0 {
+				if step >= 1000 {
+					break
+				}
+				next = now + 1 + rng.Int63n(50)
+			}
+			switch rng.Intn(3) {
+			case 0:
+				now++
+			case 1:
+				now += 1 + rng.Int63n(next-now) // skips cycles, never past next
+			default:
+				now = next
+			}
+			w.tick(now)
+		}
+		if w.pending() != 0 || len(pending) != 0 {
+			t.Fatalf("seed %d: %d events still pending after the drain", seed, w.pending())
+		}
+
+		sort.SliceStable(model, func(i, j int) bool { return model[i].due < model[j].due })
+		if len(got) != len(model) {
+			t.Fatalf("seed %d: fired %d of %d events", seed, len(got), len(model))
+		}
+		for i, m := range model {
+			if got[i].id != m.id || got[i].at != m.due {
+				t.Fatalf("seed %d: firing %d was event %d at cycle %d, the model says event %d at cycle %d",
+					seed, i, got[i].id, got[i].at, m.id, m.due)
+			}
+		}
+	}
+}
+
+// TestWheelSlabBoundedByPeakPending: the slab holds the peak number of
+// events pending in the wheel at once, however many pass through it.
+func TestWheelSlabBoundedByPeakPending(t *testing.T) {
+	const peak = 64
+	rng := rand.New(rand.NewSource(5))
+	w := newWheel(&System{})
+	nop := func(int64) {}
+	w.tick(0)
+	for filed := 0; filed < 1_000_000; {
+		for w.pending() < peak {
+			w.after(1+rng.Int63n(2*wheelHorizon), nop)
+			filed++
+		}
+		w.tick(w.nextDue())
+	}
+	if len(w.nodes) > peak {
+		t.Errorf("slab grew to %d nodes with at most %d events pending", len(w.nodes), peak)
 	}
 }
 
