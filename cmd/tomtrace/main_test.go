@@ -132,9 +132,9 @@ func TestFilterFlags(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	cases := [][]string{
-		{"-to", "protobuf"},          // unknown output format
-		{"-stack", "two"},            // non-numeric stack id
-		{"a.trace", "b.trace"},       // more than one input
+		{"-to", "protobuf"},                           // unknown output format
+		{"-stack", "two"},                             // non-numeric stack id
+		{"a.trace", "b.trace"},                        // more than one input
 		{filepath.Join(t.TempDir(), "missing.trace")}, // unreadable input
 	}
 	for _, args := range cases {

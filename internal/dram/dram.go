@@ -14,6 +14,7 @@ package dram
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Timing collects the vault timing/geometry parameters, in core cycles.
@@ -209,12 +210,10 @@ func (v *Vault) Tick(now int64) {
 	for len(v.compl) > 0 && v.compl[0].at <= now {
 		// Copy down rather than re-slice the head away: the list is a
 		// handful of bursts long, and re-slicing burns its capacity so a
-		// busy vault reallocates forever. The vacated slot is zeroed so the
-		// fired callback is not retained.
+		// busy vault reallocates forever. Delete zeroes the vacated slot, so
+		// the fired callback is not retained.
 		c := v.compl[0]
-		n := copy(v.compl, v.compl[1:])
-		v.compl[n] = completion{}
-		v.compl = v.compl[:n]
+		v.compl = slices.Delete(v.compl, 0, 1)
 		v.horizonValid = false
 		if c.done != nil {
 			c.done(now)
@@ -257,9 +256,7 @@ func (v *Vault) Tick(now int64) {
 		return
 	}
 	b := &v.banks[pickBank]
-	n := copy(b.queue[pickIdx:], b.queue[pickIdx+1:])
-	b.queue[pickIdx+n] = nil
-	b.queue = b.queue[:pickIdx+n]
+	b.queue = slices.Delete(b.queue, pickIdx, pickIdx+1)
 	if len(b.queue) == 0 {
 		v.occ &^= 1 << pickBank
 	}

@@ -38,7 +38,9 @@ func (l Launch) WarpsPerCTA() int { return (l.Block + isa.WarpSize - 1) / isa.Wa
 
 // StepHook observes every executed warp-instruction during an instrumented
 // functional run (used by the profiling pass that feeds the Fig. 5/6
-// analyses and the oracle mapping).
+// analyses and the oracle mapping). The runner reuses one CTA's warps for
+// every CTA of the grid, so w identifies a warp only until its last step
+// (res.Done).
 type StepHook func(w *Warp, res StepResult)
 
 // RunFunctional executes the launch purely functionally (no timing): the

@@ -67,7 +67,7 @@ func TestBinaryZeroFieldsRoundTrip(t *testing.T) {
 		{Cycle: 0, Kind: EvSend, SM: 0, Stack: 0, PC: 0, Bytes: 160},
 		{Cycle: 5, Kind: EvGate, SM: 0, Stack: -1, PC: 0, Reason: "nodest"},
 		{Cycle: 9, Kind: EvLearnEnd, N: 128, Bit: BitValue(0)},
-		{Cycle: 9, Kind: EvLearnEnd, N: 0},             // no bit learned: nil
+		{Cycle: 9, Kind: EvLearnEnd, N: 0}, // no bit learned: nil
 		{Cycle: 12, Kind: EvAck, SM: 3, Stack: 0, PC: 7, Bytes: 96},
 	}
 	got := decodeBinary(t, collectBinary(t, events))
@@ -280,8 +280,8 @@ func TestBinaryReaderRejectsCorrupt(t *testing.T) {
 	// A dangling intern ref must error, not panic.
 	var buf bytes.Buffer
 	buf.WriteString(binaryMagic)
-	buf.WriteByte(1)    // version
-	buf.WriteByte(9)    // kind ref 9: table is empty
+	buf.WriteByte(1) // version
+	buf.WriteByte(9) // kind ref 9: table is empty
 	if r, err := NewBinaryReader(bytes.NewReader(buf.Bytes())); err == nil {
 		if _, err := r.Next(); err == nil || err == io.EOF {
 			t.Error("dangling string ref must be a hard error")

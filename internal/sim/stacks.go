@@ -103,7 +103,7 @@ func (p *stackPort) accept(now int64, t *txn) bool {
 	}
 	if home == p.node.id {
 		// Local: crossbar + vault only.
-		p.node.serveLine(sys.newFlight(flLocal, t.line, t, home, home), now)
+		p.node.serveLine(sys.newFlight(flLocal, t.line, t, home, -1), now)
 		return true
 	}
 	// Remote: request over the cross-stack link, response back.

@@ -309,14 +309,11 @@ func (sys *System) recordCollection(sw *smWarp, res exec.StepResult) {
 func (sys *System) finishCollection(sw *smWarp) {
 	c := sw.collect
 	sw.collect = nil
-	observed := len(c.addrs) > 0
-	if observed {
-		sys.analyzer.ObserveInstance(c.addrs) // copies what it keeps
-	}
-	sys.collects.put(c)
-	if !observed {
+	defer sys.collects.put(c) // the analyzer copies what it keeps
+	if len(c.addrs) == 0 {
 		return
 	}
+	sys.analyzer.ObserveInstance(c.addrs)
 	sys.learnSeen++
 	if sys.learning && sys.learnGoal > 0 && sys.learnSeen >= sys.learnGoal {
 		sys.endLearning()
