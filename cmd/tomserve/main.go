@@ -18,13 +18,16 @@
 // and the verified result or an error. The response's "cache" object is the
 // HTTP counterpart of tomsim's "cache: hits=... simulated=..." line.
 //
-// Concurrency: every batch executes on one shared work-stealing scheduler
-// bounded by -workers, so the simulation bound holds across concurrent
-// batches; -queue bounds admitted requests, beyond which the server answers
-// 429 + Retry-After immediately. -timeout caps each batch (runs that never
-// started report the deadline error; running simulations always finish and
-// land in the caches). On SIGINT/SIGTERM the server stops accepting work,
-// drains in-flight batches, and exits. See docs/RUNCACHE.md.
+// Concurrency: cache hits are answered on the request goroutine; misses and
+// trace re-executions run on one shared scheduler that takes a slot per item,
+// so at most -workers simulations run at once across all requests and
+// concurrent batches take turns. -queue bounds admitted requests, beyond
+// which the server answers 429 + Retry-After immediately; a body over 1 MiB,
+// more than 1024 runs or a scale over 8 is refused with a 4xx. -timeout caps
+// each batch (runs that never started report the deadline error; running
+// simulations always finish and land in the caches). On SIGINT/SIGTERM the
+// server stops accepting work, drains in-flight batches, and exits. See
+// docs/RUNCACHE.md.
 package main
 
 import (

@@ -31,9 +31,9 @@ type options struct {
 
 // server is the sweep service: it accepts batches of runs over HTTP, executes
 // them through per-scale Sessions sharing one persistent cache and one
-// work-stealing Scheduler, and reports per-batch cache accounting. Cache hits
-// are served with zero simulation; the global worker bound holds across every
-// batch in flight.
+// Scheduler, and reports per-batch cache accounting. Cache hits are answered
+// on the request goroutine and never wait for a simulation slot; the global
+// worker bound holds across every batch in flight.
 type server struct {
 	opts  options
 	sched *core.Scheduler
@@ -49,11 +49,20 @@ type server struct {
 	specs    map[string]specEntry      // digest -> resolved spec (trace endpoint)
 }
 
-// specEntry remembers a resolved spec and the scale whose session ran it.
+// specEntry remembers a resolved spec and the session that ran it.
 type specEntry struct {
-	spec  core.RunSpec
-	scale float64
+	spec core.RunSpec
+	sess *core.Session
 }
+
+// Request bounds. A batch is untrusted input to a long-lived process: the
+// body, the run count and the problem scale (memory and simulated work grow
+// with it) are each capped, and a batch over a cap is refused whole.
+const (
+	maxBatchBytes = 1 << 20
+	maxBatchRuns  = 1024 // the full workload x configuration x policy matrix is 680
+	maxScale      = 8.0
+)
 
 func newServer(opts options) *server {
 	if opts.scale <= 0 {
@@ -188,13 +197,29 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("http.batches").Inc()
 
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad batch: "+err.Error(), status)
 		return
 	}
 	if len(req.Runs) == 0 {
 		http.Error(w, "bad batch: no runs", http.StatusBadRequest)
 		return
+	}
+	if len(req.Runs) > maxBatchRuns {
+		http.Error(w, fmt.Sprintf("bad batch: %d runs, the limit is %d", len(req.Runs), maxBatchRuns),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	for i, rr := range req.Runs {
+		if rr.Scale > maxScale {
+			http.Error(w, fmt.Sprintf("bad batch: run %d: scale %v, the limit is %v", i, rr.Scale, maxScale),
+				http.StatusBadRequest)
+			return
+		}
 	}
 
 	// The deadline covers the whole batch; it also inherits the client's
@@ -212,13 +237,17 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
+	// Hits first: every resolvable run is looked up here, on the request
+	// goroutine, and only the misses go to the scheduler — a memo or disk
+	// hit never waits for a simulation slot, whatever else is in flight.
 	results := make([]runResponse, len(req.Runs))
 	type job struct {
-		idx   int
-		spec  core.RunSpec
-		scale float64
+		idx int // slot in results
+		specEntry
 	}
-	var jobs []job
+	jobs := make([]job, 0, len(req.Runs)) // every resolvable run
+	var misses []int                      // the jobs no cache layer holds
+	inline := 0
 	for i, rr := range req.Runs {
 		scale := rr.Scale
 		if scale <= 0 {
@@ -232,46 +261,50 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sess := s.session(scale)
 		spec, err := sess.SpecWithPolicy(rr.Workload, core.ConfigName(rr.Config), rr.Policy)
+		if err == nil && rr.MappingStore {
+			spec, err = sess.WithStoredMapping(spec)
+		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
-		if rr.MappingStore {
-			spec, err = sess.WithStoredMapping(spec)
-			if err != nil {
-				results[i].Error = err.Error()
-				continue
-			}
-		}
+		// Hashed once per run per request; every later step takes it from here.
 		results[i].Digest = spec.Digest()
-		jobs = append(jobs, job{idx: i, spec: spec, scale: scale})
+		jobs = append(jobs, job{i, specEntry{spec, sess}})
+		res, src, err := sess.Lookup(spec, results[i].Digest)
+		switch {
+		case err != nil:
+			results[i].Error = err.Error()
+		case res != nil:
+			results[i].fill(res, src)
+			inline++
+		default:
+			misses = append(misses, len(jobs)-1)
+		}
 	}
 
-	// Execute every resolvable run on the shared scheduler: concurrent
-	// batches contend for the same worker slots, so the server-wide
-	// simulation bound holds under load.
-	errs := s.sched.ForEach(ctx, len(jobs), func(j int) error {
-		res, src, err := s.session(jobs[j].scale).RunSpecTracked(jobs[j].spec)
-		if err != nil {
-			return err
+	// Misses execute on the shared scheduler: concurrent batches contend
+	// for the same slots, so the server-wide simulation bound holds.
+	errs := s.sched.ForEach(ctx, len(misses), func(m int) error {
+		j := jobs[misses[m]]
+		res, src, err := j.sess.RunSpecTracked(j.spec, results[j.idx].Digest)
+		if err == nil {
+			results[j.idx].fill(res, src)
 		}
-		results[jobs[j].idx].Source = src
-		results[jobs[j].idx].Mapping = mappingLabel(res.Stats.MappingSource)
-		results[jobs[j].idx].Result = res
-		return nil
+		return err
 	})
-	for j, err := range errs {
+	for m, err := range errs {
 		if err != nil {
-			results[jobs[j].idx].Error = err.Error()
+			results[jobs[misses[m]].idx].Error = err.Error()
 		}
 	}
 
 	// Remember digests for the trace endpoint (successes only: a spec that
 	// never ran cleanly is not worth re-executing under observation).
 	s.mu.Lock()
-	for j := range jobs {
-		if results[jobs[j].idx].Error == "" {
-			s.specs[jobs[j].spec.Digest()] = specEntry{spec: jobs[j].spec, scale: jobs[j].scale}
+	for _, j := range jobs {
+		if results[j.idx].Error == "" {
+			s.specs[results[j.idx].Digest] = j.specEntry
 		}
 	}
 	s.mu.Unlock()
@@ -292,6 +325,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sum.Misses = sum.Simulated + sum.Errors
 	s.reg.Counter("runs.hits").Add(uint64(sum.Hits))
+	s.reg.Counter("runs.hits_inline").Add(uint64(inline))
 	s.reg.Counter("runs.simulated").Add(uint64(sum.Simulated))
 	s.reg.Counter("runs.errors").Add(uint64(sum.Errors))
 	if sum.Stored > 0 {
@@ -304,8 +338,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleTrace re-executes a previously-submitted run under observation and
 // streams its lifecycle trace as it is produced. Observation requires an
 // actual execution (only an execution yields events), so this endpoint
-// always simulates — it admits through the same queue and scheduler as
-// batches. The sink chain is Label → Sampling → AutoFlush → encoder; the
+// always simulates — it admits through the same queue as batches and runs as
+// one item of the same scheduler, so traces count against the simulation
+// bound. The sink chain is Label → Sampling → AutoFlush → encoder; the
 // AutoFlush layer bounds the client's lag behind the simulation, and the
 // sampling sink's trace_sampled conservation summaries arrive at the end of
 // the stream whether the run succeeds or fails.
@@ -350,7 +385,10 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		TraceSample: sample,
 	}
 	o, _ := policy.ObserverFor(ent.spec.Key())
-	_, runErr := s.session(ent.scale).RunSpecObserved(ent.spec, o)
+	runErr := s.sched.ForEach(r.Context(), 1, func(int) error {
+		_, err := ent.sess.RunSpecObserved(ent.spec, o)
+		return err
+	})[0]
 	// Flush on success and failure alike: a failed run has already streamed
 	// events, and its conservation summaries must still reach the client.
 	flushErr := obs.Flush(o.Trace)
@@ -366,6 +404,11 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// The scheduler keeps its own running total; bring the counter up to it.
+	s.mu.Lock()
+	c := s.reg.Counter("sched.slot_wait_us")
+	c.Add(uint64(s.sched.SlotWait().Microseconds()) - c.Value())
+	s.mu.Unlock()
 	s.writeJSON(w, s.reg.Snapshot())
 }
 
@@ -406,6 +449,11 @@ func defaultStr(s, def string) string {
 		return def
 	}
 	return s
+}
+
+// fill completes a run's slot from its result and the layer that held it.
+func (r *runResponse) fill(res *core.RunResult, src core.RunSource) {
+	r.Source, r.Mapping, r.Result = src, mappingLabel(res.Stats.MappingSource), res
 }
 
 // mappingLabel renders a run's mapping provenance for the batch response:

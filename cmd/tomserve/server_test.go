@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -338,17 +343,8 @@ func TestServerMetricsAndHealth(t *testing.T) {
 	}
 
 	postBatch(t, ts.URL, batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "baseline"}}})
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap.Counters["http.batches"] != 1 || snap.Counters["runs.simulated"] != 1 {
-		t.Fatalf("/metrics counters = %+v, want one batch and one simulation", snap.Counters)
+	if c := counters(t, ts.URL); c["http.batches"] != 1 || c["runs.simulated"] != 1 {
+		t.Fatalf("/metrics counters = %+v, want one batch and one simulation", c)
 	}
 }
 
@@ -402,5 +398,260 @@ func TestServerMappingStoreOptIn(t *testing.T) {
 	}
 	if o2.Cache.Stored != 1 {
 		t.Errorf("opted warm summary stored=%d, want 1", o2.Cache.Stored)
+	}
+}
+
+// waitFor polls for server state that nothing signals.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// holdSlot occupies one of the server's simulation slots with an item that
+// blocks until the returned function is called (at cleanup if not before).
+func holdSlot(t *testing.T, s *server) (release func()) {
+	t.Helper()
+	held, free, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.sched.ForEach(context.Background(), 1, func(int) error { close(held); <-free; return nil })
+	}()
+	<-held
+	var once sync.Once
+	release = func() { once.Do(func() { close(free); <-done }) }
+	t.Cleanup(release)
+	return release
+}
+
+// tryBatch posts a batch and decodes the reply without touching t, so it can
+// run off the test goroutine and with a client of the caller's choosing.
+func tryBatch(c *http.Client, url string, req batchRequest) (out batchResponse, err error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return out, err
+	}
+	resp, err := c.Post(url+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
+// counters reads /metrics.
+func counters(t *testing.T, url string) map[string]uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counters
+}
+
+// TestServerHitBesideMiss: cache hits do not wait for a simulation slot. On
+// a one-worker server whose slot is taken and with a three-miss batch in
+// flight behind it, a memo hit and a disk hit posted on another connection
+// are both answered, with the usual sources and summaries, before the batch
+// is. When every run went through the scheduler they waited for it to drain.
+func TestServerHitBesideMiss(t *testing.T) {
+	dir := t.TempDir()
+	memoRun := batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "baseline"}}}
+	diskRun := batchRequest{Runs: []runRequest{{Workload: "SP", Config: "baseline"}}}
+	_, earlier := newTestServer(t, options{cacheDir: dir, fingerprint: "test"})
+	if _, out, _ := postBatch(t, earlier.URL, diskRun); out.Cache.Simulated != 1 {
+		t.Fatalf("seeding the disk record: %+v", out.Cache)
+	}
+	s, ts := newTestServer(t, options{cacheDir: dir, fingerprint: "test", workers: 1})
+	if _, out, _ := postBatch(t, ts.URL, memoRun); out.Cache.Simulated != 1 {
+		t.Fatalf("seeding the memo: %+v", out.Cache)
+	}
+
+	release := holdSlot(t, s)
+	type reply struct {
+		out batchResponse
+		err error
+	}
+	batchDone := make(chan reply, 1)
+	go func() {
+		out, err := tryBatch(http.DefaultClient, ts.URL, batchRequest{Runs: []runRequest{
+			{Workload: "LIB", Config: "ctrl-bmap"},
+			{Workload: "SP", Config: "ctrl-bmap"},
+			{Workload: "LIB", Config: "noctrl-bmap"},
+		}})
+		batchDone <- reply{out, err}
+	}()
+	waitFor(t, "the miss batch to be admitted", func() bool { return len(s.admit) == 1 })
+
+	// A stalled hit must fail the test, not hang it.
+	hits := &http.Client{Timeout: 20 * time.Second}
+	for _, tc := range []struct {
+		req  batchRequest
+		want core.RunSource
+	}{{memoRun, core.SourceMemo}, {diskRun, core.SourceDisk}} {
+		out, err := tryBatch(hits, ts.URL, tc.req)
+		if err != nil || len(out.Results) != 1 {
+			t.Fatalf("%s hit beside the miss batch: %v: %+v", tc.want, err, out)
+		}
+		if r := out.Results[0]; r.Source != tc.want || r.Error != "" || r.Result == nil {
+			t.Errorf("%s hit: source %q error %q result %v", tc.want, r.Source, r.Error, r.Result)
+		}
+		if want := (batchSummary{Hits: 1}); out.Cache != want {
+			t.Errorf("%s hit summary = %+v, want %+v", tc.want, out.Cache, want)
+		}
+	}
+	select {
+	case rep := <-batchDone:
+		t.Fatalf("the miss batch returned while the only slot was held: %+v %v", rep.out.Cache, rep.err)
+	default:
+	}
+
+	release()
+	rep := <-batchDone
+	if want := (batchSummary{Misses: 3, Simulated: 3}); rep.err != nil || rep.out.Cache != want {
+		t.Fatalf("miss batch = %+v (%v), want %+v", rep.out.Cache, rep.err, want)
+	}
+	c := counters(t, ts.URL)
+	if c["runs.hits_inline"] != 2 || c["runs.hits"] != 2 || c["runs.simulated"] != 4 {
+		t.Errorf("counters hits_inline=%d hits=%d simulated=%d, want 2, 2 and 4",
+			c["runs.hits_inline"], c["runs.hits"], c["runs.simulated"])
+	}
+}
+
+// TestServerTraceHoldsASlot: a trace re-execution is a simulation and counts
+// against -workers like any other. With the only slot held, the stream does
+// not start (not even its headers arrive); it runs once the slot is free, and
+// the time it queued shows in sched.slot_wait_us.
+func TestServerTraceHoldsASlot(t *testing.T) {
+	s, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test", workers: 1})
+	_, out, _ := postBatch(t, ts.URL, batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "ctrl-bmap"}}})
+	if len(out.Results) != 1 || out.Results[0].Error != "" {
+		t.Fatalf("batch: %+v", out.Results)
+	}
+
+	release := holdSlot(t, s)
+	const held = 300 * time.Millisecond
+	started := make(chan struct{}) // closed when the response begins
+	var raw []byte
+	var status int
+	var getErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(ts.URL + "/v1/runs/" + out.Results[0].Digest + "/trace?format=jsonl")
+		close(started)
+		if getErr = err; err != nil {
+			return
+		}
+		status = resp.StatusCode
+		raw, getErr = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}()
+	waitFor(t, "the trace request to reach the scheduler", func() bool {
+		return s.reg.Counter("http.traces").Value() == 1
+	})
+	select {
+	case <-started:
+		<-done
+		t.Fatalf("trace stream began (HTTP %d, %d bytes, %v) while the only slot was held", status, len(raw), getErr)
+	case <-time.After(held):
+	}
+
+	release()
+	<-done
+	if getErr != nil || status != http.StatusOK || !bytes.Contains(raw, []byte(`"run":"LIB/ctrl-bmap"`)) {
+		t.Fatalf("trace after the slot was released: HTTP %d, %d bytes, %v", status, len(raw), getErr)
+	}
+	if got := counters(t, ts.URL)["sched.slot_wait_us"]; got < uint64(held.Microseconds()) {
+		t.Errorf("sched.slot_wait_us = %d after a trace queued for %v", got, held)
+	}
+}
+
+// TestServerRequestLimits: a batch over any of the request bounds is refused
+// whole with an explicit 4xx, and a batch at the bounds is served.
+func TestServerRequestLimits(t *testing.T) {
+	_, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test"})
+	// Unknown configurations fail in their slots before anything is built,
+	// so the accepted cases cost nothing.
+	runs := func(n int, scale float64) string {
+		rs := make([]runRequest, n)
+		for i := range rs {
+			rs[i] = runRequest{Workload: "LIB", Config: "no-such-config", Scale: scale}
+		}
+		body, _ := json.Marshal(batchRequest{Runs: rs})
+		return string(body)
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"body over the byte limit", `{"runs":[{"workload":"` + strings.Repeat("A", maxBatchBytes) + `"}]}`, http.StatusRequestEntityTooLarge},
+		{"one run too many", runs(maxBatchRuns+1, 0), http.StatusRequestEntityTooLarge},
+		{"run count at the limit", runs(maxBatchRuns, 0), http.StatusOK},
+		{"scale over the limit", runs(2, maxScale*1.001), http.StatusBadRequest},
+		{"scale at the limit", runs(2, maxScale), http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d (%.80s), want %d", tc.name, resp.StatusCode, msg, tc.want)
+		}
+	}
+}
+
+// TestServerDocumentedBatches keeps the recipes honest: every fenced json
+// block in the two documents' tomserve sections is a batch this server
+// decodes without unknown fields and runs (at the test scale) without a
+// single slot error. A workload, configuration or field that the documents
+// name and the server does not know fails here.
+func TestServerDocumentedBatches(t *testing.T) {
+	fence := regexp.MustCompile("(?s)```json\n(.*?)```")
+	_, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test", scale: 0.03})
+	for _, doc := range []struct{ path, heading string }{
+		{"../../EXPERIMENTS.md", "## Driving the matrix through the sweep service"},
+		{"../../docs/RUNCACHE.md", "## The sweep service (`tomserve`)"},
+	} {
+		text, err := os.ReadFile(doc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, section, found := strings.Cut(string(text), doc.heading+"\n")
+		if !found {
+			t.Fatalf("%s has no section %q", doc.path, doc.heading)
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		blocks := fence.FindAllStringSubmatch(section, -1)
+		if len(blocks) == 0 {
+			t.Errorf("%s %q: no fenced json batch", doc.path, doc.heading)
+		}
+		for i, b := range blocks {
+			name := fmt.Sprintf("%s block %d", filepath.Base(doc.path), i+1)
+			var req batchRequest
+			dec := json.NewDecoder(strings.NewReader(b[1]))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil || len(req.Runs) == 0 {
+				t.Errorf("%s is not a batch: %v\n%s", name, err, b[1])
+				continue
+			}
+			for r := range req.Runs {
+				req.Runs[r].Scale = 0 // the server's, reduced
+			}
+			resp, out, raw := postBatch(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK || out.Cache.Errors != 0 || len(out.Results) != len(req.Runs) {
+				t.Errorf("%s: HTTP %d, summary %+v\n%.400s", name, resp.StatusCode, out.Cache, raw)
+			}
+		}
 	}
 }

@@ -406,9 +406,48 @@ const (
 // RunSpecTracked executes (or replays) like RunSpecExact and additionally
 // reports which cache layer satisfied the request. Batch servers use this
 // for per-batch accounting, which the cumulative CacheStats cannot provide
-// once batches overlap in time.
-func (s *Session) RunSpecTracked(spec RunSpec) (*RunResult, RunSource, error) {
-	return s.runSpecSource(spec, nil)
+// once batches overlap in time. digest must be spec.Digest(): the caller has
+// computed it already (it is 20 µs of hashing, a tenth of a memo hit).
+func (s *Session) RunSpecTracked(spec RunSpec, digest string) (*RunResult, RunSource, error) {
+	return s.runSpecSource(spec, digest, nil)
+}
+
+// Lookup returns the run's result if a cache layer already holds it — the
+// memo, then the persistent cache, whose hits are promoted into the memo —
+// and a nil result otherwise. It never simulates and never waits for a
+// running flight, so a server can answer hits without a scheduler slot.
+// digest must be spec.Digest().
+func (s *Session) Lookup(spec RunSpec, digest string) (*RunResult, RunSource, error) {
+	s.mu.Lock()
+	res, ok := s.runs[digest]
+	if ok {
+		s.stats.MemoHits++
+	}
+	s.mu.Unlock()
+	if ok {
+		return res, SourceMemo, nil
+	}
+	if s.cache == nil {
+		return nil, "", nil
+	}
+	res, ok, err := s.cache.Get(digest)
+	if err != nil || !ok {
+		return nil, "", err
+	}
+	s.logf("hit %-4s %-14s cycles=%-9d (replayed %.8s)",
+		spec.Abbr, spec.Config, res.Stats.Cycles, digest)
+	s.memoize(spec, digest, res, &s.stats.DiskHits)
+	return res, SourceDisk, nil
+}
+
+// memoize files a run's result in the memo and counts it in one CacheStats
+// field.
+func (s *Session) memoize(spec RunSpec, digest string, res *RunResult, count *uint64) {
+	s.mu.Lock()
+	s.runs[digest] = res
+	s.runKeys[digest] = spec.Key()
+	*count++
+	s.mu.Unlock()
 }
 
 // runSpec executes (or replays) a fully-resolved spec through the layered
@@ -417,84 +456,42 @@ func (s *Session) RunSpecTracked(spec RunSpec) (*RunResult, RunSource, error) {
 // already be part of the spec's digest, or cached replays would diverge
 // from fresh executions.
 func (s *Session) runSpec(spec RunSpec, prep func(*sim.System)) (*RunResult, error) {
-	res, _, err := s.runSpecSource(spec, prep)
+	res, _, err := s.runSpecSource(spec, spec.Digest(), prep)
 	return res, err
 }
 
-// runSpecSource is runSpec with the satisfying layer made explicit. The
-// source defaults to SourceMemo: a caller whose once-closure never ran was
-// either served by the memo fast path or deduplicated onto a concurrent
-// flight, and in both cases the session did no extra work for it.
-func (s *Session) runSpecSource(spec RunSpec, prep func(*sim.System)) (*RunResult, RunSource, error) {
-	digest := spec.Digest()
-	s.mu.Lock()
-	if res, ok := s.runs[digest]; ok {
-		s.stats.MemoHits++
-		s.mu.Unlock()
-		return res, SourceMemo, nil
-	}
-	s.mu.Unlock()
-	src := SourceMemo
-	err := s.once("run/"+digest, func() error {
-		s.mu.Lock()
-		_, ok := s.runs[digest]
-		s.mu.Unlock()
-		if ok {
-			return nil
-		}
-		res, fromDisk, err := s.fetchOrRun(spec, digest, prep)
-		if err != nil {
+// runSpecSource is runSpec with the satisfying layer made explicit. Its one
+// flight per digest probes the caches through Lookup — inside the flight,
+// so a caller arriving between another's disk write and memo write cannot
+// read that record back as a disk hit — and simulates on a miss, writing
+// the verified result back. A caller deduplicated onto someone else's
+// flight finds the result in the memo afterwards and reports SourceMemo:
+// the session did no extra work for it.
+func (s *Session) runSpecSource(spec RunSpec, digest string, prep func(*sim.System)) (res *RunResult, src RunSource, err error) {
+	err = s.once("run/"+digest, func() (err error) {
+		if res, src, err = s.Lookup(spec, digest); res != nil || err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.runs[digest] = res
-		s.runKeys[digest] = spec.Key()
-		if fromDisk {
-			s.stats.DiskHits++
-			src = SourceDisk
-		} else {
-			s.stats.Simulated++
-			src = SourceSimulated
+		if res, err = s.runUncached(spec, nil, prep); err != nil {
+			return err
 		}
-		s.mu.Unlock()
+		src = SourceSimulated
+		s.logf("run %-4s %-14s cycles=%-9d IPC=%6.1f offloads=%-7d traffic=%dMB",
+			spec.Abbr, spec.Config, res.Stats.Cycles, res.Stats.IPC(), res.Stats.OffloadsSent,
+			res.Stats.OffChipBytes()>>20)
+		if s.cache != nil {
+			if err := s.cache.Put(spec, res); err != nil {
+				// A write failure costs future replays, not correctness.
+				s.logf("cache: %v", err)
+			}
+		}
+		s.memoize(spec, digest, res, &s.stats.Simulated)
 		return nil
 	})
-	if err != nil {
-		return nil, src, err
+	if res == nil && err == nil {
+		res, src, err = s.Lookup(spec, digest)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[digest], src, nil
-}
-
-// fetchOrRun consults the persistent layer, then simulates on a miss and
-// writes the verified result back.
-func (s *Session) fetchOrRun(spec RunSpec, digest string, prep func(*sim.System)) (res *RunResult, fromDisk bool, err error) {
-	if s.cache != nil {
-		cached, ok, err := s.cache.Get(digest)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			s.logf("hit %-4s %-14s cycles=%-9d (replayed %.8s)",
-				spec.Abbr, spec.Config, cached.Stats.Cycles, digest)
-			return cached, true, nil
-		}
-	}
-	res, err = s.runUncached(spec, nil, prep)
-	if err != nil {
-		return nil, false, err
-	}
-	s.logf("run %-4s %-14s cycles=%-9d IPC=%6.1f offloads=%-7d traffic=%dMB",
-		spec.Abbr, spec.Config, res.Stats.Cycles, res.Stats.IPC(), res.Stats.OffloadsSent,
-		res.Stats.OffChipBytes()>>20)
-	if s.cache != nil {
-		if err := s.cache.Put(spec, res); err != nil {
-			// A write failure costs future replays, not correctness.
-			s.logf("cache: %v", err)
-		}
-	}
-	return res, false, nil
+	return res, src, err
 }
 
 // RunObserved executes one workload × configuration with the observer
@@ -532,14 +529,16 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer, prep func(*sim.Syst
 			return nil, err
 		}
 	}
-	s.mu.Lock()
+	// Clone copies the workload's memory page by page and reads nothing a
+	// session ever writes; only the flags Profile sets need the lock.
 	c := in.Clone()
 	if prof != nil {
+		s.mu.Lock()
 		for i, rg := range in.Alloc.Ranges {
 			c.Alloc.Ranges[i].CandidateTouched = rg.CandidateTouched
 		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	sys := sim.New(cfg, c.Mem, c.Alloc)
 	if prof != nil {
 		bit, _ := prof.OracleBit()

@@ -170,7 +170,7 @@ func TestMappingStoreColdThenWarm(t *testing.T) {
 	if wspec.Digest() == spec.Digest() {
 		t.Fatal("stored-mapping run must not alias the fresh-learning run")
 	}
-	stored, src, err := warm.RunSpecTracked(wspec)
+	stored, src, err := warm.RunSpecTracked(wspec, wspec.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMappingStoreColdThenWarm(t *testing.T) {
 	if w2spec.MapInstall == nil {
 		t.Fatal("second warm consult must hit")
 	}
-	replayed, src2, err := warm2.RunSpecTracked(w2spec)
+	replayed, src2, err := warm2.RunSpecTracked(w2spec, w2spec.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,9 @@ type Pair struct {
 // Key returns the run identity ("ABBR/config").
 func (p Pair) Key() string { return p.Abbr + "/" + string(p.Config) }
 
-// forEachPair runs fn over pairs on a work-stealing pool bounded by
-// GOMAXPROCS and joins every failure, reported in submission order so the
-// message is deterministic.
+// forEachPair runs fn over pairs on a Scheduler bounded by GOMAXPROCS and
+// joins every failure, reported in submission order so the message is
+// deterministic.
 func forEachPair(pairs []Pair, fn func(Pair) error) error {
 	errs := NewScheduler(0).ForEach(context.Background(), len(pairs), func(i int) error {
 		return fn(pairs[i])

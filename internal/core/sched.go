@@ -5,33 +5,21 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Scheduler is a bounded work-stealing executor for simulation batches. It
-// generalizes the worker-pool shape forEachPair grew inside this package:
-// one Scheduler can be shared by many concurrent submitters (cmd/tomserve
-// runs every HTTP batch through a single instance), and the worker bound
-// holds across all of them — a server under load never runs more
-// simulations at once than it has slots, no matter how many batches are in
-// flight.
-//
-// Work distribution is stealing, not sharing: ForEach pre-partitions the
-// index space into one contiguous range per worker; each worker drains its
-// own range from the front and, when empty, steals from the back of the
-// fullest remaining victim. Simulation costs per item are wildly uneven
-// (a baseline LIB cell and a ctrl-tmap RAY cell differ by orders of
-// magnitude), so a worker that drew the cheap partition ends up finishing
-// the expensive one's tail instead of idling.
+// Scheduler is a bounded executor for simulation batches. Many submitters
+// can share one (cmd/tomserve runs every HTTP batch through one) and the
+// bound holds across all of them: a slot is held per item, and a channel
+// serves its blocked senders in arrival order, so concurrent batches take
+// turns item by item instead of one waiting for another to drain.
 type Scheduler struct {
 	workers int
-	// slots is the global concurrency semaphore. Workers of every ForEach
-	// call acquire a slot before touching work, so concurrent batches share
-	// the bound instead of multiplying it.
-	slots chan struct{}
+	slots   chan struct{}
+	waited  atomic.Int64 // ns that items spent blocked on a slot
 }
 
-// NewScheduler returns a scheduler bounded to the given number of
-// concurrently running items; workers <= 0 selects GOMAXPROCS.
+// NewScheduler bounds concurrently running items to workers (<= 0: GOMAXPROCS).
 func NewScheduler(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -42,145 +30,64 @@ func NewScheduler(workers int) *Scheduler {
 // Workers returns the scheduler's concurrency bound.
 func (sc *Scheduler) Workers() int { return sc.workers }
 
-// stealRange is one worker's share of the index space: the half-open
-// interval [next, limit), packed into one atomic word (next in the high 32
-// bits, limit in the low 32) so the owner's front-pop and a thief's
-// back-pop serialize through CAS without a lock.
-type stealRange struct {
-	v atomic.Uint64
-}
+// SlotWait returns the total time items have spent blocked on a slot so far.
+func (sc *Scheduler) SlotWait() time.Duration { return time.Duration(sc.waited.Load()) }
 
-func packRange(next, limit uint32) uint64 { return uint64(next)<<32 | uint64(limit) }
-
-func (r *stealRange) store(next, limit int) {
-	r.v.Store(packRange(uint32(next), uint32(limit)))
-}
-
-// takeFront claims the lowest remaining index (the owner's side).
-func (r *stealRange) takeFront() (int, bool) {
-	for {
-		cur := r.v.Load()
-		next, limit := uint32(cur>>32), uint32(cur)
-		if next >= limit {
-			return 0, false
-		}
-		if r.v.CompareAndSwap(cur, packRange(next+1, limit)) {
-			return int(next), true
-		}
+// acquire takes one slot, or returns ctx's error holding none.
+func (sc *Scheduler) acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case sc.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	defer func(start time.Time) { sc.waited.Add(int64(time.Since(start))) }(time.Now())
+	select {
+	case sc.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// takeBack claims the highest remaining index (the thief's side).
-func (r *stealRange) takeBack() (int, bool) {
-	for {
-		cur := r.v.Load()
-		next, limit := uint32(cur>>32), uint32(cur)
-		if next >= limit {
-			return 0, false
-		}
-		if r.v.CompareAndSwap(cur, packRange(next, limit-1)) {
-			return int(limit - 1), true
-		}
-	}
-}
-
-// remaining reports how many indices the range still holds.
-func (r *stealRange) remaining() int {
-	cur := r.v.Load()
-	next, limit := uint32(cur>>32), uint32(cur)
-	if next >= limit {
-		return 0
-	}
-	return int(limit - next)
-}
-
-// ForEach runs fn(i) for every i in [0, n) across the scheduler's workers
-// and returns one error slot per index (nil on success). Every index runs
-// at most once. When ctx is cancelled, items already running finish (a
-// simulation cannot be interrupted mid-run) and every index that never
-// started carries ctx.Err() in its slot.
+// ForEach runs fn(i) for every i in [0, n) on at most Workers() goroutines
+// and returns one error slot per index (nil on success). Every index runs at
+// most once. When ctx is cancelled, items already running finish (a
+// simulation cannot be interrupted) and every index that never started
+// carries ctx.Err(). Safe for concurrent use: calls contend for the slots.
 //
-// ForEach is safe for concurrent use; concurrent calls contend for the
-// same worker slots, keeping the global bound.
+// [0, n) is cut into one contiguous block per goroutine (the first n%workers
+// one longer), each with a claim counter. A goroutine drains its own block,
+// then helps on the others: none idles while an index is unclaimed, and they
+// start n/workers apart. Batches list a workload's cells side by side, and
+// two started on neighbours sit in their slots waiting on each other's
+// instance and reference builds (batch_cold_s +20 %).
 func (sc *Scheduler) ForEach(ctx context.Context, n int, fn func(int) error) []error {
 	errs := make([]error, n)
-	if n == 0 {
-		return errs
+	workers := min(sc.workers, n)
+	start := func(b int) int { return b*(n/workers) + min(b, n%workers) }
+	claimed := make([]atomic.Int64, workers)
+	claim := func(b int) (int, bool) { // the next unclaimed index of block b
+		i := start(b) + int(claimed[b].Add(1)) - 1
+		return i, i < start(b+1)
 	}
-	workers := sc.workers
-	if workers > n {
-		workers = n
-	}
-
-	// Pre-partition [0, n) into one contiguous range per worker.
-	queues := make([]stealRange, workers)
-	per, extra := n/workers, n%workers
-	lo := 0
-	for w := range queues {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
-		queues[w].store(lo, hi)
-		lo = hi
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			select {
-			case sc.slots <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sc.slots }()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i, ok := queues[w].takeFront()
-				if !ok {
-					// Own range drained: steal from the back of the
-					// fullest victim, so contention with its owner stays
-					// minimal and the largest tail gets help first.
-					victim, best := -1, 0
-					for v := range queues {
-						if v == w {
-							continue
-						}
-						if r := queues[v].remaining(); r > best {
-							victim, best = v, r
-						}
+			for b := w; b < w+workers; b++ {
+				for i, ok := claim(b % workers); ok; i, ok = claim(b % workers) {
+					if errs[i] = sc.acquire(ctx); errs[i] == nil {
+						errs[i] = fn(i)
+						<-sc.slots
 					}
-					if victim < 0 {
-						return // nothing left anywhere
-					}
-					if i, ok = queues[victim].takeBack(); !ok {
-						continue // lost the race; rescan
-					}
-				}
-				if err := fn(i); err != nil {
-					errs[i] = err
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-
-	// Mark everything that never started. Each remaining index is claimed
-	// exactly once here, after all workers exited, so the slots are safe.
-	if err := ctx.Err(); err != nil {
-		for w := range queues {
-			for {
-				i, ok := queues[w].takeFront()
-				if !ok {
-					break
-				}
-				errs[i] = err
-			}
-		}
-	}
 	return errs
 }

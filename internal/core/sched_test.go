@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,34 +61,122 @@ func TestSchedulerErrorsLandAtTheirIndex(t *testing.T) {
 	}
 }
 
-// TestSchedulerSteals: worker 0's first item blocks until its second item
-// completes — which only a thief can run. A partition-only pool (no
-// stealing) deadlocks here; the watchdog converts that into a failure.
-func TestSchedulerSteals(t *testing.T) {
-	sc := NewScheduler(2) // partitions: worker0 [0,2), worker1 [2,4)
-	oneDone := make(chan struct{})
-	done := make(chan struct{})
+// TestSchedulerNoIdleWorker: a block is where a worker starts, not its share.
+// Item 0 blocks until every other item has run; with two workers the other
+// one must therefore run all of them, the rest of the first one's block
+// included. A pool that hands each worker a fixed share deadlocks here; the
+// watchdog converts that into a failure.
+func TestSchedulerNoIdleWorker(t *testing.T) {
+	const n = 9
+	sc := NewScheduler(2)
+	var others sync.WaitGroup
+	others.Add(n - 1)
+	done := make(chan []error, 1)
 	go func() {
-		defer close(done)
-		errs := sc.ForEach(context.Background(), 4, func(i int) error {
-			switch i {
-			case 0:
-				<-oneDone // needs item 1 to have run
-			case 1:
-				close(oneDone)
+		done <- sc.ForEach(context.Background(), n, func(i int) error {
+			if i == 0 {
+				others.Wait()
+			} else {
+				others.Done()
 			}
 			return nil
 		})
+	}()
+	select {
+	case errs := <-done:
 		for i, err := range errs {
 			if err != nil {
 				t.Errorf("index %d: %v", i, err)
 			}
 		}
-	}()
-	select {
-	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("ForEach deadlocked: item 1 was never stolen")
+		t.Fatal("ForEach deadlocked: a worker idled while indices were unclaimed")
+	}
+}
+
+// TestSchedulerStartsWorkersApart: the goroutines of a ForEach begin on the
+// first index of a block each, n/workers apart, so that they do not begin on
+// neighbouring cells of one workload. The first call of each blocks until
+// all of them have one, so the first `workers` calls are one per goroutine.
+func TestSchedulerStartsWorkersApart(t *testing.T) {
+	for _, tc := range []struct {
+		workers, n int
+		want       []int
+	}{
+		{2, 18, []int{0, 9}}, {3, 14, []int{0, 5, 10}}, {4, 4, []int{0, 1, 2, 3}}, {4, 2, []int{0, 1}},
+	} {
+		var mu sync.Mutex
+		var first []int
+		var all sync.WaitGroup
+		all.Add(len(tc.want))
+		NewScheduler(tc.workers).ForEach(context.Background(), tc.n, func(i int) error {
+			mu.Lock()
+			mine := len(first) < len(tc.want)
+			if mine {
+				first = append(first, i)
+			}
+			mu.Unlock()
+			if mine {
+				all.Done()
+				all.Wait()
+			}
+			return nil
+		})
+		sort.Ints(first)
+		if !reflect.DeepEqual(first, tc.want) {
+			t.Errorf("workers=%d n=%d: the goroutines began on %v, want %v", tc.workers, tc.n, first, tc.want)
+		}
+	}
+}
+
+// TestSchedulerBatchesInterleave: a slot is held per item, not per batch.
+// On a one-slot scheduler batch X runs its items one test-controlled step at
+// a time; batch Y, submitted while X's first item holds the slot, must get
+// its only item in before X's last (a scheduler whose workers keep their slot
+// until their batch drains runs it after). Nothing reports that a goroutine
+// has parked on the slot channel, so until Y has run the test pauses before
+// each step to let Y's worker get there; Y has eight chances.
+func TestSchedulerBatchesInterleave(t *testing.T) {
+	const nx = 8
+	sc := NewScheduler(1)
+	started := make(chan int) // X reports each item as it starts
+	step := make(chan struct{})
+	yRan := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sc.ForEach(context.Background(), nx, func(i int) error {
+			started <- i
+			<-step
+			return nil
+		})
+	}()
+	submitY := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc.ForEach(context.Background(), 1, func(int) error { close(yRan); return nil })
+		}()
+	}
+	xStarted, yAfter := 0, -1
+	for xStarted < nx || yAfter < 0 {
+		select {
+		case <-started:
+			if xStarted++; xStarted == 1 {
+				submitY() // X's first item holds the only slot
+			}
+			if yAfter < 0 {
+				time.Sleep(time.Millisecond)
+			}
+			step <- struct{}{}
+		case <-yRan:
+			yRan, yAfter = nil, xStarted
+		}
+	}
+	wg.Wait()
+	if yAfter >= nx {
+		t.Fatalf("batch Y's item ran after all %d of batch X's had started: the batches did not interleave", nx)
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -214,6 +216,88 @@ func TestWarmPopulatesDiskCache(t *testing.T) {
 		b, _ := warm.Run(p.Abbr, p.Config)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: replay differs", p.Key())
+		}
+	}
+}
+
+// TestLookupNeverSimulatesNorWaits pins Lookup's contract, the one a server
+// answers hits with while its simulation slots are busy: a miss is a nil
+// result with no work done, a memo or disk hit names its layer (a disk hit
+// is promoted to the memo), and a flight running for the same digest is
+// neither joined nor waited for.
+func TestLookupNeverSimulatesNorWaits(t *testing.T) {
+	dir := t.TempDir()
+	const scale = 0.05
+	spec, err := NewRunSpec("LIB", scale, CfgBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := spec.Digest()
+	lookup := func(s *Session, want RunSource) *RunResult {
+		t.Helper()
+		res, src, err := s.Lookup(spec, digest)
+		if err != nil || src != want || (res == nil) != (want == "") {
+			t.Fatalf("Lookup = (%v, %q, %v), want source %q", res, src, err, want)
+		}
+		return res
+	}
+
+	cold := NewSession(Options{Scale: scale, CacheDir: dir, Fingerprint: "fp"})
+	// A flight for this very run is in progress and will not finish until
+	// the test says so: Lookup must come back with a miss regardless.
+	flying, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cold.once("run/"+digest, func() error { close(flying); <-release; return nil })
+	}()
+	<-flying
+	lookup(cold, "")
+	close(release)
+	wg.Wait()
+	if st := cold.CacheStats(); st != (CacheStats{}) {
+		t.Fatalf("a missing Lookup did work: %+v", st)
+	}
+
+	ran, err := cold.RunSpecExact(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lookup(cold, SourceMemo); got != ran {
+		t.Error("memo Lookup returned a different result than the run that filled it")
+	}
+
+	warm := NewSession(Options{Scale: scale, CacheDir: dir, Fingerprint: "fp"})
+	if got := lookup(warm, SourceDisk); !reflect.DeepEqual(got, ran) {
+		t.Error("disk Lookup differs from the simulated result")
+	}
+	lookup(warm, SourceMemo) // promoted
+	if st := warm.CacheStats(); st != (CacheStats{MemoHits: 1, DiskHits: 1}) {
+		t.Fatalf("warm session stats = %+v, want one disk hit then one memo hit", st)
+	}
+	if keys := warm.CachedRuns(); len(keys) != 1 || keys[0] != spec.Key() {
+		t.Errorf("promoted run is listed as %v, want [%s]", keys, spec.Key())
+	}
+
+	memoOnly := NewSession(Options{Scale: scale})
+	lookup(memoOnly, "")
+}
+
+// TestOracleRunsBesideOthersOfTheWorkload: runs clone the shared pristine
+// instance without the session lock, while an oracle run's profile flags
+// that instance's ranges under it. This is the one mix of runs in which the
+// two meet; CI runs it under -race.
+func TestOracleRunsBesideOthersOfTheWorkload(t *testing.T) {
+	s := NewSession(Options{Scale: 0.03})
+	cfgs := []ConfigName{CfgCtrlOracle, CfgBaseline, CfgCtrlBmap, CfgNoCtrlBmap}
+	errs := NewScheduler(len(cfgs)).ForEach(context.Background(), len(cfgs), func(i int) error {
+		_, err := s.Run("LIB", cfgs[i])
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("LIB/%s: %v", cfgs[i], err)
 		}
 	}
 }

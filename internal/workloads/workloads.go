@@ -26,12 +26,14 @@ type Instance struct {
 }
 
 // Clone duplicates the instance's initial state so multiple configurations
-// can run from identical inputs.
+// can run from identical inputs. It reads only what never changes after
+// Build — memory, range names and sizes, not the ranges' learning flags — so
+// callers may clone a shared pristine instance without a lock.
 func (in *Instance) Clone() *Instance {
 	m := in.Mem.Clone()
 	at := mem.NewAllocTable()
-	for _, r := range in.Alloc.Ranges {
-		at.Alloc(r.Name, r.Size)
+	for i := range in.Alloc.Ranges {
+		at.Alloc(in.Alloc.Ranges[i].Name, in.Alloc.Ranges[i].Size)
 	}
 	return &Instance{Mem: m, Alloc: at, Launches: in.Launches, Check: in.Check}
 }
