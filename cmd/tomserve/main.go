@@ -58,9 +58,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
 	if *cacheDir != "" {
-		// Startup GC: drop records this build can never replay (foreign
-		// fingerprints, torn writes) so a long-lived cache directory does not
-		// accrete one dead record per digest per past build.
+		// Startup GC: drop what this build can never replay (foreign
+		// fingerprints, torn or abandoned writes) from the run cache and the
+		// feedback and mapping stores under it, before the directory grows.
 		if n, err := core.NewDiskCache(*cacheDir, "").Sweep(); err != nil {
 			logf("tomserve: cache sweep: %v", err)
 		} else if n > 0 {

@@ -130,13 +130,13 @@ type runRequest struct {
 	Config   string  `json:"config"`
 	Policy   string  `json:"policy,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
-	// MappingStore consults the server's persistent mapping registry for
+	// StoredMapping consults the server's persistent mapping registry for
 	// this run (core.Session.WithStoredMapping): a transparent-mapping run
 	// whose key has a stored record installs the learned bit before cycle 0
 	// instead of learning it. Opt-in per run because the install folds into
 	// the spec digest — the stored-mapping run is a different measurement
 	// than the fresh-learning run and caches under its own record.
-	MappingStore bool `json:"mapping_store,omitempty"`
+	StoredMapping bool `json:"mapping_store,omitempty"`
 }
 
 // runResponse is one run's slot in the batch response, aligned with the
@@ -261,14 +261,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sess := s.session(scale)
 		spec, err := sess.SpecWithPolicy(rr.Workload, core.ConfigName(rr.Config), rr.Policy)
-		if err == nil && rr.MappingStore {
+		if err == nil && rr.StoredMapping {
 			spec, err = sess.WithStoredMapping(spec)
 		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
 		}
-		// Hashed once per run per request; every later step takes it from here.
+		// Hashed for the lookup and the response; only a miss (Execute) rehashes.
 		results[i].Digest = spec.Digest()
 		jobs = append(jobs, job{i, specEntry{spec, sess}})
 		res, src, err := sess.Lookup(spec, results[i].Digest)
@@ -287,7 +287,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// for the same slots, so the server-wide simulation bound holds.
 	errs := s.sched.ForEach(ctx, len(misses), func(m int) error {
 		j := jobs[misses[m]]
-		res, src, err := j.sess.RunSpecTracked(j.spec, results[j.idx].Digest)
+		res, src, err := j.sess.Execute(j.spec, nil)
 		if err == nil {
 			results[j.idx].fill(res, src)
 		}
@@ -386,7 +386,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	o, _ := policy.ObserverFor(ent.spec.Key())
 	runErr := s.sched.ForEach(r.Context(), 1, func(int) error {
-		_, err := ent.sess.RunSpecObserved(ent.spec, o)
+		_, _, err := ent.sess.Execute(ent.spec, o)
 		return err
 	})[0]
 	// Flush on success and failure alike: a failed run has already streamed

@@ -357,7 +357,7 @@ func TestServerMetricsAndHealth(t *testing.T) {
 func TestServerMappingStoreOptIn(t *testing.T) {
 	dir := t.TempDir()
 	plain := batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "ctrl-tmap"}}}
-	opted := batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "ctrl-tmap", MappingStore: true}}}
+	opted := batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "ctrl-tmap", StoredMapping: true}}}
 
 	_, ts1 := newTestServer(t, options{cacheDir: dir, fingerprint: "test"})
 	_, p1, _ := postBatch(t, ts1.URL, plain)

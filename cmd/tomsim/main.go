@@ -185,7 +185,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		r, err := s.RunSpecObserved(spec, observer)
+		r, _, err := s.Execute(spec, observer)
 		if err != nil {
 			fatal(err)
 		}

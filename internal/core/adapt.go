@@ -216,11 +216,11 @@ func (s *Session) runAdaptiveLoop(abbr string, name ConfigName, o AdaptOptions, 
 		keyAd := ad
 		keySpec.Adapt = &keyAd
 		storeKey = keySpec.Digest()
-		if rec, ok, err := s.feedback.Get(storeKey); err != nil {
+		if rec, ok, err := s.feedback.get(storeKey); err != nil {
 			return nil, err
 		} else if ok {
-			s.countFeedback(1, 0)
-			s.emitAdapt(obs.Event{Kind: obs.EvFeedbackStore, Run: key, Reason: "hit", N: rec.Iterations})
+			s.count(&s.fb.StoreHits, "feedback.store_hits", 1)
+			s.obsv.Emit(obs.Event{Kind: obs.EvFeedbackStore, Run: key, Reason: "hit", N: rec.Iterations})
 			return s.finishAdaptive(spec, ad, params, &AdaptiveRun{
 				Iterations:  rec.Iterations,
 				Converged:   rec.Converged,
@@ -230,8 +230,8 @@ func (s *Session) runAdaptiveLoop(abbr string, name ConfigName, o AdaptOptions, 
 				FromStore:   true,
 			})
 		}
-		s.countFeedback(0, 1)
-		s.emitAdapt(obs.Event{Kind: obs.EvFeedbackStore, Run: key, Reason: "miss"})
+		s.count(&s.fb.StoreMisses, "feedback.store_misses", 1)
+		s.obsv.Emit(obs.Event{Kind: obs.EvFeedbackStore, Run: key, Reason: "miss"})
 	}
 
 	ps := s.profileSession(o.ProfileFrac)
@@ -253,7 +253,7 @@ func (s *Session) runAdaptiveLoop(abbr string, name ConfigName, o AdaptOptions, 
 		// what makes the simulator mark candidates with params.Cost, so
 		// every pass of the loop — and the full run — shares one cost model.
 		applied := merged.Clone()
-		prof, err := ps.runSpec(pspec, func(sys *sim.System) {
+		prof, _, err := ps.execute(pspec, nil, func(sys *sim.System) {
 			sys.ApplyGateFeedback(applied, params)
 		})
 		if err != nil {
@@ -272,8 +272,8 @@ func (s *Session) runAdaptiveLoop(abbr string, name ConfigName, o AdaptOptions, 
 			Retagged:  retagged,
 			Decisions: profileDecisions(prof.Stats.PCStats),
 		})
-		s.countIteration()
-		s.emitAdapt(obs.Event{Kind: obs.EvAdaptIter, Run: key, N: i})
+		s.count(&s.fb.Iterations, "adapt.iterations", 1)
+		s.obsv.Emit(obs.Event{Kind: obs.EvAdaptIter, Run: key, N: i})
 		if i > 1 && equalInts(demoted, prevDemoted) && equalInts(retagged, prevRetagged) {
 			run.Converged = true
 			run.ConvergedAt = i
@@ -285,9 +285,9 @@ func (s *Session) runAdaptiveLoop(abbr string, name ConfigName, o AdaptOptions, 
 	reason := "bound"
 	if run.Converged {
 		reason = "converged"
-		s.countConverged()
+		s.count(&s.fb.Converged, "adapt.converged", 1)
 	}
-	s.emitAdapt(obs.Event{Kind: obs.EvAdaptDone, Run: key, N: run.Iterations, Reason: reason})
+	s.obsv.Emit(obs.Event{Kind: obs.EvAdaptDone, Run: key, N: run.Iterations, Reason: reason})
 	if useStore && s.feedback != nil {
 		rec := &FeedbackRecord{
 			Workload:    abbr,
@@ -300,12 +300,12 @@ func (s *Session) runAdaptiveLoop(abbr string, name ConfigName, o AdaptOptions, 
 			History:     run.History,
 			Profile:     merged,
 		}
-		if err := s.feedback.Put(storeKey, rec); err != nil {
+		if err := s.feedback.put(storeKey, rec); err != nil {
 			// A store-write failure costs future sessions a re-profile,
 			// not correctness.
-			s.logf("feedback store: %v", err)
+			s.logf("%v", err)
 		} else {
-			s.emitAdapt(obs.Event{Kind: obs.EvFeedbackStore, Run: key, Reason: "save", N: run.Iterations})
+			s.obsv.Emit(obs.Event{Kind: obs.EvFeedbackStore, Run: key, Reason: "save", N: run.Iterations})
 		}
 	}
 	return s.finishAdaptive(spec, ad, params, run)
@@ -317,7 +317,7 @@ func (s *Session) finishAdaptive(spec RunSpec, ad AdaptSpec, params compiler.Ref
 	ad.FeedbackDigest = profileDigest(run.Feedback)
 	spec.Adapt = &ad
 	table := run.Feedback.Clone()
-	res, err := s.runSpec(spec, func(sys *sim.System) {
+	res, _, err := s.execute(spec, nil, func(sys *sim.System) {
 		sys.ApplyGateFeedback(table, params)
 	})
 	if err != nil {

@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -172,10 +171,10 @@ type Session struct {
 	// Progress, when non-nil, receives one line per completed run.
 	Progress func(format string, args ...any)
 
-	cache    *DiskCache     // nil = persistent layer disabled
-	feedback *FeedbackStore // nil = persisted adaptive feedback disabled
-	mappings *MappingStore  // nil = persisted learned mappings disabled
-	obsv     *obs.Observer  // nil = session-level observability disabled
+	cache    *DiskCache                   // nil = persistent layer disabled
+	feedback *recordStore[FeedbackRecord] // nil = persisted adaptive feedback disabled
+	mappings *recordStore[MappingRecord]  // nil = persisted learned mappings disabled
+	obsv     *obs.Observer                // nil = session-level observability disabled
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -215,8 +214,8 @@ func NewSession(opts Options) *Session {
 		s.cache = NewDiskCache(opts.CacheDir, opts.Fingerprint)
 		// Converged adaptive refinements and learned mappings persist beside
 		// the run records, under the same fingerprint gate (docs/RUNCACHE.md).
-		s.feedback = NewFeedbackStore(filepath.Join(opts.CacheDir, "feedback"), opts.Fingerprint)
-		s.mappings = NewMappingStore(filepath.Join(opts.CacheDir, "mappings"), opts.Fingerprint)
+		s.feedback = newFeedbackStore(opts.CacheDir, opts.Fingerprint)
+		s.mappings = newMappingStore(opts.CacheDir, opts.Fingerprint)
 	}
 	s.obsv = opts.Obs
 	return s
@@ -260,106 +259,73 @@ func (s *Session) SpecWithPolicy(abbr string, name ConfigName, policy string) (R
 	return spec, nil
 }
 
-// RunSpecExact executes (or replays) a fully-resolved spec through the
-// layered caches — the entry point for callers that adjusted the spec
-// beyond a named configuration (tomsim -policy).
-func (s *Session) RunSpecExact(spec RunSpec) (*RunResult, error) {
-	return s.runSpec(spec, nil)
-}
-
-// RunSpecObserved executes a fully-resolved spec with the observer
-// attached. Like RunObserved it never replays from a cache: only an actual
-// execution can produce time series. A nil observer falls back to the
-// cached path.
-func (s *Session) RunSpecObserved(spec RunSpec, o *obs.Observer) (*RunResult, error) {
-	if o == nil {
-		return s.runSpec(spec, nil)
-	}
-	return s.runUncached(spec, o, nil)
+// memo returns m[abbr], building it on first use. Concurrent first users
+// share one flight under kind+"/"+abbr; a failed build leaves nothing behind,
+// so the next caller retries.
+func memo[T any](s *Session, kind, abbr string, m map[string]T, build func() (T, error)) (T, error) {
+	err := s.once(kind+"/"+abbr, func() error {
+		s.mu.Lock()
+		_, ok := m[abbr]
+		s.mu.Unlock()
+		if ok {
+			return nil
+		}
+		v, err := build()
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		m[abbr] = v
+		s.mu.Unlock()
+		return nil
+	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return m[abbr], err
 }
 
 // instance returns the pristine instance for a workload.
 func (s *Session) instance(abbr string) (*workloads.Instance, error) {
-	err := s.once("inst/"+abbr, func() error {
-		s.mu.Lock()
-		_, ok := s.insts[abbr]
-		s.mu.Unlock()
-		if ok {
-			return nil
-		}
+	return memo(s, "inst", abbr, s.insts, func() (*workloads.Instance, error) {
 		w, err := workloads.ByAbbr(abbr)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		in, err := w.Build(s.Scale)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.insts[abbr] = in
-		s.mu.Unlock()
-		return nil
+		return w.Build(s.Scale)
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.insts[abbr], nil
 }
 
 // reference returns (building once) the functional-reference final memory.
 func (s *Session) reference(abbr string) (*mem.Flat, error) {
-	err := s.once("ref/"+abbr, func() error {
-		s.mu.Lock()
-		_, ok := s.refs[abbr]
-		s.mu.Unlock()
-		if ok {
-			return nil
-		}
+	return memo(s, "ref", abbr, s.refs, func() (*mem.Flat, error) {
 		in, err := s.instance(abbr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		c := in.Clone()
 		if err := exec.RunFunctionalAll(c.Mem, c.Launches); err != nil {
-			return fmt.Errorf("%s: functional reference: %w", abbr, err)
+			return nil, fmt.Errorf("%s: functional reference: %w", abbr, err)
 		}
 		if in.Check != nil {
 			if err := in.Check(c.Mem); err != nil {
-				return fmt.Errorf("%s: reference self-check: %w", abbr, err)
+				return nil, fmt.Errorf("%s: reference self-check: %w", abbr, err)
 			}
 		}
-		s.mu.Lock()
-		s.refs[abbr] = c.Mem
-		s.mu.Unlock()
-		return nil
+		return c.Mem, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refs[abbr], nil
 }
 
 // Profile returns (running once) the instrumented functional profile.
 func (s *Session) Profile(abbr string) (*sim.Profile, error) {
-	err := s.once("prof/"+abbr, func() error {
-		s.mu.Lock()
-		_, ok := s.profiles[abbr]
-		s.mu.Unlock()
-		if ok {
-			return nil
-		}
+	return memo(s, "prof", abbr, s.profiles, func() (*sim.Profile, error) {
 		in, err := s.instance(abbr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		c := in.Clone()
 		p, err := sim.RunProfile(c.Mem, c.Alloc, c.Launches)
 		if err != nil {
-			return fmt.Errorf("%s: profile: %w", abbr, err)
+			return nil, fmt.Errorf("%s: profile: %w", abbr, err)
 		}
 		// Remember which ranges candidates touch for oracle runs.
 		s.mu.Lock()
@@ -368,29 +334,29 @@ func (s *Session) Profile(abbr string) (*sim.Profile, error) {
 				in.Alloc.Ranges[i].CandidateTouched = true
 			}
 		}
-		s.profiles[abbr] = p
 		s.mu.Unlock()
 		s.logf("profile %-4s instances=%d", abbr, p.Instances)
-		return nil
+		return p, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.profiles[abbr], nil
 }
 
 // Run executes (or replays from a cache layer) workload × configuration.
 func (s *Session) Run(abbr string, name ConfigName) (*RunResult, error) {
+	return s.RunObserved(abbr, name, nil)
+}
+
+// RunObserved is Execute for a named configuration at the session's scale:
+// cached when o is nil, an observed execution otherwise.
+func (s *Session) RunObserved(abbr string, name ConfigName, o *obs.Observer) (*RunResult, error) {
 	spec, err := s.Spec(abbr, name)
 	if err != nil {
 		return nil, err
 	}
-	return s.runSpec(spec, nil)
+	res, _, err := s.Execute(spec, o)
+	return res, err
 }
 
-// RunSource reports which layer satisfied a run (see RunSpecTracked).
+// RunSource reports which layer satisfied a run (see Execute).
 type RunSource string
 
 const (
@@ -402,15 +368,6 @@ const (
 	// SourceSimulated: a fresh verified simulation.
 	SourceSimulated RunSource = "simulated"
 )
-
-// RunSpecTracked executes (or replays) like RunSpecExact and additionally
-// reports which cache layer satisfied the request. Batch servers use this
-// for per-batch accounting, which the cumulative CacheStats cannot provide
-// once batches overlap in time. digest must be spec.Digest(): the caller has
-// computed it already (it is 20 µs of hashing, a tenth of a memo hit).
-func (s *Session) RunSpecTracked(spec RunSpec, digest string) (*RunResult, RunSource, error) {
-	return s.runSpecSource(spec, digest, nil)
-}
 
 // Lookup returns the run's result if a cache layer already holds it — the
 // memo, then the persistent cache, whose hits are promoted into the memo —
@@ -450,24 +407,40 @@ func (s *Session) memoize(spec RunSpec, digest string, res *RunResult, count *ui
 	s.mu.Unlock()
 }
 
-// runSpec executes (or replays) a fully-resolved spec through the layered
-// caches. prep, when non-nil, configures the simulator after construction
-// and before Run (adaptive feedback injection); anything prep changes must
-// already be part of the spec's digest, or cached replays would diverge
-// from fresh executions.
-func (s *Session) runSpec(spec RunSpec, prep func(*sim.System)) (*RunResult, error) {
-	res, _, err := s.runSpecSource(spec, spec.Digest(), prep)
-	return res, err
+// Execute runs one fully-resolved spec — the entry point under every other
+// run method, and the one for callers that adjusted a spec beyond a named
+// configuration (a policy override, a stored mapping).
+//
+// With a nil observer the run goes through the layered caches and the
+// returned source names the layer that satisfied it; batch servers account
+// per batch with it, which the cumulative CacheStats cannot once batches
+// overlap. With an observer attached the run always executes, collecting
+// per-interval metrics and (when the observer carries a trace sink)
+// lifecycle events: it is verified like any other but never memoized or
+// replayed, because each caller wants its own time series and only an
+// execution can produce one (the end-of-run stats equal the cached run's
+// anyway — observation is timing-free).
+func (s *Session) Execute(spec RunSpec, o *obs.Observer) (*RunResult, RunSource, error) {
+	return s.execute(spec, o, nil)
 }
 
-// runSpecSource is runSpec with the satisfying layer made explicit. Its one
-// flight per digest probes the caches through Lookup — inside the flight,
-// so a caller arriving between another's disk write and memo write cannot
-// read that record back as a disk hit — and simulates on a miss, writing
-// the verified result back. A caller deduplicated onto someone else's
-// flight finds the result in the memo afterwards and reports SourceMemo:
-// the session did no extra work for it.
-func (s *Session) runSpecSource(spec RunSpec, digest string, prep func(*sim.System)) (res *RunResult, src RunSource, err error) {
+// execute is Execute plus the adaptive loop's hook: prep, when non-nil,
+// configures the simulator after construction and before Run (gate-feedback
+// injection); anything prep changes must already be part of the spec's
+// digest, or cached replays would diverge from fresh executions.
+//
+// The cached path is one flight per digest. It probes the caches through
+// Lookup — inside the flight, so a caller arriving between another's disk
+// write and memo write cannot read that record back as a disk hit — and
+// simulates on a miss, writing the verified result back. A caller
+// deduplicated onto someone else's flight finds the result in the memo
+// afterwards and reports SourceMemo: the session did no extra work for it.
+func (s *Session) execute(spec RunSpec, o *obs.Observer, prep func(*sim.System)) (res *RunResult, src RunSource, err error) {
+	if o != nil {
+		res, err = s.runUncached(spec, o, prep)
+		return res, SourceSimulated, err
+	}
+	digest := spec.Digest()
 	err = s.once("run/"+digest, func() (err error) {
 		if res, src, err = s.Lookup(spec, digest); res != nil || err != nil {
 			return err
@@ -480,9 +453,9 @@ func (s *Session) runSpecSource(spec RunSpec, digest string, prep func(*sim.Syst
 			spec.Abbr, spec.Config, res.Stats.Cycles, res.Stats.IPC(), res.Stats.OffloadsSent,
 			res.Stats.OffChipBytes()>>20)
 		if s.cache != nil {
-			if err := s.cache.Put(spec, res); err != nil {
+			if err := s.cache.put(digest, res); err != nil {
 				// A write failure costs future replays, not correctness.
-				s.logf("cache: %v", err)
+				s.logf("%v", err)
 			}
 		}
 		s.memoize(spec, digest, res, &s.stats.Simulated)
@@ -492,24 +465,6 @@ func (s *Session) runSpecSource(spec RunSpec, digest string, prep func(*sim.Syst
 		res, src, err = s.Lookup(spec, digest)
 	}
 	return res, src, err
-}
-
-// RunObserved executes one workload × configuration with the observer
-// attached, collecting per-interval metrics and (when the observer carries
-// a trace sink) lifecycle events. Results are verified like Run's but are
-// never memoized or replayed from the persistent cache: each caller wants
-// its own time series, which only an actual execution can produce (the
-// end-of-run stats are identical to the cached run's anyway — observation
-// is timing-free).
-func (s *Session) RunObserved(abbr string, name ConfigName, o *obs.Observer) (*RunResult, error) {
-	if o == nil {
-		return s.Run(abbr, name)
-	}
-	spec, err := s.Spec(abbr, name)
-	if err != nil {
-		return nil, err
-	}
-	return s.runUncached(spec, o, nil)
 }
 
 func (s *Session) runUncached(spec RunSpec, o *obs.Observer, prep func(*sim.System)) (*RunResult, error) {

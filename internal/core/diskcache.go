@@ -1,14 +1,6 @@
 package core
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"runtime/debug"
-)
+import "runtime/debug"
 
 // cacheSchemaVersion is bumped whenever the record layout (or the meaning
 // of any serialized statistic) changes; it is folded into the fingerprint
@@ -27,7 +19,9 @@ import (
 // LearnPCIeSaved) and endLearning skips the copy/invalidate/freeze when the
 // chosen mapping is already in force — v4 records would replay without the
 // provenance the mapping registry and reports read.
-const cacheSchemaVersion = "tomcache/v5"
+// v6: records sit in one envelope {fingerprint, key, record} whose key must
+// equal the file name's — v5's flat records carry no key.
+const cacheSchemaVersion = "tomcache/v6"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.
@@ -46,147 +40,51 @@ func BuildFingerprint() string {
 	return fp
 }
 
-// cacheRecord is the on-disk form of one cached run: the fingerprint gate,
-// a human-readable restatement of the spec (diagnostics — the digest in the
-// filename is the authoritative key), and the verified result.
-type cacheRecord struct {
-	Fingerprint string    `json:"fingerprint"`
-	Workload    string    `json:"workload"`
-	Scale       float64   `json:"scale"`
-	Config      string    `json:"config"`
-	Result      RunResult `json:"result"`
-}
-
-// DiskCache is the persistent result layer: one JSON record per run spec
-// digest under dir. It is safe for concurrent use by multiple goroutines
-// and multiple processes — writes go through a temp file + rename, and a
-// torn or foreign record degrades to a miss, never an error.
+// DiskCache is the persistent result layer: one verified RunResult per run
+// spec digest under dir, kept by a recordStore (see there for the
+// concurrency and dead-record rules).
 type DiskCache struct {
-	dir         string
-	fingerprint string
+	*recordStore[RunResult]
 }
 
 // NewDiskCache opens (creating if needed on first Put) a cache rooted at
 // dir. fingerprint gates record validity; pass "" for BuildFingerprint().
 func NewDiskCache(dir, fingerprint string) *DiskCache {
-	if fingerprint == "" {
-		fingerprint = BuildFingerprint()
-	}
-	return &DiskCache{dir: dir, fingerprint: fingerprint}
+	return &DiskCache{newRecordStore[RunResult]("cache", dir, fingerprint, nil)}
 }
 
 // Dir returns the cache root.
 func (c *DiskCache) Dir() string { return c.dir }
 
-// path returns the record file for a digest.
-func (c *DiskCache) path(digest string) string {
-	return filepath.Join(c.dir, digest+".json")
-}
-
-// Get loads the cached result for a spec digest. A missing file, unreadable
-// record, or fingerprint mismatch is a miss (false); only unexpected I/O
-// failures surface as errors. Dead records — torn JSON or a foreign
-// fingerprint — are removed on the way out: they can never be replayed by
-// this build, and leaving them behind made a long-lived cache directory
-// accumulate one unreachable record per digest per past build.
+// Get loads the cached result for a spec digest. A missing or dead record
+// is a miss (false); only unexpected I/O failures surface as errors.
 func (c *DiskCache) Get(digest string) (*RunResult, bool, error) {
-	data, err := os.ReadFile(c.path(digest))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("cache: read %s: %w", digest, err)
-	}
-	var rec cacheRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		c.discard(digest) // torn/corrupt record: recompute and overwrite
-		return nil, false, nil
-	}
-	if rec.Fingerprint != c.fingerprint {
-		c.discard(digest) // stale build: self-invalidate
-		return nil, false, nil
-	}
-	res := rec.Result
-	return &res, true, nil
+	return c.get(digest)
 }
 
-// discard removes a dead record. Removal errors are deliberately dropped:
-// a concurrent process may have removed or replaced the record already,
-// and the fresh run's Put overwrites the path either way.
-func (c *DiskCache) discard(digest string) {
-	os.Remove(c.path(digest))
-}
-
-// Sweep removes every record in the cache directory that this build can
-// never replay — torn JSON and foreign fingerprints — and reports how many
-// were removed. Long-running servers call it at startup so a cache
-// directory that outlives many builds holds only records the serving
-// binary can actually use; records for digests the current build simply
-// has not requested yet are left alone (their fingerprints match).
-// Subdirectories (the feedback store) are not touched.
-func (c *DiskCache) Sweep() (int, error) {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil // nothing cached yet
-		}
-		return 0, fmt.Errorf("cache: sweep: %w", err)
-	}
-	removed := 0
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		path := filepath.Join(c.dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue // raced with a concurrent remove/replace
-		}
-		var rec cacheRecord
-		if json.Unmarshal(data, &rec) == nil && rec.Fingerprint == c.fingerprint {
-			continue
-		}
-		if os.Remove(path) == nil {
-			removed++
-		}
-	}
-	return removed, nil
-}
-
-// Put stores a verified result under the spec's digest. The write is
-// atomic (temp file + rename), so concurrent writers of the same digest
-// and readers in other processes always see a complete record.
+// Put stores a verified result under the spec's digest.
 func (c *DiskCache) Put(spec RunSpec, res *RunResult) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
+	return c.put(spec.Digest(), res)
+}
+
+// Sweep removes everything under the cache directory that this build can
+// never replay — dead run records, and dead records of the feedback store
+// and the mapping registry that live in its feedback/ and mappings/
+// subdirectories — and reports how many files went. Long-running servers
+// call it at startup so a cache directory that outlives many builds holds
+// only what the serving binary can use.
+func (c *DiskCache) Sweep() (int, error) {
+	total := 0
+	for _, sweep := range []func() (int, error){
+		c.sweep,
+		newFeedbackStore(c.dir, c.fingerprint).sweep,
+		newMappingStore(c.dir, c.fingerprint).sweep,
+	} {
+		n, err := sweep()
+		total += n
+		if err != nil {
+			return total, err
+		}
 	}
-	rec := cacheRecord{
-		Fingerprint: c.fingerprint,
-		Workload:    spec.Abbr,
-		Scale:       spec.Scale,
-		Config:      string(spec.Config),
-		Result:      *res,
-	}
-	data, err := json.MarshalIndent(&rec, "", " ")
-	if err != nil {
-		return fmt.Errorf("cache: encode %s: %w", spec.Key(), err)
-	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: write %s: %w", spec.Key(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: write %s: %w", spec.Key(), err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(spec.Digest())); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: commit %s: %w", spec.Key(), err)
-	}
-	return nil
+	return total, nil
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // jsonRecords counts .json files directly under dir.
@@ -23,65 +24,28 @@ func jsonRecords(t *testing.T, dir string) int {
 	return n
 }
 
-// TestDiskCacheRemovesDeadRecordsOnMiss: a fingerprint-mismatched or
-// corrupt record is removed when Get misses on it, and a re-Put after a
-// build bump leaves exactly one record for the digest — the cache
-// directory no longer accretes one dead record per digest per past build.
-func TestDiskCacheRemovesDeadRecordsOnMiss(t *testing.T) {
-	dir := t.TempDir()
-	spec, err := NewRunSpec("SP", 0.25, CfgBaseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &RunResult{Abbr: "SP", Config: CfgBaseline}
-	res.Stats.Cycles = 777
-
-	old := NewDiskCache(dir, "build-old")
-	if err := old.Put(spec, res); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, spec.Digest()+".json")
-
-	// A new build misses on the stale record and removes it.
-	cur := NewDiskCache(dir, "build-new")
-	if _, ok, err := cur.Get(spec.Digest()); ok || err != nil {
-		t.Fatalf("stale record: ok=%v err=%v", ok, err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("stale record still on disk after miss (stat: %v)", err)
-	}
-
-	// Re-Put under the new build: exactly one record per digest.
-	if err := cur.Put(spec, res); err != nil {
-		t.Fatal(err)
-	}
-	if n := jsonRecords(t, dir); n != 1 {
-		t.Fatalf("cache holds %d records after the build bump, want exactly 1", n)
-	}
-	if _, ok, err := cur.Get(spec.Digest()); !ok || err != nil {
-		t.Fatalf("fresh record must replay: ok=%v err=%v", ok, err)
-	}
-
-	// A corrupt record is likewise removed on miss.
-	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := cur.Get(spec.Digest()); ok || err != nil {
-		t.Fatalf("corrupt record: ok=%v err=%v", ok, err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt record still on disk after miss (stat: %v)", err)
-	}
-}
-
-// TestDiskCacheSweep: startup GC removes exactly the records this build can
-// never replay — foreign fingerprints and torn JSON — and leaves fresh
-// records, subdirectories (the feedback store), and non-record files alone.
+// TestDiskCacheSweep: startup GC removes exactly what this build can never
+// replay — foreign fingerprints, torn JSON, and writers' temp files old
+// enough to be abandoned — from the run cache and from the feedback and
+// mapping stores under it, and leaves live records, young temp files and
+// foreign files alone. (Before the stores shared one implementation this test
+// pinned the opposite for subdirectories, and feedback/ and mappings/ kept
+// their dead records for ever.)
 func TestDiskCacheSweep(t *testing.T) {
 	dir := t.TempDir()
 	specA, _ := NewRunSpec("SP", 0.25, CfgBaseline)
 	specB, _ := NewRunSpec("LIB", 0.25, CfgBaseline)
 	res := &RunResult{Abbr: "SP", Config: CfgBaseline}
+	write := func(path, data string) string {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 
 	if err := NewDiskCache(dir, "build-old").Put(specA, res); err != nil {
 		t.Fatal(err)
@@ -90,32 +54,47 @@ func TestDiskCacheSweep(t *testing.T) {
 	if err := cur.Put(specB, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "junk.json"), []byte("{torn"), 0o644); err != nil {
+	if err := newFeedbackStore(dir, "build-new").put("live", &FeedbackRecord{Workload: "SP"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "feedback"), 0o755); err != nil {
+	dead := []string{
+		write(filepath.Join(dir, "junk.json"), "{torn"),
+		write(filepath.Join(dir, "feedback", "x.json"), "{}"),
+		write(filepath.Join(dir, "mappings", "x.json"), "{torn"),
+		write(filepath.Join(dir, "mappings", "put-1.tmp"), "{half a rec"),
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(dead[3], old, old); err != nil {
 		t.Fatal(err)
 	}
-	fbFile := filepath.Join(dir, "feedback", "keep.json")
-	if err := os.WriteFile(fbFile, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
+	kept := []string{
+		write(filepath.Join(dir, "put-2.tmp"), "{a concurrent writer's"),
+		write(filepath.Join(dir, "README"), "not a record"),
+		filepath.Join(dir, "feedback", "live.json"),
 	}
 
 	removed, err := cur.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Errorf("swept %d records, want 2 (stale + corrupt)", removed)
+	if removed != 5 {
+		t.Errorf("swept %d files, want 5 (stale + 3 dead records + 1 abandoned temp)", removed)
 	}
 	if n := jsonRecords(t, dir); n != 1 {
-		t.Errorf("%d records remain, want 1 (the fresh one)", n)
+		t.Errorf("%d run records remain, want 1 (the fresh one)", n)
 	}
 	if _, ok, err := cur.Get(specB.Digest()); !ok || err != nil {
 		t.Errorf("fresh record must survive the sweep: ok=%v err=%v", ok, err)
 	}
-	if _, err := os.Stat(fbFile); err != nil {
-		t.Errorf("sweep must not enter subdirectories: %v", err)
+	for _, p := range dead {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived the sweep (stat: %v)", p, err)
+		}
+	}
+	for _, p := range kept {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("sweep must leave %s alone: %v", p, err)
+		}
 	}
 
 	// Sweeping a cache directory that does not exist yet is a no-op.

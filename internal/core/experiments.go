@@ -212,12 +212,6 @@ func (r *Runner) Fig9() (*Table, error) {
 	return t, nil
 }
 
-// Fig9Timeline reruns the Fig. 9 configurations (plus the baseline) with
-// observers attached — the historical name for Timeline("fig9", ...).
-func (r *Runner) Fig9Timeline(interval int64, trace obs.EventSink, traceSample int) (map[string]*obs.Snapshot, error) {
-	return r.Timeline("fig9", interval, trace, traceSample)
-}
-
 // experimentConfigs maps an experiment ID to the simulator configurations
 // its table compares. The baseline is excluded (Timeline always adds it);
 // profile- or estimate-based experiments (fig5, fig6, area) and the
@@ -265,17 +259,21 @@ func (r *Runner) Timeline(id string, interval int64, trace obs.EventSink, traceS
 		return nil, err
 	}
 	seen := map[ConfigName]bool{}
-	var pairs []Pair
+	var specs []RunSpec
 	for _, cfg := range append([]ConfigName{CfgBaseline}, cfgs...) {
 		if seen[cfg] {
 			continue
 		}
 		seen[cfg] = true
 		for _, abbr := range Abbrs() {
-			pairs = append(pairs, Pair{Abbr: abbr, Config: cfg})
+			spec, err := r.Spec(abbr, cfg)
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, spec)
 		}
 	}
-	snaps, err := r.WarmObserved(pairs, ObsPolicy{
+	snaps, err := r.WarmObserved(specs, ObsPolicy{
 		Registry:    obs.NewRegistry(),
 		SampleEvery: interval,
 		Trace:       trace,
@@ -285,8 +283,8 @@ func (r *Runner) Timeline(id string, interval int64, trace obs.EventSink, traceS
 		return nil, err
 	}
 	out := make(map[string]*obs.Snapshot, len(snaps))
-	for p, snap := range snaps {
-		out[p.Key()] = snap
+	for i, snap := range snaps {
+		out[specs[i].Key()] = snap
 	}
 	return out, nil
 }
@@ -414,7 +412,7 @@ func (r *Runner) MapStore() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.RunSpecExact(spec)
+		res, _, err := r.Execute(spec, nil)
 		if err != nil {
 			return nil, err
 		}

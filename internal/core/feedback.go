@@ -1,24 +1,17 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 
 	"repro/internal/compiler"
-	"repro/internal/obs"
 )
 
-// FeedbackRecord is the on-disk form of one converged refinement: the
-// fingerprint gate, a human-readable restatement of the identity (the
-// digest in the filename is the authoritative key), the iteration history,
-// and the merged gate profile the full run should apply. A later session
-// that derives the same key installs Profile directly — no profiling pass.
+// FeedbackRecord is the feedback store's payload, one converged refinement:
+// a human-readable restatement of the identity (the key in the envelope and
+// file name is authoritative), the iteration history, and the merged gate
+// profile the full run should apply. A later session that derives the same
+// key installs Profile directly — no profiling pass.
 type FeedbackRecord struct {
-	Fingerprint string               `json:"fingerprint"`
 	Workload    string               `json:"workload"`
 	Scale       float64              `json:"scale"`
 	Config      string               `json:"config"`
@@ -30,89 +23,17 @@ type FeedbackRecord struct {
 	Profile     compiler.GateProfile `json:"profile"`
 }
 
-// FeedbackStore persists converged adaptive refinements, one JSON record
-// per (workload, configuration, AdaptSpec) key under dir — conventionally
-// <cache-dir>/feedback/. It follows the DiskCache contract exactly: writes
-// are atomic (temp file + rename), and a missing, torn, or stale-build
-// record degrades to a miss, never an error, so multiple processes can
-// share one store.
-type FeedbackStore struct {
-	dir         string
-	fingerprint string
-}
-
-// NewFeedbackStore opens (creating on first Put) a store rooted at dir.
-// fingerprint gates record validity; pass "" for BuildFingerprint().
-func NewFeedbackStore(dir, fingerprint string) *FeedbackStore {
-	if fingerprint == "" {
-		fingerprint = BuildFingerprint()
-	}
-	return &FeedbackStore{dir: dir, fingerprint: fingerprint}
-}
-
-// Dir returns the store root.
-func (f *FeedbackStore) Dir() string { return f.dir }
-
-// path returns the record file for a key digest.
-func (f *FeedbackStore) path(key string) string {
-	return filepath.Join(f.dir, key+".json")
-}
-
-// Get loads the record for a key. A missing file, unreadable record, nil
-// profile, or fingerprint mismatch is a miss (false); only unexpected I/O
-// failures surface as errors.
-func (f *FeedbackStore) Get(key string) (*FeedbackRecord, bool, error) {
-	data, err := os.ReadFile(f.path(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("feedback store: read %s: %w", key, err)
-	}
-	var rec FeedbackRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, false, nil // torn/corrupt record: re-profile and overwrite
-	}
-	if rec.Fingerprint != f.fingerprint {
-		return nil, false, nil // stale build: self-invalidate
-	}
-	if rec.Profile == nil {
-		rec.Profile = compiler.GateProfile{}
-	}
-	return &rec, true, nil
-}
-
-// Put stores a record under key. The fingerprint is stamped here; the
-// write is atomic, so concurrent writers of the same key and readers in
-// other processes always see a complete record.
-func (f *FeedbackStore) Put(key string, rec *FeedbackRecord) error {
-	if err := os.MkdirAll(f.dir, 0o755); err != nil {
-		return fmt.Errorf("feedback store: %w", err)
-	}
-	stamped := *rec
-	stamped.Fingerprint = f.fingerprint
-	data, err := json.MarshalIndent(&stamped, "", " ")
-	if err != nil {
-		return fmt.Errorf("feedback store: encode %s: %w", key, err)
-	}
-	tmp, err := os.CreateTemp(f.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("feedback store: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback store: write %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback store: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), f.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback store: commit %s: %w", key, err)
-	}
-	return nil
+// newFeedbackStore opens the store of converged adaptive refinements, one
+// record per (workload, configuration, AdaptSpec) key under
+// <cacheDir>/feedback/. A record without a profile is an empty one.
+func newFeedbackStore(cacheDir, fingerprint string) *recordStore[FeedbackRecord] {
+	return newRecordStore("feedback store", filepath.Join(cacheDir, "feedback"), fingerprint,
+		func(r *FeedbackRecord) bool {
+			if r.Profile == nil {
+				r.Profile = compiler.GateProfile{}
+			}
+			return true
+		})
 }
 
 // FeedbackStats summarizes a session's adaptive-control activity: persisted
@@ -133,52 +54,16 @@ func (s *Session) FeedbackStats() FeedbackStats {
 	return s.fb
 }
 
-// FeedbackDir returns the persisted feedback-store root ("" when disabled).
-func (s *Session) FeedbackDir() string {
-	if s.feedback == nil {
-		return ""
+// count adds n to one of the session's FeedbackStats / MappingStats fields
+// and to the obs counter that mirrors it.
+func (s *Session) count(field *uint64, counter string, n uint64) {
+	if n == 0 {
+		return
 	}
-	return s.feedback.Dir()
-}
-
-// countFeedback records persisted-store traffic.
-func (s *Session) countFeedback(hits, misses uint64) {
 	s.mu.Lock()
-	s.fb.StoreHits += hits
-	s.fb.StoreMisses += misses
+	*field += n
 	s.mu.Unlock()
 	if s.obsv != nil {
-		if hits > 0 {
-			s.obsv.Registry.Counter("feedback.store_hits").Add(hits)
-		}
-		if misses > 0 {
-			s.obsv.Registry.Counter("feedback.store_misses").Add(misses)
-		}
+		s.obsv.Registry.Counter(counter).Add(n)
 	}
-}
-
-// countIteration records one completed profile→refine iteration.
-func (s *Session) countIteration() {
-	s.mu.Lock()
-	s.fb.Iterations++
-	s.mu.Unlock()
-	if s.obsv != nil {
-		s.obsv.Registry.Counter("adapt.iterations").Inc()
-	}
-}
-
-// countConverged records one iterated run reaching a fixed point.
-func (s *Session) countConverged() {
-	s.mu.Lock()
-	s.fb.Converged++
-	s.mu.Unlock()
-	if s.obsv != nil {
-		s.obsv.Registry.Counter("adapt.converged").Inc()
-	}
-}
-
-// emitAdapt forwards a session-level adaptive-control event to the
-// observer's trace sink (nil-safe all the way down).
-func (s *Session) emitAdapt(ev obs.Event) {
-	s.obsv.Emit(ev)
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
-	"repro/internal/compiler"
 	"repro/internal/obs"
 )
 
@@ -126,52 +124,6 @@ func TestRunAdaptiveIteratedConvergesAndPersists(t *testing.T) {
 	}
 	if fs := solo.FeedbackStats(); fs.StoreHits != 0 || fs.StoreMisses != 0 {
 		t.Errorf("RunAdaptive touched the feedback store: %+v", fs)
-	}
-}
-
-// TestFeedbackStoreCorruptAndStaleMiss: the store follows the DiskCache
-// contract — torn records, foreign fingerprints, and absent keys are
-// misses, never errors, and a miss re-profiles and overwrites.
-func TestFeedbackStoreCorruptAndStaleMiss(t *testing.T) {
-	dir := t.TempDir()
-	st := NewFeedbackStore(dir, "fp")
-	rec := &FeedbackRecord{
-		Workload: "LIB", Scale: 0.1, Config: string(CfgCtrlTmap),
-		Iterations: 2, Converged: true, ConvergedAt: 2,
-		History: []AdaptIteration{{Iteration: 1, Decisions: 48}},
-		Profile: compiler.GateProfile{14: {Sent: 3, TripSum: 96, TripObs: 3}},
-	}
-	if err := st.Put("k", rec); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := st.Get("k")
-	if err != nil || !ok {
-		t.Fatalf("Get after Put = (%v, %v)", ok, err)
-	}
-	if got.Profile[14].Sent != 3 || !got.Converged || got.History[0].Decisions != 48 {
-		t.Fatalf("round trip mangled the record: %+v", got)
-	}
-
-	// Torn record: a miss, not an error.
-	if err := os.WriteFile(st.path("k"), []byte(`{"fingerprint":"fp","profi`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.Get("k"); err != nil || ok {
-		t.Fatalf("corrupt record must be a miss: (%v, %v)", ok, err)
-	}
-
-	// Foreign fingerprint: a miss.
-	if err := st.Put("k2", rec); err != nil {
-		t.Fatal(err)
-	}
-	other := NewFeedbackStore(dir, "other-build")
-	if _, ok, err := other.Get("k2"); err != nil || ok {
-		t.Fatalf("stale-build record must be a miss: (%v, %v)", ok, err)
-	}
-
-	// Absent key: a miss.
-	if _, ok, err := st.Get("absent"); err != nil || ok {
-		t.Fatalf("absent record must be a miss: (%v, %v)", ok, err)
 	}
 }
 

@@ -3,27 +3,22 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 
 	"repro/internal/mapping"
 	"repro/internal/sim"
 )
 
-// MappingRecord is the on-disk form of one converged transparent-mapping
-// learning phase: the fingerprint gate, a human-readable restatement of the
-// key (the digest in the filename is authoritative), the learned mapping
-// itself (bit + the allocation ranges it covers), and the learning-phase
-// cost a later install avoids. A session that derives the same key installs
-// Bit/Ranges at construction — no learning phase, no PCIe detour.
+// MappingRecord is the mapping registry's payload, one converged
+// transparent-mapping learning phase: a human-readable restatement of the
+// key (the key in the envelope and file name is authoritative), the learned
+// mapping itself (bit + the allocation ranges it covers), and the
+// learning-phase cost a later install avoids. A session that derives the same
+// key installs Bit/Ranges at construction — no learning phase, no PCIe detour.
 type MappingRecord struct {
-	Fingerprint string  `json:"fingerprint"`
-	Workload    string  `json:"workload"`
-	Scale       float64 `json:"scale"`
+	Workload string  `json:"workload"`
+	Scale    float64 `json:"scale"`
 	// Structure is the data-structure identity (mapping.StructureID) the bit
 	// was learned on; a workload whose allocation layout changed derives a
 	// different key and never sees this record.
@@ -43,91 +38,20 @@ type MappingRecord struct {
 	LearnCycles    int64  `json:"learn_cycles"`
 }
 
-// MappingStore persists learned transparent mappings, one JSON record per
-// (workload, scale, data-structure identity, learning-relevant configuration
-// family) key under dir — conventionally <cache-dir>/mappings/. It follows
-// the DiskCache contract exactly: writes are atomic (temp file + rename),
-// and a missing, torn, stale-build, or structurally invalid record degrades
-// to a miss — fresh learning — never to a wrong mapping.
-type MappingStore struct {
-	dir         string
-	fingerprint string
+// validMapping is the gate both ends of the registry share: an out-of-range
+// bit or an empty range list is never stored and never installed. Installing
+// a malformed mapping would place data wrongly, which is strictly worse than
+// re-learning.
+func validMapping(bit int, ranges []string) bool {
+	return bit >= mapping.MinBit && bit <= mapping.MaxBit && len(ranges) > 0
 }
 
-// NewMappingStore opens (creating on first Put) a store rooted at dir.
-// fingerprint gates record validity; pass "" for BuildFingerprint().
-func NewMappingStore(dir, fingerprint string) *MappingStore {
-	if fingerprint == "" {
-		fingerprint = BuildFingerprint()
-	}
-	return &MappingStore{dir: dir, fingerprint: fingerprint}
-}
-
-// Dir returns the store root.
-func (m *MappingStore) Dir() string { return m.dir }
-
-// path returns the record file for a key digest.
-func (m *MappingStore) path(key string) string {
-	return filepath.Join(m.dir, key+".json")
-}
-
-// Get loads the record for a key. A missing file, unreadable record,
-// fingerprint mismatch, out-of-range bit, or empty range list is a miss
-// (false); only unexpected I/O failures surface as errors. The validity
-// checks matter: installing a malformed mapping would place data wrongly,
-// which is strictly worse than re-learning.
-func (m *MappingStore) Get(key string) (*MappingRecord, bool, error) {
-	data, err := os.ReadFile(m.path(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("mapping store: read %s: %w", key, err)
-	}
-	var rec MappingRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, false, nil // torn/corrupt record: re-learn and overwrite
-	}
-	if rec.Fingerprint != m.fingerprint {
-		return nil, false, nil // stale build: self-invalidate
-	}
-	if rec.Bit < mapping.MinBit || rec.Bit > mapping.MaxBit || len(rec.Ranges) == 0 {
-		return nil, false, nil // structurally invalid: never install
-	}
-	return &rec, true, nil
-}
-
-// Put stores a record under key. The fingerprint is stamped here; the
-// write is atomic, so concurrent writers of the same key and readers in
-// other processes always see a complete record.
-func (m *MappingStore) Put(key string, rec *MappingRecord) error {
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
-		return fmt.Errorf("mapping store: %w", err)
-	}
-	stamped := *rec
-	stamped.Fingerprint = m.fingerprint
-	data, err := json.MarshalIndent(&stamped, "", " ")
-	if err != nil {
-		return fmt.Errorf("mapping store: encode %s: %w", key, err)
-	}
-	tmp, err := os.CreateTemp(m.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("mapping store: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("mapping store: write %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("mapping store: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), m.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("mapping store: commit %s: %w", key, err)
-	}
-	return nil
+// newMappingStore opens the registry of learned transparent mappings, one
+// record per (workload, scale, data-structure identity, learning-relevant
+// configuration family) key under <cacheDir>/mappings/.
+func newMappingStore(cacheDir, fingerprint string) *recordStore[MappingRecord] {
+	return newRecordStore("mapping store", filepath.Join(cacheDir, "mappings"), fingerprint,
+		func(r *MappingRecord) bool { return validMapping(r.Bit, r.Ranges) })
 }
 
 // learnFamily canonicalizes the learning-relevant subset of a configuration:
@@ -184,45 +108,6 @@ func (s *Session) MappingStats() MappingStats {
 	return s.ms
 }
 
-// MappingDir returns the persistent mapping-store root ("" when disabled).
-func (s *Session) MappingDir() string {
-	if s.mappings == nil {
-		return ""
-	}
-	return s.mappings.Dir()
-}
-
-// countMapping records mapping-store consults (and the PCIe savings a hit
-// locks in).
-func (s *Session) countMapping(hits, misses, saved uint64) {
-	s.mu.Lock()
-	s.ms.StoreHits += hits
-	s.ms.StoreMisses += misses
-	s.ms.SavedBytes += saved
-	s.mu.Unlock()
-	if s.obsv != nil {
-		if hits > 0 {
-			s.obsv.Registry.Counter("mapping.store_hits").Add(hits)
-		}
-		if misses > 0 {
-			s.obsv.Registry.Counter("mapping.store_misses").Add(misses)
-		}
-		if saved > 0 {
-			s.obsv.Registry.Counter("learn.pcie_bytes_saved").Add(saved)
-		}
-	}
-}
-
-// countMappingWrite records one learned mapping persisted to the store.
-func (s *Session) countMappingWrite() {
-	s.mu.Lock()
-	s.ms.StoreWrites++
-	s.mu.Unlock()
-	if s.obsv != nil {
-		s.obsv.Registry.Counter("mapping.store_writes").Inc()
-	}
-}
-
 // WithStoredMapping consults the persistent mapping registry for a resolved
 // spec and, on a hit, returns the spec with the stored mapping folded in as
 // a pre-install (RunSpec.MapInstall): the run then starts with the learned
@@ -241,15 +126,16 @@ func (s *Session) WithStoredMapping(spec RunSpec) (RunSpec, error) {
 		return RunSpec{}, err
 	}
 	key := mappingKey(spec.Abbr, spec.Scale, mapping.StructureID(in.Alloc), learnFamily(spec.Cfg))
-	rec, ok, err := s.mappings.Get(key)
+	rec, ok, err := s.mappings.get(key)
 	if err != nil {
 		return RunSpec{}, err
 	}
 	if !ok {
-		s.countMapping(0, 1, 0)
+		s.count(&s.ms.StoreMisses, "mapping.store_misses", 1)
 		return spec, nil
 	}
-	s.countMapping(1, 0, rec.LearnPCIeBytes)
+	s.count(&s.ms.StoreHits, "mapping.store_hits", 1)
+	s.count(&s.ms.SavedBytes, "learn.pcie_bytes_saved", rec.LearnPCIeBytes)
 	spec.MapInstall = &MapInstallSpec{
 		Bit:       rec.Bit,
 		Ranges:    append([]string(nil), rec.Ranges...),
@@ -269,21 +155,19 @@ func (s *Session) storeLearnedMapping(spec RunSpec, res *RunResult) {
 		return
 	}
 	st := &res.Stats
-	if st.MappingSource != sim.MappingLearned || st.LearnedBit < mapping.MinBit ||
-		st.LearnedBit > mapping.MaxBit || len(st.MappedRanges) == 0 {
+	if st.MappingSource != sim.MappingLearned || !validMapping(st.LearnedBit, st.MappedRanges) {
 		return
 	}
 	in, err := s.instance(spec.Abbr)
 	if err != nil {
 		return
 	}
-	structure := mapping.StructureID(in.Alloc)
-	key := mappingKey(spec.Abbr, spec.Scale, structure, learnFamily(spec.Cfg))
+	structure, family := mapping.StructureID(in.Alloc), learnFamily(spec.Cfg)
 	rec := &MappingRecord{
 		Workload:       spec.Abbr,
 		Scale:          spec.Scale,
 		Structure:      structure,
-		Family:         learnFamily(spec.Cfg),
+		Family:         family,
 		Bit:            st.LearnedBit,
 		Ranges:         append([]string(nil), st.MappedRanges...),
 		CopiedBytes:    st.CopiedBytes,
@@ -291,9 +175,9 @@ func (s *Session) storeLearnedMapping(spec RunSpec, res *RunResult) {
 		LearnInstances: st.LearnInstances,
 		LearnCycles:    st.LearnCycles,
 	}
-	if err := s.mappings.Put(key, rec); err != nil {
-		s.logf("mapping store: %v", err)
+	if err := s.mappings.put(mappingKey(spec.Abbr, spec.Scale, structure, family), rec); err != nil {
+		s.logf("%v", err)
 		return
 	}
-	s.countMappingWrite()
+	s.count(&s.ms.StoreWrites, "mapping.store_writes", 1)
 }

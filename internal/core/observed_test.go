@@ -9,6 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
+// specsOf resolves pairs at the session's scale, in order.
+func specsOf(t *testing.T, s *Session, pairs []Pair) []RunSpec {
+	t.Helper()
+	specs := make([]RunSpec, len(pairs))
+	for i, p := range pairs {
+		var err error
+		if specs[i], err = s.Spec(p.Abbr, p.Config); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return specs
+}
+
 // TestWarmObservedSharedRegistry: parallel observed runs over one shared
 // registry must produce, per run, exactly the snapshot a serial run with a
 // private registry produces, and the shared trace must stay attributable
@@ -23,7 +36,7 @@ func TestWarmObservedSharedRegistry(t *testing.T) {
 		{Abbr: "SP", Config: CfgCtrlTmap},
 	}
 	trace := &obs.CollectSink{}
-	snaps, err := s.WarmObserved(pairs, ObsPolicy{
+	snaps, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
 		Registry:    obs.NewRegistry(),
 		Trace:       trace,
 		SampleEvery: 512,
@@ -36,7 +49,7 @@ func TestWarmObservedSharedRegistry(t *testing.T) {
 	}
 
 	// Each scoped snapshot equals the serial, private-registry snapshot.
-	for _, p := range pairs {
+	for i, p := range pairs {
 		private := obs.New()
 		private.SampleEvery = 512
 		res, err := s.RunObserved(p.Abbr, p.Config, private)
@@ -44,7 +57,7 @@ func TestWarmObservedSharedRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := private.Registry.Snapshot()
-		got := snaps[p]
+		got := snaps[i]
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: scoped snapshot differs from serial run", p.Key())
 		}
@@ -78,13 +91,15 @@ func TestWarmObservedTraceSampling(t *testing.T) {
 		{Abbr: "SP", Config: CfgCtrlBmap},
 	}
 	full := &obs.CollectSink{}
-	if _, err := NewSession(Options{Scale: 0.05}).WarmObserved(pairs, ObsPolicy{
+	s := NewSession(Options{Scale: 0.05})
+	if _, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
 		Registry: obs.NewRegistry(), Trace: full,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	sampled := &obs.CollectSink{}
-	if _, err := NewSession(Options{Scale: 0.05}).WarmObserved(pairs, ObsPolicy{
+	s = NewSession(Options{Scale: 0.05})
+	if _, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
 		Registry: obs.NewRegistry(), Trace: sampled, TraceSample: 16,
 	}); err != nil {
 		t.Fatal(err)
@@ -107,7 +122,7 @@ func TestWarmObservedTraceSampling(t *testing.T) {
 	}
 }
 
-// TestWarmSpecsObservedFlushesFailedRuns extends the sampling-conservation
+// TestWarmObservedFlushesFailedRuns extends the sampling-conservation
 // check with a failing run: a run that dies mid-simulation has already
 // pushed events through its sampling sink, so its per-kind trace_sampled
 // summaries must still reach the shared trace — otherwise the trace
@@ -115,7 +130,7 @@ func TestWarmObservedTraceSampling(t *testing.T) {
 // know (the run it is debugging is the one that failed). The failure is
 // induced by truncating MaxCycles just below the run's natural length, so
 // nearly the whole event stream exists before the error.
-func TestWarmSpecsObservedFlushesFailedRuns(t *testing.T) {
+func TestWarmObservedFlushesFailedRuns(t *testing.T) {
 	const scale = 0.05
 	s := NewSession(Options{Scale: scale})
 
@@ -135,7 +150,7 @@ func TestWarmSpecsObservedFlushesFailedRuns(t *testing.T) {
 	bad.Cfg.MaxCycles = natural.Stats.Cycles - 2 // quiescence is unreachable
 
 	trace := &obs.CollectSink{}
-	snaps, err := s.WarmSpecsObserved([]RunSpec{good, bad}, ObsPolicy{
+	snaps, err := s.WarmObserved([]RunSpec{good, bad}, ObsPolicy{
 		Registry:    obs.NewRegistry(),
 		Trace:       trace,
 		TraceSample: 8,
@@ -213,7 +228,7 @@ func TestStackPendingShareBalanced(t *testing.T) {
 	for _, a := range Abbrs() {
 		pairs = append(pairs, Pair{Abbr: a, Config: CfgCtrlTmap})
 	}
-	snaps, err := s.WarmObserved(pairs, ObsPolicy{
+	snaps, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
 		Registry:    obs.NewRegistry(),
 		SampleEvery: 512,
 	})
@@ -225,8 +240,8 @@ func TestStackPendingShareBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	measured := 0
-	for _, p := range pairs {
-		snap := snaps[p]
+	for i, p := range pairs {
+		snap := snaps[i]
 		total, max := 0.0, 0.0
 		for st := 0; st < cfg.Stacks; st++ {
 			sum := 0.0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -54,17 +53,14 @@ type Pair struct {
 // Key returns the run identity ("ABBR/config").
 func (p Pair) Key() string { return p.Abbr + "/" + string(p.Config) }
 
-// forEachPair runs fn over pairs on a Scheduler bounded by GOMAXPROCS and
-// joins every failure, reported in submission order so the message is
-// deterministic.
-func forEachPair(pairs []Pair, fn func(Pair) error) error {
-	errs := NewScheduler(0).ForEach(context.Background(), len(pairs), func(i int) error {
-		return fn(pairs[i])
-	})
+// forEach runs fn(0..n-1) on a Scheduler bounded by GOMAXPROCS and joins
+// every failure, labeled by key(i) and reported in submission order so the
+// message is deterministic.
+func forEach(n int, key func(int) string, fn func(int) error) error {
 	var joined []error
-	for i, p := range pairs {
-		if errs[i] != nil {
-			joined = append(joined, fmt.Errorf("warm %s: %w", p.Key(), errs[i]))
+	for i, err := range NewScheduler(0).ForEach(context.Background(), n, fn) {
+		if err != nil {
+			joined = append(joined, fmt.Errorf("warm %s: %w", key(i), err))
 		}
 	}
 	return errors.Join(joined...)
@@ -76,8 +72,8 @@ func forEachPair(pairs []Pair, fn func(Pair) error) error {
 // configuration) pair is reported: the returned error joins one wrapped
 // error per failure.
 func (s *Session) Warm(pairs []Pair) error {
-	return forEachPair(pairs, func(p Pair) error {
-		_, err := s.Run(p.Abbr, p.Config)
+	return forEach(len(pairs), func(i int) string { return pairs[i].Key() }, func(i int) error {
+		_, err := s.Run(pairs[i].Abbr, pairs[i].Config)
 		return err
 	})
 }
@@ -102,12 +98,6 @@ type ObsPolicy struct {
 	TraceSample int
 }
 
-// Observer builds the scoped observer for one run and returns it together
-// with the scoped registry view (whose Snapshot covers just this run).
-func (p *ObsPolicy) Observer(pair Pair) (*obs.Observer, *obs.Registry) {
-	return p.ObserverFor(pair.Key())
-}
-
 // ObserverFor builds the scoped observer for one run label ("ABBR/config"
 // for named pairs; any unique string works) and returns it together with
 // the scoped registry view.
@@ -124,76 +114,35 @@ func (p *ObsPolicy) ObserverFor(label string) (*obs.Observer, *obs.Registry) {
 	return o, scoped
 }
 
-// observedOne executes one observed run through exec with a policy-scoped
-// observer and returns the run's scoped snapshot. The sink chain is flushed
-// on success and failure alike: a sampling sink emits its per-kind
-// trace_sampled conservation summaries at flush, and a run that failed
-// halfway has already pushed events through the chain — swallowing the
-// flush on the error path would make the shared trace under-report what
-// was sampled away.
-func (s *Session) observedOne(label string, policy ObsPolicy, exec func(*obs.Observer) error) (*obs.Snapshot, error) {
-	o, scoped := policy.ObserverFor(label)
-	runErr := exec(o)
-	flushErr := obs.Flush(o.Trace)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if flushErr != nil {
-		return nil, flushErr
-	}
-	return scoped.Snapshot(), nil
-}
-
-// WarmObserved executes the given runs in parallel, each with a scoped
-// observer onto the policy's shared registry, and returns each run's
-// scoped metrics snapshot. Like RunObserved, results are verified but not
-// memoized. Failures are joined as in Warm; snapshots of failed runs are
-// absent from the result.
-func (s *Session) WarmObserved(pairs []Pair, policy ObsPolicy) (map[Pair]*obs.Snapshot, error) {
-	out := make(map[Pair]*obs.Snapshot, len(pairs))
-	var outMu sync.Mutex
-	err := forEachPair(pairs, func(p Pair) error {
-		snap, err := s.observedOne(p.Key(), policy, func(o *obs.Observer) error {
-			_, err := s.RunObserved(p.Abbr, p.Config, o)
-			return err
-		})
-		if err != nil {
-			return err
+// WarmObserved executes the given specs in parallel, each with a scoped
+// observer labeled spec.Key() onto the policy's shared registry, and returns
+// each run's scoped metrics snapshot, aligned with specs (nil for a failed
+// run). Like any observed run, results are verified but not memoized.
+// Callers batching specs that share a Key (same workload and configuration
+// name with different resolved parameters) should expect their metrics to
+// merge under one label. Failures are joined as in Warm.
+//
+// Each run's sink chain is flushed on success and failure alike: a sampling
+// sink emits its per-kind trace_sampled conservation summaries at flush, and
+// a run that failed halfway has already pushed events through the chain —
+// swallowing the flush on the error path would make the shared trace
+// under-report what was sampled away.
+func (s *Session) WarmObserved(specs []RunSpec, policy ObsPolicy) ([]*obs.Snapshot, error) {
+	out := make([]*obs.Snapshot, len(specs))
+	err := forEach(len(specs), func(i int) string { return specs[i].Key() }, func(i int) error {
+		o, scoped := policy.ObserverFor(specs[i].Key())
+		_, _, runErr := s.Execute(specs[i], o)
+		flushErr := obs.Flush(o.Trace)
+		if runErr != nil {
+			return runErr
 		}
-		outMu.Lock()
-		out[p] = snap
-		outMu.Unlock()
+		if flushErr != nil {
+			return flushErr
+		}
+		out[i] = scoped.Snapshot()
 		return nil
 	})
 	return out, err
-}
-
-// WarmSpecsObserved is WarmObserved over fully-resolved specs: each spec
-// executes with a scoped observer labeled spec.Key(), and the result slice
-// aligns with specs (nil snapshot for a failed run). Callers batching
-// specs that share a Key (same workload and configuration name with
-// different resolved parameters) should expect their metrics to merge
-// under one label. Failures are joined as in Warm.
-func (s *Session) WarmSpecsObserved(specs []RunSpec, policy ObsPolicy) ([]*obs.Snapshot, error) {
-	out := make([]*obs.Snapshot, len(specs))
-	errs := NewScheduler(0).ForEach(context.Background(), len(specs), func(i int) error {
-		snap, err := s.observedOne(specs[i].Key(), policy, func(o *obs.Observer) error {
-			_, err := s.RunSpecObserved(specs[i], o)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		out[i] = snap
-		return nil
-	})
-	var joined []error
-	for i, sp := range specs {
-		if errs[i] != nil {
-			joined = append(joined, fmt.Errorf("warm %s: %w", sp.Key(), errs[i]))
-		}
-	}
-	return out, errors.Join(joined...)
 }
 
 // FullMatrix lists every (workload, configuration) pair the complete

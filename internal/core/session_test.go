@@ -260,7 +260,7 @@ func TestLookupNeverSimulatesNorWaits(t *testing.T) {
 		t.Fatalf("a missing Lookup did work: %+v", st)
 	}
 
-	ran, err := cold.RunSpecExact(spec)
+	ran, _, err := cold.Execute(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type RunSpec struct {
 	Adapt *AdaptSpec
 	// MapInstall, when non-nil, pre-installs a stored transparent mapping at
 	// system construction instead of running a learning phase (see
-	// MappingStore / Session.WithStoredMapping). Every field folds into the
+	// Session.WithStoredMapping). Every field folds into the
 	// digest: a stored-mapping run and the fresh-learning run of the same
 	// configuration are different measurements (no learning-phase PCIe
 	// detour) and must never share a cache record.

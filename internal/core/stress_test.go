@@ -34,6 +34,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 		{Abbr: "SP", Config: CfgCtrlBmap},
 	}
 	bad := Pair{Abbr: "NOPE", Config: CfgBaseline}
+	goodSpecs := specsOf(t, s, good)
 
 	const goroutines = 6
 	const iters = 2
@@ -61,7 +62,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 						t.Errorf("Warm error does not name the failing pair: %v", err)
 					}
 				case 2: // observed runs over a private policy surface
-					snaps, err := s.WarmObserved(good, ObsPolicy{
+					snaps, err := s.WarmObserved(goodSpecs, ObsPolicy{
 						Registry:    obs.NewRegistry(),
 						Trace:       &obs.CollectSink{},
 						SampleEvery: 2048,

@@ -92,7 +92,9 @@ type SessionOptions = core.Options
 // Session is a run pipeline that memoizes results in memory, optionally
 // persists them under SessionOptions.CacheDir keyed by run-spec digest and
 // build fingerprint (see docs/RUNCACHE.md), and supports parallel observed
-// runs over one shared metrics registry.
+// runs over one shared metrics registry. Every run method sits on
+// Session.Execute(spec, observer); Run, RunObserved and Warm are its
+// conveniences for named configurations.
 type Session = core.Session
 
 // NewSession returns a Session. With a zero CacheDir it behaves exactly
