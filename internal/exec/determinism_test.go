@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/cfgx"
@@ -179,31 +178,7 @@ func dirtyWarp() *Warp {
 // final memory must agree bit for bit.
 func stepLockstep(t *testing.T, what string, fresh, recycled *Warp, mFresh, mRecycled *mem.Flat) {
 	t.Helper()
-	for step := 0; !fresh.Done(); step++ {
-		if step > 100_000 {
-			t.Fatalf("%s: warp did not terminate", what)
-		}
-		if recycled.Done() {
-			t.Fatalf("%s: recycled warp finished at step %d, fresh one is at pc %d", what, step, fresh.PC())
-		}
-		rf, rr := fresh.Step(), recycled.Step()
-		if !reflect.DeepEqual(rf, rr) {
-			t.Fatalf("%s step %d: fresh stepped %+v, recycled %+v", what, step, rf, rr)
-		}
-		if !reflect.DeepEqual(fresh.Regs, recycled.Regs) {
-			t.Fatalf("%s step %d (pc %d): register files differ", what, step, rf.PC)
-		}
-		if fresh.ActiveMask() != recycled.ActiveMask() || fresh.PC() != recycled.PC() {
-			t.Fatalf("%s step %d: fresh at pc %d mask %#x, recycled at pc %d mask %#x", what, step,
-				fresh.PC(), fresh.ActiveMask(), recycled.PC(), recycled.ActiveMask())
-		}
-	}
-	if !recycled.Done() {
-		t.Fatalf("%s: recycled warp still running after the fresh one finished", what)
-	}
-	if ok, addr := mem.Equal(mFresh, mRecycled); !ok {
-		t.Fatalf("%s: memory images differ at %#x", what, addr)
-	}
+	lockstep(t, what, fresh, recycled, (*Warp).Step, (*Warp).Step, mFresh, mRecycled)
 }
 
 // TestRecycledWarpStepsLikeFresh: Reset and ResetRegion over a dirtied warp

@@ -9,6 +9,10 @@
 // stores, loads), and returns a descriptor of what happened so a timing
 // layer can charge latency and bandwidth afterwards. Values are therefore
 // always exact, and timing policies can never corrupt program results.
+//
+// Step dispatches once per warp-instruction over the kernel's lowered form
+// (isa.Program): sources resolve to 32-lane rows and each opcode is one loop
+// over them (DESIGN.md "Interpreter").
 package exec
 
 import (
@@ -90,7 +94,11 @@ type Warp struct {
 	// Regs[r][lane] is the architectural register file.
 	Regs [][isa.WarpSize]uint64
 
-	alive    uint32 // lanes that have not exited
+	prog  *isa.Program // Kernel, lowered; a pointer keeps Warp in its 176-byte size class
+	alive uint32       // lanes that have not exited
+	// stack is kept converged: whatever moves the execution point (init,
+	// SkipTo, Step) pops finished entries before returning, so the top entry
+	// is always the next instruction to run and an empty stack means done.
 	stack    []simtEntry
 	accesses []Access
 }
@@ -166,18 +174,17 @@ func (w *Warp) init(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, sha
 		Mem:      mem,
 		Shared:   shared,
 		Regs:     regs,
+		prog:     k.Program(),
 		alive:    base.mask,
 		stack:    append(w.stack[:0], base),
 		accesses: w.accesses[:0],
 	}
+	w.popConverged()
 }
 
 // Done reports whether the warp has finished (all lanes exited or the
 // region completed).
-func (w *Warp) Done() bool {
-	w.popConverged()
-	return len(w.stack) == 0
-}
+func (w *Warp) Done() bool { return len(w.stack) == 0 }
 
 // PC returns the current pc, or -1 if done.
 func (w *Warp) PC() int {
@@ -212,20 +219,11 @@ func (w *Warp) popConverged() {
 	}
 }
 
-// PeekOp returns the opcode about to execute (OpNop if done).
-func (w *Warp) PeekOp() isa.Op {
-	w.popConverged()
-	if len(w.stack) == 0 {
-		return isa.OpNop
-	}
-	return w.Kernel.Instrs[w.stack[len(w.stack)-1].pc].Op
-}
-
-// NextInstr returns the instruction about to execute. Valid only if !Done.
-// It returns a pointer into the kernel's instruction slice (callers must
-// not mutate it) so the per-issue hot path copies nothing.
-func (w *Warp) NextInstr() *isa.Instr {
-	return &w.Kernel.Instrs[w.PC()]
+// NextInstr returns the lowered instruction about to execute. Valid only if
+// !Done. It points into the kernel's shared program; callers must not
+// mutate it.
+func (w *Warp) NextInstr() *isa.Decoded {
+	return &w.prog.Code[w.stack[len(w.stack)-1].pc]
 }
 
 // SkipTo repositions the current execution point — used by the main GPU SM
@@ -236,6 +234,7 @@ func (w *Warp) SkipTo(pc int) {
 		panic("exec: SkipTo on finished warp")
 	}
 	w.stack[len(w.stack)-1].pc = pc
+	w.popConverged()
 }
 
 // LeaderLane returns the lowest active lane index, or -1 if none.
@@ -250,136 +249,134 @@ func (w *Warp) LeaderLane() int {
 // SpecialValue returns the value of a special register for a lane of this
 // warp (exported for the offload controller's scalar dry-run that finds the
 // destination stack of a candidate's first memory access, §4.2 footnote 4).
-func (w *Warp) SpecialValue(s isa.Special, lane int) uint64 { return w.special(s, lane) }
+func (w *Warp) SpecialValue(s isa.Special, lane int) uint64 {
+	base, perLane := w.special(s)
+	return base + perLane*uint64(lane)
+}
 
-func (w *Warp) special(s isa.Special, lane int) uint64 {
+// special returns a special register as base + perLane*lane: every special
+// is either uniform across the warp or counts up with the lane index.
+func (w *Warp) special(s isa.Special) (base, perLane uint64) {
 	wi := w.WInfo
-	tid := wi.WarpInCTA*isa.WarpSize + lane
+	tid0 := wi.WarpInCTA * isa.WarpSize
 	switch s {
 	case isa.SpLane:
-		return uint64(lane)
+		return 0, 1
 	case isa.SpTid:
-		return uint64(tid)
+		return uint64(tid0), 1
 	case isa.SpCtaid:
-		return uint64(wi.CtaID)
+		return uint64(wi.CtaID), 0
 	case isa.SpNtid:
-		return uint64(wi.NTid)
+		return uint64(wi.NTid), 0
 	case isa.SpNctaid:
-		return uint64(wi.NCtaid)
+		return uint64(wi.NCtaid), 0
 	case isa.SpGtid:
-		return uint64(wi.CtaID*wi.NTid + tid)
+		return uint64(wi.CtaID*wi.NTid + tid0), 1
 	case isa.SpWarpid:
-		return uint64(wi.WarpInCTA)
+		return uint64(wi.WarpInCTA), 0
 	}
-	return 0
+	return 0, 0
 }
 
-func (w *Warp) eval(o isa.Operand, lane int) uint64 {
-	switch o.Kind {
+// row resolves a source to its 32 lane values. Registers and immediates are
+// already rows; a special is written into scratch, which the caller owns
+// for the duration of the step.
+func (w *Warp) row(s *isa.Src, scratch *isa.Row) *isa.Row {
+	switch s.Kind {
 	case isa.OpdReg:
-		return w.Regs[o.Reg][lane]
-	case isa.OpdImm:
-		return uint64(o.Imm)
+		return &w.Regs[s.Reg]
 	case isa.OpdSpecial:
-		return w.special(o.Sp, lane)
+		return w.specialRow(s.Sp, scratch)
 	}
-	return 0
+	return s.Row
 }
 
-func cmpInt(c isa.Cmp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
+func (w *Warp) specialRow(s isa.Special, row *isa.Row) *isa.Row {
+	base, perLane := w.special(s)
+	for l := range row {
+		row[l] = base + perLane*uint64(l)
 	}
-	return false
-}
-
-func cmpFloat(c isa.Cmp, a, b float32) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
+	return row
 }
 
 func f32(v uint64) float32   { return math.Float32frombits(uint32(v)) }
 func fbits(f float32) uint64 { return uint64(math.Float32bits(f)) }
 
+// fres is fbits for the result of float arithmetic: a NaN becomes the one
+// quiet NaN, as PTX arithmetic returns it. Which operand's payload the host
+// would propagate depends on the order the compiler hands a commutative
+// operation's operands to the instruction, and the loops of pureOp and the
+// scalar aluOp need not get the same order.
+func fres(f float32) uint64 {
+	if f != f {
+		return quietNaN
+	}
+	return fbits(f)
+}
+
+const quietNaN = 0x7fc0_0000
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Step executes one warp-instruction and returns what happened.
-func (w *Warp) Step() StepResult {
-	w.popConverged()
+func (w *Warp) Step() (res StepResult) {
 	if len(w.stack) == 0 {
 		return StepResult{Kind: StepNone, Done: true}
 	}
 	top := &w.stack[len(w.stack)-1]
 	pc := top.pc
-	if pc >= len(w.Kernel.Instrs) {
+	if pc >= len(w.prog.Code) {
 		panic(fmt.Sprintf("exec: kernel %q: pc %d fell off the end", w.Kernel.Name, pc))
 	}
-	in := &w.Kernel.Instrs[pc]
+	d := &w.prog.Code[pc]
 	mask := top.mask & w.alive
-	active := bits.OnesCount32(mask)
-	res := StepResult{PC: pc, Op: in.Op, Dst: in.Dst, HasDst: in.HasDst, ActiveLanes: active}
+	res = StepResult{PC: pc, Op: d.Op, Dst: d.Dst, HasDst: d.HasDst, ActiveLanes: bits.OnesCount32(mask)}
 
-	switch in.Op {
-	case isa.OpNop:
+	// Specials are rare (a kernel's prologue), so only they pay for
+	// scratch rows.
+	var sa, sb, sc *isa.Row
+	if d.Special {
+		var scratch [3]isa.Row
+		sa, sb, sc = &scratch[0], &scratch[1], &scratch[2]
+	}
+	a, b, c := w.row(&d.A, sa), w.row(&d.B, sb), w.row(&d.C, sc)
+
+	switch d.Class {
+	case isa.ClassNop:
 		res.Kind = StepALU
 		top.pc++
 
-	case isa.OpBar:
+	case isa.ClassBarrier:
 		res.Kind = StepBarrier
 		top.pc++
 
-	case isa.OpExit:
+	case isa.ClassExit:
 		res.Kind = StepExit
 		w.alive &^= mask
 		top.pc++
-		w.popConverged()
-		res.Done = len(w.stack) == 0
 
-	case isa.OpBra:
+	case isa.ClassBranch:
 		res.Kind = StepBranch
-		var taken uint32
-		if in.A.Kind == isa.OpdNone {
-			taken = mask
-		} else {
-			for lane := 0; lane < isa.WarpSize; lane++ {
-				if mask&(1<<lane) == 0 {
-					continue
-				}
-				p := w.eval(in.A, lane) != 0
-				if in.PredNeg {
-					p = !p
-				}
-				if p {
-					taken |= 1 << lane
-				}
+		taken := mask
+		if d.A.Kind != isa.OpdNone {
+			var nz uint32
+			for l, v := range a {
+				nz |= uint32(b2u(v != 0)) << l
 			}
+			if d.PredNeg {
+				nz = ^nz
+			}
+			taken &= nz
 		}
 		fall := mask &^ taken
 		switch {
 		case fall == 0:
-			top.pc = in.Target
+			top.pc = d.Target
 		case taken == 0:
 			top.pc++
 		default:
@@ -395,101 +392,199 @@ func (w *Warp) Step() StepResult {
 			top.pc = rpc
 			w.stack = append(w.stack,
 				simtEntry{pc: pc + 1, rpc: rpc, mask: fall},
-				simtEntry{pc: in.Target, rpc: rpc, mask: taken})
+				simtEntry{pc: d.Target, rpc: rpc, mask: taken})
 		}
 
-	case isa.OpSetp, isa.OpFSetp:
+	case isa.ClassALU:
+		// Pure ops are total (no traps), so all 32 lanes are computed and
+		// the inactive ones discarded: straight into the destination under
+		// a full mask, through a scratch row otherwise.
 		res.Kind = StepALU
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			var v bool
-			if in.Op == isa.OpSetp {
-				v = cmpInt(in.Cmp, int64(w.eval(in.A, lane)), int64(w.eval(in.B, lane)))
-			} else {
-				v = cmpFloat(in.Cmp, f32(w.eval(in.A, lane)), f32(w.eval(in.B, lane)))
-			}
-			if v {
-				w.Regs[in.Dst][lane] = 1
-			} else {
-				w.Regs[in.Dst][lane] = 0
+		dst := &w.Regs[d.Dst]
+		if mask == fullMask {
+			pureOp(d, dst, a, b, c)
+		} else {
+			var tmp isa.Row
+			pureOp(d, &tmp, a, b, c)
+			for l := range dst {
+				if mask&(1<<l) != 0 {
+					dst[l] = tmp[l]
+				}
 			}
 		}
 		top.pc++
 
-	case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomAdd:
+	case isa.ClassMem:
+		// Memory ops touch the active lanes only, in ascending lane order:
+		// Memory sees the calls, atomics return the values and colliding
+		// stores resolve exactly as a lane-by-lane interpreter's would.
 		res.Kind = StepMem
 		if w.accesses == nil {
 			// Full capacity at once: a step records at most one access per
 			// lane, and the buffer lives as long as the (recycled) warp.
 			w.accesses = make([]Access, 0, isa.WarpSize)
 		}
-		w.accesses = w.accesses[:0]
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
+		// The opcode is settled outside the lane loops: with it inside, ld
+		// and st measure 10-20 % slower (BenchmarkWarpStep).
+		acc := w.accesses[:0]
+		switch d.Op {
+		case isa.OpLdGlobal:
+			dst := &w.Regs[d.Dst]
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) % isa.WarpSize
+				addr := a[lane] + d.Imm
+				dst[lane] = uint64(w.Mem.Load4(addr))
+				acc = append(acc, Access{Lane: lane, Addr: addr})
 			}
-			addr := w.eval(in.A, lane) + uint64(in.Imm)
-			switch in.Op {
-			case isa.OpLdGlobal:
-				w.Regs[in.Dst][lane] = uint64(w.Mem.Load4(addr))
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr})
-			case isa.OpStGlobal:
-				w.Mem.Store4(addr, uint32(w.eval(in.B, lane)))
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr, Store: true})
-			case isa.OpAtomAdd:
-				old := w.Mem.AtomicAdd4(addr, uint32(w.eval(in.B, lane)))
-				w.Regs[in.Dst][lane] = uint64(old)
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr, Store: true})
+		case isa.OpStGlobal:
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) % isa.WarpSize
+				addr := a[lane] + d.Imm
+				w.Mem.Store4(addr, uint32(b[lane]))
+				acc = append(acc, Access{Lane: lane, Addr: addr, Store: true})
+			}
+		case isa.OpAtomAdd:
+			dst := &w.Regs[d.Dst]
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) % isa.WarpSize
+				addr := a[lane] + d.Imm
+				dst[lane] = uint64(w.Mem.AtomicAdd4(addr, uint32(b[lane])))
+				acc = append(acc, Access{Lane: lane, Addr: addr, Store: true})
 			}
 		}
-		res.Accesses = w.accesses
+		w.accesses = acc
+		res.Accesses = acc
 		top.pc++
 
-	case isa.OpLdShared, isa.OpStShared:
+	case isa.ClassShared:
 		res.Kind = StepShared
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			addr := (w.eval(in.A, lane) + uint64(in.Imm)) / isa.WordBytes
+		dst := &w.Regs[d.Dst]
+		for m := mask; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m) % isa.WarpSize
+			addr := (a[lane] + d.Imm) / isa.WordBytes
 			if addr >= uint64(len(w.Shared)) {
 				panic(fmt.Sprintf("exec: kernel %q pc %d: shared access %d out of %d words",
 					w.Kernel.Name, pc, addr, len(w.Shared)))
 			}
-			if in.Op == isa.OpLdShared {
-				w.Regs[in.Dst][lane] = uint64(w.Shared[addr])
+			if d.Op == isa.OpLdShared {
+				dst[lane] = uint64(w.Shared[addr])
 			} else {
-				w.Shared[addr] = uint32(w.eval(in.B, lane))
+				w.Shared[addr] = uint32(b[lane])
 			}
-		}
-		top.pc++
-
-	default: // ALU
-		res.Kind = StepALU
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			a := w.eval(in.A, lane)
-			var b, c uint64
-			if in.B.Kind != isa.OpdNone {
-				b = w.eval(in.B, lane)
-			}
-			if in.C.Kind != isa.OpdNone {
-				c = w.eval(in.C, lane)
-			}
-			w.Regs[in.Dst][lane] = aluOp(in.Op, a, b, c)
 		}
 		top.pc++
 	}
 
 	w.popConverged()
-	if len(w.stack) == 0 {
-		res.Done = true
-	}
+	res.Done = len(w.stack) == 0
 	return res
+}
+
+const fullMask = 1<<isa.WarpSize - 1
+
+// cmpWants encodes a comparison as the outcomes it accepts among
+// less / equal / greater / unordered, each 0 or 1.
+func cmpWants(c isa.Cmp) (lt, eq, gt, un uint64) {
+	switch c {
+	case isa.CmpEQ:
+		return 0, 1, 0, 0
+	case isa.CmpNE:
+		return 1, 0, 1, 1
+	case isa.CmpLT:
+		return 1, 0, 0, 0
+	case isa.CmpLE:
+		return 1, 1, 0, 0
+	case isa.CmpGT:
+		return 0, 0, 1, 0
+	case isa.CmpGE:
+		return 0, 1, 1, 0
+	}
+	return 0, 0, 0, 0
+}
+
+// pureOp computes a register-only instruction for all 32 lanes into dst,
+// which may be one of the sources: lane l of dst depends on lane l of the
+// sources only, and is written after they are read.
+func pureOp(d *isa.Decoded, dstRow, aRow, bRow, cRow *isa.Row) {
+	// Sliced once: indexing through the array pointers would repeat their
+	// nil checks on every lane.
+	dst, a, b, c := dstRow[:], aRow[:], bRow[:], cRow[:]
+	switch d.Op {
+	case isa.OpSetp:
+		lt, eq, gt, _ := cmpWants(d.Cmp)
+		for l := range dst {
+			x, y := int64(a[l]), int64(b[l])
+			dst[l] = b2u(x < y)&lt | b2u(x == y)&eq | b2u(x > y)&gt
+		}
+	case isa.OpFSetp:
+		lt, eq, gt, un := cmpWants(d.Cmp)
+		for l := range dst {
+			x, y := f32(a[l]), f32(b[l])
+			dst[l] = b2u(x < y)&lt | b2u(x == y)&eq | b2u(x > y)&gt | b2u(x != x || y != y)&un
+		}
+	case isa.OpMov:
+		*dstRow = *aRow
+	case isa.OpAdd:
+		for l := range dst {
+			dst[l] = a[l] + b[l]
+		}
+	case isa.OpSub:
+		for l := range dst {
+			dst[l] = a[l] - b[l]
+		}
+	case isa.OpMul:
+		for l := range dst {
+			dst[l] = a[l] * b[l]
+		}
+	case isa.OpAnd:
+		for l := range dst {
+			dst[l] = a[l] & b[l]
+		}
+	case isa.OpOr:
+		for l := range dst {
+			dst[l] = a[l] | b[l]
+		}
+	case isa.OpXor:
+		for l := range dst {
+			dst[l] = a[l] ^ b[l]
+		}
+	case isa.OpShl:
+		for l := range dst {
+			dst[l] = a[l] << (b[l] & 63)
+		}
+	case isa.OpShr:
+		for l := range dst {
+			dst[l] = a[l] >> (b[l] & 63)
+		}
+	case isa.OpFAdd:
+		for l := range dst {
+			dst[l] = fres(f32(a[l]) + f32(b[l]))
+		}
+	case isa.OpFSub:
+		for l := range dst {
+			dst[l] = fres(f32(a[l]) - f32(b[l]))
+		}
+	case isa.OpFMul:
+		for l := range dst {
+			dst[l] = fres(f32(a[l]) * f32(b[l]))
+		}
+	case isa.OpFMA:
+		for l := range dst {
+			dst[l] = fres(f32(a[l])*f32(b[l]) + f32(c[l]))
+		}
+	case isa.OpSelp:
+		for l := range dst {
+			v := b[l]
+			if c[l] != 0 {
+				v = a[l]
+			}
+			dst[l] = v
+		}
+	default: // the rare opcodes share the scalar definition
+		for l := range dst {
+			dst[l] = aluOp(d.Op, a[l], b[l], c[l])
+		}
+	}
 }
 
 // ALUOp computes the pure-ALU result for op given operand values — the
@@ -537,15 +632,15 @@ func aluOp(op isa.Op, a, b, c uint64) uint64 {
 	case isa.OpShr:
 		return a >> (b & 63)
 	case isa.OpFAdd:
-		return fbits(f32(a) + f32(b))
+		return fres(f32(a) + f32(b))
 	case isa.OpFSub:
-		return fbits(f32(a) - f32(b))
+		return fres(f32(a) - f32(b))
 	case isa.OpFMul:
-		return fbits(f32(a) * f32(b))
+		return fres(f32(a) * f32(b))
 	case isa.OpFDiv:
-		return fbits(f32(a) / f32(b))
+		return fres(f32(a) / f32(b))
 	case isa.OpFMA:
-		return fbits(f32(a)*f32(b) + f32(c))
+		return fres(f32(a)*f32(b) + f32(c))
 	case isa.OpFNeg:
 		return fbits(-f32(a))
 	case isa.OpCvtIF:

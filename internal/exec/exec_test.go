@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/cfgx"
@@ -310,5 +311,92 @@ func TestInactiveTailLanes(t *testing.T) {
 		if got := m.Load4(out + uint64(4*i)); got != want {
 			t.Fatalf("out[%d] = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// TestLiteralKernelSharedByConcurrentWarps: a kernel written as a struct
+// literal needs no constructor step, and warps created at once on several
+// goroutines — Systems running side by side in tomserve share their
+// workload's kernels — all find the same lowered program. Run under -race.
+func TestLiteralKernelSharedByConcurrentWarps(t *testing.T) {
+	k := &isa.Kernel{Name: "literal", NumRegs: 4, NumParams: 1, Instrs: []isa.Instr{
+		{Op: isa.OpMov, Dst: 1, HasDst: true, A: isa.Sp(isa.SpGtid)},
+		{Op: isa.OpShl, Dst: 2, HasDst: true, A: isa.R(1), B: isa.Imm(2)},
+		{Op: isa.OpAdd, Dst: 2, HasDst: true, A: isa.R(0), B: isa.R(2)},
+		{Op: isa.OpStGlobal, A: isa.R(2), B: isa.R(1)},
+		{Op: isa.OpExit},
+	}}
+	info, err := cfgx.Analyze(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, base = 8, 0x1000
+	progs := make([]*isa.Program, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := mem.NewFlat()
+			w := NewWarp(k, info, WarpInfo{CtaID: i, NTid: 32, NCtaid: workers}, m, nil, []uint64{base})
+			for !w.Done() {
+				w.Step()
+			}
+			for lane := 0; lane < isa.WarpSize; lane++ {
+				gtid := uint32(i*32 + lane)
+				if got := m.Load4(base + 4*uint64(gtid)); got != gtid {
+					t.Errorf("worker %d lane %d stored %d, want %d", i, lane, got, gtid)
+				}
+			}
+			progs[i] = k.Program()
+		}()
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p != progs[0] {
+			t.Errorf("worker %d saw a different lowered program", i)
+		}
+	}
+}
+
+// TestSkipToReconvergencePops: SkipTo lands where the main SM resumes after
+// an offloaded region. When that is the current entry's reconvergence point
+// the entry is finished, and the warp must say so without being stepped: a
+// region warp skipped to its end is done, a diverged path skipped to the
+// join hands over to the other path.
+func TestSkipToReconvergencePops(t *testing.T) {
+	b := isa.NewBuilder("skip", 0)
+	b.Mov(1, isa.Sp(isa.SpLane))
+	b.And(2, isa.R(1), isa.Imm(1))
+	b.BraIf(isa.R(2), "odd")
+	b.Add(3, isa.R(3), isa.Imm(1)) // pc 3: even lanes
+	b.Bra("join")
+	b.Label("odd")
+	b.Add(3, isa.R(3), isa.Imm(2)) // pc 5: odd lanes
+	b.Label("join")
+	b.Exit() // pc 6
+	k := b.MustBuild()
+	info, err := cfgx.Analyze(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi := WarpInfo{NTid: 32, NCtaid: 1}
+
+	region := NewRegionWarp(k, info, wi, mem.NewFlat(), 0xffff_ffff, 0, 3, 0, make([][isa.WarpSize]uint64, k.NumRegs))
+	region.SkipTo(3)
+	if !region.Done() || region.PC() != -1 || region.ActiveMask() != 0 {
+		t.Fatalf("region warp skipped to its end: done=%v pc=%d mask=%#x", region.Done(), region.PC(), region.ActiveMask())
+	}
+
+	w := NewWarp(k, info, wi, mem.NewFlat(), nil, nil)
+	for i := 0; i < 3; i++ {
+		w.Step()
+	}
+	if w.PC() != 5 || w.ActiveMask() != 0xaaaa_aaaa {
+		t.Fatalf("after the branch: pc %d mask %#x, want the odd path at pc 5", w.PC(), w.ActiveMask())
+	}
+	w.SkipTo(6)
+	if w.PC() != 3 || w.ActiveMask() != 0x5555_5555 {
+		t.Fatalf("odd path skipped to the join: pc %d mask %#x, want the even path at pc 3", w.PC(), w.ActiveMask())
 	}
 }

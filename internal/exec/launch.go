@@ -52,13 +52,38 @@ func RunFunctional(m Memory, l Launch) error {
 	return RunInstrumented(m, l, nil)
 }
 
-// RunInstrumented is RunFunctional with a per-step observation hook.
-func RunInstrumented(m Memory, l Launch, hook StepHook) error {
+// analyses memoises the control-flow analysis per kernel over one pass of
+// a launch list (BFS launches one kernel ten times).
+type analyses map[*isa.Kernel]*cfgx.Info
+
+func (a analyses) of(l Launch) (*cfgx.Info, error) {
 	if err := l.Validate(); err != nil {
-		return err
+		return nil, err
+	}
+	if info := a[l.Kernel]; info != nil {
+		return info, nil
 	}
 	info, err := cfgx.Analyze(l.Kernel)
+	if err == nil {
+		a[l.Kernel] = info
+	}
+	return info, err
+}
+
+// RunInstrumented is RunFunctional with a per-step observation hook.
+func RunInstrumented(m Memory, l Launch, hook StepHook) error {
+	info, err := analyses{}.of(l)
 	if err != nil {
+		return err
+	}
+	return RunAnalyzed(m, l, info, hook)
+}
+
+// RunAnalyzed is RunInstrumented for a caller that already holds the
+// kernel's control-flow analysis, so a kernel launched many times is
+// analysed once.
+func RunAnalyzed(m Memory, l Launch, info *cfgx.Info, hook StepHook) error {
+	if err := l.Validate(); err != nil {
 		return err
 	}
 	// CTAs run one after the other, so one CTA's worth of warps, shared
@@ -131,8 +156,13 @@ func RunInstrumented(m Memory, l Launch, hook StepHook) error {
 
 // RunFunctionalAll runs a sequence of launches (a whole workload).
 func RunFunctionalAll(m Memory, launches []Launch) error {
+	memo := analyses{}
 	for i, l := range launches {
-		if err := RunFunctional(m, l); err != nil {
+		info, err := memo.of(l)
+		if err == nil {
+			err = RunAnalyzed(m, l, info, nil)
+		}
+		if err != nil {
 			return fmt.Errorf("launch %d: %w", i, err)
 		}
 	}

@@ -15,7 +15,10 @@
 //     divergence is handled by the executor's SIMT reconvergence stack.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // MaxRegs is the maximum number of general registers a kernel may use.
 // Keeping it at 64 lets register sets be represented as uint64 bitmasks
@@ -38,6 +41,8 @@ type Op uint8
 // Opcode values. Arithmetic ops treat registers as unsigned 64-bit values
 // unless prefixed with F (float32 on the low 32 bits) or documented as
 // signed (Div, Rem, Min, Max use signed interpretation of the low 32 bits).
+// Float arithmetic (FAdd, FSub, FMul, FDiv, FMA) returns the one quiet NaN
+// 0x7fc00000 for any NaN result, like PTX: NaN payloads do not propagate.
 const (
 	OpNop      Op = iota
 	OpMov         // Dst = A
@@ -307,6 +312,8 @@ type Kernel struct {
 	// Labels maps label names to instruction indices (populated by the
 	// builder/assembler; informational).
 	Labels map[string]int
+
+	program atomic.Pointer[Program] // see Program()
 }
 
 // Validate checks structural invariants: register bounds, branch targets in

@@ -224,3 +224,75 @@ func TestMemRefParsing(t *testing.T) {
 		t.Errorf("positive offset = %d, want 12", ks[0].Instrs[1].Imm)
 	}
 }
+
+// TestProgramLowersEveryField: the lowered form restates each instruction
+// without loss — scoreboard mask, dispatch and latency class as the timing
+// model derived them from the opcode, sources as rows.
+func TestProgramLowersEveryField(t *testing.T) {
+	k := &Kernel{Name: "lit", NumRegs: 8, SharedBytes: 64, Instrs: []Instr{
+		{Op: OpMov, Dst: 2, HasDst: true, A: Sp(SpGtid)},
+		{Op: OpFMA, Dst: 5, HasDst: true, A: R(1), B: Imm(-3), C: R(2)},
+		{Op: OpFSetp, Cmp: CmpGE, Dst: 6, HasDst: true, A: R(5), B: ImmF(1.5)},
+		{Op: OpDiv, Dst: 3, HasDst: true, A: R(2), B: Imm(-3)},
+		{Op: OpLdGlobal, Dst: 4, HasDst: true, A: R(0), Imm: -8},
+		{Op: OpStShared, A: R(3), B: R(4), Imm: 4},
+		{Op: OpBra, A: R(6), PredNeg: true, Target: 7},
+		{Op: OpBar},
+		{Op: OpNop},
+		{Op: OpExit},
+	}}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := k.Program()
+	if p != k.Program() {
+		t.Fatal("Program() lowered the kernel twice")
+	}
+	if len(p.Code) != len(k.Instrs) {
+		t.Fatalf("%d decoded instructions for %d", len(p.Code), len(k.Instrs))
+	}
+	wantClass := []Class{ClassALU, ClassALU, ClassALU, ClassALU, ClassMem, ClassShared,
+		ClassBranch, ClassBarrier, ClassNop, ClassExit}
+	wantLat := []Lat{LatALU, LatFP, LatFP, LatDiv, LatMem, LatShared, LatALU, LatALU, LatALU, LatALU}
+	for pc, d := range p.Code {
+		in := k.Instrs[pc]
+		if d.Op != in.Op || d.Cmp != in.Cmp || d.Dst != in.Dst || d.HasDst != in.HasDst ||
+			d.PredNeg != in.PredNeg || d.Target != in.Target || d.Imm != uint64(in.Imm) {
+			t.Errorf("pc %d (%s): decoded %+v", pc, in, d)
+		}
+		if d.Class != wantClass[pc] || d.Lat != wantLat[pc] {
+			t.Errorf("pc %d (%s): class %d lat %d, want %d %d", pc, in, d.Class, d.Lat, wantClass[pc], wantLat[pc])
+		}
+		if want := in.SrcRegs() | in.DstRegs(); d.Regs != want {
+			t.Errorf("pc %d (%s): Regs %#x, want %#x", pc, in, d.Regs, want)
+		}
+		for i, pair := range [3]struct {
+			o Operand
+			s Src
+		}{{in.A, d.A}, {in.B, d.B}, {in.C, d.C}} {
+			o, s := pair.o, pair.s
+			if s.Kind != o.Kind {
+				t.Fatalf("pc %d source %d: kind %d, want %d", pc, i, s.Kind, o.Kind)
+			}
+			switch o.Kind {
+			case OpdReg:
+				if s.Reg != o.Reg || s.Row != nil {
+					t.Errorf("pc %d source %d: %+v, want r%d", pc, i, s, o.Reg)
+				}
+			case OpdSpecial:
+				if s.Sp != o.Sp || s.Row != nil || !d.Special {
+					t.Errorf("pc %d source %d: %+v, want %v", pc, i, s, o.Sp)
+				}
+			default: // immediate, or absent = zero
+				for lane, v := range s.Row {
+					if v != uint64(o.Imm) {
+						t.Fatalf("pc %d source %d lane %d: row holds %#x, want %#x", pc, i, lane, v, uint64(o.Imm))
+					}
+				}
+			}
+		}
+	}
+	if p.Code[1].B.Row != p.Code[3].B.Row {
+		t.Error("equal immediates should share one row")
+	}
+}

@@ -147,7 +147,7 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 				finish(w, pc)
 			}
 		}
-		if err := exec.RunInstrumented(m, l, hook); err != nil {
+		if err := exec.RunAnalyzed(m, l, md.Info, hook); err != nil {
 			return nil, err
 		}
 		for w, pc := range active {

@@ -178,11 +178,8 @@ func (sm *SM) reconsider(sw *smWarp, now int64) {
 		}
 		return
 	}
-	if !sw.w.Done() {
-		in := sw.w.NextInstr()
-		if (in.SrcRegs()|in.DstRegs())&sw.pendingRegs != 0 {
-			return // a later register clear will call us again
-		}
+	if !sw.w.Done() && sw.w.NextInstr().Regs&sw.pendingRegs != 0 {
+		return // a later register clear will call us again
 	}
 	sm.setReady(sw)
 }
@@ -454,10 +451,10 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 		}
 	}
 
-	in := w.NextInstr()
+	d := w.NextInstr()
 
-	switch in.Op {
-	case isa.OpBar:
+	switch d.Class {
+	case isa.ClassBarrier:
 		if sw.pendingStores > 0 {
 			sm.unready(sw, wsWaitDrain)
 			sm.sys.stats.StoreDrainStalls++
@@ -469,9 +466,8 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 		res := w.Step()
 		sm.countInstr(res)
 		sm.enterBarrier(sw, now)
-		return
 
-	case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomAdd:
+	case isa.ClassMem:
 		// The LSU may transiently overshoot by one warp's coalesced
 		// transactions; admission is gated on the pre-issue depth.
 		if len(sm.lsu) >= sm.cfg.LSUQueue ||
@@ -489,27 +485,12 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 			sm.sys.recordCollection(sw, res)
 		}
 		sm.issueMem(sw, res, now)
-		sm.blockOnNext(sw, 1, now)
-		return
-
-	case isa.OpLdShared, isa.OpStShared:
-		res := w.Step()
-		sm.countInstr(res)
-		sm.blockOnNext(sw, sm.cfg.SharedLat, now)
-		return
+		sm.blockOnNext(sw, sm.sys.lat[d.Lat], now)
 
 	default:
 		res := w.Step()
 		sm.countInstr(res)
-		lat := sm.cfg.ALULat
-		switch {
-		case in.Op == isa.OpDiv || in.Op == isa.OpRem || in.Op == isa.OpFDiv:
-			lat = sm.cfg.DivLat
-		case in.Op.IsFloat():
-			lat = sm.cfg.FPLat
-		}
-		sm.blockOnNext(sw, lat, now)
-		return
+		sm.blockOnNext(sw, sm.sys.lat[d.Lat], now)
 	}
 }
 

@@ -51,6 +51,9 @@ type System struct {
 	policy  offload.Policy
 	ptraits offload.Traits
 
+	// lat is the pipeline occupancy the SMs charge per latency class.
+	lat [isa.NumLat]int64
+
 	// Data mapping state.
 	offloadBit int // -1 until a learned/forced bit is active
 	analyzer   *mapping.Analyzer
@@ -104,6 +107,10 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		mdCache:    make(map[*isa.Kernel]*compiler.Metadata),
 		policy:     pol,
 		ptraits:    pol.Traits(),
+		lat: [isa.NumLat]int64{
+			isa.LatALU: cfg.ALULat, isa.LatFP: cfg.FPLat, isa.LatDiv: cfg.DivLat,
+			isa.LatShared: cfg.SharedLat, isa.LatMem: 1,
+		},
 	}
 	sys.wheel = newWheel(sys)
 	sys.stats.PCStats = compiler.GateProfile{}
