@@ -16,8 +16,9 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 
 	case wevLSURetry:
 		// MSHR-full retry: re-ready the warp unless a fill already did.
-		if ev.sw.state == wsWaitLSU {
-			ev.sw.sm.setReady(ev.sw)
+		if sm := ev.sw.sm; ev.sw.state == wsWaitLSU {
+			sm.lsuStalled--
+			sm.setReady(ev.sw)
 		}
 
 	case wevSendOffload:
@@ -34,7 +35,9 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 
 	case wevVaultTry:
 		// Crossbar delivery: enqueue into the vault, retrying while full.
-		if !ev.fl.vault.Enqueue(&ev.fl.req) {
+		if st := sys.stacks[ev.fl.home]; st.vaults[ev.fl.vault].Enqueue(&ev.fl.req) {
+			st.busy.set(ev.fl.vault)
+		} else {
 			sys.wheel.afterEvent(4, *ev)
 		}
 

@@ -35,7 +35,7 @@ type flight struct {
 	home int // serving stack (unused by flPCIe)
 	from int // requesting stack (flRemote)
 
-	vault *dram.Vault  // set with req when the request reaches its stack
+	vault int          // index in stack home; set with req when the request reaches it
 	req   dram.Request // Done is done
 
 	deliver func(now int64) // fl.delivered

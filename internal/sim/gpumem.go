@@ -11,6 +11,7 @@ import (
 type l2sys struct {
 	sys   *System
 	banks []*l2bank
+	busy  wakeSet // banks with queued transactions
 }
 
 type l2bank struct {
@@ -25,7 +26,7 @@ type l2entry struct {
 
 func newL2(sys *System) *l2sys {
 	c := sys.cfg
-	l2 := &l2sys{sys: sys}
+	l2 := &l2sys{sys: sys, banks: make([]*l2bank, 0, c.L2Banks), busy: newWakeSet(c.L2Banks)}
 	for i := 0; i < c.L2Banks; i++ {
 		l2.banks = append(l2.banks, &l2bank{
 			tags: cache.New(c.L2Bytes/c.L2Banks, c.L2Ways, c.LineBytes),
@@ -35,17 +36,21 @@ func newL2(sys *System) *l2sys {
 	return l2
 }
 
-func (l2 *l2sys) bankOf(line uint64) *l2bank {
-	return l2.banks[(line>>7)%uint64(len(l2.banks))]
+func (l2 *l2sys) bankIndex(line uint64) int {
+	return int((line >> 7) % uint64(len(l2.banks)))
 }
+
+func (l2 *l2sys) bankOf(line uint64) *l2bank { return l2.banks[l2.bankIndex(line)] }
 
 // accept implements memPort for main-GPU SMs.
 func (l2 *l2sys) accept(now int64, t *txn) bool {
-	b := l2.bankOf(t.line)
+	i := l2.bankIndex(t.line)
+	b := l2.banks[i]
 	if len(b.queue) >= l2.sys.cfg.L2BankQueue {
 		return false
 	}
 	b.queue = append(b.queue, t)
+	l2.busy.set(i)
 	return true
 }
 
@@ -60,9 +65,22 @@ func (l2 *l2sys) invalidateAll() {
 	}
 }
 
-func (l2 *l2sys) tick(now int64) {
-	for _, b := range l2.banks {
+// tick advances every bank (per-cycle loop) or, with elide, only the banks
+// in the busy set, dropping a bank from it when its queue empties.
+func (l2 *l2sys) tick(now int64, elide bool) {
+	if !elide {
+		for _, b := range l2.banks {
+			b.tick(now)
+		}
+		return
+	}
+	n := len(l2.banks)
+	for i := l2.busy.next(0, n); i >= 0; i = l2.busy.next(i+1, n) {
+		b := l2.banks[i]
 		b.tick(now)
+		if len(b.queue) == 0 {
+			l2.busy.clear(i)
+		}
 	}
 }
 

@@ -42,8 +42,7 @@ func (job *offloadJob) delivered(now int64) {
 		sys.finishOffload(job, now)
 		return
 	}
-	sm := sys.stacks[job.dest].spawnTarget()
-	sm.spawnQ = append(sm.spawnQ, job)
+	sys.stacks[job.dest].spawnTarget().enqueueJob(job)
 }
 
 // regBuf returns buf resized to n registers, reallocating only to grow.
@@ -181,8 +180,7 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 			ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvSend, SM: sm.id, Stack: dest,
 				PC: cand.StartPC})
 		}
-		sm2 := sys.stacks[dest].spawnTarget()
-		sm2.spawnQ = append(sm2.spawnQ, job)
+		sys.stacks[dest].spawnTarget().enqueueJob(job)
 		return true
 	}
 

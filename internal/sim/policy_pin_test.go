@@ -21,17 +21,17 @@ const fig9GoldenPath = "testdata/fig9_golden.json"
 //go:embed testdata/fig9_golden.json
 var fig9Golden []byte
 
-// fig9PinConfigs is the Fig. 9 configuration matrix shared with
-// TestEventLoopMatchesPerCycleStats: baseline plus the four
-// offload-control × mapping combinations.
-func fig9PinConfigs() []struct {
+// pinConfig is one named configuration of a pin test's matrix.
+type pinConfig struct {
 	name string
 	mk   func() Config
-} {
-	return []struct {
-		name string
-		mk   func() Config
-	}{
+}
+
+// fig9PinConfigs is the Fig. 9 configuration matrix, which
+// TestEventLoopMatchesPerCycleStats extends (eventLoopPinConfigs): baseline
+// plus the four offload-control × mapping combinations.
+func fig9PinConfigs() []pinConfig {
+	return []pinConfig{
 		{"baseline", BaselineConfig},
 		{"noctrl-bmap", func() Config {
 			c := DefaultConfig()

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/exec"
@@ -41,17 +39,13 @@ type SM struct {
 
 	freeSlots  int
 	issueWidth int
+	lsuStalled int // warps in wsWaitLSU
 
 	// evRing is a per-SM timer ring for short fixed delays (ALU pipeline
 	// occupancy, L1-hit load returns). It avoids per-instruction closure
-	// allocation on the global wheel; slot slices are reused. ringCount
-	// tracks unfired entries; ringMask mirrors slot occupancy (bit i set
-	// iff evRing[i] is non-empty — possible because ringSlots == 64), so
-	// the event-driven loop finds the next due slot with a rotate and a
-	// trailing-zero count instead of scanning the ring.
-	evRing    [ringSlots][]smEvent
-	ringCount int
-	ringMask  uint64
+	// allocation on the global wheel; slot slices are reused. Which SMs hold
+	// events in which slot is the System's ringSMs/ringOcc wake sets.
+	evRing [ringSlots][]smEvent
 }
 
 // ringSlots must exceed every latency scheduled on the ring.
@@ -155,6 +149,13 @@ func maxInt(a, b int) int {
 func (sm *SM) setReady(sw *smWarp) {
 	sw.state = wsReady
 	sm.ready.set(sw.slot)
+	sm.sys.runnable.set(sm.id)
+}
+
+// enqueueJob hands the SM an offload job to spawn on its next tick.
+func (sm *SM) enqueueJob(job *offloadJob) {
+	sm.spawnQ = append(sm.spawnQ, job)
+	sm.sys.runnable.set(sm.id)
 }
 
 func (sm *SM) unready(sw *smWarp, st wstate) {
@@ -200,22 +201,25 @@ func (sm *SM) ringAfter(lat, now int64, ev smEvent) {
 	if lat < 1 {
 		lat = 1
 	}
-	i := (now + lat) % ringSlots
+	i := int((now + lat) % ringSlots)
 	sm.evRing[i] = append(sm.evRing[i], ev)
-	sm.ringCount++
-	sm.ringMask |= 1 << uint(i)
+	sm.sys.ringRow(i).set(sm.id)
+	sm.sys.ringOcc |= 1 << i
 }
 
 // ringTick fires due ring events.
 func (sm *SM) ringTick(now int64) {
-	i := now % ringSlots
+	i := int(now % ringSlots)
 	due := sm.evRing[i]
 	if len(due) == 0 {
 		return
 	}
 	sm.evRing[i] = due[:0]
-	sm.ringCount -= len(due)
-	sm.ringMask &^= 1 << uint(i)
+	row := sm.sys.ringRow(i)
+	row.clear(sm.id)
+	if row.empty() {
+		sm.sys.ringOcc &^= 1 << i
+	}
 	for _, ev := range due {
 		if ev.reg >= 0 {
 			sm.regClear(ev.sw, isa.Reg(ev.reg), now)
@@ -398,7 +402,7 @@ func (sm *SM) tick(now int64) {
 
 // retryLSUStalls re-readies warps that stalled on a full LSU queue.
 func (sm *SM) retryLSUStalls(now int64) {
-	if len(sm.lsu) >= sm.cfg.LSUQueue {
+	if sm.lsuStalled == 0 || len(sm.lsu) >= sm.cfg.LSUQueue {
 		return
 	}
 	for _, sw := range sm.warps {
@@ -406,6 +410,7 @@ func (sm *SM) retryLSUStalls(now int64) {
 			sm.setReady(sw)
 		}
 	}
+	sm.lsuStalled = 0
 }
 
 // coalesceMax bounds the transactions one warp memory instruction can
@@ -473,6 +478,7 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 		if len(sm.lsu) >= sm.cfg.LSUQueue ||
 			len(sm.mshr) >= sm.cfg.MSHRsPerSM {
 			sm.unready(sw, wsWaitLSU)
+			sm.lsuStalled++
 			// MSHR-full wakeups ride on fills; LSU wakeups on drain.
 			if len(sm.mshr) >= sm.cfg.MSHRsPerSM {
 				sm.sys.wheel.afterEvent(8, wheelEvent{kind: wevLSURetry, sw: sw})
@@ -605,36 +611,9 @@ func (sm *SM) fill(line uint64, now int64) {
 
 // runnableNow reports whether the SM's tick would do work this cycle:
 // ready warps to issue, LSU transactions to drain, or offload jobs to
-// spawn. Ring events are timed, not busy-now — see nextRingDue.
+// spawn. Ring events are timed, not busy-now — see System.ringOcc.
 func (sm *SM) runnableNow() bool {
 	return sm.ready.any() || len(sm.lsu) > 0 || len(sm.spawnQ) > 0
-}
-
-// idleAt reports that tick(now) would be a provable no-op: nothing is
-// runnable and the cycle's ring slot holds no events. The event-driven
-// loop elides the tick call entirely for such SMs; the per-cycle
-// reference loop always ticks.
-func (sm *SM) idleAt(now int64) bool {
-	if sm.ringMask&(1<<uint(now%ringSlots)) != 0 {
-		return false
-	}
-	return !sm.runnableNow()
-}
-
-// nextRingDue returns the earliest cycle >= from whose ring slot holds
-// events, or -1 with an empty ring. A slot fires at the first SM tick
-// matching it mod ringSlots, so events whose nominal due cycle fell inside
-// a frozen window fire at the first matching post-freeze cycle — passing
-// from = frozenUntil reproduces the per-cycle loop's behavior exactly.
-func (sm *SM) nextRingDue(from int64) int64 {
-	if sm.ringCount == 0 {
-		return -1
-	}
-	// Rotate the occupancy mask so bit d corresponds to slot (from+d) mod
-	// ringSlots; the lowest set bit is the soonest due slot. ringCount > 0
-	// guarantees the mask is nonzero.
-	rot := bits.RotateLeft64(sm.ringMask, -int(from%ringSlots))
-	return from + int64(bits.TrailingZeros64(rot))
 }
 
 // busy reports whether the SM still has unfinished work.

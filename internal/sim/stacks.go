@@ -12,6 +12,7 @@ type stackNode struct {
 	id     int
 	sys    *System
 	vaults []*dram.Vault
+	busy   wakeSet // vaults holding queued requests or bursts in flight
 	sms    []*SM
 	nextSM int // round-robin spawn target
 }
@@ -34,7 +35,8 @@ func (s *stackNode) spawnTarget() *SM {
 }
 
 func newStack(sys *System, id int) *stackNode {
-	s := &stackNode{id: id, sys: sys}
+	s := &stackNode{id: id, sys: sys, vaults: make([]*dram.Vault, 0, sys.cfg.VaultsPerStack),
+		busy: newWakeSet(sys.cfg.VaultsPerStack)}
 	t := dram.DefaultTiming()
 	t.BytesPerCycle = sys.cfg.VaultBW * sys.cfg.InternalBWRatio
 	for v := 0; v < sys.cfg.VaultsPerStack; v++ {
@@ -51,31 +53,42 @@ func (s *stackNode) serveLine(fl *flight, now int64) {
 	if fl.isStore() && fl.t.bytes > 0 {
 		bytes = fl.t.bytes
 	}
-	fl.vault = s.vaults[mapping.VaultOf(fl.line, len(s.vaults))]
+	fl.vault = mapping.VaultOf(fl.line, len(s.vaults))
 	fl.req = dram.Request{Addr: fl.line, Bytes: bytes, Write: fl.isStore(), Done: fl.done}
 	s.sys.wheel.afterEvent(s.sys.cfg.XbarLat, wheelEvent{kind: wevVaultTry, fl: fl})
 }
 
+// tick advances the stack's vaults, then its SMs. The per-cycle loop ticks
+// every active vault and every SM; the event-driven loop (elide) visits only
+// the members of the wake sets, in the same order.
 func (s *stackNode) tick(now int64, elide bool) {
-	for _, v := range s.vaults {
-		if elide {
-			// A vault whose horizon is in the future has nothing to do
-			// this cycle: no completion is due and issue arbitration cannot
-			// accept a request (bank busy or bus backed up). -1 means idle.
-			if t := v.NextEvent(); t < 0 || t > now {
-				continue
+	if !elide {
+		for _, v := range s.vaults {
+			if v.Active() {
+				v.Tick(now)
 			}
-		} else if !v.Active() {
+		}
+		for _, sm := range s.sms {
+			sm.tick(now)
+		}
+		return
+	}
+	n := len(s.vaults)
+	for i := s.busy.next(0, n); i >= 0; i = s.busy.next(i+1, n) {
+		// A vault whose horizon is in the future has nothing to do this
+		// cycle: no completion is due and issue arbitration cannot accept
+		// a request (bank busy or bus backed up).
+		v := s.vaults[i]
+		if v.NextEvent() > now {
 			continue
 		}
 		v.Tick(now)
-	}
-	for _, sm := range s.sms {
-		if elide && sm.idleAt(now) {
-			continue
+		if !v.Active() {
+			s.busy.clear(i)
 		}
-		sm.tick(now)
 	}
+	lo := s.sys.cfg.MainSMs + s.id*len(s.sms)
+	s.sys.tickRunnable(lo, lo+len(s.sms), now)
 }
 
 func (s *stackNode) active() bool {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/compiler"
 	"repro/internal/exec"
@@ -32,7 +34,8 @@ type System struct {
 	wheel *wheel
 	stats Stats
 
-	sms    []*SM // main GPU SMs
+	all    []*SM // every SM by id: main SMs, then each stack's
+	sms    []*SM // main GPU SMs (all[:MainSMs])
 	l2     *l2sys
 	l2mshr map[uint64]*l2entry
 	stacks []*stackNode
@@ -40,6 +43,20 @@ type System struct {
 	txLinks, rxLinks []*link.Link   // GPU->stack / stack->GPU
 	crossLinks       [][]*link.Link // [from][to]
 	pcieTX, pcieRX   *link.Link
+	links            []*link.Link // all of the above, in tick order
+
+	// Wake sets (DESIGN.md "Wake sets"): what the event-driven loop visits
+	// in an executed cycle and peeks at to find the next one. runnable holds
+	// the SMs (by id) whose tick would do work now; row i of ringSMs (each
+	// as wide as runnable) the SMs holding timer-ring events in slot i, and
+	// bit i of ringOcc says that row is non-empty. Vaults and L2 banks keep
+	// theirs in stackNode.busy and l2sys.busy.
+	runnable wakeSet
+	ringSMs  wakeSet
+	ringOcc  uint64
+	// wakeCheck, when non-nil, runs after every executed event-mode cycle
+	// (tests: the sets' consistency with the state they summarise).
+	wakeCheck func()
 
 	pendingOffloads []int
 	// pendingVault sub-divides pendingOffloads per destination vault for
@@ -115,18 +132,24 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 	sys.wheel = newWheel(sys)
 	sys.stats.PCStats = compiler.GateProfile{}
 	sys.l2 = newL2(sys)
+	nSMs := cfg.MainSMs + cfg.Stacks*cfg.StackSMs
+	sys.all = make([]*SM, 0, nSMs)
+	sys.runnable = newWakeSet(nSMs)
+	sys.ringSMs = make(wakeSet, ringSlots*len(sys.runnable))
 	for i := 0; i < cfg.MainSMs; i++ {
 		sm := newSM(sys, i, false, -1, cfg.WarpsPerSM)
 		sm.port = sys.l2
-		sys.sms = append(sys.sms, sm)
+		sys.all = append(sys.all, sm)
 	}
+	sys.sms = sys.all[:cfg.MainSMs:cfg.MainSMs]
 	for s := 0; s < cfg.Stacks; s++ {
 		st := newStack(sys, s)
 		for i := 0; i < cfg.StackSMs; i++ {
-			sm := newSM(sys, cfg.MainSMs+s*cfg.StackSMs+i, true, s, cfg.StackWarps())
+			sm := newSM(sys, len(sys.all), true, s, cfg.StackWarps())
 			sm.port = &stackPort{node: st}
-			st.sms = append(st.sms, sm)
+			sys.all = append(sys.all, sm)
 		}
+		st.sms = sys.all[len(sys.all)-cfg.StackSMs : len(sys.all) : len(sys.all)]
 		sys.stacks = append(sys.stacks, st)
 		sys.txLinks = append(sys.txLinks,
 			link.New(fmt.Sprintf("tx%d", s), cfg.GPUStackBW, cfg.LinkLat))
@@ -145,6 +168,16 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 	}
 	sys.pcieTX = link.New("pcieTX", cfg.PCIeBW, cfg.PCIeLat/2)
 	sys.pcieRX = link.New("pcieRX", cfg.PCIeBW, cfg.PCIeLat/2)
+	sys.links = make([]*link.Link, 0, cfg.Stacks*(cfg.Stacks+1)+2)
+	for s := 0; s < cfg.Stacks; s++ {
+		sys.links = append(sys.links, sys.txLinks[s], sys.rxLinks[s])
+		for t := 0; t < cfg.Stacks; t++ {
+			if s != t {
+				sys.links = append(sys.links, sys.crossLinks[s][t])
+			}
+		}
+	}
+	sys.links = append(sys.links, sys.pcieTX, sys.pcieRX)
 	sys.pendingOffloads = make([]int, cfg.Stacks)
 	sys.pendingVault = make([][]int, cfg.Stacks)
 	for s := range sys.pendingVault {
@@ -380,13 +413,8 @@ func (sys *System) endLearning() {
 		// code froze the GPU for 1000 cycles over a no-op copy).
 		return
 	}
-	for _, sm := range sys.sms {
+	for _, sm := range sys.all {
 		sm.l1.InvalidateAll()
-	}
-	for _, st := range sys.stacks {
-		for _, sm := range st.sms {
-			sm.l1.InvalidateAll()
-		}
 	}
 	sys.l2.invalidateAll()
 	sys.frozenUntil = sys.now + 1000 // GPU runtime interrupt + pipeline drain
@@ -508,9 +536,9 @@ func (sys *System) runLaunch(l exec.Launch) error {
 // stepCycle executes one simulated cycle at sys.now and advances sys.now.
 // It is the shared body of both loop modes; the event-driven loop simply
 // skips cycles this body would no-op through. With elide set (event mode),
-// component ticks that are provable no-ops — an SM with an empty ring slot
-// and nothing runnable — are skipped within the executed cycle too; the
-// per-cycle reference loop ticks everything, and the Fig. 9 equivalence
+// component ticks that are provable no-ops are skipped within the executed
+// cycle too: only the members of the wake sets are visited, in the order
+// the per-cycle reference loop ticks everything, and the Fig. 9 equivalence
 // test pins that both produce identical Stats.
 func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 	now := sys.now
@@ -539,56 +567,78 @@ func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 				}
 			}
 		}
-		for _, sm := range sys.sms {
-			if elide && sm.idleAt(now) {
-				continue
+		if elide {
+			// SMs whose ring slot is due tick whether runnable or not. No
+			// tick files into the current slot (ring delays are 1..63), so
+			// joining the row to the runnable set once is the live view.
+			if slot := int(now % ringSlots); sys.ringOcc&(1<<slot) != 0 {
+				for w, m := range sys.ringRow(slot) {
+					sys.runnable[w] |= m
+				}
 			}
-			sm.tick(now)
+			sys.tickRunnable(0, len(sys.sms), now)
+		} else {
+			for _, sm := range sys.sms {
+				sm.tick(now)
+			}
 		}
 		for _, st := range sys.stacks {
 			st.tick(now, elide)
 		}
 	}
-	sys.l2.tick(now)
+	sys.l2.tick(now, elide)
 	// AdvanceTo, not a per-cycle Tick: in event mode `now` may be far past
 	// the last executed cycle, and the links bulk-account the skipped span.
 	// Idle links take the SkipTo fast path — it only moves the accounting
 	// point, which Send needs to see (a send from a later deliver callback
 	// this cycle must start its burst next cycle, exactly as if the idle
 	// link had taken a full turn).
-	for s := 0; s < sys.cfg.Stacks; s++ {
-		if l := sys.txLinks[s]; l.Active() {
+	for _, l := range sys.links {
+		if l.Active() {
 			l.AdvanceTo(now)
 		} else {
 			l.SkipTo(now)
 		}
-		if l := sys.rxLinks[s]; l.Active() {
-			l.AdvanceTo(now)
-		} else {
-			l.SkipTo(now)
-		}
-		for t := 0; t < sys.cfg.Stacks; t++ {
-			if s != t {
-				if l := sys.crossLinks[s][t]; l.Active() {
-					l.AdvanceTo(now)
-				} else {
-					l.SkipTo(now)
-				}
-			}
-		}
-	}
-	if l := sys.pcieTX; l.Active() {
-		l.AdvanceTo(now)
-	} else {
-		l.SkipTo(now)
-	}
-	if l := sys.pcieRX; l.Active() {
-		l.AdvanceTo(now)
-	} else {
-		l.SkipTo(now)
 	}
 	sys.executed++
 	sys.now++
+	if elide && sys.wakeCheck != nil {
+		sys.wakeCheck()
+	}
+}
+
+// ringRow is row i of ringSMs: the SMs holding events in ring slot i.
+func (sys *System) ringRow(i int) wakeSet {
+	w := len(sys.runnable)
+	return sys.ringSMs[i*w : (i+1)*w]
+}
+
+// tickRunnable ticks the runnable SMs with ids in [lo, hi) in ascending
+// order and drops each that its tick left with nothing to do. The set is
+// re-read after every tick: a tick can wake a later SM in the same cycle
+// (ideal's zero-cost spawn onto a stack SM), as it would in the per-cycle
+// loop.
+func (sys *System) tickRunnable(lo, hi int, now int64) {
+	for i := sys.runnable.next(lo, hi); i >= 0; i = sys.runnable.next(i+1, hi) {
+		sm := sys.all[i]
+		sm.tick(now)
+		if !sm.runnableNow() {
+			sys.runnable.clear(i)
+		}
+	}
+}
+
+// anyRunnable reports whether some SM's tick would do work now. A set bit
+// is verified (and a stale one dropped), so the answer is exact.
+func (sys *System) anyRunnable() bool {
+	n := len(sys.all)
+	for i := sys.runnable.next(0, n); i >= 0; i = sys.runnable.next(i+1, n) {
+		if sys.all[i].runnableNow() {
+			return true
+		}
+		sys.runnable.clear(i)
+	}
+	return false
 }
 
 // ExecutedCycles returns how many cycles the loop actually stepped. In
@@ -620,129 +670,60 @@ func (sys *System) dispatchPending(lc *launchCtx) bool {
 // nextEventCycle computes the earliest cycle >= sys.now at which any
 // component can make progress. Skipped cycles are provable no-ops for every
 // component, so the event-driven loop produces bit-identical Stats to the
-// per-cycle loop (tested over the Fig. 9 matrix). Sources are conservative:
-// an over-inclusive answer only costs a no-op cycle, never correctness.
+// per-cycle loop (tested over the Fig. 9 matrix). It scans no component:
+// busy-now is a wake-set test and the timed horizons are read only from the
+// members of the sets. An over-inclusive answer would only cost a no-op
+// cycle, never correctness — and the executed-cycle pin would catch it.
 func (sys *System) nextEventCycle(lc *launchCtx) int64 {
 	now := sys.now
-	frozen := now < sys.frozenUntil
-
-	// Fast path for the common case: outside a freeze, any runnable main
-	// SM means the next cycle executes — bail before scanning the rest of
-	// the machine. (The full gatedBusy scan below repeats this check for
-	// the frozen case.)
-	if !frozen {
-		for _, sm := range sys.sms {
-			if sm.runnableNow() {
-				return now
-			}
-		}
-	}
-
-	// Busy-now components that tick every cycle regardless of the freeze:
-	// an L2 bank with queued transactions. (Links are no longer in this
-	// set: serialization is accounted lazily, so a link mid-packet has no
-	// per-cycle work — its NextEvent below reports the delivery cycle.)
-	for _, b := range sys.l2.banks {
-		if len(b.queue) > 0 {
-			return now
-		}
-	}
-
-	// Busy-now components gated by the learning freeze (SMs, stacks, CTA
-	// dispatch): while frozen their next chance to run is frozenUntil.
-	gatedBusy := false
-	for _, sm := range sys.sms {
-		if sm.runnableNow() {
-			gatedBusy = true
-			break
-		}
-	}
-	// (Vaults with queued requests are not "busy now": their NextEvent
-	// reports the exact first cycle issue arbitration can accept work, and
-	// the freeze clamp below already holds it at frozenUntil.)
-	if !gatedBusy {
-	stacks:
-		for _, st := range sys.stacks {
-			for _, sm := range st.sms {
-				if sm.runnableNow() {
-					gatedBusy = true
-					break stacks
-				}
-			}
-		}
-	}
-	if !gatedBusy && sys.dispatchPending(lc) {
-		gatedBusy = true
-	}
-	if gatedBusy && !frozen {
+	// Busy now, freeze or not: an L2 bank with queued transactions. (Links
+	// are not in this set: serialization is accounted lazily, so a link
+	// mid-packet has no per-cycle work — NextEvent below is its delivery.)
+	if !sys.l2.busy.empty() {
 		return now
 	}
-
-	next := int64(-1)
-	upd := func(t int64) {
-		if t < now {
-			t = now
+	// Busy now unless frozen: a runnable SM, or a CTA that dispatch would
+	// place. Under the learning freeze their next chance is frozenUntil.
+	// (A vault with queued requests is not "busy now": its NextEvent is the
+	// exact first cycle issue arbitration can accept work.)
+	gateBase := max(now, sys.frozenUntil)
+	next := int64(math.MaxInt64)
+	if sys.anyRunnable() || sys.dispatchPending(lc) {
+		if gateBase == now {
+			return now
 		}
-		if next < 0 || t < next {
+		next = gateBase
+	}
+	upd := func(t int64) { // t < 0: the source holds nothing
+		if t >= 0 && t < next {
 			next = t
 		}
 	}
-	if gatedBusy {
-		upd(sys.frozenUntil)
-	}
 
-	// Timed sources that fire regardless of the freeze.
-	if t := sys.wheel.nextDue(); t >= 0 {
-		upd(t)
+	// The two O(1) sources first: when the ring or the wheel already has
+	// an event for this very cycle there is nothing left to find out. A
+	// ring slot fires at the first SM tick matching it mod ringSlots, gated
+	// by the freeze, so the earliest over all SMs is the first occupied
+	// slot at or after gateBase: rotate ringOcc so that bit d is slot
+	// (gateBase+d) mod ringSlots and count trailing zeros.
+	if sys.ringOcc != 0 {
+		rot := bits.RotateLeft64(sys.ringOcc, -int(gateBase%ringSlots))
+		upd(gateBase + int64(bits.TrailingZeros64(rot)))
 	}
-	for s := 0; s < sys.cfg.Stacks; s++ {
-		if t := sys.txLinks[s].NextEvent(); t >= 0 {
-			upd(t)
-		}
-		if t := sys.rxLinks[s].NextEvent(); t >= 0 {
-			upd(t)
-		}
-		for u := 0; u < sys.cfg.Stacks; u++ {
-			if s != u {
-				if t := sys.crossLinks[s][u].NextEvent(); t >= 0 {
-					upd(t)
-				}
-			}
-		}
+	upd(sys.wheel.nextDue())
+	if next <= now {
+		return now
 	}
-	if t := sys.pcieTX.NextEvent(); t >= 0 {
-		upd(t)
-	}
-	if t := sys.pcieRX.NextEvent(); t >= 0 {
-		upd(t)
-	}
-
-	// Timed sources gated by the freeze: per-SM ring events and vault
-	// horizons (both issue opportunities and completions) only fire once
-	// the owning component ticks again, i.e. (for ring events) at the first
-	// post-freeze cycle matching their slot and (for vaults) no earlier
-	// than frozenUntil.
-	gateBase := now
-	if frozen {
-		gateBase = sys.frozenUntil
-	}
-	for _, sm := range sys.sms {
-		if t := sm.nextRingDue(gateBase); t >= 0 {
-			upd(t)
-		}
+	// Link deliveries fire regardless of the freeze; vault horizons (issue
+	// opportunities and completions) hold until gateBase.
+	for _, l := range sys.links {
+		upd(l.NextEvent())
 	}
 	for _, st := range sys.stacks {
-		for _, sm := range st.sms {
-			if t := sm.nextRingDue(gateBase); t >= 0 {
-				upd(t)
-			}
-		}
-		for _, v := range st.vaults {
-			if t := v.NextEvent(); t >= 0 {
-				if frozen && t < sys.frozenUntil {
-					t = sys.frozenUntil
-				}
-				upd(t)
+		n := len(st.vaults)
+		for i := st.busy.next(0, n); i >= 0; i = st.busy.next(i+1, n) {
+			if t := st.vaults[i].NextEvent(); t >= 0 {
+				upd(max(t, gateBase))
 			}
 		}
 	}
@@ -755,7 +736,7 @@ func (sys *System) nextEventCycle(lc *launchCtx) int64 {
 	if sys.learning && sys.cfg.LearnDeadline > 0 {
 		upd(sys.learnDeadline)
 	}
-	if next < 0 {
+	if next == math.MaxInt64 {
 		// No component holds future work yet the run is not quiescent
 		// (a deadlocked workload): fall back to per-cycle stepping so the
 		// MaxCycles guard fires exactly as in the per-cycle loop.
@@ -776,7 +757,7 @@ func (sys *System) quiet() bool {
 			return false
 		}
 	}
-	for _, sm := range sys.sms {
+	for _, sm := range sys.all {
 		if sm.busy() {
 			return false
 		}
@@ -785,26 +766,16 @@ func (sys *System) quiet() bool {
 		if st.active() {
 			return false
 		}
-		for _, sm := range st.sms {
-			if sm.busy() {
-				return false
-			}
-		}
 	}
 	if sys.l2.active() {
 		return false
 	}
-	for s := 0; s < sys.cfg.Stacks; s++ {
-		if sys.txLinks[s].Active() || sys.rxLinks[s].Active() {
+	for _, l := range sys.links {
+		if l.Active() {
 			return false
 		}
-		for t := 0; t < sys.cfg.Stacks; t++ {
-			if s != t && sys.crossLinks[s][t].Active() {
-				return false
-			}
-		}
 	}
-	return !sys.pcieTX.Active() && !sys.pcieRX.Active()
+	return true
 }
 
 func (sys *System) finalizeStats() {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	_ "embed"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -193,66 +195,97 @@ func TestWheelOverflowDelayInSystem(t *testing.T) {
 	}
 }
 
+// fig9Ticked is the event loop's executed-cycle count of each Fig. 9 cell at
+// scale 0.03, as the committed BENCH_<date>.json records it (cycles_ticked;
+// sum 1,190,591 of 1,366,671 simulated).
+//
+//go:embed testdata/fig9_ticked.json
+var fig9Ticked []byte
+
+// eventLoopPinConfigs is the Fig. 9 matrix plus the shapes that stress the
+// event loop's wake sets.
+func eventLoopPinConfigs() []pinConfig {
+	cfgs := fig9PinConfigs()
+	with := func(name string, edit func(c *Config)) {
+		cfgs = append(cfgs, pinConfig{name, func() Config {
+			c := DefaultConfig()
+			edit(&c)
+			return c
+		}})
+	}
+	// The watchdog closes learning at the deadline here (the instance goal
+	// is out of reach), so the cell exercises the deadline entry in the
+	// event loop's wake horizon: a jump past it would end learning late and
+	// shift every downstream statistic.
+	with("ctrl-tmap-deadline", func(c *Config) {
+		c.LearnMin = 1 << 30
+		c.LearnDeadline = 2500
+	})
+	// Zero-cost spawn: a main SM's tick wakes a stack SM in the same cycle,
+	// and stack SMs run oversubscribed.
+	with("ideal", func(c *Config) {
+		c.Offload = OffloadIdeal
+		c.Mapping = MapBaseline
+	})
+	with("coda", func(c *Config) { c.Policy = "coda" })
+	with("mpu", func(c *Config) {
+		c.Mapping = MapBaseline
+		c.Policy = "mpu"
+	})
+	// Two SMs per stack, placed so that stack 1's pair (ids 63, 64)
+	// straddles a word of the SM sets.
+	with("stacksms-2", func(c *Config) {
+		c.StackSMs = 2
+		c.MainSMs = 61
+	})
+	with("warp-4x", func(c *Config) { c.StackWarpMult = 4 })
+	// SM ids span three words; the stack SMs start mid-word in the third.
+	with("mainsms-130", func(c *Config) { c.MainSMs = 130 })
+	return cfgs
+}
+
 // TestEventLoopMatchesPerCycleStats is the equivalence guarantee behind
-// the event-driven loop: over the Fig. 9 workload×config matrix, jumping
-// idle cycles must produce byte-identical Stats to ticking every cycle.
+// the event-driven loop: over the Fig. 9 workload×config matrix and the
+// wake-set shapes, jumping idle cycles must produce byte-identical Stats to
+// ticking every cycle. It also pins what Stats cannot see: the wake sets
+// agree with the state they summarise after every executed cycle
+// (checkWakeSets), the event loop executes no more cycles than the
+// per-cycle loop, and on the Fig. 9 cells exactly as many as recorded — a
+// stale wake bit costs a no-op cycle and changes no statistic.
 func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-system simulations")
 	}
-	configs := []struct {
-		name string
-		mk   func() Config
-	}{
-		{"baseline", BaselineConfig},
-		{"noctrl-bmap", func() Config {
-			c := DefaultConfig()
-			c.Offload = OffloadUncontrolled
-			c.Mapping = MapBaseline
-			return c
-		}},
-		{"noctrl-tmap", func() Config {
-			c := DefaultConfig()
-			c.Offload = OffloadUncontrolled
-			return c
-		}},
-		{"ctrl-bmap", func() Config {
-			c := DefaultConfig()
-			c.Mapping = MapBaseline
-			return c
-		}},
-		{"ctrl-tmap", DefaultConfig},
-		// The watchdog closes learning at the deadline here (the instance
-		// goal is out of reach), so the cell exercises the deadline entry in
-		// the event loop's wake horizon: a jump past it would end learning
-		// late and shift every downstream statistic.
-		{"ctrl-tmap-deadline", func() Config {
-			c := DefaultConfig()
-			c.LearnMin = 1 << 30
-			c.LearnDeadline = 2500
-			return c
-		}},
+	var ticked map[string]int64
+	if err := json.Unmarshal(fig9Ticked, &ticked); err != nil {
+		t.Fatal(err)
 	}
 	for _, w := range workloads.All() {
 		inst, err := w.Build(0.03)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Abbr, err)
 		}
-		for _, c := range configs {
-			t.Run(fmt.Sprintf("%s/%s", w.Abbr, c.name), func(t *testing.T) {
+		for _, c := range eventLoopPinConfigs() {
+			cell := fmt.Sprintf("%s/%s", w.Abbr, c.name)
+			t.Run(cell, func(t *testing.T) {
 				var stats [2]*Stats
 				var mems [2]*mem.Flat
+				var executed [2]int64
 				for i, perCycle := range []bool{false, true} {
 					run := inst.Clone()
 					cfg := c.mk()
 					cfg.MaxCycles = 100_000_000
 					sys := New(cfg, run.Mem, run.Alloc)
 					sys.SetPerCycleLoop(perCycle)
+					sys.wakeCheck = func() {
+						if err := checkWakeSets(sys); err != nil {
+							t.Fatalf("after cycle %d: %v", sys.now-1, err)
+						}
+					}
 					if err := sys.Run(run.Launches); err != nil {
 						t.Fatal(err)
 					}
-					stats[i] = sys.Stats()
-					mems[i] = run.Mem
+					stats[i], mems[i], executed[i] = sys.Stats(), run.Mem, sys.ExecutedCycles()
 				}
 				if !reflect.DeepEqual(stats[0], stats[1]) {
 					t.Errorf("event-driven and per-cycle Stats diverge:\nevent:    %+v\npercycle: %+v",
@@ -260,6 +293,12 @@ func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 				}
 				if ok, addr := mem.Equal(mems[0], mems[1]); !ok {
 					t.Errorf("memory images diverge at %#x", addr)
+				}
+				if executed[0] > executed[1] {
+					t.Errorf("event loop executed %d cycles, per-cycle loop %d", executed[0], executed[1])
+				}
+				if want, ok := ticked[cell]; ok && executed[0] != want {
+					t.Errorf("event loop executed %d cycles, recorded %d", executed[0], want)
 				}
 			})
 		}

@@ -118,13 +118,43 @@ func (b *bitset) get(i int) bool { return b.w[i>>6]&(1<<(i&63)) != 0 }
 func (b *bitset) any() bool      { return b.nz > 0 }
 
 // first returns the lowest set index, or -1.
-func (b *bitset) first() int {
-	for wi, x := range b.w {
-		if x != 0 {
-			return wi*64 + trailingZeros(x)
+func (b *bitset) first() int { return wakeSet(b.w).next(0, len(b.w)*64) }
+
+// wakeSet is a fixed-size set of component indices — SMs, vaults, L2 banks —
+// that hold work the event-driven loop must visit (DESIGN.md "Wake sets").
+// All of a System's sets are sized once, in New.
+type wakeSet []uint64
+
+func newWakeSet(n int) wakeSet { return make(wakeSet, (n+63)/64) }
+
+func (s wakeSet) set(i int)   { s[i>>6] |= 1 << (i & 63) }
+func (s wakeSet) clear(i int) { s[i>>6] &^= 1 << (i & 63) }
+
+func (s wakeSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
 		}
+	}
+	return true
+}
+
+// next returns the lowest member in [from, to), or -1. It reads the live
+// words on every call, so the walk
+//
+//	for i := s.next(lo, hi); i >= 0; i = s.next(i+1, hi)
+//
+// visits members in ascending order — the per-cycle loop's order — and
+// sees a member that the visit of a lower one added.
+func (s wakeSet) next(from, to int) int {
+	for from < to {
+		if w := s[from>>6] >> (from & 63); w != 0 {
+			if i := from + bits.TrailingZeros64(w); i < to {
+				return i
+			}
+			return -1
+		}
+		from = (from>>6 + 1) << 6
 	}
 	return -1
 }
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

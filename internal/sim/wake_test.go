@@ -1,0 +1,216 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/isa"
+	"repro/internal/mem"
+)
+
+// checkWakeSets compares every wake set with the state it summarises (the
+// System.wakeCheck hook runs it after each executed event-mode cycle):
+// an SM is in the runnable set iff its tick would do work, row i of ringSMs
+// holds exactly the SMs with events in ring slot i and ringOcc exactly the
+// non-empty rows, a stack's busy set covers its active vaults, a bank is in
+// the L2's busy set iff its queue is non-empty, and lsuStalled counts the
+// SM's wsWaitLSU warps. The two per-SM scans (64 ring slots, every warp)
+// take the SMs in turn, a sixteenth of them per call: a wrong ring bit
+// lasts until its slot next comes round.
+func checkWakeSets(sys *System) error {
+	has := func(s wakeSet, i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+	for id, sm := range sys.all {
+		if sm.id != id {
+			return fmt.Errorf("all[%d] holds SM %d", id, sm.id)
+		}
+		if got, want := has(sys.runnable, id), sm.runnableNow(); got != want {
+			return fmt.Errorf("SM %d: runnable bit %v, runnableNow %v", id, got, want)
+		}
+		if (int64(id)+sys.executed)%16 != 0 {
+			continue
+		}
+		for slot := range sm.evRing {
+			if got, want := has(sys.ringRow(slot), id), len(sm.evRing[slot]) > 0; got != want {
+				return fmt.Errorf("SM %d ring slot %d: bit %v, %d events", id, slot, got, len(sm.evRing[slot]))
+			}
+		}
+		stalled := 0
+		for _, sw := range sm.warps {
+			if sw != nil && sw.state == wsWaitLSU {
+				stalled++
+			}
+		}
+		if sm.lsuStalled != stalled {
+			return fmt.Errorf("SM %d: lsuStalled %d, %d warps in wsWaitLSU", id, sm.lsuStalled, stalled)
+		}
+	}
+	for slot := 0; slot < ringSlots; slot++ {
+		if got, want := sys.ringOcc&(1<<slot) != 0, !sys.ringRow(slot).empty(); got != want {
+			return fmt.Errorf("ring slot %d: ringOcc bit %v, row non-empty %v", slot, got, want)
+		}
+	}
+	for _, st := range sys.stacks {
+		for i, v := range st.vaults {
+			if v.Active() && !has(st.busy, i) {
+				return fmt.Errorf("stack %d vault %d active but not in the busy set", st.id, i)
+			}
+		}
+	}
+	for i, b := range sys.l2.banks {
+		if got, want := has(sys.l2.busy, i), len(b.queue) > 0; got != want {
+			return fmt.Errorf("L2 bank %d: busy bit %v, %d queued", i, got, len(b.queue))
+		}
+	}
+	return nil
+}
+
+// TestWakeSetNext: next walks members in ascending order inside [from, to)
+// across word boundaries, and reads the live words — a member added ahead
+// of the walk is visited, one behind it is not.
+func TestWakeSetNext(t *testing.T) {
+	s := newWakeSet(134)
+	if len(s) != 3 {
+		t.Fatalf("134 members need 3 words, got %d", len(s))
+	}
+	for _, i := range []int{0, 63, 64, 127, 128, 133} {
+		s.set(i)
+	}
+	walk := func(lo, hi int, visit func(i int)) (got []int) {
+		for i := s.next(lo, hi); i >= 0; i = s.next(i+1, hi) {
+			got = append(got, i)
+			if visit != nil {
+				visit(i)
+			}
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		lo, hi int
+		want   string
+	}{
+		{0, 134, "[0 63 64 127 128 133]"},
+		{1, 133, "[63 64 127 128]"},
+		{63, 65, "[63 64]"},
+		{64, 64, "[]"},
+		{65, 127, "[]"},
+		{129, 134, "[133]"},
+	} {
+		if got := fmt.Sprint(walk(tc.lo, tc.hi, nil)); got != tc.want {
+			t.Errorf("walk [%d, %d) = %s, want %s", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	got := walk(0, 134, func(i int) {
+		if i == 63 {
+			s.set(1)   // behind the walk: not visited
+			s.set(100) // ahead: visited
+			s.clear(64)
+		}
+	})
+	if want := "[0 63 100 127 128 133]"; fmt.Sprint(got) != want {
+		t.Errorf("live walk = %v, want %s", got, want)
+	}
+	if s.empty() || !newWakeSet(70).empty() {
+		t.Error("empty() wrong")
+	}
+}
+
+// executedCycleShapes are three steady states of the event loop, each a
+// kernel that never exits so that any number of cycles can be stepped:
+// one CTA of an ALU loop (one SM busy, 67 parked), the same loop on every
+// SM, and a load loop that streams distinct lines from every SM (L2 misses,
+// links and vaults saturated).
+var executedCycleShapes = []struct {
+	name string
+	ctas int
+	load bool
+}{
+	{"one-SM-busy", 1, false},
+	{"all-SMs-busy", 68 * 4, false},
+	{"vault-bound", 68 * 4, true},
+}
+
+// endlessKernel loops forever: an add chain, or (load) a coalesced load of
+// a fresh line per warp and iteration from a 4 MiB window at r0.
+func endlessKernel(load bool) *isa.Kernel {
+	b := isa.NewBuilder("endless", 2) // r0 = base, r1 = total threads * 4
+	b.Mov(2, isa.Sp(isa.SpGtid))
+	b.Shl(3, isa.R(2), isa.Imm(2)) // byte offset
+	b.Label("top")
+	if load {
+		b.And(4, isa.R(3), isa.Imm(4<<20-1))
+		b.Add(4, isa.R(0), isa.R(4))
+		b.Ld(5, isa.R(4), 0)
+		b.Add(6, isa.R(6), isa.R(5))
+		b.Add(3, isa.R(3), isa.R(1))
+	} else {
+		b.Add(4, isa.R(4), isa.R(2))
+		b.Add(5, isa.R(5), isa.R(4))
+		b.Add(6, isa.R(6), isa.R(5))
+	}
+	b.Setp(7, isa.CmpGE, isa.R(2), isa.Imm(0))
+	b.BraIf(isa.R(7), "top")
+	b.Exit()
+	return b.MustBuild()
+}
+
+// steadyStepper builds the shape's system, runs it into its steady state
+// (every CTA resident, free lists filled) and returns a function that
+// executes one cycle of the event loop and jumps to the next.
+func steadyStepper(tb testing.TB, ctas int, load bool) (step func()) {
+	tb.Helper()
+	alloc := mem.NewAllocTable()
+	base := alloc.Alloc("window", 4<<20)
+	l := exec.Launch{Kernel: endlessKernel(load), Grid: ctas, Block: 128,
+		Params: []uint64{base, uint64(ctas * 128 * 4)}}
+	if err := l.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	sys := New(BaselineConfig(), mem.NewFlat(), alloc)
+	md, err := sys.metadata(l.Kernel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lc := &launchCtx{l: l, md: md, totalCTAs: l.Grid}
+	step = func() {
+		sys.stepCycle(lc, true)
+		if next := sys.nextEventCycle(lc); next > sys.now {
+			sys.now = next
+		}
+	}
+	for sys.executed < 30_000 {
+		step()
+	}
+	if lc.nextCTA != lc.totalCTAs {
+		tb.Fatalf("%d of %d CTAs dispatched after warm-up", lc.nextCTA, lc.totalCTAs)
+	}
+	return step
+}
+
+// BenchmarkExecutedCycle prices one executed cycle of the event loop —
+// stepCycle plus nextEventCycle — in three steady states (ns/op is ns per
+// executed cycle): the in-package twin of the repository benchmark's
+// sim.ns_per_ticked_cycle.
+func BenchmarkExecutedCycle(b *testing.B) {
+	for _, sh := range executedCycleShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			step := steadyStepper(b, sh.ctas, sh.load)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
+// TestExecutedCycleDoesNotAllocate: in a steady state the event loop — the
+// wake sets included — allocates nothing per cycle.
+func TestExecutedCycleDoesNotAllocate(t *testing.T) {
+	for _, sh := range executedCycleShapes {
+		step := steadyStepper(t, sh.ctas, sh.load)
+		if n := testing.AllocsPerRun(5000, step); n != 0 {
+			t.Errorf("%s: %.3f allocations per executed cycle, want 0", sh.name, n)
+		}
+	}
+}
