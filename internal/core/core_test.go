@@ -161,17 +161,3 @@ func TestTableFormatting(t *testing.T) {
 		t.Error("empty reducers should return 0")
 	}
 }
-
-func TestExperimentIDsResolve(t *testing.T) {
-	r := NewRunner(0.03)
-	for _, id := range ExperimentIDs() {
-		if id == "area" {
-			if _, err := r.Experiment(id); err != nil {
-				t.Errorf("%s: %v", id, err)
-			}
-		}
-	}
-	if _, err := r.Experiment("nope"); err == nil {
-		t.Error("unknown experiment should fail")
-	}
-}

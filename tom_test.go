@@ -1,6 +1,12 @@
 package tom
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestPublicAPISurface(t *testing.T) {
 	ws := Workloads()
@@ -54,5 +60,63 @@ func TestAreaExperimentThroughFacade(t *testing.T) {
 	}
 	if _, err := Experiment("nope", 0.1); err == nil {
 		t.Error("unknown experiment should fail")
+	}
+}
+
+// printed renders tables exactly as cmd/tomx prints them: one Println each.
+func printed(tables ...*Table) string {
+	var sb strings.Builder
+	for _, t := range tables {
+		fmt.Fprintln(&sb, t)
+	}
+	return sb.String()
+}
+
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestExperimentTablesGolden pins every table of the evaluation, byte for
+// byte, at scale 0.03. Regenerate the two files (after a deliberate model
+// change only) with
+//
+//	go run ./cmd/tomx -exp all -scale 0.03 -q >testdata/tables_s003.golden
+//	go run ./cmd/tomx -exp adapt -iterate 3 -scale 0.03 -q >testdata/adapt_iterate3_s003.golden
+func TestExperimentTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the whole evaluation at scale 0.03")
+	}
+	s := NewSession(SessionOptions{Scale: 0.03})
+	all, err := s.AllExperiments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := printed(all...), golden(t, "tables_s003.golden"); got != want {
+		t.Errorf("tomx -exp all differs from testdata/tables_s003.golden:\n%s", got)
+	}
+	ids := ExperimentIDs()
+	if len(all) != len(ids) {
+		t.Fatalf("AllExperiments returned %d tables for %d ids", len(all), len(ids))
+	}
+	for i, id := range ids {
+		one, err := s.Experiment(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if all[i].ID != id || printed(one) != printed(all[i]) {
+			t.Errorf("Experiment(%q) differs from table %d (%s) of the all-run", id, i, all[i].ID)
+		}
+	}
+	iter, err := s.AdaptIterated(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := printed(iter), golden(t, "adapt_iterate3_s003.golden"); got != want {
+		t.Errorf("tomx -exp adapt -iterate 3 differs from testdata/adapt_iterate3_s003.golden:\n%s", got)
 	}
 }
