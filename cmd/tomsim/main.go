@@ -74,7 +74,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the metrics snapshot to this JSON file")
 	interval := flag.Int64("interval", 0, "metrics sampling interval in cycles (0 = default)")
 	cache := flag.Bool("cache", false, "persist and replay verified results under -cache-dir")
-	noCache := flag.Bool("no-cache", false, "force-disable the persistent result cache")
 	cacheDir := flag.String("cache-dir", ".tomcache", "persistent result cache directory")
 	adapt := flag.Bool("adapt", false, "profile gate decisions, refine candidate marking, rerun")
 	adaptIterate := flag.Int("adapt-iterate", 0, "iterate profile->refine to a fixed point, bounded by N passes")
@@ -86,7 +85,7 @@ func main() {
 		fatal(fmt.Errorf("-adapt-iterate must be positive"))
 	}
 	if *mapStore {
-		if !*cache || *noCache {
+		if !*cache {
 			fatal(fmt.Errorf("-mapping-store requires -cache (the registry lives under -cache-dir/mappings)"))
 		}
 		if *adapt || *adaptIterate > 0 {
@@ -125,7 +124,7 @@ func main() {
 	}
 
 	opts := tom.SessionOptions{Scale: *scale}
-	if *cache && !*noCache {
+	if *cache {
 		opts.CacheDir = *cacheDir
 	}
 	opts.Progress = func(format string, args ...any) {

@@ -44,6 +44,7 @@ import (
 	"strings"
 
 	tom "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -52,19 +53,29 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "problem-size scale factor")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	quiet := flag.Bool("q", false, "suppress per-run progress")
-	metrics := flag.String("metrics", "", "with -exp fig9: write per-interval off-chip traffic snapshots to this JSON file")
-	trace := flag.String("trace", "", "with -exp fig9: write all runs' offload-lifecycle events to this file")
+	metrics := flag.String("metrics", "", "with a simulated -exp (e.g. fig9): write per-interval off-chip traffic snapshots to this JSON file")
+	trace := flag.String("trace", "", "with a simulated -exp (e.g. fig9): write all runs' offload-lifecycle events to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or binary")
 	traceSample := flag.Int("trace-sample", 1, "keep one trace event in N per event kind per run (1 = keep all)")
 	interval := flag.Int64("interval", 0, "metrics sampling interval in cycles (0 = default)")
 	cache := flag.Bool("cache", false, "persist and replay verified results under -cache-dir")
-	noCache := flag.Bool("no-cache", false, "force-disable the persistent result cache")
 	cacheDir := flag.String("cache-dir", ".tomcache", "persistent result cache directory")
 	iterate := flag.Int("iterate", 0, "with -exp adapt: iterate profile->refine to a fixed point, bounded by N passes")
 	flag.Parse()
 
-	if (*metrics != "" || *trace != "") && *exp == "all" {
-		fatal(fmt.Errorf("-metrics/-trace export one experiment's timeline; pick it with -exp"))
+	format, err := obs.ParseFormat(*traceFormat)
+	if err != nil {
+		fatal(err)
+	}
+	if *metrics != "" || *trace != "" {
+		// Refuse now what the timeline would refuse: it runs after the
+		// experiment itself, which may simulate for minutes.
+		if *exp == "all" {
+			fatal(fmt.Errorf("-metrics/-trace export one experiment's timeline; pick it with -exp"))
+		}
+		if _, err := core.TimelineConfigs(*exp); err != nil {
+			fatal(err)
+		}
 	}
 	if *iterate < 0 {
 		fatal(fmt.Errorf("-iterate must be positive"))
@@ -74,7 +85,7 @@ func main() {
 	}
 
 	opts := tom.SessionOptions{Scale: *scale}
-	if *cache && !*noCache {
+	if *cache {
 		opts.CacheDir = *cacheDir
 	}
 	if !*quiet {
@@ -120,10 +131,6 @@ func main() {
 		var sink obs.EventSink
 		var traceFile *os.File
 		if *trace != "" {
-			format, err := obs.ParseFormat(*traceFormat)
-			if err != nil {
-				fatal(err)
-			}
 			f, err := os.Create(*trace)
 			if err != nil {
 				fatal(err)

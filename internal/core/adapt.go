@@ -383,38 +383,45 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// Adapt compares static offload control against the single-pass adaptive
+// adaptRows compares static offload control against the adaptive
 // profile-and-refine loop over the Fig. 9 workload set: speedups over the
 // baseline for both, plus how many candidates the feedback demoted or
-// re-tagged. The notes carry each workload's per-PC gate rates from the
-// profiling pass — the observed evidence the refinement acted on.
-func (r *Runner) Adapt() (*Table, error) {
-	t := &Table{
-		ID: "adapt", Title: "Static vs. adaptive (gate-feedback) offload control",
-		Columns: workloadColumns(),
-		Notes: []string{
-			"adaptive = profile run -> per-PC gate-rate refinement -> full run (ctrl-tmap)",
-		},
-	}
-	var static, adaptive, demoted, retagged []float64
+// re-tagged. iters == 0 is the single-pass loop (-exp adapt): the notes
+// carry each workload's per-PC gate rates from the profiling pass — the
+// observed evidence the refinement acted on. iters > 0 runs every workload
+// through RunAdaptiveIterated with that bound, adds the convergence iteration
+// per workload (0 = the bound was hit before a fixed point) and traces each
+// workload's per-iteration demotions and re-tags in the notes; that text
+// derives only from the converged record, so a session replaying from the
+// feedback store prints byte-identical tables.
+func (r *Runner) adaptRows(t *Table, iters int) error {
+	var static, adaptive, demoted, retagged, conv []float64
 	for _, abbr := range Abbrs() {
 		b, err := r.Run(abbr, CfgBaseline)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st, err := r.Run(abbr, CfgCtrlTmap)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ad, err := r.RunAdaptive(abbr, CfgCtrlTmap, AdaptOptions{})
+		var ad *AdaptiveRun
+		if iters > 0 {
+			ad, err = r.RunAdaptiveIterated(abbr, CfgCtrlTmap, AdaptOptions{Iterations: iters})
+		} else {
+			ad, err = r.RunAdaptive(abbr, CfgCtrlTmap, AdaptOptions{})
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		static = append(static, st.Stats.IPC()/b.Stats.IPC())
 		adaptive = append(adaptive, ad.Result.Stats.IPC()/b.Stats.IPC())
 		demoted = append(demoted, float64(ad.Result.Stats.RefineDemoted))
 		retagged = append(retagged, float64(ad.Result.Stats.RefineRetagged))
-		if note := gateRateNote(abbr, ad.Profile.Stats.PCStats); note != "" {
+		conv = append(conv, float64(ad.ConvergedAt))
+		if iters > 0 {
+			t.Notes = append(t.Notes, iterationNote(abbr, ad))
+		} else if note := gateRateNote(abbr, ad.Profile.Stats.PCStats); note != "" {
 			t.Notes = append(t.Notes, note)
 		}
 	}
@@ -424,16 +431,14 @@ func (r *Runner) Adapt() (*Table, error) {
 		Row{Label: "demoted candidates", Values: withAvg(demoted, Mean)},
 		Row{Label: "re-tagged candidates", Values: withAvg(retagged, Mean)},
 	)
-	return t, nil
+	if iters > 0 {
+		t.Rows = append(t.Rows, Row{Label: "converged @ iteration", Values: withAvg(conv, Mean)})
+	}
+	return nil
 }
 
-// AdaptIterated is the iterated-fixed-point variant of Adapt: every
-// workload runs through RunAdaptiveIterated with the given iteration bound,
-// and the table adds the convergence iteration per workload (0 = the bound
-// was hit before a fixed point). The notes trace each workload's
-// per-iteration demotions and re-tags. Note text derives only from the
-// converged record, so a session replaying from the feedback store prints
-// byte-identical tables.
+// AdaptIterated is the iterated-fixed-point variant of -exp adapt (tomx
+// -iterate): the same table with iters as the iteration bound.
 func (r *Runner) AdaptIterated(iters int) (*Table, error) {
 	t := &Table{
 		ID: "adapt", Title: "Static vs. iterated adaptive offload control",
@@ -443,35 +448,7 @@ func (r *Runner) AdaptIterated(iters int) (*Table, error) {
 			"converged @ iteration row: 0 = iteration bound hit before a fixed point",
 		},
 	}
-	var static, adaptive, demoted, retagged, conv []float64
-	for _, abbr := range Abbrs() {
-		b, err := r.Run(abbr, CfgBaseline)
-		if err != nil {
-			return nil, err
-		}
-		st, err := r.Run(abbr, CfgCtrlTmap)
-		if err != nil {
-			return nil, err
-		}
-		ad, err := r.RunAdaptiveIterated(abbr, CfgCtrlTmap, AdaptOptions{Iterations: iters})
-		if err != nil {
-			return nil, err
-		}
-		static = append(static, st.Stats.IPC()/b.Stats.IPC())
-		adaptive = append(adaptive, ad.Result.Stats.IPC()/b.Stats.IPC())
-		demoted = append(demoted, float64(ad.Result.Stats.RefineDemoted))
-		retagged = append(retagged, float64(ad.Result.Stats.RefineRetagged))
-		conv = append(conv, float64(ad.ConvergedAt))
-		t.Notes = append(t.Notes, iterationNote(abbr, ad))
-	}
-	t.Rows = append(t.Rows,
-		Row{Label: "static ctrl-tmap", Values: withAvg(static, GeoMean)},
-		Row{Label: "adaptive ctrl-tmap", Values: withAvg(adaptive, GeoMean)},
-		Row{Label: "demoted candidates", Values: withAvg(demoted, Mean)},
-		Row{Label: "re-tagged candidates", Values: withAvg(retagged, Mean)},
-		Row{Label: "converged @ iteration", Values: withAvg(conv, Mean)},
-	)
-	return t, nil
+	return t, r.adaptRows(t, iters)
 }
 
 // iterationNote renders one workload's iteration history.

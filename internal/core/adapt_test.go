@@ -140,7 +140,7 @@ func TestGateAccountingConservation(t *testing.T) {
 		t.Skip("full NDP policy matrix")
 	}
 	s := NewSession(Options{Scale: 0.05})
-	configs := append(fig9Configs(), CfgIdeal)
+	configs := []ConfigName{CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap, CfgIdeal}
 	var pairs []Pair
 	for _, cfg := range configs {
 		for _, abbr := range Abbrs() {

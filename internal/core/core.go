@@ -63,9 +63,9 @@ const (
 )
 
 // AllConfigNames lists every declared configuration in evaluation order.
-// FullMatrix, cmd/tomsim -list, and the registry test all derive from this
-// single list, so adding a configuration here is sufficient to warm it,
-// list it, and cover it.
+// cmd/tomsim -list and the registry test derive from this single list, so
+// adding a configuration here is sufficient to list it and cover it; what
+// tomx simulates is the subset the experiments table names.
 func AllConfigNames() []ConfigName {
 	return []ConfigName{
 		CfgBaseline, CfgIdeal, CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap,

@@ -111,8 +111,11 @@ func TestSpeedupShapeOnStreamingWorkload(t *testing.T) {
 	}
 }
 
-func TestAreaTableMatchesPaper(t *testing.T) {
-	tab := AreaTable()
+func TestAreaMatchesPaper(t *testing.T) {
+	tab, err := NewRunner(0.03).Experiment("area")
+	if err != nil {
+		t.Fatal(err)
+	}
 	get := func(label string) float64 {
 		for _, r := range tab.Rows {
 			if r.Label == label {

@@ -1,0 +1,127 @@
+package core
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// TestExperimentRegistry: the table is the only list of experiments, so its
+// shape is pinned here — ids distinct and in paper order, every entry able to
+// produce rows, and every configuration a table names a registered one.
+func TestExperimentRegistry(t *testing.T) {
+	want := []string{"fig2", "fig3", "fig5", "fig6", "fig8", "fig9", "fig10",
+		"fig11", "fig12", "fig13", "xstack", "coherence", "policies", "adapt",
+		"mapstore", "area"}
+	if got := ExperimentIDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExperimentIDs() = %v, want %v", got, want)
+	}
+	seen := map[string]bool{}
+	for i := range experiments {
+		e := &experiments[i]
+		if seen[e.id] {
+			t.Errorf("duplicate experiment id %q", e.id)
+		}
+		seen[e.id] = true
+		if e.title == "" {
+			t.Errorf("%s: no title", e.id)
+		}
+		if len(e.groups) == 0 && e.build == nil {
+			t.Errorf("%s: neither row groups nor a build function", e.id)
+		}
+		if len(e.reads) > 0 && e.build == nil {
+			t.Errorf("%s: reads configurations but has no build function to read them", e.id)
+		}
+		for _, g := range e.groups {
+			if len(g.cfgs) == 0 || len(g.metrics) == 0 {
+				t.Errorf("%s: a row group without configurations or metrics", e.id)
+			}
+		}
+		for _, cfg := range e.configs() {
+			if _, err := buildConfig(cfg); err != nil {
+				t.Errorf("%s: %v", e.id, err)
+			}
+		}
+	}
+	pairs := map[Pair]bool{}
+	for _, p := range ExperimentPairs() {
+		if pairs[p] {
+			t.Errorf("ExperimentPairs repeats %s", p.Key())
+		}
+		pairs[p] = true
+	}
+}
+
+// timelineWant is the configuration set each experiment's timeline reran
+// (beside the baseline) when that was a hand-written switch; ids absent from
+// it had no timeline. The registry must derive the same sets.
+var timelineWant = map[string][]ConfigName{
+	"fig2":      {CfgIdeal},
+	"fig3":      {CfgCtrlBmap, CfgCtrlOracle},
+	"fig8":      {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
+	"fig9":      {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
+	"fig10":     {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
+	"fig11":     {CfgNoCtrlTmap, CfgCtrlTmap, CfgWarp2x, CfgWarp4x},
+	"fig12":     {CfgNoCtrlTmap, CfgCtrlTmap, CfgWarp2x, CfgWarp4x},
+	"fig13":     {CfgCtrlTmap, CfgInternal1x},
+	"xstack":    {CfgCross0125, CfgCross025, CfgCtrlTmap, CfgCross100},
+	"coherence": {CfgCtrlTmap, CfgNoCoherence},
+	"policies":  {CfgCtrlTmap, CfgIdeal, CfgCoda, CfgMPU},
+	"mapstore":  {CfgCtrlTmap},
+}
+
+func sortedConfigs(cfgs []ConfigName) []string {
+	out := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = string(c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestTimelineRunSet: Timeline accepts exactly the experiments it used to
+// and reruns the same (workload, configuration) set — the baseline once,
+// first, then the experiment's own configurations, each once.
+func TestTimelineRunSet(t *testing.T) {
+	for _, id := range append(ExperimentIDs(), "nope") {
+		got, err := TimelineConfigs(id)
+		want, ok := timelineWant[id]
+		if !ok {
+			if err == nil {
+				t.Errorf("%s: has a timeline of %v, want an error", id, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		if got[0] != CfgBaseline {
+			t.Errorf("%s: timeline starts with %s, want the baseline", id, got[0])
+		}
+		if g, w := sortedConfigs(got), sortedConfigs(append([]ConfigName{CfgBaseline}, want...)); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: timeline reruns %v, want %v", id, g, w)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	snaps, err := NewRunner(0.03).Timeline("fig2", 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys, wantKeys []string
+	for k := range snaps {
+		keys = append(keys, k)
+	}
+	for _, cfg := range []ConfigName{CfgBaseline, CfgIdeal} {
+		for _, abbr := range Abbrs() {
+			wantKeys = append(wantKeys, Pair{Abbr: abbr, Config: cfg}.Key())
+		}
+	}
+	sort.Strings(keys)
+	sort.Strings(wantKeys)
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("Timeline(fig2) reran %v, want %v", keys, wantKeys)
+	}
+}

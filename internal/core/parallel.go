@@ -144,15 +144,3 @@ func (s *Session) WarmObserved(specs []RunSpec, policy ObsPolicy) ([]*obs.Snapsh
 	})
 	return out, err
 }
-
-// FullMatrix lists every (workload, configuration) pair the complete
-// experiment suite needs: all of AllConfigNames over all workloads.
-func FullMatrix() []Pair {
-	var pairs []Pair
-	for _, c := range AllConfigNames() {
-		for _, a := range Abbrs() {
-			pairs = append(pairs, Pair{Abbr: a, Config: c})
-		}
-	}
-	return pairs
-}

@@ -7,33 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFullMatrixCoversEveryConfig: the warm matrix must contain every
-// declared configuration × every workload exactly once — a missing entry
-// means some tomx runs execute cold and serially (the CfgWarp4xALU bug).
-func TestFullMatrixCoversEveryConfig(t *testing.T) {
-	pairs := FullMatrix()
-	seen := make(map[Pair]int, len(pairs))
-	for _, p := range pairs {
-		seen[p]++
-	}
-	abbrs := Abbrs()
-	configs := AllConfigNames()
-	if len(pairs) != len(abbrs)*len(configs) {
-		t.Errorf("FullMatrix has %d pairs, want %d", len(pairs), len(abbrs)*len(configs))
-	}
-	for _, c := range configs {
-		for _, a := range abbrs {
-			switch n := seen[Pair{Abbr: a, Config: c}]; n {
-			case 1:
-			case 0:
-				t.Errorf("FullMatrix omits %s/%s", a, c)
-			default:
-				t.Errorf("FullMatrix repeats %s/%s %d times", a, c, n)
-			}
-		}
-	}
-}
-
 // TestAllConfigNamesBuildAndAreUnique: every declared name must materialize
 // a config (so AllConfigNames and buildConfig cannot drift apart) and names
 // must be distinct.

@@ -136,10 +136,8 @@ func RunAdaptiveIterated(abbr string, system System, scale float64, o AdaptOptio
 	return core.NewRunner(scale).RunAdaptiveIterated(abbr, system, o)
 }
 
-// Experiment reproduces one of the paper's figures/tables by ID: "fig2",
-// "fig3", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12",
-// "fig13", "xstack", "coherence", "policies", "adapt", "mapstore", or
-// "area".
+// Experiment reproduces one of the paper's figures/tables by ID (see
+// ExperimentIDs).
 func Experiment(id string, scale float64) (*Table, error) {
 	r := core.NewRunner(scale)
 	return r.Experiment(id)
