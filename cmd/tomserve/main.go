@@ -60,7 +60,7 @@ func main() {
 	if *cacheDir != "" {
 		// Startup GC: drop what this build can never replay (foreign
 		// fingerprints, torn or abandoned writes) from the run cache and the
-		// feedback and mapping stores under it, before the directory grows.
+		// mapping store under it, before the directory grows.
 		if n, err := core.NewDiskCache(*cacheDir, "").Sweep(); err != nil {
 			logf("tomserve: cache sweep: %v", err)
 		} else if n > 0 {

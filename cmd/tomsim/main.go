@@ -7,8 +7,6 @@
 //	tomsim -workload LIB -trace out.jsonl -metrics out.json
 //	tomsim -workload LIB -trace out.trace -trace-format binary
 //	tomsim -workload LIB -trace out.jsonl -trace-sample 64
-//	tomsim -workload LIB -adapt                       # profile -> refine -> rerun
-//	tomsim -workload LIB -adapt-iterate 3             # iterate to a fixed point
 //	tomsim -workload LIB -cache -mapping-store        # install a stored data mapping
 //	tomsim -list
 //
@@ -24,18 +22,10 @@
 // plain (unobserved) runs under -cache-dir; observed runs always execute,
 // since only an execution can produce time series.
 //
-// -adapt runs the adaptive session: a reduced-scale profiling pass records
-// each candidate's per-PC gate decisions, the compiler demotes candidates
-// the runtime (almost) always gated and re-tags the bandwidth hint from
-// observed trip counts, and the full run executes with the refined set.
-// Adaptive runs cache under their own spec digest. -adapt is incompatible
-// with -trace/-metrics (observe the static run instead).
-//
-// -adapt-iterate N iterates the loop to a fixed point: each pass profiles
-// with the refinement accumulated so far, and the loop stops when the
-// demoted/re-tagged candidate sets stabilize or after N passes. With
-// -cache, the converged refinement persists under -cache-dir/feedback/ and
-// a later invocation installs it without profiling.
+// After the offloads line comes the per-PC gate table (Stats.PCStats): one
+// line per candidate start PC that reached an offload decision, with its gate
+// rate and mean observed trip count. It is part of the cached record, so a
+// replayed run prints the same lines.
 //
 // -mapping-store consults the persistent mapping registry under
 // -cache-dir/mappings/ (see docs/RUNCACHE.md): a transparent-mapping run
@@ -75,28 +65,12 @@ func main() {
 	interval := flag.Int64("interval", 0, "metrics sampling interval in cycles (0 = default)")
 	cache := flag.Bool("cache", false, "persist and replay verified results under -cache-dir")
 	cacheDir := flag.String("cache-dir", ".tomcache", "persistent result cache directory")
-	adapt := flag.Bool("adapt", false, "profile gate decisions, refine candidate marking, rerun")
-	adaptIterate := flag.Int("adapt-iterate", 0, "iterate profile->refine to a fixed point, bounded by N passes")
 	mapStore := flag.Bool("mapping-store", false,
 		"install the learned data mapping from the persistent registry when available (requires -cache)")
 	flag.Parse()
 
-	if *adaptIterate < 0 {
-		fatal(fmt.Errorf("-adapt-iterate must be positive"))
-	}
-	if *mapStore {
-		if !*cache {
-			fatal(fmt.Errorf("-mapping-store requires -cache (the registry lives under -cache-dir/mappings)"))
-		}
-		if *adapt || *adaptIterate > 0 {
-			fatal(fmt.Errorf("-mapping-store is incompatible with -adapt"))
-		}
-	}
-	if (*adapt || *adaptIterate > 0) && (*tracePath != "" || *metricsPath != "") {
-		fatal(fmt.Errorf("-adapt is incompatible with -trace/-metrics"))
-	}
-	if *policy != "" && (*adapt || *adaptIterate > 0) {
-		fatal(fmt.Errorf("-policy is incompatible with -adapt (the feedback loop profiles the configuration's own policy)"))
+	if *mapStore && !*cache {
+		fatal(fmt.Errorf("-mapping-store requires -cache (the registry lives under -cache-dir/mappings)"))
 	}
 
 	if *list {
@@ -156,39 +130,19 @@ func main() {
 		}
 	}
 
-	var res *tom.Result
-	var adaptive *tom.AdaptiveRun
-	if *adaptIterate > 0 {
-		ad, err := s.RunAdaptiveIterated(*workload, core.ConfigName(*config),
-			tom.AdaptOptions{Iterations: *adaptIterate})
+	spec, err := s.SpecWithPolicy(*workload, core.ConfigName(*config), *policy)
+	if err != nil {
+		fatal(err)
+	}
+	if *mapStore {
+		spec, err = s.WithStoredMapping(spec)
 		if err != nil {
 			fatal(err)
 		}
-		adaptive = ad
-		res = ad.Result
-	} else if *adapt {
-		ad, err := s.RunAdaptive(*workload, core.ConfigName(*config), tom.AdaptOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		adaptive = ad
-		res = ad.Result
-	} else {
-		spec, err := s.SpecWithPolicy(*workload, core.ConfigName(*config), *policy)
-		if err != nil {
-			fatal(err)
-		}
-		if *mapStore {
-			spec, err = s.WithStoredMapping(spec)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		r, _, err := s.Execute(spec, observer)
-		if err != nil {
-			fatal(err)
-		}
-		res = r
+	}
+	res, _, err := s.Execute(spec, observer)
+	if err != nil {
+		fatal(err)
 	}
 	if traceFile != nil {
 		// Flushing the chain also makes a sampling sink append its per-kind
@@ -228,6 +182,12 @@ func main() {
 		st.OffloadsSkippedBusy, st.OffloadsSkippedFull, st.OffloadsSkippedCond,
 		st.OffloadsSkippedALU, st.OffloadsSkippedNoDest,
 		st.OffloadsSkippedDestBound, st.OffloadsSkippedSplit, st.OffloadsSkippedVaultFull)
+	for _, pc := range st.PCStats.PCs() {
+		if g := st.PCStats[pc]; g.Decisions() > 0 {
+			fmt.Printf("               pc %-5d gated %5.1f%% (%d/%d decisions, mean trips %.0f)\n",
+				pc, g.GateRate()*100, g.Gated(), g.Decisions(), g.MeanTrips())
+		}
+	}
 	fmt.Printf("caches         L1 %.1f%%, L2 %.1f%%, stack L1 %.1f%%\n",
 		hitPct(st.L1Hits, st.L1Misses), hitPct(st.L2Hits, st.L2Misses), hitPct(st.StackL1Hits, st.StackL1Misses))
 	fmt.Printf("DRAM           %d activations, %.1f%% row hits\n",
@@ -242,35 +202,6 @@ func main() {
 		fmt.Printf("tmap stored    bit %d installed from the registry (%d ranges); %d bytes copied, %d PCIe bytes saved\n",
 			st.LearnedBit, len(st.MappedRanges), st.CopiedBytes, st.LearnPCIeSaved)
 	}
-	if adaptive != nil {
-		// Report from the merged table, which exists whether the feedback
-		// was profiled this process or restored from the persisted store.
-		src := "profiled"
-		if adaptive.FromStore {
-			src = "from feedback store"
-		}
-		fmt.Printf("adaptive       %s (%d iterations); refined: %d demoted, %d re-tagged\n",
-			src, adaptive.Iterations, st.RefineDemoted, st.RefineRetagged)
-		for _, it := range adaptive.History {
-			fmt.Printf("               iter %d: %d decisions, demoted %d, re-tagged %d\n",
-				it.Iteration, it.Decisions, len(it.Demoted), len(it.Retagged))
-		}
-		if adaptive.Iterations > 1 || adaptive.Converged {
-			outcome := "iteration bound hit before a fixed point"
-			if adaptive.Converged {
-				outcome = fmt.Sprintf("converged at iteration %d", adaptive.ConvergedAt)
-			}
-			fmt.Printf("               %s\n", outcome)
-		}
-		for _, pc := range adaptive.Feedback.PCs() {
-			g := adaptive.Feedback[pc]
-			if g.Decisions() == 0 {
-				continue
-			}
-			fmt.Printf("               pc %-5d gated %5.1f%% (%d/%d decisions, mean trips %.0f)\n",
-				pc, g.GateRate()*100, g.Gated(), g.Decisions(), g.MeanTrips())
-		}
-	}
 	if *compare && res.Config != tom.Baseline {
 		base, err := s.Run(*workload, tom.Baseline)
 		if err != nil {
@@ -283,11 +214,6 @@ func main() {
 		cs := s.CacheStats()
 		fmt.Fprintf(os.Stderr, "cache: dir=%s hits=%d simulated=%d\n",
 			dir, cs.DiskHits, cs.Simulated)
-	}
-	if *adaptIterate > 0 {
-		fs := s.FeedbackStats()
-		fmt.Fprintf(os.Stderr, "feedback: hits=%d misses=%d iterations=%d converged=%d\n",
-			fs.StoreHits, fs.StoreMisses, fs.Iterations, fs.Converged)
 	}
 	if *mapStore {
 		ms := s.MappingStats()

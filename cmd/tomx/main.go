@@ -5,8 +5,6 @@
 //	tomx -exp fig8 -cache                 # reuse .tomcache/ results across runs
 //	tomx -exp fig9 -metrics fig9.json     # plus the time-resolved traffic export
 //	tomx -exp fig9 -trace fig9.trace -trace-format binary -trace-sample 16
-//	tomx -exp adapt                       # static vs. gate-feedback-refined control
-//	tomx -exp adapt -iterate 3            # iterate feedback to a fixed point
 //	tomx -exp mapstore -cache             # TOM with the persistent mapping registry
 //	tomx -markdown                        # emit EXPERIMENTS.md-style markdown
 //
@@ -23,10 +21,6 @@
 // With -cache, verified results persist under -cache-dir keyed by run-spec
 // digest and build fingerprint (see docs/RUNCACHE.md): a second identical
 // invocation replays every run from disk and prints byte-identical tables.
-// With -cache plus -iterate, the converged per-workload refinement also
-// persists (under -cache-dir/feedback/), so a later invocation installs the
-// stored gate table without re-profiling at all; the "feedback:" summary
-// line reports store hits/misses, iterations, and convergences.
 //
 // -exp mapstore exercises the persistent mapping registry: with -cache, the
 // first invocation learns each workload's transparent mapping and seeds
@@ -60,7 +54,6 @@ func main() {
 	interval := flag.Int64("interval", 0, "metrics sampling interval in cycles (0 = default)")
 	cache := flag.Bool("cache", false, "persist and replay verified results under -cache-dir")
 	cacheDir := flag.String("cache-dir", ".tomcache", "persistent result cache directory")
-	iterate := flag.Int("iterate", 0, "with -exp adapt: iterate profile->refine to a fixed point, bounded by N passes")
 	flag.Parse()
 
 	format, err := obs.ParseFormat(*traceFormat)
@@ -77,12 +70,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *iterate < 0 {
-		fatal(fmt.Errorf("-iterate must be positive"))
-	}
-	if *iterate > 0 && *exp != "adapt" {
-		fatal(fmt.Errorf("-iterate is the iterated adaptive loop; use it with -exp adapt"))
-	}
 
 	opts := tom.SessionOptions{Scale: *scale}
 	if *cache {
@@ -96,20 +83,13 @@ func main() {
 	s := tom.NewSession(opts)
 
 	var tables []*tom.Table
-	switch {
-	case *exp == "all":
+	if *exp == "all" {
 		ts, err := s.AllExperiments()
 		if err != nil {
 			fatal(err)
 		}
 		tables = ts
-	case *iterate > 0:
-		t, err := s.AdaptIterated(*iterate)
-		if err != nil {
-			fatal(err)
-		}
-		tables = []*tom.Table{t}
-	default:
+	} else {
 		t, err := s.Experiment(*exp)
 		if err != nil {
 			fatal(err)
@@ -169,13 +149,6 @@ func main() {
 		cs := s.CacheStats()
 		fmt.Fprintf(os.Stderr, "cache: dir=%s hits=%d simulated=%d\n",
 			dir, cs.DiskHits, cs.Simulated)
-	}
-	if *iterate > 0 {
-		// Machine-parseable summary: the CI feedback-replay job asserts
-		// hits>0 on the second pass.
-		fs := s.FeedbackStats()
-		fmt.Fprintf(os.Stderr, "feedback: hits=%d misses=%d iterations=%d converged=%d\n",
-			fs.StoreHits, fs.StoreMisses, fs.Iterations, fs.Converged)
 	}
 	if *exp == "mapstore" {
 		// Machine-parseable summary: the CI mapping-store replay job asserts

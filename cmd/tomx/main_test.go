@@ -19,7 +19,7 @@ func TestTimelineExportRefusedBeforeSimulating(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, id := range []string{"adapt", "fig5", "fig6", "area", "nope"} {
+	for _, id := range []string{"fig5", "fig6", "area", "nope"} {
 		for _, flag := range []string{"-metrics", "-trace"} {
 			file := filepath.Join(dir, id+flag+".out")
 			cmd := exec.Command(bin, "-exp", id, "-scale", "0.03", "-q", flag, file)

@@ -144,13 +144,6 @@ type Options struct {
 	Fingerprint string
 	// Progress, when non-nil, receives one line per completed run.
 	Progress func(format string, args ...any)
-	// Obs, when non-nil, receives the session-level adaptive-control
-	// metrics (adapt.iterations, adapt.converged, feedback.store_hits,
-	// feedback.store_misses) and — when it carries a trace sink — the
-	// session-level lifecycle events (adapt_iter, adapt_done,
-	// feedback_store). This is the evaluation layer's observer, distinct
-	// from the per-run simulator observers RunObserved attaches.
-	Obs *obs.Observer
 }
 
 // CacheStats summarizes how a Session's runs were satisfied.
@@ -171,10 +164,8 @@ type Session struct {
 	// Progress, when non-nil, receives one line per completed run.
 	Progress func(format string, args ...any)
 
-	cache    *DiskCache                   // nil = persistent layer disabled
-	feedback *recordStore[FeedbackRecord] // nil = persisted adaptive feedback disabled
-	mappings *recordStore[MappingRecord]  // nil = persisted learned mappings disabled
-	obsv     *obs.Observer                // nil = session-level observability disabled
+	cache    *DiskCache                  // nil = persistent layer disabled
+	mappings *recordStore[MappingRecord] // nil = persisted learned mappings disabled
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -184,14 +175,7 @@ type Session struct {
 	runs     map[string]*RunResult // keyed by RunSpec digest
 	runKeys  map[string]string     // digest -> "ABBR/config" (diagnostics)
 	stats    CacheStats
-	fb       FeedbackStats
 	ms       MappingStats
-
-	// profSessions holds lazily-created reduced-scale sub-sessions used by
-	// RunAdaptive's profiling pass, keyed by profile fraction. They share
-	// this session's persistent cache, so profile runs replay across
-	// processes like any other run.
-	profSessions map[float64]*Session
 }
 
 // Runner is the historical name of Session, kept as an alias: the old
@@ -212,12 +196,10 @@ func NewSession(opts Options) *Session {
 	}
 	if opts.CacheDir != "" {
 		s.cache = NewDiskCache(opts.CacheDir, opts.Fingerprint)
-		// Converged adaptive refinements and learned mappings persist beside
-		// the run records, under the same fingerprint gate (docs/RUNCACHE.md).
-		s.feedback = newFeedbackStore(opts.CacheDir, opts.Fingerprint)
+		// Learned mappings persist beside the run records, under the same
+		// fingerprint gate (docs/RUNCACHE.md).
 		s.mappings = newMappingStore(opts.CacheDir, opts.Fingerprint)
 	}
-	s.obsv = opts.Obs
 	return s
 }
 
@@ -420,14 +402,6 @@ func (s *Session) memoize(spec RunSpec, digest string, res *RunResult, count *ui
 // replayed, because each caller wants its own time series and only an
 // execution can produce one (the end-of-run stats equal the cached run's
 // anyway — observation is timing-free).
-func (s *Session) Execute(spec RunSpec, o *obs.Observer) (*RunResult, RunSource, error) {
-	return s.execute(spec, o, nil)
-}
-
-// execute is Execute plus the adaptive loop's hook: prep, when non-nil,
-// configures the simulator after construction and before Run (gate-feedback
-// injection); anything prep changes must already be part of the spec's
-// digest, or cached replays would diverge from fresh executions.
 //
 // The cached path is one flight per digest. It probes the caches through
 // Lookup — inside the flight, so a caller arriving between another's disk
@@ -435,9 +409,9 @@ func (s *Session) Execute(spec RunSpec, o *obs.Observer) (*RunResult, RunSource,
 // simulates on a miss, writing the verified result back. A caller
 // deduplicated onto someone else's flight finds the result in the memo
 // afterwards and reports SourceMemo: the session did no extra work for it.
-func (s *Session) execute(spec RunSpec, o *obs.Observer, prep func(*sim.System)) (res *RunResult, src RunSource, err error) {
+func (s *Session) Execute(spec RunSpec, o *obs.Observer) (res *RunResult, src RunSource, err error) {
 	if o != nil {
-		res, err = s.runUncached(spec, o, prep)
+		res, err = s.runUncached(spec, o)
 		return res, SourceSimulated, err
 	}
 	digest := spec.Digest()
@@ -445,7 +419,7 @@ func (s *Session) execute(spec RunSpec, o *obs.Observer, prep func(*sim.System))
 		if res, src, err = s.Lookup(spec, digest); res != nil || err != nil {
 			return err
 		}
-		if res, err = s.runUncached(spec, nil, prep); err != nil {
+		if res, err = s.runUncached(spec, nil); err != nil {
 			return err
 		}
 		src = SourceSimulated
@@ -467,7 +441,7 @@ func (s *Session) execute(spec RunSpec, o *obs.Observer, prep func(*sim.System))
 	return res, src, err
 }
 
-func (s *Session) runUncached(spec RunSpec, o *obs.Observer, prep func(*sim.System)) (*RunResult, error) {
+func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error) {
 	abbr := spec.Abbr
 	in, err := s.instance(abbr)
 	if err != nil {
@@ -509,9 +483,6 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer, prep func(*sim.Syst
 			return nil, fmt.Errorf("%s: %w", spec.Key(), err)
 		}
 	}
-	if prep != nil {
-		prep(sys)
-	}
 	if err := sys.Run(c.Launches); err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Key(), err)
 	}
@@ -546,23 +517,11 @@ func Abbrs() []string {
 	return out
 }
 
-// CacheStats reports how the session's completed runs were satisfied,
-// including the reduced-scale profiling runs of adaptive sessions.
+// CacheStats reports how the session's completed runs were satisfied.
 func (s *Session) CacheStats() CacheStats {
 	s.mu.Lock()
-	st := s.stats
-	subs := make([]*Session, 0, len(s.profSessions))
-	for _, ps := range s.profSessions {
-		subs = append(subs, ps)
-	}
-	s.mu.Unlock()
-	for _, ps := range subs {
-		sub := ps.CacheStats()
-		st.MemoHits += sub.MemoHits
-		st.DiskHits += sub.DiskHits
-		st.Simulated += sub.Simulated
-	}
-	return st
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // CacheDir returns the persistent cache root ("" when disabled).

@@ -164,3 +164,53 @@ func TestTableFormatting(t *testing.T) {
 		t.Error("empty reducers should return 0")
 	}
 }
+
+// TestGateAccountingConservation: at quiescence every candidate entry must
+// be accounted for exactly once —
+//
+//	CandidateInstances == OffloadsSent + OffloadsSkipped() + LearnEntries
+//
+// — and the per-PC decision table must agree with the aggregates, across
+// the Fig. 9 policy matrix (plus the ideal configuration) on every
+// workload. Before the nodest fix, failed destination dry runs broke this
+// identity silently.
+func TestGateAccountingConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full NDP policy matrix")
+	}
+	s := NewSession(Options{Scale: 0.05})
+	configs := []ConfigName{CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap, CfgIdeal}
+	var pairs []Pair
+	for _, cfg := range configs {
+		for _, abbr := range Abbrs() {
+			pairs = append(pairs, Pair{Abbr: abbr, Config: cfg})
+		}
+	}
+	if err := s.Warm(pairs); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		res, err := s.Run(p.Abbr, p.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if got := st.OffloadsSent + st.OffloadsSkipped() + st.LearnEntries; got != st.CandidateInstances {
+			t.Errorf("%s: sent(%d)+skipped(%d)+learn(%d) = %d, candidate instances %d",
+				p.Key(), st.OffloadsSent, st.OffloadsSkipped(), st.LearnEntries,
+				got, st.CandidateInstances)
+		}
+		var sent, gated, learn uint64
+		for _, pc := range st.PCStats.PCs() {
+			g := st.PCStats[pc]
+			sent += g.Sent
+			gated += g.Gated()
+			learn += g.LearnEntries
+		}
+		if sent != st.OffloadsSent || gated != st.OffloadsSkipped() || learn != st.LearnEntries {
+			t.Errorf("%s: per-PC table (sent %d, gated %d, learn %d) disagrees with aggregates (%d, %d, %d)",
+				p.Key(), sent, gated, learn,
+				st.OffloadsSent, st.OffloadsSkipped(), st.LearnEntries)
+		}
+	}
+}

@@ -8,10 +8,10 @@ import "runtime/debug"
 // v2: ack packets charge the full offload header (sim/types.go), Stats
 // gained the per-PC gate table + nodest counter, and specs can carry an
 // adaptive-feedback component — v1 records describe a different machine.
-// v3: AdaptSpec grew the cost model and the iterated-loop identity (v2
-// digests aliased adaptive runs that differed only in cost constants), the
-// simulator derives its marking cost model from the installed feedback
-// parameters, and profiling passes carry their own adapt marker.
+// v3: the adaptive component grew the cost model and the iterated-loop
+// identity (v2 digests aliased adaptive runs that differed only in cost
+// constants), the simulator derives its marking cost model from the installed
+// feedback parameters, and profiling passes carry their own adapt marker.
 // v4: exact quiescence detection (cycle counts no longer overshoot drain by
 // up to 63 cycles) and window-boundary-exact channel-busy reads — v3 cycle
 // counts and gate decisions describe the old loop.
@@ -21,7 +21,11 @@ import "runtime/debug"
 // provenance the mapping registry and reports read.
 // v6: records sit in one envelope {fingerprint, key, record} whose key must
 // equal the file name's — v5's flat records carry no key.
-const cacheSchemaVersion = "tomcache/v6"
+// v7: the compile-time gate-feedback loop is gone: Stats lost its two
+// refinement counters and specs their adaptive component, so v6 records of
+// adaptive passes are keyed by digests nothing derives any more — the bump
+// makes them dead, and the startup sweep collects them.
+const cacheSchemaVersion = "tomcache/v7"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.
@@ -68,23 +72,15 @@ func (c *DiskCache) Put(spec RunSpec, res *RunResult) error {
 }
 
 // Sweep removes everything under the cache directory that this build can
-// never replay — dead run records, and dead records of the feedback store
-// and the mapping registry that live in its feedback/ and mappings/
-// subdirectories — and reports how many files went. Long-running servers
-// call it at startup so a cache directory that outlives many builds holds
-// only what the serving binary can use.
+// never replay — dead run records, and dead records of the mapping registry
+// that lives in its mappings/ subdirectory — and reports how many files went.
+// Long-running servers call it at startup so a cache directory that outlives
+// many builds holds only what the serving binary can use.
 func (c *DiskCache) Sweep() (int, error) {
-	total := 0
-	for _, sweep := range []func() (int, error){
-		c.sweep,
-		newFeedbackStore(c.dir, c.fingerprint).sweep,
-		newMappingStore(c.dir, c.fingerprint).sweep,
-	} {
-		n, err := sweep()
-		total += n
-		if err != nil {
-			return total, err
-		}
+	n, err := c.sweep()
+	if err != nil {
+		return n, err
 	}
-	return total, nil
+	m, err := newMappingStore(c.dir, c.fingerprint).sweep()
+	return n + m, err
 }

@@ -72,16 +72,14 @@ type experiment struct {
 	groups    []group
 	reads     []ConfigName
 	build     func(*Runner, *Table) error
-	// noTimeline marks an experiment whose simulated rows are not runs of
-	// named configurations (the adaptive loop's passes).
-	noTimeline bool
 }
 
 // ndpPolicies are the four NDP policies of Figs. 8-10, warpCapacities the
-// stack-SM warp capacities of Figs. 11/12, and rivals the offload policies
-// of -exp policies: TOM and its Fig. 2 idealization, plus the two schemes
-// reproduced from related work (CODA's co-location-aware offloading,
-// near-bank MPU offload), each at its natural system configuration.
+// stack-SM warp capacities of Figs. 11/12 (the last adds §6.4's ALU-aware
+// gate at 4x), and rivals the offload policies of -exp policies: TOM and its
+// Fig. 2 idealization, plus the two schemes reproduced from related work
+// (CODA's co-location-aware offloading, near-bank MPU offload), each at its
+// natural system configuration.
 var (
 	ndpPolicies = []labelled{
 		{"no-ctrl bmap", CfgNoCtrlBmap}, {"no-ctrl tmap", CfgNoCtrlTmap},
@@ -90,12 +88,13 @@ var (
 	warpCapacities = []labelled{
 		{"no-ctrl-1X-warp", CfgNoCtrlTmap}, {"ctrl-1X-warp", CfgCtrlTmap},
 		{"ctrl-2X-warp", CfgWarp2x}, {"ctrl-4X-warp", CfgWarp4x},
+		{"ctrl-4X-warp+alu", CfgWarp4xALU},
 	}
 	rivals = []labelled{{"tom", CfgCtrlTmap}, {"ideal", CfgIdeal}, {"coda", CfgCoda}, {"mpu", CfgMPU}}
 )
 
 // experiments is the evaluation, in paper order: Figs. 2-13, §6.5, §4.4.2,
-// this repository's policy/adaptive/mapping-store tables, and §6.6. It is
+// this repository's policy and mapping-store tables, and §6.6. It is
 // the only list of them: Experiment, ExperimentIDs, AllExperiments and its
 // warm set, and Timeline all read it.
 var experiments = []experiment{
@@ -157,10 +156,6 @@ var experiments = []experiment{
 			{CfgBaseline, rivals, []metric{speedup}},
 			{CfgBaseline, rivals, []metric{{" offloaded%", Mean, offloadedFrac}}},
 		}},
-	{id: "adapt", title: "Static vs. adaptive (gate-feedback) offload control",
-		notes: []string{"adaptive = profile run -> per-PC gate-rate refinement -> full run (ctrl-tmap)"},
-		reads: []ConfigName{CfgBaseline, CfgCtrlTmap}, noTimeline: true,
-		build: func(r *Runner, t *Table) error { return r.adaptRows(t, 0) }},
 	{id: "mapstore", title: "Persistent mapping registry: TOM with stored mappings installed",
 		notes: []string{
 			"stored: 1 = bit installed from the registry (map once, stay resident), 0 = learned this run",
@@ -419,15 +414,14 @@ func (r *Runner) AllExperiments() ([]*Table, error) {
 // TimelineConfigs lists the configurations Timeline reruns for an
 // experiment: the baseline, then every configuration its table reads. An
 // experiment that simulates no named configuration (fig5, fig6 and area are
-// profile- or estimate-based; adapt's passes are not plain configurations)
-// has no timeline and returns an error.
+// profile- or estimate-based) has no timeline and returns an error.
 func TimelineConfigs(id string) ([]ConfigName, error) {
 	e, err := experimentByID(id)
 	if err != nil {
 		return nil, err
 	}
 	cfgs := e.configs()
-	if e.noTimeline || len(cfgs) == 0 {
+	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("core: experiment %q has no timeline (no simulated configurations)", id)
 	}
 	out := []ConfigName{CfgBaseline}

@@ -11,8 +11,8 @@ import (
 // produce rows, and every configuration a table names a registered one.
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig5", "fig6", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "xstack", "coherence", "policies", "adapt",
-		"mapstore", "area"}
+		"fig11", "fig12", "fig13", "xstack", "coherence", "policies", "mapstore",
+		"area"}
 	if got := ExperimentIDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ExperimentIDs() = %v, want %v", got, want)
 	}
@@ -61,8 +61,8 @@ var timelineWant = map[string][]ConfigName{
 	"fig8":      {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
 	"fig9":      {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
 	"fig10":     {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
-	"fig11":     {CfgNoCtrlTmap, CfgCtrlTmap, CfgWarp2x, CfgWarp4x},
-	"fig12":     {CfgNoCtrlTmap, CfgCtrlTmap, CfgWarp2x, CfgWarp4x},
+	"fig11":     {CfgNoCtrlTmap, CfgCtrlTmap, CfgWarp2x, CfgWarp4x, CfgWarp4xALU},
+	"fig12":     {CfgNoCtrlTmap, CfgCtrlTmap, CfgWarp2x, CfgWarp4x, CfgWarp4xALU},
 	"fig13":     {CfgCtrlTmap, CfgInternal1x},
 	"xstack":    {CfgCross0125, CfgCross025, CfgCtrlTmap, CfgCross100},
 	"coherence": {CfgCtrlTmap, CfgNoCoherence},

@@ -90,10 +90,7 @@ func mappingKey(abbr string, scale float64, structure, family string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// MappingStats summarizes a session's persistent-mapping activity. The same
-// quantities are exported as obs counters (mapping.store_hits,
-// mapping.store_misses, mapping.store_writes, learn.pcie_bytes_saved) when
-// the session carries an observer.
+// MappingStats summarizes a session's persistent-mapping activity.
 type MappingStats struct {
 	StoreHits   uint64 // specs that installed a stored mapping
 	StoreMisses uint64 // consults that found no usable record
@@ -106,6 +103,13 @@ func (s *Session) MappingStats() MappingStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ms
+}
+
+// count adds n to one of the session's MappingStats fields.
+func (s *Session) count(field *uint64, n uint64) {
+	s.mu.Lock()
+	*field += n
+	s.mu.Unlock()
 }
 
 // WithStoredMapping consults the persistent mapping registry for a resolved
@@ -131,11 +135,11 @@ func (s *Session) WithStoredMapping(spec RunSpec) (RunSpec, error) {
 		return RunSpec{}, err
 	}
 	if !ok {
-		s.count(&s.ms.StoreMisses, "mapping.store_misses", 1)
+		s.count(&s.ms.StoreMisses, 1)
 		return spec, nil
 	}
-	s.count(&s.ms.StoreHits, "mapping.store_hits", 1)
-	s.count(&s.ms.SavedBytes, "learn.pcie_bytes_saved", rec.LearnPCIeBytes)
+	s.count(&s.ms.StoreHits, 1)
+	s.count(&s.ms.SavedBytes, rec.LearnPCIeBytes)
 	spec.MapInstall = &MapInstallSpec{
 		Bit:       rec.Bit,
 		Ranges:    append([]string(nil), rec.Ranges...),
@@ -179,5 +183,5 @@ func (s *Session) storeLearnedMapping(spec RunSpec, res *RunResult) {
 		s.logf("%v", err)
 		return
 	}
-	s.count(&s.ms.StoreWrites, "mapping.store_writes", 1)
+	s.count(&s.ms.StoreWrites, 1)
 }

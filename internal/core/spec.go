@@ -23,12 +23,6 @@ type RunSpec struct {
 	// digest through its canonical string, so flipping any model parameter
 	// (even one the named configuration doesn't touch) yields a new spec.
 	Cfg sim.Config
-	// Adapt, when non-nil, marks this as the full pass of an adaptive
-	// (profile → refine → rerun) session and folds the feedback parameters
-	// into the digest: an adaptive run and the static run of the same
-	// configuration are different measurements and must never share a
-	// cache record.
-	Adapt *AdaptSpec
 	// MapInstall, when non-nil, pre-installs a stored transparent mapping at
 	// system construction instead of running a learning phase (see
 	// Session.WithStoredMapping). Every field folds into the
@@ -85,16 +79,6 @@ func (sp RunSpec) Digest() string {
 		// Unknown policy: digest the raw name; the run itself will fail
 		// loudly at sim.New, never silently alias.
 		fmt.Fprintf(h, "policy=%s{?};", sp.Cfg.PolicyName())
-	}
-	if a := sp.Adapt; a != nil {
-		// Every feedback parameter participates, including the cost model
-		// (omitting CostParams once aliased adaptive runs that differed only
-		// in cost constants onto one cache record) and the iterated-loop
-		// identity: the iteration bound, which intermediate profiling pass
-		// this is, and the content hash of the gate profile the run applies.
-		fmt.Fprintf(h, "adapt=frac:%v,demote:%v,mindec:%d,cost:%+v,iters:%d,iter:%d,feedback:%s;",
-			a.ProfileFrac, a.DemoteGateRate, a.MinDecisions, a.Cost,
-			a.Iterations, a.Iteration, a.FeedbackDigest)
 	}
 	if mi := sp.MapInstall; mi != nil {
 		// Every install parameter participates — two installs differing in

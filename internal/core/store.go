@@ -31,8 +31,8 @@ type envelope[T any] struct {
 	Record      *T     `json:"record"`
 }
 
-// recordStore is the one persistent store behind the run cache, the feedback
-// store and the mapping registry (docs/RUNCACHE.md "Record stores"): one JSON
+// recordStore is the one persistent store behind the run cache and the
+// mapping registry (docs/RUNCACHE.md "Record stores"): one JSON
 // envelope per key under dir. It is safe for concurrent use by goroutines and
 // by processes sharing dir — writes go through a temp file + rename, so a
 // reader sees a complete record or none. A record this build cannot trust
@@ -41,7 +41,7 @@ type envelope[T any] struct {
 // removed on the way out so the directory does not accrete one unreachable
 // record per key per past build.
 type recordStore[T any] struct {
-	kind        string // error-message prefix: "cache", "feedback store", ...
+	kind        string // error-message prefix: "cache", "mapping store"
 	dir         string
 	fingerprint string
 	// valid, when non-nil, is the kind's own structural gate; it may also

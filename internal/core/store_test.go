@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"repro/internal/compiler"
 )
 
 // storeCase is one typed store put through TestRecordStoreContract.
@@ -127,7 +125,7 @@ func (c storeCase[T]) run(t *testing.T) {
 	}
 }
 
-// TestRecordStoreContract runs the one store contract over the three typed
+// TestRecordStoreContract runs the one store contract over the two typed
 // stores, plus each kind's own gate.
 func TestRecordStoreContract(t *testing.T) {
 	result := &RunResult{Abbr: "SP", Config: CfgBaseline}
@@ -137,25 +135,6 @@ func TestRecordStoreContract(t *testing.T) {
 		open: func(dir, fp string) *recordStore[RunResult] { return NewDiskCache(dir, fp).recordStore },
 		good: result,
 	}.run)
-
-	t.Run("feedback", storeCase[FeedbackRecord]{
-		open: newFeedbackStore,
-		good: &FeedbackRecord{
-			Workload: "LIB", Scale: 0.1, Config: string(CfgCtrlTmap),
-			Iterations: 2, Converged: true, ConvergedAt: 2,
-			History: []AdaptIteration{{Iteration: 1, Decisions: 48}},
-			Profile: compiler.GateProfile{14: {Sent: 3, TripSum: 96, TripObs: 3}},
-		},
-	}.run)
-	// The feedback gate rejects nothing; it makes a profile-less record an
-	// empty profile, so the adaptive loop can merge into it.
-	fb := newFeedbackStore(t.TempDir(), "fp")
-	if err := fb.put("k", &FeedbackRecord{Workload: "LIB"}); err != nil {
-		t.Fatal(err)
-	}
-	if rec, ok, err := fb.get("k"); !ok || err != nil || rec.Profile == nil {
-		t.Errorf("profile-less feedback record = (%+v, %v, %v), want a hit with an empty profile", rec, ok, err)
-	}
 
 	t.Run("mapping", storeCase[MappingRecord]{
 		open: newMappingStore,
@@ -218,7 +197,6 @@ func FuzzRecordStoreGet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		fuzzGet(t, NewDiskCache(dir, "fp").recordStore, data)
-		fuzzGet(t, newFeedbackStore(dir, "fp"), data)
 		fuzzGet(t, newMappingStore(dir, "fp"), data)
 	})
 }

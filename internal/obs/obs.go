@@ -114,21 +114,6 @@ const (
 // (seen = kept + dropped).
 const EvTraceSampled = "trace_sampled"
 
-// Event kinds emitted by the evaluation layer's adaptive control loop
-// (internal/core). Cycle is always 0 — these are session-level steps, not
-// simulated time; Run carries the "ABBR/config" key.
-const (
-	// EvAdaptIter closes one profile→refine iteration; N is the 1-based
-	// iteration index.
-	EvAdaptIter = "adapt_iter"
-	// EvAdaptDone closes an iterated refinement; N is the number of
-	// profiling iterations executed, Reason is "converged" or "bound".
-	EvAdaptDone = "adapt_done"
-	// EvFeedbackStore records one persisted-feedback-store access; Reason
-	// is "hit", "miss", or "save".
-	EvFeedbackStore = "feedback_store"
-)
-
 // EventSink consumes trace events. Implementations must be safe for
 // concurrent Emit calls.
 type EventSink interface {

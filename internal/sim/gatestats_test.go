@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/compiler"
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -259,117 +258,5 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	if stackSM.freeSlots != capSlots {
 		t.Fatalf("freeSlots = %d after retiring all warps, want exactly %d",
 			stackSM.freeSlots, capSlots)
-	}
-}
-
-// TestGateFeedbackDemotesNoDestCandidate: the closed loop end to end at the
-// sim layer. A profile run on the zero-trip workload attributes every
-// decision to the candidate's PC as a nodest gate; feeding that table back
-// through ApplyGateFeedback must demote the candidate in the next run, so
-// the region executes inline with no candidate checks at all — and results
-// stay correct.
-func TestGateFeedbackDemotesNoDestCandidate(t *testing.T) {
-	env := whileLoopEnv(t, 8, 0)
-	want := refMem(t, env)
-	cfg := DefaultConfig()
-	cfg.Mapping = MapBaseline
-	cfg.MaxCycles = 50_000_000
-
-	profile := runSim(t, cfg, env)
-	prof := profile.Stats().PCStats
-	if len(prof) != 1 {
-		t.Fatalf("profile produced %d PC rows, want 1", len(prof))
-	}
-
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
-	sys := New(cfg, m, alloc)
-	sys.ApplyGateFeedback(prof, compiler.DefaultRefineParams())
-	if err := sys.Run(env.launches); err != nil {
-		t.Fatal(err)
-	}
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
-		t.Fatalf("refined run diverged from reference at %#x", addr)
-	}
-	st := sys.Stats()
-	if st.RefineDemoted != 1 {
-		t.Errorf("RefineDemoted = %d, want 1", st.RefineDemoted)
-	}
-	if st.CandidateInstances != 0 {
-		t.Errorf("demoted candidate still entered %d times", st.CandidateInstances)
-	}
-	if st.OffloadsSkippedNoDest != 0 {
-		t.Errorf("refined run still hit %d nodest gates", st.OffloadsSkippedNoDest)
-	}
-}
-
-// TestFeedbackCostModelGovernsMarking: with gate feedback installed, the
-// initial candidate marking must evaluate the cost model of the installed
-// RefineParams, not the package default — otherwise a non-default
-// RefineParams.Cost would demote and re-tag candidates selected by a model
-// it never sees (the cost-model drift this PR fixes). A cost model under
-// which loads move no off-chip traffic makes the load-only while loop
-// unprofitable, so the candidate must not be marked at all; and installing
-// feedback whose Cost was left zero must fall back to the defaults rather
-// than marking with a zero warp size.
-func TestFeedbackCostModelGovernsMarking(t *testing.T) {
-	env := whileLoopEnv(t, 2, 8)
-	want := refMem(t, env)
-	cfg := DefaultConfig()
-	cfg.Mapping = MapBaseline
-	cfg.MaxCycles = 50_000_000
-
-	// Sanity: under the default model the loop is a candidate.
-	base := runSim(t, cfg, env)
-	if base.Stats().CandidateInstances == 0 {
-		t.Fatal("while loop not marked under the default cost model; test env broken")
-	}
-
-	newSys := func() *System {
-		m := env.mem.Clone()
-		alloc := mem.NewAllocTable()
-		for _, r := range env.alloc.Ranges {
-			alloc.Alloc(r.Name, r.Size)
-		}
-		return New(cfg, m, alloc)
-	}
-
-	// Free loads: the 8-load loop body saves nothing, so marking under this
-	// model must reject it. Before the fix metadata() analyzed with
-	// DefaultCostParams regardless, and the candidate survived.
-	stingy := compiler.DefaultRefineParams()
-	stingy.Cost.MissLD = 0
-	sys := newSys()
-	sys.ApplyGateFeedback(compiler.GateProfile{}, stingy)
-	if got := sys.costParams(); got != stingy.Cost {
-		t.Fatalf("costParams = %+v, want installed %+v", got, stingy.Cost)
-	}
-	if err := sys.Run(env.launches); err != nil {
-		t.Fatal(err)
-	}
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
-		t.Fatalf("run diverged from reference at %#x", addr)
-	}
-	if st := sys.Stats(); st.CandidateInstances != 0 {
-		t.Errorf("candidate marked %d times under a cost model that rejects it "+
-			"(marking ignored the installed model)", st.CandidateInstances)
-	}
-
-	// Zero-Cost guard: RefineParams with no cost model fall back to the
-	// defaults (a zero WarpSize would otherwise mark garbage).
-	bare := compiler.RefineParams{DemoteGateRate: 0.9, MinDecisions: 16}
-	sys2 := newSys()
-	sys2.ApplyGateFeedback(compiler.GateProfile{}, bare)
-	if got := sys2.costParams(); got != compiler.DefaultCostParams() {
-		t.Fatalf("zero-Cost feedback: costParams = %+v, want defaults", got)
-	}
-	if err := sys2.Run(env.launches); err != nil {
-		t.Fatal(err)
-	}
-	if st := sys2.Stats(); st.CandidateInstances == 0 {
-		t.Error("zero-Cost feedback suppressed marking entirely; defaults should apply")
 	}
 }

@@ -55,15 +55,11 @@ type Stats struct {
 	StoreDrainStalls     uint64
 
 	// PCStats attributes every offload decision (sent, each skip reason,
-	// learning entries, observed trip counts) to the candidate's start PC —
-	// the profile compiler.Refine consumes. Conservation invariant at
-	// quiescence: CandidateInstances == OffloadsSent + OffloadsSkipped() +
-	// LearnEntries whenever offloading is enabled.
+	// learning entries, observed trip counts) to the candidate's start PC
+	// (tomsim prints it per run). Conservation invariant at quiescence:
+	// CandidateInstances == OffloadsSent + OffloadsSkipped() + LearnEntries
+	// whenever offloading is enabled.
 	PCStats compiler.GateProfile
-
-	// --- Adaptive refinement (ApplyGateFeedback) ---
-	RefineDemoted  int // candidates demoted from the metadata tables
-	RefineRetagged int // candidates whose channel tag was re-derived
 
 	// --- Caches & DRAM ---
 	L1Hits, L1Misses           uint64

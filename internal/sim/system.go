@@ -92,11 +92,6 @@ type System struct {
 	mdCache map[*isa.Kernel]*compiler.Metadata
 	trace   func(now int64)
 
-	// Adaptive marking (ApplyGateFeedback): an observed gate profile and
-	// refine parameters applied to every kernel's metadata before use.
-	gateProf     compiler.GateProfile
-	refineParams compiler.RefineParams
-
 	// ob is non-nil iff cfg.Observer is set (see observe.go).
 	ob *obsState
 
@@ -282,44 +277,15 @@ func (sys *System) stackOf(addr uint64) int {
 
 func (sys *System) forceColocate() bool { return sys.ptraits.ForceColocate }
 
-// ApplyGateFeedback installs an observed per-PC gate profile (typically the
-// PCStats of a short profiling run): every kernel metadata table this
-// System compiles is refined with it — always-gated candidates are demoted
-// and channel tags are re-derived from observed trip counts (see
-// compiler.Refine). Call before Run.
-func (sys *System) ApplyGateFeedback(prof compiler.GateProfile, p compiler.RefineParams) {
-	sys.gateProf = prof
-	sys.refineParams = p
-}
-
-// costParams returns the cost model every metadata table of this System is
-// marked with. With gate feedback installed it is the refinement's own
-// CostParams (falling back to the defaults when the caller left them zero):
-// initial marking and Refine re-tagging must evaluate equations (3)/(4)
-// under the same constants, or a non-default RefineParams.Cost would demote
-// and re-tag candidates selected by a model it never sees.
-func (sys *System) costParams() compiler.CostParams {
-	if sys.gateProf != nil && sys.refineParams.Cost != (compiler.CostParams{}) {
-		return sys.refineParams.Cost
-	}
-	return compiler.DefaultCostParams()
-}
-
 // metadata compiles (and caches) the offload metadata for a kernel through
-// the policy's candidate-selection hook, applying the installed
-// gate-feedback refinement, if any.
+// the policy's candidate-selection hook.
 func (sys *System) metadata(k *isa.Kernel) (*compiler.Metadata, error) {
 	if md, ok := sys.mdCache[k]; ok {
 		return md, nil
 	}
-	md, err := sys.policy.SelectCandidates(k, sys.costParams())
+	md, err := sys.policy.SelectCandidates(k, compiler.DefaultCostParams())
 	if err != nil {
 		return nil, err
-	}
-	if sys.gateProf != nil {
-		ref := compiler.Refine(md, sys.gateProf, sys.refineParams)
-		sys.stats.RefineDemoted += len(ref.Demoted)
-		sys.stats.RefineRetagged += len(ref.Retagged)
 	}
 	sys.mdCache[k] = md
 	return md, nil

@@ -101,41 +101,6 @@ type Session = core.Session
 // like NewRunner(opts.Scale).
 func NewSession(opts SessionOptions) *Session { return core.NewSession(opts) }
 
-// AdaptOptions configures an adaptive (profile → refine → rerun) run: the
-// profiling scale fraction, the gate-rate refinement thresholds and cost
-// model, and — for RunAdaptiveIterated — the iteration bound. The zero
-// value selects the defaults.
-type AdaptOptions = core.AdaptOptions
-
-// AdaptiveRun bundles the profiling passes and the refined full run of one
-// adaptive measurement, including the iteration history and convergence
-// outcome of iterated runs.
-type AdaptiveRun = core.AdaptiveRun
-
-// AdaptIteration summarizes one profile → refine iteration of an iterated
-// adaptive run.
-type AdaptIteration = core.AdaptIteration
-
-// RunAdaptive closes the offload-marking loop for one workload: a short
-// profiling run records where the runtime gated each candidate (per PC),
-// the compiler demotes candidates whose observed gate rate shows static
-// marking got it wrong and re-tags the 2-bit bandwidth hint from observed
-// trip counts, and the full run executes with the refined candidate set.
-func RunAdaptive(abbr string, system System, scale float64, o AdaptOptions) (*AdaptiveRun, error) {
-	return core.NewRunner(scale).RunAdaptive(abbr, system, o)
-}
-
-// RunAdaptiveIterated iterates the profile → refine loop to a fixed point
-// (bounded by o.Iterations passes): each pass profiles with the refinement
-// accumulated so far, and the loop stops when the demoted/re-tagged
-// candidate sets stabilize. Sessions with a persistent cache also persist
-// the converged refinement per workload (see docs/RUNCACHE.md), letting a
-// later session install it without profiling; use a Session directly for
-// that — this convenience constructor has no persistent layer.
-func RunAdaptiveIterated(abbr string, system System, scale float64, o AdaptOptions) (*AdaptiveRun, error) {
-	return core.NewRunner(scale).RunAdaptiveIterated(abbr, system, o)
-}
-
 // Experiment reproduces one of the paper's figures/tables by ID (see
 // ExperimentIDs).
 func Experiment(id string, scale float64) (*Table, error) {
