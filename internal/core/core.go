@@ -458,8 +458,10 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 			return nil, err
 		}
 	}
-	// Clone copies the workload's memory page by page and reads nothing a
-	// session ever writes; only the flags Profile sets need the lock.
+	// Clone shares the pristine image's pages copy-on-write and reads
+	// nothing a session ever writes (Build returns the image sealed, and
+	// every run stores to its own clone); only the flags Profile sets need
+	// the lock.
 	c := in.Clone()
 	if prof != nil {
 		s.mu.Lock()

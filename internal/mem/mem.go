@@ -16,76 +16,135 @@ const pageBytes = 1 << 16
 
 const pageWords = pageBytes / 4
 
-// Flat is a sparse flat 64-bit byte-addressed memory of 32-bit words.
-// The zero value is ready to use. Flat is not safe for concurrent use;
-// the simulator is single-threaded by design.
+type page [pageWords]uint32
+
+// pageKey names the page holding addr by the address of the page's last
+// byte. No page has key 0, so zeroed lookup caches match nothing.
+func pageKey(addr uint64) uint64 { return addr | (pageBytes - 1) }
+
+func pageBase(key uint64) uint64 { return key - (pageBytes - 1) }
+
+// pageRef is one entry of a memory's page table. A shared page may be held by
+// other memories too and is never written again; a page that is not shared
+// is held by this memory alone and is written in place.
+type pageRef struct {
+	p      *page
+	shared bool
+}
+
+// Flat is a sparse flat 64-bit byte-addressed memory of 32-bit words. The
+// zero value is an empty memory. Clone is copy-on-write: a clone and its
+// original share every page until one of them stores to it, and that store
+// copies the one page first.
+//
+// Flat is not safe for concurrent use (even loads move the lookup cache);
+// the simulator is single-threaded by design. The one exception is a sealed
+// memory — one with no page of its own, see Seal — which any number of
+// goroutines may Clone and compare with Equal at once, because neither
+// writes it.
 type Flat struct {
-	pages map[uint64]*[pageWords]uint32
-	// 1-entry lookup cache: GPU access streams are heavily page-local.
-	lastTag  uint64
-	lastPage *[pageWords]uint32
+	pages map[uint64]pageRef
+	// Two 1-entry lookup caches: GPU access streams are heavily page-local.
+	// Loads go through last, which may hold any page of this memory; stores
+	// go through own, which only ever holds a page that is not shared, so
+	// the store fast path needs no second test.
+	lastKey uint64
+	last    *page
+	ownKey  uint64
+	own     *page
 }
 
 // NewFlat returns an empty memory.
-func NewFlat() *Flat {
-	return &Flat{pages: make(map[uint64]*[pageWords]uint32), lastTag: ^uint64(0)}
-}
+func NewFlat() *Flat { return new(Flat) }
 
-func (f *Flat) page(addr uint64) *[pageWords]uint32 {
-	tag := addr / pageBytes
-	if tag == f.lastTag {
-		return f.lastPage
+// makeWritable is the stores' path past their lookup cache: it creates the
+// page, or replaces a shared page with a private copy, and points both
+// caches at the result — a load that follows must not read the shared page
+// the copy was made from.
+func (f *Flat) makeWritable(key uint64) *page {
+	e, ok := f.pages[key]
+	if !ok || e.shared {
+		p := new(page)
+		if ok {
+			*p = *e.p
+		} else if f.pages == nil {
+			f.pages = make(map[uint64]pageRef)
+		}
+		e = pageRef{p: p}
+		f.pages[key] = e
 	}
-	p, ok := f.pages[tag]
-	if !ok {
-		p = new([pageWords]uint32)
-		f.pages[tag] = p
-	}
-	f.lastTag, f.lastPage = tag, p
-	return p
+	f.lastKey, f.last = key, e.p
+	f.ownKey, f.own = key, e.p
+	return e.p
 }
 
 // Load4 reads the 32-bit word at addr (addr is truncated to word align).
 // A load never materialises a page: an untouched address reads zero and
-// leaves the memory — its page set and the lookup cache — as it was, so a
-// stray index or a dry run costs no 64 KB page that every later Clone and
-// Equal would then carry.
+// leaves the memory — its page set and the lookup caches — as it was, so a
+// stray index or a dry run costs no 64 KB page that every later Equal would
+// then carry. Nor does a load copy a shared page.
 func (f *Flat) Load4(addr uint64) uint32 {
-	tag := addr / pageBytes
-	if tag == f.lastTag {
-		return f.lastPage[addr%pageBytes/4]
+	key := pageKey(addr)
+	if key == f.lastKey {
+		return f.last[addr%pageBytes/4]
 	}
-	p, ok := f.pages[tag]
+	e, ok := f.pages[key]
 	if !ok {
 		return 0
 	}
-	f.lastTag, f.lastPage = tag, p
-	return p[addr%pageBytes/4]
+	f.lastKey, f.last = key, e.p
+	return e.p[addr%pageBytes/4]
 }
 
-// Store4 writes the 32-bit word at addr.
+// Store4 writes the 32-bit word at addr: one tag compare when the previous
+// store hit the same page.
 func (f *Flat) Store4(addr uint64, v uint32) {
-	f.page(addr)[addr%pageBytes/4] = v
+	p := f.own
+	if key := pageKey(addr); key != f.ownKey {
+		p = f.makeWritable(key)
+	}
+	p[addr%pageBytes/4] = v
 }
 
 // AtomicAdd4 adds v to the word at addr and returns the previous value.
 // (The simulator is single-threaded; atomicity here means read-modify-write
 // as one operation in simulation order.)
 func (f *Flat) AtomicAdd4(addr uint64, v uint32) uint32 {
-	p := f.page(addr)
+	p := f.own
+	if key := pageKey(addr); key != f.ownKey {
+		p = f.makeWritable(key)
+	}
 	i := addr % pageBytes / 4
 	old := p[i]
 	p[i] = old + v
 	return old
 }
 
-// Clone returns a deep copy of the memory (page-granular memcpy).
+// Seal marks every page shared, so that the next store to any of them copies
+// it; the contents do not change. Seal, Clone and Equal only read a memory
+// that is already sealed, which is what lets goroutines clone one pristine
+// image without a lock. The first store unseals it.
+func (f *Flat) Seal() {
+	for key, e := range f.pages {
+		if !e.shared {
+			e.shared = true
+			f.pages[key] = e
+		}
+	}
+	if f.ownKey != 0 { // tested first: sealing a sealed memory must not write it
+		f.ownKey, f.own = 0, nil
+	}
+}
+
+// Clone returns a memory with the same contents that shares every page with
+// f: it copies the page table, not the pages, and leaves both memories
+// sealed. Either side pays for a page — one 64 KB copy — the first time it
+// stores to it, and the other side never sees that store.
 func (f *Flat) Clone() *Flat {
-	c := NewFlat()
-	for tag, p := range f.pages {
-		np := new([pageWords]uint32)
-		*np = *p
-		c.pages[tag] = np
+	f.Seal()
+	c := &Flat{pages: make(map[uint64]pageRef, len(f.pages))}
+	for key, e := range f.pages {
+		c.pages[key] = e
 	}
 	return c
 }
@@ -94,9 +153,9 @@ func (f *Flat) Clone() *Flat {
 // images between the functional and timing runs.
 func (f *Flat) Snapshot() map[uint64]uint32 {
 	out := make(map[uint64]uint32)
-	for tag, p := range f.pages {
-		base := tag * pageBytes
-		for i, v := range p {
+	for key, e := range f.pages {
+		base := pageBase(key)
+		for i, v := range e.p {
 			if v != 0 {
 				out[base+uint64(i*4)] = v
 			}
@@ -106,30 +165,39 @@ func (f *Flat) Snapshot() map[uint64]uint32 {
 }
 
 // Equal reports whether two memories hold identical contents, returning the
-// first differing address when not. Pages are compared directly; a page
+// first differing address when not. Each page the two have in common is
+// compared once — a page they share is equal by construction — and a page
 // missing on one side must be all zero on the other.
 func Equal(a, b *Flat) (bool, uint64) {
-	if ok, addr := pagesSubset(a, b); !ok {
-		return false, addr
-	}
-	return pagesSubset(b, a)
-}
-
-var zeroPage [pageWords]uint32
-
-func pagesSubset(a, b *Flat) (bool, uint64) {
-	for tag, pa := range a.pages {
-		pb, ok := b.pages[tag]
-		if !ok {
-			pb = &zeroPage
+	for key, ea := range a.pages {
+		pb := &zeroPage
+		if eb, ok := b.pages[key]; ok {
+			pb = eb.p
 		}
-		if *pa == *pb {
+		if ok, addr := pageEqual(key, ea.p, pb); !ok {
+			return false, addr
+		}
+	}
+	for key, eb := range b.pages {
+		if _, ok := a.pages[key]; ok {
 			continue
 		}
-		for i := range pa {
-			if pa[i] != pb[i] {
-				return false, tag*pageBytes + uint64(i*4)
-			}
+		if ok, addr := pageEqual(key, eb.p, &zeroPage); !ok {
+			return false, addr
+		}
+	}
+	return true, 0
+}
+
+var zeroPage page
+
+func pageEqual(key uint64, pa, pb *page) (bool, uint64) {
+	if pa == pb || *pa == *pb {
+		return true, 0
+	}
+	for i := range pa {
+		if pa[i] != pb[i] {
+			return false, pageBase(key) + uint64(i*4)
 		}
 	}
 	return true, 0

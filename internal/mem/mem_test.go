@@ -57,3 +57,16 @@ func TestLoadDoesNotMaterialisePages(t *testing.T) {
 		t.Errorf("store after a stray load read back %d, want 99", got)
 	}
 }
+
+// TestZeroValueIsEmptyMemory: the Flat doc says so. Address 16 is in page 0,
+// whose tag a zeroed lookup cache once matched.
+func TestZeroValueIsEmptyMemory(t *testing.T) {
+	var f Flat
+	if v := f.Load4(16); v != 0 {
+		t.Fatalf("zero Flat reads %#x, want 0", v)
+	}
+	f.Store4(16, 7)
+	if v := f.Load4(16); v != 7 {
+		t.Fatalf("zero Flat reads %d after Store4(16, 7)", v)
+	}
+}

@@ -10,8 +10,11 @@ import (
 // TestSteadyStateAllocBudget keeps the timing model's host allocation under
 // committed ceilings, so a regression fails `go test` and not only the
 // benchmark's host_alloc_b_per_winstr. One cell that offloads everything
-// (stack SMs, offload jobs, cross-stack flights) and one baseline cell (L2
-// misses over the GPU links): heap bytes and objects allocated by New+Run,
+// (stack SMs, offload jobs, cross-stack flights), one baseline cell that
+// stores to every page of its image (L2 misses over the GPU links) and one
+// that stores to one page of 45, the read-mostly shape copy-on-write images
+// are for: heap bytes and objects allocated by Clone+New+Run — what a session
+// pays per cell, the run's private copies of the pages it writes included —
 // per simulated warp-instruction. The counts repeat from run to run to three
 // digits; the ceilings are about 1.5x what the cells allocate.
 func TestSteadyStateAllocBudget(t *testing.T) {
@@ -24,8 +27,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		maxBytes   float64 // per warp-instruction
 		maxMallocs float64
 	}{
-		{"BFS", "noctrl-bmap", noctrlBmap, 145, 0.50},
-		{"FWT", "baseline", BaselineConfig(), 22, 0.12},
+		{"BFS", "noctrl-bmap", noctrlBmap, 147, 0.50},
+		{"FWT", "baseline", BaselineConfig(), 26, 0.12},
+		{"SP", "baseline", BaselineConfig(), 17, 0.07}, // 36.6 B with a deep-copying Clone
 	} {
 		w, err := workloads.ByAbbr(tc.abbr)
 		if err != nil {
@@ -39,8 +43,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		sys := New(tc.cfg, inst.Mem, inst.Alloc)
-		err = sys.Run(inst.Launches)
+		run := inst.Clone()
+		sys := New(tc.cfg, run.Mem, run.Alloc)
+		err = sys.Run(run.Launches)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", tc.abbr, tc.name, err)

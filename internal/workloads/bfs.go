@@ -146,5 +146,5 @@ func buildBFS(vertices, degree, levels int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

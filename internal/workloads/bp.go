@@ -128,5 +128,5 @@ func buildBP(outUnits, inUnits int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -111,5 +111,5 @@ func buildCFD(cells, width int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

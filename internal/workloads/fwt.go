@@ -107,5 +107,5 @@ func buildFWT(n, stages int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -87,5 +87,5 @@ func buildHW(pixels, taps int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -109,5 +109,5 @@ func buildKM(points, dims, clusters int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -96,5 +96,5 @@ func buildLIB(paths, nmat, nTotal int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -119,5 +119,5 @@ func buildRAY(pixels, spheres, texWords int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -135,5 +135,5 @@ func buildRD(threads, iters int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

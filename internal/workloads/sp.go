@@ -84,5 +84,5 @@ func buildSP(threads, chunk int) (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return inst.sealed(), nil
 }

@@ -25,10 +25,22 @@ type Instance struct {
 	Check func(m *mem.Flat) error
 }
 
-// Clone duplicates the instance's initial state so multiple configurations
-// can run from identical inputs. It reads only what never changes after
-// Build — memory, range names and sizes, not the ranges' learning flags — so
-// callers may clone a shared pristine instance without a lock.
+// sealed ends every Build: it seals the image the builder has just filled, so
+// that the pristine instance holds no page of its own and Clone below only
+// reads it. (A memory that seals itself on its first Clone would be written
+// by whichever scheduler worker got there first, under the others' reads.)
+func (in *Instance) sealed() *Instance {
+	in.Mem.Seal()
+	return in
+}
+
+// Clone gives a run its own instance with identical inputs. The memory is
+// copy-on-write (mem.Flat.Clone): the clone shares every page of the image
+// and pays for the pages the run stores to, not for the ones it was given.
+// Clone reads only what never changes after Build — the sealed image, range
+// names and sizes, not the ranges' learning flags — so callers may clone a
+// shared pristine instance from several goroutines without a lock, as long as
+// nothing stores to the pristine image itself.
 func (in *Instance) Clone() *Instance {
 	m := in.Mem.Clone()
 	at := mem.NewAllocTable()

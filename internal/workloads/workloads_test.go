@@ -1,10 +1,13 @@
 package workloads
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/exec"
+	"repro/internal/mem"
 )
 
 const testScale = 0.05
@@ -111,6 +114,86 @@ func TestCloneIsIndependent(t *testing.T) {
 		if r.CandidateTouched || r.OffloadMapped {
 			t.Errorf("original alloc table mutated: %+v", r)
 		}
+	}
+}
+
+// TestConcurrentCloneOfSharedInstance: goroutines clone one built instance
+// and run on their clones at once, as the session's scheduler workers do with
+// a pristine instance. Every run ends with the same image, and the pristine
+// image still equals a second build. Under the race detector (CI "Race" step)
+// this is also what holds every Build to returning its image sealed: a Clone
+// that had to seal the receiver would write it under the other clones' reads.
+func TestConcurrentCloneOfSharedInstance(t *testing.T) {
+	const runners = 4
+	for _, w := range All() {
+		inst, err := w.Build(0.03)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Abbr, err)
+		}
+		finals := make([]*mem.Flat, runners)
+		var wg sync.WaitGroup
+		for i := range finals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := inst.Clone()
+				if err := exec.RunFunctionalAll(c.Mem, c.Launches); err != nil {
+					t.Errorf("%s: runner %d: %v", w.Abbr, i, err)
+					return
+				}
+				finals[i] = c.Mem
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for i := 1; i < runners; i++ {
+			if ok, addr := mem.Equal(finals[0], finals[i]); !ok {
+				t.Errorf("%s: runners 0 and %d end with different images at %#x", w.Abbr, i, addr)
+			}
+		}
+		if err := inst.Check(finals[0]); err != nil {
+			t.Errorf("%s: %v", w.Abbr, err)
+		}
+		fresh, err := w.Build(0.03)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Abbr, err)
+		}
+		if ok, addr := mem.Equal(inst.Mem, fresh.Mem); !ok {
+			t.Errorf("%s: the pristine image changed at %#x under its clones' runs", w.Abbr, addr)
+		}
+		if ok, _ := mem.Equal(inst.Mem, finals[0]); ok {
+			t.Errorf("%s: the run left the image as it was; the test shows nothing", w.Abbr)
+		}
+	}
+}
+
+// TestCloneAllocatesNoPages: cloning a built instance allocates a page table
+// and an allocation table, not the image — under a twentieth of the bytes the
+// driver handed out for SP, which a deep copy allocates in full.
+func TestCloneAllocatesNoPages(t *testing.T) {
+	w, err := ByAbbr("SP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := w.Build(testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image uint64
+	for _, r := range inst.Alloc.Ranges {
+		image += r.Size
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := inst.Clone()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Clone of a %d-byte image allocated %d bytes", image, got)
+	if got*20 >= image {
+		t.Errorf("Clone allocated %d bytes for a %d-byte image, want under 5%%", got, image)
 	}
 }
 
