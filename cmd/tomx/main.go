@@ -22,6 +22,9 @@
 // digest and build fingerprint (see docs/RUNCACHE.md): a second identical
 // invocation replays every run from disk and prints byte-identical tables.
 //
+// An experiment's runs execute in parallel: without -q, the progress lines
+// on stderr arrive in completion order.
+//
 // -exp mapstore exercises the persistent mapping registry: with -cache, the
 // first invocation learns each workload's transparent mapping and seeds
 // -cache-dir/mappings/; a second invocation installs every stored bit

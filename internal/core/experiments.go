@@ -167,44 +167,54 @@ var experiments = []experiment{
 		build: areaRows},
 }
 
-// configs lists the distinct configurations the experiment's table reads,
-// in order of first use.
+// configs lists the distinct configurations the row groups read, in order of
+// first use. The build function's reads are not among them: mapstore runs
+// ctrl-tmap through WithStoredMapping, and a plain ctrl-tmap run ahead of it
+// would seed the mapping store it consults.
 func (e *experiment) configs() []ConfigName {
 	var out []ConfigName
+	for _, g := range e.groups {
+		out = append(out, g.base)
+		for _, lc := range g.cfgs {
+			out = append(out, lc.cfg)
+		}
+	}
+	return distinct(out)
+}
+
+func distinct(cfgs []ConfigName) []ConfigName {
+	var out []ConfigName
 	seen := map[ConfigName]bool{}
-	add := func(c ConfigName) {
+	for _, c := range cfgs {
 		if !seen[c] {
 			seen[c] = true
 			out = append(out, c)
 		}
 	}
-	for _, g := range e.groups {
-		add(g.base)
-		for _, lc := range g.cfgs {
-			add(lc.cfg)
+	return out
+}
+
+// pairsOf lists every workload under each configuration, configuration-major:
+// run in that order, a parallel sweep peaks lower than workload-major (tomx
+// -exp fig2 -scale 0.03 on 2 cores: about 22 MB resident against 26).
+func pairsOf(cfgs []ConfigName) []Pair {
+	var out []Pair
+	for _, cfg := range cfgs {
+		for _, abbr := range Abbrs() {
+			out = append(out, Pair{Abbr: abbr, Config: cfg})
 		}
-	}
-	for _, c := range e.reads {
-		add(c)
 	}
 	return out
 }
 
-// table builds the experiment's table from the runner's (memoized) runs.
-func (e *experiment) table(r *Runner) (*Table, error) {
+// table builds the experiment's table from res and its build function.
+func (e *experiment) table(r *Runner, res map[Pair]*RunResult) (*Table, error) {
 	t := &Table{ID: e.id, Title: e.title, Columns: workloadColumns(), Notes: append([]string{}, e.notes...)}
 	for _, g := range e.groups {
 		for _, lc := range g.cfgs {
 			vals := make([][]float64, len(g.metrics))
 			for _, abbr := range Abbrs() {
-				b, err := r.Run(abbr, g.base)
-				if err != nil {
-					return nil, err
-				}
-				c, err := r.Run(abbr, lc.cfg)
-				if err != nil {
-					return nil, err
-				}
+				b, c := res[Pair{abbr, g.base}], res[Pair{abbr, lc.cfg}]
 				for i, m := range g.metrics {
 					vals[i] = append(vals[i], m.of(c, b))
 				}
@@ -365,44 +375,41 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// Experiment runs a single experiment by ID (see ExperimentIDs).
+// Experiment runs a single experiment by ID (see ExperimentIDs): the runs its
+// row groups read execute in parallel, then the table is built from them.
 func (r *Runner) Experiment(id string) (*Table, error) {
 	e, err := experimentByID(id)
 	if err != nil {
 		return nil, err
 	}
-	return e.table(r)
+	res, err := r.runPairs(pairsOf(e.configs()))
+	if err != nil {
+		return nil, err
+	}
+	return e.table(r, res)
 }
 
 // ExperimentPairs lists the (workload, configuration) runs the tables read:
 // every workload under every configuration some experiment names, once each,
 // and nothing else.
 func ExperimentPairs() []Pair {
-	var pairs []Pair
-	seen := map[ConfigName]bool{}
+	var cfgs []ConfigName
 	for i := range experiments {
-		for _, cfg := range experiments[i].configs() {
-			if seen[cfg] {
-				continue
-			}
-			seen[cfg] = true
-			for _, abbr := range Abbrs() {
-				pairs = append(pairs, Pair{Abbr: abbr, Config: cfg})
-			}
-		}
+		cfgs = append(append(cfgs, experiments[i].configs()...), experiments[i].reads...)
 	}
-	return pairs
+	return pairsOf(distinct(cfgs))
 }
 
 // AllExperiments runs every reproduction and returns the tables in paper
 // order; ExperimentPairs execute in parallel first.
 func (r *Runner) AllExperiments() ([]*Table, error) {
-	if err := r.Warm(ExperimentPairs()); err != nil {
+	res, err := r.runPairs(ExperimentPairs())
+	if err != nil {
 		return nil, err
 	}
 	var out []*Table
 	for i := range experiments {
-		t, err := experiments[i].table(r)
+		t, err := experiments[i].table(r, res)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", experiments[i].id, err)
 		}
@@ -420,17 +427,11 @@ func TimelineConfigs(id string) ([]ConfigName, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgs := e.configs()
+	cfgs := append(e.configs(), e.reads...)
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("core: experiment %q has no timeline (no simulated configurations)", id)
 	}
-	out := []ConfigName{CfgBaseline}
-	for _, cfg := range cfgs {
-		if cfg != CfgBaseline {
-			out = append(out, cfg)
-		}
-	}
-	return out, nil
+	return distinct(append([]ConfigName{CfgBaseline}, cfgs...)), nil
 }
 
 // Timeline reruns an experiment's configurations (TimelineConfigs) with
@@ -451,14 +452,12 @@ func (r *Runner) Timeline(id string, interval int64, trace obs.EventSink, traceS
 		return nil, err
 	}
 	var specs []RunSpec
-	for _, cfg := range cfgs {
-		for _, abbr := range Abbrs() {
-			spec, err := r.Spec(abbr, cfg)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, spec)
+	for _, p := range pairsOf(cfgs) {
+		spec, err := r.Spec(p.Abbr, p.Config)
+		if err != nil {
+			return nil, err
 		}
+		specs = append(specs, spec)
 	}
 	snaps, err := r.WarmObserved(specs, ObsPolicy{
 		Registry:    obs.NewRegistry(),

@@ -37,7 +37,7 @@ func TestExperimentRegistry(t *testing.T) {
 				t.Errorf("%s: a row group without configurations or metrics", e.id)
 			}
 		}
-		for _, cfg := range e.configs() {
+		for _, cfg := range append(e.configs(), e.reads...) {
 			if _, err := buildConfig(cfg); err != nil {
 				t.Errorf("%s: %v", e.id, err)
 			}
@@ -49,6 +49,57 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("ExperimentPairs repeats %s", p.Key())
 		}
 		pairs[p] = true
+	}
+}
+
+// TestExperimentRunsItsPairsOnce: a single experiment simulates the cells its
+// row groups read, each once — fig2 is ten workloads under the baseline and
+// ideal — however many rows read each cell.
+func TestExperimentRunsItsPairsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates fig2 at scale 0.03")
+	}
+	e, err := experimentByID("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := pairsOf(e.configs())
+	if len(pairs) != 20 {
+		t.Errorf("fig2 reads %d pairs, want 20", len(pairs))
+	}
+	s := NewRunner(0.03)
+	if _, err := s.Experiment("fig2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CacheStats().Simulated; got != uint64(len(pairs)) {
+		t.Errorf("Experiment(fig2) simulated %d runs, want %d", got, len(pairs))
+	}
+}
+
+// TestMapstoreLearnsOnAFreshStore: mapstore's ctrl-tmap runs go through the
+// mapping store, so nothing may run plain ctrl-tmap ahead of them — that run
+// would learn and seed the store, and a cold session would then install
+// mappings instead of learning them.
+func TestMapstoreLearnsOnAFreshStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates mapstore at scale 0.03")
+	}
+	s := NewSession(Options{Scale: 0.03, CacheDir: t.TempDir()})
+	tab, err := s.Experiment("mapstore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := s.MappingStats(); ms.StoreHits != 0 {
+		t.Errorf("a fresh store reported %d hits: %+v", ms.StoreHits, ms)
+	}
+	stored := tab.Rows[len(tab.Rows)-1]
+	if stored.Label != "stored" {
+		t.Fatalf("last mapstore row is %q, want stored", stored.Label)
+	}
+	for i, v := range stored.Values {
+		if v != 0 {
+			t.Errorf("stored row, column %d = %v, want 0", i, v)
+		}
 	}
 }
 

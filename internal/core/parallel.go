@@ -60,22 +60,36 @@ func forEach(n int, key func(int) string, fn func(int) error) error {
 	var joined []error
 	for i, err := range NewScheduler(0).ForEach(context.Background(), n, fn) {
 		if err != nil {
-			joined = append(joined, fmt.Errorf("warm %s: %w", key(i), err))
+			joined = append(joined, fmt.Errorf("run %s: %w", key(i), err))
 		}
 	}
 	return errors.Join(joined...)
 }
 
-// Warm executes the given runs in parallel (bounded by GOMAXPROCS),
-// populating the memo (and, when enabled, the persistent cache) so
-// subsequent Run calls return instantly. Every failing (workload,
-// configuration) pair is reported: the returned error joins one wrapped
-// error per failure.
-func (s *Session) Warm(pairs []Pair) error {
-	return forEach(len(pairs), func(i int) string { return pairs[i].Key() }, func(i int) error {
-		_, err := s.Run(pairs[i].Abbr, pairs[i].Config)
+// runPairs executes the given runs in parallel (bounded by GOMAXPROCS) and
+// returns their results by pair. Every failing (workload, configuration)
+// pair is reported: the error joins one wrapped error per failure.
+func (s *Session) runPairs(pairs []Pair) (map[Pair]*RunResult, error) {
+	out := make([]*RunResult, len(pairs))
+	err := forEach(len(pairs), func(i int) string { return pairs[i].Key() }, func(i int) (err error) {
+		out[i], err = s.Run(pairs[i].Abbr, pairs[i].Config)
 		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	res := make(map[Pair]*RunResult, len(pairs))
+	for i, p := range pairs {
+		res[p] = out[i]
+	}
+	return res, nil
+}
+
+// Warm executes the given runs in parallel (failures reported as in
+// runPairs), so that later Run calls find them in the memo.
+func (s *Session) Warm(pairs []Pair) error {
+	_, err := s.runPairs(pairs)
+	return err
 }
 
 // ObsPolicy describes how a batch of observed runs shares one observability

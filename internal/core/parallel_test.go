@@ -27,11 +27,13 @@ func TestAllConfigNamesBuildAndAreUnique(t *testing.T) {
 }
 
 // TestWarmReportsEveryFailure: a multi-workload failure must surface every
-// failing (workload, config) pair, not just the first.
+// failing (workload, config) pair, not just the first, each labelled with
+// its key, and name no pair that ran.
 func TestWarmReportsEveryFailure(t *testing.T) {
-	r := NewRunner(0.05)
+	r := NewRunner(0.03)
 	pairs := []Pair{
 		{Abbr: "NOPE1", Config: CfgBaseline},
+		{Abbr: "SP", Config: CfgBaseline},
 		{Abbr: "NOPE2", Config: CfgBaseline},
 		{Abbr: "NOPE3", Config: "bogus-config"},
 	}
@@ -40,10 +42,13 @@ func TestWarmReportsEveryFailure(t *testing.T) {
 		t.Fatal("Warm with unknown workloads must fail")
 	}
 	msg := err.Error()
-	for _, want := range []string{"NOPE1", "NOPE2", "NOPE3", "bogus-config"} {
+	for _, want := range []string{"NOPE1/baseline:", "NOPE2/baseline:", "NOPE3/bogus-config:"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("aggregated error misses %q:\n%s", want, msg)
 		}
+	}
+	if strings.Contains(msg, "SP/") {
+		t.Errorf("aggregated error names a pair that ran:\n%s", msg)
 	}
 }
 

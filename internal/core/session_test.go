@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestRunSpecDigestStability: digests must be deterministic, distinguish
@@ -57,6 +60,51 @@ func TestRunSpecDigestStability(t *testing.T) {
 
 	if _, err := NewRunSpec("SP", 0.3, "bogus"); err == nil {
 		t.Error("unknown config must not produce a spec")
+	}
+	// Persisted records are keyed by this digest: it may not move without a
+	// cache schema bump.
+	if got, want := sp.Digest(), "1bdbe82da406fda7c3f3da889bad41082cd9b81bffd3036fe60c7389cb27e260"; got != want {
+		t.Errorf("SP/ctrl-tmap @ 0.3 digest = %s, want %s", got, want)
+	}
+}
+
+// fmtCanonical is the rendering sim.Config.Canonical has always produced,
+// "Name=%v;" per field through fmt: the oracle its faster form must match
+// byte for byte, or every persisted digest moves.
+func fmtCanonical(c sim.Config) string {
+	var sb strings.Builder
+	v := reflect.ValueOf(c)
+	typ := v.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		switch typ.Field(i).Type.Kind() {
+		case reflect.Pointer, reflect.Func, reflect.Interface, reflect.Chan:
+			continue
+		}
+		fmt.Fprintf(&sb, "%s=%v;", typ.Field(i).Name, v.Field(i).Interface())
+	}
+	return sb.String()
+}
+
+// TestCanonicalMatchesFmt: Canonical spells every registered configuration,
+// a policy override and awkward floats exactly as fmt's %v does.
+func TestCanonicalMatchesFmt(t *testing.T) {
+	var cfgs []sim.Config
+	for _, name := range AllConfigNames() {
+		c, err := buildConfig(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, c)
+	}
+	c := sim.DefaultConfig()
+	c.Policy = "coda"
+	c.ALUGate, c.GPUStackBW, c.PCIeBW = 0.75, 57.14, 1e21
+	c.MaxCycles = -1
+	cfgs = append(cfgs, c)
+	for _, c := range cfgs {
+		if got, want := c.Canonical(), fmtCanonical(c); got != want {
+			t.Errorf("Canonical() =\n%s\nwant\n%s", got, want)
+		}
 	}
 }
 

@@ -199,18 +199,13 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	}
 	cand := md.Candidates[0]
 	// A source warp positioned at the candidate entry supplies live-in
-	// registers and warp identity for the forged jobs.
+	// registers, active mask and warp identity for the forged jobs (and
+	// receives their live-outs).
 	w := exec.NewWarp(k, md.Info, exec.WarpInfo{
 		CtaID: 0, WarpInCTA: 0, NTid: 128, NCtaid: 64,
 	}, m, nil, env.launches[0].Params)
 	for w.PC() != cand.StartPC {
 		w.Step()
-	}
-	liveIn := make([][isa.WarpSize]uint64, k.NumRegs)
-	for r := 0; r < k.NumRegs; r++ {
-		if cand.LiveIn&(1<<r) != 0 {
-			liveIn[r] = w.Regs[r]
-		}
 	}
 	stackSM := sys.stacks[0].sms[0]
 	srcWarp := &smWarp{sm: stackSM, w: w, md: md}
@@ -222,7 +217,6 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		stackSM.spawnQ = append(stackSM.spawnQ, &offloadJob{
 			cand: cand, srcSM: stackSM, srcWarp: srcWarp, dest: 0,
-			mask: w.ActiveMask(), winfo: w.WInfo, liveIn: liveIn,
 			dirty: map[uint64]struct{}{},
 		})
 	}

@@ -10,22 +10,19 @@ import (
 )
 
 // offloadJob carries one offloaded candidate instance: the request the
-// Offload Controller packs (live-in registers, PCs, active mask — §4.2) and
-// the acknowledgment state (live-out registers, dirty-line list — §4.4.2).
-// liveIn and liveOut are indexed by register; only the entries the
-// candidate's LiveIn/LiveOut masks name are written and read. Jobs are
-// recycled (System.jobs) from buildJob to finishOffload, keeping the two
-// register buffers, the emptied dirty set and deliver.
+// Offload Controller packs (§4.2) and the acknowledgment state (dirty-line
+// list — §4.4.2). What the packets carry of the requesting warp — live-in
+// and live-out registers, active mask, warp identity — stays in that warp,
+// which waits in wsWaitOffload from launchOffload to finishOffload: spawn
+// reads it and sendOffloadAck writes the live-outs into it. Jobs are
+// recycled (System.jobs) from buildJob to finishOffload, keeping the emptied
+// dirty set and deliver.
 type offloadJob struct {
 	cand    *compiler.Candidate
 	srcSM   *SM
 	srcWarp *smWarp
 	dest    int
 	vault   int // destination vault for vault-granular policies, else -1
-	mask    uint32
-	winfo   exec.WarpInfo
-	liveIn  [][isa.WarpSize]uint64
-	liveOut [][isa.WarpSize]uint64
 	dirty   map[uint64]struct{}
 
 	// deliver is the link callback of both of the job's packets, bound to
@@ -43,15 +40,6 @@ func (job *offloadJob) delivered(now int64) {
 		return
 	}
 	sys.stacks[job.dest].spawnTarget().enqueueJob(job)
-}
-
-// regBuf returns buf resized to n registers, reallocating only to grow.
-// Contents are unspecified: callers write the entries they later read.
-func regBuf(buf [][isa.WarpSize]uint64, n int) [][isa.WarpSize]uint64 {
-	if cap(buf) < n {
-		return make([][isa.WarpSize]uint64, n)
-	}
-	return buf[:n]
 }
 
 // polEnv binds the simulator's state at one deciding cycle to the
@@ -205,25 +193,16 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 	return true
 }
 
-// buildJob packs one offload request: warp identity, active mask, and the
-// live-in register lanes (the request payload).
+// buildJob packs one offload request for the parked warp sw.
 func (sys *System) buildJob(sm *SM, sw *smWarp, cand *compiler.Candidate, dest, vault int) *offloadJob {
 	job := sys.jobs.get()
 	if job.deliver == nil {
 		job.deliver = job.delivered
 		job.dirty = make(map[uint64]struct{})
 	}
-	k := sw.w.Kernel
 	*job = offloadJob{
 		cand: cand, srcSM: sm, srcWarp: sw, dest: dest, vault: vault,
-		mask: sw.w.ActiveMask(), winfo: sw.w.WInfo,
-		liveIn: regBuf(job.liveIn, k.NumRegs), liveOut: regBuf(job.liveOut, k.NumRegs),
 		dirty: job.dirty, deliver: job.deliver,
-	}
-	for r := 0; r < k.NumRegs; r++ {
-		if cand.LiveIn&(1<<r) != 0 {
-			job.liveIn[r] = sw.w.Regs[r]
-		}
 	}
 	return job
 }
@@ -278,10 +257,10 @@ func (sm *SM) spawn(job *offloadJob, now int64) {
 		sm.l1.InvalidateAll()
 	}
 	cand := job.cand
-	md := job.srcWarp.md
+	md, src := job.srcWarp.md, job.srcWarp.w
 	w := sm.sys.warps.get()
-	w.ResetRegion(md.Kernel, md.Info, job.winfo, sm.sys.mem, job.mask,
-		cand.StartPC, cand.EndPC, cand.LiveIn, job.liveIn)
+	w.ResetRegion(md.Kernel, md.Info, src.WInfo, sm.sys.mem, src.ActiveMask(),
+		cand.StartPC, cand.EndPC, cand.LiveIn, src.Regs)
 	slot := sm.findFreeSlot()
 	sw := &smWarp{sm: sm, slot: slot, w: w, md: md, job: job}
 	sm.warps[slot] = sw
@@ -308,9 +287,10 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	}
 
 	cand := job.cand
-	for r := range job.liveOut {
+	regs := job.srcWarp.w.Regs
+	for r := range regs {
 		if cand.LiveOut&(1<<r) != 0 {
-			job.liveOut[r] = sw.w.Regs[r]
+			regs[r] = sw.w.Regs[r]
 		}
 	}
 	sys.warps.put(sw.w)
@@ -335,17 +315,12 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	sys.rxLinks[job.dest].Send(packetOf(ackBytes, job.deliver), now)
 }
 
-// finishOffload resumes the requesting warp: write live-outs, invalidate
-// the dirty lines in the requester's L1 and the shared L2 (§4.4.2 step 3),
-// and skip execution past the region.
+// finishOffload resumes the requesting warp: invalidate the dirty lines in
+// the requester's L1 and the shared L2 (§4.4.2 step 3), and skip execution
+// past the region.
 func (sys *System) finishOffload(job *offloadJob, now int64) {
 	sw := job.srcWarp
 	sm := job.srcSM
-	for r := range job.liveOut {
-		if job.cand.LiveOut&(1<<r) != 0 {
-			sw.w.Regs[r] = job.liveOut[r]
-		}
-	}
 	invalidateCost := int64(0)
 	if sys.cfg.Coherence && !sys.ptraits.ZeroCost {
 		for line := range job.dirty {

@@ -248,8 +248,9 @@ func eventLoopPinConfigs() []pinConfig {
 // the event-driven loop: over the Fig. 9 workload×config matrix and the
 // wake-set shapes, jumping idle cycles must produce byte-identical Stats to
 // ticking every cycle. It also pins what Stats cannot see: the wake sets
-// agree with the state they summarise after every executed cycle
-// (checkWakeSets), the event loop executes no more cycles than the
+// agree with the state they summarise and every in-flight offload job's
+// requester is parked after every executed cycle (checkWakeSets,
+// checkOffloadJobs), the event loop executes no more cycles than the
 // per-cycle loop, and on the Fig. 9 cells exactly as many as recorded — a
 // stale wake bit costs a no-op cycle and changes no statistic.
 func TestEventLoopMatchesPerCycleStats(t *testing.T) {
@@ -279,6 +280,9 @@ func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 					sys.SetPerCycleLoop(perCycle)
 					sys.wakeCheck = func() {
 						if err := checkWakeSets(sys); err != nil {
+							t.Fatalf("after cycle %d: %v", sys.now-1, err)
+						}
+						if err := checkOffloadJobs(sys); err != nil {
 							t.Fatalf("after cycle %d: %v", sys.now-1, err)
 						}
 					}

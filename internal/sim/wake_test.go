@@ -65,6 +65,61 @@ func checkWakeSets(sys *System) error {
 	return nil
 }
 
+// checkOffloadJobs: every offload job in flight has its requester parked in
+// wsWaitOffload — spawn reads the live-ins from the requester's registers and
+// the ack writes the live-outs into them, so a requester that ran meanwhile
+// would feed the stack warp wrong values or overwrite its own. Jobs on the
+// wheel, in spawn queues and served by stack warps are checked directly;
+// those riding a link are covered by a count: the pending-offload counters
+// equal the requesters in wsWaitOffload plus those still draining stores
+// ahead of their request. The count scans every main-SM warp, so it is taken
+// on one executed cycle in eight (every cycle it costs the test a third).
+func checkOffloadJobs(sys *System) error {
+	var bad *offloadJob
+	var where string
+	check := func(job *offloadJob, at string) {
+		if bad == nil && job != nil && job.srcWarp.state != wsWaitOffload {
+			bad, where = job, at
+		}
+	}
+	for _, n := range sys.wheel.nodes {
+		check(n.ev.job, "on the wheel") // nil for free nodes and other kinds
+	}
+	for _, fe := range sys.wheel.overflow {
+		check(fe.ev.job, "on the wheel")
+	}
+	count := sys.executed%8 == 0
+	waiting, pending := 0, 0
+	for _, sm := range sys.all {
+		if !sm.isStack && !count {
+			continue
+		}
+		for _, job := range sm.spawnQ {
+			check(job, "in a spawn queue")
+		}
+		for _, sw := range sm.warps {
+			switch {
+			case sw == nil:
+			case sw.job != nil:
+				check(sw.job, "on a stack warp")
+			case sw.state == wsWaitOffload || sw.drainCand != nil:
+				waiting++
+			}
+		}
+	}
+	if bad != nil {
+		return fmt.Errorf("job %s: its requester on SM %d is in state %d, want wsWaitOffload",
+			where, bad.srcSM.id, bad.srcWarp.state)
+	}
+	for _, n := range sys.pendingOffloads {
+		pending += n
+	}
+	if count && pending != waiting {
+		return fmt.Errorf("%d offloads pending, %d requesters waiting for them", pending, waiting)
+	}
+	return nil
+}
+
 // TestWakeSetNext: next walks members in ascending order inside [from, to)
 // across word boundaries, and reads the live words — a member added ahead
 // of the walk is visited, one behind it is not.
