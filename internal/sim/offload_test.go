@@ -83,30 +83,23 @@ func TestPendingCapRespectedUnderControl(t *testing.T) {
 	env := shortLoopEnv(t, 64)
 	cfg := DefaultConfig()
 	cfg.Mapping = MapBaseline
-	cfg.MaxCycles = 50_000_000
-
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
-	sys := New(cfg, m, alloc)
+	sys := newSim(cfg, env)
 	cap := cfg.StackSMs * cfg.StackWarps()
 	maxSeen := 0
-	err := sys.RunWithTrace(env.launches, func(now int64) {
+	sys.afterCycle = func(cycle int64) {
 		for _, p := range sys.pendingOffloads {
 			if p > maxSeen {
 				maxSeen = p
 			}
 			if p > cap {
-				t.Fatalf("pending offloads %d exceeds capacity %d at cycle %d", p, cap, now)
+				t.Fatalf("pending offloads %d exceeds capacity %d after cycle %d", p, cap, cycle)
 			}
 			if p < 0 {
-				t.Fatalf("pending offloads negative at cycle %d", now)
+				t.Fatalf("pending offloads negative after cycle %d", cycle)
 			}
 		}
-	})
-	if err != nil {
+	}
+	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}
 	if maxSeen == 0 {

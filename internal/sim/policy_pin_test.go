@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/workloads"
@@ -95,17 +94,7 @@ func TestTomPolicyPinsFig9Golden(t *testing.T) {
 	}
 
 	if update {
-		if err := os.MkdirAll(filepath.Dir(fig9GoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.MarshalIndent(fresh, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fig9GoldenPath, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d cells)", fig9GoldenPath, len(fresh))
+		writeGolden(t, fig9GoldenPath, fresh)
 		return
 	}
 
@@ -148,6 +137,20 @@ func TestTomPolicyPinsFig9Golden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writeGolden replaces the golden at path with cells as JSON with sorted
+// keys and a two-space indent (the GOLDEN_UPDATE=1 path of the pin tests).
+func writeGolden[V any](t *testing.T, path string, cells map[string]V) {
+	t.Helper()
+	out, err := json.MarshalIndent(cells, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s (%d cells)", path, len(cells))
 }
 
 func compactJSON(t *testing.T, raw json.RawMessage) []byte {

@@ -69,28 +69,21 @@ func TestMPUVaultAccountingDrains(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mapping = MapBaseline
 	cfg.Policy = "mpu"
-	cfg.MaxCycles = 50_000_000
-
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
-	sys := New(cfg, m, alloc)
+	sys := newSim(cfg, env)
 	maxSeen := 0
-	err := sys.RunWithTrace(env.launches, func(now int64) {
+	sys.afterCycle = func(cycle int64) {
 		for s := range sys.pendingVault {
 			for v, p := range sys.pendingVault[s] {
 				if p < 0 {
-					t.Fatalf("pendingVault[%d][%d] negative at cycle %d", s, v, now)
+					t.Fatalf("pendingVault[%d][%d] negative after cycle %d", s, v, cycle)
 				}
 				if p > maxSeen {
 					maxSeen = p
 				}
 			}
 		}
-	})
-	if err != nil {
+	}
+	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.Stats()

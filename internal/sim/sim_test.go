@@ -70,17 +70,18 @@ func refMem(t testing.TB, env *workloadEnv) *mem.Flat {
 	return m
 }
 
-func runSim(t testing.TB, cfg Config, env *workloadEnv) *System {
-	t.Helper()
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
+// newSim builds a system over a fresh copy of env's memory and allocation
+// table, with a MaxCycles guard unless cfg sets one.
+func newSim(cfg Config, env *workloadEnv) *System {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 50_000_000
 	}
-	sys := New(cfg, m, alloc)
+	return New(cfg, env.mem.Clone(), cloneEnvAlloc(env))
+}
+
+func runSim(t testing.TB, cfg Config, env *workloadEnv) *System {
+	t.Helper()
+	sys := newSim(cfg, env)
 	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,6 @@ type System struct {
 	runnable wakeSet
 	ringSMs  wakeSet
 	ringOcc  uint64
-	// wakeCheck, when non-nil, runs after every executed event-mode cycle
-	// (tests: the sets' consistency with the state they summarise).
-	wakeCheck func()
 
 	pendingOffloads []int
 	// pendingVault sub-divides pendingOffloads per destination vault for
@@ -85,12 +82,14 @@ type System struct {
 	learnDeadline int64
 
 	// perCycle forces the naive tick-every-cycle loop (diagnostics and the
-	// event-driven/per-cycle equivalence tests). A per-cycle trace hook
-	// implies it: the hook's contract is one call per simulated cycle.
+	// event-driven/per-cycle equivalence tests).
 	perCycle bool
+	// afterCycle, when non-nil, runs at the end of every executed cycle in
+	// either loop mode, with that cycle's number (tests: invariants over the
+	// state, which only executed cycles change).
+	afterCycle func(cycle int64)
 
 	mdCache map[*isa.Kernel]*compiler.Metadata
-	trace   func(now int64)
 
 	// ob is non-nil iff cfg.Observer is set (see observe.go).
 	ob *obsState
@@ -406,12 +405,6 @@ func (sys *System) activeCTAs() int {
 // Run executes the launches in order and finalizes stats. The same System
 // must not be reused across Run calls.
 func (sys *System) Run(launches []exec.Launch) error {
-	return sys.RunWithTrace(launches, nil)
-}
-
-// RunWithTrace is Run with a per-cycle observation hook (diagnostics).
-func (sys *System) RunWithTrace(launches []exec.Launch, trace func(now int64)) error {
-	sys.trace = trace
 	// Estimate the learning goal: LearnFrac of expected candidate
 	// instances across the run (§3.2.2 observes ~0.1%).
 	if sys.learning {
@@ -460,7 +453,8 @@ func (sys *System) RunWithTrace(launches []exec.Launch, trace func(now int64)) e
 
 // SetPerCycleLoop selects the naive tick-every-cycle loop instead of the
 // event-driven one. Both produce identical Stats (tested); the per-cycle
-// loop exists for diagnostics and as the equivalence baseline.
+// loop is the equivalence baseline. It is exported only because the
+// benchmark (bench/simseg.go) times that loop for sim.percycle_ratio.
 func (sys *System) SetPerCycleLoop(v bool) { sys.perCycle = v }
 
 func (sys *System) runLaunch(l exec.Launch) error {
@@ -472,7 +466,7 @@ func (sys *System) runLaunch(l exec.Launch) error {
 		return err
 	}
 	lc := &launchCtx{l: l, md: md, totalCTAs: l.Grid}
-	perCycle := sys.perCycle || sys.trace != nil
+	perCycle := sys.perCycle
 
 	for {
 		sys.stepCycle(lc, !perCycle)
@@ -508,9 +502,6 @@ func (sys *System) runLaunch(l exec.Launch) error {
 // test pins that both produce identical Stats.
 func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 	now := sys.now
-	if sys.trace != nil {
-		sys.trace(now)
-	}
 	if ob := sys.ob; ob != nil && now >= ob.next {
 		ob.sample(sys, now)
 	}
@@ -568,8 +559,8 @@ func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 	}
 	sys.executed++
 	sys.now++
-	if elide && sys.wakeCheck != nil {
-		sys.wakeCheck()
+	if sys.afterCycle != nil {
+		sys.afterCycle(now)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	_ "embed"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -14,15 +15,7 @@ import (
 // runSimMode is runSim with an explicit loop-mode selector.
 func runSimMode(t testing.TB, cfg Config, env *workloadEnv, perCycle bool) *System {
 	t.Helper()
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 50_000_000
-	}
-	sys := New(cfg, m, alloc)
+	sys := newSim(cfg, env)
 	sys.SetPerCycleLoop(perCycle)
 	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
@@ -33,33 +26,25 @@ func runSimMode(t testing.TB, cfg Config, env *workloadEnv, perCycle bool) *Syst
 // TestExactQuiescence: the run must end on the first cycle after the last
 // component activity — the old amortized check (every 64 cycles) overshot
 // the true drain cycle by up to 63 cycles, inflating every reported cycle
-// count. The per-cycle trace hook observes quiescence at the start of every
-// executed cycle: after cycle 0 (dispatch has not happened yet at the very
-// first cycle's start) no executed cycle may begin quiescent.
+// count. The hook observes quiescence at the end of every executed cycle of
+// the event loop: only the last one may end quiescent.
 func TestExactQuiescence(t *testing.T) {
 	env := streamEnv(t, 8, 8)
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
-	cfg := BaselineConfig()
-	cfg.MaxCycles = 50_000_000
-	sys := New(cfg, m, alloc)
-	var quietStarts []int64
+	sys := newSim(BaselineConfig(), env)
+	var quietEnds []int64
 	var last int64
-	trace := func(now int64) {
-		last = now
-		if now > 0 && sys.quiet() {
-			quietStarts = append(quietStarts, now)
+	sys.afterCycle = func(cycle int64) {
+		last = cycle
+		if sys.quiet() {
+			quietEnds = append(quietEnds, cycle)
 		}
 	}
-	if err := sys.RunWithTrace(env.launches, trace); err != nil {
+	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}
-	if len(quietStarts) > 0 {
-		t.Errorf("executed %d cycles that began quiescent (first: %d) — drain is not exact",
-			len(quietStarts), quietStarts[0])
+	if len(quietEnds) != 1 || quietEnds[0] != last {
+		t.Errorf("executed cycles that ended quiescent: %v, want only the last (%d) — drain is not exact",
+			quietEnds, last)
 	}
 	if got := sys.Stats().Cycles; got != last+1 {
 		t.Errorf("Cycles = %d, want %d (last executed cycle %d + 1)", got, last+1, last)
@@ -89,14 +74,9 @@ func TestMaxCyclesBoundary(t *testing.T) {
 
 		// ...and MaxCycles = natural-2 must fail, with the error raised at
 		// exactly MaxCycles+1 in both modes (event jumps may not leap it).
-		m := env.mem.Clone()
-		alloc := mem.NewAllocTable()
-		for _, r := range env.alloc.Ranges {
-			alloc.Alloc(r.Name, r.Size)
-		}
 		cfg2 := BaselineConfig()
 		cfg2.MaxCycles = natural - 2
-		sys2 := New(cfg2, m, alloc)
+		sys2 := newSim(cfg2, env)
 		sys2.SetPerCycleLoop(perCycle)
 		err := sys2.Run(env.launches)
 		if err == nil {
@@ -116,36 +96,38 @@ func TestMaxCyclesBoundary(t *testing.T) {
 // in-flight traffic continues to drain. The freeze is exactly 1000 cycles.
 func TestFrozenWindowSemantics(t *testing.T) {
 	env := streamEnv(t, 24, 24)
-	m := env.mem.Clone()
-	alloc := mem.NewAllocTable()
-	for _, r := range env.alloc.Ranges {
-		alloc.Alloc(r.Name, r.Size)
-	}
-	cfg := DefaultConfig() // tmap + controlled offload: has a learning phase
-	cfg.MaxCycles = 50_000_000
-	sys := New(cfg, m, alloc)
+	sys := newSim(DefaultConfig(), env) // tmap + controlled offload: has a learning phase
 
 	type snap struct {
 		warpInstrs uint64
 		dramOps    uint64
 		pcieBytes  uint64
 	}
+	// samples holds the state each executed cycle started from: the state
+	// at the end of the executed cycle before it.
 	samples := map[int64]snap{}
-	trace := func(now int64) {
-		var dram uint64
+	var prev snap
+	sys.afterCycle = func(cycle int64) {
+		samples[cycle] = prev
+		prev = snap{warpInstrs: sys.stats.WarpInstrs,
+			pcieBytes: sys.pcieTX.BytesSent + sys.pcieRX.BytesSent}
 		for _, st := range sys.stacks {
 			for _, v := range st.vaults {
-				dram += v.Reads + v.Writes
+				prev.dramOps += v.Reads + v.Writes
 			}
 		}
-		samples[now] = snap{
-			warpInstrs: sys.stats.WarpInstrs,
-			dramOps:    dram,
-			pcieBytes:  sys.pcieTX.BytesSent + sys.pcieRX.BytesSent,
-		}
 	}
-	if err := sys.RunWithTrace(env.launches, trace); err != nil {
+	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
+	}
+	// A cycle the event loop skipped has no sample; reading it as a zero
+	// snap would let every equality below pass vacuously.
+	at := func(cycle int64) snap {
+		s, ok := samples[cycle]
+		if !ok {
+			t.Fatalf("cycle %d was not executed, so there is no sample of its start", cycle)
+		}
+		return s
 	}
 	st := sys.Stats()
 	if st.LearnCycles == 0 {
@@ -158,8 +140,7 @@ func TestFrozenWindowSemantics(t *testing.T) {
 	// endLearning may fire mid-cycle (the instance goal is hit inside an
 	// SM tick), so cycle fz itself can still execute a few instructions on
 	// SMs later in the fan-out; cycles fz+1..fz+999 are fully frozen.
-	// Samples are taken at cycle start.
-	start, end := samples[fz+1], samples[fz+1000]
+	start, end := at(fz+1), at(fz+1000)
 	if start.warpInstrs != end.warpInstrs {
 		t.Errorf("SMs executed %d instructions during the freeze window",
 			end.warpInstrs-start.warpInstrs)
@@ -195,9 +176,12 @@ func TestWheelOverflowDelayInSystem(t *testing.T) {
 	}
 }
 
+const fig9TickedPath = "testdata/fig9_ticked.json"
+
 // fig9Ticked is the event loop's executed-cycle count of each Fig. 9 cell at
-// scale 0.03, as the committed BENCH_<date>.json records it (cycles_ticked;
-// sum 1,190,591 of 1,366,671 simulated).
+// scale 0.03 (sum 1,190,591 of 1,366,671 simulated). Regenerate with:
+//
+//	GOLDEN_UPDATE=1 go test ./internal/sim -run TestEventLoopMatchesPerCycleStats
 //
 //go:embed testdata/fig9_ticked.json
 var fig9Ticked []byte
@@ -249,24 +233,28 @@ func eventLoopPinConfigs() []pinConfig {
 // wake-set shapes, jumping idle cycles must produce byte-identical Stats to
 // ticking every cycle. It also pins what Stats cannot see: the wake sets
 // agree with the state they summarise and every in-flight offload job's
-// requester is parked after every executed cycle (checkWakeSets,
-// checkOffloadJobs), the event loop executes no more cycles than the
-// per-cycle loop, and on the Fig. 9 cells exactly as many as recorded — a
-// stale wake bit costs a no-op cycle and changes no statistic.
+// requester is parked after every executed event-loop cycle (checkWakeSets,
+// checkOffloadJobs; the per-cycle loop keeps no wake sets), the event loop
+// executes no more cycles than the per-cycle loop, and on the Fig. 9 cells
+// exactly as many as fig9_ticked.json records — a stale wake bit costs a
+// no-op cycle and changes no statistic.
 func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-system simulations")
 	}
+	update := os.Getenv("GOLDEN_UPDATE") != ""
 	var ticked map[string]int64
 	if err := json.Unmarshal(fig9Ticked, &ticked); err != nil {
 		t.Fatal(err)
 	}
+	fresh := map[string]int64{}
+	nFig9 := len(fig9PinConfigs()) // eventLoopPinConfigs starts with them
 	for _, w := range workloads.All() {
 		inst, err := w.Build(0.03)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Abbr, err)
 		}
-		for _, c := range eventLoopPinConfigs() {
+		for j, c := range eventLoopPinConfigs() {
 			cell := fmt.Sprintf("%s/%s", w.Abbr, c.name)
 			t.Run(cell, func(t *testing.T) {
 				var stats [2]*Stats
@@ -278,12 +266,14 @@ func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 					cfg.MaxCycles = 100_000_000
 					sys := New(cfg, run.Mem, run.Alloc)
 					sys.SetPerCycleLoop(perCycle)
-					sys.wakeCheck = func() {
-						if err := checkWakeSets(sys); err != nil {
-							t.Fatalf("after cycle %d: %v", sys.now-1, err)
-						}
-						if err := checkOffloadJobs(sys); err != nil {
-							t.Fatalf("after cycle %d: %v", sys.now-1, err)
+					if !perCycle {
+						sys.afterCycle = func(cycle int64) {
+							if err := checkWakeSets(sys); err != nil {
+								t.Fatalf("after cycle %d: %v", cycle, err)
+							}
+							if err := checkOffloadJobs(sys); err != nil {
+								t.Fatalf("after cycle %d: %v", cycle, err)
+							}
 						}
 					}
 					if err := sys.Run(run.Launches); err != nil {
@@ -301,10 +291,17 @@ func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 				if executed[0] > executed[1] {
 					t.Errorf("event loop executed %d cycles, per-cycle loop %d", executed[0], executed[1])
 				}
-				if want, ok := ticked[cell]; ok && executed[0] != want {
+				if j >= nFig9 {
+					return
+				}
+				fresh[cell] = executed[0]
+				if want := ticked[cell]; !update && executed[0] != want {
 					t.Errorf("event loop executed %d cycles, recorded %d", executed[0], want)
 				}
 			})
 		}
+	}
+	if update && !t.Failed() {
+		writeGolden(t, fig9TickedPath, fresh)
 	}
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/mem"
 )
 
-// checkWakeSets compares every wake set with the state it summarises (the
-// System.wakeCheck hook runs it after each executed event-mode cycle):
+// checkWakeSets compares every wake set with the state it summarises
+// (TestEventLoopMatchesPerCycleStats runs it from the System.afterCycle hook
+// after each executed event-loop cycle):
 // an SM is in the runnable set iff its tick would do work, row i of ringSMs
 // holds exactly the SMs with events in ring slot i and ringOcc exactly the
 // non-empty rows, a stack's busy set covers its active vaults, a bank is in
