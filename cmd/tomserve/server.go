@@ -336,14 +336,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace re-executes a previously-submitted run under observation and
-// streams its lifecycle trace as it is produced. Observation requires an
-// actual execution (only an execution yields events), so this endpoint
-// always simulates — it admits through the same queue as batches and runs as
-// one item of the same scheduler, so traces count against the simulation
-// bound. The sink chain is Label → Sampling → AutoFlush → encoder; the
-// AutoFlush layer bounds the client's lag behind the simulation, and the
-// sampling sink's trace_sampled conservation summaries arrive at the end of
-// the stream whether the run succeeds or fails.
+// streams its binary lifecycle trace (decode with cmd/tomtrace) as it is
+// produced. Observation requires an actual execution (only an execution
+// yields events), so this endpoint always simulates — it admits through the
+// same queue as batches and runs as one item of the same scheduler, so
+// traces count against the simulation bound. The sink chain is Label →
+// Sampling → AutoFlush → encoder; the AutoFlush layer bounds the client's
+// lag behind the simulation, and the sampling sink's trace_sampled
+// conservation summaries arrive at the end of the stream whether the run
+// succeeds or fails.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Admission comes first: under saturation even lookup traffic bounces,
 	// keeping the 429 the one overload signal.
@@ -359,13 +360,9 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown run digest (submit it via POST /v1/runs first)", http.StatusNotFound)
 		return
 	}
-	format, err := obs.ParseFormat(defaultStr(r.URL.Query().Get("format"), "binary"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	sample := 1
 	if q := r.URL.Query().Get("sample"); q != "" {
+		var err error
 		if sample, err = strconv.Atoi(q); err != nil || sample < 1 {
 			http.Error(w, "bad sample (want a positive integer)", http.StatusBadRequest)
 			return
@@ -373,15 +370,11 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Counter("http.traces").Inc()
 
-	if format == obs.FormatBinary {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/octet-stream")
 	fw := &flushWriter{w: w}
 	policy := core.ObsPolicy{
 		Registry:    obs.NewRegistry(),
-		Trace:       obs.NewAutoFlushSink(obs.NewSink(fw, format), s.opts.flushEvery),
+		Trace:       obs.NewAutoFlushSink(obs.NewBinarySink(fw), s.opts.flushEvery),
 		TraceSample: sample,
 	}
 	o, _ := policy.ObserverFor(ent.spec.Key())
@@ -442,13 +435,6 @@ func (f *flushWriter) Write(p []byte) (int, error) {
 		fl.Flush()
 	}
 	return n, err
-}
-
-func defaultStr(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 // fill completes a run's slot from its result and the layer that held it.

@@ -270,7 +270,7 @@ func TestServerTraceStream(t *testing.T) {
 	}
 	digest := out.Results[0].Digest
 
-	for _, q := range []string{"", "?format=jsonl", "?format=binary&sample=8"} {
+	for _, q := range []string{"", "?sample=8"} {
 		resp, err := http.Get(ts.URL + "/v1/runs/" + digest + "/trace" + q)
 		if err != nil {
 			t.Fatal(err)
@@ -283,7 +283,10 @@ func TestServerTraceStream(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("trace%s: HTTP %d", q, resp.StatusCode)
 		}
-		rd, err := obs.NewReader(bytes.NewReader(raw))
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("trace%s: Content-Type %q, want application/octet-stream", q, ct)
+		}
+		rd, err := obs.NewBinaryReader(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("trace%s: %v", q, err)
 		}
@@ -314,7 +317,6 @@ func TestServerTraceStream(t *testing.T) {
 
 	for path, want := range map[string]int{
 		"/v1/runs/0000dead/trace":                http.StatusNotFound,
-		"/v1/runs/" + digest + "/trace?format=x": http.StatusBadRequest,
 		"/v1/runs/" + digest + "/trace?sample=0": http.StatusBadRequest,
 	} {
 		resp, err := http.Get(ts.URL + path)
@@ -546,7 +548,7 @@ func TestServerTraceHoldsASlot(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := http.Get(ts.URL + "/v1/runs/" + out.Results[0].Digest + "/trace?format=jsonl")
+		resp, err := http.Get(ts.URL + "/v1/runs/" + out.Results[0].Digest + "/trace")
 		close(started)
 		if getErr = err; err != nil {
 			return
@@ -567,7 +569,7 @@ func TestServerTraceHoldsASlot(t *testing.T) {
 
 	release()
 	<-done
-	if getErr != nil || status != http.StatusOK || !bytes.Contains(raw, []byte(`"run":"LIB/ctrl-bmap"`)) {
+	if getErr != nil || status != http.StatusOK || !bytes.Contains(raw, []byte("LIB/ctrl-bmap")) {
 		t.Fatalf("trace after the slot was released: HTTP %d, %d bytes, %v", status, len(raw), getErr)
 	}
 	if got := counters(t, ts.URL)["sched.slot_wait_us"]; got < uint64(held.Microseconds()) {

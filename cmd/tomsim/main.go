@@ -4,16 +4,14 @@
 //	tomsim -workload LIB -config ctrl-tmap -scale 1.0
 //	tomsim -workload LIB -policy coda                 # override the offload policy
 //	tomsim -workload LIB -cache                       # replay from .tomcache/
-//	tomsim -workload LIB -trace out.jsonl -metrics out.json
-//	tomsim -workload LIB -trace out.trace -trace-format binary
-//	tomsim -workload LIB -trace out.jsonl -trace-sample 64
+//	tomsim -workload LIB -trace out.trace -metrics out.json
+//	tomsim -workload LIB -trace out.trace -trace-sample 64
 //	tomsim -workload LIB -cache -mapping-store        # install a stored data mapping
 //	tomsim -list
 //
-// -trace streams the offload lifecycle (candidate → gate/send → spawn →
-// ack → finish); -trace-format selects JSON lines (the default) or the
-// compact binary encoding — decode, filter, or convert the latter with
-// cmd/tomtrace. -trace-sample N keeps one event in N per kind, bounding
+// -trace writes the offload lifecycle (candidate → gate/send → spawn → ack
+// → finish) to a file in the compact binary encoding; decode and filter it
+// with cmd/tomtrace. -trace-sample N keeps one event in N per kind, bounding
 // trace volume on full-scale runs (the trace then ends with per-kind
 // trace_sampled summaries of what was thinned). -metrics writes the
 // end-of-run registry snapshot — per-interval off-chip traffic, per-stack
@@ -58,8 +56,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "problem-size scale factor")
 	compare := flag.Bool("compare", true, "also run the baseline and report speedup")
 	list := flag.Bool("list", false, "list workloads and configurations")
-	tracePath := flag.String("trace", "", "write offload-lifecycle events to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or binary")
+	tracePath := flag.String("trace", "", "write offload-lifecycle events to this file (binary; decode with tomtrace)")
 	traceSample := flag.Int("trace-sample", 1, "keep one trace event in N per event kind (1 = keep all)")
 	metricsPath := flag.String("metrics", "", "write the metrics snapshot to this JSON file")
 	interval := flag.Int64("interval", 0, "metrics sampling interval in cycles (0 = default)")
@@ -71,6 +68,9 @@ func main() {
 
 	if *mapStore && !*cache {
 		fatal(fmt.Errorf("-mapping-store requires -cache (the registry lives under -cache-dir/mappings)"))
+	}
+	if *tracePath == "-" {
+		fatal(fmt.Errorf("-trace takes a file path, not -; decode the file with tomtrace"))
 	}
 
 	if *list {
@@ -112,16 +112,12 @@ func main() {
 		observer = obs.New()
 		observer.SampleEvery = *interval
 		if *tracePath != "" {
-			format, err := obs.ParseFormat(*traceFormat)
-			if err != nil {
-				fatal(err)
-			}
 			f, err := os.Create(*tracePath)
 			if err != nil {
 				fatal(err)
 			}
 			traceFile = f
-			sink := obs.NewSink(f, format)
+			sink := obs.NewBinarySink(f)
 			if *traceSample > 1 {
 				observer.Trace = obs.NewSamplingSink(sink, *traceSample)
 			} else {

@@ -1,21 +1,17 @@
-// Command tomtrace decodes, filters, and converts offload-lifecycle traces
-// between the two encodings tomsim and tomx emit: JSON lines and the
-// compact binary format (docs/OBSERVABILITY.md). The input encoding is
-// detected from the file's leading bytes, so existing JSONL analysis
-// scripts keep working against binary captures:
+// Command tomtrace decodes and filters the binary offload-lifecycle traces
+// that tomsim, tomx and tomserve write (docs/OBSERVABILITY.md), printing
+// them as JSON lines, one event per line:
 //
 //	tomtrace trace.bin                         # decode to JSONL on stdout
-//	tomtrace -to binary -o trace.bin big.jsonl # compact an old JSONL trace
 //	tomtrace -kind send,ack -stack 2 trace.bin # lifecycle of one stack
 //	tomtrace -run LIB/ctrl-tmap fig9.trace     # one run out of a shared trace
-//	tomsim -workload LIB -trace - | tomtrace - # stdin works too
+//	curl -s localhost:8080/v1/runs/<digest>/trace | tomtrace -  # stdin too
 //
 // Filters conjoin: an event must match every one given. -stack matches the
 // event's stack id; use -stack -1 for events that fired before a
 // destination stack was known (gate events with reason cond or nodest).
-// Converting without filters is lossless and deterministic — a binary
-// trace converted to JSONL is byte-identical to the JSONL the same run
-// would have produced natively, and vice versa.
+// Decoding is lossless and deterministic: two decodes of one trace are
+// byte-identical, and so are the traces of two runs of the same spec.
 package main
 
 import (
@@ -42,7 +38,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("tomtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output file (default stdout)")
-	to := fs.String("to", "jsonl", "output encoding: jsonl or binary")
 	kinds := fs.String("kind", "", "keep only these comma-separated event kinds")
 	runLabel := fs.String("run", "", "keep only events with this run label (\"ABBR/config\")")
 	stack := fs.String("stack", "", "keep only events on this stack id (-1 = no destination)")
@@ -58,10 +53,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("at most one input file (got %d)", fs.NArg())
 	}
 
-	format, err := obs.ParseFormat(*to)
-	if err != nil {
-		return err
-	}
 	filter := &obs.Filter{Run: *runLabel}
 	if *kinds != "" {
 		for _, k := range strings.Split(*kinds, ",") {
@@ -103,12 +94,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		w = f
 	}
 
-	read, written, err := obs.Convert(in, w, format, filter)
+	read, written, err := obs.Convert(in, w, filter)
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
 	if !*quiet {
-		fmt.Fprintf(stderr, "tomtrace: %d events read, %d written (%s)\n", read, written, format)
+		fmt.Fprintf(stderr, "tomtrace: %d events read, %d written\n", read, written)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,8 @@ import (
 )
 
 // traceEvents is the fixture stream: two runs, zero-valued ids, a learned
-// bit of 0, and a pre-destination gate — the corners the conversion must
-// not lose.
+// bit of 0, and a pre-destination gate — the corners decoding must not
+// lose.
 var traceEvents = []obs.Event{
 	{Cycle: 10, Kind: obs.EvCandidate, Run: "LIB/ctrl-tmap", SM: 0, PC: 3},
 	{Cycle: 12, Kind: obs.EvGate, Run: "LIB/ctrl-tmap", SM: 0, Stack: -1, PC: 3, Reason: "cond"},
@@ -22,18 +23,23 @@ var traceEvents = []obs.Event{
 	{Cycle: 99, Kind: obs.EvSend, Run: "BFS/ctrl-tmap", SM: 2, Stack: 3, PC: 7, Bytes: 160},
 }
 
-func encode(t *testing.T, format obs.Format) []byte {
+// encode writes traceEvents through one of the two codecs: the binary sink
+// every producer uses, or the JSONL sink the decoder writes through.
+func encode(t *testing.T, newSink func(io.Writer) obs.EventSink) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := obs.NewSink(&buf, format)
+	sink := newSink(&buf)
 	for _, ev := range traceEvents {
 		sink.Emit(ev)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := obs.Flush(sink); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
+
+func binarySink(w io.Writer) obs.EventSink { return obs.NewBinarySink(w) }
+func jsonlSink(w io.Writer) obs.EventSink  { return obs.NewJSONLSink(w) }
 
 // runTool invokes the CLI body with stdin input and returns stdout.
 func runTool(t *testing.T, args []string, stdin []byte) []byte {
@@ -48,8 +54,8 @@ func runTool(t *testing.T, args []string, stdin []byte) []byte {
 // TestConvertBinaryToJSONL: decoding a binary trace must reproduce the
 // native JSONL encoding byte for byte, via both stdin and a file argument.
 func TestConvertBinaryToJSONL(t *testing.T) {
-	bin := encode(t, obs.FormatBinary)
-	want := encode(t, obs.FormatJSONL)
+	bin := encode(t, binarySink)
+	want := encode(t, jsonlSink)
 
 	if got := runTool(t, []string{"-q"}, bin); !bytes.Equal(got, want) {
 		t.Errorf("stdin conversion differs from native JSONL:\n got %s\nwant %s", got, want)
@@ -71,39 +77,22 @@ func TestConvertBinaryToJSONL(t *testing.T) {
 	}
 }
 
-// TestConvertRoundTrip: jsonl → binary → jsonl must be the identity, and
-// the intermediate must match the native binary encoding.
-func TestConvertRoundTrip(t *testing.T) {
-	jsonl := encode(t, obs.FormatJSONL)
-	bin := runTool(t, []string{"-q", "-to", "binary"}, jsonl)
-	if want := encode(t, obs.FormatBinary); !bytes.Equal(bin, want) {
-		t.Errorf("JSONL→binary differs from native binary encoding")
-	}
-	if back := runTool(t, []string{"-q"}, bin); !bytes.Equal(back, jsonl) {
-		t.Errorf("jsonl→binary→jsonl is not the identity")
-	}
-}
-
-// TestConvertEmptyTrace: a header-only binary trace converts to an empty
-// JSONL stream and back.
+// TestConvertEmptyTrace: a header-only binary trace decodes to an empty
+// JSONL stream.
 func TestConvertEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	sink := obs.NewSink(&buf, obs.FormatBinary)
-	if err := sink.Flush(); err != nil {
+	if err := obs.NewBinarySink(&buf).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := runTool(t, []string{"-q"}, buf.Bytes()); len(got) != 0 {
 		t.Errorf("empty binary trace decoded to %q", got)
-	}
-	if got := runTool(t, []string{"-q", "-to", "binary"}, nil); !bytes.Equal(got, buf.Bytes()) {
-		t.Errorf("empty JSONL did not produce a header-only binary trace")
 	}
 }
 
 // TestFilterFlags: -kind, -run, and -stack must conjoin, and -stack -1
 // selects pre-destination gates.
 func TestFilterFlags(t *testing.T) {
-	bin := encode(t, obs.FormatBinary)
+	bin := encode(t, binarySink)
 	lines := func(out []byte) []string {
 		s := strings.TrimSuffix(string(out), "\n")
 		if s == "" {
@@ -132,7 +121,6 @@ func TestFilterFlags(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	cases := [][]string{
-		{"-to", "protobuf"},                           // unknown output format
 		{"-stack", "two"},                             // non-numeric stack id
 		{"a.trace", "b.trace"},                        // more than one input
 		{filepath.Join(t.TempDir(), "missing.trace")}, // unreadable input
@@ -143,8 +131,14 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 	// Truncated binary input: magic parses, first record is cut off.
-	bin := encode(t, obs.FormatBinary)
+	bin := encode(t, binarySink)
 	if err := run([]string{"-q"}, bytes.NewReader(bin[:len(bin)-3]), &out, &out); err == nil {
 		t.Error("truncated binary input must fail")
+	}
+	// JSONL input: every producer writes binary, so the decoder refuses it
+	// at the magic rather than guessing.
+	err := run([]string{"-q"}, bytes.NewReader(encode(t, jsonlSink)), &out, &out)
+	if err == nil || !strings.Contains(err.Error(), "not a binary trace") {
+		t.Errorf("JSONL input: err = %v, want the bad-magic error", err)
 	}
 }

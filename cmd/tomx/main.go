@@ -4,7 +4,7 @@
 //	tomx -exp fig8 -scale 0.5             # one experiment
 //	tomx -exp fig8 -cache                 # reuse .tomcache/ results across runs
 //	tomx -exp fig9 -metrics fig9.json     # plus the time-resolved traffic export
-//	tomx -exp fig9 -trace fig9.trace -trace-format binary -trace-sample 16
+//	tomx -exp fig9 -trace fig9.trace -trace-sample 16
 //	tomx -exp mapstore -cache             # TOM with the persistent mapping registry
 //	tomx -markdown                        # emit EXPERIMENTS.md-style markdown
 //
@@ -13,10 +13,9 @@
 // configurations (plus the baseline) rerun with observers attached and the
 // per-interval metric snapshots are exported. -trace captures every run's
 // offload lifecycle into one stream, each event stamped with its
-// "ABBR/config" run label; -trace-format binary selects the compact
-// encoding (decode or convert with cmd/tomtrace) and -trace-sample N thins
-// to one event in N per kind per run, with trace_sampled summaries saying
-// what was dropped.
+// "ABBR/config" run label, in the compact binary encoding (decode and filter
+// with cmd/tomtrace); -trace-sample N thins to one event in N per kind per
+// run, with trace_sampled summaries saying what was dropped.
 //
 // With -cache, verified results persist under -cache-dir keyed by run-spec
 // digest and build fingerprint (see docs/RUNCACHE.md): a second identical
@@ -51,21 +50,19 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	quiet := flag.Bool("q", false, "suppress per-run progress")
 	metrics := flag.String("metrics", "", "with a simulated -exp (e.g. fig9): write per-interval off-chip traffic snapshots to this JSON file")
-	trace := flag.String("trace", "", "with a simulated -exp (e.g. fig9): write all runs' offload-lifecycle events to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or binary")
+	trace := flag.String("trace", "", "with a simulated -exp (e.g. fig9): write all runs' offload-lifecycle events to this file (binary; decode with tomtrace)")
 	traceSample := flag.Int("trace-sample", 1, "keep one trace event in N per event kind per run (1 = keep all)")
 	interval := flag.Int64("interval", 0, "metrics sampling interval in cycles (0 = default)")
 	cache := flag.Bool("cache", false, "persist and replay verified results under -cache-dir")
 	cacheDir := flag.String("cache-dir", ".tomcache", "persistent result cache directory")
 	flag.Parse()
 
-	format, err := obs.ParseFormat(*traceFormat)
-	if err != nil {
-		fatal(err)
-	}
 	if *metrics != "" || *trace != "" {
 		// Refuse now what the timeline would refuse: it runs after the
 		// experiment itself, which may simulate for minutes.
+		if *trace == "-" {
+			fatal(fmt.Errorf("-trace takes a file path, not -; decode the file with tomtrace"))
+		}
 		if *exp == "all" {
 			fatal(fmt.Errorf("-metrics/-trace export one experiment's timeline; pick it with -exp"))
 		}
@@ -119,7 +116,7 @@ func main() {
 				fatal(err)
 			}
 			traceFile = f
-			sink = obs.NewSink(f, format)
+			sink = obs.NewBinarySink(f)
 		}
 		snaps, err := s.Timeline(*exp, *interval, sink, *traceSample)
 		if err != nil {

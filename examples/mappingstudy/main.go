@@ -11,6 +11,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/mapping"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -62,15 +63,7 @@ func main() {
 	buckets := p.OffsetBuckets()
 	for b, n := range buckets {
 		if n > 0 {
-			fmt.Printf("  %-28s %d candidate(s)\n", fmt.Sprint(bucketName(b)), n)
+			fmt.Printf("  %-28s %d candidate(s)\n", mapping.OffsetBucket(b), n)
 		}
 	}
-}
-
-func bucketName(b int) string {
-	names := []string{
-		"all accesses fixed offset", "75-99% fixed offset", "50-75% fixed offset",
-		"25-50% fixed offset", "0-25% fixed offset", "no fixed-offset accesses",
-	}
-	return names[b]
 }

@@ -160,9 +160,8 @@ type CacheStats struct {
 // requests for the same run are deduplicated, distinct runs proceed in
 // parallel (see Warm and WarmObserved).
 type Session struct {
-	Scale float64
-	// Progress, when non-nil, receives one line per completed run.
-	Progress func(format string, args ...any)
+	Scale    float64
+	progress func(format string, args ...any) // Options.Progress
 
 	cache    *DiskCache                  // nil = persistent layer disabled
 	mappings *recordStore[MappingRecord] // nil = persisted learned mappings disabled
@@ -178,15 +177,11 @@ type Session struct {
 	ms       MappingStats
 }
 
-// Runner is the historical name of Session, kept as an alias: the old
-// string-keyed memoizing runner grew into the spec-keyed session.
-type Runner = Session
-
 // NewSession creates a session with the given options.
 func NewSession(opts Options) *Session {
 	s := &Session{
 		Scale:    opts.Scale,
-		Progress: opts.Progress,
+		progress: opts.Progress,
 		inflight: map[string]*flight{},
 		insts:    map[string]*workloads.Instance{},
 		refs:     map[string]*mem.Flat{},
@@ -203,15 +198,9 @@ func NewSession(opts Options) *Session {
 	return s
 }
 
-// NewRunner creates a session at the given problem scale with no
-// persistent cache (the historical constructor).
-func NewRunner(scale float64) *Session {
-	return NewSession(Options{Scale: scale})
-}
-
 func (s *Session) logf(format string, args ...any) {
-	if s.Progress != nil {
-		s.Progress(format, args...)
+	if s.progress != nil {
+		s.progress(format, args...)
 	}
 }
 

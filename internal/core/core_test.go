@@ -56,7 +56,7 @@ func TestPolicyDigestDistinct(t *testing.T) {
 }
 
 func TestRunnerVerifiesAndCaches(t *testing.T) {
-	r := NewRunner(0.3)
+	r := NewSession(Options{Scale: 0.3})
 	a, err := r.Run("SP", CfgBaseline)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSpeedupShapeOnStreamingWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	r := NewRunner(0.3)
+	r := NewSession(Options{Scale: 0.3})
 	base, err := r.Run("SP", CfgBaseline)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSpeedupShapeOnStreamingWorkload(t *testing.T) {
 }
 
 func TestAreaMatchesPaper(t *testing.T) {
-	tab, err := NewRunner(0.03).Experiment("area")
+	tab, err := NewSession(Options{Scale: 0.03}).Experiment("area")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ type experiment struct {
 	notes     []string
 	groups    []group
 	reads     []ConfigName
-	build     func(*Runner, *Table) error
+	build     func(*Session, *Table) error
 }
 
 // ndpPolicies are the four NDP policies of Figs. 8-10, warpCapacities the
@@ -208,7 +208,7 @@ func pairsOf(cfgs []ConfigName) []Pair {
 }
 
 // table builds the experiment's table from res and its build function.
-func (e *experiment) table(r *Runner, res map[Pair]*RunResult) (*Table, error) {
+func (e *experiment) table(r *Session, res map[Pair]*RunResult) (*Table, error) {
 	t := &Table{ID: e.id, Title: e.title, Columns: workloadColumns(), Notes: append([]string{}, e.notes...)}
 	for _, g := range e.groups {
 		for _, lc := range g.cfgs {
@@ -234,7 +234,7 @@ func (e *experiment) table(r *Runner, res map[Pair]*RunResult) (*Table, error) {
 
 // fixedOffsetRows is Fig. 5: the fixed-offset categorization of offloading
 // candidates.
-func fixedOffsetRows(r *Runner, t *Table) error {
+func fixedOffsetRows(r *Session, t *Table) error {
 	rows := make([]Row, mapping.NumOffsetBuckets)
 	for b := range rows {
 		rows[b].Label = mapping.OffsetBucket(b).String()
@@ -271,7 +271,7 @@ func fixedOffsetRows(r *Runner, t *Table) error {
 // coLocationRows is Fig. 6: the co-location probability under the baseline
 // mapping and under mappings learned from growing fractions of candidate
 // instances.
-func coLocationRows(r *Runner, t *Table) error {
+func coLocationRows(r *Session, t *Table) error {
 	for _, l := range []struct {
 		name string
 		frac float64 // 0 = the baseline mapping
@@ -304,7 +304,7 @@ func coLocationRows(r *Runner, t *Table) error {
 // (or a session without -cache) learns fresh everywhere and seeds the store;
 // rerunning the experiment then shows every workload installed ("stored"
 // row = 1) with "learn PCIe MB" = 0.
-func storedMappingRows(r *Runner, t *Table) error {
+func storedMappingRows(r *Session, t *Table) error {
 	var speed, pcie, saved, stored []float64
 	const mb = 1 << 20
 	for _, abbr := range Abbrs() {
@@ -343,7 +343,7 @@ func storedMappingRows(r *Runner, t *Table) error {
 }
 
 // areaRows is the §6.6 hardware cost estimate; it simulates nothing.
-func areaRows(_ *Runner, t *Table) error {
+func areaRows(_ *Session, t *Table) error {
 	e := area.Estimate64()
 	t.Columns = []string{"value"}
 	t.Rows = []Row{
@@ -377,7 +377,7 @@ func ExperimentIDs() []string {
 
 // Experiment runs a single experiment by ID (see ExperimentIDs): the runs its
 // row groups read execute in parallel, then the table is built from them.
-func (r *Runner) Experiment(id string) (*Table, error) {
+func (r *Session) Experiment(id string) (*Table, error) {
 	e, err := experimentByID(id)
 	if err != nil {
 		return nil, err
@@ -402,7 +402,7 @@ func ExperimentPairs() []Pair {
 
 // AllExperiments runs every reproduction and returns the tables in paper
 // order; ExperimentPairs execute in parallel first.
-func (r *Runner) AllExperiments() ([]*Table, error) {
+func (r *Session) AllExperiments() ([]*Table, error) {
 	res, err := r.runPairs(ExperimentPairs())
 	if err != nil {
 		return nil, err
@@ -446,7 +446,7 @@ func TimelineConfigs(id string) ([]ConfigName, error) {
 // the "ABBR/config" run label and thinned to one in traceSample per kind
 // per run when traceSample > 1 (tomx -trace). The caller owns the sink and
 // flushes it after the call returns.
-func (r *Runner) Timeline(id string, interval int64, trace obs.EventSink, traceSample int) (map[string]*obs.Snapshot, error) {
+func (r *Session) Timeline(id string, interval int64, trace obs.EventSink, traceSample int) (map[string]*obs.Snapshot, error) {
 	cfgs, err := TimelineConfigs(id)
 	if err != nil {
 		return nil, err

@@ -67,7 +67,7 @@ func TestExperimentRunsItsPairsOnce(t *testing.T) {
 	if len(pairs) != 20 {
 		t.Errorf("fig2 reads %d pairs, want 20", len(pairs))
 	}
-	s := NewRunner(0.03)
+	s := NewSession(Options{Scale: 0.03})
 	if _, err := s.Experiment("fig2"); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTimelineRunSet(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	snaps, err := NewRunner(0.03).Timeline("fig2", 0, nil, 0)
+	snaps, err := NewSession(Options{Scale: 0.03}).Timeline("fig2", 0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func TestMappingStoreColdThenWarm(t *testing.T) {
 // TestWithStoredMappingGates: the consult is a no-op for sessions without a
 // store and for configurations that never learn (non-transparent mapping).
 func TestWithStoredMappingGates(t *testing.T) {
-	s := NewRunner(0.05) // no cache dir: store disabled
+	s := NewSession(Options{Scale: 0.05}) // no cache dir: store disabled
 	spec, err := s.Spec("LIB", CfgCtrlTmap)
 	if err != nil {
 		t.Fatal(err)

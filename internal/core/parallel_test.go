@@ -30,7 +30,7 @@ func TestAllConfigNamesBuildAndAreUnique(t *testing.T) {
 // failing (workload, config) pair, not just the first, each labelled with
 // its key, and name no pair that ran.
 func TestWarmReportsEveryFailure(t *testing.T) {
-	r := NewRunner(0.03)
+	r := NewSession(Options{Scale: 0.03})
 	pairs := []Pair{
 		{Abbr: "NOPE1", Config: CfgBaseline},
 		{Abbr: "SP", Config: CfgBaseline},
@@ -55,7 +55,7 @@ func TestWarmReportsEveryFailure(t *testing.T) {
 // TestRunObserved: an observed run must produce the same verified stats as
 // a plain run and a metrics snapshot whose totals match.
 func TestRunObserved(t *testing.T) {
-	r := NewRunner(0.05)
+	r := NewSession(Options{Scale: 0.05})
 	o := obs.New()
 	o.SampleEvery = 512
 	res, err := r.RunObserved("LIB", CfgCtrlBmap, o)

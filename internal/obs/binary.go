@@ -10,10 +10,10 @@ import (
 
 // Binary trace format ("tomtrace v1").
 //
-// The JSONL trace spends 50-90 bytes per lifecycle event; at full Fig. 9
-// scale that is the difference between a trace you leave on and one you
-// don't. The binary format encodes the same Event stream in a few bytes per
-// record:
+// JSON lines spend 50-90 bytes per lifecycle event; at full Fig. 9 scale
+// that is the difference between a trace you leave on and one you don't.
+// The binary format, which every trace producer writes, encodes the same
+// Event stream in a few bytes per record:
 //
 //	header:  8-byte magic "TOMTRACE", uvarint format version (currently 1)
 //	record:  kind      string ref (interned, see below)
@@ -170,9 +170,9 @@ func (st *binState) appendEvent(buf []byte, ev Event) []byte {
 	return buf
 }
 
-// BinarySink writes events in the binary trace format (the cmd/tomsim
-// -trace-format=binary encoding). Writes are buffered; call Flush before
-// the underlying writer is closed. Like JSONLSink, the first write error is
+// BinarySink writes events in the binary trace format (the encoding of every
+// trace tomsim, tomx and tomserve write). Writes are buffered; call Flush
+// before the underlying writer is closed. Like JSONLSink, the first write error is
 // retained and later events are dropped. Safe for concurrent Emit.
 type BinarySink struct {
 	mu      sync.Mutex

@@ -186,7 +186,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		}
 		// Binary→JSONL conversion equals the native JSONL encoding.
 		var conv bytes.Buffer
-		read, written, err := Convert(bytes.NewReader(bin), &conv, FormatJSONL, nil)
+		read, written, err := Convert(bytes.NewReader(bin), &conv, nil)
 		if err != nil {
 			t.Fatalf("trial %d: convert: %v", trial, err)
 		}
@@ -195,14 +195,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		}
 		if want := collectJSONL(t, events); !bytes.Equal(conv.Bytes(), want) {
 			t.Fatalf("trial %d: converted JSONL differs from native JSONL", trial)
-		}
-		// And JSONL→binary conversion equals the native binary encoding.
-		var back bytes.Buffer
-		if _, _, err := Convert(bytes.NewReader(collectJSONL(t, events)), &back, FormatBinary, nil); err != nil {
-			t.Fatalf("trial %d: convert back: %v", trial, err)
-		}
-		if !bytes.Equal(back.Bytes(), bin) {
-			t.Fatalf("trial %d: JSONL→binary differs from native binary", trial)
 		}
 	}
 }
@@ -302,7 +294,7 @@ func TestConvertFilters(t *testing.T) {
 
 	decode := func(filter *Filter) []Event {
 		var out bytes.Buffer
-		if _, _, err := Convert(bytes.NewReader(bin), &out, FormatJSONL, filter); err != nil {
+		if _, _, err := Convert(bytes.NewReader(bin), &out, filter); err != nil {
 			t.Fatal(err)
 		}
 		var got []Event

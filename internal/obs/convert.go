@@ -1,94 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
-// Format names one of the two trace encodings.
-type Format int
-
-const (
-	// FormatJSONL is one JSON object per line (JSONLSink).
-	FormatJSONL Format = iota
-	// FormatBinary is the compact varint/delta encoding (BinarySink).
-	FormatBinary
-)
-
-// String returns the flag spelling of the format.
-func (f Format) String() string {
-	if f == FormatBinary {
-		return "binary"
-	}
-	return "jsonl"
-}
-
-// ParseFormat maps a flag value ("jsonl" or "binary") to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "jsonl":
-		return FormatJSONL, nil
-	case "binary":
-		return FormatBinary, nil
-	}
-	return 0, fmt.Errorf("obs: unknown trace format %q (want jsonl or binary)", s)
-}
-
-// EventReader yields a trace's events in stream order; Next returns io.EOF
-// at a clean end of input.
-type EventReader interface {
-	Next() (Event, error)
-}
-
-// JSONLReader decodes a JSON-lines trace (the JSONLSink encoding).
-type JSONLReader struct {
-	dec *json.Decoder
-}
-
-// NewJSONLReader reads events from r.
-func NewJSONLReader(r io.Reader) *JSONLReader {
-	return &JSONLReader{dec: json.NewDecoder(r)}
-}
-
-// Next returns the next event, or io.EOF at end of input.
-func (d *JSONLReader) Next() (Event, error) {
-	var ev Event
-	if err := d.dec.Decode(&ev); err != nil {
-		return ev, err
-	}
-	return ev, nil
-}
-
-// NewReader detects the trace format of r by its leading bytes (the binary
-// magic, else JSONL) and returns the matching decoder.
-func NewReader(r io.Reader) (EventReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if string(head) == binaryMagic {
-		return NewBinaryReader(br)
-	}
-	return NewJSONLReader(br), nil
-}
-
-// FlushingSink is an EventSink that buffers and must be flushed before the
-// underlying writer is closed (both trace encoders are one).
-type FlushingSink interface {
-	EventSink
-	Flusher
-}
-
-// NewSink returns the encoder for the given format over w.
-func NewSink(w io.Writer, f Format) FlushingSink {
-	if f == FormatBinary {
-		return NewBinarySink(w)
-	}
-	return NewJSONLSink(w)
-}
+import "io"
 
 // Filter selects a subset of a trace. The zero value matches everything;
 // each set constraint must hold (conjunction).
@@ -128,18 +40,17 @@ func (f *Filter) Match(ev Event) bool {
 	return true
 }
 
-// Convert streams a trace from in (format auto-detected) to out in the
-// requested format, keeping only events the filter matches (nil keeps
-// everything). It returns how many events were read and written. Because
-// both decoders yield identical Event values and both encoders are
-// deterministic, converting a binary trace to JSONL reproduces the native
-// JSONL encoding of the same run byte for byte (and vice versa).
-func Convert(in io.Reader, out io.Writer, to Format, filter *Filter) (read, written int, err error) {
-	r, err := NewReader(in)
+// Convert decodes a binary trace from in and writes it to out as JSON lines,
+// keeping only events the filter matches (nil keeps everything). It returns
+// how many events were read and written. The decoder is lossless and both
+// codecs are deterministic, so an unfiltered conversion is byte for byte what
+// a JSONLSink fed the same events writes.
+func Convert(in io.Reader, out io.Writer, filter *Filter) (read, written int, err error) {
+	r, err := NewBinaryReader(in)
 	if err != nil {
 		return 0, 0, err
 	}
-	sink := NewSink(out, to)
+	sink := NewJSONLSink(out)
 	for {
 		ev, err := r.Next()
 		if err == io.EOF {

@@ -8,7 +8,7 @@ import (
 )
 
 // JSONLSink writes one JSON object per event to an io.Writer (the
-// cmd/tomsim -trace format). Writes are buffered; call Flush before the
+// cmd/tomtrace output format). Writes are buffered; call Flush before the
 // underlying writer is closed. Safe for concurrent Emit.
 type JSONLSink struct {
 	mu  sync.Mutex

@@ -75,37 +75,30 @@ func WorkloadAbbrs() []string { return core.Abbrs() }
 // given problem scale (1.0 = benchmark default). Every run is verified
 // against the functional reference model before results are returned.
 func Run(abbr string, system System, scale float64) (*Result, error) {
-	r := core.NewRunner(scale)
-	return r.Run(abbr, system)
+	return NewSession(SessionOptions{Scale: scale}).Run(abbr, system)
 }
-
-// NewRunner returns an experiment runner that memoizes runs and profiles
-// across configurations — use it (rather than repeated Run calls) when
-// comparing several systems on the same workloads. It is a Session with
-// only the in-memory layer enabled; see NewSession for persistence.
-func NewRunner(scale float64) *core.Runner { return core.NewRunner(scale) }
 
 // SessionOptions configures a run session: problem scale, the optional
 // persistent result cache (CacheDir/Fingerprint), and a progress callback.
 type SessionOptions = core.Options
 
-// Session is a run pipeline that memoizes results in memory, optionally
-// persists them under SessionOptions.CacheDir keyed by run-spec digest and
-// build fingerprint (see docs/RUNCACHE.md), and supports parallel observed
-// runs over one shared metrics registry. Every run method sits on
-// Session.Execute(spec, observer); Run, RunObserved and Warm are its
-// conveniences for named configurations.
+// Session is a run pipeline that memoizes runs and profiles in memory (use
+// one, rather than repeated Run calls, to compare several systems on the
+// same workloads), optionally persists results under SessionOptions.CacheDir
+// keyed by run-spec digest and build fingerprint (see docs/RUNCACHE.md), and
+// supports parallel observed runs over one shared metrics registry. Every
+// run method sits on Session.Execute(spec, observer); Run, RunObserved and
+// Warm are its conveniences for named configurations.
 type Session = core.Session
 
-// NewSession returns a Session. With a zero CacheDir it behaves exactly
-// like NewRunner(opts.Scale).
+// NewSession returns a Session. With a zero CacheDir only the in-memory
+// layer is enabled.
 func NewSession(opts SessionOptions) *Session { return core.NewSession(opts) }
 
 // Experiment reproduces one of the paper's figures/tables by ID (see
 // ExperimentIDs).
 func Experiment(id string, scale float64) (*Table, error) {
-	r := core.NewRunner(scale)
-	return r.Experiment(id)
+	return NewSession(SessionOptions{Scale: scale}).Experiment(id)
 }
 
 // ExperimentIDs lists the reproducible experiments in paper order.
@@ -114,7 +107,7 @@ func ExperimentIDs() []string { return core.ExperimentIDs() }
 // Speedup is a convenience: IPC ratio of system over Baseline for one
 // workload.
 func Speedup(abbr string, system System, scale float64) (float64, error) {
-	r := core.NewRunner(scale)
+	r := NewSession(SessionOptions{Scale: scale})
 	base, err := r.Run(abbr, Baseline)
 	if err != nil {
 		return 0, err

@@ -35,7 +35,7 @@ func TestRunAndSpeedupSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system simulation")
 	}
-	r := NewRunner(0.1)
+	r := NewSession(SessionOptions{Scale: 0.1})
 	base, err := r.Run("SP", Baseline)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestALUGateEarnsItsRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two RD runs at scale 0.5")
 	}
-	r := NewRunner(0.5)
+	r := NewSession(SessionOptions{Scale: 0.5})
 	plain, err := r.Run("RD", core.CfgWarp4x)
 	if err != nil {
 		t.Fatal(err)
