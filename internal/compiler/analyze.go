@@ -63,12 +63,17 @@ type Metadata struct {
 	Info       *cfgx.Info
 	Candidates []*Candidate
 
-	byStart map[int]*Candidate
+	// atPC[pc] is the candidate starting at pc: one entry per instruction,
+	// because the simulator asks on every issue outside a region.
+	atPC []*Candidate
 }
 
 // AtPC returns the candidate starting at pc, or nil.
 func (m *Metadata) AtPC(pc int) *Candidate {
-	return m.byStart[pc]
+	if uint(pc) < uint(len(m.atPC)) {
+		return m.atPC[pc]
+	}
+	return nil
 }
 
 // SelectOptions parameterizes candidate selection so offload policies can
@@ -107,7 +112,7 @@ func AnalyzeWith(k *isa.Kernel, opt SelectOptions) (*Metadata, error) {
 	if accept == nil {
 		accept = AcceptTOMCost
 	}
-	md := &Metadata{Kernel: k, Info: info, byStart: map[int]*Candidate{}}
+	md := &Metadata{Kernel: k, Info: info, atPC: make([]*Candidate, len(k.Instrs))}
 
 	taken := make([]bool, len(k.Instrs))
 	overlap := func(s, e int) bool {
@@ -196,7 +201,7 @@ func AnalyzeWith(k *isa.Kernel, opt SelectOptions) (*Metadata, error) {
 
 func (m *Metadata) addCandidate(c *Candidate) {
 	m.Candidates = append(m.Candidates, c)
-	m.byStart[c.StartPC] = c
+	m.atPC[c.StartPC] = c
 }
 
 // buildRegion checks legality (§3.1.4) and derives the cost-independent

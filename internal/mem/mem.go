@@ -44,23 +44,39 @@ type pageRef struct {
 // writes it.
 type Flat struct {
 	pages map[uint64]pageRef
-	// Two 1-entry lookup caches: GPU access streams are heavily page-local.
-	// Loads go through last, which may hold any page of this memory; stores
-	// go through own, which only ever holds a page that is not shared, so
-	// the store fast path needs no second test.
+	// Lookup caches: GPU access streams are heavily page-local. Loads go
+	// through last, which may hold any page of this memory. Stores go
+	// through own and then own2, the two most recently stored-to pages, which
+	// only ever hold pages that are not shared, so a hit needs no second
+	// test. Two entries serve a writer that alternates between two arrays —
+	// a builder filling a[i] and b[i], a kernel streaming two outputs —
+	// without a page-table lookup per word.
 	lastKey uint64
 	last    *page
 	ownKey  uint64
 	own     *page
+	own2Key uint64
+	own2    *page
 }
 
 // NewFlat returns an empty memory.
 func NewFlat() *Flat { return new(Flat) }
 
-// makeWritable is the stores' path past their lookup cache: it creates the
-// page, or replaces a shared page with a private copy, and points both
-// caches at the result — a load that follows must not read the shared page
-// the copy was made from.
+// storePage is the stores' path past own: a hit in own2 swaps the two
+// entries, so own stays the most recent page.
+func (f *Flat) storePage(key uint64) *page {
+	if key == f.own2Key {
+		f.ownKey, f.own, f.own2Key, f.own2 = f.own2Key, f.own2, f.ownKey, f.own
+		return f.own
+	}
+	return f.makeWritable(key)
+}
+
+// makeWritable is the stores' path past both entries of their lookup cache:
+// it creates the page, or replaces a shared page with a private copy, and
+// points last and own at the result — a load that follows must not read the
+// shared page the copy was made from. own's old page moves to own2, and
+// own2's drops out of the cache.
 func (f *Flat) makeWritable(key uint64) *page {
 	e, ok := f.pages[key]
 	if !ok || e.shared {
@@ -74,6 +90,7 @@ func (f *Flat) makeWritable(key uint64) *page {
 		f.pages[key] = e
 	}
 	f.lastKey, f.last = key, e.p
+	f.own2Key, f.own2 = f.ownKey, f.own
 	f.ownKey, f.own = key, e.p
 	return e.p
 }
@@ -97,11 +114,11 @@ func (f *Flat) Load4(addr uint64) uint32 {
 }
 
 // Store4 writes the 32-bit word at addr: one tag compare when the previous
-// store hit the same page.
+// store hit the same page, two when it hit the page stored to before that.
 func (f *Flat) Store4(addr uint64, v uint32) {
 	p := f.own
 	if key := pageKey(addr); key != f.ownKey {
-		p = f.makeWritable(key)
+		p = f.storePage(key)
 	}
 	p[addr%pageBytes/4] = v
 }
@@ -112,7 +129,7 @@ func (f *Flat) Store4(addr uint64, v uint32) {
 func (f *Flat) AtomicAdd4(addr uint64, v uint32) uint32 {
 	p := f.own
 	if key := pageKey(addr); key != f.ownKey {
-		p = f.makeWritable(key)
+		p = f.storePage(key)
 	}
 	i := addr % pageBytes / 4
 	old := p[i]
@@ -131,8 +148,8 @@ func (f *Flat) Seal() {
 			f.pages[key] = e
 		}
 	}
-	if f.ownKey != 0 { // tested first: sealing a sealed memory must not write it
-		f.ownKey, f.own = 0, nil
+	if f.ownKey != 0 || f.own2Key != 0 { // tested first: sealing a sealed memory must not write it
+		f.ownKey, f.own, f.own2Key, f.own2 = 0, nil, 0, nil
 	}
 }
 

@@ -36,20 +36,28 @@ func (d deepMem) nonzero() map[uint64]uint32 {
 // it; the last page of the address space because its key is all ones.
 func propAddrs() []uint64 {
 	var addrs []uint64
-	for _, base := range []uint64{0, AllocBase, AllocBase + pageBytes, AllocBase + 2*pageBytes, 1 << 40, ^uint64(0) &^ (pageBytes - 1)} {
-		for _, off := range []uint64{0, 4, pageBytes / 2, pageBytes - 4} {
+	for _, base := range propPages {
+		for _, off := range propOffsets {
 			addrs = append(addrs, base+off)
 		}
 	}
 	return addrs
 }
 
+var (
+	propPages   = []uint64{0, AllocBase, AllocBase + pageBytes, AllocBase + 2*pageBytes, 1 << 40, ^uint64(0) &^ (pageBytes - 1)}
+	propOffsets = []uint64{0, 4, pageBytes / 2, pageBytes - 4}
+)
+
 // TestCloneMatchesDeepCopyModel drives a growing family of memories — a
 // parent, its clones, clones of clones — with random stores, atomic adds,
 // loads, clones and comparisons, each mirrored on a deep-copy model. After
 // every write the written word is read back from every memory of the family:
 // the writer must see it (through whichever lookup cache it had warm) and no
-// relative may.
+// relative may. Some writes come in round-robin bursts over two to four
+// pages, the pattern of a builder filling several arrays at once: over two
+// pages they hit the store cache's second entry and swap the two, over more
+// they evict it, and a clone between bursts (which seals) must empty both.
 func TestCloneMatchesDeepCopyModel(t *testing.T) {
 	addrs := propAddrs()
 	for seed := int64(0); seed < 20; seed++ {
@@ -84,6 +92,20 @@ func TestCloneMatchesDeepCopyModel(t *testing.T) {
 				}
 				model[addr] += v
 				checkWord(op, addr)
+			case k < 9:
+				pages := rng.Perm(len(propPages))[:2+rng.Intn(3)]
+				for j := 0; j < 4*len(pages); j++ {
+					a := propPages[pages[j%len(pages)]] + propOffsets[rng.Intn(len(propOffsets))]
+					v := rng.Uint32()
+					if j%5 == 4 {
+						m.AtomicAdd4(a, v)
+						model[a] += v
+					} else {
+						m.Store4(a, v)
+						model[a] = v
+					}
+					checkWord(op, a)
+				}
 			case k < 13:
 				if got, want := m.Load4(addr), model[addr]; got != want {
 					t.Fatalf("seed %d op %d: Load4(%#x) = %#x, model %#x", seed, op, addr, got, want)
@@ -206,7 +228,7 @@ func TestSealedCloneOnlyReads(t *testing.T) {
 		m.Store4(AllocBase+i*pageBytes, uint32(i))
 	}
 	m.Seal()
-	if m.ownKey != 0 || m.own != nil {
+	if m.ownKey != 0 || m.own != nil || m.own2Key != 0 || m.own2 != nil {
 		t.Fatal("Seal left the write cache holding a page")
 	}
 	for key, e := range m.pages {
@@ -216,7 +238,7 @@ func TestSealedCloneOnlyReads(t *testing.T) {
 	}
 	lastKey, last := m.lastKey, m.last
 	c := m.Clone()
-	if m.lastKey != lastKey || m.last != last || m.ownKey != 0 {
+	if m.lastKey != lastKey || m.last != last || m.ownKey != 0 || m.own2Key != 0 {
 		t.Error("Clone moved a lookup cache of a sealed memory")
 	}
 	c.Store4(AllocBase, 9)

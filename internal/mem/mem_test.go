@@ -70,3 +70,18 @@ func TestZeroValueIsEmptyMemory(t *testing.T) {
 		t.Fatalf("zero Flat reads %d after Store4(16, 7)", v)
 	}
 }
+
+// BenchmarkFlatStoreAlternating is SP's Build loop: one word each into two
+// arrays, a[i] then b[i], so consecutive stores alternate between two pages.
+// Both stay in the store cache; ns/op is per pair of stores.
+func BenchmarkFlatStoreAlternating(b *testing.B) {
+	const words = 1 << 16 // 256 KB per array: four pages each
+	m := NewFlat()
+	a, c := uint64(AllocBase), uint64(AllocBase+4*words)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		off := uint64(i%words) * 4
+		m.Store4(a+off, uint32(i))
+		m.Store4(c+off, uint32(i))
+	}
+}

@@ -35,8 +35,9 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 
 	case wevVaultTry:
 		// Crossbar delivery: enqueue into the vault, retrying while full.
-		if st := sys.stacks[ev.fl.home]; st.vaults[ev.fl.vault].Enqueue(&ev.fl.req) {
-			st.busy.set(ev.fl.vault)
+		if st, v := sys.stacks[ev.fl.home], ev.fl.vault; st.vaults[v].Enqueue(&ev.fl.req) {
+			st.busy.set(v)
+			st.due = minEvent(st.due, st.vaults[v].NextEvent())
 		} else {
 			sys.wheel.afterEvent(4, *ev)
 		}

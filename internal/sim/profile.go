@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/compiler"
@@ -20,14 +21,15 @@ import (
 // ground truth rather than learned estimates.
 type Profile struct {
 	Instances int
-	// perInstance[i] holds the co-location fraction of instance i under
-	// each bit option (index parallel to Bits) and the baseline;
-	// perHome[i] the corresponding home stacks (for the temporal
-	// load-balance guard, see mapping.Analyzer).
-	perInstance [][]float32
-	perHome     [][]uint8
-	baseline    []float32
-	Bits        []int
+	// coloc holds, row by row, the co-location fraction of each instance
+	// under each bit option (len(Bits) entries per instance, parallel to
+	// Bits), homes the corresponding home stacks (for the temporal
+	// load-balance guard, see mapping.Analyzer), and baseline one entry per
+	// instance.
+	coloc    []float32
+	homes    []uint8
+	baseline []float32
+	Bits     []int
 
 	// Offsets maps candidate region start PCs (per kernel name) to their
 	// fixed-offset trackers.
@@ -36,9 +38,19 @@ type Profile struct {
 	CandidateCount int
 }
 
-type profCollect struct {
+// profAddrCap bounds the lane addresses one instance records: steps are
+// recorded while fewer than this many addresses have been.
+const profAddrCap = 4096
+
+// profWarp is one warp's open candidate instance: the candidate (nil when
+// none is open), the lines its memory steps touched with repeats in a row
+// dropped, how many lane addresses those steps carried, and the leader-lane
+// access sequence the fixed-offset analysis reads. The buffers outlive the
+// instance: the next one on the same warp slot reuses them.
+type profWarp struct {
 	cand  *compiler.Candidate
-	addrs []uint64
+	lines []uint64
+	addrs int
 	seq   []mapping.InstanceAccess
 }
 
@@ -51,7 +63,6 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 		p.Bits = append(p.Bits, b)
 	}
 	mdCache := map[*isa.Kernel]*compiler.Metadata{}
-	active := map[*exec.Warp]*profCollect{}
 
 	stacks := 4
 	var pols []mapping.Policy
@@ -60,47 +71,51 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 	}
 	base := mapping.Baseline{Stacks: stacks}
 
-	finish := func(w *exec.Warp, pc *profCollect) {
-		delete(active, w)
-		if len(pc.addrs) == 0 {
+	// The runner reuses one CTA's warps for the whole grid, so a warp's
+	// index in its CTA names its collection state.
+	var warps []profWarp
+	var seen lineSet
+	finish := func(kernel string, c *profWarp) {
+		cand := c.cand
+		c.cand = nil
+		if len(c.lines) == 0 {
 			return
 		}
-		// Dedup to lines preserving order.
-		lines := pc.addrs[:0]
-		seen := map[uint64]bool{}
-		for _, a := range pc.addrs {
-			l := a >> mapping.LineShift << mapping.LineShift
-			if !seen[l] {
-				seen[l] = true
+		// Dedup the lines preserving order.
+		seen.reset(len(c.lines))
+		lines := c.lines[:0]
+		for _, l := range c.lines {
+			if seen.add(l) {
 				lines = append(lines, l)
 			}
 		}
-		row := make([]float32, len(pols))
-		homes := make([]uint8, len(pols))
-		for i, pol := range pols {
-			row[i] = float32(colocationOf(pol, lines))
-			homes[i] = uint8(pol.Stack(lines[0]))
+		for _, pol := range pols {
+			p.coloc = append(p.coloc, float32(mapping.Colocation(pol, lines)))
+			p.homes = append(p.homes, uint8(pol.Stack(lines[0])))
 		}
-		p.perInstance = append(p.perInstance, row)
-		p.perHome = append(p.perHome, homes)
-		p.baseline = append(p.baseline, float32(colocationOf(base, lines)))
+		p.baseline = append(p.baseline, float32(mapping.Colocation(base, lines)))
 		p.Instances++
+		var r *mem.Range
 		for _, l := range lines {
-			if r := alloc.Find(l); r != nil {
+			if r == nil || l-r.Base >= r.Size {
+				r = alloc.Find(l)
+			}
+			if r != nil {
 				r.CandidateTouched = true
 			}
 		}
-		byPC := p.Offsets[w.Kernel.Name]
+		byPC := p.Offsets[kernel]
 		if byPC == nil {
 			byPC = map[int]*mapping.OffsetTracker{}
-			p.Offsets[w.Kernel.Name] = byPC
+			p.Offsets[kernel] = byPC
 		}
-		tr := byPC[pc.cand.StartPC]
+		tr := byPC[cand.StartPC]
 		if tr == nil {
 			tr = mapping.NewOffsetTracker()
-			byPC[pc.cand.StartPC] = tr
+			byPC[cand.StartPC] = tr
 		}
-		tr.ObserveInstance(pc.seq)
+		tr.ObserveInstance(c.seq)
+		c.lines, c.addrs, c.seq = c.lines[:0], 0, c.seq[:0]
 	}
 
 	for _, l := range launches {
@@ -114,58 +129,86 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 			mdCache[l.Kernel] = md
 			p.CandidateCount += len(md.Candidates)
 		}
+		if n := l.WarpsPerCTA(); n > len(warps) {
+			warps = append(warps, make([]profWarp, n-len(warps))...)
+		}
 		hook := func(w *exec.Warp, res exec.StepResult) {
-			pc := active[w]
-			switch {
-			case pc == nil:
-				cand := md.AtPC(res.PC)
-				if cand == nil {
+			c := &warps[w.WInfo.WarpInCTA]
+			if c.cand == nil || res.PC < c.cand.StartPC || res.PC >= c.cand.EndPC {
+				if c.cand != nil {
+					// Executed an instruction outside the region: the
+					// instance is over (and may begin another candidate).
+					finish(l.Kernel.Name, c)
+				}
+				if c.cand = md.AtPC(res.PC); c.cand == nil {
 					return
 				}
-				pc = &profCollect{cand: cand}
-				active[w] = pc
-			case res.PC < pc.cand.StartPC || res.PC >= pc.cand.EndPC:
-				// Executed an instruction outside the region: the
-				// instance is over (and may begin another candidate).
-				finish(w, pc)
-				cand := md.AtPC(res.PC)
-				if cand == nil {
-					return
-				}
-				pc = &profCollect{cand: cand}
-				active[w] = pc
 			}
-			if res.Kind == exec.StepMem && len(pc.addrs) < 4096 {
+			if res.Kind == exec.StepMem && c.addrs < profAddrCap && len(res.Accesses) > 0 {
+				c.addrs += len(res.Accesses)
 				for _, a := range res.Accesses {
-					pc.addrs = append(pc.addrs, a.Addr)
+					line := a.Addr >> mapping.LineShift << mapping.LineShift
+					if n := len(c.lines); n == 0 || c.lines[n-1] != line {
+						c.lines = append(c.lines, line)
+					}
 				}
-				if len(res.Accesses) > 0 {
-					pc.seq = append(pc.seq, mapping.InstanceAccess{PC: res.PC, Addr: res.Accesses[0].Addr})
-				}
+				c.seq = append(c.seq, mapping.InstanceAccess{PC: res.PC, Addr: res.Accesses[0].Addr})
 			}
 			if res.Done {
-				finish(w, pc)
+				finish(l.Kernel.Name, c)
 			}
 		}
 		if err := exec.RunAnalyzed(m, l, md.Info, hook); err != nil {
 			return nil, err
 		}
-		for w, pc := range active {
-			finish(w, pc)
+		for i := range warps {
+			if warps[i].cand != nil {
+				finish(l.Kernel.Name, &warps[i])
+			}
 		}
 	}
 	return p, nil
 }
 
-func colocationOf(p mapping.Policy, lines []uint64) float64 {
-	home := p.Stack(lines[0])
-	n := 0
-	for _, l := range lines {
-		if p.Stack(l) == home {
-			n++
+// lineSet is a set of cache-line addresses that empties in O(1): a slot
+// belongs to the set only when it carries the current generation, so reset
+// bumps the generation instead of clearing the table. finish dedupes every
+// instance through one lineSet.
+type lineSet struct {
+	slots []lineSlot // open addressing, linear probing; len is a power of two
+	gen   uint32
+}
+
+type lineSlot struct {
+	line uint64
+	gen  uint32
+}
+
+// reset empties the set and makes room for n additions at load ≤ 1/2.
+func (s *lineSet) reset(n int) {
+	if 2*n > len(s.slots) {
+		s.slots = make([]lineSlot, max(64, 1<<bits.Len(uint(2*n-1))))
+		s.gen = 0
+	}
+	if s.gen++; s.gen == 0 { // wrapped: stale stamps would read as current
+		clear(s.slots)
+		s.gen = 1
+	}
+}
+
+// add inserts line and reports whether it was absent.
+func (s *lineSet) add(line uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (line >> mapping.LineShift) * 0x9e3779b97f4a7c15 >> 32; ; i++ {
+		sl := &s.slots[i&mask]
+		if sl.gen != s.gen {
+			*sl = lineSlot{line: line, gen: s.gen}
+			return true
+		}
+		if sl.line == line {
+			return false
 		}
 	}
-	return float64(n) / float64(len(lines))
 }
 
 // BaselineCoLocation averages the baseline-mapping co-location over all
@@ -191,9 +234,10 @@ func (p *Profile) BestBitFromFraction(frac float64) (bit int, coloc float64) {
 	for i := range p.Bits {
 		v := 0.0
 		adjSame := 0
-		for n, row := range p.perInstance[:k] {
-			v += float64(row[i])
-			if n > 0 && p.perHome[n][i] == p.perHome[n-1][i] {
+		for n := 0; n < k; n++ {
+			j := n*len(p.Bits) + i
+			v += float64(p.coloc[j])
+			if n > 0 && p.homes[j] == p.homes[j-len(p.Bits)] {
 				adjSame++
 			}
 		}
@@ -202,11 +246,7 @@ func (p *Profile) BestBitFromFraction(frac float64) (bit int, coloc float64) {
 			best, bestV = i, v
 		}
 	}
-	v := 0.0
-	for _, row := range p.perInstance {
-		v += float64(row[best])
-	}
-	return p.Bits[best], v / float64(p.Instances)
+	return p.Bits[best], p.meanColoc(best)
 }
 
 // OracleBit returns the best bit over all instances and its co-location.
@@ -218,19 +258,20 @@ func (p *Profile) OracleBit() (bit int, coloc float64) {
 // specific consecutive-bit mapping over all observed instances.
 func (p *Profile) CoLocationOfBit(bit int) float64 {
 	for i, b := range p.Bits {
-		if b != bit {
-			continue
+		if b == bit && p.Instances > 0 {
+			return p.meanColoc(i)
 		}
-		v := 0.0
-		for _, row := range p.perInstance {
-			v += float64(row[i])
-		}
-		if p.Instances == 0 {
-			return 0
-		}
-		return v / float64(p.Instances)
 	}
 	return 0
+}
+
+// meanColoc averages bit option i's co-location over all instances.
+func (p *Profile) meanColoc(i int) float64 {
+	v := 0.0
+	for j := i; j < len(p.coloc); j += len(p.Bits) {
+		v += float64(p.coloc[j])
+	}
+	return v / float64(p.Instances)
 }
 
 func avg32(xs []float32, n int) float64 {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/dram"
 	"repro/internal/mapping"
 )
@@ -13,6 +15,11 @@ type stackNode struct {
 	sys    *System
 	vaults []*dram.Vault
 	busy   wakeSet // vaults holding queued requests or bursts in flight
+	// due is the earliest NextEvent over the busy vaults, math.MaxInt64 when
+	// none: before it no vault of the stack has work. An enqueue lowers it;
+	// the event loop's vault walk, which runs only once it is reached,
+	// recomputes it.
+	due    int64
 	sms    []*SM
 	nextSM int // round-robin spawn target
 }
@@ -36,7 +43,7 @@ func (s *stackNode) spawnTarget() *SM {
 
 func newStack(sys *System, id int) *stackNode {
 	s := &stackNode{id: id, sys: sys, vaults: make([]*dram.Vault, 0, sys.cfg.VaultsPerStack),
-		busy: newWakeSet(sys.cfg.VaultsPerStack)}
+		busy: newWakeSet(sys.cfg.VaultsPerStack), due: math.MaxInt64}
 	t := dram.DefaultTiming()
 	t.BytesPerCycle = sys.cfg.VaultBW * sys.cfg.InternalBWRatio
 	for v := 0; v < sys.cfg.VaultsPerStack; v++ {
@@ -73,22 +80,36 @@ func (s *stackNode) tick(now int64, elide bool) {
 		}
 		return
 	}
-	n := len(s.vaults)
-	for i := s.busy.next(0, n); i >= 0; i = s.busy.next(i+1, n) {
-		// A vault whose horizon is in the future has nothing to do this
-		// cycle: no completion is due and issue arbitration cannot accept
-		// a request (bank busy or bus backed up).
-		v := s.vaults[i]
-		if v.NextEvent() > now {
-			continue
+	if now >= s.due {
+		n := len(s.vaults)
+		due := int64(math.MaxInt64)
+		for i := s.busy.next(0, n); i >= 0; i = s.busy.next(i+1, n) {
+			// A vault whose horizon is in the future has nothing to do this
+			// cycle: no completion is due and issue arbitration cannot
+			// accept a request (bank busy or bus backed up).
+			v := s.vaults[i]
+			if v.NextEvent() <= now {
+				v.Tick(now)
+				if !v.Active() {
+					s.busy.clear(i)
+					continue
+				}
+			}
+			due = minEvent(due, v.NextEvent())
 		}
-		v.Tick(now)
-		if !v.Active() {
-			s.busy.clear(i)
-		}
+		s.due = due
 	}
 	lo := s.sys.cfg.MainSMs + s.id*len(s.sms)
 	s.sys.tickRunnable(lo, lo+len(s.sms), now)
+}
+
+// minEvent folds a component horizon into a running minimum; t < 0 means the
+// component holds nothing.
+func minEvent(due, t int64) int64 {
+	if t >= 0 && t < due {
+		return t
+	}
+	return due
 }
 
 func (s *stackNode) active() bool {

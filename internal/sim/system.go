@@ -677,11 +677,8 @@ func (sys *System) nextEventCycle(lc *launchCtx) int64 {
 		upd(l.NextEvent())
 	}
 	for _, st := range sys.stacks {
-		n := len(st.vaults)
-		for i := st.busy.next(0, n); i >= 0; i = st.busy.next(i+1, n) {
-			if t := st.vaults[i].NextEvent(); t >= 0 {
-				upd(max(t, gateBase))
-			}
+		if st.due != math.MaxInt64 {
+			upd(max(st.due, gateBase))
 		}
 	}
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/exec"
@@ -14,9 +15,9 @@ import (
 // after each executed event-loop cycle):
 // an SM is in the runnable set iff its tick would do work, row i of ringSMs
 // holds exactly the SMs with events in ring slot i and ringOcc exactly the
-// non-empty rows, a stack's busy set covers its active vaults, a bank is in
-// the L2's busy set iff its queue is non-empty, and lsuStalled counts the
-// SM's wsWaitLSU warps. The two per-SM scans (64 ring slots, every warp)
+// non-empty rows, a stack's busy set covers its active vaults and its due is
+// the earliest NextEvent over the busy ones, a bank is in the L2's busy set
+// iff its queue is non-empty, and lsuStalled counts the SM's wsWaitLSU warps. The two per-SM scans (64 ring slots, every warp)
 // take the SMs in turn, a sixteenth of them per call: a wrong ring bit
 // lasts until its slot next comes round.
 func checkWakeSets(sys *System) error {
@@ -52,10 +53,17 @@ func checkWakeSets(sys *System) error {
 		}
 	}
 	for _, st := range sys.stacks {
+		due := int64(math.MaxInt64)
 		for i, v := range st.vaults {
 			if v.Active() && !has(st.busy, i) {
 				return fmt.Errorf("stack %d vault %d active but not in the busy set", st.id, i)
 			}
+			if has(st.busy, i) {
+				due = minEvent(due, v.NextEvent())
+			}
+		}
+		if st.due != due {
+			return fmt.Errorf("stack %d: due %d, earliest busy-vault event %d", st.id, st.due, due)
 		}
 	}
 	for i, b := range sys.l2.banks {
