@@ -16,7 +16,7 @@
 // "scale":0.5}],"timeout_ms":0}. Results align with the request; each slot
 // carries the spec digest, the satisfying cache layer (memo/disk/simulated),
 // and the verified result or an error. The response's "cache" object is the
-// HTTP counterpart of tomsim's "cache: hits=... simulated=..." line.
+// HTTP counterpart of tomx run's "cache: hits=... simulated=..." line.
 //
 // Concurrency: cache hits are answered on the request goroutine; misses and
 // trace re-executions run on one shared scheduler that takes a slot per item,
@@ -51,7 +51,6 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation concurrency bound (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 16, "admission bound: queued+running requests before 429")
 	timeout := flag.Duration("timeout", 0, "default per-batch deadline (0 = none)")
-	flushEvery := flag.Int("trace-flush", 64, "flush streamed traces every N events")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
@@ -71,13 +70,12 @@ func main() {
 	srv := &http.Server{
 		Addr: *addr,
 		Handler: newServer(options{
-			scale:      *scale,
-			cacheDir:   *cacheDir,
-			workers:    *workers,
-			queue:      *queue,
-			timeout:    *timeout,
-			flushEvery: *flushEvery,
-			logf:       logf,
+			scale:    *scale,
+			cacheDir: *cacheDir,
+			workers:  *workers,
+			queue:    *queue,
+			timeout:  *timeout,
+			logf:     logf,
 		}).handler(),
 	}
 

@@ -25,7 +25,6 @@ type options struct {
 	workers     int           // simulation concurrency bound (<=0 = GOMAXPROCS)
 	queue       int           // admission bound: queued+running batch requests
 	timeout     time.Duration // default per-batch deadline (0 = no deadline)
-	flushEvery  int           // trace streaming: flush encoder every N events
 	logf        func(format string, args ...any)
 }
 
@@ -70,9 +69,6 @@ func newServer(opts options) *server {
 	}
 	if opts.queue <= 0 {
 		opts.queue = 16
-	}
-	if opts.flushEvery <= 0 {
-		opts.flushEvery = 64
 	}
 	if opts.logf == nil {
 		opts.logf = func(string, ...any) {}
@@ -157,7 +153,7 @@ type runResponse struct {
 }
 
 // batchSummary is the per-batch cache accounting (the HTTP counterpart of
-// tomsim's "cache: hits=... simulated=..." stderr line). Misses = simulated
+// tomx run's "cache: hits=... simulated=..." stderr line). Misses = simulated
 // + errors: every run the cache layers could not satisfy.
 type batchSummary struct {
 	Hits      int `json:"hits"`
@@ -335,16 +331,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, batchResponse{Results: results, Cache: sum})
 }
 
+// traceFlushEvery is how many events a streamed trace holds before the
+// encoder flushes through to the client: the client's lag behind the
+// simulation.
+const traceFlushEvery = 64
+
 // handleTrace re-executes a previously-submitted run under observation and
-// streams its binary lifecycle trace (decode with cmd/tomtrace) as it is
+// streams its binary lifecycle trace (decode with tomx trace) as it is
 // produced. Observation requires an actual execution (only an execution
 // yields events), so this endpoint always simulates — it admits through the
-// same queue as batches and runs as one item of the same scheduler, so
-// traces count against the simulation bound. The sink chain is Label →
-// Sampling → AutoFlush → encoder; the AutoFlush layer bounds the client's
-// lag behind the simulation, and the sampling sink's trace_sampled
-// conservation summaries arrive at the end of the stream whether the run
-// succeeds or fails.
+// same queue as batches and runs Session.Observe as one item of the same
+// scheduler, so traces count against the simulation bound. Observe's chain
+// (sampling, run label) ends in an AutoFlush layer over the encoder, which
+// bounds the client's lag, and the trace_sampled conservation summaries
+// arrive at the end of the stream whether the run succeeds or fails.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Admission comes first: under saturation even lookup traffic bounces,
 	// keeping the 429 the one overload signal.
@@ -372,20 +372,12 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	fw := &flushWriter{w: w}
-	policy := core.ObsPolicy{
-		Registry:    obs.NewRegistry(),
-		Trace:       obs.NewAutoFlushSink(obs.NewBinarySink(fw), s.opts.flushEvery),
-		TraceSample: sample,
-	}
-	o, _ := policy.ObserverFor(ent.spec.Key())
-	runErr := s.sched.ForEach(r.Context(), 1, func(int) error {
-		_, _, err := ent.sess.Execute(ent.spec, o)
+	trace := obs.NewAutoFlushSink(obs.NewBinarySink(fw), traceFlushEvery)
+	err := s.sched.ForEach(r.Context(), 1, func(int) error {
+		_, _, err := ent.sess.Observe(ent.spec, trace, sample, 0)
 		return err
 	})[0]
-	// Flush on success and failure alike: a failed run has already streamed
-	// events, and its conservation summaries must still reach the client.
-	flushErr := obs.Flush(o.Trace)
-	if err := errors.Join(runErr, flushErr); err != nil {
+	if err != nil {
 		// Once bytes are on the wire the status is spent; truncating the
 		// stream is all HTTP allows. Before that, a clean 500 is possible.
 		if !fw.wrote {

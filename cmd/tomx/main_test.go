@@ -3,11 +3,73 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// runTomx calls tomx in-process and returns its exit status and output.
+func runTomx(t *testing.T, stdin string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var o, e bytes.Buffer
+	code = tomx(args, strings.NewReader(stdin), &o, &e)
+	return code, o.String(), e.String()
+}
+
+// TestStrayArgumentsRefused: Go's flag package stops at the first non-flag
+// argument, so a misplaced word used to drop every flag after it — "tomx
+// fig8 -scale 0.03" ran all experiments at scale 1.0, "tomx -q -scale 0.03
+// fig8" printed all fifteen tables, "run -scale 0.03 BFS" ran LIB. Every
+// mode now refuses what it does not take with its usage and exit status 2,
+// before anything is simulated.
+func TestStrayArgumentsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"fig8"},
+		{"fig8", "-scale", "0.03"},
+		{"-q", "-scale", "0.03", "fig8"},
+		{"-exp", "fig8", "-q", "-scale", "0.03", "-"},
+		{"run", "-scale", "0.03", "BFS"},
+		{"cc", "-workload", "LIB", "extra.s"},
+		{"cc", "a.s", "b.s"},
+		{"trace", "a.trace", "b.trace"},
+		{"run", "-nope"},
+	} {
+		code, stdout, stderr := runTomx(t, "", args...)
+		if code != 2 {
+			t.Errorf("tomx %v: exit status %d, want 2", args, code)
+		}
+		if stdout != "" {
+			t.Errorf("tomx %v: printed before refusing:\n%s", args, stdout)
+		}
+		if !strings.Contains(stderr, "usage: tomx") {
+			t.Errorf("tomx %v: stderr = %q, want the usage", args, stderr)
+		}
+	}
+	if code, _, _ := runTomx(t, "", "run", "-h"); code != 0 {
+		t.Errorf("tomx run -h: exit status %d, want 0", code)
+	}
+}
+
+// TestTraceSampleMustBePositive: -trace-sample 0 is refused in both modes
+// that take it, as tomserve refuses ?sample=0, before the trace file is
+// created or anything is simulated.
+func TestTraceSampleMustBePositive(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"run", "-scale", "0.03", "-trace-sample", "0"},
+		{"-exp", "fig2", "-scale", "0.03", "-q", "-trace-sample", "0"},
+	} {
+		file := filepath.Join(dir, "t.bin")
+		code, stdout, stderr := runTomx(t, "", append(args, "-trace", file)...)
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "tomx: -trace-sample") {
+			t.Errorf("tomx %v: exit %d, stdout %q, stderr %q; want 1, nothing, a -trace-sample error",
+				args, code, stdout, stderr)
+		}
+		if _, err := os.Stat(file); !os.IsNotExist(err) {
+			t.Errorf("tomx %v: created the trace file", args)
+		}
+	}
+}
 
 // TestTimelineExportRefusedBeforeSimulating: -metrics/-trace on an experiment
 // without a timeline used to simulate the whole experiment, print its table,
@@ -15,25 +77,18 @@ import (
 // exit status 1, the reason on stderr, nothing on stdout, no file left.
 func TestTimelineExportRefusedBeforeSimulating(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "tomx")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	for _, id := range []string{"fig5", "fig6", "area", "nope"} {
 		for _, flag := range []string{"-metrics", "-trace"} {
 			file := filepath.Join(dir, id+flag+".out")
-			cmd := exec.Command(bin, "-exp", id, "-scale", "0.03", "-q", flag, file)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
-			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-				t.Errorf("-exp %s %s: err = %v, want exit status 1", id, flag, err)
+			code, stdout, stderr := runTomx(t, "", "-exp", id, "-scale", "0.03", "-q", flag, file)
+			if code != 1 {
+				t.Errorf("-exp %s %s: exit status %d, want 1", id, flag, code)
 			}
-			if stdout.Len() != 0 {
-				t.Errorf("-exp %s %s: printed before refusing:\n%s", id, flag, stdout.String())
+			if stdout != "" {
+				t.Errorf("-exp %s %s: printed before refusing:\n%s", id, flag, stdout)
 			}
-			if !strings.HasPrefix(stderr.String(), "tomx: ") {
-				t.Errorf("-exp %s %s: stderr = %q, want a tomx: error", id, flag, stderr.String())
+			if !strings.HasPrefix(stderr, "tomx: ") {
+				t.Errorf("-exp %s %s: stderr = %q, want a tomx: error", id, flag, stderr)
 			}
 			if _, err := os.Stat(file); !os.IsNotExist(err) {
 				t.Errorf("-exp %s %s: left %s behind", id, flag, file)

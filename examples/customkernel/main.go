@@ -17,7 +17,7 @@ import (
 )
 
 // A y[i] = alpha*x[i] + y[i] kernel with a grid-stride loop, written in the
-// textual assembly accepted by isa.Assemble (and cmd/tomcc).
+// textual assembly accepted by isa.Assemble (and tomx cc).
 const src = `
 .kernel axpy
 .params 5            # r0=x, r1=y, r2=n-per-thread, r3=alpha, r4=total-threads

@@ -4,17 +4,18 @@
 // equality plus the workload's own self-check), and aggregates the results
 // into the tables that cmd/tomx, the benchmarks, and EXPERIMENTS.md report.
 //
-// Runs are requested through a Session, which layers three caches over the
-// simulator (see docs/RUNCACHE.md):
+// Runs are requested through a Session, which puts two cache layers in
+// front of the simulator (see docs/RUNCACHE.md):
 //
 //  1. an in-memory singleflight memo keyed by RunSpec digest — concurrent
-//     requests for the same run are deduplicated, repeats are free;
+//     requests for the same run are deduplicated, repeats are free; and
 //  2. an optional persistent result cache (DiskCache) holding verified
 //     RunResult records keyed by spec digest + build fingerprint, so a
-//     repeated invocation replays instead of re-simulating; and
-//  3. an observation policy (ObsPolicy) that gives each observed run a
-//     scoped, label-prefixed view of one shared obs registry, so observed
-//     runs execute in parallel without metric collisions.
+//     repeated invocation replays instead of re-simulating.
+//
+// Observed runs (Observe) bypass both and always simulate: each gets a
+// private metrics registry and a run-labeled trace chain, so they execute
+// in parallel without sharing any metric.
 package core
 
 import (
@@ -63,7 +64,7 @@ const (
 )
 
 // AllConfigNames lists every declared configuration in evaluation order.
-// cmd/tomsim -list and the registry test derive from this single list, so
+// tomx run -list and the registry test derive from this single list, so
 // adding a configuration here is sufficient to list it and cover it; what
 // tomx simulates is the subset the experiments table names.
 func AllConfigNames() []ConfigName {
@@ -158,7 +159,7 @@ type CacheStats struct {
 // profiles by spec digest, and verifies every timing run against the
 // functional reference. It is safe for concurrent use: simultaneous
 // requests for the same run are deduplicated, distinct runs proceed in
-// parallel (see Warm and WarmObserved).
+// parallel (see Warm and Timeline).
 type Session struct {
 	Scale    float64
 	progress func(format string, args ...any) // Options.Progress
@@ -325,6 +326,31 @@ func (s *Session) RunObserved(abbr string, name ConfigName, o *obs.Observer) (*R
 	}
 	res, _, err := s.Execute(spec, o)
 	return res, err
+}
+
+// Observe executes spec with a private metrics registry, sampled every
+// interval cycles (0 = obs.DefaultSampleEvery), and returns the verified
+// result with the run's snapshot. When trace is non-nil it receives the
+// run's lifecycle events through the chain SamplingSink(traceSample) →
+// LabelSink(spec.Key()) → trace, so events and the trace_sampled summaries
+// alike carry the run label, and several runs can share one trace. The
+// chain is flushed whether or not the run succeeds: a run that failed
+// halfway has already pushed events through it, and its summaries must
+// still say what was sampled away. Like every observed run it always
+// executes (see Execute).
+func (s *Session) Observe(spec RunSpec, trace obs.EventSink, traceSample int, interval int64) (*RunResult, *obs.Snapshot, error) {
+	o := &obs.Observer{Registry: obs.NewRegistry(), SampleEvery: interval}
+	if trace != nil {
+		o.Trace = obs.NewSamplingSink(obs.NewLabelSink(trace, spec.Key()), traceSample)
+	}
+	res, _, err := s.Execute(spec, o)
+	if flushErr := obs.Flush(o.Trace); err == nil {
+		err = flushErr
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, o.Registry.Snapshot(), nil
 }
 
 // RunSource reports which layer satisfied a run (see Execute).

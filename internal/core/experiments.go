@@ -438,39 +438,35 @@ func TimelineConfigs(id string) ([]ConfigName, error) {
 // observers attached and returns per-interval metric snapshots — the
 // off-chip traffic breakdown over time rather than as end-of-run totals —
 // keyed "ABBR/config". interval is the sampling period in cycles (0 =
-// obs.DefaultSampleEvery). The runs execute in parallel, each with a
-// scoped view of one shared registry (see ObsPolicy); every snapshot is
-// identical to what a serial run with a private registry would produce.
+// obs.DefaultSampleEvery). The runs execute in parallel, each through
+// Observe with its own registry, so every snapshot is what a serial run
+// would produce.
 //
 // trace, when non-nil, receives every run's lifecycle events, stamped with
 // the "ABBR/config" run label and thinned to one in traceSample per kind
-// per run when traceSample > 1 (tomx -trace). The caller owns the sink and
-// flushes it after the call returns.
+// per run when traceSample > 1 (tomx -trace). It must be safe for
+// concurrent Emit; the caller owns it.
 func (r *Session) Timeline(id string, interval int64, trace obs.EventSink, traceSample int) (map[string]*obs.Snapshot, error) {
 	cfgs, err := TimelineConfigs(id)
 	if err != nil {
 		return nil, err
 	}
-	var specs []RunSpec
-	for _, p := range pairsOf(cfgs) {
-		spec, err := r.Spec(p.Abbr, p.Config)
+	pairs := pairsOf(cfgs)
+	snaps := make([]*obs.Snapshot, len(pairs))
+	err = forEach(len(pairs), func(i int) string { return pairs[i].Key() }, func(i int) error {
+		spec, err := r.Spec(pairs[i].Abbr, pairs[i].Config)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		specs = append(specs, spec)
-	}
-	snaps, err := r.WarmObserved(specs, ObsPolicy{
-		Registry:    obs.NewRegistry(),
-		SampleEvery: interval,
-		Trace:       trace,
-		TraceSample: traceSample,
+		_, snaps[i], err = r.Observe(spec, trace, traceSample, interval)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*obs.Snapshot, len(snaps))
-	for i, snap := range snaps {
-		out[specs[i].Key()] = snap
+	out := make(map[string]*obs.Snapshot, len(pairs))
+	for i, p := range pairs {
+		out[p.Key()] = snaps[i]
 	}
 	return out, nil
 }

@@ -9,57 +9,37 @@ import (
 	"repro/internal/obs"
 )
 
-// specsOf resolves pairs at the session's scale, in order.
-func specsOf(t *testing.T, s *Session, pairs []Pair) []RunSpec {
-	t.Helper()
-	specs := make([]RunSpec, len(pairs))
-	for i, p := range pairs {
-		var err error
-		if specs[i], err = s.Spec(p.Abbr, p.Config); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return specs
-}
-
-// TestWarmObservedSharedRegistry: parallel observed runs over one shared
-// registry must produce, per run, exactly the snapshot a serial run with a
-// private registry produces, and the shared trace must stay attributable
-// through run labels. Runs under -race in CI (the parallel-observed-runs
-// acceptance check).
-func TestWarmObservedSharedRegistry(t *testing.T) {
-	s := NewSession(Options{Scale: 0.05})
-	pairs := []Pair{
-		{Abbr: "LIB", Config: CfgCtrlBmap},
-		{Abbr: "LIB", Config: CfgCtrlTmap},
-		{Abbr: "SP", Config: CfgCtrlBmap},
-		{Abbr: "SP", Config: CfgCtrlTmap},
-	}
+// TestTimelineMatchesSerialObserve: parallel observed runs (Timeline runs
+// an experiment's pairs on the scheduler) must produce, per run, exactly
+// the snapshot a serial Observe of the same spec produces, and the shared
+// trace must stay attributable through run labels. Runs under -race in CI.
+func TestTimelineMatchesSerialObserve(t *testing.T) {
+	s := NewSession(Options{Scale: 0.03})
 	trace := &obs.CollectSink{}
-	snaps, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
-		Registry:    obs.NewRegistry(),
-		Trace:       trace,
-		SampleEvery: 512,
-	})
+	snaps, err := s.Timeline("fig2", 512, trace, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfgs, err := TimelineConfigs("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := pairsOf(cfgs)
 	if len(snaps) != len(pairs) {
 		t.Fatalf("snapshots for %d runs, want %d", len(snaps), len(pairs))
 	}
-
-	// Each scoped snapshot equals the serial, private-registry snapshot.
-	for i, p := range pairs {
-		private := obs.New()
-		private.SampleEvery = 512
-		res, err := s.RunObserved(p.Abbr, p.Config, private)
+	for _, p := range pairs {
+		spec, err := s.Spec(p.Abbr, p.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := private.Registry.Snapshot()
-		got := snaps[i]
+		res, want, err := s.Observe(spec, nil, 1, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := snaps[p.Key()]
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: scoped snapshot differs from serial run", p.Key())
+			t.Errorf("%s: parallel snapshot differs from the serial run", p.Key())
 		}
 		if got.Counters["offload.sent"] != res.Stats.OffloadsSent {
 			t.Errorf("%s: snapshot sent = %d, stats say %d",
@@ -67,70 +47,58 @@ func TestWarmObservedSharedRegistry(t *testing.T) {
 		}
 	}
 
-	// Every trace event is labeled with a known run.
-	valid := map[string]bool{}
-	for _, p := range pairs {
-		valid[p.Key()] = true
-	}
 	evs := trace.Events()
 	if len(evs) == 0 {
 		t.Fatal("shared trace collected nothing")
 	}
 	for _, ev := range evs {
-		if !valid[ev.Run] {
+		if snaps[ev.Run] == nil {
 			t.Fatalf("trace event with unknown run label %q", ev.Run)
 		}
 	}
 }
 
-// TestWarmObservedTraceSampling: the policy's per-kind sampling must thin
-// the shared trace while keeping every run and kind represented.
-func TestWarmObservedTraceSampling(t *testing.T) {
-	pairs := []Pair{
-		{Abbr: "LIB", Config: CfgCtrlBmap},
-		{Abbr: "SP", Config: CfgCtrlBmap},
-	}
-	full := &obs.CollectSink{}
+// TestObserveTraceSampling: per-kind sampling must thin a run's trace while
+// keeping every kind it emitted represented.
+func TestObserveTraceSampling(t *testing.T) {
 	s := NewSession(Options{Scale: 0.05})
-	if _, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
-		Registry: obs.NewRegistry(), Trace: full,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sampled := &obs.CollectSink{}
-	s = NewSession(Options{Scale: 0.05})
-	if _, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
-		Registry: obs.NewRegistry(), Trace: sampled, TraceSample: 16,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	nf, ns := len(full.Events()), len(sampled.Events())
-	if ns == 0 || ns >= nf {
-		t.Fatalf("sampling kept %d of %d events", ns, nf)
-	}
-	// The send lifecycle step survives for every run.
-	seen := map[string]bool{}
-	for _, ev := range sampled.Events() {
-		if ev.Kind == obs.EvSend {
-			seen[ev.Run] = true
+	for _, abbr := range []string{"LIB", "SP"} {
+		spec, err := s.Spec(abbr, CfgCtrlBmap)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, p := range pairs {
-		if !seen[p.Key()] {
-			t.Errorf("%s: no send events survived sampling", p.Key())
+		full, sampled := &obs.CollectSink{}, &obs.CollectSink{}
+		if _, _, err := s.Observe(spec, full, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Observe(spec, sampled, 16, 0); err != nil {
+			t.Fatal(err)
+		}
+		nf, ns := len(full.Events()), len(sampled.Events())
+		if ns == 0 || ns >= nf {
+			t.Fatalf("%s: sampling kept %d of %d events", spec.Key(), ns, nf)
+		}
+		if sampled.CountKind(obs.EvSend) == 0 {
+			t.Errorf("%s: no send events survived sampling", spec.Key())
+		}
+		for _, ev := range full.Events() {
+			if sampled.CountKind(ev.Kind) == 0 {
+				t.Errorf("%s: kind %s lost to sampling", spec.Key(), ev.Kind)
+				break
+			}
 		}
 	}
 }
 
-// TestWarmObservedFlushesFailedRuns extends the sampling-conservation
-// check with a failing run: a run that dies mid-simulation has already
-// pushed events through its sampling sink, so its per-kind trace_sampled
-// summaries must still reach the shared trace — otherwise the trace
-// under-reports what was sampled away exactly when a reader most needs to
-// know (the run it is debugging is the one that failed). The failure is
-// induced by truncating MaxCycles just below the run's natural length, so
-// nearly the whole event stream exists before the error.
-func TestWarmObservedFlushesFailedRuns(t *testing.T) {
+// TestObserveFlushesFailedRuns extends the sampling-conservation check to a
+// failing run: a run that dies mid-simulation has already pushed events
+// through its sampling sink, so its per-kind trace_sampled summaries must
+// still reach the shared trace — otherwise the trace under-reports what was
+// sampled away exactly when a reader most needs to know (the run it is
+// debugging is the one that failed). The failure is induced by truncating
+// MaxCycles just below the run's natural length, so nearly the whole event
+// stream exists before the error.
+func TestObserveFlushesFailedRuns(t *testing.T) {
 	const scale = 0.05
 	s := NewSession(Options{Scale: scale})
 
@@ -150,22 +118,18 @@ func TestWarmObservedFlushesFailedRuns(t *testing.T) {
 	bad.Cfg.MaxCycles = natural.Stats.Cycles - 2 // quiescence is unreachable
 
 	trace := &obs.CollectSink{}
-	snaps, err := s.WarmObserved([]RunSpec{good, bad}, ObsPolicy{
-		Registry:    obs.NewRegistry(),
-		Trace:       trace,
-		TraceSample: 8,
-	})
+	if _, snap, err := s.Observe(good, trace, 8, 0); err != nil || snap == nil {
+		t.Fatalf("the good run: snapshot %v, err %v", snap, err)
+	}
+	res, snap, err := s.Observe(bad, trace, 8, 0)
 	if err == nil {
 		t.Fatal("the truncated run must fail")
 	}
 	if !strings.Contains(err.Error(), "SP/ctrl-bmap") || !strings.Contains(err.Error(), "MaxCycles") {
 		t.Fatalf("unexpected failure: %v", err)
 	}
-	if snaps[0] == nil {
-		t.Fatal("the good run must still snapshot")
-	}
-	if snaps[1] != nil {
-		t.Fatal("the failed run must not snapshot")
+	if res != nil || snap != nil {
+		t.Fatal("the failed run must return neither a result nor a snapshot")
 	}
 
 	// Conservation per run label, failed run included: every kind that kept
@@ -228,9 +192,14 @@ func TestStackPendingShareBalanced(t *testing.T) {
 	for _, a := range Abbrs() {
 		pairs = append(pairs, Pair{Abbr: a, Config: CfgCtrlTmap})
 	}
-	snaps, err := s.WarmObserved(specsOf(t, s, pairs), ObsPolicy{
-		Registry:    obs.NewRegistry(),
-		SampleEvery: 512,
+	snaps := make([]*obs.Snapshot, len(pairs))
+	err := forEach(len(pairs), func(i int) string { return pairs[i].Key() }, func(i int) error {
+		spec, err := s.Spec(pairs[i].Abbr, pairs[i].Config)
+		if err != nil {
+			return err
+		}
+		_, snaps[i], err = s.Observe(spec, nil, 1, 512)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

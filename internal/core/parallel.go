@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // flight deduplicates concurrent computations of the same key: the first
@@ -90,71 +88,4 @@ func (s *Session) runPairs(pairs []Pair) (map[Pair]*RunResult, error) {
 func (s *Session) Warm(pairs []Pair) error {
 	_, err := s.runPairs(pairs)
 	return err
-}
-
-// ObsPolicy describes how a batch of observed runs shares one observability
-// surface: each run gets a scoped, label-prefixed view of Registry (its
-// metrics appear under "ABBR/config/..."), and trace events — optionally
-// sampled per kind — are stamped with the run label before reaching the
-// shared sink. This is what makes observed runs safe to execute in
-// parallel: the registry primitives are race-safe and the prefixes keep
-// concurrent runs from colliding on metric names.
-type ObsPolicy struct {
-	// Registry is the shared root registry. Required.
-	Registry *obs.Registry
-	// Trace, when non-nil, receives every run's lifecycle events (labeled,
-	// and sampled when TraceSample > 1). Must be safe for concurrent Emit.
-	Trace obs.EventSink
-	// SampleEvery is the metrics sampling interval in cycles (0 = default).
-	SampleEvery int64
-	// TraceSample keeps one trace event in every TraceSample per event
-	// kind per run (<= 1 keeps everything).
-	TraceSample int
-}
-
-// ObserverFor builds the scoped observer for one run label ("ABBR/config"
-// for named pairs; any unique string works) and returns it together with
-// the scoped registry view.
-func (p *ObsPolicy) ObserverFor(label string) (*obs.Observer, *obs.Registry) {
-	scoped := p.Registry.Scoped(label + "/")
-	o := &obs.Observer{Registry: scoped, SampleEvery: p.SampleEvery}
-	if p.Trace != nil {
-		var sink obs.EventSink = obs.NewLabelSink(p.Trace, label)
-		if p.TraceSample > 1 {
-			sink = obs.NewSamplingSink(sink, p.TraceSample)
-		}
-		o.Trace = sink
-	}
-	return o, scoped
-}
-
-// WarmObserved executes the given specs in parallel, each with a scoped
-// observer labeled spec.Key() onto the policy's shared registry, and returns
-// each run's scoped metrics snapshot, aligned with specs (nil for a failed
-// run). Like any observed run, results are verified but not memoized.
-// Callers batching specs that share a Key (same workload and configuration
-// name with different resolved parameters) should expect their metrics to
-// merge under one label. Failures are joined as in Warm.
-//
-// Each run's sink chain is flushed on success and failure alike: a sampling
-// sink emits its per-kind trace_sampled conservation summaries at flush, and
-// a run that failed halfway has already pushed events through the chain —
-// swallowing the flush on the error path would make the shared trace
-// under-report what was sampled away.
-func (s *Session) WarmObserved(specs []RunSpec, policy ObsPolicy) ([]*obs.Snapshot, error) {
-	out := make([]*obs.Snapshot, len(specs))
-	err := forEach(len(specs), func(i int) string { return specs[i].Key() }, func(i int) error {
-		o, scoped := policy.ObserverFor(specs[i].Key())
-		_, _, runErr := s.Execute(specs[i], o)
-		flushErr := obs.Flush(o.Trace)
-		if runErr != nil {
-			return runErr
-		}
-		if flushErr != nil {
-			return flushErr
-		}
-		out[i] = scoped.Snapshot()
-		return nil
-	})
-	return out, err
 }

@@ -54,7 +54,7 @@ func NewRunSpec(abbr string, scale float64, name ConfigName) (RunSpec, error) {
 }
 
 // Key returns the human-readable run identity ("ABBR/config"), used for
-// progress lines, trace run labels, and scoped registry prefixes.
+// progress lines, trace run labels, and memo diagnostics.
 func (sp RunSpec) Key() string {
 	return sp.Abbr + "/" + string(sp.Config)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestSessionConcurrentStress hammers one Session with the access pattern a
-// long-running server produces: concurrent Run, Warm, and WarmObserved
-// calls over overlapping pairs, with a persistently failing pair mixed in.
+// long-running server produces: concurrent Run, Warm, and Observe calls
+// over overlapping pairs, with a persistently failing pair mixed in.
 // Runs under -race in CI. It asserts the layered-cache invariants that
 // overlap must not break:
 //
@@ -34,7 +34,14 @@ func TestSessionConcurrentStress(t *testing.T) {
 		{Abbr: "SP", Config: CfgCtrlBmap},
 	}
 	bad := Pair{Abbr: "NOPE", Config: CfgBaseline}
-	goodSpecs := specsOf(t, s, good)
+	var goodSpecs []RunSpec
+	for _, p := range good {
+		spec, err := s.Spec(p.Abbr, p.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goodSpecs = append(goodSpecs, spec)
+	}
 
 	const goroutines = 6
 	const iters = 2
@@ -61,17 +68,14 @@ func TestSessionConcurrentStress(t *testing.T) {
 					} else if !strings.Contains(err.Error(), "NOPE") {
 						t.Errorf("Warm error does not name the failing pair: %v", err)
 					}
-				case 2: // observed runs over a private policy surface
-					snaps, err := s.WarmObserved(goodSpecs, ObsPolicy{
-						Registry:    obs.NewRegistry(),
-						Trace:       &obs.CollectSink{},
-						SampleEvery: 2048,
-						TraceSample: 64,
-					})
-					if err != nil {
-						t.Errorf("WarmObserved: %v", err)
-					} else if len(snaps) != len(good) {
-						t.Errorf("WarmObserved returned %d snapshots, want %d", len(snaps), len(good))
+				case 2: // observed runs, sharing one sampled trace
+					trace := &obs.CollectSink{}
+					for _, spec := range goodSpecs {
+						if _, snap, err := s.Observe(spec, trace, 64, 2048); err != nil {
+							t.Errorf("Observe(%s): %v", spec.Key(), err)
+						} else if snap == nil {
+							t.Errorf("Observe(%s) returned no snapshot", spec.Key())
+						}
 					}
 				}
 			}

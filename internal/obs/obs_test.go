@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -31,6 +32,40 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 		if counters[i] != counters[0] || gauges[i] != gauges[0] || series[i] != series[0] {
 			t.Fatalf("worker %d got a different handle", i)
 		}
+	}
+}
+
+// TestRegistryConcurrentGetOrCreate: goroutines creating and updating
+// distinct metrics in one registry at once (tomserve's /metrics registry
+// is shared by every request) must not race or lose updates.
+func TestRegistryConcurrentGetOrCreate(t *testing.T) {
+	r := NewRegistry()
+	const workers, per = 8, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := r.Counter(fmt.Sprintf("run%d.sent", i))
+			s := r.Series(fmt.Sprintf("run%d.traffic", i), 64)
+			for j := 0; j < per; j++ {
+				c.Inc()
+				s.Add(int64(j), 1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	for i := 0; i < workers; i++ {
+		if got := snap.Counters[fmt.Sprintf("run%d.sent", i)]; got != per {
+			t.Errorf("run%d counter = %d, want %d", i, got, per)
+		}
+		if got := r.Series(fmt.Sprintf("run%d.traffic", i), 64).Sum(); got != per {
+			t.Errorf("run%d series sum = %v, want %d", i, got, per)
+		}
+	}
+	if got := len(r.Names()); got != 2*workers {
+		t.Errorf("names = %d, want %d", got, 2*workers)
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -92,71 +91,47 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// regCore is the shared metric store behind one root Registry and all of its
-// scoped views. All views lock the same mutex and resolve into the same maps.
-type regCore struct {
+// Registry holds named metrics. Lookups are get-or-create and return stable
+// pointers, so hot paths resolve each handle once and then update it
+// lock-free (counters/gauges) or under the series' own mutex. A registry is
+// safe for concurrent use: an observed run owns a private one, and
+// tomserve's /metrics registry is shared by every request.
+type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	series   map[string]*Series
 }
 
-// Registry holds named metrics. Lookups are get-or-create and return stable
-// pointers, so hot paths resolve each handle once and then update it
-// lock-free (counters/gauges) or under the series' own mutex.
-//
-// A Registry is a view onto a shared store: Scoped returns a second view
-// whose lookups are transparently prefixed, so several concurrent producers
-// (e.g. parallel observed simulation runs) can share one store without name
-// collisions while each sees only its own metrics.
-type Registry struct {
-	prefix string
-	core   *regCore
-}
-
-// NewRegistry returns an empty root registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{core: &regCore{
+	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		series:   map[string]*Series{},
-	}}
+	}
 }
-
-// Scoped returns a view of the same underlying store in which every metric
-// name is prefixed with prefix. Snapshot and Names on the view cover only
-// metrics under the prefix, with the prefix stripped — a scoped view of one
-// run therefore snapshots exactly like a private registry would. Scoping
-// composes: r.Scoped("a/").Scoped("b/") prefixes "a/b/".
-func (r *Registry) Scoped(prefix string) *Registry {
-	return &Registry{prefix: r.prefix + prefix, core: r.core}
-}
-
-// Prefix returns the view's accumulated name prefix ("" for the root).
-func (r *Registry) Prefix() string { return r.prefix }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	name = r.prefix + name
-	r.core.mu.Lock()
-	defer r.core.mu.Unlock()
-	c, ok := r.core.counters[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
-		r.core.counters[name] = c
+		r.counters[name] = c
 	}
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	name = r.prefix + name
-	r.core.mu.Lock()
-	defer r.core.mu.Unlock()
-	g, ok := r.core.gauges[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
-		r.core.gauges[name] = g
+		r.gauges[name] = g
 	}
 	return g
 }
@@ -168,13 +143,12 @@ func (r *Registry) Series(name string, interval int64) *Series {
 	if interval <= 0 {
 		interval = DefaultSampleEvery
 	}
-	name = r.prefix + name
-	r.core.mu.Lock()
-	defer r.core.mu.Unlock()
-	s, ok := r.core.series[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.series[name]
 	if !ok {
 		s = &Series{interval: interval}
-		r.core.series[name] = s
+		r.series[name] = s
 	}
 	return s
 }
@@ -186,74 +160,47 @@ type SeriesData struct {
 }
 
 // Snapshot is a point-in-time copy of every metric, shaped for JSON export
-// (the cmd/tomsim -metrics schema, see docs/OBSERVABILITY.md).
+// (the tomx run -metrics schema, see docs/OBSERVABILITY.md).
 type Snapshot struct {
 	Counters map[string]uint64     `json:"counters,omitempty"`
 	Gauges   map[string]int64      `json:"gauges,omitempty"`
 	Series   map[string]SeriesData `json:"series,omitempty"`
 }
 
-// Snapshot copies the view's current state: on the root, every metric under
-// its full name; on a scoped view, only metrics under the view's prefix,
-// with the prefix stripped.
+// Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() *Snapshot {
-	r.core.mu.Lock()
-	defer r.core.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	snap := &Snapshot{
-		Counters: make(map[string]uint64, len(r.core.counters)),
-		Gauges:   make(map[string]int64, len(r.core.gauges)),
-		Series:   make(map[string]SeriesData, len(r.core.series)),
+		Counters: make(map[string]uint64, len(r.counters)),
+		Gauges:   make(map[string]int64, len(r.gauges)),
+		Series:   make(map[string]SeriesData, len(r.series)),
 	}
-	for name, c := range r.core.counters {
-		if local, ok := r.localName(name); ok {
-			snap.Counters[local] = c.Value()
-		}
+	for name, c := range r.counters {
+		snap.Counters[name] = c.Value()
 	}
-	for name, g := range r.core.gauges {
-		if local, ok := r.localName(name); ok {
-			snap.Gauges[local] = g.Value()
-		}
+	for name, g := range r.gauges {
+		snap.Gauges[name] = g.Value()
 	}
-	for name, s := range r.core.series {
-		if local, ok := r.localName(name); ok {
-			snap.Series[local] = SeriesData{Interval: s.Interval(), Values: s.Values()}
-		}
+	for name, s := range r.series {
+		snap.Series[name] = SeriesData{Interval: s.Interval(), Values: s.Values()}
 	}
 	return snap
 }
 
-// localName maps a stored metric name into the view, or reports that the
-// name is outside the view's prefix.
-func (r *Registry) localName(name string) (string, bool) {
-	if r.prefix == "" {
-		return name, true
-	}
-	if !strings.HasPrefix(name, r.prefix) {
-		return "", false
-	}
-	return name[len(r.prefix):], true
-}
-
-// Names returns the view's metric names, sorted (diagnostics). Like
-// Snapshot, a scoped view lists only its own metrics, prefix-stripped.
+// Names returns the registry's metric names, sorted (diagnostics).
 func (r *Registry) Names() []string {
-	r.core.mu.Lock()
-	defer r.core.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []string
-	for n := range r.core.counters {
-		if local, ok := r.localName(n); ok {
-			out = append(out, local)
-		}
+	for n := range r.counters {
+		out = append(out, n)
 	}
-	for n := range r.core.gauges {
-		if local, ok := r.localName(n); ok {
-			out = append(out, local)
-		}
+	for n := range r.gauges {
+		out = append(out, n)
 	}
-	for n := range r.core.series {
-		if local, ok := r.localName(n); ok {
-			out = append(out, local)
-		}
+	for n := range r.series {
+		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out

@@ -48,7 +48,6 @@ type SamplingSink struct {
 
 	mu        sync.Mutex
 	seen      map[string]*kindTally
-	dropped   uint64
 	summarize bool // summaries not yet emitted
 }
 
@@ -62,7 +61,7 @@ func NewSamplingSink(inner EventSink, n int) *SamplingSink {
 }
 
 // Emit forwards the event when its kind's counter lands on a sampling
-// point; otherwise the event is counted as dropped.
+// point and drops it otherwise; either way it is counted as seen.
 func (s *SamplingSink) Emit(ev Event) {
 	if s.n <= 1 {
 		s.inner.Emit(ev)
@@ -78,20 +77,11 @@ func (s *SamplingSink) Emit(ev Event) {
 	t.seen++
 	if keep {
 		t.kept++
-	} else {
-		s.dropped++
 	}
 	s.mu.Unlock()
 	if keep {
 		s.inner.Emit(ev)
 	}
-}
-
-// Dropped returns how many events were suppressed so far.
-func (s *SamplingSink) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // Flush emits the per-kind trace_sampled summaries (once — later flushes

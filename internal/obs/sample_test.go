@@ -41,7 +41,7 @@ func TestSamplingSinkFlushSummaries(t *testing.T) {
 	if len(summaries) != len(emitted) {
 		t.Fatalf("summaries for %d kinds, want %d", len(summaries), len(emitted))
 	}
-	totalDropped := 0
+	totalSeen, totalKept := 0, 0
 	for kind, seen := range emitted {
 		sum, ok := summaries[kind]
 		if !ok {
@@ -56,11 +56,15 @@ func TestSamplingSinkFlushSummaries(t *testing.T) {
 		if sum.Kept > sum.N {
 			t.Errorf("%s: kept %d > seen %d", kind, sum.Kept, sum.N)
 		}
-		totalDropped += sum.N - sum.Kept
+		totalSeen += sum.N
+		totalKept += sum.Kept
 	}
-	// Conservation: everything seen was either forwarded or counted dropped.
-	if got := int(s.Dropped()); totalDropped != got {
-		t.Errorf("summaries say %d dropped, sink counted %d", totalDropped, got)
+	// Conservation: everything seen was either forwarded or dropped.
+	if forwarded := len(inner.Events()) - len(summaries); totalKept != forwarded {
+		t.Errorf("summaries say %d kept, the sink forwarded %d", totalKept, forwarded)
+	}
+	if totalSeen != 124 {
+		t.Errorf("summaries say %d seen, want 124 emitted", totalSeen)
 	}
 	if inner.flushes != 1 {
 		t.Errorf("inner flushed %d times, want 1", inner.flushes)
@@ -98,7 +102,7 @@ func TestSamplingSinkPassthroughNoSummaries(t *testing.T) {
 	}
 }
 
-// TestFlushChainReachesEncoder: the tomsim wiring is
+// TestFlushChainReachesEncoder: Session.Observe's wiring is
 // SamplingSink(LabelSink(encoder)); one Flush at the top must land the
 // labeled summaries in the encoder before its buffer drains.
 func TestFlushChainReachesEncoder(t *testing.T) {
@@ -128,5 +132,55 @@ func TestFlushChainReachesEncoder(t *testing.T) {
 	}
 	if sum.Reason != EvSend || sum.N != 9 || sum.Kept != 3 {
 		t.Errorf("summary = %+v, want reason=send n=9 kept=3", sum)
+	}
+}
+
+// TestLabelSink: every forwarded event must carry the run label.
+func TestLabelSink(t *testing.T) {
+	var inner CollectSink
+	s := NewLabelSink(&inner, "LIB/ctrl-tmap")
+	s.Emit(Event{Cycle: 1, Kind: EvSend})
+	s.Emit(Event{Cycle: 2, Kind: EvAck, Run: "overwritten"})
+	evs := inner.Events()
+	if len(evs) != 2 {
+		t.Fatalf("events = %d, want 2", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Run != "LIB/ctrl-tmap" {
+			t.Errorf("event run = %q, want LIB/ctrl-tmap", ev.Run)
+		}
+	}
+}
+
+// TestSamplingSinkPerKind: sampling must be per kind (rare kinds survive a
+// flood of common ones) and keep the first event of each kind.
+func TestSamplingSinkPerKind(t *testing.T) {
+	var inner CollectSink
+	s := NewSamplingSink(&inner, 10)
+	for i := 0; i < 100; i++ {
+		s.Emit(Event{Cycle: int64(i), Kind: EvSend})
+	}
+	s.Emit(Event{Cycle: 999, Kind: EvLearnEnd})
+	if got := inner.CountKind(EvSend); got != 10 {
+		t.Errorf("send events kept = %d, want 10", got)
+	}
+	if got := inner.CountKind(EvLearnEnd); got != 1 {
+		t.Errorf("rare kind must survive sampling, kept %d", got)
+	}
+	// The first event of a kind is always kept.
+	if evs := inner.Events(); evs[0].Cycle != 0 {
+		t.Errorf("first kept event cycle = %d, want 0", evs[0].Cycle)
+	}
+}
+
+// TestSamplingSinkPassthrough: n <= 1 must forward everything.
+func TestSamplingSinkPassthrough(t *testing.T) {
+	var inner CollectSink
+	s := NewSamplingSink(&inner, 0)
+	for i := 0; i < 5; i++ {
+		s.Emit(Event{Kind: EvGate})
+	}
+	if got := inner.CountKind(EvGate); got != 5 {
+		t.Errorf("passthrough kept %d, want 5", got)
 	}
 }
