@@ -13,7 +13,8 @@
 //	GET  /healthz                 liveness
 //
 // A batch is {"runs":[{"workload":"LIB","config":"ctrl-tmap","policy":"",
-// "scale":0.5}],"timeout_ms":0}. Results align with the request; each slot
+// "scale":0.5}],"timeout_ms":0}; a run without a scale runs at -scale, and one
+// Session serves runs of every scale. Results align with the request; each slot
 // carries the spec digest, the satisfying cache layer (memo/disk/simulated),
 // and the verified result or an error. The response's "cache" object is the
 // HTTP counterpart of tomx run's "cache: hits=... simulated=..." line.

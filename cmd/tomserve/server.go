@@ -29,12 +29,13 @@ type options struct {
 }
 
 // server is the sweep service: it accepts batches of runs over HTTP, executes
-// them through per-scale Sessions sharing one persistent cache and one
+// them through one Session (every spec carries its own scale) on one
 // Scheduler, and reports per-batch cache accounting. Cache hits are answered
 // on the request goroutine and never wait for a simulation slot; the global
 // worker bound holds across every batch in flight.
 type server struct {
 	opts  options
+	sess  *core.Session
 	sched *core.Scheduler
 	reg   *obs.Registry // server-level metrics, exposed at /metrics
 	// admit bounds admitted batch work (batch posts and trace streams,
@@ -43,15 +44,8 @@ type server struct {
 	// connection pile-up.
 	admit chan struct{}
 
-	mu       sync.Mutex
-	sessions map[float64]*core.Session // lazily created, one per scale
-	specs    map[string]specEntry      // digest -> resolved spec (trace endpoint)
-}
-
-// specEntry remembers a resolved spec and the session that ran it.
-type specEntry struct {
-	spec core.RunSpec
-	sess *core.Session
+	mu    sync.Mutex
+	specs map[string]core.RunSpec // digest -> resolved spec (trace endpoint)
 }
 
 // Request bounds. A batch is untrusted input to a long-lived process: the
@@ -74,32 +68,18 @@ func newServer(opts options) *server {
 		opts.logf = func(string, ...any) {}
 	}
 	return &server{
-		opts:     opts,
-		sched:    core.NewScheduler(opts.workers),
-		reg:      obs.NewRegistry(),
-		admit:    make(chan struct{}, opts.queue),
-		sessions: map[float64]*core.Session{},
-		specs:    map[string]specEntry{},
+		opts: opts,
+		sess: core.NewSession(core.Options{
+			Scale:       opts.scale,
+			CacheDir:    opts.cacheDir,
+			Fingerprint: opts.fingerprint,
+			Progress:    opts.logf,
+		}),
+		sched: core.NewScheduler(opts.workers),
+		reg:   obs.NewRegistry(),
+		admit: make(chan struct{}, opts.queue),
+		specs: map[string]core.RunSpec{},
 	}
-}
-
-// session returns (creating once) the Session for a problem scale. All
-// sessions share the cache directory: records are keyed by spec digest,
-// which folds the scale, so they never collide.
-func (s *server) session(scale float64) *core.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.sessions[scale]; ok {
-		return sess
-	}
-	sess := core.NewSession(core.Options{
-		Scale:       scale,
-		CacheDir:    s.opts.cacheDir,
-		Fingerprint: s.opts.fingerprint,
-		Progress:    s.opts.logf,
-	})
-	s.sessions[scale] = sess
-	return sess
 }
 
 // handler builds the route table (go 1.22 method+wildcard patterns).
@@ -146,7 +126,7 @@ type runResponse struct {
 	Source   core.RunSource `json:"source,omitempty"`
 	// Mapping reports the run's data-mapping provenance: "stored" (installed
 	// from the persistent registry), "learned" (this run's learning phase),
-	// "preset" (oracle/fixed-bit), or "baseline" (no bit mapping).
+	// "preset" (oracle), or "baseline" (no bit mapping).
 	Mapping string          `json:"mapping,omitempty"`
 	Error   string          `json:"error,omitempty"`
 	Result  *core.RunResult `json:"result,omitempty"`
@@ -238,8 +218,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// hit never waits for a simulation slot, whatever else is in flight.
 	results := make([]runResponse, len(req.Runs))
 	type job struct {
-		idx int // slot in results
-		specEntry
+		idx  int // slot in results
+		spec core.RunSpec
 	}
 	jobs := make([]job, 0, len(req.Runs)) // every resolvable run
 	var misses []int                      // the jobs no cache layer holds
@@ -255,10 +235,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Policy:   rr.Policy,
 			Scale:    scale,
 		}
-		sess := s.session(scale)
-		spec, err := sess.SpecWithPolicy(rr.Workload, core.ConfigName(rr.Config), rr.Policy)
+		spec, err := core.NewRunSpec(rr.Workload, scale, core.ConfigName(rr.Config))
+		if err == nil {
+			spec, err = spec.WithPolicy(rr.Policy)
+		}
 		if err == nil && rr.StoredMapping {
-			spec, err = sess.WithStoredMapping(spec)
+			spec, err = s.sess.WithStoredMapping(spec)
 		}
 		if err != nil {
 			results[i].Error = err.Error()
@@ -266,8 +248,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// Hashed for the lookup and the response; only a miss (Execute) rehashes.
 		results[i].Digest = spec.Digest()
-		jobs = append(jobs, job{i, specEntry{spec, sess}})
-		res, src, err := sess.Lookup(spec, results[i].Digest)
+		jobs = append(jobs, job{i, spec})
+		res, src, err := s.sess.Lookup(spec, results[i].Digest)
 		switch {
 		case err != nil:
 			results[i].Error = err.Error()
@@ -283,7 +265,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// for the same slots, so the server-wide simulation bound holds.
 	errs := s.sched.ForEach(ctx, len(misses), func(m int) error {
 		j := jobs[misses[m]]
-		res, src, err := j.sess.Execute(j.spec, nil)
+		res, src, err := s.sess.Execute(j.spec)
 		if err == nil {
 			results[j.idx].fill(res, src)
 		}
@@ -300,7 +282,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	for _, j := range jobs {
 		if results[j.idx].Error == "" {
-			s.specs[results[j.idx].Digest] = j.specEntry
+			s.specs[results[j.idx].Digest] = j.spec
 		}
 	}
 	s.mu.Unlock()
@@ -354,7 +336,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.admit }()
 	digest := r.PathValue("digest")
 	s.mu.Lock()
-	ent, ok := s.specs[digest]
+	spec, ok := s.specs[digest]
 	s.mu.Unlock()
 	if !ok {
 		http.Error(w, "unknown run digest (submit it via POST /v1/runs first)", http.StatusNotFound)
@@ -374,7 +356,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	fw := &flushWriter{w: w}
 	trace := obs.NewAutoFlushSink(obs.NewBinarySink(fw), traceFlushEvery)
 	err := s.sched.ForEach(r.Context(), 1, func(int) error {
-		_, _, err := ent.sess.Observe(ent.spec, trace, sample, 0)
+		_, _, err := s.sess.Observe(spec, trace, sample, 0)
 		return err
 	})[0]
 	if err != nil {
@@ -384,7 +366,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		s.opts.logf("trace %s: %v", ent.spec.Key(), err)
+		s.opts.logf("trace %s: %v", spec.Key(), err)
 	}
 }
 

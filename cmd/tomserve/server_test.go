@@ -103,6 +103,37 @@ func TestServerBatchCacheFastPath(t *testing.T) {
 	}
 }
 
+// TestServerBatchAcrossScales: one server serves every scale. A batch that
+// names one run at two scales gets two digests, each result equal to the run
+// posted alone, and one session simulated both.
+func TestServerBatchAcrossScales(t *testing.T) {
+	run := func(scale float64) runRequest { return runRequest{Workload: "LIB", Config: "baseline", Scale: scale} }
+	s, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test", scale: 0.05})
+	batch := batchRequest{Runs: []runRequest{run(0.03), run(0.05)}}
+	_, cold, raw := postBatch(t, ts.URL, batch)
+	if cold.Cache.Simulated != 2 || cold.Cache.Errors != 0 {
+		t.Fatalf("cold two-scale batch summary = %+v\n%s", cold.Cache, raw)
+	}
+	if a, b := cold.Results[0].Digest, cold.Results[1].Digest; a == b {
+		t.Errorf("runs at 0.03 and 0.05 share digest %s", a)
+	}
+	if st := s.sess.CacheStats(); st.Simulated != 2 {
+		t.Errorf("the server's session simulated %d runs, want both scales' (2)", st.Simulated)
+	}
+	for i, rr := range batch.Runs {
+		_, ts1 := newTestServer(t, options{fingerprint: "test", scale: 0.05})
+		_, alone, _ := postBatch(t, ts1.URL, batchRequest{Runs: []runRequest{rr}})
+		a, _ := json.Marshal(cold.Results[i])
+		b, _ := json.Marshal(alone.Results[0])
+		if !bytes.Equal(a, b) {
+			t.Errorf("scale %v in a two-scale batch differs from the run posted alone:\n%s\n%s", rr.Scale, a, b)
+		}
+	}
+	if _, warm, _ := postBatch(t, ts.URL, batch); warm.Cache != (batchSummary{Hits: 2}) {
+		t.Errorf("warm two-scale batch summary = %+v, want 2 hits", warm.Cache)
+	}
+}
+
 // TestServerDiskReplayAcrossInstances: a second server over the same cache
 // directory replays from disk without simulating — the restart story.
 func TestServerDiskReplayAcrossInstances(t *testing.T) {

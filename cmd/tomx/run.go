@@ -63,7 +63,10 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}
 
 	s := c.session(stderr, false)
-	spec, err := s.SpecWithPolicy(*workload, core.ConfigName(*config), *policy)
+	spec, err := s.Spec(*workload, core.ConfigName(*config))
+	if err == nil {
+		spec, err = spec.WithPolicy(*policy)
+	}
 	if err != nil {
 		return err
 	}
@@ -80,7 +83,7 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 			return snap, err
 		})
 	} else {
-		res, _, err = s.Execute(spec, nil)
+		res, _, err = s.Execute(spec)
 	}
 	if err != nil {
 		return err

@@ -13,21 +13,19 @@
 //     RunResult records keyed by spec digest + build fingerprint, so a
 //     repeated invocation replays instead of re-simulating.
 //
-// Observed runs (Observe) bypass both and always simulate: each gets a
-// private metrics registry and a run-labeled trace chain, so they execute
-// in parallel without sharing any metric.
+// Observed runs (Observe, RunObserved) bypass both and always simulate: each
+// gets its own metrics registry and a run-labeled trace chain, so they
+// execute in parallel without sharing any metric.
 package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -83,8 +81,9 @@ func buildConfig(name ConfigName) (sim.Config, error) {
 	case CfgBaseline:
 		return sim.BaselineConfig(), nil
 	case CfgIdeal:
-		c.Offload = sim.OffloadIdeal
+		c.Offload = sim.OffloadUncontrolled
 		c.Mapping = sim.MapBaseline
+		c.Policy = "ideal"
 	case CfgNoCtrlBmap:
 		c.Offload = sim.OffloadUncontrolled
 		c.Mapping = sim.MapBaseline
@@ -134,7 +133,9 @@ type RunResult struct {
 
 // Options configures a Session.
 type Options struct {
-	// Scale is the problem-size scale factor (1.0 = benchmark default).
+	// Scale is the problem-size scale factor (1.0 = benchmark default) at
+	// which named configurations resolve (Spec, Run, Experiment, ...). A
+	// spec carries its own scale: Execute runs it at that one.
 	Scale float64
 	// CacheDir, when non-empty, enables the persistent result cache
 	// rooted at that directory (conventionally ".tomcache").
@@ -155,13 +156,14 @@ type CacheStats struct {
 }
 
 // Session executes runs through the layered cache architecture described in
-// the package comment. It builds workload instances, memoizes runs and
-// profiles by spec digest, and verifies every timing run against the
-// functional reference. It is safe for concurrent use: simultaneous
-// requests for the same run are deduplicated, distinct runs proceed in
-// parallel (see Warm and Timeline).
+// the package comment. It builds workload instances at each spec's scale,
+// memoizes runs by spec digest and instances, references and profiles by
+// (workload, scale), and verifies every timing run against the functional
+// reference. It is safe for concurrent use: simultaneous requests for the
+// same run are deduplicated, distinct runs proceed in parallel (see Warm and
+// Timeline), and one session serves specs of any scale.
 type Session struct {
-	Scale    float64
+	scale    float64                          // Options.Scale
 	progress func(format string, args ...any) // Options.Progress
 
 	cache    *DiskCache                  // nil = persistent layer disabled
@@ -169,26 +171,30 @@ type Session struct {
 
 	mu       sync.Mutex
 	inflight map[string]*flight
-	insts    map[string]*workloads.Instance // pristine instances
-	refs     map[string]*mem.Flat           // functional-reference memories
-	profiles map[string]*sim.Profile
+	insts    map[instKey]*workloads.Instance // pristine instances
+	refs     map[instKey]*mem.Flat           // functional-reference memories
+	profiles map[instKey]*sim.Profile
 	runs     map[string]*RunResult // keyed by RunSpec digest
-	runKeys  map[string]string     // digest -> "ABBR/config" (diagnostics)
 	stats    CacheStats
 	ms       MappingStats
+}
+
+// instKey names one workload instance: a workload built at a problem scale.
+type instKey struct {
+	abbr  string
+	scale float64
 }
 
 // NewSession creates a session with the given options.
 func NewSession(opts Options) *Session {
 	s := &Session{
-		Scale:    opts.Scale,
+		scale:    opts.Scale,
 		progress: opts.Progress,
 		inflight: map[string]*flight{},
-		insts:    map[string]*workloads.Instance{},
-		refs:     map[string]*mem.Flat{},
-		profiles: map[string]*sim.Profile{},
+		insts:    map[instKey]*workloads.Instance{},
+		refs:     map[instKey]*mem.Flat{},
+		profiles: map[instKey]*sim.Profile{},
 		runs:     map[string]*RunResult{},
-		runKeys:  map[string]string{},
 	}
 	if opts.CacheDir != "" {
 		s.cache = NewDiskCache(opts.CacheDir, opts.Fingerprint)
@@ -206,38 +212,18 @@ func (s *Session) logf(format string, args ...any) {
 }
 
 // Spec resolves the canonical RunSpec for one workload × configuration at
-// the session's scale.
+// the session's default scale.
 func (s *Session) Spec(abbr string, name ConfigName) (RunSpec, error) {
-	return NewRunSpec(abbr, s.Scale, name)
+	return NewRunSpec(abbr, s.scale, name)
 }
 
-// SpecWithPolicy resolves like Spec and then overrides the offload policy
-// ("" keeps the configuration's own). The override is validated against the
-// policy registry here, so an unknown name fails with the list of choices
-// instead of panicking inside the simulator; it reaches the digest through
-// both the canonical config string and the explicit policy fold, so
-// overridden runs never alias the base configuration's cache records.
-func (s *Session) SpecWithPolicy(abbr string, name ConfigName, policy string) (RunSpec, error) {
-	spec, err := s.Spec(abbr, name)
-	if err != nil {
-		return RunSpec{}, err
-	}
-	if policy != "" {
-		if _, err := offload.ByName(policy); err != nil {
-			return RunSpec{}, err
-		}
-		spec.Cfg.Policy = policy
-	}
-	return spec, nil
-}
-
-// memo returns m[abbr], building it on first use. Concurrent first users
-// share one flight under kind+"/"+abbr; a failed build leaves nothing behind,
-// so the next caller retries.
-func memo[T any](s *Session, kind, abbr string, m map[string]T, build func() (T, error)) (T, error) {
-	err := s.once(kind+"/"+abbr, func() error {
+// memo returns m[k], building it on first use. Concurrent first users share
+// one flight per kind and key; a failed build leaves nothing behind, so the
+// next caller retries.
+func memo[T any](s *Session, kind string, k instKey, m map[instKey]T, build func() (T, error)) (T, error) {
+	err := s.once(fmt.Sprintf("%s/%s@%v", kind, k.abbr, k.scale), func() error {
 		s.mu.Lock()
-		_, ok := m[abbr]
+		_, ok := m[k]
 		s.mu.Unlock()
 		if ok {
 			return nil
@@ -247,30 +233,30 @@ func memo[T any](s *Session, kind, abbr string, m map[string]T, build func() (T,
 			return err
 		}
 		s.mu.Lock()
-		m[abbr] = v
+		m[k] = v
 		s.mu.Unlock()
 		return nil
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return m[abbr], err
+	return m[k], err
 }
 
-// instance returns the pristine instance for a workload.
-func (s *Session) instance(abbr string) (*workloads.Instance, error) {
-	return memo(s, "inst", abbr, s.insts, func() (*workloads.Instance, error) {
+// instance returns the pristine instance of a workload at a scale.
+func (s *Session) instance(abbr string, scale float64) (*workloads.Instance, error) {
+	return memo(s, "inst", instKey{abbr, scale}, s.insts, func() (*workloads.Instance, error) {
 		w, err := workloads.ByAbbr(abbr)
 		if err != nil {
 			return nil, err
 		}
-		return w.Build(s.Scale)
+		return w.Build(scale)
 	})
 }
 
 // reference returns (building once) the functional-reference final memory.
-func (s *Session) reference(abbr string) (*mem.Flat, error) {
-	return memo(s, "ref", abbr, s.refs, func() (*mem.Flat, error) {
-		in, err := s.instance(abbr)
+func (s *Session) reference(abbr string, scale float64) (*mem.Flat, error) {
+	return memo(s, "ref", instKey{abbr, scale}, s.refs, func() (*mem.Flat, error) {
+		in, err := s.instance(abbr, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -287,10 +273,10 @@ func (s *Session) reference(abbr string) (*mem.Flat, error) {
 	})
 }
 
-// Profile returns (running once) the instrumented functional profile.
-func (s *Session) Profile(abbr string) (*sim.Profile, error) {
-	return memo(s, "prof", abbr, s.profiles, func() (*sim.Profile, error) {
-		in, err := s.instance(abbr)
+// profile returns (running once) the instrumented functional profile.
+func (s *Session) profile(abbr string, scale float64) (*sim.Profile, error) {
+	return memo(s, "prof", instKey{abbr, scale}, s.profiles, func() (*sim.Profile, error) {
+		in, err := s.instance(abbr, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -312,20 +298,29 @@ func (s *Session) Profile(abbr string) (*sim.Profile, error) {
 	})
 }
 
-// Run executes (or replays from a cache layer) workload × configuration.
+// Run executes (or replays from a cache layer) workload × configuration at
+// the session's default scale.
 func (s *Session) Run(abbr string, name ConfigName) (*RunResult, error) {
-	return s.RunObserved(abbr, name, nil)
+	spec, err := s.Spec(abbr, name)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := s.Execute(spec)
+	return res, err
 }
 
-// RunObserved is Execute for a named configuration at the session's scale:
-// cached when o is nil, an observed execution otherwise.
+// RunObserved executes workload × configuration at the session's default
+// scale with o attached (nil = none). Like Observe it always executes: it
+// is verified like any other run but never memoized or replayed, because
+// each caller wants its own time series and only an execution can produce
+// one (the end-of-run stats equal the cached run's anyway — observation is
+// timing-free).
 func (s *Session) RunObserved(abbr string, name ConfigName, o *obs.Observer) (*RunResult, error) {
 	spec, err := s.Spec(abbr, name)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := s.Execute(spec, o)
-	return res, err
+	return s.runUncached(spec, o)
 }
 
 // Observe executes spec with a private metrics registry, sampled every
@@ -336,14 +331,13 @@ func (s *Session) RunObserved(abbr string, name ConfigName, o *obs.Observer) (*R
 // alike carry the run label, and several runs can share one trace. The
 // chain is flushed whether or not the run succeeds: a run that failed
 // halfway has already pushed events through it, and its summaries must
-// still say what was sampled away. Like every observed run it always
-// executes (see Execute).
+// still say what was sampled away. Like RunObserved it always executes.
 func (s *Session) Observe(spec RunSpec, trace obs.EventSink, traceSample int, interval int64) (*RunResult, *obs.Snapshot, error) {
 	o := &obs.Observer{Registry: obs.NewRegistry(), SampleEvery: interval}
 	if trace != nil {
 		o.Trace = obs.NewSamplingSink(obs.NewLabelSink(trace, spec.Key()), traceSample)
 	}
-	res, _, err := s.Execute(spec, o)
+	res, err := s.runUncached(spec, o)
 	if flushErr := obs.Flush(o.Trace); err == nil {
 		err = flushErr
 	}
@@ -390,45 +384,33 @@ func (s *Session) Lookup(spec RunSpec, digest string) (*RunResult, RunSource, er
 	}
 	s.logf("hit %-4s %-14s cycles=%-9d (replayed %.8s)",
 		spec.Abbr, spec.Config, res.Stats.Cycles, digest)
-	s.memoize(spec, digest, res, &s.stats.DiskHits)
+	s.memoize(digest, res, &s.stats.DiskHits)
 	return res, SourceDisk, nil
 }
 
 // memoize files a run's result in the memo and counts it in one CacheStats
 // field.
-func (s *Session) memoize(spec RunSpec, digest string, res *RunResult, count *uint64) {
+func (s *Session) memoize(digest string, res *RunResult, count *uint64) {
 	s.mu.Lock()
 	s.runs[digest] = res
-	s.runKeys[digest] = spec.Key()
 	*count++
 	s.mu.Unlock()
 }
 
-// Execute runs one fully-resolved spec — the entry point under every other
-// run method, and the one for callers that adjusted a spec beyond a named
-// configuration (a policy override, a stored mapping).
+// Execute runs one fully-resolved spec, at the spec's own scale, through
+// the layered caches — the entry point under Run and Warm, and the one for
+// callers that adjusted a spec beyond a named configuration (another scale,
+// a policy override, a stored mapping). The returned source names the
+// layer that satisfied the run; batch servers account per batch with it,
+// which the cumulative CacheStats cannot once batches overlap.
 //
-// With a nil observer the run goes through the layered caches and the
-// returned source names the layer that satisfied it; batch servers account
-// per batch with it, which the cumulative CacheStats cannot once batches
-// overlap. With an observer attached the run always executes, collecting
-// per-interval metrics and (when the observer carries a trace sink)
-// lifecycle events: it is verified like any other but never memoized or
-// replayed, because each caller wants its own time series and only an
-// execution can produce one (the end-of-run stats equal the cached run's
-// anyway — observation is timing-free).
-//
-// The cached path is one flight per digest. It probes the caches through
+// Each run is one flight per digest. It probes the caches through
 // Lookup — inside the flight, so a caller arriving between another's disk
 // write and memo write cannot read that record back as a disk hit — and
 // simulates on a miss, writing the verified result back. A caller
 // deduplicated onto someone else's flight finds the result in the memo
 // afterwards and reports SourceMemo: the session did no extra work for it.
-func (s *Session) Execute(spec RunSpec, o *obs.Observer) (res *RunResult, src RunSource, err error) {
-	if o != nil {
-		res, err = s.runUncached(spec, o)
-		return res, SourceSimulated, err
-	}
+func (s *Session) Execute(spec RunSpec) (res *RunResult, src RunSource, err error) {
 	digest := spec.Digest()
 	err = s.once("run/"+digest, func() (err error) {
 		if res, src, err = s.Lookup(spec, digest); res != nil || err != nil {
@@ -447,7 +429,7 @@ func (s *Session) Execute(spec RunSpec, o *obs.Observer) (res *RunResult, src Ru
 				s.logf("%v", err)
 			}
 		}
-		s.memoize(spec, digest, res, &s.stats.Simulated)
+		s.memoize(digest, res, &s.stats.Simulated)
 		return nil
 	})
 	if res == nil && err == nil {
@@ -456,9 +438,11 @@ func (s *Session) Execute(spec RunSpec, o *obs.Observer) (res *RunResult, src Ru
 	return res, src, err
 }
 
+// runUncached simulates and verifies spec with o attached (nil = none),
+// bypassing both cache layers.
 func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error) {
 	abbr := spec.Abbr
-	in, err := s.instance(abbr)
+	in, err := s.instance(abbr, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -468,14 +452,14 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 	if cfg.Mapping == sim.MapOracle {
 		// Run the profile first: it flags candidate-touched ranges on
 		// the pristine instance (under the session lock).
-		prof, err = s.Profile(abbr)
+		prof, err = s.profile(abbr, spec.Scale)
 		if err != nil {
 			return nil, err
 		}
 	}
 	// Clone shares the pristine image's pages copy-on-write and reads
 	// nothing a session ever writes (Build returns the image sealed, and
-	// every run stores to its own clone); only the flags Profile sets need
+	// every run stores to its own clone); only the flags profile sets need
 	// the lock.
 	c := in.Clone()
 	if prof != nil {
@@ -505,7 +489,7 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 	}
 	// Verification: the timing run must reproduce the functional memory
 	// image exactly, and pass the workload's self-check.
-	ref, err := s.reference(abbr)
+	ref, err := s.reference(abbr, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -547,16 +531,4 @@ func (s *Session) CacheDir() string {
 		return ""
 	}
 	return s.cache.Dir()
-}
-
-// CachedRuns lists memoized runs as "ABBR/config" keys (diagnostics).
-func (s *Session) CachedRuns() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var keys []string
-	for _, k := range s.runKeys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -68,8 +68,8 @@ func TestRunnerVerifiesAndCaches(t *testing.T) {
 	if a != b {
 		t.Error("second run should come from the cache")
 	}
-	if len(r.CachedRuns()) != 1 {
-		t.Errorf("cached runs = %v", r.CachedRuns())
+	if st := r.CacheStats(); st != (CacheStats{MemoHits: 1, Simulated: 1}) {
+		t.Errorf("cache stats = %+v, want one run simulated and one memo hit", st)
 	}
 	ndp, err := r.Run("SP", CfgCtrlTmap)
 	if err != nil {

@@ -25,7 +25,11 @@ import "runtime/debug"
 // refinement counters and specs their adaptive component, so v6 records of
 // adaptive passes are keyed by digests nothing derives any more — the bump
 // makes them dead, and the startup sweep collects them.
-const cacheSchemaVersion = "tomcache/v7"
+// v8: every digest moved — the ideal configuration is the "ideal" policy
+// rather than an offload mode, configurations name their policy ("tom" by
+// default) instead of leaving it empty, and the unread fixed-bit mapping
+// fields left the canonical configuration.
+const cacheSchemaVersion = "tomcache/v8"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.

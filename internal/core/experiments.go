@@ -241,7 +241,7 @@ func fixedOffsetRows(r *Session, t *Table) error {
 	}
 	var fracs []float64
 	for _, abbr := range Abbrs() {
-		p, err := r.Profile(abbr)
+		p, err := r.profile(abbr, r.scale)
 		if err != nil {
 			return err
 		}
@@ -280,7 +280,7 @@ func coLocationRows(r *Session, t *Table) error {
 	} {
 		row := Row{Label: l.name}
 		for _, abbr := range Abbrs() {
-			p, err := r.Profile(abbr)
+			p, err := r.profile(abbr, r.scale)
 			if err != nil {
 				return err
 			}
@@ -320,7 +320,7 @@ func storedMappingRows(r *Session, t *Table) error {
 		if err != nil {
 			return err
 		}
-		res, _, err := r.Execute(spec, nil)
+		res, _, err := r.Execute(spec)
 		if err != nil {
 			return err
 		}

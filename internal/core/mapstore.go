@@ -78,7 +78,6 @@ func learnFamily(cfg sim.Config) string {
 	f.StackWarpMult = d.StackWarpMult
 	f.InternalBWRatio = d.InternalBWRatio
 	f.CrossStackBW = d.CrossStackBW
-	f.FixedBit = d.FixedBit
 	f.MaxCycles = d.MaxCycles
 	return f.Canonical()
 }
@@ -125,7 +124,7 @@ func (s *Session) WithStoredMapping(spec RunSpec) (RunSpec, error) {
 	if s.mappings == nil || spec.MapInstall != nil || spec.Cfg.Mapping != sim.MapTransparent {
 		return spec, nil
 	}
-	in, err := s.instance(spec.Abbr)
+	in, err := s.instance(spec.Abbr, spec.Scale)
 	if err != nil {
 		return RunSpec{}, err
 	}
@@ -162,7 +161,7 @@ func (s *Session) storeLearnedMapping(spec RunSpec, res *RunResult) {
 	if st.MappingSource != sim.MappingLearned || !validMapping(st.LearnedBit, st.MappedRanges) {
 		return
 	}
-	in, err := s.instance(spec.Abbr)
+	in, err := s.instance(spec.Abbr, spec.Scale)
 	if err != nil {
 		return
 	}

@@ -98,7 +98,7 @@ func TestMappingStoreColdThenWarm(t *testing.T) {
 	if spec.MapInstall != nil {
 		t.Fatal("cold store must miss")
 	}
-	fresh, _, err := cold.Execute(spec, nil)
+	fresh, _, err := cold.Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMappingStoreColdThenWarm(t *testing.T) {
 	if wspec.Digest() == spec.Digest() {
 		t.Fatal("stored-mapping run must not alias the fresh-learning run")
 	}
-	stored, src, err := warm.Execute(wspec, nil)
+	stored, src, err := warm.Execute(wspec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMappingStoreColdThenWarm(t *testing.T) {
 	if w2spec.MapInstall == nil {
 		t.Fatal("second warm consult must hit")
 	}
-	replayed, src2, err := warm2.Execute(w2spec, nil)
+	replayed, src2, err := warm2.Execute(w2spec)
 	if err != nil {
 		t.Fatal(err)
 	}

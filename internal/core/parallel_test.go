@@ -80,15 +80,18 @@ func TestRunObserved(t *testing.T) {
 	if got := sum("traffic.gpu_rx_bytes"); got != res.Stats.GPURXBytes {
 		t.Errorf("rx series = %d, stats say %d", got, res.Stats.GPURXBytes)
 	}
-	// Observed runs are not memoized.
-	if len(r.CachedRuns()) != 0 {
-		t.Errorf("RunObserved must not populate the cache: %v", r.CachedRuns())
-	}
-	// nil observer falls back to the cached path.
+	// Observed runs are not memoized, with or without an observer; Run is.
 	if _, err := r.RunObserved("LIB", CfgCtrlBmap, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.CachedRuns()) != 1 {
-		t.Errorf("nil-observer run should memoize: %v", r.CachedRuns())
+	spec, _ := r.Spec("LIB", CfgCtrlBmap)
+	if got, _, _ := r.Lookup(spec, spec.Digest()); got != nil {
+		t.Error("RunObserved must not populate the memo")
+	}
+	if _, err := r.Run("LIB", CfgCtrlBmap); err != nil {
+		t.Fatal(err)
+	}
+	if got, src, _ := r.Lookup(spec, spec.Digest()); got == nil || src != SourceMemo {
+		t.Errorf("Run should memoize: Lookup = (%v, %q)", got, src)
 	}
 }

@@ -63,7 +63,7 @@ func TestRunSpecDigestStability(t *testing.T) {
 	}
 	// Persisted records are keyed by this digest: it may not move without a
 	// cache schema bump.
-	if got, want := sp.Digest(), "1bdbe82da406fda7c3f3da889bad41082cd9b81bffd3036fe60c7389cb27e260"; got != want {
+	if got, want := sp.Digest(), "b814c3c184d7dfb7020675fdede5f53feb5373d39c68e15f4b0e7664ee64d44f"; got != want {
 		t.Errorf("SP/ctrl-tmap @ 0.3 digest = %s, want %s", got, want)
 	}
 }
@@ -268,6 +268,36 @@ func TestWarmPopulatesDiskCache(t *testing.T) {
 	}
 }
 
+// TestExecuteRunsAtTheSpecsScale: a spec names its own scale, and a session
+// runs it at that scale whatever its default is — the result filed under the
+// spec's digest, in the memo and on disk, is the run the digest names.
+func TestExecuteRunsAtTheSpecsScale(t *testing.T) {
+	want, err := NewSession(Options{Scale: 0.05}).Run("SP", CfgBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := NewRunSpec("SP", 0.05, CfgBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	got, _, err := NewSession(Options{Scale: 0.03, CacheDir: dir}).Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("SP/baseline@0.05 on a 0.03 session: %d cycles, %d thread instructions; want %d, %d",
+			got.Stats.Cycles, got.Stats.ThreadInstrs, want.Stats.Cycles, want.Stats.ThreadInstrs)
+	}
+	res, src, err := NewSession(Options{Scale: 0.03, CacheDir: dir}).Lookup(spec, spec.Digest())
+	if err != nil || src != SourceDisk || res == nil {
+		t.Fatalf("Lookup on a fresh session = (%v, %q, %v), want a disk hit", res, src, err)
+	}
+	if !reflect.DeepEqual(res.Stats, want.Stats) {
+		t.Errorf("disk record of SP/baseline@0.05 holds %d cycles, want %d", res.Stats.Cycles, want.Stats.Cycles)
+	}
+}
+
 // TestLookupNeverSimulatesNorWaits pins Lookup's contract, the one a server
 // answers hits with while its simulation slots are busy: a miss is a nil
 // result with no work done, a memo or disk hit names its layer (a disk hit
@@ -308,7 +338,7 @@ func TestLookupNeverSimulatesNorWaits(t *testing.T) {
 		t.Fatalf("a missing Lookup did work: %+v", st)
 	}
 
-	ran, _, err := cold.Execute(spec, nil)
+	ran, _, err := cold.Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +353,6 @@ func TestLookupNeverSimulatesNorWaits(t *testing.T) {
 	lookup(warm, SourceMemo) // promoted
 	if st := warm.CacheStats(); st != (CacheStats{MemoHits: 1, DiskHits: 1}) {
 		t.Fatalf("warm session stats = %+v, want one disk hit then one memo hit", st)
-	}
-	if keys := warm.CachedRuns(); len(keys) != 1 || keys[0] != spec.Key() {
-		t.Errorf("promoted run is listed as %v, want [%s]", keys, spec.Key())
 	}
 
 	memoOnly := NewSession(Options{Scale: scale})

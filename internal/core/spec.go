@@ -53,6 +53,23 @@ func NewRunSpec(abbr string, scale float64, name ConfigName) (RunSpec, error) {
 	return RunSpec{Abbr: abbr, Scale: scale, Config: name, Cfg: cfg}, nil
 }
 
+// WithPolicy returns the spec with its offload policy overridden ("" keeps
+// the configuration's own). The name is validated against the policy
+// registry here, so an unknown one fails with the list of choices instead of
+// panicking inside the simulator; it reaches the digest through both the
+// canonical config string and the explicit policy fold, so overridden runs
+// never alias the base configuration's cache records.
+func (sp RunSpec) WithPolicy(policy string) (RunSpec, error) {
+	if policy == "" {
+		return sp, nil
+	}
+	if _, err := offload.ByName(policy); err != nil {
+		return RunSpec{}, err
+	}
+	sp.Cfg.Policy = policy
+	return sp, nil
+}
+
 // Key returns the human-readable run identity ("ABBR/config"), used for
 // progress lines, trace run labels, and memo diagnostics.
 func (sp RunSpec) Key() string {
@@ -73,12 +90,12 @@ func (sp RunSpec) Digest() string {
 	// policy's tunables (coda's window, mpu's spawn latency) live in the
 	// policy object, not the Config — fold them so runs of differently
 	// parameterized policies can never alias onto one cache record.
-	if pol, err := offload.ByName(sp.Cfg.PolicyName()); err == nil {
+	if pol, err := offload.ByName(sp.Cfg.Policy); err == nil {
 		fmt.Fprintf(h, "policy=%s{%s};", pol.Name(), pol.Params())
 	} else {
 		// Unknown policy: digest the raw name; the run itself will fail
 		// loudly at sim.New, never silently alias.
-		fmt.Fprintf(h, "policy=%s{?};", sp.Cfg.PolicyName())
+		fmt.Fprintf(h, "policy=%s{?};", sp.Cfg.Policy)
 	}
 	if mi := sp.MapInstall; mi != nil {
 		// Every install parameter participates — two installs differing in

@@ -502,6 +502,19 @@ func cmpWants(c isa.Cmp) (lt, eq, gt, un uint64) {
 	return 0, 0, 0, 0
 }
 
+// Compare computes one lane of a Setp (signed) or FSetp (float32, op ==
+// isa.OpFSetp): 1 when a cmp b holds, else 0 — the value Step writes,
+// exported for scalar dry-run evaluation.
+func Compare(op isa.Op, cmp isa.Cmp, a, b uint64) uint64 {
+	lt, eq, gt, un := cmpWants(cmp)
+	if op == isa.OpFSetp {
+		x, y := f32(a), f32(b)
+		return b2u(x < y)&lt | b2u(x == y)&eq | b2u(x > y)&gt | b2u(x != x || y != y)&un
+	}
+	x, y := int64(a), int64(b)
+	return b2u(x < y)&lt | b2u(x == y)&eq | b2u(x > y)&gt
+}
+
 // pureOp computes a register-only instruction for all 32 lanes into dst,
 // which may be one of the sources: lane l of dst depends on lane l of the
 // sources only, and is written after they are read.

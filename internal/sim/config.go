@@ -21,9 +21,6 @@ type OffloadMode int
 const (
 	// OffloadOff: baseline GPU; candidates execute inline.
 	OffloadOff OffloadMode = iota
-	// OffloadIdeal: the Fig. 2 idealization — zero offload overhead,
-	// unlimited stack warp slots, and perfect code/data co-location.
-	OffloadIdeal
 	// OffloadUncontrolled: always offload every candidate (no-ctrl).
 	OffloadUncontrolled
 	// OffloadControlled: dynamic offloading aggressiveness control (§3.3).
@@ -45,9 +42,6 @@ const (
 	// profiling pass over all instances (the Fig. 3 idealization),
 	// applied from the start with no learning-phase cost.
 	MapOracle
-	// MapFixedBit: force a specific consecutive-bit mapping for
-	// candidate-touched ranges (mapping sweeps).
-	MapFixedBit
 )
 
 // Config holds every model parameter. DefaultConfig mirrors Table 1.
@@ -103,9 +97,9 @@ type Config struct {
 	BusyThreshold float64
 	Coherence     bool // §4.4.2 protocol on (off = idealized coherence)
 	// Policy names the offload policy (internal/offload registry) driving
-	// candidate selection, gating, and destination choice. Empty resolves
-	// from Offload for compatibility: "ideal" under OffloadIdeal, "tom"
-	// otherwise (see PolicyName). Unknown names panic in New.
+	// candidate selection, gating, and destination choice: "tom" by
+	// default, "ideal" for the Fig. 2 idealization (zero offload overhead
+	// and perfect code/data co-location). Unknown names panic in New.
 	Policy string
 	// ALUGate, when positive, extends dynamic aggressiveness control
 	// with the paper's §6.4 future-work idea: candidates whose static
@@ -116,7 +110,6 @@ type Config struct {
 
 	// --- Data mapping ---
 	Mapping   MappingMode
-	FixedBit  int     // for MapFixedBit
 	LearnFrac float64 // fraction of candidate instances observed (§3.2.2)
 	LearnMin  int     // lower bound on observed instances
 	// LearnDeadline ends the learning phase after this many cycles even
@@ -168,9 +161,9 @@ func DefaultConfig() Config {
 		Offload:       OffloadControlled,
 		BusyThreshold: 0.95,
 		Coherence:     true,
+		Policy:        "tom",
 
 		Mapping:       MapTransparent,
-		FixedBit:      12,
 		LearnFrac:     0.001,
 		LearnMin:      8,
 		LearnDeadline: 8_000,
@@ -193,16 +186,3 @@ func BaselineConfig() Config {
 
 // StackWarps returns the warp capacity of one stack SM.
 func (c Config) StackWarps() int { return c.WarpsPerSM * c.StackWarpMult }
-
-// PolicyName resolves the effective offload-policy name: an explicit
-// Config.Policy wins; otherwise the legacy OffloadMode determines it
-// (OffloadIdeal was the ideal policy before the policy layer existed).
-func (c Config) PolicyName() string {
-	if c.Policy != "" {
-		return c.Policy
-	}
-	if c.Offload == OffloadIdeal {
-		return "ideal"
-	}
-	return "tom"
-}

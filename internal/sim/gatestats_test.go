@@ -183,7 +183,7 @@ func TestPerPCTableMatchesAggregates(t *testing.T) {
 func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	env := shortLoopEnv(t, 64)
 	cfg := DefaultConfig()
-	cfg.Offload = OffloadIdeal
+	cfg.Policy = "ideal"
 	cfg.Mapping = MapBaseline
 	cfg.MaxCycles = 50_000_000
 	m := env.mem.Clone()

@@ -34,7 +34,7 @@ func TestTimingMatchesFunctionalAllWorkloads(t *testing.T) {
 		},
 		"ideal": func() Config {
 			c := DefaultConfig()
-			c.Offload = OffloadIdeal
+			c.Policy = "ideal"
 			c.Mapping = MapBaseline
 			return c
 		},

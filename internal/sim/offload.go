@@ -451,21 +451,11 @@ func (sys *System) dryRun(sw *smWarp, cand *compiler.Candidate, maxAcc int) (lin
 			} else {
 				pc++
 			}
-		case isa.OpSetp:
+		case isa.OpSetp, isa.OpFSetp:
 			if tainted(in.A) || tainted(in.B) {
 				taint[in.Dst] = true
 			} else {
-				v := compareScalarInt(in.Cmp, int64(eval(in.A)), int64(eval(in.B)))
-				regs[in.Dst] = boolTo64(v)
-				taint[in.Dst] = false
-			}
-			pc++
-		case isa.OpFSetp:
-			if tainted(in.A) || tainted(in.B) {
-				taint[in.Dst] = true
-			} else {
-				v := compareScalarFloat(in.Cmp, isa.F32FromBits(eval(in.A)), isa.F32FromBits(eval(in.B)))
-				regs[in.Dst] = boolTo64(v)
+				regs[in.Dst] = exec.Compare(in.Op, in.Cmp, eval(in.A), eval(in.B))
 				taint[in.Dst] = false
 			}
 			pc++
@@ -484,45 +474,4 @@ func (sys *System) dryRun(sw *smWarp, cand *compiler.Candidate, maxAcc int) (lin
 		}
 	}
 	return lines, false
-}
-
-func boolTo64(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func compareScalarInt(c isa.Cmp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
-func compareScalarFloat(c isa.Cmp, a, b float32) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	default:
-		return a >= b
-	}
 }

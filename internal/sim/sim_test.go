@@ -155,7 +155,7 @@ func TestIdealOffloadFasterThanBaseline(t *testing.T) {
 	env := streamEnv(t, 192, 64)
 	base := runSim(t, BaselineConfig(), env)
 	cfg := DefaultConfig()
-	cfg.Offload = OffloadIdeal
+	cfg.Policy = "ideal"
 	cfg.Mapping = MapBaseline
 	ideal := runSim(t, cfg, env)
 	want := refMem(t, env)

@@ -77,7 +77,7 @@ type Stats struct {
 	// MappingSource says how the active consecutive-bit mapping came to be:
 	// MappingLearned (a learning phase picked it this run), MappingStored
 	// (pre-installed from the persistent registry before cycle 0),
-	// MappingPreset (oracle/fixed-bit, applied for free), or "" (no bit
+	// MappingPreset (the oracle bit, applied for free), or "" (no bit
 	// mapping — baseline interleave throughout).
 	MappingSource string
 	// MappedRanges names the allocation ranges carrying the bit mapping —
@@ -92,7 +92,7 @@ type Stats struct {
 const (
 	MappingLearned = "learned" // this run's learning phase picked the bit
 	MappingStored  = "stored"  // pre-installed from the persistent registry
-	MappingPreset  = "preset"  // oracle/fixed-bit mapping, applied for free
+	MappingPreset  = "preset"  // oracle mapping, applied for free
 )
 
 // IPC returns thread-instructions per cycle.

@@ -60,7 +60,7 @@ type System struct {
 	// vault-granular policies (MPU); stack-granular jobs never touch it.
 	pendingVault [][]int
 
-	// policy is the resolved offload policy (Config.PolicyName); ptraits
+	// policy is the resolved offload policy (Config.Policy); ptraits
 	// caches its Traits for the hot path.
 	policy  offload.Policy
 	ptraits offload.Traits
@@ -107,7 +107,7 @@ type System struct {
 
 // New builds a system over the given memory and allocation table.
 func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
-	pol, err := offload.ByName(cfg.PolicyName())
+	pol, err := offload.ByName(cfg.Policy)
 	if err != nil {
 		panic(err) // validated by internal/core and the CLIs before New
 	}
@@ -182,12 +182,9 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		sys.ob = newObsState(&sys.cfg)
 	}
 
-	switch cfg.Mapping {
-	case MapTransparent:
+	if cfg.Mapping == MapTransparent {
 		sys.learning = cfg.Offload != OffloadOff
 		sys.learnDeadline = cfg.LearnDeadline
-	case MapOracle, MapFixedBit:
-		// Caller pre-flags ranges (ApplyOracleMapping / ApplyFixedMapping).
 	}
 	return sys
 }
@@ -195,12 +192,9 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 // Stats returns the accumulated statistics (finalized after each Run).
 func (sys *System) Stats() *Stats { return &sys.stats }
 
-// Analyzer exposes the memory-map analyzer (for experiment harnesses).
-func (sys *System) Analyzer() *mapping.Analyzer { return sys.analyzer }
-
 // ApplyMappingBit pre-activates a consecutive-bit mapping for all ranges
-// flagged CandidateTouched in the allocation table (oracle/fixed-bit runs
-// skip the learning phase — the mapping is in force from cycle 0, for free).
+// flagged CandidateTouched in the allocation table (oracle runs skip the
+// learning phase — the mapping is in force from cycle 0, for free).
 func (sys *System) ApplyMappingBit(bit int) {
 	sys.offloadBit = bit
 	sys.stats.LearnedBit = bit
@@ -219,7 +213,7 @@ func (sys *System) ApplyMappingBit(bit int) {
 // mapping run generates zero learning-phase PCIe traffic (routeLoad/
 // routeStore only take the PCIe path while learning). This is the "map
 // once, stay resident" entry path, distinct from both bmap (no bit mapping)
-// and the free preset modes (oracle/fixed-bit charge no copy at all).
+// and the free preset mode (an oracle bit charges no copy at all).
 // savedPCIe is the learning-phase PCIe byte volume the original fresh run
 // paid, reported as Stats.LearnPCIeSaved. An unknown range name means the
 // mapping describes different data structures and is rejected — installing

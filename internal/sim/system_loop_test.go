@@ -208,7 +208,7 @@ func eventLoopPinConfigs() []pinConfig {
 	// Zero-cost spawn: a main SM's tick wakes a stack SM in the same cycle,
 	// and stack SMs run oversubscribed.
 	with("ideal", func(c *Config) {
-		c.Offload = OffloadIdeal
+		c.Policy = "ideal"
 		c.Mapping = MapBaseline
 	})
 	with("coda", func(c *Config) { c.Policy = "coda" })

@@ -86,9 +86,10 @@ type SessionOptions = core.Options
 // one, rather than repeated Run calls, to compare several systems on the
 // same workloads), optionally persists results under SessionOptions.CacheDir
 // keyed by run-spec digest and build fingerprint (see docs/RUNCACHE.md), and
-// observes runs (Observe) each into its own metrics registry. Every run
-// method sits on Session.Execute(spec, observer); Run, RunObserved and Warm
-// are its conveniences for named configurations.
+// observes runs (Observe, RunObserved) each into its own metrics registry,
+// never cached. Cached runs go through Session.Execute(spec), which runs a
+// spec at its own scale; Run and Warm are its conveniences for named
+// configurations at SessionOptions.Scale.
 type Session = core.Session
 
 // NewSession returns a Session. With a zero CacheDir only the in-memory
