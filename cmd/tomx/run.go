@@ -147,15 +147,7 @@ func printList(stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "policies (-policy):")
 	for _, n := range offload.Names() {
-		p, err := offload.ByName(n)
-		if err != nil {
-			return err
-		}
-		if params := p.Params(); params != "" {
-			fmt.Fprintf(stdout, "  %s (%s)\n", n, params)
-		} else {
-			fmt.Fprintf(stdout, "  %s\n", n)
-		}
+		fmt.Fprintf(stdout, "  %s\n", n)
 	}
 	return nil
 }

@@ -139,9 +139,3 @@ func (c *Cache) Resident() int {
 	}
 	return n
 }
-
-// Sets and Ways expose geometry.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }

@@ -78,7 +78,7 @@ func (m *Metadata) AtPC(pc int) *Candidate {
 
 // SelectOptions parameterizes candidate selection so offload policies can
 // reuse the legality machinery (§3.1.4) while swapping the enumeration
-// granularity and the cost model (the offload.Policy.SelectCandidates seam).
+// granularity and the cost model (each offload.Policy row carries one).
 type SelectOptions struct {
 	// Cost is the bandwidth cost model handed to Accept.
 	Cost CostParams

@@ -32,8 +32,8 @@ func TestConfigRegistry(t *testing.T) {
 }
 
 // TestPolicyDigestDistinct: runs of different offload policies must never
-// share a cache record — the digest folds the policy name and parameters on
-// top of the canonical config string.
+// share a cache record — the policy name reaches the digest through the
+// canonical config string.
 func TestPolicyDigestDistinct(t *testing.T) {
 	digests := map[string]ConfigName{}
 	for _, name := range []ConfigName{CfgCtrlTmap, CfgIdeal, CfgCoda, CfgMPU} {

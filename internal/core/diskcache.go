@@ -29,7 +29,10 @@ import "runtime/debug"
 // rather than an offload mode, configurations name their policy ("tom" by
 // default) instead of leaving it empty, and the unread fixed-bit mapping
 // fields left the canonical configuration.
-const cacheSchemaVersion = "tomcache/v8"
+// v9: every digest moved again — the offload policy is a table row whose
+// constants the build fingerprint covers, so the digest no longer folds a
+// "policy=name{params}" suffix after the canonical configuration.
+const cacheSchemaVersion = "tomcache/v9"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.

@@ -27,9 +27,6 @@ func NewScheduler(workers int) *Scheduler {
 	return &Scheduler{workers: workers, slots: make(chan struct{}, workers)}
 }
 
-// Workers returns the scheduler's concurrency bound.
-func (sc *Scheduler) Workers() int { return sc.workers }
-
 // SlotWait returns the total time items have spent blocked on a slot so far.
 func (sc *Scheduler) SlotWait() time.Duration { return time.Duration(sc.waited.Load()) }
 

@@ -63,7 +63,7 @@ func TestRunSpecDigestStability(t *testing.T) {
 	}
 	// Persisted records are keyed by this digest: it may not move without a
 	// cache schema bump.
-	if got, want := sp.Digest(), "b814c3c184d7dfb7020675fdede5f53feb5373d39c68e15f4b0e7664ee64d44f"; got != want {
+	if got, want := sp.Digest(), "d25f388dd5a87347cfe86e4a99792cecefbc633f618dfd882150be7270c0e394"; got != want {
 		t.Errorf("SP/ctrl-tmap @ 0.3 digest = %s, want %s", got, want)
 	}
 }

@@ -54,11 +54,11 @@ func NewRunSpec(abbr string, scale float64, name ConfigName) (RunSpec, error) {
 }
 
 // WithPolicy returns the spec with its offload policy overridden ("" keeps
-// the configuration's own). The name is validated against the policy
-// registry here, so an unknown one fails with the list of choices instead of
-// panicking inside the simulator; it reaches the digest through both the
-// canonical config string and the explicit policy fold, so overridden runs
-// never alias the base configuration's cache records.
+// the configuration's own). The name is validated against the policy table
+// here, so an unknown one fails with the list of choices instead of
+// panicking inside the simulator; it reaches the digest through the
+// canonical config string, so overridden runs never alias the base
+// configuration's cache records.
 func (sp RunSpec) WithPolicy(policy string) (RunSpec, error) {
 	if policy == "" {
 		return sp, nil
@@ -83,20 +83,11 @@ func (sp RunSpec) Key() string {
 // cache key.
 func (sp RunSpec) Digest() string {
 	h := sha256.New()
+	// The offload policy's name reaches the digest through Cfg.Canonical();
+	// its constants (coda's window, mpu's spawn latency) are code, covered
+	// by the build fingerprint like every other model constant.
 	fmt.Fprintf(h, "workload=%s;scale=%v;config=%s;%s",
 		sp.Abbr, sp.Scale, sp.Config, sp.Cfg.Canonical())
-	// The offload policy's identity AND parameters participate: the policy
-	// name alone already reaches the digest through Cfg.Canonical(), but a
-	// policy's tunables (coda's window, mpu's spawn latency) live in the
-	// policy object, not the Config — fold them so runs of differently
-	// parameterized policies can never alias onto one cache record.
-	if pol, err := offload.ByName(sp.Cfg.Policy); err == nil {
-		fmt.Fprintf(h, "policy=%s{%s};", pol.Name(), pol.Params())
-	} else {
-		// Unknown policy: digest the raw name; the run itself will fail
-		// loudly at sim.New, never silently alias.
-		fmt.Fprintf(h, "policy=%s{?};", sp.Cfg.Policy)
-	}
 	if mi := sp.MapInstall; mi != nil {
 		// Every install parameter participates — two installs differing in
 		// bit, coverage, or provenance are different runs.

@@ -103,9 +103,6 @@ func NewVault(t Timing) *Vault {
 // Full reports whether the request queue is at capacity.
 func (v *Vault) Full() bool { return v.queued >= v.t.QueueDepth }
 
-// QueueLen returns the number of waiting requests.
-func (v *Vault) QueueLen() int { return v.queued }
-
 // Enqueue adds a request; returns false if the queue is full.
 func (v *Vault) Enqueue(r *Request) bool {
 	if v.Full() {

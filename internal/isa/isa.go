@@ -211,9 +211,6 @@ func ImmF(v float32) Operand { return Operand{Kind: OpdImm, Imm: int64(f32bits(v
 // Sp returns a special-value operand.
 func Sp(s Special) Operand { return Operand{Kind: OpdSpecial, Sp: s} }
 
-// None returns an absent operand.
-func None() Operand { return Operand{Kind: OpdNone} }
-
 // String formats the operand in assembly syntax.
 func (o Operand) String() string {
 	switch o.Kind {

@@ -191,10 +191,6 @@ func (l *Link) AdvanceTo(now int64) {
 	}
 }
 
-// Tick is the per-cycle spelling of AdvanceTo (the reference loop and the
-// unit tests drive links one cycle at a time).
-func (l *Link) Tick(now int64) { l.AdvanceTo(now) }
-
 // SkipTo marks the link as advanced through `now` without doing any work.
 // Valid only when the link is idle (nothing queued or in flight): an idle
 // link's AdvanceTo would only move the accounting point anyway. The point

@@ -31,7 +31,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 				}}, now)
 				sent++
 			}
-			l.Tick(now)
+			l.AdvanceTo(now)
 			if now > 1_000_000 {
 				t.Fatal("link did not drain")
 			}
@@ -69,7 +69,7 @@ func TestLatencyLowerBound(t *testing.T) {
 	var at int64 = -1
 	l.Send(Packet{Bytes: 100, Deliver: func(now int64) { at = now }}, 0)
 	for now := int64(0); at < 0 && now < 1000; now++ {
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	// 100 B at 10 B/cy = 10 cycles serialization, +25 propagation.
 	if at < 34 {
@@ -136,7 +136,7 @@ func TestLinkEventJumpMatchesPerCycle(t *testing.T) {
 				l.account(now)
 				peakInflight = max(peakInflight, l.inflight.len())
 				if !jump {
-					l.Tick(now)
+					l.AdvanceTo(now)
 					now++
 					continue
 				}
@@ -205,11 +205,11 @@ func TestLinkSteadyStateDoesNotAllocate(t *testing.T) {
 	burst := func() {
 		for i := 0; i < 50; i++ {
 			l.Send(Packet{Bytes: 64 + i, Deliver: deliver}, now)
-			l.Tick(now)
+			l.AdvanceTo(now)
 			now++
 		}
 		for l.Active() {
-			l.Tick(now)
+			l.AdvanceTo(now)
 			now++
 		}
 	}

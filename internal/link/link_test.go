@@ -7,7 +7,7 @@ func TestSerializationAndPropagation(t *testing.T) {
 	var deliveredAt int64 = -1
 	l.Send(Packet{Bytes: 64, Deliver: func(now int64) { deliveredAt = now }}, 0)
 	for now := int64(0); now < 100 && deliveredAt < 0; now++ {
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	// 64 B at 8 B/cycle = 8 cycles of serialization (finishing on the
 	// 8th tick, t=7), plus 10 cycles propagation.
@@ -30,7 +30,7 @@ func TestFIFOOrderAndConservation(t *testing.T) {
 		l.Send(Packet{Bytes: bytes, Deliver: func(int64) { order = append(order, i) }}, 0)
 	}
 	for now := int64(0); now < 1000; now++ {
-		l.Tick(now)
+		l.AdvanceTo(now)
 		if !l.Active() && len(order) == 20 {
 			break
 		}
@@ -54,7 +54,7 @@ func TestBigPacketSerializesGradually(t *testing.T) {
 	l.Send(Packet{Bytes: 1000, Deliver: func(int64) { done = true }}, 0)
 	var now int64
 	for ; now < 10000 && !done; now++ {
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	// 1000/4 = 250 cycles.
 	if now < 249 || now > 252 {
@@ -68,7 +68,7 @@ func TestUtilizationSaturates(t *testing.T) {
 		if l.QueuedPackets() < 4 {
 			l.Send(Packet{Bytes: 128}, now)
 		}
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	if u := l.Utilization(2047); u < 0.9 {
 		t.Errorf("saturated utilization = %v, want ~1", u)
@@ -78,7 +78,7 @@ func TestUtilizationSaturates(t *testing.T) {
 	}
 	// Drain and go idle: utilization must decay.
 	for now := int64(2048); now < 2048+4096; now++ {
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	if u := l.Utilization(2048 + 4095); u > 0.1 {
 		t.Errorf("idle utilization = %v, want ~0", u)
@@ -94,10 +94,10 @@ func TestUtilizationDecaysWithoutTicks(t *testing.T) {
 		if l.QueuedPackets() < 4 {
 			l.Send(Packet{Bytes: 128}, now)
 		}
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	for now := int64(2048); l.Active(); now++ {
-		l.Tick(now) // drain the tail without refilling
+		l.AdvanceTo(now) // drain the tail without refilling
 	}
 	// No ticks at all during the idle window: a read far in the future must
 	// see a fully decayed window.
@@ -116,7 +116,7 @@ func TestThroughputMatchesBandwidth(t *testing.T) {
 		if l.QueuedPackets() < 8 {
 			l.Send(Packet{Bytes: 144, Deliver: func(int64) { delivered++ }}, now)
 		}
-		l.Tick(now)
+		l.AdvanceTo(now)
 	}
 	gbps := float64(l.BytesSent) / 10000 // bytes per cycle
 	if gbps < 56 || gbps > 58 {

@@ -1,17 +1,13 @@
 // Package mapping implements the physical-address-to-memory-stack mapping
 // policies of the paper: the baseline bandwidth-maximizing XOR-permuted
 // cache-line interleave ([9, 61] in the paper), the simple consecutive-bit
-// mappings TOM's data-mapping mechanism chooses among (§3.2.1), the hybrid
-// per-range policy that applies the learned mapping only to ranges touched
-// by offloading candidates (§3.2.3), and the Memory Map Analyzer hardware
-// unit that learns the best mapping from early candidate instances (§4.3).
+// mappings TOM's data-mapping mechanism chooses among (§3.2.1), and the
+// Memory Map Analyzer hardware unit that learns the best mapping from early
+// candidate instances (§4.3). The simulator applies the learned mapping only
+// to ranges touched by offloading candidates (§3.2.3, sim's stackOf).
 package mapping
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
+import "fmt"
 
 // CacheLineBytes is the transfer granularity; stack mapping never uses bits
 // below it (§3.2.1: choosing bits from the line offset would hurt link
@@ -66,26 +62,6 @@ func (c ConsecutiveBits) Stack(addr uint64) int {
 
 // Name implements Policy.
 func (c ConsecutiveBits) Name() string { return fmt.Sprintf("bits[%d]", c.Bit) }
-
-// Hybrid applies Offload to ranges the learning phase flagged (and that the
-// delayed copy has re-placed), and Default to everything else — the
-// programmer-transparent data mapping of §3.2.3.
-type Hybrid struct {
-	Table   *mem.AllocTable
-	Default Policy
-	Offload Policy
-}
-
-// Stack implements Policy.
-func (h Hybrid) Stack(addr uint64) int {
-	if r := h.Table.Find(addr); r != nil && r.OffloadMapped {
-		return h.Offload.Stack(addr)
-	}
-	return h.Default.Stack(addr)
-}
-
-// Name implements Policy.
-func (h Hybrid) Name() string { return "tmap(" + h.Offload.Name() + ")" }
 
 // VaultOf spreads cache lines over the vaults within a stack. All policies
 // share it: the paper only remaps the stack-index bits.

@@ -3,9 +3,6 @@ package mapping
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/mem"
 )
 
 // TestAllPoliciesCoverAllStacks: every mapping policy must reach every
@@ -27,23 +24,6 @@ func TestAllPoliciesCoverAllStacks(t *testing.T) {
 		if len(seen) != 4 {
 			t.Errorf("%s reaches only %d stacks", p.Name(), len(seen))
 		}
-	}
-}
-
-// TestHybridNeverPanicsOnArbitraryAddresses includes addresses far outside
-// any allocation.
-func TestHybridNeverPanicsOnArbitraryAddresses(t *testing.T) {
-	at := mem.NewAllocTable()
-	at.Alloc("a", 1<<16)
-	r, _ := at.Lookup("a")
-	r.OffloadMapped = true
-	h := Hybrid{Table: at, Default: Baseline{Stacks: 4}, Offload: ConsecutiveBits{Stacks: 4, Bit: 9}}
-	f := func(addr uint64) bool {
-		s := h.Stack(addr)
-		return s >= 0 && s < 4
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -56,30 +56,6 @@ func TestConsecutiveBitsMapping(t *testing.T) {
 	}
 }
 
-func TestHybridDispatch(t *testing.T) {
-	at := mem.NewAllocTable()
-	a := at.Alloc("a", 1<<20)
-	b := at.Alloc("b", 1<<20)
-	r, err := at.Lookup("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.OffloadMapped = true
-	h := Hybrid{
-		Table:   at,
-		Default: Baseline{Stacks: 4},
-		Offload: ConsecutiveBits{Stacks: 4, Bit: 14},
-	}
-	for off := uint64(0); off < 1<<20; off += 4096 {
-		if got, want := h.Stack(a+off), (ConsecutiveBits{Stacks: 4, Bit: 14}).Stack(a+off); got != want {
-			t.Fatalf("offload-mapped range used wrong policy at +%#x", off)
-		}
-		if got, want := h.Stack(b+off), (Baseline{Stacks: 4}).Stack(b+off); got != want {
-			t.Fatalf("default range used wrong policy at +%#x", off)
-		}
-	}
-}
-
 func TestVaultOfInRangeAndBalanced(t *testing.T) {
 	counts := make([]int, 16)
 	for i := 0; i < 1<<14; i++ {

@@ -285,18 +285,6 @@ func (t *AllocTable) Lookup(name string) (*Range, error) {
 	return nil, fmt.Errorf("mem: no allocation named %q", name)
 }
 
-// TouchedBytes sums the sizes of ranges flagged CandidateTouched — the
-// volume the delayed host→device copy must move with the learned mapping.
-func (t *AllocTable) TouchedBytes() uint64 {
-	var n uint64
-	for _, r := range t.Ranges {
-		if r.CandidateTouched {
-			n += r.Size
-		}
-	}
-	return n
-}
-
 // StorageBits returns the hardware cost of one table entry in bits, per the
 // paper's §6.6 estimate (48-bit VA start + 48-bit length + 1 flag bit).
 func StorageBits() int { return 97 }

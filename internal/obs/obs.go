@@ -1,5 +1,5 @@
 // Package obs is the simulator's observability layer: a zero-dependency,
-// allocation-light metrics registry (counters, gauges, fixed-interval time
+// allocation-light metrics registry (counters and fixed-interval time
 // series) plus a structured event trace for the offload lifecycle.
 //
 // The cycle-level simulator only exposes end-of-run totals through
@@ -20,7 +20,7 @@ package obs
 // Observer bundles a metrics registry with an optional event trace and the
 // sampling cadence the simulator should use.
 type Observer struct {
-	// Registry collects counters, gauges and time series. Never nil for
+	// Registry collects counters and time series. Never nil for
 	// observers built with New.
 	Registry *Registry
 	// Trace, when non-nil, receives one Event per offload-lifecycle step.

@@ -15,7 +15,6 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	r := NewRegistry()
 	const workers = 16
 	counters := make([]*Counter, workers)
-	gauges := make([]*Gauge, workers)
 	series := make([]*Series, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -23,13 +22,12 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			counters[i] = r.Counter("c")
-			gauges[i] = r.Gauge("g")
 			series[i] = r.Series("s", 64)
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < workers; i++ {
-		if counters[i] != counters[0] || gauges[i] != gauges[0] || series[i] != series[0] {
+		if counters[i] != counters[0] || series[i] != series[0] {
 			t.Fatalf("worker %d got a different handle", i)
 		}
 	}
@@ -64,8 +62,8 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 			t.Errorf("run%d series sum = %v, want %d", i, got, per)
 		}
 	}
-	if got := len(r.Names()); got != 2*workers {
-		t.Errorf("names = %d, want %d", got, 2*workers)
+	if got := len(snap.Counters) + len(snap.Series); got != 2*workers {
+		t.Errorf("snapshot holds %d metrics, want %d", got, 2*workers)
 	}
 }
 
@@ -165,13 +163,11 @@ func TestSeriesIntervalFixedAtCreation(t *testing.T) {
 func TestSnapshotIsCopy(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(5)
-	r.Gauge("g").Set(-3)
 	r.Series("s", 10).Add(0, 1.5)
 	snap := r.Snapshot()
 	r.Counter("c").Add(100)
-	r.Gauge("g").Set(7)
 	r.Series("s", 10).Add(0, 10)
-	if snap.Counters["c"] != 5 || snap.Gauges["g"] != -3 {
+	if snap.Counters["c"] != 5 {
 		t.Fatalf("snapshot mutated: %+v", snap)
 	}
 	if sd := snap.Series["s"]; sd.Interval != 10 || len(sd.Values) != 1 || sd.Values[0] != 1.5 {
@@ -232,15 +228,9 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 	}
 }
 
-// TestGaugeAndSum exercises the remaining small surfaces.
-func TestGaugeAndSum(t *testing.T) {
+// TestSumAndSnapshotKeys exercises the remaining small surfaces.
+func TestSumAndSnapshotKeys(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("pending")
-	g.Add(10)
-	g.Add(-4)
-	if g.Value() != 6 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
 	s := r.Series("x", 10)
 	s.Add(0, 0.25)
 	s.Add(15, 0.5)
@@ -248,8 +238,8 @@ func TestGaugeAndSum(t *testing.T) {
 		t.Fatalf("sum = %v", s.Sum())
 	}
 	r.Counter("c")
-	names := r.Names()
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
+	snap := r.Snapshot()
+	if _, ok := snap.Counters["c"]; !ok || len(snap.Counters) != 1 || len(snap.Series) != 1 {
+		t.Fatalf("snapshot = %+v, want counter c and series x", snap)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -19,20 +18,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable int64, safe for concurrent use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(x int64) { g.v.Store(x) }
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current gauge reading.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Series is a fixed-interval time series: Add(cycle, v) accumulates v into
 // the bucket cycle/interval. Sampling a quantity exactly once per interval
@@ -93,13 +78,12 @@ func (s *Series) Values() []float64 {
 
 // Registry holds named metrics. Lookups are get-or-create and return stable
 // pointers, so hot paths resolve each handle once and then update it
-// lock-free (counters/gauges) or under the series' own mutex. A registry is
+// lock-free (counters) or under the series' own mutex. A registry is
 // safe for concurrent use: an observed run owns a private one, and
 // tomserve's /metrics registry is shared by every request.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	series   map[string]*Series
 }
 
@@ -107,7 +91,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		series:   map[string]*Series{},
 	}
 }
@@ -122,18 +105,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Series returns the named series, creating it with the given interval on
@@ -163,7 +134,6 @@ type SeriesData struct {
 // (the tomx run -metrics schema, see docs/OBSERVABILITY.md).
 type Snapshot struct {
 	Counters map[string]uint64     `json:"counters,omitempty"`
-	Gauges   map[string]int64      `json:"gauges,omitempty"`
 	Series   map[string]SeriesData `json:"series,omitempty"`
 }
 
@@ -173,35 +143,13 @@ func (r *Registry) Snapshot() *Snapshot {
 	defer r.mu.Unlock()
 	snap := &Snapshot{
 		Counters: make(map[string]uint64, len(r.counters)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
 		Series:   make(map[string]SeriesData, len(r.series)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
 	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
-	}
 	for name, s := range r.series {
 		snap.Series[name] = SeriesData{Interval: s.Interval(), Values: s.Values()}
 	}
 	return snap
-}
-
-// Names returns the registry's metric names, sorted (diagnostics).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

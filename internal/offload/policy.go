@@ -1,24 +1,24 @@
-// Package offload defines the pluggable offload-policy layer: the decision
-// logic the paper hardwires — compiler candidate selection (§3.1), the
-// runtime gating pipeline (§3.3/§4.2), and destination choice (§4.2
-// footnote 4) — factored behind one interface so rival schemes (CODA's
-// co-location-aware offloading, near-bank MPU offload) can be A/B-tested
-// against TOM over the same workload matrix.
+// Package offload is the offload-policy layer: the decisions the paper
+// hardwires — compiler candidate selection (§3.1), the runtime gating
+// pipeline (§3.3/§4.2), and destination choice (§4.2 footnote 4) — as one
+// Policy struct, so rival schemes (CODA's co-location-aware offloading,
+// near-bank MPU offload) can be A/B-tested against TOM over the same
+// workload matrix. The four policies are the rows of one table; a row's
+// fields are exactly where the schemes differ.
 //
-// The simulator drives a policy through three hooks per candidate entry,
-// in order:
+// The simulator takes three steps per candidate entry, in order:
 //
-//  1. PreGate — before the destination dry run (TOM's conditional-trip
-//     threshold lives here; no destination is known yet).
-//  2. Dest — pick the destination stack (and optionally vault) from the
-//     dry-run access trace.
+//  1. PreGate — the conditional-trip threshold, before the destination dry
+//     run (rows with Conditional; no destination is known yet).
+//  2. Dest — the destination stack (and, VaultGranular, vault) from a dry
+//     run collecting up to DryRunAccesses line addresses.
 //  3. Gate — aggressiveness control with the destination known (channel
 //     busy, pending caps, co-location, per-vault slots).
 //
-// Each hook returns a gate reason ("" = proceed); every non-empty reason is
-// accounted in sim.Stats, the per-PC gate profile, and the observer, so the
-// conservation invariant CandidateInstances == Sent + Skipped + LearnEntries
-// holds for every policy.
+// Each step returns a gate reason ("" = proceed); every non-empty reason is
+// accounted in sim.Stats and the per-PC gate profile, so the conservation
+// invariant CandidateInstances == Sent + Skipped + LearnEntries holds for
+// every policy.
 package offload
 
 import (
@@ -26,7 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/compiler"
-	"repro/internal/isa"
+	"repro/internal/mapping"
 )
 
 // Gate reasons. The first five are TOM's original skip reasons; the last
@@ -44,17 +44,26 @@ const (
 	ReasonVaultFull = "vaultfull"
 )
 
-// Traits are the static execution-model properties of a policy — the knobs
-// the simulator reads outside the per-entry hook sequence.
-type Traits struct {
-	// ObserveTrips: run TOM's conditional trip-count observation (§4.2
-	// step 1) at every candidate entry, feeding the per-PC profile.
-	ObserveTrips bool
+// Policy is one point in the offload design space.
+type Policy struct {
+	// Name is the table key (Config.Policy); it reaches run-spec digests
+	// through the canonical configuration.
+	Name string
+	// Select parameterizes the kernel's offload metadata table
+	// (compiler.AnalyzeWith).
+	Select compiler.SelectOptions
+	// Conditional observes the leader lane's trip count at every
+	// conditional-hinted candidate entry (§4.2 step 1), feeding the per-PC
+	// profile, and gates entries below the compiler's break-even hint.
+	Conditional bool
 	// DryRunAccesses bounds how many global-memory line addresses the
 	// destination dry run collects (1 = stop at the first access, TOM's
 	// footnote-4 behavior; larger windows let a policy inspect the
 	// instance's spatial footprint).
 	DryRunAccesses int
+	// VaultGranular resolves the destination down to the first access's
+	// vault, whose pending count the simulator then tracks.
+	VaultGranular bool
 	// ZeroCost models free offload transport (the Fig. 2 idealization):
 	// requests spawn directly with no pipeline/link traversal, acks return
 	// in one cycle, stack warp slots oversubscribe, and no coherence
@@ -67,10 +76,80 @@ type Traits struct {
 	// launch decision to the request entering the TX path). Near-bank
 	// offload models a cheaper spawn.
 	SpawnLat int64
+	// Gate is the aggressiveness control with the destination known.
+	// Returns a gate reason or "".
+	Gate func(Env, *Request) string
+}
+
+// codaWindow matches the learning phase's per-instance observation window
+// (sim's learnWindow): the co-location decision sees the same footprint the
+// Memory Map Analyzer scores mappings with.
+const codaWindow = 8
+
+// mpuSpawnLat is the near-bank spawn cost in cycles: the offload unit sits
+// in the vault's logic, so dispatch skips most of TOM's 10-cycle offload
+// pipeline (request packing, metadata lookup, TX arbitration).
+const mpuSpawnLat = 2
+
+// tomSelect is TOM's candidate selection: loops and straight-line blocks
+// admitted by the bandwidth cost model of equations (3)/(4).
+var tomSelect = compiler.SelectOptions{Cost: compiler.DefaultCostParams()}
+
+// policies is the table of every policy.
+//
+//   - tom is the paper's scheme, bit-for-bit: conservative cost-model
+//     candidate selection (equations (3)/(4)), conditional-trip thresholds,
+//     first-access destination, and the §3.3 dynamic aggressiveness control.
+//   - ideal is the Fig. 2 idealization: TOM's candidate table with
+//     zero-cost transport and perfect co-location. Stack warp capacity
+//     still applies — the idealization removes offload overheads, not the
+//     logic layer's execution resources — and no trip threshold or channel
+//     gating runs.
+//   - coda models co-location-aware offloading (PAPERS.md: "CODA: Enabling
+//     Co-location of Computation and Data"): TOM's candidates and cost
+//     model, but the dry run collects a window of accesses and any instance
+//     whose lines split across stacks under the live mapping stays on the
+//     GPU (gate reason "split"), since offloading it would convert local
+//     accesses into cross-stack traffic.
+//   - mpu models near-bank offload (PAPERS.md: MPU's near-bank SIMT
+//     computing): loops are not offloaded as units, straight-line blocks are
+//     cut after every global memory instruction, and every legal snippet is
+//     admitted — the per-vault slot limit, not the bandwidth cost model, is
+//     the selectivity. The spawn is cheap, but each vault's near-bank unit
+//     holds only its share of the stack's warp capacity, so a vault with its
+//     slots full gates further offloads to it (reason "vaultfull") while
+//     other vaults keep accepting.
+var policies = []Policy{
+	{Name: "tom", Select: tomSelect, Conditional: true, DryRunAccesses: 1, Gate: tomGate},
+	{Name: "ideal", Select: tomSelect, DryRunAccesses: 1, ZeroCost: true, ForceColocate: true, Gate: fullGate},
+	{Name: "coda", Select: tomSelect, Conditional: true, DryRunAccesses: codaWindow, Gate: codaGate},
+	{Name: "mpu", Select: compiler.SelectOptions{
+		Cost: compiler.DefaultCostParams(), SkipLoops: true, MaxBlockMems: 1, Accept: compiler.AcceptAll,
+	}, Conditional: true, DryRunAccesses: 1, VaultGranular: true, SpawnLat: mpuSpawnLat, Gate: vaultGate},
+}
+
+// ByName returns the named policy.
+func ByName(name string) (Policy, error) {
+	for _, p := range policies {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Policy{}, fmt.Errorf("offload: unknown policy %q (have %v)", name, Names())
+}
+
+// Names lists the policy names, sorted.
+func Names() []string {
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.Name
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Request is one candidate-entry decision in flight, filled incrementally
-// by the simulator and the policy hooks.
+// by the simulator and the policy steps.
 type Request struct {
 	Cand *compiler.Candidate
 	// HasLeader: the warp has at least one active lane.
@@ -86,7 +165,7 @@ type Request struct {
 	// region — the access trace is truncated, not absent.
 	Bounded bool
 	// Stack/Vault are the chosen destination (-1 until Dest succeeds;
-	// Vault stays -1 for stack-granular policies).
+	// Vault stays -1 unless the policy is VaultGranular).
 	Stack, Vault int
 }
 
@@ -114,66 +193,13 @@ type Env interface {
 	Controlled() bool
 }
 
-// Policy is one point in the offload design space.
-type Policy interface {
-	// Name is the registry key, folded into run-spec digests.
-	Name() string
-	// Params renders the policy's parameters for digesting ("" if none).
-	Params() string
-	Traits() Traits
-	// SelectCandidates builds the kernel's offload metadata table.
-	SelectCandidates(k *isa.Kernel, p compiler.CostParams) (*compiler.Metadata, error)
-	// PreGate may veto before the destination dry run. Returns a gate
-	// reason or "".
-	PreGate(env Env, req *Request) string
-	// Dest chooses req.Stack (and optionally req.Vault) from the dry-run
-	// trace. Returns a gate reason or "".
-	Dest(env Env, req *Request) string
-	// Gate is the aggressiveness control with the destination known.
-	// Returns a gate reason or "".
-	Gate(env Env, req *Request) string
-}
-
-// --- Registry ---
-
-var registry = map[string]func() Policy{}
-
-// Register installs a policy constructor under its name. Called from
-// init(); duplicate names panic.
-func Register(name string, mk func() Policy) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("offload: duplicate policy %q", name))
-	}
-	registry[name] = mk
-}
-
-// ByName returns a fresh instance of the named policy.
-func ByName(name string) (Policy, error) {
-	mk, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("offload: unknown policy %q (have %v)", name, Names())
-	}
-	return mk(), nil
-}
-
-// Names lists the registered policy names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// --- Shared hook helpers ---
-
-// condPreGate is TOM's conditional-offload threshold (§4.2 step 1): a
-// conditional-hinted candidate offloads only when the leader lane's trip
-// count reaches the compiler's break-even hint. A warp with no active lane
-// cannot derive a destination either, so it counts as nodest.
-func condPreGate(req *Request) string {
-	if !req.Cand.Conditional() {
+// PreGate is TOM's conditional-offload threshold (§4.2 step 1), applied by
+// Conditional policies: a conditional-hinted candidate offloads only when
+// the leader lane's trip count reaches the compiler's break-even hint. A
+// warp with no active lane cannot derive a destination either, so it counts
+// as nodest.
+func (p *Policy) PreGate(req *Request) string {
+	if !p.Conditional || !req.Cand.Conditional() {
 		return ""
 	}
 	if !req.HasLeader {
@@ -185,11 +211,11 @@ func condPreGate(req *Request) string {
 	return ""
 }
 
-// destFirstLine picks the stack of the instance's first global-memory
-// access (§4.2 footnote 4). An empty trace that hit the dry-run step bound
-// is reported as destbound — the region is diagnosably too long to scan —
-// rather than folded into nodest.
-func destFirstLine(env Env, req *Request) string {
+// Dest picks the stack (and, VaultGranular, the vault) of the instance's
+// first global-memory access (§4.2 footnote 4). An empty trace that hit the
+// dry-run step bound is reported as destbound — the region is diagnosably
+// too long to scan — rather than folded into nodest.
+func (p *Policy) Dest(env Env, req *Request) string {
 	if len(req.Lines) == 0 {
 		if req.Bounded {
 			return ReasonDestBound
@@ -197,6 +223,9 @@ func destFirstLine(env Env, req *Request) string {
 		return ReasonNoDest
 	}
 	req.Stack = env.StackOf(req.Lines[0])
+	if p.VaultGranular {
+		req.Vault = env.VaultOf(req.Lines[0])
+	}
 	return ""
 }
 
@@ -218,8 +247,44 @@ func tomGate(env Env, req *Request) string {
 	if !c.SavesRX && env.RXBusy(dest) {
 		return ReasonBusy
 	}
-	if env.Pending(dest) >= env.StackCap() {
+	return fullGate(env, req)
+}
+
+// fullGate is the hard pending-offload cap: the destination stack's warp
+// capacity.
+func fullGate(env Env, req *Request) string {
+	if env.Pending(req.Stack) >= env.StackCap() {
 		return ReasonFull
+	}
+	return ""
+}
+
+// codaGate keeps an instance whose dry-run lines split across stacks on the
+// GPU, then defers to TOM's control.
+func codaGate(env Env, req *Request) string {
+	if len(req.Lines) > 1 && mapping.Colocation(envMapPolicy{env}, req.Lines) < 1 {
+		return ReasonSplit
+	}
+	return tomGate(env, req)
+}
+
+// envMapPolicy adapts the simulator's live line→stack mapping (baseline
+// XOR or the learned consecutive-bit mapping, per range) to the
+// mapping.Policy interface mapping.Colocation expects.
+type envMapPolicy struct{ env Env }
+
+func (p envMapPolicy) Stack(addr uint64) int { return p.env.StackOf(addr) }
+func (p envMapPolicy) Name() string          { return "live" }
+
+// vaultGate enforces the per-vault slot limit: the stack's warp capacity
+// divided evenly over its vaults, minimum one slot per vault.
+func vaultGate(env Env, req *Request) string {
+	cap := env.StackCap() / env.Vaults()
+	if cap < 1 {
+		cap = 1
+	}
+	if env.PendingVault(req.Stack, req.Vault) >= cap {
+		return ReasonVaultFull
 	}
 	return ""
 }

@@ -61,24 +61,19 @@ func condCand(minTrips int) *compiler.Candidate {
 
 func TestRegistryHasAllPolicies(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"coda", "ideal", "mpu", "tom"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("policy %q not registered (have %v)", want, names)
-		}
+	if want := []string{"coda", "ideal", "mpu", "tom"}; strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("Names() = %v, want %v", names, want)
 	}
 	for _, n := range names {
 		p := mustPolicy(t, n)
-		if p.Name() != n {
-			t.Errorf("ByName(%q).Name() = %q", n, p.Name())
+		if p.Name != n {
+			t.Errorf("ByName(%q).Name = %q", n, p.Name)
 		}
-		if p.Traits().DryRunAccesses < 1 {
-			t.Errorf("policy %q has DryRunAccesses %d < 1", n, p.Traits().DryRunAccesses)
+		if p.DryRunAccesses < 1 {
+			t.Errorf("policy %q has DryRunAccesses %d < 1", n, p.DryRunAccesses)
+		}
+		if p.Gate == nil {
+			t.Errorf("policy %q has no Gate", n)
 		}
 	}
 }
@@ -89,47 +84,41 @@ func TestByNameUnknownListsChoices(t *testing.T) {
 		t.Fatal("unknown policy must error")
 	}
 	if !strings.Contains(err.Error(), "tom") {
-		t.Errorf("error should list registered names, got %q", err)
+		t.Errorf("error should list the policy names, got %q", err)
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register must panic")
-		}
-	}()
-	Register("tom", func() Policy { return TOM{} })
-}
-
+// TestPolicyTraits pins each row's execution-model fields.
 func TestPolicyTraits(t *testing.T) {
+	type traits struct {
+		conditional, vaultGranular, zeroCost, forceColocate bool
+		dryRun                                              int
+		spawnLat                                            int64
+	}
 	cases := []struct {
 		name string
-		want Traits
+		want traits
 	}{
-		{"tom", Traits{ObserveTrips: true, DryRunAccesses: 1}},
-		{"ideal", Traits{DryRunAccesses: 1, ZeroCost: true, ForceColocate: true}},
-		{"coda", Traits{ObserveTrips: true, DryRunAccesses: codaDefaultWindow}},
-		{"mpu", Traits{ObserveTrips: true, DryRunAccesses: 1, SpawnLat: mpuSpawnLat}},
+		{"tom", traits{conditional: true, dryRun: 1}},
+		{"ideal", traits{zeroCost: true, forceColocate: true, dryRun: 1}},
+		{"coda", traits{conditional: true, dryRun: codaWindow}},
+		{"mpu", traits{conditional: true, vaultGranular: true, dryRun: 1, spawnLat: mpuSpawnLat}},
 	}
 	for _, c := range cases {
-		if got := mustPolicy(t, c.name).Traits(); got != c.want {
+		p := mustPolicy(t, c.name)
+		got := traits{p.Conditional, p.VaultGranular, p.ZeroCost, p.ForceColocate,
+			p.DryRunAccesses, p.SpawnLat}
+		if got != c.want {
 			t.Errorf("%s traits = %+v, want %+v", c.name, got, c.want)
 		}
 	}
-}
-
-func TestPolicyParams(t *testing.T) {
-	for name, want := range map[string]string{
-		"tom": "", "ideal": "", "coda": "window=8", "mpu": "spawnlat=2",
-	} {
-		if got := mustPolicy(t, name).Params(); got != want {
-			t.Errorf("%s params = %q, want %q", name, got, want)
-		}
+	if mpu := mustPolicy(t, "mpu").Select; !mpu.SkipLoops || mpu.MaxBlockMems != 1 || mpu.Accept == nil {
+		t.Errorf("mpu selects %+v, want near-bank snippets admitted without the cost model", mpu)
 	}
 }
 
 func TestCondPreGate(t *testing.T) {
+	tom, ideal := mustPolicy(t, "tom"), mustPolicy(t, "ideal")
 	cases := []struct {
 		name string
 		req  Request
@@ -145,13 +134,17 @@ func TestCondPreGate(t *testing.T) {
 			Request{Cand: condCand(4), HasLeader: true, Trips: 4}, ""},
 	}
 	for _, c := range cases {
-		if got := condPreGate(&c.req); got != c.want {
-			t.Errorf("%s: condPreGate = %q, want %q", c.name, got, c.want)
+		if got := tom.PreGate(&c.req); got != c.want {
+			t.Errorf("%s: PreGate = %q, want %q", c.name, got, c.want)
+		}
+		if got := ideal.PreGate(&c.req); got != "" {
+			t.Errorf("%s: ideal (not Conditional) PreGate = %q, want pass", c.name, got)
 		}
 	}
 }
 
 func TestDestFirstLine(t *testing.T) {
+	tom := mustPolicy(t, "tom")
 	env := newFakeEnv()
 	cases := []struct {
 		name      string
@@ -166,12 +159,12 @@ func TestDestFirstLine(t *testing.T) {
 		{"bounded with lines still resolves", []uint64{1 << 12}, true, "", 1},
 	}
 	for _, c := range cases {
-		req := Request{Lines: c.lines, Bounded: c.bounded, Stack: -1}
-		if got := destFirstLine(env, &req); got != c.want {
-			t.Errorf("%s: destFirstLine = %q, want %q", c.name, got, c.want)
+		req := Request{Lines: c.lines, Bounded: c.bounded, Stack: -1, Vault: -1}
+		if got := tom.Dest(env, &req); got != c.want {
+			t.Errorf("%s: Dest = %q, want %q", c.name, got, c.want)
 		}
-		if req.Stack != c.wantStack {
-			t.Errorf("%s: req.Stack = %d, want %d", c.name, req.Stack, c.wantStack)
+		if req.Stack != c.wantStack || req.Vault != -1 {
+			t.Errorf("%s: req.Stack/Vault = %d/%d, want %d/-1", c.name, req.Stack, req.Vault, c.wantStack)
 		}
 	}
 }

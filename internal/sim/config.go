@@ -96,10 +96,11 @@ type Config struct {
 	Offload       OffloadMode
 	BusyThreshold float64
 	Coherence     bool // §4.4.2 protocol on (off = idealized coherence)
-	// Policy names the offload policy (internal/offload registry) driving
-	// candidate selection, gating, and destination choice: "tom" by
-	// default, "ideal" for the Fig. 2 idealization (zero offload overhead
-	// and perfect code/data co-location). Unknown names panic in New.
+	// Policy names the offload policy (a row of internal/offload's table)
+	// driving candidate selection, gating, and destination choice: "tom"
+	// by default, "ideal" for the Fig. 2 idealization (zero offload
+	// overhead and perfect code/data co-location). Unknown names panic in
+	// New.
 	Policy string
 	// ALUGate, when positive, extends dynamic aggressiveness control
 	// with the paper's §6.4 future-work idea: candidates whose static

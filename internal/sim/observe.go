@@ -3,13 +3,11 @@ package sim
 import (
 	"strconv"
 
-	"repro/internal/compiler"
 	"repro/internal/obs"
-	"repro/internal/offload"
 )
 
 // obsState is the simulator's binding to an attached obs.Observer. Every
-// metric handle is resolved once at construction so the per-cycle cost with
+// series handle is resolved once at construction so the per-cycle cost with
 // an observer enabled is one comparison plus, at sampling boundaries, a few
 // dozen series updates; with Config.Observer nil the hot path pays a single
 // nil check.
@@ -17,7 +15,7 @@ import (
 // Invariant (tested): the per-interval traffic series and the lifecycle
 // counters sum exactly to the corresponding sim.Stats totals — the series
 // record deltas of the same cumulative link counters finalizeStats reads,
-// and the counters are incremented at the same sites as their Stats twins.
+// and flush adds each counter from its Stats field when the run ends.
 type obsState struct {
 	o     *obs.Observer
 	every int64
@@ -35,16 +33,6 @@ type obsState struct {
 	l2mshrQ *obs.Series   // outstanding L2 misses
 	l2bankQ *obs.Series   // transactions waiting in L2 bank queues
 	learnQ  *obs.Series   // learning-phase instances observed so far
-
-	// Offload lifecycle counters (mirror the sim.Stats fields exactly).
-	candidates, sent, acks                 *obs.Counter
-	skipBusy, skipFull, skipCond, skipALU  *obs.Counter
-	skipNoDest, skipDestBound              *obs.Counter
-	skipSplit, skipVaultFull               *obs.Counter
-	invalidates, drainStalls, spawnCounter *obs.Counter
-	// pcieSaved accumulates learning-phase PCIe bytes avoided by installing
-	// a stored mapping (Stats.LearnPCIeSaved); only InstallMapping adds.
-	pcieSaved *obs.Counter
 }
 
 // newObsState resolves every handle against the observer's registry.
@@ -65,22 +53,6 @@ func newObsState(cfg *Config) *obsState {
 		l2mshrQ: reg.Series("l2.mshr_occupancy", every),
 		l2bankQ: reg.Series("l2.bank_queue_occupancy", every),
 		learnQ:  reg.Series("learn.instances_seen", every),
-
-		candidates:    reg.Counter("offload.candidates"),
-		sent:          reg.Counter("offload.sent"),
-		acks:          reg.Counter("offload.acks"),
-		skipBusy:      reg.Counter("offload.skipped_busy"),
-		skipFull:      reg.Counter("offload.skipped_full"),
-		skipCond:      reg.Counter("offload.skipped_cond"),
-		skipALU:       reg.Counter("offload.skipped_alu"),
-		skipNoDest:    reg.Counter("offload.skipped_nodest"),
-		skipDestBound: reg.Counter("offload.skipped_destbound"),
-		skipSplit:     reg.Counter("offload.skipped_split"),
-		skipVaultFull: reg.Counter("offload.skipped_vaultfull"),
-		invalidates:   reg.Counter("coherence.invalidates"),
-		drainStalls:   reg.Counter("offload.drain_stalls"),
-		spawnCounter:  reg.Counter("offload.spawns"),
-		pcieSaved:     reg.Counter("learn.pcie_bytes_saved"),
 	}
 	for s := 0; s < cfg.Stacks; s++ {
 		id := strconv.Itoa(s)
@@ -95,17 +67,7 @@ func newObsState(cfg *Config) *obsState {
 // addTraffic records the byte deltas since the previous sample into the
 // bucket containing cycle `at`.
 func (ob *obsState) addTraffic(sys *System, at int64) {
-	var tx, rx, cross uint64
-	for s := 0; s < sys.cfg.Stacks; s++ {
-		tx += sys.txLinks[s].BytesSent
-		rx += sys.rxLinks[s].BytesSent
-		for t := 0; t < sys.cfg.Stacks; t++ {
-			if s != t {
-				cross += sys.crossLinks[s][t].BytesSent
-			}
-		}
-	}
-	pcie := sys.pcieTX.BytesSent + sys.pcieRX.BytesSent
+	tx, rx, cross, pcie := sys.linkBytes()
 	ob.tx.Add(at, float64(tx-ob.lastTX))
 	ob.rx.Add(at, float64(rx-ob.lastRX))
 	ob.cross.Add(at, float64(cross-ob.lastCross))
@@ -134,50 +96,39 @@ func (ob *obsState) sample(sys *System, now int64) {
 }
 
 // flush closes out the final partial interval so every traffic series sums
-// exactly to its sim.Stats total. Called once from finalizeStats.
+// exactly to its sim.Stats total, and adds the lifecycle counters from
+// their Stats fields. Called once from finalizeStats.
 func (ob *obsState) flush(sys *System) {
 	at := sys.now - 1
 	if at < 0 {
 		at = 0
 	}
 	ob.addTraffic(sys, at)
-}
-
-// obGate records one suppressed offload: the per-reason counter plus a gate
-// trace event. dest < 0 means the gate fired before a destination stack was
-// known (the conditional-trip check, or a failed destination dry run) and is
-// carried into the event as Stack -1 — stack 0 is a real stack, so absence
-// must be encoded explicitly, never by leaving the field zero.
-// Callers go through System.gate, which also maintains the Stats twins and
-// the per-PC decision table.
-func (sys *System) obGate(now int64, sm *SM, cand *compiler.Candidate, dest int, reason string) {
-	ob := sys.ob
-	if ob == nil {
-		return
+	st := &sys.stats
+	for _, c := range [...]struct {
+		name string
+		v    uint64
+	}{
+		{"offload.candidates", st.CandidateInstances},
+		{"offload.sent", st.OffloadsSent},
+		{"offload.acks", st.OffloadsAcked},
+		// Every acked offload was spawned once; a run that returns without
+		// error acks every spawn.
+		{"offload.spawns", st.OffloadsAcked},
+		{"offload.skipped_busy", st.OffloadsSkippedBusy},
+		{"offload.skipped_full", st.OffloadsSkippedFull},
+		{"offload.skipped_cond", st.OffloadsSkippedCond},
+		{"offload.skipped_alu", st.OffloadsSkippedALU},
+		{"offload.skipped_nodest", st.OffloadsSkippedNoDest},
+		{"offload.skipped_destbound", st.OffloadsSkippedDestBound},
+		{"offload.skipped_split", st.OffloadsSkippedSplit},
+		{"offload.skipped_vaultfull", st.OffloadsSkippedVaultFull},
+		{"offload.drain_stalls", st.StoreDrainStalls},
+		{"coherence.invalidates", st.CoherenceInvalidates},
+		{"learn.pcie_bytes_saved", st.LearnPCIeSaved},
+	} {
+		ob.o.Registry.Counter(c.name).Add(c.v)
 	}
-	switch reason {
-	case offload.ReasonBusy:
-		ob.skipBusy.Inc()
-	case offload.ReasonFull:
-		ob.skipFull.Inc()
-	case offload.ReasonCond:
-		ob.skipCond.Inc()
-	case offload.ReasonALU:
-		ob.skipALU.Inc()
-	case offload.ReasonNoDest:
-		ob.skipNoDest.Inc()
-	case offload.ReasonDestBound:
-		ob.skipDestBound.Inc()
-	case offload.ReasonSplit:
-		ob.skipSplit.Inc()
-	case offload.ReasonVaultFull:
-		ob.skipVaultFull.Inc()
-	}
-	if dest < 0 {
-		dest = -1
-	}
-	ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvGate, SM: sm.id, Stack: dest,
-		PC: cand.StartPC, Reason: reason})
 }
 
 // occupancy counts a stack's DRAM work: queued requests plus issued bursts

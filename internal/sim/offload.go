@@ -63,8 +63,12 @@ func (e polEnv) Controlled() bool          { return e.sys.cfg.Offload == Offload
 
 // gate records one suppressed offload everywhere it is accounted: the
 // aggregate per-reason counter, the per-PC decision table, and (when an
-// observer is attached) the metrics counter plus a gate trace event. Every
-// gate site goes through here so the accounting stays exhaustive.
+// observer is attached) a gate trace event. Every gate site goes through
+// here so the accounting stays exhaustive. dest is -1 when the gate fired
+// before a destination stack was known (the conditional-trip check, or a
+// failed destination dry run) and is carried into the event as Stack -1 —
+// stack 0 is a real stack, so absence must be encoded explicitly, never by
+// leaving the field zero.
 func (sys *System) gate(now int64, sm *SM, cand *compiler.Candidate, dest int, reason string) {
 	switch reason {
 	case offload.ReasonBusy:
@@ -85,17 +89,19 @@ func (sys *System) gate(now int64, sm *SM, cand *compiler.Candidate, dest int, r
 		sys.stats.OffloadsSkippedVaultFull++
 	}
 	sys.stats.PCStats.At(cand.StartPC).CountSkip(reason)
-	sys.obGate(now, sm, cand, dest, reason)
+	if ob := sys.ob; ob != nil {
+		ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvGate, SM: sm.id, Stack: dest,
+			PC: cand.StartPC, Reason: reason})
+	}
 }
 
 // handleCandidateEntry runs when a main-SM warp reaches a candidate's start
-// PC: the policy hook sequence (PreGate → dry run → Dest → Gate) decides
+// PC: the policy's steps (PreGate → dry run → Dest → Gate) decide
 // whether the instance offloads. It returns true when the warp was captured
 // (offload in progress); on false the warp executes the region inline.
 func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candidate, now int64) bool {
 	sys.stats.CandidateInstances++
 	if ob := sys.ob; ob != nil {
-		ob.candidates.Inc()
 		ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvCandidate, SM: sm.id, PC: cand.StartPC})
 	}
 	if sys.learning {
@@ -119,7 +125,7 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 	// Observe the leader lane's trip count for every conditional-hinted
 	// candidate (§4.2 step 1); the per-PC record feeds compiler.Refine's
 	// re-tagging even when the hint is below the offload threshold.
-	if sys.ptraits.ObserveTrips {
+	if sys.policy.Conditional {
 		if cond := cand.Trip.Cond; cond != nil && !cand.Trip.Known {
 			if lane := sw.w.LeaderLane(); lane >= 0 {
 				ind := int64(sw.w.Regs[cond.IndReg][lane])
@@ -137,12 +143,12 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		}
 	}
 
-	if r := sys.policy.PreGate(env, &req); r != "" {
+	if r := sys.policy.PreGate(&req); r != "" {
 		sys.gate(now, sm, cand, -1, r)
 		return false
 	}
 
-	req.Lines, req.Bounded = sys.dryRun(sw, cand, sys.ptraits.DryRunAccesses)
+	req.Lines, req.Bounded = sys.dryRun(sw, cand, sys.policy.DryRunAccesses)
 	if r := sys.policy.Dest(env, &req); r != "" {
 		sys.gate(now, sm, cand, -1, r)
 		return false
@@ -154,7 +160,7 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		return false
 	}
 
-	if sys.ptraits.ZeroCost {
+	if sys.policy.ZeroCost {
 		// Zero-cost transport: the job materializes in the destination
 		// stack's spawn queue this cycle, skipping the offload pipeline,
 		// the TX link, and the store drain.
@@ -164,7 +170,6 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		sys.stats.OffloadsSent++
 		sys.stats.PCStats.At(cand.StartPC).Sent++
 		if ob := sys.ob; ob != nil {
-			ob.sent.Inc()
 			ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvSend, SM: sm.id, Stack: dest,
 				PC: cand.StartPC})
 		}
@@ -184,9 +189,6 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		sw.drainVault = req.Vault
 		sm.unready(sw, wsWaitDrain)
 		sys.stats.StoreDrainStalls++
-		if sys.ob != nil {
-			sys.ob.drainStalls.Inc()
-		}
 		return true
 	}
 	sys.launchOffload(sm, sw, cand, dest, req.Vault, now)
@@ -215,13 +217,12 @@ func (sys *System) launchOffload(sm *SM, sw *smWarp, cand *compiler.Candidate, d
 	sys.stats.OffloadsSent++
 	sys.stats.PCStats.At(cand.StartPC).Sent++
 	if ob := sys.ob; ob != nil {
-		ob.sent.Inc()
 		ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvSend, SM: sm.id, Stack: dest,
 			PC: cand.StartPC, Bytes: reqBytes})
 	}
 	lat := sys.cfg.OffloadPipeLat
-	if sys.ptraits.SpawnLat > 0 {
-		lat = sys.ptraits.SpawnLat
+	if sys.policy.SpawnLat > 0 {
+		lat = sys.policy.SpawnLat
 	}
 	sys.wheel.afterEvent(lat, wheelEvent{kind: wevSendOffload, job: job})
 }
@@ -230,7 +231,7 @@ func (sys *System) launchOffload(sm *SM, sw *smWarp, cand *compiler.Candidate, d
 func (sm *SM) trySpawn(now int64) {
 	for len(sm.spawnQ) > 0 {
 		if sm.freeSlots == 0 {
-			if !sm.sys.ptraits.ZeroCost {
+			if !sm.sys.policy.ZeroCost {
 				return
 			}
 			// Zero-cost (ideal) mode: oversubscribe.
@@ -239,7 +240,7 @@ func (sm *SM) trySpawn(now int64) {
 		n := copy(sm.spawnQ, sm.spawnQ[1:])
 		sm.spawnQ = sm.spawnQ[:n]
 		sm.spawn(job, now)
-		if !sm.sys.ptraits.ZeroCost {
+		if !sm.sys.policy.ZeroCost {
 			return // one spawn per cycle
 		}
 	}
@@ -247,7 +248,6 @@ func (sm *SM) trySpawn(now int64) {
 
 func (sm *SM) spawn(job *offloadJob, now int64) {
 	if ob := sm.sys.ob; ob != nil {
-		ob.spawnCounter.Inc()
 		ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvSpawn, SM: sm.id, Stack: job.dest,
 			PC: job.cand.StartPC})
 	}
@@ -303,11 +303,10 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	}
 	sys.stats.OffloadsAcked++
 	if ob := sys.ob; ob != nil {
-		ob.acks.Inc()
 		ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvAck, SM: sm.id, Stack: job.dest,
 			PC: cand.StartPC, Bytes: ackBytes})
 	}
-	if sys.ptraits.ZeroCost {
+	if sys.policy.ZeroCost {
 		sys.wheel.afterEvent(1, wheelEvent{kind: wevFinishOffload, job: job})
 		return
 	}
@@ -322,15 +321,12 @@ func (sys *System) finishOffload(job *offloadJob, now int64) {
 	sw := job.srcWarp
 	sm := job.srcSM
 	invalidateCost := int64(0)
-	if sys.cfg.Coherence && !sys.ptraits.ZeroCost {
+	if sys.cfg.Coherence && !sys.policy.ZeroCost {
 		for line := range job.dirty {
 			sm.l1.Invalidate(line)
 			sys.l2.invalidate(line)
 		}
 		sys.stats.CoherenceInvalidates += uint64(len(job.dirty))
-		if sys.ob != nil {
-			sys.ob.invalidates.Add(uint64(len(job.dirty)))
-		}
 		invalidateCost = int64(len(job.dirty)+3) / 4
 	}
 	if ob := sys.ob; ob != nil {

@@ -34,7 +34,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 	New(cfg, mem.NewFlat(), mem.NewAllocTable())
 }
 
-// TestPolicyRunsMatchReference: every registered policy must preserve
+// TestPolicyRunsMatchReference: every policy must preserve
 // program semantics end-to-end and keep the offload lifecycle conserved on
 // a workload that exercises offloading.
 func TestPolicyRunsMatchReference(t *testing.T) {
@@ -144,24 +144,27 @@ func splitLoopEnv(t *testing.T, trips int, pad uint64) *workloadEnv {
 	return env
 }
 
-// TestCodaGatesSplitInstances: with a[] and b[] homed to different stacks,
-// coda must veto the split instances while tom (co-location-blind) sends
-// them.
-func TestCodaGatesSplitInstances(t *testing.T) {
-	cfg := DefaultConfig()
-	pol := mapping.Baseline{Stacks: cfg.Stacks}
-	var env *workloadEnv
+// splitEnv is splitLoopEnv with the smallest pad that homes a[] and b[] to
+// different stacks under the default configuration's baseline interleave.
+func splitEnv(t *testing.T) *workloadEnv {
+	t.Helper()
+	pol := mapping.Baseline{Stacks: DefaultConfig().Stacks}
 	for pad := uint64(mem.AllocAlign); pad <= 1<<20; pad += mem.AllocAlign {
 		e := splitLoopEnv(t, 64, pad)
 		a, b := e.launches[0].Params[0], e.launches[0].Params[1]
 		if pol.Stack(a) != pol.Stack(b) {
-			env = e
-			break
+			return e
 		}
 	}
-	if env == nil {
-		t.Fatal("no pad separates a[] and b[] under the baseline interleave")
-	}
+	t.Fatal("no pad separates a[] and b[] under the baseline interleave")
+	return nil
+}
+
+// TestCodaGatesSplitInstances: with a[] and b[] homed to different stacks,
+// coda must veto the split instances while tom (co-location-blind) sends
+// them.
+func TestCodaGatesSplitInstances(t *testing.T) {
+	env := splitEnv(t)
 
 	tomCfg := DefaultConfig()
 	tomCfg.Mapping = MapBaseline

@@ -463,9 +463,6 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 		if sw.pendingStores > 0 {
 			sm.unready(sw, wsWaitDrain)
 			sm.sys.stats.StoreDrainStalls++
-			if ob := sm.sys.ob; ob != nil {
-				ob.drainStalls.Inc()
-			}
 			return
 		}
 		res := w.Step()

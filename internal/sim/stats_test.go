@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/offload"
 )
 
 func TestStatsIPCZeroCycles(t *testing.T) {
@@ -42,13 +43,40 @@ func TestStatsOffChipBytes(t *testing.T) {
 }
 
 // TestObserverMatchesStats is the acceptance check for the observability
-// layer: with an Observer attached, the per-interval traffic series and the
-// lifecycle counters must sum exactly to the end-of-run sim.Stats totals,
-// and the trace must carry one event per lifecycle step.
+// layer, for every policy: with an Observer attached, the per-interval
+// traffic series and the lifecycle counters must sum exactly to the
+// end-of-run sim.Stats totals, and the trace must carry one event per
+// lifecycle step. The trace is the independent tally of the gate
+// accounting: its gate events, counted per reason, must equal each
+// OffloadsSkipped* field. The coda and mpu rows reuse the environments of
+// TestCodaGatesSplitInstances and TestMPUVaultAccountingDrains, so split and
+// vaultfull gates are exercised too.
 func TestObserverMatchesStats(t *testing.T) {
-	env := streamEnv(t, 16, 16)
-	cfg := DefaultConfig()
-	cfg.Mapping = MapBaseline
+	stream := func(t *testing.T) *workloadEnv { return streamEnv(t, 16, 16) }
+	cases := []struct {
+		policy string
+		env    func(t *testing.T) *workloadEnv
+		// sends: the run must offload (coda gates every instance of the
+		// split layout); gates: a reason the run must gate at least once.
+		sends bool
+		gates string
+	}{
+		{"tom", stream, true, ""},
+		{"ideal", stream, true, ""},
+		{"coda", splitEnv, false, offload.ReasonSplit},
+		{"mpu", func(t *testing.T) *workloadEnv { return shortLoopEnv(t, 64) }, true, offload.ReasonVaultFull},
+	}
+	for _, c := range cases {
+		t.Run(c.policy, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mapping = MapBaseline
+			cfg.Policy = c.policy
+			checkObserverMatchesStats(t, cfg, c.env(t), c.sends, c.gates)
+		})
+	}
+}
+
+func checkObserverMatchesStats(t *testing.T, cfg Config, env *workloadEnv, mustSend bool, mustGate string) {
 	o := obs.New()
 	o.SampleEvery = 512
 	sink := &obs.CollectSink{}
@@ -56,7 +84,7 @@ func TestObserverMatchesStats(t *testing.T) {
 	cfg.Observer = o
 	sys := runSim(t, cfg, env)
 	st := sys.Stats()
-	if st.OffloadsSent == 0 {
+	if mustSend && st.OffloadsSent == 0 {
 		t.Fatal("run must offload for the lifecycle check to mean anything")
 	}
 	if st.OffloadsAcked != st.OffloadsSent || st.InFlightOffloads != 0 {
@@ -81,24 +109,48 @@ func TestObserverMatchesStats(t *testing.T) {
 		t.Errorf("pcie series sums to %d, stats say %d", got, st.PCIeBytes)
 	}
 
+	gates := map[string]uint64{}
+	for _, ev := range sink.Events() {
+		if ev.Kind == obs.EvGate {
+			gates[ev.Reason]++
+		}
+	}
+	skips := []struct {
+		reason string
+		want   uint64
+	}{
+		{offload.ReasonBusy, st.OffloadsSkippedBusy},
+		{offload.ReasonFull, st.OffloadsSkippedFull},
+		{offload.ReasonCond, st.OffloadsSkippedCond},
+		{offload.ReasonALU, st.OffloadsSkippedALU},
+		{offload.ReasonNoDest, st.OffloadsSkippedNoDest},
+		{offload.ReasonDestBound, st.OffloadsSkippedDestBound},
+		{offload.ReasonSplit, st.OffloadsSkippedSplit},
+		{offload.ReasonVaultFull, st.OffloadsSkippedVaultFull},
+	}
+	for _, s := range skips {
+		if gates[s.reason] != s.want {
+			t.Errorf("%s gate events = %d, stats say %d", s.reason, gates[s.reason], s.want)
+		}
+		if got := reg.Counter("offload.skipped_" + s.reason).Value(); got != s.want {
+			t.Errorf("counter offload.skipped_%s = %d, stats say %d", s.reason, got, s.want)
+		}
+	}
+	if mustGate != "" && gates[mustGate] == 0 {
+		t.Errorf("no %s gate fired; this row exists to exercise it", mustGate)
+	}
+
 	counters := []struct {
 		name string
 		want uint64
 	}{
 		{"offload.candidates", st.CandidateInstances},
 		{"offload.sent", st.OffloadsSent},
-		{"offload.acks", st.OffloadsAcked}, // mirrors Stats.OffloadsAcked exactly
+		{"offload.acks", st.OffloadsAcked},
 		{"offload.spawns", st.OffloadsSent},
-		{"offload.skipped_busy", st.OffloadsSkippedBusy},
-		{"offload.skipped_full", st.OffloadsSkippedFull},
-		{"offload.skipped_cond", st.OffloadsSkippedCond},
-		{"offload.skipped_alu", st.OffloadsSkippedALU},
-		{"offload.skipped_nodest", st.OffloadsSkippedNoDest},
-		{"offload.skipped_destbound", st.OffloadsSkippedDestBound},
-		{"offload.skipped_split", st.OffloadsSkippedSplit},
-		{"offload.skipped_vaultfull", st.OffloadsSkippedVaultFull},
 		{"coherence.invalidates", st.CoherenceInvalidates},
 		{"offload.drain_stalls", st.StoreDrainStalls},
+		{"learn.pcie_bytes_saved", st.LearnPCIeSaved},
 	}
 	for _, c := range counters {
 		if got := reg.Counter(c.name).Value(); got != c.want {
@@ -110,14 +162,10 @@ func TestObserverMatchesStats(t *testing.T) {
 	if got := sink.CountKind(obs.EvCandidate); uint64(got) != st.CandidateInstances {
 		t.Errorf("candidate events = %d, want %d", got, st.CandidateInstances)
 	}
-	if got := sink.CountKind(obs.EvSend); uint64(got) != st.OffloadsSent {
-		t.Errorf("send events = %d, want %d", got, st.OffloadsSent)
-	}
-	if got := sink.CountKind(obs.EvAck); uint64(got) != st.OffloadsSent {
-		t.Errorf("ack events = %d, want %d", got, st.OffloadsSent)
-	}
-	if got := sink.CountKind(obs.EvFinish); uint64(got) != st.OffloadsSent {
-		t.Errorf("finish events = %d, want %d", got, st.OffloadsSent)
+	for _, kind := range []string{obs.EvSend, obs.EvSpawn, obs.EvAck, obs.EvFinish} {
+		if got := sink.CountKind(kind); uint64(got) != st.OffloadsSent {
+			t.Errorf("%s events = %d, want %d", kind, got, st.OffloadsSent)
+		}
 	}
 	if got := sink.CountKind(obs.EvGate); uint64(got) != st.OffloadsSkipped() {
 		t.Errorf("gate events = %d, want %d", got, st.OffloadsSkipped())
@@ -133,7 +181,7 @@ func TestObserverMatchesStats(t *testing.T) {
 			sawPending = true
 		}
 	}
-	if !sawPending {
+	if mustSend && !sawPending {
 		t.Error("no pending-offload occupancy was ever sampled nonzero")
 	}
 }

@@ -60,10 +60,8 @@ type System struct {
 	// vault-granular policies (MPU); stack-granular jobs never touch it.
 	pendingVault [][]int
 
-	// policy is the resolved offload policy (Config.Policy); ptraits
-	// caches its Traits for the hot path.
-	policy  offload.Policy
-	ptraits offload.Traits
+	// policy is the resolved offload policy (Config.Policy).
+	policy offload.Policy
 
 	// lat is the pipeline occupancy the SMs charge per latency class.
 	lat [isa.NumLat]int64
@@ -117,7 +115,6 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		offloadBit: -1,
 		mdCache:    make(map[*isa.Kernel]*compiler.Metadata),
 		policy:     pol,
-		ptraits:    pol.Traits(),
 		lat: [isa.NumLat]int64{
 			isa.LatALU: cfg.ALULat, isa.LatFP: cfg.FPLat, isa.LatDiv: cfg.DivLat,
 			isa.LatShared: cfg.SharedLat, isa.LatMem: 1,
@@ -248,7 +245,6 @@ func (sys *System) InstallMapping(bit int, ranges []string, savedPCIe uint64) er
 	sys.stats.MappedRanges = append([]string(nil), ranges...)
 	sys.stats.LearnPCIeSaved = savedPCIe
 	if sys.ob != nil {
-		sys.ob.pcieSaved.Add(savedPCIe)
 		sys.ob.o.Emit(obs.Event{Cycle: sys.now, Kind: obs.EvMapInstall,
 			N: len(ranges), Bit: obs.BitValue(bit)})
 	}
@@ -261,22 +257,21 @@ func (sys *System) InstallMapping(bit int, ranges []string, savedPCIe uint64) er
 func (sys *System) stackOf(addr uint64) int {
 	if sys.offloadBit >= 0 {
 		if r := sys.alloc.Find(addr); r != nil && r.OffloadMapped {
-			return int((addr >> uint(sys.offloadBit)) & uint64(sys.cfg.Stacks-1))
+			return mapping.ConsecutiveBits{Stacks: sys.cfg.Stacks, Bit: sys.offloadBit}.Stack(addr)
 		}
 	}
-	line := addr >> mapping.LineShift
-	return int((line ^ (line >> 6) ^ (line >> 11)) & uint64(sys.cfg.Stacks-1))
+	return mapping.Baseline{Stacks: sys.cfg.Stacks}.Stack(addr)
 }
 
-func (sys *System) forceColocate() bool { return sys.ptraits.ForceColocate }
+func (sys *System) forceColocate() bool { return sys.policy.ForceColocate }
 
-// metadata compiles (and caches) the offload metadata for a kernel through
-// the policy's candidate-selection hook.
+// metadata compiles (and caches) the offload metadata for a kernel under
+// the policy's candidate-selection options.
 func (sys *System) metadata(k *isa.Kernel) (*compiler.Metadata, error) {
 	if md, ok := sys.mdCache[k]; ok {
 		return md, nil
 	}
-	md, err := sys.policy.SelectCandidates(k, compiler.DefaultCostParams())
+	md, err := compiler.AnalyzeWith(k, sys.policy.Select)
 	if err != nil {
 		return nil, err
 	}
@@ -726,22 +721,29 @@ func (sys *System) quiet() bool {
 	return true
 }
 
+// linkBytes sums the bytes sent so far over the GPU TX and RX channels, the
+// stack-to-stack channels and both PCIe directions: the Stats traffic totals
+// and the observer's traffic series both read it.
+func (sys *System) linkBytes() (tx, rx, cross, pcie uint64) {
+	for s := 0; s < sys.cfg.Stacks; s++ {
+		tx += sys.txLinks[s].BytesSent
+		rx += sys.rxLinks[s].BytesSent
+		for t := 0; t < sys.cfg.Stacks; t++ {
+			if s != t {
+				cross += sys.crossLinks[s][t].BytesSent
+			}
+		}
+	}
+	return tx, rx, cross, sys.pcieTX.BytesSent + sys.pcieRX.BytesSent
+}
+
 func (sys *System) finalizeStats() {
 	st := &sys.stats
 	st.Cycles = sys.now
 	if sys.ob != nil {
 		sys.ob.flush(sys)
 	}
-	for s := 0; s < sys.cfg.Stacks; s++ {
-		st.GPUTXBytes += sys.txLinks[s].BytesSent
-		st.GPURXBytes += sys.rxLinks[s].BytesSent
-		for t := 0; t < sys.cfg.Stacks; t++ {
-			if s != t {
-				st.CrossBytes += sys.crossLinks[s][t].BytesSent
-			}
-		}
-	}
-	st.PCIeBytes = sys.pcieTX.BytesSent + sys.pcieRX.BytesSent
+	st.GPUTXBytes, st.GPURXBytes, st.CrossBytes, st.PCIeBytes = sys.linkBytes()
 	st.InFlightOffloads = 0
 	for _, p := range sys.pendingOffloads {
 		st.InFlightOffloads += p
