@@ -1,6 +1,7 @@
 package tom
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -123,6 +124,11 @@ func TestExperimentTablesGolden(t *testing.T) {
 		}
 	}
 
+	checkStatsGolden(t, s, pairs)
+	if n := s.CacheStats().Simulated; n != warmed {
+		t.Fatalf("reading the cells' Stats simulated %d runs the warm pass left cold", n-warmed)
+	}
+
 	all, err := s.AllExperiments()
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +143,46 @@ func TestExperimentTablesGolden(t *testing.T) {
 		if all[i].ID != id || single[id] != printed(all[i]) {
 			t.Errorf("Experiment(%q) differs from table %d (%s) of the all-run", id, i, all[i].ID)
 		}
+	}
+}
+
+// checkStatsGolden pins every cell the tables read, not only what the tables
+// print: one line per pair, "ABBR/config" and the compact JSON of the run's
+// sim.Stats, read from the session's memo. A new Stats field regenerates the
+// file on purpose, and its diff shows only the new key. Regenerate (after a
+// deliberate model change only) with
+//
+//	GOLDEN_UPDATE=1 go test . -run TestExperimentTablesGolden
+func checkStatsGolden(t *testing.T, s *Session, pairs []core.Pair) {
+	t.Helper()
+	var sb strings.Builder
+	for _, p := range pairs {
+		res, err := s.Run(p.Abbr, p.Config)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Key(), err)
+		}
+		js, err := json.Marshal(res.Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s %s\n", p.Key(), js)
+	}
+	const name = "stats_s003.golden"
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		if err := os.WriteFile(filepath.Join("testdata", name), []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want := golden(t, name)
+	if got := sb.String(); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("testdata/%s line %d differs:\n got %s\nwant %s", name, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("testdata/%s has %d lines, the cells give %d", name, len(wl), len(gl))
 	}
 }
 
