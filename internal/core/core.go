@@ -285,14 +285,6 @@ func (s *Session) profile(abbr string, scale float64) (*sim.Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: profile: %w", abbr, err)
 		}
-		// Remember which ranges candidates touch for oracle runs.
-		s.mu.Lock()
-		for i, rg := range c.Alloc.Ranges {
-			if rg.CandidateTouched {
-				in.Alloc.Ranges[i].CandidateTouched = true
-			}
-		}
-		s.mu.Unlock()
 		s.logf("profile %-4s instances=%d", abbr, p.Instances)
 		return p, nil
 	})
@@ -448,35 +440,25 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 	}
 	cfg := spec.Cfg
 	cfg.Observer = o
-	var prof *sim.Profile
-	if cfg.Mapping == sim.MapOracle {
-		// Run the profile first: it flags candidate-touched ranges on
-		// the pristine instance (under the session lock).
-		prof, err = s.profile(abbr, spec.Scale)
+	mi := spec.MapInstall
+	if cfg.Mapping == sim.MapOracle && mi == nil {
+		// Fig. 3's oracle: the profile's best bit over all instances, on
+		// the ranges candidate instances touch.
+		prof, err := s.profile(abbr, spec.Scale)
 		if err != nil {
 			return nil, err
 		}
+		bit, _ := prof.OracleBit()
+		mi = &MapInstallSpec{Bit: bit, Ranges: prof.Touched}
 	}
 	// Clone shares the pristine image's pages copy-on-write and reads
 	// nothing a session ever writes (Build returns the image sealed, and
-	// every run stores to its own clone); only the flags profile sets need
-	// the lock.
+	// every run stores to its own clone).
 	c := in.Clone()
-	if prof != nil {
-		s.mu.Lock()
-		for i, rg := range in.Alloc.Ranges {
-			c.Alloc.Ranges[i].CandidateTouched = rg.CandidateTouched
-		}
-		s.mu.Unlock()
-	}
 	sys := sim.New(cfg, c.Mem, c.Alloc)
-	if prof != nil {
-		bit, _ := prof.OracleBit()
-		sys.ApplyMappingBit(bit)
-	}
-	if mi := spec.MapInstall; mi != nil {
-		// Pre-install the stored mapping before cycle 0: the run starts with
-		// the learned bit resident and no learning phase. A record that no
+	if mi != nil {
+		// Put the mapping in force before cycle 0: the run starts with the
+		// bit resident and no learning phase. A stored record that no
 		// longer matches the instance (renamed/removed range, bad bit) fails
 		// the run loudly — WithStoredMapping's validity gates should make
 		// that unreachable, but a wrong mapping must never run silently.

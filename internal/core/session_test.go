@@ -359,10 +359,11 @@ func TestLookupNeverSimulatesNorWaits(t *testing.T) {
 	lookup(memoOnly, "")
 }
 
-// TestOracleRunsBesideOthersOfTheWorkload: runs clone the shared pristine
-// instance without the session lock, while an oracle run's profile flags
-// that instance's ranges under it. This is the one mix of runs in which the
-// two meet; CI runs it under -race.
+// TestOracleRunsBesideOthersOfTheWorkload is a concurrency guard: runs
+// clone the shared pristine instance without a lock, and an oracle run also
+// profiles its own clone and reads the shared profile memo for its install.
+// No run or profile may write the pristine instance; CI runs this mix of
+// runs of one workload under -race to see that none does.
 func TestOracleRunsBesideOthersOfTheWorkload(t *testing.T) {
 	s := NewSession(Options{Scale: 0.03})
 	cfgs := []ConfigName{CfgCtrlOracle, CfgBaseline, CfgCtrlBmap, CfgNoCtrlBmap}

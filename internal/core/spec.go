@@ -28,7 +28,9 @@ type RunSpec struct {
 	// Session.WithStoredMapping). Every field folds into the
 	// digest: a stored-mapping run and the fresh-learning run of the same
 	// configuration are different measurements (no learning-phase PCIe
-	// detour) and must never share a cache record.
+	// detour) and must never share a cache record. On a MapOracle
+	// configuration it takes the place of the oracle's own bit and ranges,
+	// installed for free.
 	MapInstall *MapInstallSpec
 }
 

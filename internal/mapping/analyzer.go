@@ -17,11 +17,9 @@ type Analyzer struct {
 
 	bits []int
 	// homeFrac[i] accumulates the per-instance co-location fraction for
-	// bit option i; baselineFrac does the same for the baseline mapping.
-	homeFrac     []float64
-	baselineFrac float64
-	baseline     Policy
-	instances    int
+	// bit option i.
+	homeFrac  []float64
+	instances int
 
 	// Temporal load-balance tracking: under a candidate mapping, if
 	// consecutive candidate instances keep homing to the same stack, the
@@ -36,7 +34,7 @@ type Analyzer struct {
 // NewAnalyzer returns an analyzer sweeping all bit positions
 // [MinBit, MaxBit] for a system with the given stack count.
 func NewAnalyzer(stacks int, table *mem.AllocTable) *Analyzer {
-	a := &Analyzer{Stacks: stacks, Table: table, baseline: Baseline{Stacks: stacks}}
+	a := &Analyzer{Stacks: stacks, Table: table}
 	for b := MinBit; b <= MaxBit; b++ {
 		a.bits = append(a.bits, b)
 	}
@@ -48,12 +46,6 @@ func NewAnalyzer(stacks int, table *mem.AllocTable) *Analyzer {
 	}
 	return a
 }
-
-// Bits returns the candidate bit positions under evaluation.
-func (a *Analyzer) Bits() []int { return a.bits }
-
-// Instances returns how many candidate instances have been observed.
-func (a *Analyzer) Instances() int { return a.instances }
 
 // ObserveInstance records one offloading-candidate instance's accesses
 // (byte addresses, any order; the first element must be the instance's
@@ -86,7 +78,6 @@ func (a *Analyzer) ObserveInstance(addrs []uint64) {
 		}
 		a.prevHome[i] = home
 	}
-	a.baselineFrac += Colocation(a.baseline, a.lines)
 	a.instances++
 
 	if a.Table != nil {
@@ -168,15 +159,6 @@ func (a *Analyzer) CoLocation(bit int) float64 {
 		}
 	}
 	return 0
-}
-
-// BaselineCoLocation returns the average co-location under the baseline
-// mapping (the Fig. 6 reference bar).
-func (a *Analyzer) BaselineCoLocation() float64 {
-	if a.instances == 0 {
-		return 0
-	}
-	return a.baselineFrac / float64(a.instances)
 }
 
 // StorageBitsPerSM is the paper's §6.6 hardware cost of the analyzer: 40

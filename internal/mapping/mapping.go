@@ -7,8 +7,6 @@
 // to ranges touched by offloading candidates (§3.2.3, sim's stackOf).
 package mapping
 
-import "fmt"
-
 // CacheLineBytes is the transfer granularity; stack mapping never uses bits
 // below it (§3.2.1: choosing bits from the line offset would hurt link
 // efficiency and row locality).
@@ -28,7 +26,6 @@ const (
 // Policy maps addresses to memory stacks.
 type Policy interface {
 	Stack(addr uint64) int
-	Name() string
 }
 
 // Baseline is the GPU's default mapping: consecutive cache lines spread
@@ -45,9 +42,6 @@ func (b Baseline) Stack(addr uint64) int {
 	return int((line ^ (line >> 6) ^ (line >> 11)) & uint64(b.Stacks-1))
 }
 
-// Name implements Policy.
-func (b Baseline) Name() string { return "bmap" }
-
 // ConsecutiveBits maps with a naked bit field: stack = addr[Bit+k-1 : Bit]
 // for 2^k stacks — the simple mapping family of §3.2.1.
 type ConsecutiveBits struct {
@@ -59,9 +53,6 @@ type ConsecutiveBits struct {
 func (c ConsecutiveBits) Stack(addr uint64) int {
 	return int((addr >> uint(c.Bit)) & uint64(c.Stacks-1))
 }
-
-// Name implements Policy.
-func (c ConsecutiveBits) Name() string { return fmt.Sprintf("bits[%d]", c.Bit) }
 
 // VaultOf spreads cache lines over the vaults within a stack. All policies
 // share it: the paper only remaps the stack-index bits.

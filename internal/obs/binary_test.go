@@ -11,7 +11,7 @@ import (
 )
 
 // collectBinary encodes events with a BinarySink and returns the bytes.
-func collectBinary(t *testing.T, events []Event) []byte {
+func collectBinary(t testing.TB, events []Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := NewBinarySink(&buf)
@@ -39,7 +39,7 @@ func collectJSONL(t *testing.T, events []Event) []byte {
 }
 
 // decodeBinary reads every event back from a binary trace.
-func decodeBinary(t *testing.T, data []byte) []Event {
+func decodeBinary(t testing.TB, data []byte) []Event {
 	t.Helper()
 	r, err := NewBinaryReader(bytes.NewReader(data))
 	if err != nil {
@@ -324,4 +324,43 @@ func TestConvertFilters(t *testing.T) {
 		got[0].Cycle != 1 {
 		t.Errorf("conjoined filter kept %+v, want the first send", got)
 	}
+}
+
+// FuzzBinaryReader feeds the trace reader arbitrary bytes. Next must never
+// panic; it must end in io.EOF or an error within len(data) records (every
+// record takes at least one byte); and a stream it decodes completely must
+// re-encode through BinarySink and decode back to the same events.
+//
+//	go test ./internal/obs -run '^$' -fuzz FuzzBinaryReader -fuzztime 20s
+func FuzzBinaryReader(f *testing.F) {
+	three := collectBinary(f, []Event{
+		{Cycle: 5, Kind: EvGate, Run: "LIB/ctrl-tmap", SM: 3, Stack: -1, PC: 7, Reason: "cond"},
+		{Cycle: 9, Kind: EvLearnEnd, Run: "LIB/ctrl-tmap", Stack: -1, N: 12, Bit: BitValue(0)},
+		{Cycle: 11, Kind: EvSend, Run: "LIB/ctrl-tmap", SM: 3, Stack: 2, PC: 7, Bytes: 160},
+	})
+	f.Add(three)
+	f.Add(collectBinary(f, nil)) // a header with no records
+	f.Add(three[:len(three)-2])  // a truncated record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewBinaryReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var events []Event
+		for {
+			ev, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return // corrupt past this point, reported as such
+			}
+			if events = append(events, ev); len(events) > len(data) {
+				t.Fatalf("%d records decoded from %d bytes", len(events), len(data))
+			}
+		}
+		if got := decodeBinary(t, collectBinary(t, events)); !reflect.DeepEqual(got, events) {
+			t.Fatalf("re-encoded stream decodes differently:\n got %+v\nwant %+v", got, events)
+		}
+	})
 }

@@ -274,7 +274,6 @@ func codaGate(env Env, req *Request) string {
 type envMapPolicy struct{ env Env }
 
 func (p envMapPolicy) Stack(addr uint64) int { return p.env.StackOf(addr) }
-func (p envMapPolicy) Name() string          { return "live" }
 
 // vaultGate enforces the per-vault slot limit: the stack's warp capacity
 // divided evenly over its vaults, minimum one slot per vault.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/offload"
 )
 
 // dryRunWarp builds a System plus a fresh warp for a hand-written kernel, so
@@ -24,6 +25,18 @@ func dryRunWarp(t *testing.T, k *isa.Kernel, params []uint64) (*System, *smWarp)
 	}
 	w := exec.NewWarp(k, md.Info, exec.WarpInfo{NTid: 32, NCtaid: 1}, sys.mem, nil, params)
 	return sys, &smWarp{w: w}
+}
+
+// destOf is the destination stack the simulator picks at a candidate
+// entry: the policy's Dest over a one-access dry run, or -1 when it finds
+// none.
+func destOf(sys *System, sw *smWarp, cand *compiler.Candidate) int {
+	req := offload.Request{Cand: cand, Stack: -1, Vault: -1}
+	req.Lines, req.Bounded = sys.dryRun(sw, cand, 1)
+	if sys.policy.Dest(polEnv{sys: sys}, &req) != "" {
+		return -1
+	}
+	return req.Stack
 }
 
 func lineOf(sys *System, addr uint64) uint64 {
@@ -84,8 +97,8 @@ func TestDryRunBranchPredicates(t *testing.T) {
 			if len(lines) != 1 || lines[0] != lineOf(sys, c.wantAddr) {
 				t.Fatalf("dryRun lines = %#x, want [%#x]", lines, lineOf(sys, c.wantAddr))
 			}
-			if dest := sys.destStack(sw, cand); dest != sys.stackOf(lines[0]) {
-				t.Errorf("destStack = %d, want %d", dest, sys.stackOf(lines[0]))
+			if dest := destOf(sys, sw, cand); dest != sys.stackOf(lines[0]) {
+				t.Errorf("dest = %d, want %d", dest, sys.stackOf(lines[0]))
 			}
 		})
 	}
@@ -93,7 +106,7 @@ func TestDryRunBranchPredicates(t *testing.T) {
 
 // TestDryRunIllegalOpBailsOut: instructions that cannot occur in a legal
 // candidate must stop the walk with no destination rather than being
-// misinterpreted — destStack reports -1 and the trace stays empty.
+// misinterpreted — destOf reports -1 and the trace stays empty.
 func TestDryRunIllegalOpBailsOut(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -117,8 +130,8 @@ func TestDryRunIllegalOpBailsOut(t *testing.T) {
 			if len(lines) != 0 || bounded {
 				t.Fatalf("dryRun = (%#x, %v), want empty unbounded", lines, bounded)
 			}
-			if dest := sys.destStack(sw, cand); dest != -1 {
-				t.Errorf("destStack = %d, want -1", dest)
+			if dest := destOf(sys, sw, cand); dest != -1 {
+				t.Errorf("dest = %d, want -1", dest)
 			}
 		})
 	}
@@ -143,8 +156,8 @@ func TestDryRunStepBoundReportsBounded(t *testing.T) {
 	if len(lines) != 0 || !bounded {
 		t.Fatalf("dryRun = (%#x, %v), want empty bounded", lines, bounded)
 	}
-	if dest := sys.destStack(sw, cand); dest != -1 {
-		t.Errorf("destStack = %d, want -1", dest)
+	if dest := destOf(sys, sw, cand); dest != -1 {
+		t.Errorf("dest = %d, want -1", dest)
 	}
 
 	// A short spin before the access stays under the bound and resolves.

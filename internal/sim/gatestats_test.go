@@ -14,8 +14,8 @@ import (
 // derive a conditional hint (no `bra p, top` latch) and the candidate
 // carries TripInfo{}. With n == 0 every warp enters the region, the scalar
 // dry run falls out of the loop before reaching a memory instruction, and
-// destStack returns -1 — the silent-failure path this PR turns into an
-// accounted "nodest" gate. Eight loads per iteration keep the block
+// the destination dry run finds no access — the path counted as the
+// "nodest" gate. Eight loads per iteration keep the block
 // beneficial at trips=1 (8*16.5 > (3+1)*32) so the candidate survives
 // static marking.
 func whileLoopEnv(t testing.TB, ctas, n int) *workloadEnv {
@@ -62,9 +62,9 @@ func whileLoopEnv(t testing.TB, ctas, n int) *workloadEnv {
 
 // TestNoDestGateCountedAndTraced: a failed destination dry run must be
 // counted (Stats + per-PC table), traced (EvGate "nodest"), and must leave
-// the warp running the region inline with correct results. Before this PR
-// the destStack failure fell through silently, leaving CandidateInstances
-// unreconcilable with the gate counters.
+// the warp running the region inline with correct results. A failure that
+// fell through silently would leave CandidateInstances unreconcilable with
+// the gate counters.
 func TestNoDestGateCountedAndTraced(t *testing.T) {
 	env := whileLoopEnv(t, 8, 0) // zero trips: every dry run exits the region
 	want := refMem(t, env)

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 // cloneEnvAlloc rebuilds a pristine allocation table for env (no learning
@@ -71,22 +73,17 @@ func TestStoredMappingMatchesPresetRun(t *testing.T) {
 		t.Errorf("stored run bit %d != learned bit %d", ss.LearnedBit, fs.LearnedBit)
 	}
 
-	// Preset comparator: the same bit and ranges via the free oracle path.
-	// Post-install execution must be cycle-for-cycle identical, so the two
-	// Stats agree on every field that is not stored-path bookkeeping.
+	// Preset comparator: the same bit and ranges installed on an oracle
+	// system, for free. Post-install execution must be cycle-for-cycle
+	// identical, so the two Stats agree on every field that is not
+	// stored-path bookkeeping.
 	cfgP := DefaultConfig()
 	cfgP.Mapping = MapOracle
 	cfgP.MaxCycles = 50_000_000
-	allocP := cloneEnvAlloc(env)
-	for _, name := range fs.MappedRanges {
-		r, err := allocP.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.CandidateTouched = true
+	sysP := New(cfgP, env.mem.Clone(), cloneEnvAlloc(env))
+	if err := sysP.InstallMapping(fs.LearnedBit, fs.MappedRanges, fs.PCIeBytes); err != nil {
+		t.Fatal(err)
 	}
-	sysP := New(cfgP, env.mem.Clone(), allocP)
-	sysP.ApplyMappingBit(fs.LearnedBit)
 	if err := sysP.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}
@@ -104,35 +101,74 @@ func TestStoredMappingMatchesPresetRun(t *testing.T) {
 	}
 }
 
-// TestInstallMappingRejections: a stored mapping that no longer matches the
-// system must be rejected outright — a partial or wrong install would place
-// data incorrectly, which is strictly worse than re-learning.
+// TestInstallMappingRejections: a mapping that does not fit the system must
+// be rejected outright — a partial or wrong install would place data
+// incorrectly, which is strictly worse than re-learning — and an accepted
+// install records the provenance of its mode.
 func TestInstallMappingRejections(t *testing.T) {
 	env := streamEnv(t, 4, 4)
-	mk := func(cfg Config) *System {
+	mk := func(mode MappingMode) *System {
+		cfg := DefaultConfig()
+		cfg.Mapping = mode
 		return New(cfg, env.mem.Clone(), cloneEnvAlloc(env))
 	}
-	if err := mk(DefaultConfig()).InstallMapping(9, []string{"a", "ghost"}, 0); err == nil ||
-		!strings.Contains(err.Error(), "ghost") {
-		t.Errorf("unknown range name: got %v, want an error naming the range", err)
+	if err := mk(MapBaseline).InstallMapping(9, []string{"a"}, 0); err == nil {
+		t.Error("install on a baseline-mapping system should be rejected")
 	}
-	if err := mk(DefaultConfig()).InstallMapping(99, []string{"a"}, 0); err == nil {
-		t.Error("out-of-range bit should be rejected")
+	for _, mode := range []MappingMode{MapTransparent, MapOracle} {
+		if err := mk(mode).InstallMapping(9, []string{"a", "ghost"}, 0); err == nil ||
+			!strings.Contains(err.Error(), "ghost") {
+			t.Errorf("mode %d, unknown range name: got %v, want an error naming the range", mode, err)
+		}
+		for _, bit := range []int{mapping.MinBit - 1, mapping.MaxBit + 1, 99} {
+			if err := mk(mode).InstallMapping(bit, []string{"a"}, 0); err == nil {
+				t.Errorf("mode %d: bit %d outside [%d, %d] should be rejected", mode, bit, mapping.MinBit, mapping.MaxBit)
+			}
+		}
+		// A rejected install must leave the system untouched: no bit
+		// active, nothing charged, and learning still pending where the
+		// mode learns.
+		sys := mk(mode)
+		learning := sys.learning
+		if err := sys.InstallMapping(9, []string{"a", "ghost"}, 7); err == nil {
+			t.Fatal("want error")
+		}
+		if sys.learning != learning || sys.offloadBit != -1 || sys.stats.CopiedBytes != 0 ||
+			sys.stats.MappingSource != "" || sys.stats.MappedRanges != nil {
+			t.Errorf("mode %d: failed install mutated the system: learning=%v bit=%d copied=%d source=%q ranges=%v",
+				mode, sys.learning, sys.offloadBit, sys.stats.CopiedBytes, sys.stats.MappingSource, sys.stats.MappedRanges)
+		}
 	}
-	cfg := DefaultConfig()
-	cfg.Mapping = MapBaseline
-	if err := mk(cfg).InstallMapping(9, []string{"a"}, 0); err == nil {
-		t.Error("install on a non-transparent-mapping system should be rejected")
-	}
-	// A rejected install must leave the system untouched: learning still
-	// pending, no bit active, nothing charged.
-	sys := mk(DefaultConfig())
-	if err := sys.InstallMapping(9, []string{"a", "ghost"}, 7); err == nil {
-		t.Fatal("want error")
-	}
-	if !sys.learning || sys.offloadBit != -1 || sys.stats.CopiedBytes != 0 {
-		t.Errorf("failed install mutated the system: learning=%v bit=%d copied=%d",
-			sys.learning, sys.offloadBit, sys.stats.CopiedBytes)
+
+	// A stored install charges the copy and emits map_install; an oracle
+	// install is free: provenance preset, no copy, no savings, no event.
+	for _, c := range []struct {
+		mode          MappingMode
+		source        string
+		copied, saved uint64
+		installEvents int
+	}{
+		{MapTransparent, MappingStored, 2 * env.alloc.Ranges[0].Size, 7, 1},
+		{MapOracle, MappingPreset, 0, 0, 0},
+	} {
+		cfg := DefaultConfig()
+		cfg.Mapping = c.mode
+		sink := &obs.CollectSink{}
+		cfg.Observer = &obs.Observer{Registry: obs.NewRegistry(), Trace: sink}
+		sys := New(cfg, env.mem.Clone(), cloneEnvAlloc(env))
+		if err := sys.InstallMapping(9, []string{"a", "b"}, 7); err != nil {
+			t.Fatal(err)
+		}
+		st := sys.Stats()
+		if st.MappingSource != c.source || st.CopiedBytes != c.copied || st.LearnPCIeSaved != c.saved ||
+			st.LearnedBit != 9 || !reflect.DeepEqual(st.MappedRanges, []string{"a", "b"}) {
+			t.Errorf("mode %d install: source=%q copied=%d saved=%d bit=%d ranges=%v, want %q/%d/%d/9/[a b]",
+				c.mode, st.MappingSource, st.CopiedBytes, st.LearnPCIeSaved, st.LearnedBit, st.MappedRanges,
+				c.source, c.copied, c.saved)
+		}
+		if n := sink.CountKind(obs.EvMapInstall); n != c.installEvents {
+			t.Errorf("mode %d install emitted %d map_install events, want %d", c.mode, n, c.installEvents)
+		}
 	}
 }
 

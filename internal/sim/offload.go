@@ -123,8 +123,8 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 	}
 
 	// Observe the leader lane's trip count for every conditional-hinted
-	// candidate (§4.2 step 1); the per-PC record feeds compiler.Refine's
-	// re-tagging even when the hint is below the offload threshold.
+	// candidate (§4.2 step 1); the per-PC record feeds the mean trips of
+	// the gate table even when the hint is below the offload threshold.
 	if sys.policy.Conditional {
 		if cond := cand.Trip.Cond; cond != nil && !cand.Trip.Known {
 			if lane := sw.w.LeaderLane(); lane >= 0 {
@@ -344,17 +344,6 @@ func (sys *System) finishOffload(job *offloadJob, now int64) {
 	sm.reconsider(sw, now)
 	clear(job.dirty)
 	sys.jobs.put(job)
-}
-
-// destStack finds the memory stack the candidate's first global-memory
-// access (leader lane) would touch. Kept as the single-access view of
-// dryRun for tests and diagnostics.
-func (sys *System) destStack(sw *smWarp, cand *compiler.Candidate) int {
-	lines, _ := sys.dryRun(sw, cand, 1)
-	if len(lines) == 0 {
-		return -1
-	}
-	return sys.stackOf(lines[0])
 }
 
 // dryRunSteps bounds the scalar dry run; a candidate whose first memory

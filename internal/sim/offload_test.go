@@ -153,15 +153,15 @@ func TestDestStackMatchesFirstAccess(t *testing.T) {
 		w.Step()
 	}
 	sw := &smWarp{w: w}
-	dest := sys.destStack(sw, cand)
+	dest := destOf(sys, sw, cand)
 	if dest < 0 || dest >= cfg.Stacks {
-		t.Fatalf("destStack = %d", dest)
+		t.Fatalf("dest = %d", dest)
 	}
 	// The first access of the region is the load of a[idx]; compute it.
 	lane := w.LeaderLane()
 	idx := w.Regs[7][lane]
 	addr := (env.launches[0].Params[0] + 4*idx) &^ uint64(cfg.LineBytes-1)
 	if want := sys.stackOf(addr); dest != want {
-		t.Errorf("destStack = %d, want %d (stack of first access %#x)", dest, want, addr)
+		t.Errorf("dest = %d, want %d (stack of first access %#x)", dest, want, addr)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Profile is the result of an instrumented functional pass over a workload:
 // per-candidate fixed-offset statistics (Fig. 5), co-location under every
 // consecutive-bit mapping and the baseline (Fig. 6), the oracle best bit
-// (Fig. 3 / MapOracle runs), and the candidate-touched allocation flags.
+// (Fig. 3 / MapOracle runs), and the candidate-touched allocation ranges.
 //
 // The pass executes the kernels with the exact functional semantics and
 // observes every offloading-candidate instance, so its statistics are
@@ -30,6 +30,9 @@ type Profile struct {
 	homes    []uint8
 	baseline []float32
 	Bits     []int
+	// Touched names the ranges candidate instances touched, in allocation
+	// order: the ranges an oracle run installs its bit on.
+	Touched []string
 
 	// Offsets maps candidate region start PCs (per kernel name) to their
 	// fixed-offset trackers.
@@ -55,8 +58,8 @@ type profWarp struct {
 }
 
 // RunProfile executes the launches functionally, watching candidate
-// instances. It mutates alloc (CandidateTouched flags) exactly like the
-// Memory Map Analyzer would.
+// instances. It flags the ranges they touch (CandidateTouched) on alloc,
+// exactly like the Memory Map Analyzer would, and lists them in Touched.
 func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Profile, error) {
 	p := &Profile{Offsets: map[string]map[int]*mapping.OffsetTracker{}}
 	for b := mapping.MinBit; b <= mapping.MaxBit; b++ {
@@ -165,6 +168,11 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 			if warps[i].cand != nil {
 				finish(l.Kernel.Name, &warps[i])
 			}
+		}
+	}
+	for _, r := range alloc.Ranges {
+		if r.CandidateTouched {
+			p.Touched = append(p.Touched, r.Name)
 		}
 	}
 	return p, nil

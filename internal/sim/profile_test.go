@@ -5,6 +5,7 @@ import (
 	_ "embed"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,12 +23,12 @@ var profileGolden []byte
 // profileSummary prints everything a Profile answers for one workload, with
 // every float exact: a pin for the profile pass that table precision would
 // round away.
-func profileSummary(abbr string, p *Profile, touched []string) string {
+func profileSummary(abbr string, p *Profile) string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s\n", abbr)
 	fmt.Fprintf(&b, "instances %d\ncandidates %d\n", p.Instances, p.CandidateCount)
-	fmt.Fprintf(&b, "touched %s\n", strings.Join(touched, " "))
+	fmt.Fprintf(&b, "touched %s\n", strings.Join(p.Touched, " "))
 	fmt.Fprintf(&b, "baseline %s\n", g(p.BaselineCoLocation()))
 	for _, bit := range p.Bits {
 		fmt.Fprintf(&b, "bit %d %s\n", bit, g(p.CoLocationOfBit(bit)))
@@ -63,13 +64,16 @@ func TestProfileMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Abbr, err)
 		}
-		var touched []string
+		var flagged []string
 		for _, r := range run.Alloc.Ranges {
 			if r.CandidateTouched {
-				touched = append(touched, r.Name)
+				flagged = append(flagged, r.Name)
 			}
 		}
-		got.WriteString(profileSummary(w.Abbr, p, touched))
+		if !slices.Equal(p.Touched, flagged) {
+			t.Errorf("%s: Touched = %v, the allocation table flags %v", w.Abbr, p.Touched, flagged)
+		}
+		got.WriteString(profileSummary(w.Abbr, p))
 	}
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.WriteFile(profileGoldenPath, got.Bytes(), 0o644); err != nil {

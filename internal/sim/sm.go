@@ -132,18 +132,11 @@ func newSM(sys *System, id int, isStack bool, stackID int, warpSlots int) *SM {
 		id: id, isStack: isStack, stackID: stackID, sys: sys, cfg: &sys.cfg,
 		l1:         cache.New(c.L1Bytes, c.L1Ways, c.LineBytes),
 		warps:      make([]*smWarp, warpSlots),
-		ready:      newBitset(maxInt(warpSlots, 64)),
+		ready:      newBitset(max(warpSlots, 64)),
 		mshr:       make(map[uint64]*mshrEntry),
 		freeSlots:  warpSlots,
 		issueWidth: width,
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (sm *SM) setReady(sw *smWarp) {

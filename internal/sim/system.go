@@ -189,66 +189,63 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 // Stats returns the accumulated statistics (finalized after each Run).
 func (sys *System) Stats() *Stats { return &sys.stats }
 
-// ApplyMappingBit pre-activates a consecutive-bit mapping for all ranges
-// flagged CandidateTouched in the allocation table (oracle runs skip the
-// learning phase — the mapping is in force from cycle 0, for free).
-func (sys *System) ApplyMappingBit(bit int) {
-	sys.offloadBit = bit
-	sys.stats.LearnedBit = bit
-	sys.stats.MappingSource = MappingPreset
-	for i := range sys.alloc.Ranges {
-		if sys.alloc.Ranges[i].CandidateTouched {
-			sys.alloc.Ranges[i].OffloadMapped = true
-			sys.stats.MappedRanges = append(sys.stats.MappedRanges, sys.alloc.Ranges[i].Name)
-		}
-	}
-}
-
-// InstallMapping pre-installs a previously learned mapping before cycle 0:
-// the named ranges get the consecutive-bit mapping and the one-time
-// host→device copy is charged, but no learning phase runs — so a stored-
-// mapping run generates zero learning-phase PCIe traffic (routeLoad/
-// routeStore only take the PCIe path while learning). This is the "map
-// once, stay resident" entry path, distinct from both bmap (no bit mapping)
-// and the free preset mode (an oracle bit charges no copy at all).
-// savedPCIe is the learning-phase PCIe byte volume the original fresh run
-// paid, reported as Stats.LearnPCIeSaved. An unknown range name means the
-// mapping describes different data structures and is rejected — installing
-// it partially could place data wrongly, which a caller must treat as a
-// store miss, never a degraded install.
+// InstallMapping puts a consecutive-bit mapping in force on the named
+// ranges before cycle 0, in place of a learning phase. On a MapTransparent
+// system it installs a stored mapping ("map once, stay resident"): the
+// one-time host→device copy is charged, but no learning-phase PCIe traffic
+// is generated (routeLoad/routeStore only take the PCIe path while
+// learning), and savedPCIe, the learning-phase volume the original fresh
+// run paid, is reported as Stats.LearnPCIeSaved. On a MapOracle system it
+// presets Fig. 3's oracle mapping for free: no copy, no savings, no event.
+// An unknown range name means the mapping describes different data
+// structures and is rejected — installing it partially could place data
+// wrongly, which a caller must treat as a store miss, never a degraded
+// install.
 func (sys *System) InstallMapping(bit int, ranges []string, savedPCIe uint64) error {
-	if sys.cfg.Mapping != MapTransparent {
-		return fmt.Errorf("sim: stored mappings install only on transparent-mapping systems (have mode %d)", sys.cfg.Mapping)
+	oracle := sys.cfg.Mapping == MapOracle
+	if sys.cfg.Mapping != MapTransparent && !oracle {
+		return fmt.Errorf("sim: mappings install only on transparent or oracle mapping systems (have mode %d)", sys.cfg.Mapping)
 	}
 	if bit < mapping.MinBit || bit > mapping.MaxBit {
-		return fmt.Errorf("sim: stored mapping bit %d outside [%d, %d]", bit, mapping.MinBit, mapping.MaxBit)
+		return fmt.Errorf("sim: mapping bit %d outside [%d, %d]", bit, mapping.MinBit, mapping.MaxBit)
 	}
-	var copied uint64
 	resolved := make([]*mem.Range, 0, len(ranges))
 	for _, name := range ranges {
 		r, err := sys.alloc.Lookup(name)
 		if err != nil {
-			return fmt.Errorf("sim: stored mapping: %w", err)
+			return fmt.Errorf("sim: mapping: %w", err)
 		}
 		resolved = append(resolved, r)
-		copied += r.Size
+	}
+	sys.learning = false // the installed bit replaces the learning phase
+	if oracle {
+		sys.putMapping(bit, resolved, MappingPreset)
+		return nil
 	}
 	for _, r := range resolved {
-		r.CandidateTouched = true
-		r.OffloadMapped = true
+		sys.stats.CopiedBytes += r.Size
 	}
-	sys.offloadBit = bit
-	sys.learning = false // the stored bit replaces the learning phase
-	sys.stats.LearnedBit = bit
-	sys.stats.CopiedBytes += copied
-	sys.stats.MappingSource = MappingStored
-	sys.stats.MappedRanges = append([]string(nil), ranges...)
+	sys.putMapping(bit, resolved, MappingStored)
 	sys.stats.LearnPCIeSaved = savedPCIe
 	if sys.ob != nil {
 		sys.ob.o.Emit(obs.Event{Cycle: sys.now, Kind: obs.EvMapInstall,
 			N: len(ranges), Bit: obs.BitValue(bit)})
 	}
 	return nil
+}
+
+// putMapping puts bit in force on ranges and records its provenance: the
+// step a pre-installed mapping (InstallMapping) and a learned one
+// (endLearning) share.
+func (sys *System) putMapping(bit int, ranges []*mem.Range, source string) {
+	for _, r := range ranges {
+		r.CandidateTouched = true
+		r.OffloadMapped = true
+		sys.stats.MappedRanges = append(sys.stats.MappedRanges, r.Name)
+	}
+	sys.offloadBit = bit
+	sys.stats.LearnedBit = bit
+	sys.stats.MappingSource = source
 }
 
 // stackOf maps a line address to its memory stack under the currently
@@ -344,6 +341,7 @@ func (sys *System) endLearning() {
 	// The copy only moves ranges whose placement actually changes: a range
 	// already carrying this exact bit mapping (a pre-installed one — e.g. a
 	// stored mapping installed while learning was left running) stays put.
+	var touched []*mem.Range
 	var moved uint64
 	for i := range sys.alloc.Ranges {
 		r := &sys.alloc.Ranges[i]
@@ -353,12 +351,9 @@ func (sys *System) endLearning() {
 		if !(r.OffloadMapped && sys.offloadBit == bit) {
 			moved += r.Size
 		}
-		r.OffloadMapped = true
-		sys.stats.MappedRanges = append(sys.stats.MappedRanges, r.Name)
+		touched = append(touched, r)
 	}
-	sys.offloadBit = bit
-	sys.stats.LearnedBit = bit
-	sys.stats.MappingSource = MappingLearned
+	sys.putMapping(bit, touched, MappingLearned)
 	sys.stats.CopiedBytes += moved
 	if moved == 0 {
 		// The chosen mapping was already in force for every touched range:

@@ -76,7 +76,6 @@ type wstate uint8
 const (
 	wsReady wstate = iota
 	wsWaitDep
-	wsWaitALU
 	wsWaitLSU
 	wsAtBarrier
 	wsWaitDrain   // waiting for store acks (barrier entry / offload / retire)

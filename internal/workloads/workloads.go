@@ -38,9 +38,9 @@ func (in *Instance) sealed() *Instance {
 // copy-on-write (mem.Flat.Clone): the clone shares every page of the image
 // and pays for the pages the run stores to, not for the ones it was given.
 // Clone reads only what never changes after Build — the sealed image, range
-// names and sizes, not the ranges' learning flags — so callers may clone a
-// shared pristine instance from several goroutines without a lock, as long as
-// nothing stores to the pristine image itself.
+// names and sizes — so callers may clone a shared pristine instance from
+// several goroutines without a lock, as long as nothing writes the pristine
+// instance itself.
 func (in *Instance) Clone() *Instance {
 	m := in.Mem.Clone()
 	at := mem.NewAllocTable()
