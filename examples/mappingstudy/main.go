@@ -36,12 +36,13 @@ func main() {
 	}
 
 	fmt.Printf("%s (%s): %d offloading-candidate instances observed\n\n",
-		w.Name, w.Abbr, p.Instances)
+		w.Name, w.Abbr, p.Map.Instances())
 
 	fmt.Println("co-location probability by consecutive-bit mapping:")
-	oBit, oCo := p.OracleBit()
-	for _, bit := range p.Bits {
-		co := p.CoLocationOfBit(bit)
+	oBit := p.Map.BestBit()
+	oCo := p.Map.CoLocation(oBit)
+	for bit := mapping.MinBit; bit <= mapping.MaxBit; bit++ {
+		co := p.Map.CoLocation(bit)
 		marker := ""
 		if bit == oBit {
 			marker = "  <- oracle best"

@@ -285,7 +285,7 @@ func (s *Session) profile(abbr string, scale float64) (*sim.Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: profile: %w", abbr, err)
 		}
-		s.logf("profile %-4s instances=%d", abbr, p.Instances)
+		s.logf("profile %-4s instances=%d", abbr, p.Map.Instances())
 		return p, nil
 	})
 }
@@ -448,8 +448,7 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 		if err != nil {
 			return nil, err
 		}
-		bit, _ := prof.OracleBit()
-		mi = &MapInstallSpec{Bit: bit, Ranges: prof.Touched}
+		mi = &MapInstallSpec{Bit: prof.Map.BestBit(), Ranges: prof.Touched}
 	}
 	// Clone shares the pristine image's pages copy-on-write and reads
 	// nothing a session ever writes (Build returns the image sealed, and

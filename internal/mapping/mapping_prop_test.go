@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,13 +41,70 @@ func TestAnalyzerBestBitIsArgmax(t *testing.T) {
 		}
 		a.ObserveInstance(addrs)
 	}
+	n := a.Instances()
 	best := a.BestBit()
-	bestScore := a.ScoreOf(best)
+	bestScore := a.score(best-MinBit, n)
 	for b := MinBit; b <= MaxBit; b++ {
-		if a.ScoreOf(b) > bestScore+1e-12 {
+		if a.score(b-MinBit, n) > bestScore+1e-12 {
 			t.Fatalf("bit %d score %.4f beats chosen bit %d (%.4f)",
-				b, a.ScoreOf(b), best, bestScore)
+				b, a.score(b-MinBit, n), best, bestScore)
 		}
+	}
+}
+
+// TestAnalyzerPrefixIsAFreshAnalyzer: the best bit over the first k
+// instances (what Fig. 6 reads from the profile) is exactly the choice of
+// an analyzer that saw only those k, and so is every score behind it: the
+// learning phase and the profile pass choose through the same code.
+func TestAnalyzerPrefixIsAFreshAnalyzer(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var insts [][]uint64
+	for inst := 0; inst < 200; inst++ {
+		var addrs []uint64
+		base := uint64(rng.Intn(1<<14)) << uint(7+rng.Intn(8))
+		for k := 0; k < 1+rng.Intn(24); k++ {
+			addrs = append(addrs, base+uint64(rng.Intn(1<<16)))
+		}
+		insts = append(insts, addrs)
+	}
+	all := NewAnalyzer(4, nil)
+	for _, addrs := range insts {
+		all.ObserveInstance(addrs)
+	}
+	for _, k := range []int{1, 2, 3, 10, 57, 199, 200} {
+		fresh := NewAnalyzer(4, nil)
+		for _, addrs := range insts[:k] {
+			fresh.ObserveInstance(addrs)
+		}
+		if got, want := all.BestBitOver(k), fresh.BestBit(); got != want {
+			t.Errorf("k=%d: best bit over the prefix %d, fresh analyzer %d", k, got, want)
+		}
+		for i := range numBits {
+			if got, want := all.score(i, k), fresh.score(i, k); got != want {
+				t.Errorf("k=%d bit %d: prefix score %v, fresh analyzer %v", k, MinBit+i, got, want)
+			}
+		}
+	}
+	if got, want := all.BestBitOver(len(insts)+5), all.BestBit(); got != want {
+		t.Errorf("k beyond the instances: best bit %d, want all-instance %d", got, want)
+	}
+}
+
+// TestAnalyzerDedupesLines: an instance's lines count once each, in
+// first-access order, and the empty analyzer reports no co-location.
+func TestAnalyzerDedupesLines(t *testing.T) {
+	a := NewAnalyzer(4, nil)
+	if a.CoLocation(MinBit) != 0 || a.Instances() != 0 {
+		t.Fatal("an empty analyzer must report 0 instances and 0 co-location")
+	}
+	lines := a.ObserveInstance([]uint64{0x1000, 0x1004, 0x2000, 0x1010, 0x3000, 0x207f})
+	if want := []uint64{0x1000, 0x2000, 0x3000}; !slices.Equal(lines, want) {
+		t.Errorf("deduplicated lines %#x, want %#x", lines, want)
+	}
+	// Bit 12: 0x1000 homes on stack 1; 0x2000 (stack 2) and 0x3000
+	// (stack 3) do not — one of three lines, counted once each.
+	if got := a.CoLocation(12); got != 1.0/3 {
+		t.Errorf("bit 12 co-location %v, want 1/3", got)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/mapping"
+	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
@@ -27,11 +28,11 @@ func profileSummary(abbr string, p *Profile) string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s\n", abbr)
-	fmt.Fprintf(&b, "instances %d\ncandidates %d\n", p.Instances, p.CandidateCount)
+	fmt.Fprintf(&b, "instances %d\ncandidates %d\n", p.Map.Instances(), p.CandidateCount)
 	fmt.Fprintf(&b, "touched %s\n", strings.Join(p.Touched, " "))
 	fmt.Fprintf(&b, "baseline %s\n", g(p.BaselineCoLocation()))
-	for _, bit := range p.Bits {
-		fmt.Fprintf(&b, "bit %d %s\n", bit, g(p.CoLocationOfBit(bit)))
+	for bit := mapping.MinBit; bit <= mapping.MaxBit; bit++ {
+		fmt.Fprintf(&b, "bit %d %s\n", bit, g(p.Map.CoLocation(bit)))
 	}
 	for _, frac := range []float64{0.001, 0.005, 0.01, 1} {
 		bit, co := p.BestBitFromFraction(frac)
@@ -93,6 +94,29 @@ func TestProfileMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestEmptyProfileReportsZeroCoLocation: a profile that saw no candidate
+// instance reports 0 for every co-location it answers — the baseline, every
+// bit, and the learned and oracle picks — never 0/0.
+func TestEmptyProfileReportsZeroCoLocation(t *testing.T) {
+	p, err := RunProfile(mem.NewFlat(), &mem.AllocTable{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if co := p.BaselineCoLocation(); co != 0 {
+		t.Errorf("baseline co-location %v, want 0", co)
+	}
+	for bit := mapping.MinBit; bit <= mapping.MaxBit; bit++ {
+		if co := p.Map.CoLocation(bit); co != 0 {
+			t.Errorf("bit %d co-location %v, want 0", bit, co)
+		}
+	}
+	for _, frac := range []float64{0.001, 0.01, 1} {
+		if bit, co := p.BestBitFromFraction(frac); co != 0 {
+			t.Errorf("best bit at %v: bit %d co-location %v, want 0", frac, bit, co)
+		}
+	}
+}
+
 // TestProfileAllocsPerInstance: the profile pass allocates per launch and per
 // static candidate, not per step, line or instance. Between scales 0.03 and
 // 0.1 the instance count grows several-fold while the kernels, launches and
@@ -126,7 +150,7 @@ func TestProfileAllocsPerInstance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				instances[i] = float64(p.Instances)
+				instances[i] = float64(p.Map.Instances())
 			})
 		}
 		if instances[1] <= instances[0] {

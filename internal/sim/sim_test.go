@@ -196,7 +196,7 @@ func TestProfilePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Instances == 0 {
+	if p.Map.Instances() == 0 {
 		t.Fatal("profile saw no candidate instances")
 	}
 	// The stream kernel accesses three arrays with the same index:
@@ -204,7 +204,7 @@ func TestProfilePass(t *testing.T) {
 	if f := p.FixedOffsetCandidateFraction(); f < 0.99 {
 		t.Errorf("fixed-offset candidate fraction = %v, want ~1", f)
 	}
-	oBit, oCo := p.OracleBit()
+	oBit, oCo := p.BestBitFromFraction(1)
 	if oCo <= p.BaselineCoLocation() {
 		t.Errorf("oracle bit %d co-location %.2f should beat baseline %.2f",
 			oBit, oCo, p.BaselineCoLocation())
