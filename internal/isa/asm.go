@@ -361,7 +361,7 @@ func parseOperand(s string) (Operand, error) {
 
 // parseMemRef parses "[rN+off]" or "[rN]" (off may be negative).
 func parseMemRef(s string) (Operand, int64, error) {
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+	if len(s) < 3 || !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
 		return Operand{}, 0, fmt.Errorf("expected [addr+off], got %q", s)
 	}
 	inner := s[1 : len(s)-1]

@@ -261,11 +261,11 @@ func (in Instr) String() string {
 	case OpSetp, OpFSetp:
 		return fmt.Sprintf("%s.%s r%d, %s, %s", in.Op, in.Cmp, in.Dst, in.A, in.B)
 	case OpLdGlobal, OpLdShared:
-		return fmt.Sprintf("%s r%d, [%s+%d]", in.Op, in.Dst, in.A, in.Imm)
+		return fmt.Sprintf("%s r%d, [%s%+d]", in.Op, in.Dst, in.A, in.Imm)
 	case OpStGlobal, OpStShared:
-		return fmt.Sprintf("%s [%s+%d], %s", in.Op, in.A, in.Imm, in.B)
+		return fmt.Sprintf("%s [%s%+d], %s", in.Op, in.A, in.Imm, in.B)
 	case OpAtomAdd:
-		return fmt.Sprintf("%s r%d, [%s+%d], %s", in.Op, in.Dst, in.A, in.Imm, in.B)
+		return fmt.Sprintf("%s r%d, [%s%+d], %s", in.Op, in.Dst, in.A, in.Imm, in.B)
 	case OpFMA, OpSelp:
 		return fmt.Sprintf("%s r%d, %s, %s, %s", in.Op, in.Dst, in.A, in.B, in.C)
 	case OpMov, OpFNeg, OpCvtIF, OpCvtFI:

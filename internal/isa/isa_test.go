@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -170,17 +171,58 @@ func TestAssembleDisassembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reassemble: %v\n%s", err, text)
 	}
-	k1, k2 := ks[0], ks2[0]
+	if err := sameInstrs(ks[0], ks2[0]); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameInstrs reports the first instruction in which two kernels differ.
+func sameInstrs(k1, k2 *Kernel) error {
 	if len(k1.Instrs) != len(k2.Instrs) {
-		t.Fatalf("instr count %d != %d", len(k1.Instrs), len(k2.Instrs))
+		return fmt.Errorf("instr count %d != %d", len(k1.Instrs), len(k2.Instrs))
 	}
 	for i := range k1.Instrs {
 		a, b := k1.Instrs[i], k2.Instrs[i]
 		if a.Op != b.Op || a.Dst != b.Dst || a.A != b.A || a.B != b.B || a.C != b.C ||
 			a.Imm != b.Imm || a.Target != b.Target || a.PredNeg != b.PredNeg {
-			t.Errorf("instr %d differs: %v vs %v", i, a, b)
+			return fmt.Errorf("instr %d differs: %v vs %v", i, a, b)
 		}
 	}
+	return nil
+}
+
+// FuzzAssemble feeds the assembler arbitrary text, as `tomx cc` does a
+// user's file. Assemble must never panic, and every kernel it accepts must
+// come back instruction for instruction through Disassemble and Assemble.
+//
+//	go test ./internal/isa -run '^$' -fuzz FuzzAssemble -fuzztime 20s
+func FuzzAssemble(f *testing.F) {
+	for _, src := range []string{
+		sampleAsm,
+		".kernel k\n  ld.global r0, []",
+		".kernel k\n.params 1\n  ld.global r1, [r0-8]\n  atom.add r2, [r0-4], 1\n  st.global [r0-16], r1\n  exit",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ks, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		for _, k := range ks {
+			text := Disassemble(k)
+			ks2, err := Assemble(text)
+			if err != nil {
+				t.Fatalf("Assemble rejects Disassemble's output: %v\n%s", err, text)
+			}
+			if len(ks2) != 1 {
+				t.Fatalf("Disassemble's output holds %d kernels:\n%s", len(ks2), text)
+			}
+			if err := sameInstrs(k, ks2[0]); err != nil {
+				t.Fatalf("%v\n%s", err, text)
+			}
+		}
+	})
 }
 
 func TestAssembleErrors(t *testing.T) {
