@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestPublicAPISurface(t *testing.T) {
@@ -148,7 +150,8 @@ func TestExperimentTablesGolden(t *testing.T) {
 
 // checkStatsGolden pins every cell the tables read, not only what the tables
 // print: one line per pair, "ABBR/config" and the compact JSON of the run's
-// sim.Stats, read from the session's memo. A new Stats field regenerates the
+// sim.Stats, read from the session's memo. Each cell's Stats must also keep
+// the offload lifecycle conserved (checkConservation). A new Stats field regenerates the
 // file on purpose, and its diff shows only the new key. Regenerate (after a
 // deliberate model change only) with
 //
@@ -161,6 +164,11 @@ func checkStatsGolden(t *testing.T, s *Session, pairs []core.Pair) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Key(), err)
 		}
+		spec, err := s.Spec(p.Abbr, p.Config)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Key(), err)
+		}
+		checkConservation(t, p.Key(), spec.Cfg.Offload != sim.OffloadOff, &res.Stats)
 		js, err := json.Marshal(res.Stats)
 		if err != nil {
 			t.Fatal(err)
@@ -183,6 +191,50 @@ func checkStatsGolden(t *testing.T, s *Session, pairs []core.Pair) {
 			}
 		}
 		t.Fatalf("testdata/%s has %d lines, the cells give %d", name, len(wl), len(gl))
+	}
+}
+
+// checkConservation holds the offload lifecycle of one cell: with offloading
+// on, every candidate entry is sent, skipped for a reason, or consumed by
+// the learning phase; with it off, none is. Either way the per-PC decision
+// table sums to the aggregate counters.
+func checkConservation(t *testing.T, key string, offload bool, st *sim.Stats) {
+	t.Helper()
+	var sum compiler.GateStats
+	for _, g := range st.PCStats {
+		sum.Sent += g.Sent
+		sum.SkippedCond += g.SkippedCond
+		sum.SkippedBusy += g.SkippedBusy
+		sum.SkippedFull += g.SkippedFull
+		sum.SkippedALU += g.SkippedALU
+		sum.SkippedNoDest += g.SkippedNoDest
+		sum.SkippedDestBound += g.SkippedDestBound
+		sum.SkippedSplit += g.SkippedSplit
+		sum.SkippedVaultFull += g.SkippedVaultFull
+		sum.LearnEntries += g.LearnEntries
+	}
+	agg := compiler.GateStats{
+		Sent:             st.OffloadsSent,
+		SkippedCond:      st.OffloadsSkippedCond,
+		SkippedBusy:      st.OffloadsSkippedBusy,
+		SkippedFull:      st.OffloadsSkippedFull,
+		SkippedALU:       st.OffloadsSkippedALU,
+		SkippedNoDest:    st.OffloadsSkippedNoDest,
+		SkippedDestBound: st.OffloadsSkippedDestBound,
+		SkippedSplit:     st.OffloadsSkippedSplit,
+		SkippedVaultFull: st.OffloadsSkippedVaultFull,
+		LearnEntries:     st.LearnEntries,
+	}
+	if sum != agg {
+		t.Errorf("%s: the per-PC table sums to %+v, the aggregates are %+v", key, sum, agg)
+	}
+	want := st.CandidateInstances
+	if !offload {
+		want = 0 // a baseline cell counts candidates and disposes of none
+	}
+	if got := st.OffloadsSent + st.OffloadsSkipped() + st.LearnEntries; got != want {
+		t.Errorf("%s: %d sent + %d skipped + %d learn = %d of %d candidates, want %d",
+			key, st.OffloadsSent, st.OffloadsSkipped(), st.LearnEntries, got, st.CandidateInstances, want)
 	}
 }
 
