@@ -1,10 +1,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -96,11 +98,12 @@ func (s *server) handler() http.Handler {
 type batchRequest struct {
 	Runs []runRequest `json:"runs"`
 	// TimeoutMS overrides the server's per-batch deadline for this batch
-	// (0 keeps the server default).
+	// (0 keeps the server default; a negative value is refused).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// runRequest names one run; scale 0 selects the server default.
+// runRequest names one run; scale 0 selects the server default, and a
+// negative one is refused.
 type runRequest struct {
 	Workload string  `json:"workload"`
 	Config   string  `json:"config"`
@@ -151,6 +154,37 @@ type batchResponse struct {
 	Cache   batchSummary  `json:"cache"`
 }
 
+// decodeBatch reads a POST /v1/runs body: exactly one batch object, with no
+// field the server does not know and nothing after it, inside the request
+// bounds. A refused body comes back with its HTTP status.
+func decodeBatch(body io.Reader) (req batchRequest, status int, err error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(&req); err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = cmp.Or(tail, errors.New("data after the batch object"))
+		}
+	}
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return req, http.StatusRequestEntityTooLarge, err
+	case err != nil:
+		return req, http.StatusBadRequest, err
+	case len(req.Runs) == 0:
+		return req, http.StatusBadRequest, errors.New("no runs")
+	case len(req.Runs) > maxBatchRuns:
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("%d runs, the limit is %d", len(req.Runs), maxBatchRuns)
+	case req.TimeoutMS < 0:
+		return req, http.StatusBadRequest, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
+	}
+	for i, rr := range req.Runs {
+		if rr.Scale < 0 || rr.Scale > maxScale {
+			return req, http.StatusBadRequest, fmt.Errorf("run %d: scale %v, want 0 to %v", i, rr.Scale, maxScale)
+		}
+	}
+	return req, http.StatusOK, nil
+}
+
 // tryAdmit acquires an admission slot without blocking; on failure it has
 // already written the 429.
 func (s *server) tryAdmit(w http.ResponseWriter) bool {
@@ -172,30 +206,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.admit }()
 	s.reg.Counter("http.batches").Inc()
 
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
+	req, status, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), status)
 		return
-	}
-	if len(req.Runs) == 0 {
-		http.Error(w, "bad batch: no runs", http.StatusBadRequest)
-		return
-	}
-	if len(req.Runs) > maxBatchRuns {
-		http.Error(w, fmt.Sprintf("bad batch: %d runs, the limit is %d", len(req.Runs), maxBatchRuns),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	for i, rr := range req.Runs {
-		if rr.Scale > maxScale {
-			http.Error(w, fmt.Sprintf("bad batch: run %d: scale %v, the limit is %v", i, rr.Scale, maxScale),
-				http.StatusBadRequest)
-			return
-		}
 	}
 
 	// The deadline covers the whole batch; it also inherits the client's
@@ -226,7 +240,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	inline := 0
 	for i, rr := range req.Runs {
 		scale := rr.Scale
-		if scale <= 0 {
+		if scale == 0 {
 			scale = s.opts.scale
 		}
 		results[i] = runResponse{

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -192,6 +193,80 @@ func TestServerBatchErrors(t *testing.T) {
 			t.Errorf("result %d error = %q, want mention of %q", i, out.Results[i].Error, want)
 		}
 	}
+}
+
+// TestServerRefusesLooseBatches: a body the server would otherwise half
+// understand is refused whole with a 400 — an unknown field (a misspelt
+// mapping_store ran without the stored mapping), data after the object, a
+// negative scale (ran at the server default) or a negative timeout_ms
+// (ignored) — and nothing is simulated.
+func TestServerRefusesLooseBatches(t *testing.T) {
+	_, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test"})
+	for _, body := range []string{
+		`{"runs":[{"workload":"KM","config":"baseline","mapping-store":true}]}`,
+		`{"runs":[{"workload":"KM","config":"baseline"}]} trailing junk`,
+		`{"runs":[{"workload":"KM","config":"baseline"}]}{}`,
+		`{"runs":[{"workload":"KM","config":"baseline","scale":-0.5}]}`,
+		`{"runs":[{"workload":"KM","config":"baseline"}],"timeout_ms":-5}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: HTTP %d (%.80s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	if n := counters(t, ts.URL)["runs.simulated"]; n != 0 {
+		t.Errorf("refused batches simulated %d runs", n)
+	}
+}
+
+// FuzzBatchRequest: decodeBatch never panics, and a body it accepts is a
+// batch within the request bounds — 1 to maxBatchRuns runs, every scale in
+// [0, maxScale], no negative timeout — that re-encodes to itself.
+func FuzzBatchRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"runs":[{"workload":"LIB","config":"ctrl-tmap","scale":0.1}]}`,
+		`{"runs":[{"workload":"KM","config":"baseline","policy":"coda","mapping_store":true}],"timeout_ms":500}`,
+		`{"runs":[{"workload":"KM","config":"baseline","mapping-store":true}]}`,
+		`{"runs":[{"workload":"KM","config":"baseline"}]} trailing junk`,
+		`{"runs":[{"workload":"KM","scale":-0.5}]}`,
+		`{"runs":[{"workload":"KM","scale":8.0000001}],"timeout_ms":-5}`,
+		`{"runs":[]}`, `null`, `{"RUNS":[{"Workload":"HW"}]}`, "{\"runs\":[{\"workload\":\"\xff\"}]}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, status, err := decodeBatch(bytes.NewReader(body))
+		if err != nil {
+			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("refused with HTTP %d: %v", status, err)
+			}
+			return
+		}
+		if n := len(req.Runs); n < 1 || n > maxBatchRuns {
+			t.Fatalf("accepted %d runs", n)
+		}
+		for i, rr := range req.Runs {
+			if !(rr.Scale >= 0 && rr.Scale <= maxScale) {
+				t.Fatalf("accepted run %d at scale %v", i, rr.Scale)
+			}
+		}
+		if req.TimeoutMS < 0 {
+			t.Fatalf("accepted timeout_ms %d", req.TimeoutMS)
+		}
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := decodeBatch(bytes.NewReader(enc))
+		if err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("%s re-encodes to %s, which decodes to %+v (%v), not %+v", body, enc, again, err, req)
+		}
+	})
 }
 
 // TestServerAdmissionQueue: with every admission slot held, batch and trace
@@ -646,8 +721,8 @@ func TestServerRequestLimits(t *testing.T) {
 
 // TestServerDocumentedBatches keeps the recipes honest: every fenced json
 // block in the two documents' tomserve sections is a batch this server
-// decodes without unknown fields and runs (at the test scale) without a
-// single slot error. A workload, configuration or field that the documents
+// accepts (decodeBatch) and runs (at the test scale) without a single slot
+// error. A workload, configuration or field that the documents
 // name and the server does not know fails here.
 func TestServerDocumentedBatches(t *testing.T) {
 	fence := regexp.MustCompile("(?s)```json\n(.*?)```")
@@ -671,10 +746,8 @@ func TestServerDocumentedBatches(t *testing.T) {
 		}
 		for i, b := range blocks {
 			name := fmt.Sprintf("%s block %d", filepath.Base(doc.path), i+1)
-			var req batchRequest
-			dec := json.NewDecoder(strings.NewReader(b[1]))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil || len(req.Runs) == 0 {
+			req, _, err := decodeBatch(strings.NewReader(b[1]))
+			if err != nil {
 				t.Errorf("%s is not a batch: %v\n%s", name, err, b[1])
 				continue
 			}

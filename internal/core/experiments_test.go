@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"os"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -73,6 +78,51 @@ func TestExperimentRunsItsPairsOnce(t *testing.T) {
 	}
 	if got := s.CacheStats().Simulated; got != uint64(len(pairs)) {
 		t.Errorf("Experiment(fig2) simulated %d runs, want %d", got, len(pairs))
+	}
+}
+
+// TestTablesDoNotDependOnPairOrder: runPairs hands a table its cells in a map
+// filled in completion order, and the order the pairs are submitted in must
+// not show either. fig2's pairs reversed, and in one seeded shuffle, each on
+// a fresh session, render fig2's block of tables_s003.golden byte for byte.
+func TestTablesDoNotDependOnPairOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates fig2 twice at scale 0.03")
+	}
+	e, err := experimentByID("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("../../testdata/tables_s003.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.Index(string(golden), "== fig2:")
+	end := strings.Index(string(golden[start:]), "\n== ")
+	if start < 0 || end < 0 {
+		t.Fatal("tables_s003.golden has no fig2 block followed by another")
+	}
+	want := string(golden[start : start+end+1])
+
+	reversed := pairsOf(e.configs())
+	slices.Reverse(reversed)
+	shuffled := pairsOf(e.configs())
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for name, pairs := range map[string][]Pair{"reversed": reversed, "shuffled": shuffled} {
+		s := NewSession(Options{Scale: 0.03})
+		res, err := s.runPairs(pairs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tab, err := e.table(s, res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := fmt.Sprintln(tab); got != want {
+			t.Errorf("fig2 from %s pairs differs from tables_s003.golden:\n%s\nwant\n%s", name, got, want)
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ func TestCompareMatchesStep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range c.pairs {
-				w := NewWarp(k, info, WarpInfo{NTid: 1, NCtaid: 1}, mem.NewFlat(), nil, p[:])
-				w.Step()
+				w := NewWarp(k, info, WarpInfo{NTid: 1, NCtaid: 1}, nil, p[:])
+				w.Step(NewGlobal(mem.NewFlat()))
 				if got, want := Compare(c.op, cmp, p[0], p[1]), w.Regs[2][0]; got != want {
 					t.Errorf("%v.%v(%#x, %#x) = %d, Step wrote %d", c.op, cmp, p[0], p[1], got, want)
 				}

@@ -108,14 +108,14 @@ func TestActiveMaskNeverGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mem.NewFlat()
-		w := NewWarp(k, info, WarpInfo{NTid: 48, NCtaid: 1}, m, nil, []uint64{0x2000_0000, 64})
+		g := NewGlobal(mem.NewFlat())
+		w := NewWarp(k, info, WarpInfo{NTid: 48, NCtaid: 1}, nil, []uint64{0x2000_0000, 64})
 		initial := w.ActiveMask()
 		for steps := 0; !w.Done() && steps < 100000; steps++ {
 			if am := w.ActiveMask(); am&^initial != 0 {
 				t.Fatalf("trial %d: mask %#x grew beyond initial %#x", trial, am, initial)
 			}
-			w.Step()
+			w.Step(g)
 		}
 		if !w.Done() {
 			t.Fatalf("trial %d: warp did not terminate", trial)
@@ -131,11 +131,11 @@ func TestStepCountsMatchActiveLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mem.NewFlat()
-	w := NewWarp(k, info, WarpInfo{NTid: 32, NCtaid: 1}, m, nil, []uint64{0x3000_0000, 64})
+	g := NewGlobal(mem.NewFlat())
+	w := NewWarp(k, info, WarpInfo{NTid: 32, NCtaid: 1}, nil, []uint64{0x3000_0000, 64})
 	for !w.Done() {
 		before := w.ActiveMask()
-		res := w.Step()
+		res := w.Step(g)
 		if res.Kind == StepNone {
 			break
 		}
@@ -151,7 +151,7 @@ func TestStepCountsMatchActiveLanes(t *testing.T) {
 
 // dirtyWarp returns a warp in the worst state a timing model can hand back
 // for recycling: every register of the largest register file non-zero, a
-// deep SIMT stack, a full access buffer, and stale identity fields.
+// deep SIMT stack, and stale identity fields.
 func dirtyWarp() *Warp {
 	w := &Warp{
 		WInfo:  WarpInfo{CtaID: 77, WarpInCTA: 3, NTid: 999, NCtaid: 999},
@@ -167,18 +167,15 @@ func dirtyWarp() *Warp {
 	for i := 0; i < 12; i++ {
 		w.stack = append(w.stack, simtEntry{pc: 100 + i, rpc: 200 + i, mask: 0xffff_ffff})
 	}
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		w.accesses = append(w.accesses, Access{Lane: lane, Addr: 0xbad, Store: true})
-	}
 	return w
 }
 
 // stepLockstep runs a fresh and a recycled warp side by side over their own
-// copies of one memory image: every step's result, every register and the
-// final memory must agree bit for bit.
+// copies of one memory image: every step's result, every register, every
+// line and lane address and the final memory must agree bit for bit.
 func stepLockstep(t *testing.T, what string, fresh, recycled *Warp, mFresh, mRecycled *mem.Flat) {
 	t.Helper()
-	lockstep(t, what, fresh, recycled, (*Warp).Step, (*Warp).Step, mFresh, mRecycled)
+	lockstep(t, what, fresh, recycled, (*Warp).Step, (*Warp).Step, NewGlobal(mFresh), NewGlobal(mRecycled))
 }
 
 // TestRecycledWarpStepsLikeFresh: Reset and ResetRegion over a dirtied warp
@@ -207,18 +204,18 @@ func TestRecycledWarpStepsLikeFresh(t *testing.T) {
 		params := []uint64{base, n}
 
 		mf, mr := mk(), mk()
-		fresh := NewWarp(k, info, wi, mf, nil, params)
+		fresh := NewWarp(k, info, wi, nil, params)
 		recycled := dirtyWarp()
-		recycled.Reset(k, info, wi, mr, nil, params)
+		recycled.Reset(k, info, wi, nil, params)
 		stepLockstep(t, fmt.Sprintf("trial %d", trial), fresh, recycled, mf, mr)
 
 		// Region shape: everything between the address prologue and the
 		// exit, entered with the prologue's registers live and the rest of
 		// the caller's array poisoned.
 		const prologue = 5
-		pro := NewWarp(k, info, wi, mk(), nil, params)
+		pro, gPro := NewWarp(k, info, wi, nil, params), NewGlobal(mk())
 		for i := 0; i < prologue; i++ {
-			pro.Step()
+			pro.Step(gPro)
 		}
 		liveIn := uint64(1<<prologue - 1) // r0..r4
 		regs := make([][isa.WarpSize]uint64, k.NumRegs)
@@ -232,9 +229,9 @@ func TestRecycledWarpStepsLikeFresh(t *testing.T) {
 		}
 		endPC := len(k.Instrs) - 1 // the exit
 		mf, mr = mk(), mk()
-		fresh = NewRegionWarp(k, info, wi, mf, pro.ActiveMask(), prologue, endPC, liveIn, regs)
+		fresh = NewRegionWarp(k, info, wi, pro.ActiveMask(), prologue, endPC, liveIn, regs)
 		recycled = dirtyWarp()
-		recycled.ResetRegion(k, info, wi, mr, pro.ActiveMask(), prologue, endPC, liveIn, regs)
+		recycled.ResetRegion(k, info, wi, pro.ActiveMask(), prologue, endPC, liveIn, regs)
 		for reg := range recycled.Regs {
 			if liveIn&(1<<reg) == 0 && recycled.Regs[reg] != [isa.WarpSize]uint64{} {
 				t.Fatalf("trial %d: recycled region warp starts with r%d = %#x, not live-in so it must read zero",

@@ -8,7 +8,9 @@
 // instruction's architectural effects immediately (register writes, memory
 // stores, loads), and returns a descriptor of what happened so a timing
 // layer can charge latency and bandwidth afterwards. Values are therefore
-// always exact, and timing policies can never corrupt program results.
+// always exact, and timing policies can never corrupt program results. A
+// global memory instruction also leaves the cache lines it touched in the
+// stepper's Global, coalesced once for every consumer.
 //
 // Step dispatches once per warp-instruction over the kernel's lowered form
 // (isa.Program): sources resolve to 32-lane rows and each opcode is one loop
@@ -22,15 +24,59 @@ import (
 
 	"repro/internal/cfgx"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
-// Memory is the global-memory interface the interpreter needs. Words are
-// little-endian 32-bit; addresses are byte addresses.
-type Memory interface {
-	Load4(addr uint64) uint32
-	Store4(addr uint64, v uint32)
-	// AtomicAdd4 adds v to the word at addr and returns the old value.
-	AtomicAdd4(addr uint64, v uint32) uint32
+// Global is global memory as whoever steps warps sees it: the backing store,
+// the line size accesses coalesce at, and the scratch in which Step leaves
+// the last global memory instruction's cache lines and lane addresses. The
+// stepper owns one — the timing model one per System, the functional runner
+// one per run — and lends it to every warp it steps; no warp keeps one.
+type Global struct {
+	Mem       *mem.Flat
+	LineBytes uint64 // a power of two
+
+	// Addrs holds the last global memory instruction's byte address per
+	// lane; only the lanes of its Lines are meaningful.
+	Addrs isa.Row
+	lines [isa.WarpSize]Line
+	n     int
+}
+
+// Line is one cache line a global memory instruction touches: its address
+// and the lanes whose words lie in it.
+type Line struct {
+	Addr  uint64
+	Lanes uint32
+}
+
+// Lines returns the last global memory instruction's cache lines in the
+// order their lowest lanes come, which is how an LSU coalescing the active
+// lanes in ascending order issues them. The slice is valid until the next
+// global memory step.
+func (g *Global) Lines() []Line { return g.lines[:g.n] }
+
+// coalesce computes the lanes' addresses a+imm and gathers them into lines.
+func (g *Global) coalesce(a *isa.Row, imm uint64, mask uint32) {
+	lineMask := g.LineBytes - 1
+	lines, n := &g.lines, 0
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m) % isa.WarpSize
+		addr := a[lane] + imm
+		g.Addrs[lane] = addr
+		l := addr &^ lineMask
+		i := n - 1 // consecutive lanes mostly share the line just seen
+		if n == 0 || lines[i].Addr != l {
+			for i = 0; i < n && lines[i].Addr != l; i++ {
+			}
+			if i == n {
+				lines[n] = Line{Addr: l}
+				n++
+			}
+		}
+		lines[i].Lanes |= 1 << lane
+	}
+	g.n = n
 }
 
 // WarpInfo locates a warp within its grid.
@@ -41,20 +87,13 @@ type WarpInfo struct {
 	NCtaid    int // CTAs in the grid
 }
 
-// Access describes one lane's global-memory access within a step.
-type Access struct {
-	Lane  int
-	Addr  uint64
-	Store bool
-}
-
 // StepKind classifies what a Step did, for the timing layer.
 type StepKind uint8
 
 // Step kinds.
 const (
 	StepALU StepKind = iota
-	StepMem          // global load/store/atomic: see Accesses
+	StepMem          // global load/store/atomic: see Global.Lines
 	StepShared
 	StepBarrier
 	StepBranch
@@ -70,9 +109,6 @@ type StepResult struct {
 	Dst         isa.Reg
 	HasDst      bool
 	ActiveLanes int
-	// Accesses holds per-active-lane global accesses for StepMem. The
-	// slice is reused across steps; callers must not retain it.
-	Accesses []Access
 	// Done reports that the warp (or region) has fully completed.
 	Done bool
 }
@@ -88,7 +124,6 @@ type Warp struct {
 	Kernel *isa.Kernel
 	Info   *cfgx.Info
 	WInfo  WarpInfo
-	Mem    Memory
 	Shared []uint32 // CTA shared memory, shared across the CTA's warps
 
 	// Regs[r][lane] is the architectural register file.
@@ -99,22 +134,21 @@ type Warp struct {
 	// stack is kept converged: whatever moves the execution point (init,
 	// SkipTo, Step) pops finished entries before returning, so the top entry
 	// is always the next instruction to run and an empty stack means done.
-	stack    []simtEntry
-	accesses []Access
+	stack []simtEntry
 }
 
 // NewWarp creates a warp ready to execute from pc 0 with all lanes whose
 // global thread index is inside the CTA's thread count active.
-func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, params []uint64) *Warp {
+func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, shared []uint32, params []uint64) *Warp {
 	w := new(Warp)
-	w.Reset(k, info, wi, mem, shared, params)
+	w.Reset(k, info, wi, shared, params)
 	return w
 }
 
 // Reset makes w the warp NewWarp would return for the same arguments,
-// reusing w's register file, SIMT stack and access buffer. A timing model
-// that retires and dispatches warps continuously recycles them through it.
-func (w *Warp) Reset(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, params []uint64) {
+// reusing w's register file and SIMT stack. A timing model that retires and
+// dispatches warps continuously recycles them through it.
+func (w *Warp) Reset(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, shared []uint32, params []uint64) {
 	var mask uint32
 	base := wi.WarpInCTA * isa.WarpSize
 	for lane := 0; lane < isa.WarpSize; lane++ {
@@ -122,7 +156,7 @@ func (w *Warp) Reset(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, sh
 			mask |= 1 << lane
 		}
 	}
-	w.init(k, info, wi, mem, shared, simtEntry{pc: 0, rpc: -1, mask: mask})
+	w.init(k, info, wi, shared, simtEntry{pc: 0, rpc: -1, mask: mask})
 	for i, v := range params {
 		if i >= k.NumRegs {
 			break
@@ -138,17 +172,17 @@ func (w *Warp) Reset(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, sh
 // contents — the memory-stack SM side of an offload. regs supplies values
 // for the registers named in liveIn; everything else starts zero, which
 // exercises the liveness analysis for real.
-func NewRegionWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, mask uint32,
+func NewRegionWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mask uint32,
 	startPC, endPC int, liveIn uint64, regs [][isa.WarpSize]uint64) *Warp {
 	w := new(Warp)
-	w.ResetRegion(k, info, wi, mem, mask, startPC, endPC, liveIn, regs)
+	w.ResetRegion(k, info, wi, mask, startPC, endPC, liveIn, regs)
 	return w
 }
 
 // ResetRegion is Reset for the NewRegionWarp shape.
-func (w *Warp) ResetRegion(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, mask uint32,
+func (w *Warp) ResetRegion(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mask uint32,
 	startPC, endPC int, liveIn uint64, regs [][isa.WarpSize]uint64) {
-	w.init(k, info, wi, mem, nil, simtEntry{pc: startPC, rpc: endPC, mask: mask})
+	w.init(k, info, wi, nil, simtEntry{pc: startPC, rpc: endPC, mask: mask})
 	for r := 0; r < k.NumRegs; r++ {
 		if liveIn&(1<<r) != 0 {
 			w.Regs[r] = regs[r]
@@ -159,7 +193,7 @@ func (w *Warp) ResetRegion(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memo
 // init is the one place a warp's state is established, fresh or recycled:
 // every field is assigned, the register file reads zero, and only backing
 // storage survives from w's previous use.
-func (w *Warp) init(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, base simtEntry) {
+func (w *Warp) init(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, shared []uint32, base simtEntry) {
 	regs := w.Regs
 	if cap(regs) < k.NumRegs {
 		regs = make([][isa.WarpSize]uint64, k.NumRegs)
@@ -168,16 +202,14 @@ func (w *Warp) init(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, sha
 		clear(regs)
 	}
 	*w = Warp{
-		Kernel:   k,
-		Info:     info,
-		WInfo:    wi,
-		Mem:      mem,
-		Shared:   shared,
-		Regs:     regs,
-		prog:     k.Program(),
-		alive:    base.mask,
-		stack:    append(w.stack[:0], base),
-		accesses: w.accesses[:0],
+		Kernel: k,
+		Info:   info,
+		WInfo:  wi,
+		Shared: shared,
+		Regs:   regs,
+		prog:   k.Program(),
+		alive:  base.mask,
+		stack:  append(w.stack[:0], base),
 	}
 	w.popConverged()
 }
@@ -323,8 +355,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Step executes one warp-instruction and returns what happened.
-func (w *Warp) Step() (res StepResult) {
+// Step executes one warp-instruction over the global memory g and returns
+// what happened; a global memory instruction also leaves its lines in g.
+func (w *Warp) Step(g *Global) (res StepResult) {
 	if len(w.stack) == 0 {
 		return StepResult{Kind: StepNone, Done: true}
 	}
@@ -416,44 +449,48 @@ func (w *Warp) Step() (res StepResult) {
 
 	case isa.ClassMem:
 		// Memory ops touch the active lanes only, in ascending lane order:
-		// Memory sees the calls, atomics return the values and colliding
-		// stores resolve exactly as a lane-by-lane interpreter's would.
+		// atomics return the values and colliding stores resolve exactly as
+		// a lane-by-lane interpreter's would. A page is looked up once per
+		// run of lanes on it. The opcode is settled outside the lane loops:
+		// with it inside, ld and st measure 10-20 % slower
+		// (BenchmarkWarpStep).
 		res.Kind = StepMem
-		if w.accesses == nil {
-			// Full capacity at once: a step records at most one access per
-			// lane, and the buffer lives as long as the (recycled) warp.
-			w.accesses = make([]Access, 0, isa.WarpSize)
-		}
-		// The opcode is settled outside the lane loops: with it inside, ld
-		// and st measure 10-20 % slower (BenchmarkWarpStep).
-		acc := w.accesses[:0]
+		g.coalesce(a, d.Imm, mask)
+		cur, p := ^uint64(0), (*mem.Page)(nil) // no address is on page ^0
 		switch d.Op {
 		case isa.OpLdGlobal:
 			dst := &w.Regs[d.Dst]
 			for m := mask; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m) % isa.WarpSize
-				addr := a[lane] + d.Imm
-				dst[lane] = uint64(w.Mem.Load4(addr))
-				acc = append(acc, Access{Lane: lane, Addr: addr})
+				addr := g.Addrs[lane]
+				if addr/mem.PageBytes != cur {
+					cur, p = addr/mem.PageBytes, g.Mem.LoadPage(addr)
+				}
+				dst[lane] = uint64(p[addr%mem.PageBytes/4])
 			}
 		case isa.OpStGlobal:
 			for m := mask; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m) % isa.WarpSize
-				addr := a[lane] + d.Imm
-				w.Mem.Store4(addr, uint32(b[lane]))
-				acc = append(acc, Access{Lane: lane, Addr: addr, Store: true})
+				addr := g.Addrs[lane]
+				if addr/mem.PageBytes != cur {
+					cur, p = addr/mem.PageBytes, g.Mem.StorePage(addr)
+				}
+				p[addr%mem.PageBytes/4] = uint32(b[lane])
 			}
 		case isa.OpAtomAdd:
 			dst := &w.Regs[d.Dst]
 			for m := mask; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m) % isa.WarpSize
-				addr := a[lane] + d.Imm
-				dst[lane] = uint64(w.Mem.AtomicAdd4(addr, uint32(b[lane])))
-				acc = append(acc, Access{Lane: lane, Addr: addr, Store: true})
+				addr := g.Addrs[lane]
+				if addr/mem.PageBytes != cur {
+					cur, p = addr/mem.PageBytes, g.Mem.StorePage(addr)
+				}
+				i := addr % mem.PageBytes / 4
+				old := p[i]
+				p[i] = old + uint32(b[lane])
+				dst[lane] = uint64(old)
 			}
 		}
-		w.accesses = acc
-		res.Accesses = acc
 		top.pc++
 
 	case isa.ClassShared:

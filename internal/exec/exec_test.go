@@ -234,22 +234,22 @@ func TestRegionWarpMatchesFullExecution(t *testing.T) {
 	// Full execution.
 	m1 := setup()
 	wi := WarpInfo{CtaID: 0, WarpInCTA: 0, NTid: 32, NCtaid: 1}
-	w1 := NewWarp(k, info, wi, m1, nil, []uint64{base, n})
+	w1, g1 := NewWarp(k, info, wi, nil, []uint64{base, n}), NewGlobal(m1)
 	for !w1.Done() {
-		w1.Step()
+		w1.Step(g1)
 	}
 
 	// Split execution: run to region start, ship live-ins to a region
 	// warp, run it, copy live-outs back, continue.
 	m2 := setup()
-	w2 := NewWarp(k, info, wi, m2, nil, []uint64{base, n})
+	w2, g2 := NewWarp(k, info, wi, nil, []uint64{base, n}), NewGlobal(m2)
 	for w2.PC() != 2 {
-		w2.Step()
+		w2.Step(g2)
 	}
-	region := NewRegionWarp(k, info, wi, m2, w2.ActiveMask(), 2, 9, liveIn, w2.Regs)
+	region := NewRegionWarp(k, info, wi, w2.ActiveMask(), 2, 9, liveIn, w2.Regs)
 	steps := 0
 	for !region.Done() {
-		region.Step()
+		region.Step(g2)
 		if steps++; steps > 10000 {
 			t.Fatal("region warp did not terminate")
 		}
@@ -262,7 +262,7 @@ func TestRegionWarpMatchesFullExecution(t *testing.T) {
 	// Skip the main warp past the region.
 	w2.stack[len(w2.stack)-1].pc = 9
 	for !w2.Done() {
-		w2.Step()
+		w2.Step(g2)
 	}
 
 	if ok, addr := mem.Equal(m1, m2); !ok {
@@ -338,9 +338,9 @@ func TestLiteralKernelSharedByConcurrentWarps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			m := mem.NewFlat()
-			w := NewWarp(k, info, WarpInfo{CtaID: i, NTid: 32, NCtaid: workers}, m, nil, []uint64{base})
+			w, g := NewWarp(k, info, WarpInfo{CtaID: i, NTid: 32, NCtaid: workers}, nil, []uint64{base}), NewGlobal(m)
 			for !w.Done() {
-				w.Step()
+				w.Step(g)
 			}
 			for lane := 0; lane < isa.WarpSize; lane++ {
 				gtid := uint32(i*32 + lane)
@@ -382,15 +382,15 @@ func TestSkipToReconvergencePops(t *testing.T) {
 	}
 	wi := WarpInfo{NTid: 32, NCtaid: 1}
 
-	region := NewRegionWarp(k, info, wi, mem.NewFlat(), 0xffff_ffff, 0, 3, 0, make([][isa.WarpSize]uint64, k.NumRegs))
+	region := NewRegionWarp(k, info, wi, 0xffff_ffff, 0, 3, 0, make([][isa.WarpSize]uint64, k.NumRegs))
 	region.SkipTo(3)
 	if !region.Done() || region.PC() != -1 || region.ActiveMask() != 0 {
 		t.Fatalf("region warp skipped to its end: done=%v pc=%d mask=%#x", region.Done(), region.PC(), region.ActiveMask())
 	}
 
-	w := NewWarp(k, info, wi, mem.NewFlat(), nil, nil)
+	w, g := NewWarp(k, info, wi, nil, nil), NewGlobal(mem.NewFlat())
 	for i := 0; i < 3; i++ {
-		w.Step()
+		w.Step(g)
 	}
 	if w.PC() != 5 || w.ActiveMask() != 0xaaaa_aaaa {
 		t.Fatalf("after the branch: pc %d mask %#x, want the odd path at pc 5", w.PC(), w.ActiveMask())

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/cfgx"
 	"repro/internal/isa"
+	"repro/internal/mapping"
+	"repro/internal/mem"
 )
 
 // Launch describes one kernel invocation on a 1-D grid.
@@ -38,9 +40,9 @@ func (l Launch) WarpsPerCTA() int { return (l.Block + isa.WarpSize - 1) / isa.Wa
 
 // StepHook observes every executed warp-instruction during an instrumented
 // functional run (used by the profiling pass that feeds the Fig. 5/6
-// analyses and the oracle mapping). The runner reuses one CTA's warps for
-// every CTA of the grid, so w identifies a warp only until its last step
-// (res.Done).
+// analyses and the oracle mapping); a global memory step's lines are in the
+// run's Global. The runner reuses one CTA's warps for every CTA of the grid,
+// so w identifies a warp only until its last step (res.Done).
 type StepHook func(w *Warp, res StepResult)
 
 // RunFunctional executes the launch purely functionally (no timing): the
@@ -48,8 +50,12 @@ type StepHook func(w *Warp, res StepResult)
 // interleaved at barrier granularity, which is sufficient for race-free
 // kernels (barriers and commutative atomics are the only permitted
 // inter-thread communication, as in the paper's offloading-legal subset).
-func RunFunctional(m Memory, l Launch) error {
-	return RunInstrumented(m, l, nil)
+func RunFunctional(m *mem.Flat, l Launch) error { return RunFunctionalAll(m, []Launch{l}) }
+
+// NewGlobal returns the scratch for one functional run over m, coalescing at
+// the mapping's cache-line size.
+func NewGlobal(m *mem.Flat) *Global {
+	return &Global{Mem: m, LineBytes: mapping.CacheLineBytes}
 }
 
 // analyses memoises the control-flow analysis per kernel over one pass of
@@ -70,19 +76,10 @@ func (a analyses) of(l Launch) (*cfgx.Info, error) {
 	return info, err
 }
 
-// RunInstrumented is RunFunctional with a per-step observation hook.
-func RunInstrumented(m Memory, l Launch, hook StepHook) error {
-	info, err := analyses{}.of(l)
-	if err != nil {
-		return err
-	}
-	return RunAnalyzed(m, l, info, hook)
-}
-
-// RunAnalyzed is RunInstrumented for a caller that already holds the
-// kernel's control-flow analysis, so a kernel launched many times is
-// analysed once.
-func RunAnalyzed(m Memory, l Launch, info *cfgx.Info, hook StepHook) error {
+// RunAnalyzed is RunFunctional over g with a per-step observation hook, for
+// a caller that holds the kernel's control-flow analysis, so a kernel
+// launched many times is analysed once.
+func RunAnalyzed(g *Global, l Launch, info *cfgx.Info, hook StepHook) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
@@ -101,7 +98,7 @@ func RunAnalyzed(m Memory, l Launch, info *cfgx.Info, hook StepHook) error {
 		for wi, w := range warps {
 			w.Reset(l.Kernel, info, WarpInfo{
 				CtaID: cta, WarpInCTA: wi, NTid: l.Block, NCtaid: l.Grid,
-			}, m, shared, l.Params)
+			}, shared, l.Params)
 		}
 		for {
 			busy := 0
@@ -115,7 +112,7 @@ func RunAnalyzed(m Memory, l Launch, info *cfgx.Info, hook StepHook) error {
 				}
 				busy++
 				for !w.Done() {
-					r := w.Step()
+					r := w.Step(g)
 					progressed = true
 					if hook != nil {
 						hook(w, r)
@@ -155,12 +152,12 @@ func RunAnalyzed(m Memory, l Launch, info *cfgx.Info, hook StepHook) error {
 }
 
 // RunFunctionalAll runs a sequence of launches (a whole workload).
-func RunFunctionalAll(m Memory, launches []Launch) error {
-	memo := analyses{}
+func RunFunctionalAll(m *mem.Flat, launches []Launch) error {
+	memo, g := analyses{}, NewGlobal(m)
 	for i, l := range launches {
 		info, err := memo.of(l)
 		if err == nil {
-			err = RunAnalyzed(m, l, info, nil)
+			err = RunAnalyzed(g, l, info, nil)
 		}
 		if err != nil {
 			return fmt.Errorf("launch %d: %w", i, err)

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cfgx"
@@ -15,9 +16,10 @@ import (
 
 // The scalar oracle: the interpreter as it was before Step dispatched per
 // warp-instruction — one lane at a time, operand kind and opcode decided
-// per lane, straight from isa.Instr. It shares nothing with Step but the
-// SIMT stack and the scalar aluOp, and is what the differentials below hold
-// the lane-vector interpreter to.
+// per lane, straight from isa.Instr, one word access per lane, and the
+// timing model's old lanes-by-lines coalescing loop. It shares nothing with
+// Step but the SIMT stack and the scalar aluOp, and is what the
+// differentials below hold the lane-vector interpreter to.
 
 func specialScalar(wi WarpInfo, s isa.Special, lane int) uint64 {
 	tid := wi.WarpInCTA*isa.WarpSize + lane
@@ -89,7 +91,7 @@ func cmpFloat(c isa.Cmp, a, b float32) bool {
 }
 
 // stepScalar is Step, one lane at a time.
-func (w *Warp) stepScalar() StepResult {
+func (w *Warp) stepScalar(g *Global) StepResult {
 	w.popConverged()
 	if len(w.stack) == 0 {
 		return StepResult{Kind: StepNone, Done: true}
@@ -168,29 +170,26 @@ func (w *Warp) stepScalar() StepResult {
 
 	case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomAdd:
 		res.Kind = StepMem
-		if w.accesses == nil {
-			w.accesses = make([]Access, 0, isa.WarpSize)
-		}
-		w.accesses = w.accesses[:0]
+		var lanes []int
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if mask&(1<<lane) == 0 {
 				continue
 			}
+			lanes = append(lanes, lane)
 			addr := w.evalScalar(in.A, lane) + uint64(in.Imm)
+			g.Addrs[lane] = addr
 			switch in.Op {
 			case isa.OpLdGlobal:
-				w.Regs[in.Dst][lane] = uint64(w.Mem.Load4(addr))
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr})
+				w.Regs[in.Dst][lane] = uint64(g.Mem.Load4(addr))
 			case isa.OpStGlobal:
-				w.Mem.Store4(addr, uint32(w.evalScalar(in.B, lane)))
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr, Store: true})
+				g.Mem.Store4(addr, uint32(w.evalScalar(in.B, lane)))
 			case isa.OpAtomAdd:
-				old := w.Mem.AtomicAdd4(addr, uint32(w.evalScalar(in.B, lane)))
+				old := g.Mem.Load4(addr)
+				g.Mem.Store4(addr, old+uint32(w.evalScalar(in.B, lane)))
 				w.Regs[in.Dst][lane] = uint64(old)
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr, Store: true})
 			}
 		}
-		res.Accesses = w.accesses
+		g.n = copy(g.lines[:], coalesceScalar(g.LineBytes, lanes, &g.Addrs))
 		top.pc++
 
 	case isa.OpLdShared, isa.OpStShared:
@@ -232,33 +231,38 @@ func (w *Warp) stepScalar() StepResult {
 	return res
 }
 
-// memCall is one call on the Memory interface, as tracedMem saw it.
-type memCall struct {
-	op   byte // 'l', 's', 'a'
-	addr uint64
-	v    uint32
+// coalesceScalar is the reference coalescing, the loop the timing model's
+// LSU ran over per-lane accesses: each lane, in the order given, joins the
+// first line holding its address, or opens a new line after the others.
+func coalesceScalar(lineBytes uint64, lanes []int, addrs *isa.Row) []Line {
+	var lines []Line
+	for _, lane := range lanes {
+		l := addrs[lane] &^ (lineBytes - 1)
+		i := 0
+		for i < len(lines) && lines[i].Addr != l {
+			i++
+		}
+		if i == len(lines) {
+			lines = append(lines, Line{Addr: l})
+		}
+		lines[i].Lanes |= 1 << lane
+	}
+	return lines
 }
 
-// tracedMem records every Memory call in order, so that a differential can
-// tell a reordered or extra access from a lucky identical final image.
-type tracedMem struct {
-	*mem.Flat
-	calls []memCall
-}
-
-func (m *tracedMem) Load4(addr uint64) uint32 {
-	m.calls = append(m.calls, memCall{'l', addr, 0})
-	return m.Flat.Load4(addr)
-}
-
-func (m *tracedMem) Store4(addr uint64, v uint32) {
-	m.calls = append(m.calls, memCall{'s', addr, v})
-	m.Flat.Store4(addr, v)
-}
-
-func (m *tracedMem) AtomicAdd4(addr uint64, v uint32) uint32 {
-	m.calls = append(m.calls, memCall{'a', addr, v})
-	return m.Flat.AtomicAdd4(addr, v)
+// sameGlobalStep reports how two Globals' records of one global memory step
+// under mask differ — lines (order and lanes), then the lane address row
+// under the mask — or "" when they agree.
+func sameGlobalStep(a, b *Global, mask uint32) string {
+	if !reflect.DeepEqual(a.Lines(), b.Lines()) {
+		return fmt.Sprintf("lines differ\n %v\n %v", a.Lines(), b.Lines())
+	}
+	for lane := 0; lane < isa.WarpSize; lane++ {
+		if mask&(1<<lane) != 0 && a.Addrs[lane] != b.Addrs[lane] {
+			return fmt.Sprintf("lane %d address %#x, %#x", lane, a.Addrs[lane], b.Addrs[lane])
+		}
+	}
+	return ""
 }
 
 var (
@@ -369,9 +373,11 @@ func tableCases() []tableCase {
 // interpreter and on the scalar oracle, for every opcode, every way of
 // writing each source (register, immediate, special, absent), every mask
 // shape, and a destination that is a fresh register or aliases a source.
-// Everything observable must agree — StepResult, register file, pc, mask,
-// the Memory calls in order, shared memory — and no inactive lane of any
-// register may change.
+// Everything observable must agree — StepResult, register file (atomics'
+// returned values included), pc, mask, the lines with their lanes in order,
+// the lane addresses under the mask, the global memory image (colliding
+// stores included), shared memory — and no inactive lane of any register
+// may change.
 func TestStepMatchesScalarOracleTable(t *testing.T) {
 	const (
 		nregs  = 5   // r1..r3 = A, B, C rows; r4 = the fresh destination
@@ -436,23 +442,20 @@ func TestStepMatchesScalarOracleTable(t *testing.T) {
 							}
 							regs[4][lane] = 0x5151_5151_5151_5151
 						}
-						run := func(step func(*Warp) StepResult) (*Warp, *tracedMem, StepResult) {
-							m := &tracedMem{Flat: mem.NewFlat()}
+						run := func(step func(*Warp, *Global) StepResult) (*Warp, *Global, StepResult) {
+							g := NewGlobal(mem.NewFlat())
 							for i := uint64(0); i < shared; i++ {
-								m.Flat.Store4(i*4, uint32(0x1000+i))
+								g.Mem.Store4(i*4, uint32(0x1000+i))
 							}
-							w := NewRegionWarp(k, info, wi, m, ms.mask, 0, len(k.Instrs), 1<<nregs-1, regs)
+							w := NewRegionWarp(k, info, wi, ms.mask, 0, len(k.Instrs), 1<<nregs-1, regs)
 							w.Shared = make([]uint32, shared)
 							for i := range w.Shared {
 								w.Shared[i] = uint32(0x2000 + i)
 							}
-							res := step(w)
-							// The access buffer is the warp's own; keep a copy.
-							res.Accesses = append([]Access(nil), res.Accesses...)
-							return w, m, res
+							return w, g, step(w, g)
 						}
-						vec, mv, rv := run((*Warp).Step)
-						ora, mo, ro := run((*Warp).stepScalar)
+						vec, gv, rv := run((*Warp).Step)
+						ora, gOra, ro := run((*Warp).stepScalar)
 						if !reflect.DeepEqual(rv, ro) {
 							t.Fatalf("%s: Step returned %+v, oracle %+v", what, rv, ro)
 						}
@@ -463,8 +466,13 @@ func TestStepMatchesScalarOracleTable(t *testing.T) {
 							t.Fatalf("%s: Step at pc %d mask %#x, oracle at pc %d mask %#x",
 								what, vec.PC(), vec.ActiveMask(), ora.PC(), ora.ActiveMask())
 						}
-						if !reflect.DeepEqual(mv.calls, mo.calls) {
-							t.Fatalf("%s: Memory calls differ\n step   %v\n oracle %v", what, mv.calls, mo.calls)
+						if rv.Kind == StepMem {
+							if diff := sameGlobalStep(gv, gOra, ms.mask); diff != "" {
+								t.Fatalf("%s: step and oracle: %s", what, diff)
+							}
+						}
+						if ok, addr := mem.Equal(gv.Mem, gOra.Mem); !ok {
+							t.Fatalf("%s: global memory differs at %#x", what, addr)
 						}
 						if !reflect.DeepEqual(vec.Shared, ora.Shared) {
 							t.Fatalf("%s: shared memory differs", what)
@@ -485,9 +493,10 @@ func TestStepMatchesScalarOracleTable(t *testing.T) {
 }
 
 // lockstep runs two warps side by side over their own copies of one memory
-// image, a by stepA and b by stepB: every step's result, every register, pc,
-// mask and the final memory must agree bit for bit.
-func lockstep(t *testing.T, what string, a, b *Warp, stepA, stepB func(*Warp) StepResult, ma, mb *mem.Flat) {
+// image, a by stepA over ga and b by stepB over gb: every step's result,
+// every register, pc, mask, every memory step's lines and lane addresses,
+// and the final memory must agree bit for bit.
+func lockstep(t *testing.T, what string, a, b *Warp, stepA, stepB func(*Warp, *Global) StepResult, ga, gb *Global) {
 	t.Helper()
 	for step := 0; !a.Done(); step++ {
 		if step > 100_000 {
@@ -496,9 +505,15 @@ func lockstep(t *testing.T, what string, a, b *Warp, stepA, stepB func(*Warp) St
 		if b.Done() {
 			t.Fatalf("%s: second warp finished at step %d, first one is at pc %d", what, step, a.PC())
 		}
-		ra, rb := stepA(a), stepB(b)
+		mask := a.ActiveMask()
+		ra, rb := stepA(a, ga), stepB(b, gb)
 		if !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("%s step %d: first stepped %+v, second %+v", what, step, ra, rb)
+		}
+		if ra.Kind == StepMem {
+			if diff := sameGlobalStep(ga, gb, mask); diff != "" {
+				t.Fatalf("%s step %d (pc %d): %s", what, step, ra.PC, diff)
+			}
 		}
 		if !reflect.DeepEqual(a.Regs, b.Regs) {
 			t.Fatalf("%s step %d (pc %d): register files differ", what, step, ra.PC)
@@ -511,7 +526,7 @@ func lockstep(t *testing.T, what string, a, b *Warp, stepA, stepB func(*Warp) St
 	if !b.Done() {
 		t.Fatalf("%s: second warp still running after the first finished", what)
 	}
-	if ok, addr := mem.Equal(ma, mb); !ok {
+	if ok, addr := mem.Equal(ga.Mem, gb.Mem); !ok {
 		t.Fatalf("%s: memory images differ at %#x", what, addr)
 	}
 }
@@ -519,8 +534,8 @@ func lockstep(t *testing.T, what string, a, b *Warp, stepA, stepB func(*Warp) St
 // TestRandomKernelsMatchScalarOracle: over the random kernels of
 // TestRandomKernelsDeterministic — divergent guarded skips, a counted loop,
 // sources that no instruction ever wrote — Step and the scalar oracle agree
-// after every step on the whole register file, pc, mask and every
-// StepResult field including Accesses, for a fresh warp, a recycled one
+// after every step on the whole register file, pc, mask, every StepResult
+// field and every memory step's lines, for a fresh warp, a recycled one
 // (Reset over a dirtied warp) and a region warp (ResetRegion, live-ins only).
 func TestRandomKernelsMatchScalarOracle(t *testing.T) {
 	const base, n = 0x1000_0000, 256
@@ -544,30 +559,30 @@ func TestRandomKernelsMatchScalarOracle(t *testing.T) {
 		params := []uint64{base, n}
 		what := fmt.Sprintf("trial %d", trial)
 
-		mv, mo := mk(), mk()
-		vec, ora := NewWarp(k, info, wi, mv, nil, params), NewWarp(k, info, wi, mo, nil, params)
-		countDivergence := func(w *Warp) StepResult {
-			res := w.Step()
+		gv, gOra := NewGlobal(mk()), NewGlobal(mk())
+		vec, ora := NewWarp(k, info, wi, nil, params), NewWarp(k, info, wi, nil, params)
+		countDivergence := func(w *Warp, g *Global) StepResult {
+			res := w.Step(g)
 			if len(w.stack) > 1 {
 				diverged++
 			}
 			return res
 		}
-		lockstep(t, what+" fresh", vec, ora, countDivergence, (*Warp).stepScalar, mv, mo)
+		lockstep(t, what+" fresh", vec, ora, countDivergence, (*Warp).stepScalar, gv, gOra)
 
-		mv, mo = mk(), mk()
+		gv, gOra = NewGlobal(mk()), NewGlobal(mk())
 		vec, ora = dirtyWarp(), dirtyWarp()
-		vec.Reset(k, info, wi, mv, nil, params)
-		ora.Reset(k, info, wi, mo, nil, params)
-		lockstep(t, what+" recycled", vec, ora, (*Warp).Step, (*Warp).stepScalar, mv, mo)
+		vec.Reset(k, info, wi, nil, params)
+		ora.Reset(k, info, wi, nil, params)
+		lockstep(t, what+" recycled", vec, ora, (*Warp).Step, (*Warp).stepScalar, gv, gOra)
 
 		// Region shape, as TestRecycledWarpStepsLikeFresh builds it: enter
 		// after the address prologue with its registers live and the rest
 		// of the caller's array poisoned, under a sparse mask.
 		const prologue = 5
-		pro := NewWarp(k, info, wi, mk(), nil, params)
+		pro, gPro := NewWarp(k, info, wi, nil, params), NewGlobal(mk())
 		for i := 0; i < prologue; i++ {
-			pro.Step()
+			pro.Step(gPro)
 		}
 		liveIn := uint64(1<<prologue - 1)
 		regs := make([][isa.WarpSize]uint64, k.NumRegs)
@@ -581,13 +596,106 @@ func TestRandomKernelsMatchScalarOracle(t *testing.T) {
 		}
 		mask := pro.ActiveMask() & 0xb6db_6db6
 		endPC := len(k.Instrs) - 1
-		mv, mo = mk(), mk()
+		gv, gOra = NewGlobal(mk()), NewGlobal(mk())
 		vec, ora = dirtyWarp(), dirtyWarp()
-		vec.ResetRegion(k, info, wi, mv, mask, prologue, endPC, liveIn, regs)
-		ora.ResetRegion(k, info, wi, mo, mask, prologue, endPC, liveIn, regs)
-		lockstep(t, what+" region", vec, ora, (*Warp).Step, (*Warp).stepScalar, mv, mo)
+		vec.ResetRegion(k, info, wi, mask, prologue, endPC, liveIn, regs)
+		ora.ResetRegion(k, info, wi, mask, prologue, endPC, liveIn, regs)
+		lockstep(t, what+" region", vec, ora, (*Warp).Step, (*Warp).stepScalar, gv, gOra)
 	}
 	if diverged == 0 {
 		t.Fatal("no trial ever diverged: the generator no longer exercises the SIMT stack")
+	}
+}
+
+// TestStepLinesMatchScalarCoalescing: over random masks, line sizes and lane
+// addresses, each global memory op's lines equal the scalar coalescing
+// reference — the same lines in the same order with the same lanes — and
+// its loaded and returned values, lane addresses and memory image equal the
+// scalar oracle's. Addresses come from a few lines on both sides of a page
+// boundary, so a line comes back after others and runs of lanes cross
+// pages, and from a page the memory does not hold, which a load must leave
+// absent. Both sides step over clones, so every store copies a shared page.
+func TestStepLinesMatchScalarCoalescing(t *testing.T) {
+	const edge, absent = mem.AllocBase + mem.PageBytes, 1 << 40
+	bases := []uint64{edge - 256, edge - 128, edge, edge + 128, absent, absent + 128}
+	mk := func() *mem.Flat {
+		m := mem.NewFlat()
+		for a := uint64(edge - 256); a < edge+256; a += 4 {
+			m.Store4(a, uint32(a*2654435761))
+		}
+		return m
+	}
+	pristine, base := mk(), mk()
+	zero := mem.NewFlat().LoadPage(absent) // what a page the memory lacks reads as
+	ops := []isa.Instr{
+		{Op: isa.OpLdGlobal, HasDst: true, Dst: 2, A: isa.R(1)},
+		{Op: isa.OpStGlobal, A: isa.R(1), B: isa.R(3)},
+		{Op: isa.OpAtomAdd, HasDst: true, Dst: 2, A: isa.R(1), B: isa.R(3)},
+	}
+	wi := WarpInfo{NTid: 32, NCtaid: 1}
+	r := rand.New(rand.NewSource(43))
+	var revisits, crossings, absentLoads int
+	for trial := 0; trial < 3000; trial++ {
+		in := ops[trial%len(ops)]
+		k := &isa.Kernel{Name: in.Op.String(), NumRegs: 4, Instrs: []isa.Instr{in, {Op: isa.OpExit}}}
+		info, err := cfgx.Analyze(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := r.Uint32() & r.Uint32() // sparse as often as dense
+		if trial%5 == 0 {
+			mask = 0xffff_ffff
+		}
+		mask |= 1 << r.Intn(isa.WarpSize)
+		regs := make([][isa.WarpSize]uint64, k.NumRegs)
+		for lane := range regs[1] {
+			regs[1][lane] = bases[r.Intn(len(bases))] + 4*uint64(r.Intn(32))
+			regs[2][lane] = 0x5151_5151
+			regs[3][lane] = r.Uint64()
+		}
+		lineBytes := uint64(32) << r.Intn(4)
+		gv := &Global{Mem: base.Clone(), LineBytes: lineBytes}
+		gOra := &Global{Mem: base.Clone(), LineBytes: lineBytes}
+		wasAbsent := map[uint64]bool{}
+		for m := mask; m != 0; m &= m - 1 {
+			if a := regs[1][bits.TrailingZeros32(m)]; gv.Mem.LoadPage(a) == zero {
+				wasAbsent[a] = true
+			}
+		}
+		vec := NewRegionWarp(k, info, wi, mask, 0, 1, 1<<k.NumRegs-1, regs)
+		ora := NewRegionWarp(k, info, wi, mask, 0, 1, 1<<k.NumRegs-1, regs)
+		what := fmt.Sprintf("trial %d: %v mask %#x, %d-byte lines", trial, in.Op, mask, lineBytes)
+		lockstep(t, what, vec, ora, (*Warp).Step, (*Warp).stepScalar, gv, gOra)
+		if in.Op == isa.OpLdGlobal {
+			for a := range wasAbsent {
+				if gv.Mem.LoadPage(a) != zero {
+					t.Fatalf("%s: the load at %#x materialised its page", what, a)
+				}
+				absentLoads++
+			}
+		}
+
+		// What the generator reached: a line that comes back after another
+		// one, and consecutive active lanes on different pages.
+		var seen []uint64  // line of each active lane so far
+		prev := ^uint64(0) // address of the previous active lane
+		for m := mask; m != 0; m &= m - 1 {
+			a := regs[1][bits.TrailingZeros32(m)]
+			l := a &^ (lineBytes - 1)
+			if n := len(seen); n > 0 && l != seen[n-1] && slices.Contains(seen, l) {
+				revisits++
+			}
+			if prev != ^uint64(0) && a/mem.PageBytes != prev/mem.PageBytes {
+				crossings++
+			}
+			prev, seen = a, append(seen, l)
+		}
+	}
+	if ok, addr := mem.Equal(base, pristine); !ok {
+		t.Fatalf("a clone's store reached the shared image at %#x", addr)
+	}
+	if revisits == 0 || crossings == 0 || absentLoads == 0 {
+		t.Fatalf("generator too narrow: %d line revisits, %d page crossings, %d absent loads",
+			revisits, crossings, absentLoads)
 	}
 }

@@ -65,15 +65,15 @@ func stepLoopWarp(tb testing.TB, sl stepLoop) (step func() StepResult) {
 	for i := uint64(0); i < 64; i++ {
 		m.Store4(base+4*i, uint32(i))
 	}
-	w := NewWarp(k, info, WarpInfo{NTid: 32, NCtaid: 1}, m, make([]uint32, 64), []uint64{base})
+	w, g := NewWarp(k, info, WarpInfo{NTid: 32, NCtaid: 1}, make([]uint32, 64), []uint64{base}), NewGlobal(m)
 	for w.PC() != start {
-		w.Step()
+		w.Step(g)
 	}
 	return func() StepResult {
 		if w.PC() == end {
 			w.SkipTo(start)
 		}
-		return w.Step()
+		return w.Step(g)
 	}
 }
 
@@ -86,7 +86,6 @@ func BenchmarkWarpStep(b *testing.B) {
 	for _, sl := range stepLoops {
 		b.Run(sl.name, func(b *testing.B) {
 			step := stepLoopWarp(b, sl)
-			step() // first memory step sizes the access buffer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -96,13 +95,12 @@ func BenchmarkWarpStep(b *testing.B) {
 	}
 }
 
-// TestWarpStepDoesNotAllocate: once a warp's access buffer exists, no kind
-// of step allocates — rows resolve to the register file, the kernel's
-// immediates or the stack.
+// TestWarpStepDoesNotAllocate: no kind of step allocates, the first one
+// included — rows resolve to the register file, the kernel's immediates or
+// the stack, and a memory step's lines to the stepper's Global.
 func TestWarpStepDoesNotAllocate(t *testing.T) {
 	for _, sl := range stepLoops {
 		step := stepLoopWarp(t, sl)
-		step()
 		if n := testing.AllocsPerRun(4*stepLoopReps, func() { stepSink = step() }); n != 0 {
 			t.Errorf("%s: %.2f allocations per step, want 0", sl.name, n)
 		}

@@ -10,25 +10,25 @@ import (
 	"sort"
 )
 
-// pageBytes is the backing-store granularity (storage only; it is not the
+// PageBytes is the backing-store granularity (storage only; it is not the
 // mapping granularity, which the mapping package controls by address bits).
-const pageBytes = 1 << 16
+const PageBytes = 1 << 16
 
-const pageWords = pageBytes / 4
-
-type page [pageWords]uint32
+// Page is one page of backing store: word i holds the bytes at page base +
+// 4i, so the word at addr is Page[addr%PageBytes/4].
+type Page [PageBytes / 4]uint32
 
 // pageKey names the page holding addr by the address of the page's last
 // byte. No page has key 0, so zeroed lookup caches match nothing.
-func pageKey(addr uint64) uint64 { return addr | (pageBytes - 1) }
+func pageKey(addr uint64) uint64 { return addr | (PageBytes - 1) }
 
-func pageBase(key uint64) uint64 { return key - (pageBytes - 1) }
+func pageBase(key uint64) uint64 { return key - (PageBytes - 1) }
 
 // pageRef is one entry of a memory's page table. A shared page may be held by
 // other memories too and is never written again; a page that is not shared
 // is held by this memory alone and is written in place.
 type pageRef struct {
-	p      *page
+	p      *Page
 	shared bool
 }
 
@@ -52,11 +52,11 @@ type Flat struct {
 	// a builder filling a[i] and b[i], a kernel streaming two outputs —
 	// without a page-table lookup per word.
 	lastKey uint64
-	last    *page
+	last    *Page
 	ownKey  uint64
-	own     *page
+	own     *Page
 	own2Key uint64
-	own2    *page
+	own2    *Page
 }
 
 // NewFlat returns an empty memory.
@@ -64,7 +64,7 @@ func NewFlat() *Flat { return new(Flat) }
 
 // storePage is the stores' path past own: a hit in own2 swaps the two
 // entries, so own stays the most recent page.
-func (f *Flat) storePage(key uint64) *page {
+func (f *Flat) storePage(key uint64) *Page {
 	if key == f.own2Key {
 		f.ownKey, f.own, f.own2Key, f.own2 = f.own2Key, f.own2, f.ownKey, f.own
 		return f.own
@@ -77,10 +77,10 @@ func (f *Flat) storePage(key uint64) *page {
 // points last and own at the result — a load that follows must not read the
 // shared page the copy was made from. own's old page moves to own2, and
 // own2's drops out of the cache.
-func (f *Flat) makeWritable(key uint64) *page {
+func (f *Flat) makeWritable(key uint64) *Page {
 	e, ok := f.pages[key]
 	if !ok || e.shared {
-		p := new(page)
+		p := new(Page)
 		if ok {
 			*p = *e.p
 		} else if f.pages == nil {
@@ -95,47 +95,40 @@ func (f *Flat) makeWritable(key uint64) *page {
 	return e.p
 }
 
-// Load4 reads the 32-bit word at addr (addr is truncated to word align).
-// A load never materialises a page: an untouched address reads zero and
+// LoadPage returns the page holding addr for reading: the shared zero page
+// when the memory has none. A load never materialises a page: a missing page
 // leaves the memory — its page set and the lookup caches — as it was, so a
 // stray index or a dry run costs no 64 KB page that every later Equal would
-// then carry. Nor does a load copy a shared page.
-func (f *Flat) Load4(addr uint64) uint32 {
+// then carry. Nor does a load copy a shared page. The page must not be
+// written.
+func (f *Flat) LoadPage(addr uint64) *Page {
 	key := pageKey(addr)
 	if key == f.lastKey {
-		return f.last[addr%pageBytes/4]
+		return f.last
 	}
 	e, ok := f.pages[key]
 	if !ok {
-		return 0
+		return &zeroPage
 	}
 	f.lastKey, f.last = key, e.p
-	return e.p[addr%pageBytes/4]
+	return e.p
 }
 
-// Store4 writes the 32-bit word at addr: one tag compare when the previous
-// store hit the same page, two when it hit the page stored to before that.
-func (f *Flat) Store4(addr uint64, v uint32) {
-	p := f.own
+// StorePage returns the page holding addr for writing: one tag compare when
+// the previous store hit the same page, two when it hit the page stored to
+// before that. A missing page is created and a shared one copied first, once.
+func (f *Flat) StorePage(addr uint64) *Page {
 	if key := pageKey(addr); key != f.ownKey {
-		p = f.storePage(key)
+		return f.storePage(key)
 	}
-	p[addr%pageBytes/4] = v
+	return f.own
 }
 
-// AtomicAdd4 adds v to the word at addr and returns the previous value.
-// (The simulator is single-threaded; atomicity here means read-modify-write
-// as one operation in simulation order.)
-func (f *Flat) AtomicAdd4(addr uint64, v uint32) uint32 {
-	p := f.own
-	if key := pageKey(addr); key != f.ownKey {
-		p = f.storePage(key)
-	}
-	i := addr % pageBytes / 4
-	old := p[i]
-	p[i] = old + v
-	return old
-}
+// Load4 reads the 32-bit word at addr (addr is truncated to word align).
+func (f *Flat) Load4(addr uint64) uint32 { return f.LoadPage(addr)[addr%PageBytes/4] }
+
+// Store4 writes the 32-bit word at addr.
+func (f *Flat) Store4(addr uint64, v uint32) { f.StorePage(addr)[addr%PageBytes/4] = v }
 
 // Seal marks every page shared, so that the next store to any of them copies
 // it; the contents do not change. Seal, Clone and Equal only read a memory
@@ -206,9 +199,9 @@ func Equal(a, b *Flat) (bool, uint64) {
 	return true, 0
 }
 
-var zeroPage page
+var zeroPage Page
 
-func pageEqual(key uint64, pa, pb *page) (bool, uint64) {
+func pageEqual(key uint64, pa, pb *Page) (bool, uint64) {
 	if pa == pb || *pa == *pb {
 		return true, 0
 	}

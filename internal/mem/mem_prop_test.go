@@ -45,8 +45,8 @@ func propAddrs() []uint64 {
 }
 
 var (
-	propPages   = []uint64{0, AllocBase, AllocBase + pageBytes, AllocBase + 2*pageBytes, 1 << 40, ^uint64(0) &^ (pageBytes - 1)}
-	propOffsets = []uint64{0, 4, pageBytes / 2, pageBytes - 4}
+	propPages   = []uint64{0, AllocBase, AllocBase + PageBytes, AllocBase + 2*PageBytes, 1 << 40, ^uint64(0) &^ (PageBytes - 1)}
+	propOffsets = []uint64{0, 4, PageBytes / 2, PageBytes - 4}
 )
 
 // TestCloneMatchesDeepCopyModel drives a growing family of memories — a
@@ -87,8 +87,8 @@ func TestCloneMatchesDeepCopyModel(t *testing.T) {
 				checkWord(op, addr)
 			case k < 8:
 				v := rng.Uint32()
-				if got, want := m.AtomicAdd4(addr, v), model[addr]; got != want {
-					t.Fatalf("seed %d op %d: AtomicAdd4(%#x) returned %#x, model %#x", seed, op, addr, got, want)
+				if got, want := atomicAdd(m, addr, v), model[addr]; got != want {
+					t.Fatalf("seed %d op %d: atomic add at %#x returned %#x, model %#x", seed, op, addr, got, want)
 				}
 				model[addr] += v
 				checkWord(op, addr)
@@ -98,7 +98,7 @@ func TestCloneMatchesDeepCopyModel(t *testing.T) {
 					a := propPages[pages[j%len(pages)]] + propOffsets[rng.Intn(len(propOffsets))]
 					v := rng.Uint32()
 					if j%5 == 4 {
-						m.AtomicAdd4(a, v)
+						atomicAdd(m, a, v)
 						model[a] += v
 					} else {
 						m.Store4(a, v)
@@ -146,7 +146,7 @@ func TestCloneMatchesDeepCopyModel(t *testing.T) {
 // TestCloneSharesUntilStore pins the cases the random test only reaches by
 // chance, and the sharing itself, which the model cannot see.
 func TestCloneSharesUntilStore(t *testing.T) {
-	const a, b = AllocBase, AllocBase + pageBytes // two pages
+	const a, b = AllocBase, AllocBase + PageBytes // two pages
 	parent := NewFlat()
 	parent.Store4(a, 1)
 	parent.Store4(b, 2)
@@ -181,7 +181,7 @@ func TestCloneSharesUntilStore(t *testing.T) {
 	// The parent written after it was cloned: it copies too, and the clone
 	// keeps the old contents.
 	parent.Load4(b)
-	parent.AtomicAdd4(b, 40)
+	atomicAdd(parent, b, 40)
 	if got := parent.Load4(b); got != 42 {
 		t.Errorf("parent reads %d after its atomic add, want 42", got)
 	}
@@ -211,7 +211,7 @@ func TestCloneSharesUntilStore(t *testing.T) {
 
 	// Loads never copy: a clone that only reads still shares everything.
 	reader := grand.Clone()
-	for _, addr := range []uint64{a, a + 4, b, b + pageBytes} {
+	for _, addr := range []uint64{a, a + 4, b, b + PageBytes} {
 		reader.Load4(addr)
 	}
 	if len(reader.pages) != len(grand.pages) || !samePage(reader, grand, a) || !samePage(reader, grand, b) {
@@ -225,7 +225,7 @@ func TestCloneSharesUntilStore(t *testing.T) {
 func TestSealedCloneOnlyReads(t *testing.T) {
 	m := NewFlat()
 	for i := uint64(0); i < 8; i++ {
-		m.Store4(AllocBase+i*pageBytes, uint32(i))
+		m.Store4(AllocBase+i*PageBytes, uint32(i))
 	}
 	m.Seal()
 	if m.ownKey != 0 || m.own != nil || m.own2Key != 0 || m.own2 != nil {
@@ -245,4 +245,13 @@ func TestSealedCloneOnlyReads(t *testing.T) {
 	if got := m.Load4(AllocBase); got != 0 {
 		t.Errorf("sealed memory reads %d after its clone's store, want 0", got)
 	}
+}
+
+// atomicAdd is the interpreter's atom.add on one word: a read-modify-write
+// on the page StorePage returns.
+func atomicAdd(m *Flat, addr uint64, v uint32) uint32 {
+	p := m.StorePage(addr)
+	old := p[addr%PageBytes/4]
+	p[addr%PageBytes/4] = old + v
+	return old
 }

@@ -26,7 +26,7 @@ func TestLoadDoesNotMaterialisePages(t *testing.T) {
 	m := NewFlat()
 	const base = AllocBase
 	for i := uint64(0); i < 64; i++ {
-		m.Store4(base+i*pageBytes/2, uint32(i+1))
+		m.Store4(base+i*PageBytes/2, uint32(i+1))
 	}
 	before := m.Clone()
 	snap := m.Snapshot()
@@ -36,7 +36,7 @@ func TestLoadDoesNotMaterialisePages(t *testing.T) {
 			t.Fatalf("stray load = %#x, want 0", v)
 		}
 		j := uint64(rng.Intn(64))
-		if v := m.Load4(base + j*pageBytes/2); v != uint32(j+1) {
+		if v := m.Load4(base + j*PageBytes/2); v != uint32(j+1) {
 			t.Fatalf("word %d reads %d after a stray load, want %d", j, v, j+1)
 		}
 	}

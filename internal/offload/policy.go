@@ -11,7 +11,7 @@
 //  1. PreGate — the conditional-trip threshold, before the destination dry
 //     run (rows with Conditional; no destination is known yet).
 //  2. Dest — the destination stack (and, VaultGranular, vault) from a dry
-//     run collecting up to DryRunAccesses line addresses.
+//     run collecting up to DryRunLines line addresses.
 //  3. Gate — aggressiveness control with the destination known (channel
 //     busy, pending caps, co-location, per-vault slots).
 //
@@ -56,11 +56,11 @@ type Policy struct {
 	// conditional-hinted candidate entry (§4.2 step 1), feeding the per-PC
 	// profile, and gates entries below the compiler's break-even hint.
 	Conditional bool
-	// DryRunAccesses bounds how many global-memory line addresses the
+	// DryRunLines bounds how many global-memory line addresses the
 	// destination dry run collects (1 = stop at the first access, TOM's
 	// footnote-4 behavior; larger windows let a policy inspect the
 	// instance's spatial footprint).
-	DryRunAccesses int
+	DryRunLines int
 	// VaultGranular resolves the destination down to the first access's
 	// vault, whose pending count the simulator then tracks.
 	VaultGranular bool
@@ -120,12 +120,12 @@ var tomSelect = compiler.SelectOptions{Cost: compiler.DefaultCostParams()}
 //     slots full gates further offloads to it (reason "vaultfull") while
 //     other vaults keep accepting.
 var policies = []Policy{
-	{Name: "tom", Select: tomSelect, Conditional: true, DryRunAccesses: 1, Gate: tomGate},
-	{Name: "ideal", Select: tomSelect, DryRunAccesses: 1, ZeroCost: true, ForceColocate: true, Gate: fullGate},
-	{Name: "coda", Select: tomSelect, Conditional: true, DryRunAccesses: codaWindow, Gate: codaGate},
+	{Name: "tom", Select: tomSelect, Conditional: true, DryRunLines: 1, Gate: tomGate},
+	{Name: "ideal", Select: tomSelect, DryRunLines: 1, ZeroCost: true, ForceColocate: true, Gate: fullGate},
+	{Name: "coda", Select: tomSelect, Conditional: true, DryRunLines: codaWindow, Gate: codaGate},
 	{Name: "mpu", Select: compiler.SelectOptions{
 		Cost: compiler.DefaultCostParams(), SkipLoops: true, MaxBlockMems: 1, Accept: compiler.AcceptAll,
-	}, Conditional: true, DryRunAccesses: 1, VaultGranular: true, SpawnLat: mpuSpawnLat, Gate: vaultGate},
+	}, Conditional: true, DryRunLines: 1, VaultGranular: true, SpawnLat: mpuSpawnLat, Gate: vaultGate},
 }
 
 // ByName returns the named policy.

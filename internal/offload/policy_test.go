@@ -69,8 +69,8 @@ func TestRegistryHasAllPolicies(t *testing.T) {
 		if p.Name != n {
 			t.Errorf("ByName(%q).Name = %q", n, p.Name)
 		}
-		if p.DryRunAccesses < 1 {
-			t.Errorf("policy %q has DryRunAccesses %d < 1", n, p.DryRunAccesses)
+		if p.DryRunLines < 1 {
+			t.Errorf("policy %q has DryRunLines %d < 1", n, p.DryRunLines)
 		}
 		if p.Gate == nil {
 			t.Errorf("policy %q has no Gate", n)
@@ -107,7 +107,7 @@ func TestPolicyTraits(t *testing.T) {
 	for _, c := range cases {
 		p := mustPolicy(t, c.name)
 		got := traits{p.Conditional, p.VaultGranular, p.ZeroCost, p.ForceColocate,
-			p.DryRunAccesses, p.SpawnLat}
+			p.DryRunLines, p.SpawnLat}
 		if got != c.want {
 			t.Errorf("%s traits = %+v, want %+v", c.name, got, c.want)
 		}

@@ -16,7 +16,10 @@ import (
 // are for: heap bytes and objects allocated by Clone+New+Run — what a session
 // pays per cell, the run's private copies of the pages it writes included —
 // per simulated warp-instruction. The counts repeat from run to run to three
-// digits; the ceilings are about 1.5x what the cells allocate.
+// digits, and the ceilings sit about 10 % above what the cells allocate
+// (63.5, 16.8 and 10.8 B; 0.313, 0.078 and 0.045 objects). BFS's is 4 %: it
+// keeps the most warps, and a buffer that every warp owns again (a 32-entry
+// lane access buffer was 3.8 B there) must fail it.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	noctrlBmap := DefaultConfig()
 	noctrlBmap.Offload = OffloadUncontrolled
@@ -27,9 +30,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		maxBytes   float64 // per warp-instruction
 		maxMallocs float64
 	}{
-		{"BFS", "noctrl-bmap", noctrlBmap, 147, 0.50},
-		{"FWT", "baseline", BaselineConfig(), 26, 0.12},
-		{"SP", "baseline", BaselineConfig(), 17, 0.07}, // 36.6 B with a deep-copying Clone
+		{"BFS", "noctrl-bmap", noctrlBmap, 66, 0.35},
+		{"FWT", "baseline", BaselineConfig(), 18.5, 0.085},
+		{"SP", "baseline", BaselineConfig(), 12, 0.05}, // 36.6 B with a deep-copying Clone
 	} {
 		w, err := workloads.ByAbbr(tc.abbr)
 		if err != nil {
@@ -57,11 +60,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		t.Logf("%s/%s: %.1f B and %.3f mallocs per warp-instruction (%.0f warp-instructions)",
 			tc.abbr, tc.name, bytes, mallocs, winstr)
 		if bytes > tc.maxBytes {
-			t.Errorf("%s/%s allocates %.1f B per warp-instruction, budget %.0f",
+			t.Errorf("%s/%s allocates %.1f B per warp-instruction, budget %g",
 				tc.abbr, tc.name, bytes, tc.maxBytes)
 		}
 		if mallocs > tc.maxMallocs {
-			t.Errorf("%s/%s allocates %.3f objects per warp-instruction, budget %.2f",
+			t.Errorf("%s/%s allocates %.3f objects per warp-instruction, budget %g",
 				tc.abbr, tc.name, mallocs, tc.maxMallocs)
 		}
 	}

@@ -23,7 +23,7 @@ func dryRunWarp(t *testing.T, k *isa.Kernel, params []uint64) (*System, *smWarp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := exec.NewWarp(k, md.Info, exec.WarpInfo{NTid: 32, NCtaid: 1}, sys.mem, nil, params)
+	w := exec.NewWarp(k, md.Info, exec.WarpInfo{NTid: 32, NCtaid: 1}, nil, params)
 	return sys, &smWarp{w: w}
 }
 

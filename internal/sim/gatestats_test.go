@@ -75,7 +75,7 @@ func TestNoDestGateCountedAndTraced(t *testing.T) {
 	o.Trace = sink
 	cfg.Observer = o
 	sys := runSim(t, cfg, env)
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
+	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 		t.Fatalf("nodest-gated run diverged from reference at %#x", addr)
 	}
 	st := sys.Stats()
@@ -203,9 +203,9 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	// receives their live-outs).
 	w := exec.NewWarp(k, md.Info, exec.WarpInfo{
 		CtaID: 0, WarpInCTA: 0, NTid: 128, NCtaid: 64,
-	}, m, nil, env.launches[0].Params)
-	for w.PC() != cand.StartPC {
-		w.Step()
+	}, nil, env.launches[0].Params)
+	for g := exec.NewGlobal(m); w.PC() != cand.StartPC; {
+		w.Step(g)
 	}
 	stackSM := sys.stacks[0].sms[0]
 	srcWarp := &smWarp{sm: stackSM, w: w, md: md}

@@ -52,7 +52,7 @@ func TestStoredMappingMatchesPresetRun(t *testing.T) {
 	if err := sysS.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}
-	if ok, addr := mem.Equal(want, sysS.mem); !ok {
+	if ok, addr := mem.Equal(want, sysS.global.Mem); !ok {
 		t.Fatalf("stored-mapping run diverged from reference at %#x", addr)
 	}
 	ss := sysS.Stats()

@@ -108,7 +108,7 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		sys.stats.LearnEntries++
 		sys.stats.PCStats.At(cand.StartPC).LearnEntries++
 		c := sys.collects.get()
-		*c = collectState{cand: cand, addrs: c.addrs[:0]}
+		*c = collectState{cand: cand, lines: c.lines[:0]}
 		sw.collect = c
 		return false
 	}
@@ -148,7 +148,7 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		return false
 	}
 
-	req.Lines, req.Bounded = sys.dryRun(sw, cand, sys.policy.DryRunAccesses)
+	req.Lines, req.Bounded = sys.dryRun(sw, cand, sys.policy.DryRunLines)
 	if r := sys.policy.Dest(env, &req); r != "" {
 		sys.gate(now, sm, cand, -1, r)
 		return false
@@ -259,7 +259,7 @@ func (sm *SM) spawn(job *offloadJob, now int64) {
 	cand := job.cand
 	md, src := job.srcWarp.md, job.srcWarp.w
 	w := sm.sys.warps.get()
-	w.ResetRegion(md.Kernel, md.Info, src.WInfo, sm.sys.mem, src.ActiveMask(),
+	w.ResetRegion(md.Kernel, md.Info, src.WInfo, src.ActiveMask(),
 		cand.StartPC, cand.EndPC, cand.LiveIn, src.Regs)
 	slot := sm.findFreeSlot()
 	sw := &smWarp{sm: sm, slot: slot, w: w, md: md, job: job}

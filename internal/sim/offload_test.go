@@ -148,9 +148,9 @@ func TestDestStackMatchesFirstAccess(t *testing.T) {
 	// Build a warp positioned at the candidate entry.
 	w := exec.NewWarp(env.launches[0].Kernel, info, exec.WarpInfo{
 		CtaID: 3, WarpInCTA: 1, NTid: 128, NCtaid: 64,
-	}, m, nil, env.launches[0].Params)
-	for w.PC() != cand.StartPC {
-		w.Step()
+	}, nil, env.launches[0].Params)
+	for g := exec.NewGlobal(m); w.PC() != cand.StartPC; {
+		w.Step(g)
 	}
 	sw := &smWarp{w: w}
 	dest := destOf(sys, sw, cand)

@@ -46,7 +46,7 @@ func TestPolicyRunsMatchReference(t *testing.T) {
 			cfg.Mapping = MapBaseline
 			cfg.Policy = policy
 			sys := runSim(t, cfg, env)
-			if ok, addr := mem.Equal(want, sys.mem); !ok {
+			if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 				t.Fatalf("policy %s diverged from functional reference at %#x", policy, addr)
 			}
 			st := sys.Stats()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/compiler"
@@ -62,6 +63,7 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 		Offsets: map[string]map[int]*mapping.OffsetTracker{},
 	}
 	base := mapping.Baseline{Stacks: p.Map.Stacks}
+	g := exec.NewGlobal(m)
 	mdCache := map[*isa.Kernel]*compiler.Metadata{}
 
 	// The runner reuses one CTA's warps for the whole grid, so a warp's
@@ -114,21 +116,24 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 					return
 				}
 			}
-			if res.Kind == exec.StepMem && c.addrs < profAddrCap && len(res.Accesses) > 0 {
-				c.addrs += len(res.Accesses)
-				for _, a := range res.Accesses {
-					line := a.Addr >> mapping.LineShift << mapping.LineShift
-					if n := len(c.lines); n == 0 || c.lines[n-1] != line {
-						c.lines = append(c.lines, line)
+			if res.Kind == exec.StepMem && c.addrs < profAddrCap {
+				lines := g.Lines()
+				c.addrs += res.ActiveLanes
+				for _, line := range lines {
+					if n := len(c.lines); n == 0 || c.lines[n-1] != line.Addr {
+						c.lines = append(c.lines, line.Addr)
 					}
 				}
-				c.seq = append(c.seq, mapping.InstanceAccess{PC: res.PC, Addr: res.Accesses[0].Addr})
+				// A memory step has an active lane, and the first line
+				// holds the lowest: the leader.
+				leader := bits.TrailingZeros32(lines[0].Lanes)
+				c.seq = append(c.seq, mapping.InstanceAccess{PC: res.PC, Addr: g.Addrs[leader]})
 			}
 			if res.Done {
 				finish(l.Kernel.Name, c)
 			}
 		}
-		if err := exec.RunAnalyzed(m, l, md.Info, hook); err != nil {
+		if err := exec.RunAnalyzed(g, l, md.Info, hook); err != nil {
 			return nil, err
 		}
 		for i := range warps {

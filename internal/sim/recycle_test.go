@@ -43,7 +43,7 @@ func TestRecycledWarpsReadZeroRegisters(t *testing.T) {
 		}
 	}
 	check("functional", refMem(t, env))
-	check("timing", runSim(t, BaselineConfig(), env).mem)
+	check("timing", runSim(t, BaselineConfig(), env).global.Mem)
 }
 
 // TestConcurrentSystemsShareNothing: Systems running side by side — as

@@ -92,7 +92,7 @@ func TestBaselineMatchesFunctionalReference(t *testing.T) {
 	env := streamEnv(t, 16, 16)
 	want := refMem(t, env)
 	sys := runSim(t, BaselineConfig(), env)
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
+	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 		t.Fatalf("baseline timing run diverged from functional reference at %#x", addr)
 	}
 	st := sys.Stats()
@@ -116,7 +116,7 @@ func TestControlledOffloadMatchesReferenceAndOffloads(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mapping = MapBaseline // isolate offloading from learning here
 	sys := runSim(t, cfg, env)
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
+	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 		t.Fatalf("NDP timing run diverged from functional reference at %#x", addr)
 	}
 	st := sys.Stats()
@@ -137,7 +137,7 @@ func TestUncontrolledOffloadCompletes(t *testing.T) {
 	cfg.Offload = OffloadUncontrolled
 	cfg.Mapping = MapBaseline
 	sys := runSim(t, cfg, env)
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
+	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 		t.Fatalf("uncontrolled run diverged at %#x", addr)
 	}
 	if sys.Stats().OffloadsSent == 0 {
@@ -159,7 +159,7 @@ func TestIdealOffloadFasterThanBaseline(t *testing.T) {
 	cfg.Mapping = MapBaseline
 	ideal := runSim(t, cfg, env)
 	want := refMem(t, env)
-	if ok, addr := mem.Equal(want, ideal.mem); !ok {
+	if ok, addr := mem.Equal(want, ideal.global.Mem); !ok {
 		t.Fatalf("ideal run diverged at %#x", addr)
 	}
 	bIPC, iIPC := base.Stats().IPC(), ideal.Stats().IPC()
@@ -173,7 +173,7 @@ func TestTransparentMappingLearns(t *testing.T) {
 	env := streamEnv(t, 16, 16)
 	want := refMem(t, env)
 	sys := runSim(t, DefaultConfig(), env) // tmap + ctrl
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
+	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 		t.Fatalf("tmap run diverged at %#x", addr)
 	}
 	st := sys.Stats()

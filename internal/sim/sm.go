@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/exec"
@@ -115,7 +117,7 @@ type ctaCtx struct {
 
 type collectState struct {
 	cand      *compiler.Candidate
-	addrs     []uint64 // lane addresses, first = home-defining
+	lines     []uint64 // each step's lines in order, first = home-defining
 	memInstrs int      // warp memory instructions observed (learnWindow)
 }
 
@@ -329,7 +331,7 @@ func (sm *SM) dispatchCTAs(lc *launchCtx) {
 			w := sm.sys.warps.get()
 			w.Reset(lc.l.Kernel, lc.md.Info, exec.WarpInfo{
 				CtaID: ctaID, WarpInCTA: wi, NTid: lc.l.Block, NCtaid: lc.l.Grid,
-			}, sm.sys.mem, cta.shared, lc.l.Params)
+			}, cta.shared, lc.l.Params)
 			sw := &smWarp{sm: sm, slot: slot, w: w, cta: cta, md: lc.md}
 			cta.warps = append(cta.warps, sw)
 			sm.warps[slot] = sw
@@ -406,10 +408,6 @@ func (sm *SM) retryLSUStalls(now int64) {
 	sm.lsuStalled = 0
 }
 
-// coalesceMax bounds the transactions one warp memory instruction can
-// produce (32 lanes, distinct lines).
-const coalesceMax = isa.WarpSize
-
 // issue executes one instruction of sw and charges its timing.
 func (sm *SM) issue(sw *smWarp, now int64) {
 	w := sw.w
@@ -458,7 +456,7 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 			sm.sys.stats.StoreDrainStalls++
 			return
 		}
-		res := w.Step()
+		res := w.Step(&sm.sys.global)
 		sm.countInstr(res)
 		sm.enterBarrier(sw, now)
 
@@ -475,16 +473,17 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 			}
 			return
 		}
-		res := w.Step()
+		res := w.Step(&sm.sys.global)
 		sm.countInstr(res)
+		lines := sm.sys.global.Lines()
 		if sw.collect != nil {
-			sm.sys.recordCollection(sw, res)
+			sm.sys.recordCollection(sw, lines)
 		}
-		sm.issueMem(sw, res, now)
+		sm.issueMem(sw, res, lines, now)
 		sm.blockOnNext(sw, sm.sys.lat[d.Lat], now)
 
 	default:
-		res := w.Step()
+		res := w.Step(&sm.sys.global)
 		sm.countInstr(res)
 		sm.blockOnNext(sw, sm.sys.lat[d.Lat], now)
 	}
@@ -499,37 +498,15 @@ func (sm *SM) countInstr(res exec.StepResult) {
 	}
 }
 
-// issueMem coalesces the step's lane accesses into line transactions and
-// routes them through L1 / MSHRs / the memory port.
-func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
-	lineMask := uint64(sm.cfg.LineBytes - 1)
-	type lineInfo struct {
-		line  uint64
-		lanes int
-	}
-	var lines [coalesceMax]lineInfo
-	n := 0
-	for _, a := range res.Accesses {
-		l := a.Addr &^ lineMask
-		found := false
-		for i := 0; i < n; i++ {
-			if lines[i].line == l {
-				lines[i].lanes++
-				found = true
-				break
-			}
-		}
-		if !found {
-			lines[n] = lineInfo{line: l, lanes: 1}
-			n++
-		}
-	}
+// issueMem routes the step's line transactions through L1 / MSHRs / the
+// memory port.
+func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, lines []exec.Line, now int64) {
 	isStore := res.Op.IsStore() || res.Op == isa.OpAtomAdd
 	if isStore {
-		sw.pendingStores += n
+		sw.pendingStores += len(lines)
 		if sw.job != nil && sm.cfg.Coherence {
-			for i := 0; i < n; i++ {
-				sw.job.dirty[lines[i].line] = struct{}{}
+			for _, li := range lines {
+				sw.job.dirty[li.Addr] = struct{}{}
 			}
 		}
 	}
@@ -537,12 +514,11 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 	if res.Op.IsLoad() || res.Op == isa.OpAtomAdd {
 		sw.pendingRegs |= 1 << reg
 	}
-	for i := 0; i < n; i++ {
-		li := lines[i]
+	for _, li := range lines {
 		if isStore {
 			// Write-through, no-allocate: touch L1 LRU if present.
-			sm.l1.Lookup(li.line)
-			t := sm.sys.newTxn(txn{line: li.line, bytes: li.lanes * isa.WordBytes, store: true,
+			sm.l1.Lookup(li.Addr)
+			t := sm.sys.newTxn(txn{line: li.Addr, bytes: bits.OnesCount32(li.Lanes) * isa.WordBytes, store: true,
 				atom: res.Op == isa.OpAtomAdd, sm: sm, sw: sw, reg: reg})
 			if res.Op == isa.OpAtomAdd {
 				sw.regCount[reg]++
@@ -553,11 +529,11 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 		}
 		// Load path.
 		sw.regCount[reg]++
-		if e, outstanding := sm.mshr[li.line]; outstanding {
+		if e, outstanding := sm.mshr[li.Addr]; outstanding {
 			e.waiters = append(e.waiters, loadWaiter{sw: sw, reg: reg})
 			continue
 		}
-		if sm.l1.Lookup(li.line) {
+		if sm.l1.Lookup(li.Addr) {
 			sm.noteL1(true)
 			sm.ringAfter(sm.cfg.L1Lat, now, smEvent{sw: sw, reg: int8(reg)})
 			continue
@@ -565,9 +541,9 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 		sm.noteL1(false)
 		e := sm.sys.mshrs.get()
 		*e = mshrEntry{waiters: append(e.waiters[:0], loadWaiter{sw: sw, reg: reg})}
-		sm.mshr[li.line] = e
+		sm.mshr[li.Addr] = e
 		sm.sys.inflight++
-		sm.lsu = append(sm.lsu, sm.sys.newTxn(txn{line: li.line, sm: sm}))
+		sm.lsu = append(sm.lsu, sm.sys.newTxn(txn{line: li.Addr, sm: sm}))
 	}
 }
 

@@ -29,10 +29,12 @@ type launchCtx struct {
 // programmer-transparent data-mapping machinery.
 type System struct {
 	cfg   Config
-	mem   *mem.Flat
 	alloc *mem.AllocTable
-	wheel *wheel
-	stats Stats
+	// global is the memory every warp steps over, and the one scratch their
+	// global memory instructions leave their lines in.
+	global exec.Global
+	wheel  *wheel
+	stats  Stats
 
 	all    []*SM // every SM by id: main SMs, then each stack's
 	sms    []*SM // main GPU SMs (all[:MainSMs])
@@ -110,7 +112,8 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		panic(err) // validated by internal/core and the CLIs before New
 	}
 	sys := &System{
-		cfg: cfg, mem: m, alloc: alloc,
+		cfg: cfg, alloc: alloc,
+		global:     exec.Global{Mem: m, LineBytes: uint64(cfg.LineBytes)},
 		l2mshr:     make(map[uint64]*l2entry),
 		offloadBit: -1,
 		mdCache:    make(map[*isa.Kernel]*compiler.Metadata),
@@ -284,14 +287,12 @@ func (sys *System) metadata(k *isa.Kernel) (*compiler.Metadata, error) {
 // it also keeps the learning prefix short at reduced workload scale.
 const learnWindow = 8
 
-func (sys *System) recordCollection(sw *smWarp, res exec.StepResult) {
+func (sys *System) recordCollection(sw *smWarp, lines []exec.Line) {
 	c := sw.collect
-	for _, a := range res.Accesses {
-		c.addrs = append(c.addrs, a.Addr)
+	for _, l := range lines {
+		c.lines = append(c.lines, l.Addr)
 	}
-	if len(res.Accesses) > 0 {
-		c.memInstrs++
-	}
+	c.memInstrs++
 	if c.memInstrs >= learnWindow {
 		sys.finishCollection(sw)
 	}
@@ -301,10 +302,10 @@ func (sys *System) finishCollection(sw *smWarp) {
 	c := sw.collect
 	sw.collect = nil
 	defer sys.collects.put(c) // the analyzer copies what it keeps
-	if len(c.addrs) == 0 {
+	if len(c.lines) == 0 {
 		return
 	}
-	sys.analyzer.ObserveInstance(c.addrs)
+	sys.analyzer.ObserveInstance(c.lines)
 	sys.learnSeen++
 	if sys.learning && sys.learnGoal > 0 && sys.learnSeen >= sys.learnGoal {
 		sys.endLearning()

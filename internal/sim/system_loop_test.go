@@ -168,7 +168,7 @@ func TestWheelOverflowDelayInSystem(t *testing.T) {
 	cfg.Mapping = MapBaseline
 	cfg.OffloadPipeLat = wheelHorizon + 1000 // absurdly deep offload pipeline
 	sys := runSim(t, cfg, env)
-	if ok, addr := mem.Equal(want, sys.mem); !ok {
+	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
 		t.Fatalf("run with over-horizon latency diverged at %#x", addr)
 	}
 	if sys.Stats().OffloadsSent == 0 {

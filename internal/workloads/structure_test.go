@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"math/bits"
 	"testing"
 
+	"repro/internal/cfgx"
 	"repro/internal/compiler"
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -10,29 +12,35 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAllocationsCoverAllAccesses: every global access of every workload
+// TestAllocationsCoverEveryLane: every global access of every workload
 // must land inside a driver allocation (no wild addresses).
-func TestAllocationsCoverAllAccesses(t *testing.T) {
+func TestAllocationsCoverEveryLane(t *testing.T) {
 	for _, w := range All() {
 		inst, err := w.Build(0.03)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Abbr, err)
 		}
 		c := inst.Clone()
+		g := exec.NewGlobal(c.Mem)
 		bad := 0
 		var firstBad uint64
 		hook := func(wp *exec.Warp, res exec.StepResult) {
-			for _, a := range res.Accesses {
-				if c.Alloc.Find(a.Addr) == nil {
-					if bad == 0 {
-						firstBad = a.Addr
+			if res.Kind != exec.StepMem {
+				return
+			}
+			for _, line := range g.Lines() {
+				for m := line.Lanes; m != 0; m &= m - 1 {
+					if addr := g.Addrs[bits.TrailingZeros32(m)]; c.Alloc.Find(addr) == nil {
+						if bad == 0 {
+							firstBad = addr
+						}
+						bad++
 					}
-					bad++
 				}
 			}
 		}
 		for _, l := range c.Launches {
-			if err := exec.RunInstrumented(c.Mem, l, hook); err != nil {
+			if err := runHooked(g, l, hook); err != nil {
 				t.Fatalf("%s: %v", w.Abbr, err)
 			}
 		}
@@ -40,6 +48,15 @@ func TestAllocationsCoverAllAccesses(t *testing.T) {
 			t.Errorf("%s: %d accesses outside allocations (first %#x)", w.Abbr, bad, firstBad)
 		}
 	}
+}
+
+// runHooked runs one launch functionally over g with a step hook.
+func runHooked(g *exec.Global, l exec.Launch, hook exec.StepHook) error {
+	info, err := cfgx.Analyze(l.Kernel)
+	if err != nil {
+		return err
+	}
+	return exec.RunAnalyzed(g, l, info, hook)
 }
 
 // TestWarpCoalescingQuality: the workloads are written with interleaved
@@ -52,20 +69,17 @@ func TestWarpCoalescingQuality(t *testing.T) {
 			t.Fatalf("%s: %v", w.Abbr, err)
 		}
 		c := inst.Clone()
+		g := exec.NewGlobal(c.Mem)
 		var memInstrs, lines uint64
 		hook := func(wp *exec.Warp, res exec.StepResult) {
 			if res.Kind != exec.StepMem {
 				return
 			}
 			memInstrs++
-			seen := map[uint64]bool{}
-			for _, a := range res.Accesses {
-				seen[a.Addr>>7] = true
-			}
-			lines += uint64(len(seen))
+			lines += uint64(len(g.Lines()))
 		}
 		for _, l := range c.Launches {
-			if err := exec.RunInstrumented(c.Mem, l, hook); err != nil {
+			if err := runHooked(g, l, hook); err != nil {
 				t.Fatalf("%s: %v", w.Abbr, err)
 			}
 		}
