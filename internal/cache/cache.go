@@ -6,12 +6,15 @@
 // what makes the offload coherence protocol a pure timing concern.
 package cache
 
-// Cache is a set-associative tag store with LRU replacement.
+// Cache is a set-associative tag store with LRU replacement. The store is
+// allocated by the first Fill: until then tags, valid and stamp are nil and
+// the cache answers as an empty one does, so a cache that is never filled
+// (the L1 of an SM that never runs a warp) costs only this header.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      []uint64 // sets*ways entries
+	tags      []uint64 // sets*ways entries once allocated
 	valid     []bool
 	stamp     []uint64 // LRU timestamps
 	clock     uint64
@@ -32,11 +35,7 @@ func New(totalBytes, ways, lineBytes int) *Cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	n := sets * ways
-	return &Cache{
-		sets: sets, ways: ways, lineShift: shift,
-		tags: make([]uint64, n), valid: make([]bool, n), stamp: make([]uint64, n),
-	}
+	return &Cache{sets: sets, ways: ways, lineShift: shift}
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
@@ -46,6 +45,10 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 
 // Lookup probes the cache without modifying contents; a hit refreshes LRU.
 func (c *Cache) Lookup(addr uint64) bool {
+	if c.valid == nil { // never filled
+		c.Misses++
+		return false
+	}
 	set, tag := c.index(addr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -63,6 +66,10 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Fill installs the line containing addr, evicting LRU if needed.
 // Write-through means evictions are silent (no dirty writeback).
 func (c *Cache) Fill(addr uint64) {
+	if c.valid == nil {
+		n := c.sets * c.ways
+		c.tags, c.valid, c.stamp = make([]uint64, n), make([]bool, n), make([]uint64, n)
+	}
 	set, tag := c.index(addr)
 	base := set * c.ways
 	victim := -1
@@ -104,6 +111,9 @@ func (c *Cache) Access(addr uint64) bool {
 // Invalidate drops the line containing addr if present, reporting whether
 // it was. Used by the offload coherence protocol (§4.4.2 step 3).
 func (c *Cache) Invalidate(addr uint64) bool {
+	if c.valid == nil { // never filled
+		return false
+	}
 	set, tag := c.index(addr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {

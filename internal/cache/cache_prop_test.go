@@ -117,3 +117,63 @@ func TestCacheMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestNeverFilledCacheIsEmpty: a cache allocates its tag store on its first
+// Fill. Before that it must answer as an allocated store with no valid line
+// does — the same hits, misses, invalidations and residency after every
+// operation of a random stream, the stream's first Fill included.
+func TestNeverFilledCacheIsEmpty(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		fresh := New(4096, 4, 128)
+		emptied := New(4096, 4, 128)
+		emptied.Fill(0)
+		emptied.InvalidateAll()
+		emptied.Hits, emptied.Misses, emptied.Fills, emptied.Invalidations = 0, 0, 0, 0
+		for op := 0; op < 2000; op++ {
+			addr := uint64(rng.Intn(1 << 13))
+			var got, want any
+			switch k := rng.Intn(10); {
+			case k < 4:
+				got, want = fresh.Lookup(addr), emptied.Lookup(addr)
+			case k < 6:
+				fresh.Fill(addr)
+				emptied.Fill(addr)
+			case k < 8:
+				got, want = fresh.Invalidate(addr), emptied.Invalidate(addr)
+			case k < 9:
+				fresh.InvalidateAll()
+				emptied.InvalidateAll()
+			default:
+				got, want = fresh.Resident(), emptied.Resident()
+			}
+			if got != want {
+				t.Fatalf("trial %d op %d (addr %#x): fresh cache answers %v, emptied one %v", trial, op, addr, got, want)
+			}
+			if fc, ec := counters(fresh), counters(emptied); fc != ec {
+				t.Fatalf("trial %d op %d: fresh cache counts %v, emptied one %v", trial, op, fc, ec)
+			}
+		}
+	}
+}
+
+func counters(c *Cache) [4]uint64 { return [4]uint64{c.Hits, c.Misses, c.Fills, c.Invalidations} }
+
+// TestNeverFilledCacheAllocatesNothing: the probes an idle SM's L1 still
+// receives — a store's LRU touch, a coherence invalidation, the flush at the
+// end of the learning phase — leave the tag store unallocated.
+func TestNeverFilledCacheAllocatesNothing(t *testing.T) {
+	c := New(16<<10, 4, 128)
+	for name, probe := range map[string]func(){
+		"Lookup":        func() { c.Lookup(0x1000) },
+		"Invalidate":    func() { c.Invalidate(0x1000) },
+		"InvalidateAll": c.InvalidateAll,
+	} {
+		if n := testing.AllocsPerRun(100, probe); n != 0 {
+			t.Errorf("%s on a never-filled cache allocates %v times per call", name, n)
+		}
+	}
+	if c.valid != nil {
+		t.Error("a cache that was never filled holds a tag store")
+	}
+}

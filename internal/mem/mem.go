@@ -46,11 +46,14 @@ type Flat struct {
 	pages map[uint64]pageRef
 	// Lookup caches: GPU access streams are heavily page-local. Loads go
 	// through last, which may hold any page of this memory. Stores go
-	// through own and then own2, the two most recently stored-to pages, which
-	// only ever hold pages that are not shared, so a hit needs no second
-	// test. Two entries serve a writer that alternates between two arrays —
-	// a builder filling a[i] and b[i], a kernel streaming two outputs —
-	// without a page-table lookup per word.
+	// through own and then own2, the last two pages a store had to look up in
+	// the page table (own the later), which only ever hold pages that are not
+	// shared, so a hit needs no second test. Two entries serve a writer that
+	// alternates between two arrays — a builder filling a[i] and b[i], a
+	// kernel streaming two outputs — without a page-table lookup per word. A
+	// hit in either entry writes nothing: swapping them on an own2 hit would
+	// write two pointers per store, a GC write barrier each while the
+	// collector is marking.
 	lastKey uint64
 	last    *Page
 	ownKey  uint64
@@ -62,12 +65,10 @@ type Flat struct {
 // NewFlat returns an empty memory.
 func NewFlat() *Flat { return new(Flat) }
 
-// storePage is the stores' path past own: a hit in own2 swaps the two
-// entries, so own stays the most recent page.
+// storePage is the stores' path past own.
 func (f *Flat) storePage(key uint64) *Page {
 	if key == f.own2Key {
-		f.ownKey, f.own, f.own2Key, f.own2 = f.own2Key, f.own2, f.ownKey, f.own
-		return f.own
+		return f.own2
 	}
 	return f.makeWritable(key)
 }
@@ -115,8 +116,8 @@ func (f *Flat) LoadPage(addr uint64) *Page {
 }
 
 // StorePage returns the page holding addr for writing: one tag compare when
-// the previous store hit the same page, two when it hit the page stored to
-// before that. A missing page is created and a shared one copied first, once.
+// the page is own, two when it is own2. A missing page is created and a
+// shared one copied first, once.
 func (f *Flat) StorePage(addr uint64) *Page {
 	if key := pageKey(addr); key != f.ownKey {
 		return f.storePage(key)

@@ -71,6 +71,28 @@ func TestZeroValueIsEmptyMemory(t *testing.T) {
 	}
 }
 
+// TestAlternatingStoresLeaveTheStoreCache: a writer alternating between two
+// pages hits the two entries of the store cache and moves neither, so no
+// store writes a pointer (a GC write barrier each while the collector marks).
+func TestAlternatingStoresLeaveTheStoreCache(t *testing.T) {
+	m := NewFlat()
+	a, c := uint64(AllocBase), uint64(AllocBase+PageBytes)
+	m.Store4(a, 1)
+	m.Store4(c, 1)
+	want := *m
+	for i := uint64(0); i < 1000; i++ {
+		m.Store4(a+4*i, uint32(i))
+		m.Store4(c+4*i, uint32(i))
+	}
+	m.Store4(a, 7) // an odd count of stores: a swap on each hit would show
+	if m.ownKey != want.ownKey || m.own != want.own || m.own2Key != want.own2Key || m.own2 != want.own2 {
+		t.Error("stores that hit the store cache moved its entries")
+	}
+	if got := m.Load4(a + 4*999); got != 999 {
+		t.Errorf("reads %d at the last word stored, want 999", got)
+	}
+}
+
 // BenchmarkFlatStoreAlternating is SP's Build loop: one word each into two
 // arrays, a[i] then b[i], so consecutive stores alternate between two pages.
 // Both stay in the store cache; ns/op is per pair of stores.

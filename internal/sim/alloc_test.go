@@ -11,15 +11,18 @@ import (
 // committed ceilings, so a regression fails `go test` and not only the
 // benchmark's host_alloc_b_per_winstr. One cell that offloads everything
 // (stack SMs, offload jobs, cross-stack flights), one baseline cell that
-// stores to every page of its image (L2 misses over the GPU links) and one
+// stores to every page of its image (L2 misses over the GPU links), one
 // that stores to one page of 45, the read-mostly shape copy-on-write images
-// are for: heap bytes and objects allocated by Clone+New+Run — what a session
-// pays per cell, the run's private copies of the pages it writes included —
-// per simulated warp-instruction. The counts repeat from run to run to three
+// are for, and one compute cell whose 19 CTAs leave 49 of 68 main SMs idle:
+// heap bytes and objects allocated by Clone+New+Run — what a session pays
+// per cell, the run's private copies of the pages it writes included — per
+// simulated warp-instruction. The counts repeat from run to run to three
 // digits, and the ceilings sit about 10 % above what the cells allocate
-// (63.5, 16.8 and 10.8 B; 0.313, 0.078 and 0.045 objects). BFS's is 4 %: it
-// keeps the most warps, and a buffer that every warp owns again (a 32-entry
-// lane access buffer was 3.8 B there) must fail it.
+// (62.2, 13.5, 7.4 and 7.4 B; 0.313, 0.076, 0.043 and 0.030 objects). BFS's
+// is 4 %: it keeps the most warps, and a buffer that every warp owns again
+// (a 32-entry lane access buffer was 3.8 B there) must fail it. KM's fails
+// if an idle SM allocates its L1 tag store, timer ring and warp slot table
+// again (10.7 B).
 func TestSteadyStateAllocBudget(t *testing.T) {
 	noctrlBmap := DefaultConfig()
 	noctrlBmap.Offload = OffloadUncontrolled
@@ -30,9 +33,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		maxBytes   float64 // per warp-instruction
 		maxMallocs float64
 	}{
-		{"BFS", "noctrl-bmap", noctrlBmap, 66, 0.35},
-		{"FWT", "baseline", BaselineConfig(), 18.5, 0.085},
-		{"SP", "baseline", BaselineConfig(), 12, 0.05}, // 36.6 B with a deep-copying Clone
+		{"BFS", "noctrl-bmap", noctrlBmap, 64.7, 0.35},
+		{"FWT", "baseline", BaselineConfig(), 14.9, 0.085},
+		{"SP", "baseline", BaselineConfig(), 8.2, 0.05}, // 36.6 B with a deep-copying Clone
+		{"KM", "baseline", BaselineConfig(), 8.2, 0.033},
 	} {
 		w, err := workloads.ByAbbr(tc.abbr)
 		if err != nil {
@@ -67,5 +71,31 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			t.Errorf("%s/%s allocates %.3f objects per warp-instruction, budget %g",
 				tc.abbr, tc.name, mallocs, tc.maxMallocs)
 		}
+	}
+}
+
+// BenchmarkNewSystem prices sim.New, what every cell pays before its first
+// cycle, over KM at scale 0.03 under baseline (68 main SMs) and ctrl-tmap
+// (64), each with 4 stack SMs. Nothing runs, so no SM has issued: B/op is
+// the construction cost of a GPU whose SMs are all idle.
+func BenchmarkNewSystem(b *testing.B) {
+	w, err := workloads.ByAbbr("KM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := w.Build(0.03)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"baseline", BaselineConfig()}, {"ctrl-tmap", DefaultConfig()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(tc.cfg, inst.Mem, inst.Alloc)
+			}
+		})
 	}
 }

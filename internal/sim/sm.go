@@ -29,7 +29,7 @@ type SM struct {
 	l1      *cache.Cache
 	port    memPort
 
-	warps []*smWarp // fixed slots (nil = free)
+	warps []*smWarp // fixed slots (nil = free); the first warp allocates them
 	ready bitset
 	cur   int // GTO: last issued slot
 
@@ -45,9 +45,10 @@ type SM struct {
 
 	// evRing is a per-SM timer ring for short fixed delays (ALU pipeline
 	// occupancy, L1-hit load returns). It avoids per-instruction closure
-	// allocation on the global wheel; slot slices are reused. Which SMs hold
-	// events in which slot is the System's ringSMs/ringOcc wake sets.
-	evRing [ringSlots][]smEvent
+	// allocation on the global wheel; slot slices are reused. The first
+	// ringAfter allocates it, so an SM that never issues holds none. Which
+	// SMs hold events in which slot is the System's ringSMs/ringOcc wake sets.
+	evRing *[ringSlots][]smEvent
 }
 
 // ringSlots must exceed every latency scheduled on the ring.
@@ -133,7 +134,6 @@ func newSM(sys *System, id int, isStack bool, stackID int, warpSlots int) *SM {
 	return &SM{
 		id: id, isStack: isStack, stackID: stackID, sys: sys, cfg: &sys.cfg,
 		l1:         cache.New(c.L1Bytes, c.L1Ways, c.LineBytes),
-		warps:      make([]*smWarp, warpSlots),
 		ready:      newBitset(max(warpSlots, 64)),
 		mshr:       make(map[uint64]*mshrEntry),
 		freeSlots:  warpSlots,
@@ -196,6 +196,9 @@ func (sm *SM) ringAfter(lat, now int64, ev smEvent) {
 	if lat < 1 {
 		lat = 1
 	}
+	if sm.evRing == nil {
+		sm.evRing = new([ringSlots][]smEvent)
+	}
 	i := int((now + lat) % ringSlots)
 	sm.evRing[i] = append(sm.evRing[i], ev)
 	sm.sys.ringRow(i).set(sm.id)
@@ -204,6 +207,9 @@ func (sm *SM) ringAfter(lat, now int64, ev smEvent) {
 
 // ringTick fires due ring events.
 func (sm *SM) ringTick(now int64) {
+	if sm.evRing == nil { // never scheduled: the per-cycle loop ticks idle SMs too
+		return
+	}
 	i := int(now % ringSlots)
 	due := sm.evRing[i]
 	if len(due) == 0 {
@@ -343,6 +349,9 @@ func (sm *SM) dispatchCTAs(lc *launchCtx) {
 }
 
 func (sm *SM) findFreeSlot() int {
+	if sm.warps == nil { // the SM's first warp: every slot is free
+		sm.warps = make([]*smWarp, sm.freeSlots)
+	}
 	for i, w := range sm.warps {
 		if w == nil {
 			return i

@@ -32,9 +32,13 @@ func checkWakeSets(sys *System) error {
 		if (int64(id)+sys.executed)%16 != 0 {
 			continue
 		}
-		for slot := range sm.evRing {
-			if got, want := has(sys.ringRow(slot), id), len(sm.evRing[slot]) > 0; got != want {
-				return fmt.Errorf("SM %d ring slot %d: bit %v, %d events", id, slot, got, len(sm.evRing[slot]))
+		for slot := 0; slot < ringSlots; slot++ {
+			events := 0 // an SM that never scheduled an event holds no ring
+			if sm.evRing != nil {
+				events = len(sm.evRing[slot])
+			}
+			if got, want := has(sys.ringRow(slot), id), events > 0; got != want {
+				return fmt.Errorf("SM %d ring slot %d: bit %v, %d events", id, slot, got, events)
 			}
 		}
 		stalled := 0
