@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	tom "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -132,8 +133,12 @@ func (c *common) register(fs *flag.FlagSet) {
 	fs.Int64Var(&c.interval, "interval", 0, "metrics sampling interval in cycles (0 = default)")
 }
 
-// check refuses bad observation flags before anything is simulated.
+// check refuses a bad scale or bad observation flags before anything is
+// simulated.
 func (c *common) check() error {
+	if err := core.CheckScale(c.scale); err != nil {
+		return fmt.Errorf("-%w", err)
+	}
 	if c.trace == "-" {
 		return errors.New("-trace takes a file path, not -; decode the file with tomx trace")
 	}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	tom "repro"
 )
 
 // runTomx calls tomx in-process and returns its exit status and output.
@@ -67,6 +70,33 @@ func TestTraceSampleMustBePositive(t *testing.T) {
 		}
 		if _, err := os.Stat(file); !os.IsNotExist(err) {
 			t.Errorf("tomx %v: created the trace file", args)
+		}
+	}
+}
+
+// TestBadScaleRefused: a scale that is not a positive finite number is an
+// error, in tomx before anything runs and in the library where the scale
+// first meets a workload. NaN used to panic (the instance memo is keyed by
+// the scale, and NaN never equals itself), and 0, -1 and +Inf ran silently
+// at the workloads' minimum sizes.
+func TestBadScaleRefused(t *testing.T) {
+	for _, scale := range []string{"NaN", "0", "-1", "+Inf"} {
+		for _, args := range [][]string{
+			{"run", "-workload", "SP", "-scale", scale, "-compare=false"},
+			{"-exp", "fig2", "-q", "-scale", scale},
+		} {
+			code, stdout, stderr := runTomx(t, "", args...)
+			if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "tomx: -scale") {
+				t.Errorf("tomx %v: exit %d, stdout %q, stderr %q; want 1, nothing, a -scale error",
+					args, code, stdout, stderr)
+			}
+		}
+		v, err := strconv.ParseFloat(scale, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tom.Run("SP", tom.TOM, v); err == nil {
+			t.Errorf("tom.Run at scale %v: no error", v)
 		}
 	}
 }

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/energy"
@@ -242,8 +243,21 @@ func memo[T any](s *Session, kind string, k instKey, m map[instKey]T, build func
 	return m[k], err
 }
 
-// instance returns the pristine instance of a workload at a scale.
+// CheckScale refuses a problem scale that is not a positive finite number.
+// NaN would also break the memo: a NaN key never equals itself.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("scale %v: want a positive finite number", scale)
+	}
+	return nil
+}
+
+// instance returns the pristine instance of a workload at a scale: the one
+// place a scale first meets a workload.
 func (s *Session) instance(abbr string, scale float64) (*workloads.Instance, error) {
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
 	return memo(s, "inst", instKey{abbr, scale}, s.insts, func() (*workloads.Instance, error) {
 		w, err := workloads.ByAbbr(abbr)
 		if err != nil {

@@ -32,7 +32,10 @@ import "runtime/debug"
 // v9: every digest moved again — the offload policy is a table row whose
 // constants the build fingerprint covers, so the digest no longer folds a
 // "policy=name{params}" suffix after the canonical configuration.
-const cacheSchemaVersion = "tomcache/v9"
+// v10: every digest moved — the memory geometry (stacks, vaults per stack,
+// banks, row size) is a set of mapping constants, not configuration fields,
+// so it left the canonical configuration. The model did not change.
+const cacheSchemaVersion = "tomcache/v10"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.

@@ -65,7 +65,7 @@ func TestLearnFamilySharing(t *testing.T) {
 		{"PCIeBW", func(c *sim.Config) { c.PCIeBW *= 2 }},
 		{"L2Bytes", func(c *sim.Config) { c.L2Bytes *= 2 }},
 		{"MainSMs", func(c *sim.Config) { c.MainSMs++ }},
-		{"Stacks", func(c *sim.Config) { c.Stacks *= 2 }},
+		{"StackSMs", func(c *sim.Config) { c.StackSMs++ }},
 	} {
 		c := tmap
 		mut.mut(&c)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/obs"
 )
 
@@ -204,15 +205,11 @@ func TestStackPendingShareBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := buildConfig(CfgCtrlTmap)
-	if err != nil {
-		t.Fatal(err)
-	}
 	measured := 0
 	for i, p := range pairs {
 		snap := snaps[i]
 		total, max := 0.0, 0.0
-		for st := 0; st < cfg.Stacks; st++ {
+		for st := range mapping.Stacks {
 			sum := 0.0
 			for _, v := range snap.Series[fmt.Sprintf("stack.%d.pending_offloads", st)].Values {
 				sum += v

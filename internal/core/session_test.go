@@ -63,7 +63,7 @@ func TestRunSpecDigestStability(t *testing.T) {
 	}
 	// Persisted records are keyed by this digest: it may not move without a
 	// cache schema bump.
-	if got, want := sp.Digest(), "d25f388dd5a87347cfe86e4a99792cecefbc633f618dfd882150be7270c0e394"; got != want {
+	if got, want := sp.Digest(), "8a61a1fcef27510375a8d605ceb4b8370b0033225d248d0dec00626e9e9605f2"; got != want {
 		t.Errorf("SP/ctrl-tmap @ 0.3 digest = %s, want %s", got, want)
 	}
 }

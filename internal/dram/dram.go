@@ -15,12 +15,14 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/mapping"
 )
 
-// Timing collects the vault timing/geometry parameters, in core cycles.
+// Timing collects the vault timing parameters, in core cycles. The geometry
+// (mapping.Banks banks per vault, mapping.RowBytes rows) is Table 1's,
+// decoded by mapping.Decode.
 type Timing struct {
-	Banks         int
-	RowBytes      int     // row-buffer size (4 KB, matching the energy model)
 	TCL           int64   // column access (row hit) latency
 	TRCD          int64   // activate-to-read
 	TRP           int64   // precharge
@@ -31,8 +33,6 @@ type Timing struct {
 // DefaultTiming mirrors Table 1 / DDR3-1600 in 1.4 GHz core cycles.
 func DefaultTiming() Timing {
 	return Timing{
-		Banks:         16,
-		RowBytes:      4096,
 		TCL:           20, // ~13.75 ns
 		TRCD:          20,
 		TRP:           19,
@@ -58,6 +58,10 @@ type Request struct {
 	seq  uint64
 }
 
+// Vault.occ holds one bit per bank: this constant overflows, failing the
+// build, if mapping.Banks outgrows it.
+const _ uint64 = 1 << (mapping.Banks - 1)
+
 type bank struct {
 	openRow   uint64
 	hasRow    bool
@@ -73,7 +77,7 @@ type completion struct {
 // Vault is one vault: per-bank request queues, banks, and a TSV data bus.
 type Vault struct {
 	t         Timing
-	banks     []bank
+	banks     [mapping.Banks]bank
 	occ       uint64 // bit b set iff banks[b].queue is non-empty
 	queued    int    // total waiting requests across all bank queues
 	seq       uint64
@@ -97,7 +101,7 @@ type Vault struct {
 
 // NewVault creates a vault with the given timing.
 func NewVault(t Timing) *Vault {
-	return &Vault{t: t, banks: make([]bank, t.Banks), drainGap: int64(4 * float64(t.TCL))}
+	return &Vault{t: t, drainGap: int64(4 * float64(t.TCL))}
 }
 
 // Full reports whether the request queue is at capacity.
@@ -108,8 +112,8 @@ func (v *Vault) Enqueue(r *Request) bool {
 	if v.Full() {
 		return false
 	}
-	r.row = r.Addr / uint64(v.t.RowBytes)
-	r.bank = v.BankOf(r.Addr)
+	pl := mapping.Decode(r.Addr, mapping.Interleave) // bank and row do not depend on the stack mapping
+	r.bank, r.row = pl.Bank, pl.Row
 	r.seq = v.seq
 	v.seq++
 	v.banks[r.bank].queue = append(v.banks[r.bank].queue, r)
@@ -186,16 +190,6 @@ func (v *Vault) Snapshot() Snapshot {
 		Queued:      v.queued,
 		InFlight:    len(v.compl),
 	}
-}
-
-// BankOf maps an address to its bank: an XOR fold of row-and-above address
-// bits. Using only bits at/above the row keeps every column of a row in one
-// bank (so row hits work), while the fold prevents any single external bit
-// choice — in particular the consecutive-bit stack mappings, which pin some
-// low line bits per stack — from collapsing bank-level parallelism.
-func (v *Vault) BankOf(addr uint64) int {
-	row := addr / uint64(v.t.RowBytes)
-	return int((row ^ (row >> 4) ^ (row >> 8)) % uint64(len(v.banks)))
 }
 
 // Tick issues at most one request per cycle (FR-FCFS: oldest row-hit to a

@@ -3,6 +3,8 @@ package dram
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/mapping"
 )
 
 // TestEveryRequestCompletesExactlyOnce: under random load, each enqueued
@@ -86,12 +88,11 @@ func TestRowHitsPlusActivationsEqualRequests(t *testing.T) {
 // and constraining any two address bits (a consecutive-bit stack mapping)
 // still leaves all banks reachable.
 func TestBankFoldPreservesRowResidency(t *testing.T) {
-	v := NewVault(DefaultTiming())
 	for row := uint64(0); row < 256; row++ {
 		base := row * 4096
-		b0 := v.BankOf(base)
+		b0 := bankOf(base)
 		for off := uint64(0); off < 4096; off += 128 {
-			if v.BankOf(base+off) != b0 {
+			if bankOf(base+off) != b0 {
 				t.Fatalf("row %d spans banks", row)
 			}
 		}
@@ -103,9 +104,9 @@ func TestBankFoldPreservesRowResidency(t *testing.T) {
 				addr := i * 4096
 				// Constrain the two mapping bits to `fixed`.
 				addr = addr&^(3<<uint(bit)) | fixed<<uint(bit)
-				seen[v.BankOf(addr)] = true
+				seen[bankOf(addr)] = true
 			}
-			if len(seen) < DefaultTiming().Banks/2 {
+			if len(seen) < mapping.Banks/2 {
 				t.Fatalf("bit %d fixed=%d reaches only %d banks", bit, fixed, len(seen))
 			}
 		}

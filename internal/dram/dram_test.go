@@ -3,7 +3,12 @@ package dram
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/mapping"
 )
+
+// bankOf is the bank Enqueue files addr under.
+func bankOf(addr uint64) int { return mapping.Decode(addr, mapping.Interleave).Bank }
 
 func run(v *Vault, until int64) {
 	for now := int64(0); now < until; now++ {
@@ -45,11 +50,11 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	// Now queue: a row-miss (different row, same bank) then a row-hit;
 	// the hit must complete first. Find a same-bank different-row address
 	// under the folded bank mapping.
-	bank0 := v.BankOf(0x0)
+	bank0 := bankOf(0x0)
 	missAddr := uint64(0)
 	for row := uint64(1); row < 4096; row++ {
-		a := row * uint64(tm.RowBytes)
-		if v.BankOf(a) == bank0 {
+		a := row * mapping.RowBytes
+		if bankOf(a) == bank0 {
 			missAddr = a
 			break
 		}
@@ -59,7 +64,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	}
 	v.Enqueue(&Request{Addr: missAddr, Bytes: 128, Write: true, Done: func(now int64) { done[1] = now }})
 	hitAddr := uint64(0x80) // same row as the already-open row 0
-	if v.BankOf(hitAddr) != bank0 {
+	if bankOf(hitAddr) != bank0 {
 		t.Fatal("hit address maps to wrong bank")
 	}
 	v.Enqueue(&Request{Addr: hitAddr, Bytes: 128, Done: func(now int64) { done[2] = now }})

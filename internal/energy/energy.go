@@ -5,7 +5,10 @@
 // row-buffer reads [57, 29, 8].
 package energy
 
-import "repro/internal/sim"
+import (
+	"repro/internal/mapping"
+	"repro/internal/sim"
+)
 
 // Params holds the model constants. Defaults carry the paper's published
 // numbers; the SM constants are calibrated so the baseline's energy split
@@ -53,7 +56,7 @@ func (b Breakdown) Total() float64 { return b.SMs + b.Links + b.DRAM }
 // Compute derives the energy breakdown from run statistics.
 func Compute(st *sim.Stats, cfg sim.Config, p Params) Breakdown {
 	seconds := float64(st.Cycles) / (p.ClockGHz * 1e9)
-	nSMs := float64(cfg.MainSMs + cfg.Stacks*cfg.StackSMs)
+	nSMs := float64(cfg.MainSMs + mapping.Stacks*cfg.StackSMs)
 
 	var b Breakdown
 	// SMs: leakage over the whole run plus dynamic per thread-instruction.
@@ -66,8 +69,8 @@ func Compute(st *sim.Stats, cfg sim.Config, p Params) Breakdown {
 	b.Links = p.LinkPJPerBit * 1e-12 * activeBits
 	gpuLinkBits := cfg.GPUStackBW * 8
 	crossLinkBits := cfg.CrossStackBW * 8
-	totalWidth := float64(2*cfg.Stacks)*gpuLinkBits +
-		float64(cfg.Stacks*(cfg.Stacks-1))*crossLinkBits
+	totalWidth := float64(2*mapping.Stacks)*gpuLinkBits +
+		float64(mapping.Stacks*(mapping.Stacks-1))*crossLinkBits
 	// Idle fraction approximated from aggregate utilization.
 	capacity := totalWidth * float64(st.Cycles)
 	idleBits := capacity - activeBits

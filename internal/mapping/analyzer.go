@@ -7,7 +7,7 @@ import (
 )
 
 // numBits is the number of consecutive-bit mappings the analyzer scores:
-// bit option i is ConsecutiveBits{Bit: MinBit + i}.
+// bit option i is bit MinBit + i.
 const numBits = MaxBit - MinBit + 1
 
 // Analyzer is the Memory Map Analyzer (§4.1 ❸, §4.3), the one unit that
@@ -20,10 +20,7 @@ const numBits = MaxBit - MinBit + 1
 // flags the allocation ranges the instances touch in the driver's
 // allocation table.
 type Analyzer struct {
-	Stacks int
-	Table  *mem.AllocTable // may be nil (pure measurement)
-
-	pols [numBits]Policy // ConsecutiveBits for each bit option
+	Table *mem.AllocTable // may be nil (pure measurement)
 
 	// One row per observed instance, numBits entries each: the instance's
 	// co-location under bit option i, exact, and its home stack under it.
@@ -35,13 +32,9 @@ type Analyzer struct {
 }
 
 // NewAnalyzer returns an analyzer sweeping all bit positions
-// [MinBit, MaxBit] for a system with the given stack count.
-func NewAnalyzer(stacks int, table *mem.AllocTable) *Analyzer {
-	a := &Analyzer{Stacks: stacks, Table: table}
-	for i := range a.pols {
-		a.pols[i] = ConsecutiveBits{Stacks: stacks, Bit: MinBit + i}
-	}
-	return a
+// [MinBit, MaxBit].
+func NewAnalyzer(table *mem.AllocTable) *Analyzer {
+	return &Analyzer{Table: table}
 }
 
 // ObserveInstance records one offloading-candidate instance's accesses
@@ -60,9 +53,9 @@ func (a *Analyzer) ObserveInstance(addrs []uint64) []uint64 {
 			a.lines = append(a.lines, line)
 		}
 	}
-	for _, p := range a.pols {
-		a.coloc = append(a.coloc, Colocation(p, a.lines))
-		a.homes = append(a.homes, uint8(p.Stack(a.lines[0])))
+	for bit := MinBit; bit <= MaxBit; bit++ {
+		a.coloc = append(a.coloc, Colocation(bit, a.lines))
+		a.homes = append(a.homes, uint8(Decode(a.lines[0], bit).Stack))
 	}
 
 	if a.Table != nil {
@@ -83,14 +76,14 @@ func (a *Analyzer) ObserveInstance(addrs []uint64) []uint64 {
 func (a *Analyzer) Instances() int { return len(a.homes) / numBits }
 
 // Colocation returns the fraction of lines on the home (first line's)
-// stack under p. The analyzer scores candidate mappings with it, and the
-// co-location-aware offload policy (CODA) reuses it to drop candidates
-// whose data splits across stacks. lines must be non-empty.
-func Colocation(p Policy, lines []uint64) float64 {
-	home := p.Stack(lines[0])
+// stack under the stack mapping bit (see Decode). The analyzer scores
+// candidate mappings with it, and the profile scores the baseline
+// interleave. lines must be non-empty.
+func Colocation(bit int, lines []uint64) float64 {
+	home := Decode(lines[0], bit).Stack
 	n := 0
 	for _, l := range lines {
-		if p.Stack(l) == home {
+		if Decode(l, bit).Stack == home {
 			n++
 		}
 	}
@@ -130,18 +123,18 @@ func (a *Analyzer) score(i, k int) float64 {
 			adjSame++
 		}
 	}
-	return v * balanceFactor(adjSame, k, a.Stacks)
+	return v * balanceFactor(adjSame, k)
 }
 
 // balanceFactor maps the fraction of consecutive instances homing to the
 // same stack to a [0,1] discount: uniform spreading (1/stacks) costs
 // nothing, perfect waves (always the same stack) zero the score.
-func balanceFactor(adjSame, instances, stacks int) float64 {
+func balanceFactor(adjSame, instances int) float64 {
 	if instances <= 1 {
 		return 1
 	}
 	same := float64(adjSame) / float64(instances-1)
-	uniform := 1.0 / float64(stacks)
+	uniform := 1.0 / Stacks
 	if same <= uniform {
 		return 1
 	}

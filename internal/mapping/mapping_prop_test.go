@@ -6,24 +6,18 @@ import (
 	"testing"
 )
 
-// TestAllPoliciesCoverAllStacks: every mapping policy must reach every
+// TestAllPoliciesCoverAllStacks: every stack mapping must reach every
 // stack over a modest address sweep (no stack can be unreachable).
 func TestAllPoliciesCoverAllStacks(t *testing.T) {
-	policies := []Policy{Baseline{Stacks: 4}}
-	for b := MinBit; b <= MaxBit; b++ {
-		policies = append(policies, ConsecutiveBits{Stacks: 4, Bit: b})
-	}
-	for _, p := range policies {
-		seen := map[int]bool{}
-		for i := uint64(0); i < 1<<12; i++ {
-			s := p.Stack(i << 7) // line strides vary every candidate bit
-			if s < 0 || s > 3 {
-				t.Fatalf("%T%+v: stack %d out of range", p, p, s)
-			}
-			seen[s] = true
+	for _, bit := range mappings {
+		var seen [Stacks]bool
+		for i := range uint64(1 << 12) {
+			seen[Decode(i<<LineShift, bit).Stack] = true // line strides vary every candidate bit
 		}
-		if len(seen) != 4 {
-			t.Errorf("%T%+v reaches only %d stacks", p, p, len(seen))
+		for s, ok := range seen {
+			if !ok {
+				t.Errorf("bit %d never reaches stack %d", bit, s)
+			}
 		}
 	}
 }
@@ -32,7 +26,7 @@ func TestAllPoliciesCoverAllStacks(t *testing.T) {
 // own selection score (co-location x load-balance guard).
 func TestAnalyzerBestBitIsArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := NewAnalyzer(4, nil)
+	a := NewAnalyzer(nil)
 	for inst := 0; inst < 300; inst++ {
 		var addrs []uint64
 		base := uint64(rng.Intn(1<<20)) << 8
@@ -67,12 +61,12 @@ func TestAnalyzerPrefixIsAFreshAnalyzer(t *testing.T) {
 		}
 		insts = append(insts, addrs)
 	}
-	all := NewAnalyzer(4, nil)
+	all := NewAnalyzer(nil)
 	for _, addrs := range insts {
 		all.ObserveInstance(addrs)
 	}
 	for _, k := range []int{1, 2, 3, 10, 57, 199, 200} {
-		fresh := NewAnalyzer(4, nil)
+		fresh := NewAnalyzer(nil)
 		for _, addrs := range insts[:k] {
 			fresh.ObserveInstance(addrs)
 		}
@@ -93,7 +87,7 @@ func TestAnalyzerPrefixIsAFreshAnalyzer(t *testing.T) {
 // TestAnalyzerDedupesLines: an instance's lines count once each, in
 // first-access order, and the empty analyzer reports no co-location.
 func TestAnalyzerDedupesLines(t *testing.T) {
-	a := NewAnalyzer(4, nil)
+	a := NewAnalyzer(nil)
 	if a.CoLocation(MinBit) != 0 || a.Instances() != 0 {
 		t.Fatal("an empty analyzer must report 0 instances and 0 co-location")
 	}

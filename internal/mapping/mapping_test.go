@@ -8,66 +8,66 @@ import (
 	"repro/internal/mem"
 )
 
+// TestBaselineSpreadsLines: the interleave spreads consecutive lines evenly
+// over the stacks.
 func TestBaselineSpreadsLines(t *testing.T) {
-	b := Baseline{Stacks: 4}
-	counts := make([]int, 4)
-	for i := 0; i < 1<<14; i++ {
-		addr := uint64(i) * CacheLineBytes
-		s := b.Stack(addr)
-		if s < 0 || s >= 4 {
-			t.Fatalf("stack %d out of range", s)
-		}
-		counts[s]++
+	const lines = 1 << 14
+	var stacks [Stacks]int
+	for i := range uint64(lines) {
+		stacks[Decode(i*CacheLineBytes, Interleave).Stack]++
 	}
-	for s, c := range counts {
-		if c < (1<<14)/4-64 || c > (1<<14)/4+64 {
-			t.Errorf("stack %d gets %d lines, want ~%d", s, c, (1<<14)/4)
+	for s, c := range stacks {
+		if c < lines/Stacks-64 || c > lines/Stacks+64 {
+			t.Errorf("stack %d gets %d lines, want ~%d", s, c, lines/Stacks)
 		}
 	}
 }
 
+// TestBaselineStableWithinLine: the interleave never splits a cache line
+// across stacks.
 func TestBaselineStableWithinLine(t *testing.T) {
 	f := func(addr uint64) bool {
-		b := Baseline{Stacks: 4}
 		base := addr &^ uint64(CacheLineBytes-1)
-		return b.Stack(base) == b.Stack(base+CacheLineBytes-1)
+		return Decode(base, Interleave) == Decode(base+CacheLineBytes-1, Interleave)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestConsecutiveBitsMapping: under bit 12 every address of a 4 KB chunk
+// homes on one stack, and four consecutive chunks cover all stacks.
 func TestConsecutiveBitsMapping(t *testing.T) {
-	c := ConsecutiveBits{Stacks: 4, Bit: 12}
-	// Addresses within one 4 KB chunk land on one stack...
-	s0 := c.Stack(0)
-	for a := uint64(0); a < 4096; a += 128 {
-		if c.Stack(a) != s0 {
+	s0 := Decode(0, 12).Stack
+	for a := uint64(0); a < 4096; a += CacheLineBytes {
+		if Decode(a, 12).Stack != s0 {
 			t.Fatalf("addr %#x left home stack", a)
 		}
 	}
-	// ...and the four consecutive chunks cover all stacks.
 	seen := map[int]bool{}
-	for chunk := uint64(0); chunk < 4; chunk++ {
-		seen[c.Stack(chunk*4096)] = true
+	for chunk := range uint64(Stacks) {
+		seen[Decode(chunk*4096, 12).Stack] = true
 	}
-	if len(seen) != 4 {
-		t.Errorf("4 consecutive chunks cover %d stacks, want 4", len(seen))
+	if len(seen) != Stacks {
+		t.Errorf("%d consecutive chunks cover %d stacks, want %d", Stacks, len(seen), Stacks)
 	}
 }
 
+// TestVaultOfInRangeAndBalanced: the vault fold stays in range and spreads
+// consecutive lines evenly over the vaults.
 func TestVaultOfInRangeAndBalanced(t *testing.T) {
-	counts := make([]int, 16)
-	for i := 0; i < 1<<14; i++ {
-		v := VaultOf(uint64(i)*CacheLineBytes, 16)
-		if v < 0 || v >= 16 {
+	const lines = 1 << 14
+	var vaults [Vaults]int
+	for i := range uint64(lines) {
+		v := Decode(i*CacheLineBytes, Interleave).Vault
+		if v < 0 || v >= Vaults {
 			t.Fatalf("vault %d out of range", v)
 		}
-		counts[v]++
+		vaults[v]++
 	}
-	for v, c := range counts {
-		if c < (1<<14)/16-64 || c > (1<<14)/16+64 {
-			t.Errorf("vault %d gets %d lines", v, c)
+	for v, c := range vaults {
+		if c < lines/Vaults-64 || c > lines/Vaults+64 {
+			t.Errorf("vault %d gets %d lines, want ~%d", v, c, lines/Vaults)
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestAnalyzerFindsPlantedMapping(t *testing.T) {
 	at := mem.NewAllocTable()
 	a := at.Alloc("a", 1<<20)
 	bAddr := at.Alloc("b", 1<<20)
-	an := NewAnalyzer(4, at)
+	an := NewAnalyzer(at)
 	rng := rand.New(rand.NewSource(7))
 	for inst := 0; inst < 200; inst++ {
 		idx := uint64(rng.Intn(1 << 18))

@@ -172,11 +172,8 @@ type Request struct {
 // Env is the simulator state a policy may consult, bound to the deciding
 // cycle. Implemented by internal/sim.
 type Env interface {
-	Stacks() int
-	Vaults() int // vaults per stack
-	// StackOf / VaultOf map a line address under the active data mapping.
-	StackOf(line uint64) int
-	VaultOf(line uint64) int
+	// Place decodes a line address under the active data mapping.
+	Place(line uint64) mapping.Place
 	// Pending counts offloads in flight to a stack; PendingVault the
 	// subset bound to one vault. StackCap is the stack-SM warp capacity
 	// (the paper's pending-offload limit).
@@ -222,9 +219,10 @@ func (p *Policy) Dest(env Env, req *Request) string {
 		}
 		return ReasonNoDest
 	}
-	req.Stack = env.StackOf(req.Lines[0])
+	pl := env.Place(req.Lines[0])
+	req.Stack = pl.Stack
 	if p.VaultGranular {
-		req.Vault = env.VaultOf(req.Lines[0])
+		req.Vault = pl.Vault
 	}
 	return ""
 }
@@ -260,25 +258,21 @@ func fullGate(env Env, req *Request) string {
 }
 
 // codaGate keeps an instance whose dry-run lines split across stacks on the
-// GPU, then defers to TOM's control.
+// GPU — some line's stack is not the destination, its first line's — then
+// defers to TOM's control.
 func codaGate(env Env, req *Request) string {
-	if len(req.Lines) > 1 && mapping.Colocation(envMapPolicy{env}, req.Lines) < 1 {
-		return ReasonSplit
+	for _, l := range req.Lines[1:] {
+		if env.Place(l).Stack != req.Stack {
+			return ReasonSplit
+		}
 	}
 	return tomGate(env, req)
 }
 
-// envMapPolicy adapts the simulator's live line→stack mapping (baseline
-// XOR or the learned consecutive-bit mapping, per range) to the
-// mapping.Policy interface mapping.Colocation expects.
-type envMapPolicy struct{ env Env }
-
-func (p envMapPolicy) Stack(addr uint64) int { return p.env.StackOf(addr) }
-
 // vaultGate enforces the per-vault slot limit: the stack's warp capacity
 // divided evenly over its vaults, minimum one slot per vault.
 func vaultGate(env Env, req *Request) string {
-	cap := env.StackCap() / env.Vaults()
+	cap := env.StackCap() / mapping.Vaults
 	if cap < 1 {
 		cap = 1
 	}

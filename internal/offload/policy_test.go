@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/mapping"
 )
 
 // fakeEnv is a settable offload.Env for exercising the policy hooks without
-// a simulator. StackOf maps by a coarse address shift so tests can place
-// lines on chosen stacks.
+// a simulator. Place maps stacks by a coarse address shift so tests can
+// place lines on chosen stacks.
 type fakeEnv struct {
-	stacks, vaults int
 	cap            int
 	stackShift     uint
 	pending        map[int]int
@@ -23,7 +23,7 @@ type fakeEnv struct {
 
 func newFakeEnv() *fakeEnv {
 	return &fakeEnv{
-		stacks: 4, vaults: 8, cap: 16, stackShift: 12,
+		cap: 16, stackShift: 12,
 		pending:      map[int]int{},
 		pendingVault: map[[2]int]int{},
 		txBusy:       map[int]bool{},
@@ -31,10 +31,9 @@ func newFakeEnv() *fakeEnv {
 	}
 }
 
-func (e *fakeEnv) Stacks() int               { return e.stacks }
-func (e *fakeEnv) Vaults() int               { return e.vaults }
-func (e *fakeEnv) StackOf(line uint64) int   { return int(line>>e.stackShift) % e.stacks }
-func (e *fakeEnv) VaultOf(line uint64) int   { return int(line>>7) % e.vaults }
+func (e *fakeEnv) Place(line uint64) mapping.Place {
+	return mapping.Place{Stack: int(line>>e.stackShift) % mapping.Stacks, Vault: int(line>>7) % mapping.Vaults}
+}
 func (e *fakeEnv) Pending(s int) int         { return e.pending[s] }
 func (e *fakeEnv) PendingVault(s, v int) int { return e.pendingVault[[2]int{s, v}] }
 func (e *fakeEnv) StackCap() int             { return e.cap }
@@ -255,6 +254,7 @@ func TestCodaSplitGate(t *testing.T) {
 func TestMPUDestAndVaultGate(t *testing.T) {
 	p := mustPolicy(t, "mpu")
 	env := newFakeEnv()
+	env.cap = 32
 	line := uint64(2<<12 | 3<<7) // stack 2, vault 3
 
 	req := &Request{Cand: &compiler.Candidate{}, Stack: -1, Vault: -1, Lines: []uint64{line}}
@@ -268,7 +268,7 @@ func TestMPUDestAndVaultGate(t *testing.T) {
 		t.Errorf("empty vault: Gate = %q, want pass", got)
 	}
 
-	// cap 16 over 8 vaults = 2 slots per vault.
+	// cap 32 over 16 vaults = 2 slots per vault.
 	env.pendingVault[[2]int{2, 3}] = 2
 	if got := p.Gate(env, req); got != ReasonVaultFull {
 		t.Errorf("vault at share: Gate = %q, want %q", got, ReasonVaultFull)
@@ -280,7 +280,7 @@ func TestMPUDestAndVaultGate(t *testing.T) {
 	}
 
 	// The per-vault share clamps to at least one slot.
-	env.cap = 4 // 4/8 = 0 -> clamp to 1
+	env.cap = 8 // 8/16 = 0 -> clamp to 1
 	env.pendingVault[[2]int{2, 4}] = 1
 	if got := p.Gate(env, other); got != ReasonVaultFull {
 		t.Errorf("clamped share: Gate = %q, want %q", got, ReasonVaultFull)

@@ -63,9 +63,7 @@ type Config struct {
 	// memory-instruction ratios).
 	StackIssueWidth int
 
-	// --- Memory stacks ---
-	Stacks          int
-	VaultsPerStack  int
+	// --- Memory stacks (mapping.Stacks of mapping.Vaults vaults each) ---
 	StackSMs        int     // logic-layer SMs per stack
 	StackWarpMult   int     // warp-capacity multiplier for stack SMs (§6.4)
 	InternalBWRatio float64 // vault bandwidth scale (1.0 = Table 1 2× external; 0.5 = §6.5 1× study)
@@ -135,8 +133,6 @@ func DefaultConfig() Config {
 		IssueWidth:      2,
 		StackIssueWidth: 2,
 
-		Stacks:          4,
-		VaultsPerStack:  16,
 		StackSMs:        1,
 		StackWarpMult:   1,
 		InternalBWRatio: 1.0,

@@ -97,8 +97,8 @@ func TestDryRunBranchPredicates(t *testing.T) {
 			if len(lines) != 1 || lines[0] != lineOf(sys, c.wantAddr) {
 				t.Fatalf("dryRun lines = %#x, want [%#x]", lines, lineOf(sys, c.wantAddr))
 			}
-			if dest := destOf(sys, sw, cand); dest != sys.stackOf(lines[0]) {
-				t.Errorf("dest = %d, want %d", dest, sys.stackOf(lines[0]))
+			if dest, want := destOf(sys, sw, cand), sys.place(lines[0]).Stack; dest != want {
+				t.Errorf("dest = %d, want %d", dest, want)
 			}
 		})
 	}

@@ -35,7 +35,7 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 
 	case wevVaultTry:
 		// Crossbar delivery: enqueue into the vault, retrying while full.
-		if st, v := sys.stacks[ev.fl.home], ev.fl.vault; st.vaults[v].Enqueue(&ev.fl.req) {
+		if st, v := sys.stacks[ev.fl.at.Stack], ev.fl.at.Vault; st.vaults[v].Enqueue(&ev.fl.req) {
 			st.busy.set(v)
 			st.due = minEvent(st.due, st.vaults[v].NextEvent())
 		} else {

@@ -3,6 +3,7 @@ package sim
 import (
 	"repro/internal/dram"
 	"repro/internal/link"
+	"repro/internal/mapping"
 )
 
 func packetOf(bytes int, deliver func(now int64)) link.Packet {
@@ -32,22 +33,21 @@ type flight struct {
 	back bool // the response leg is under way
 	line uint64
 	t    *txn
-	home int // serving stack (unused by flPCIe)
-	from int // requesting stack (flRemote)
+	at   mapping.Place // where line lives: serving stack and vault (unused by flPCIe)
+	from int           // requesting stack (flRemote)
 
-	vault int          // index in stack home; set with req when the request reaches it
-	req   dram.Request // Done is done
+	req dram.Request // Done is done; set when the request reaches its stack
 
 	deliver func(now int64) // fl.delivered
 	done    func(now int64) // fl.vaultDone
 }
 
-func (sys *System) newFlight(kind flightKind, line uint64, t *txn, home, from int) *flight {
+func (sys *System) newFlight(kind flightKind, line uint64, t *txn, at mapping.Place, from int) *flight {
 	fl := sys.flights.get()
 	if fl.deliver == nil {
 		fl.deliver, fl.done = fl.delivered, fl.vaultDone
 	}
-	*fl = flight{sys: sys, kind: kind, line: line, t: t, home: home, from: from,
+	*fl = flight{sys: sys, kind: kind, line: line, t: t, at: at, from: from,
 		deliver: fl.deliver, done: fl.done}
 	return fl
 }
@@ -65,13 +65,12 @@ func (sys *System) route(line uint64, t *txn, now int64) {
 		reqBytes += t.bytes
 	}
 	if sys.learning {
-		fl := sys.newFlight(flPCIe, line, t, -1, -1)
+		fl := sys.newFlight(flPCIe, line, t, mapping.Place{}, -1)
 		sys.pcieTX.Send(packetOf(reqBytes, fl.deliver), now)
 		return
 	}
-	s := sys.stackOf(line)
-	fl := sys.newFlight(flGPU, line, t, s, -1)
-	sys.txLinks[s].Send(packetOf(reqBytes, fl.deliver), now)
+	fl := sys.newFlight(flGPU, line, t, sys.place(line), -1)
+	sys.txLinks[fl.at.Stack].Send(packetOf(reqBytes, fl.deliver), now)
 }
 
 // respBytes sizes the response packet: a line of data for a load, a short
@@ -104,7 +103,7 @@ func (fl *flight) delivered(now int64) {
 		fl.back = true
 		sys.pcieRX.Send(packetOf(fl.respBytes(), fl.deliver), now)
 	default:
-		sys.stacks[fl.home].serveLine(fl, now)
+		sys.stacks[fl.at.Stack].serveLine(fl, now)
 	}
 }
 
@@ -116,10 +115,10 @@ func (fl *flight) vaultDone(now int64) {
 	switch fl.kind {
 	case flGPU:
 		fl.back = true
-		sys.rxLinks[fl.home].Send(packetOf(fl.respBytes(), fl.deliver), now)
+		sys.rxLinks[fl.at.Stack].Send(packetOf(fl.respBytes(), fl.deliver), now)
 	case flRemote:
 		fl.back = true
-		sys.crossLinks[fl.home][fl.from].Send(packetOf(fl.respBytes(), fl.deliver), now)
+		sys.crossLinks[fl.at.Stack][fl.from].Send(packetOf(fl.respBytes(), fl.deliver), now)
 	case flLocal:
 		sys.wheel.afterEvent(2, wheelEvent{kind: wevTxnDone, t: fl.t})
 		sys.flights.put(fl)

@@ -3,6 +3,7 @@ package sim
 import (
 	"strconv"
 
+	"repro/internal/mapping"
 	"repro/internal/obs"
 )
 
@@ -54,7 +55,7 @@ func newObsState(cfg *Config) *obsState {
 		l2bankQ: reg.Series("l2.bank_queue_occupancy", every),
 		learnQ:  reg.Series("learn.instances_seen", every),
 	}
-	for s := 0; s < cfg.Stacks; s++ {
+	for s := range mapping.Stacks {
 		id := strconv.Itoa(s)
 		ob.pending = append(ob.pending, reg.Series("stack."+id+".pending_offloads", every))
 		ob.txUtil = append(ob.txUtil, reg.Series("link.tx"+id+".util", every))
@@ -84,7 +85,7 @@ func (ob *obsState) sample(sys *System, now int64) {
 		at = 0
 	}
 	ob.addTraffic(sys, at)
-	for s := 0; s < sys.cfg.Stacks; s++ {
+	for s := range mapping.Stacks {
 		ob.pending[s].Add(at, float64(sys.pendingOffloads[s]))
 		ob.txUtil[s].Add(at, sys.txLinks[s].Utilization(now))
 		ob.rxUtil[s].Add(at, sys.rxLinks[s].Utilization(now))

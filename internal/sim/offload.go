@@ -49,17 +49,14 @@ type polEnv struct {
 	now int64
 }
 
-func (e polEnv) Stacks() int               { return e.sys.cfg.Stacks }
-func (e polEnv) Vaults() int               { return e.sys.cfg.VaultsPerStack }
-func (e polEnv) StackOf(line uint64) int   { return e.sys.stackOf(line) }
-func (e polEnv) VaultOf(line uint64) int   { return mapping.VaultOf(line, e.sys.cfg.VaultsPerStack) }
-func (e polEnv) Pending(s int) int         { return e.sys.pendingOffloads[s] }
-func (e polEnv) PendingVault(s, v int) int { return e.sys.pendingVault[s][v] }
-func (e polEnv) StackCap() int             { return e.sys.cfg.StackSMs * e.sys.cfg.StackWarps() }
-func (e polEnv) TXBusy(s int) bool         { return e.sys.txLinks[s].Busy(e.sys.cfg.BusyThreshold, e.now) }
-func (e polEnv) RXBusy(s int) bool         { return e.sys.rxLinks[s].Busy(e.sys.cfg.BusyThreshold, e.now) }
-func (e polEnv) ALUGate() float64          { return e.sys.cfg.ALUGate }
-func (e polEnv) Controlled() bool          { return e.sys.cfg.Offload == OffloadControlled }
+func (e polEnv) Place(line uint64) mapping.Place { return e.sys.place(line) }
+func (e polEnv) Pending(s int) int               { return e.sys.pendingOffloads[s] }
+func (e polEnv) PendingVault(s, v int) int       { return e.sys.pendingVault[s][v] }
+func (e polEnv) StackCap() int                   { return e.sys.cfg.StackSMs * e.sys.cfg.StackWarps() }
+func (e polEnv) TXBusy(s int) bool               { return e.sys.txLinks[s].Busy(e.sys.cfg.BusyThreshold, e.now) }
+func (e polEnv) RXBusy(s int) bool               { return e.sys.rxLinks[s].Busy(e.sys.cfg.BusyThreshold, e.now) }
+func (e polEnv) ALUGate() float64                { return e.sys.cfg.ALUGate }
+func (e polEnv) Controlled() bool                { return e.sys.cfg.Offload == OffloadControlled }
 
 // gate records one suppressed offload everywhere it is accounted: the
 // aggregate per-reason counter, the per-PC decision table, and (when an

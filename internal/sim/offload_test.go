@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/isa"
+	"repro/internal/mapping"
 	"repro/internal/mem"
 )
 
@@ -154,14 +155,14 @@ func TestDestStackMatchesFirstAccess(t *testing.T) {
 	}
 	sw := &smWarp{w: w}
 	dest := destOf(sys, sw, cand)
-	if dest < 0 || dest >= cfg.Stacks {
+	if dest < 0 || dest >= mapping.Stacks {
 		t.Fatalf("dest = %d", dest)
 	}
 	// The first access of the region is the load of a[idx]; compute it.
 	lane := w.LeaderLane()
 	idx := w.Regs[7][lane]
 	addr := (env.launches[0].Params[0] + 4*idx) &^ uint64(cfg.LineBytes-1)
-	if want := sys.stackOf(addr); dest != want {
+	if want := sys.place(addr).Stack; dest != want {
 		t.Errorf("dest = %d, want %d (stack of first access %#x)", dest, want, addr)
 	}
 }

@@ -148,11 +148,10 @@ func splitLoopEnv(t *testing.T, trips int, pad uint64) *workloadEnv {
 // different stacks under the default configuration's baseline interleave.
 func splitEnv(t *testing.T) *workloadEnv {
 	t.Helper()
-	pol := mapping.Baseline{Stacks: DefaultConfig().Stacks}
 	for pad := uint64(mem.AllocAlign); pad <= 1<<20; pad += mem.AllocAlign {
 		e := splitLoopEnv(t, 64, pad)
 		a, b := e.launches[0].Params[0], e.launches[0].Params[1]
-		if pol.Stack(a) != pol.Stack(b) {
+		if mapping.Decode(a, mapping.Interleave).Stack != mapping.Decode(b, mapping.Interleave).Stack {
 			return e
 		}
 	}

@@ -59,10 +59,9 @@ type profWarp struct {
 // (CandidateTouched) on alloc; Touched lists them.
 func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Profile, error) {
 	p := &Profile{
-		Map:     mapping.NewAnalyzer(DefaultConfig().Stacks, alloc),
+		Map:     mapping.NewAnalyzer(alloc),
 		Offsets: map[string]map[int]*mapping.OffsetTracker{},
 	}
-	base := mapping.Baseline{Stacks: p.Map.Stacks}
 	g := exec.NewGlobal(m)
 	mdCache := map[*isa.Kernel]*compiler.Metadata{}
 
@@ -75,7 +74,7 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 		if len(c.lines) == 0 {
 			return
 		}
-		p.baseline += mapping.Colocation(base, p.Map.ObserveInstance(c.lines))
+		p.baseline += mapping.Colocation(mapping.Interleave, p.Map.ObserveInstance(c.lines))
 		byPC := p.Offsets[kernel]
 		if byPC == nil {
 			byPC = map[int]*mapping.OffsetTracker{}

@@ -42,25 +42,24 @@ func (s *stackNode) spawnTarget() *SM {
 }
 
 func newStack(sys *System, id int) *stackNode {
-	s := &stackNode{id: id, sys: sys, vaults: make([]*dram.Vault, 0, sys.cfg.VaultsPerStack),
-		busy: newWakeSet(sys.cfg.VaultsPerStack), due: math.MaxInt64}
+	s := &stackNode{id: id, sys: sys, vaults: make([]*dram.Vault, 0, mapping.Vaults),
+		busy: newWakeSet(mapping.Vaults), due: math.MaxInt64}
 	t := dram.DefaultTiming()
 	t.BytesPerCycle = sys.cfg.VaultBW * sys.cfg.InternalBWRatio
-	for v := 0; v < sys.cfg.VaultsPerStack; v++ {
+	for range mapping.Vaults {
 		s.vaults = append(s.vaults, dram.NewVault(t))
 	}
 	return s
 }
 
-// serveLine routes a flight's request through the crossbar into its vault,
-// retrying while the vault queue is full; the vault calls fl.done when the
-// DRAM burst completes.
+// serveLine routes a flight's request through the crossbar into its vault
+// (fl.at.Vault), retrying while the vault queue is full; the vault calls
+// fl.done when the DRAM burst completes.
 func (s *stackNode) serveLine(fl *flight, now int64) {
 	bytes := s.sys.cfg.LineBytes
 	if fl.isStore() && fl.t.bytes > 0 {
 		bytes = fl.t.bytes
 	}
-	fl.vault = mapping.VaultOf(fl.line, len(s.vaults))
 	fl.req = dram.Request{Addr: fl.line, Bytes: bytes, Write: fl.isStore(), Done: fl.done}
 	s.sys.wheel.afterEvent(s.sys.cfg.XbarLat, wheelEvent{kind: wevVaultTry, fl: fl})
 }
@@ -131,17 +130,17 @@ type stackPort struct {
 // accept implements memPort.
 func (p *stackPort) accept(now int64, t *txn) bool {
 	sys := p.node.sys
-	home := sys.stackOf(t.line)
+	at := sys.place(t.line)
 	if sys.forceColocate() {
-		home = p.node.id
+		at.Stack = p.node.id
 	}
-	if home == p.node.id {
+	if at.Stack == p.node.id {
 		// Local: crossbar + vault only.
-		p.node.serveLine(sys.newFlight(flLocal, t.line, t, home, -1), now)
+		p.node.serveLine(sys.newFlight(flLocal, t.line, t, at, -1), now)
 		return true
 	}
 	// Remote: request over the cross-stack link, response back.
-	fl := sys.newFlight(flRemote, t.line, t, home, p.node.id)
-	sys.crossLinks[fl.from][fl.home].Send(packetOf(reqHeaderBytes+t.bytes, fl.deliver), now)
+	fl := sys.newFlight(flRemote, t.line, t, at, p.node.id)
+	sys.crossLinks[fl.from][fl.at.Stack].Send(packetOf(reqHeaderBytes+t.bytes, fl.deliver), now)
 	return true
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/offload"
 )
@@ -175,7 +176,7 @@ func checkObserverMatchesStats(t *testing.T, cfg Config, env *workloadEnv, mustS
 	// for each stack, and at least one nonzero reading somewhere (the run
 	// offloaded).
 	sawPending := false
-	for s := 0; s < cfg.Stacks; s++ {
+	for s := range mapping.Stacks {
 		ser := reg.Series("stack."+string(rune('0'+s))+".pending_offloads", o.SampleEvery)
 		if ser.Sum() > 0 {
 			sawPending = true

@@ -42,8 +42,8 @@ type System struct {
 	l2mshr map[uint64]*l2entry
 	stacks []*stackNode
 
-	txLinks, rxLinks []*link.Link   // GPU->stack / stack->GPU
-	crossLinks       [][]*link.Link // [from][to]
+	txLinks, rxLinks []*link.Link                               // GPU->stack / stack->GPU
+	crossLinks       [mapping.Stacks][mapping.Stacks]*link.Link // [from][to]
 	pcieTX, pcieRX   *link.Link
 	links            []*link.Link // all of the above, in tick order
 
@@ -57,10 +57,10 @@ type System struct {
 	ringSMs  wakeSet
 	ringOcc  uint64
 
-	pendingOffloads []int
+	pendingOffloads [mapping.Stacks]int
 	// pendingVault sub-divides pendingOffloads per destination vault for
 	// vault-granular policies (MPU); stack-granular jobs never touch it.
-	pendingVault [][]int
+	pendingVault [mapping.Stacks][mapping.Vaults]int
 
 	// policy is the resolved offload policy (Config.Policy).
 	policy offload.Policy
@@ -69,7 +69,7 @@ type System struct {
 	lat [isa.NumLat]int64
 
 	// Data mapping state.
-	offloadBit int // -1 until a learned/forced bit is active
+	offloadBit int // mapping.Interleave until a learned/forced bit is active
 	analyzer   *mapping.Analyzer
 	learning   bool
 	learnSeen  int
@@ -115,7 +115,7 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		cfg: cfg, alloc: alloc,
 		global:     exec.Global{Mem: m, LineBytes: uint64(cfg.LineBytes)},
 		l2mshr:     make(map[uint64]*l2entry),
-		offloadBit: -1,
+		offloadBit: mapping.Interleave,
 		mdCache:    make(map[*isa.Kernel]*compiler.Metadata),
 		policy:     pol,
 		lat: [isa.NumLat]int64{
@@ -126,7 +126,7 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 	sys.wheel = newWheel(sys)
 	sys.stats.PCStats = compiler.GateProfile{}
 	sys.l2 = newL2(sys)
-	nSMs := cfg.MainSMs + cfg.Stacks*cfg.StackSMs
+	nSMs := cfg.MainSMs + mapping.Stacks*cfg.StackSMs
 	sys.all = make([]*SM, 0, nSMs)
 	sys.runnable = newWakeSet(nSMs)
 	sys.ringSMs = make(wakeSet, ringSlots*len(sys.runnable))
@@ -136,7 +136,7 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		sys.all = append(sys.all, sm)
 	}
 	sys.sms = sys.all[:cfg.MainSMs:cfg.MainSMs]
-	for s := 0; s < cfg.Stacks; s++ {
+	for s := range mapping.Stacks {
 		st := newStack(sys, s)
 		for i := 0; i < cfg.StackSMs; i++ {
 			sm := newSM(sys, len(sys.all), true, s, cfg.StackWarps())
@@ -150,10 +150,8 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 		sys.rxLinks = append(sys.rxLinks,
 			link.New(fmt.Sprintf("rx%d", s), cfg.GPUStackBW, cfg.LinkLat))
 	}
-	sys.crossLinks = make([][]*link.Link, cfg.Stacks)
-	for a := 0; a < cfg.Stacks; a++ {
-		sys.crossLinks[a] = make([]*link.Link, cfg.Stacks)
-		for b := 0; b < cfg.Stacks; b++ {
+	for a := range mapping.Stacks {
+		for b := range mapping.Stacks {
 			if a != b {
 				sys.crossLinks[a][b] =
 					link.New(fmt.Sprintf("x%d-%d", a, b), cfg.CrossStackBW, cfg.CrossLat)
@@ -162,22 +160,17 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 	}
 	sys.pcieTX = link.New("pcieTX", cfg.PCIeBW, cfg.PCIeLat/2)
 	sys.pcieRX = link.New("pcieRX", cfg.PCIeBW, cfg.PCIeLat/2)
-	sys.links = make([]*link.Link, 0, cfg.Stacks*(cfg.Stacks+1)+2)
-	for s := 0; s < cfg.Stacks; s++ {
+	sys.links = make([]*link.Link, 0, mapping.Stacks*(mapping.Stacks+1)+2)
+	for s := range mapping.Stacks {
 		sys.links = append(sys.links, sys.txLinks[s], sys.rxLinks[s])
-		for t := 0; t < cfg.Stacks; t++ {
+		for t := range mapping.Stacks {
 			if s != t {
 				sys.links = append(sys.links, sys.crossLinks[s][t])
 			}
 		}
 	}
 	sys.links = append(sys.links, sys.pcieTX, sys.pcieRX)
-	sys.pendingOffloads = make([]int, cfg.Stacks)
-	sys.pendingVault = make([][]int, cfg.Stacks)
-	for s := range sys.pendingVault {
-		sys.pendingVault[s] = make([]int, cfg.VaultsPerStack)
-	}
-	sys.analyzer = mapping.NewAnalyzer(cfg.Stacks, alloc)
+	sys.analyzer = mapping.NewAnalyzer(alloc)
 	if cfg.Observer != nil {
 		sys.ob = newObsState(&sys.cfg)
 	}
@@ -251,16 +244,17 @@ func (sys *System) putMapping(bit int, ranges []*mem.Range, source string) {
 	sys.stats.MappingSource = source
 }
 
-// stackOf maps a line address to its memory stack under the currently
-// active policy (baseline XOR interleave, overridden per-range by the
-// learned consecutive-bit mapping once tmap's copy has happened).
-func (sys *System) stackOf(addr uint64) int {
-	if sys.offloadBit >= 0 {
+// place decodes an address under the currently active mapping: the
+// baseline XOR interleave, overridden per range by the learned
+// consecutive-bit mapping once tmap's copy has happened.
+func (sys *System) place(addr uint64) mapping.Place {
+	bit := mapping.Interleave
+	if sys.offloadBit != mapping.Interleave {
 		if r := sys.alloc.Find(addr); r != nil && r.OffloadMapped {
-			return mapping.ConsecutiveBits{Stacks: sys.cfg.Stacks, Bit: sys.offloadBit}.Stack(addr)
+			bit = sys.offloadBit
 		}
 	}
-	return mapping.Baseline{Stacks: sys.cfg.Stacks}.Stack(addr)
+	return mapping.Decode(addr, bit)
 }
 
 func (sys *System) forceColocate() bool { return sys.policy.ForceColocate }
@@ -721,10 +715,10 @@ func (sys *System) quiet() bool {
 // stack-to-stack channels and both PCIe directions: the Stats traffic totals
 // and the observer's traffic series both read it.
 func (sys *System) linkBytes() (tx, rx, cross, pcie uint64) {
-	for s := 0; s < sys.cfg.Stacks; s++ {
+	for s := range mapping.Stacks {
 		tx += sys.txLinks[s].BytesSent
 		rx += sys.rxLinks[s].BytesSent
-		for t := 0; t < sys.cfg.Stacks; t++ {
+		for t := range mapping.Stacks {
 			if s != t {
 				cross += sys.crossLinks[s][t].BytesSent
 			}

