@@ -46,46 +46,36 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	scale := flag.Float64("scale", 1.0, "default problem-size scale factor (per-run override allowed)")
-	cacheDir := flag.String("cache-dir", ".tomcache", "persistent result cache directory (\"\" = memo only)")
-	workers := flag.Int("workers", 0, "simulation concurrency bound (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 16, "admission bound: queued+running requests before 429")
-	timeout := flag.Duration("timeout", 0, "default per-batch deadline (0 = none)")
-	flag.Parse()
-
+	addr, opts, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "tomserve: %v\n", err)
+		os.Exit(2)
+	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	if *cacheDir != "" {
+	opts.logf = logf
+	if opts.cacheDir != "" {
 		// Startup GC: drop what this build can never replay (foreign
 		// fingerprints, torn or abandoned writes) from the run cache and the
 		// mapping store under it, before the directory grows.
-		if n, err := core.NewDiskCache(*cacheDir, "").Sweep(); err != nil {
+		if n, err := core.NewDiskCache(opts.cacheDir, "").Sweep(); err != nil {
 			logf("tomserve: cache sweep: %v", err)
 		} else if n > 0 {
 			logf("tomserve: cache sweep removed %d dead records", n)
 		}
 	}
 
-	srv := &http.Server{
-		Addr: *addr,
-		Handler: newServer(options{
-			scale:    *scale,
-			cacheDir: *cacheDir,
-			workers:  *workers,
-			queue:    *queue,
-			timeout:  *timeout,
-			logf:     logf,
-		}).handler(),
-	}
+	srv := &http.Server{Addr: addr, Handler: newServer(opts).handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
 	logf("tomserve: listening on %s (cache=%q workers=%d queue=%d)",
-		*addr, *cacheDir, *workers, *queue)
+		addr, opts.cacheDir, opts.workers, opts.queue)
 
 	select {
 	case err := <-done:
@@ -110,4 +100,28 @@ func main() {
 		os.Exit(1)
 	}
 	logf("tomserve: drained, bye")
+}
+
+// parseFlags reads the command line into the listen address and the
+// server's options. A default scale that is not a positive finite number up
+// to maxScale is refused here, before anything listens: every run that names
+// no scale would otherwise fail, or run at a scale the request bounds refuse.
+func parseFlags(args []string) (addr string, opts options, err error) {
+	fs := flag.NewFlagSet("tomserve", flag.ContinueOnError)
+	fs.StringVar(&addr, "addr", "127.0.0.1:8080", "listen address")
+	fs.Float64Var(&opts.scale, "scale", 1.0, "default problem-size scale factor (per-run override allowed)")
+	fs.StringVar(&opts.cacheDir, "cache-dir", ".tomcache", "persistent result cache directory (\"\" = memo only)")
+	fs.IntVar(&opts.workers, "workers", 0, "simulation concurrency bound (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.queue, "queue", 16, "admission bound: queued+running requests before 429")
+	fs.DurationVar(&opts.timeout, "timeout", 0, "default per-batch deadline (0 = none)")
+	if err := fs.Parse(args); err != nil {
+		return "", options{}, err
+	}
+	if err := core.CheckScale(opts.scale); err != nil {
+		return "", options{}, fmt.Errorf("-scale: %w", err)
+	}
+	if opts.scale > maxScale {
+		return "", options{}, fmt.Errorf("-scale %v: the limit is %v", opts.scale, maxScale)
+	}
+	return addr, opts, nil
 }

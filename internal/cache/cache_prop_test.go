@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -74,48 +75,123 @@ func (r *refCache) invalidate(addr uint64) bool {
 	return false
 }
 
-// TestCacheMatchesOracle drives both implementations with the same random
-// operation stream; every observable result must agree.
-func TestCacheMatchesOracle(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		c := New(4096, 4, 128) // 32 lines, 8 sets
-		ref := newRef(4096, 4, 128)
-		for op := 0; op < 5000; op++ {
-			addr := uint64(rng.Intn(1 << 14))
-			switch rng.Intn(4) {
-			case 0:
-				got, want := c.Lookup(addr), ref.lookup(addr)
-				if got != want {
-					t.Fatalf("trial %d op %d: Lookup(%#x) = %v, oracle %v", trial, op, addr, got, want)
-				}
-			case 1:
-				c.Fill(addr)
-				ref.fill(addr)
-			case 2:
-				got, want := c.Access(addr), ref.lookup(addr)
-				if !want {
-					ref.fill(addr)
-				}
-				if got != want {
-					t.Fatalf("trial %d op %d: Access(%#x) = %v, oracle %v", trial, op, addr, got, want)
-				}
-			case 3:
-				got, want := c.Invalidate(addr), ref.invalidate(addr)
-				if got != want {
-					t.Fatalf("trial %d op %d: Invalidate(%#x) = %v, oracle %v", trial, op, addr, got, want)
-				}
+func (r *refCache) invalidateAll() {
+	for _, s := range r.sets_ {
+		clear(s)
+	}
+}
+
+func (r *refCache) resident() int {
+	n := 0
+	for _, s := range r.sets_ {
+		n += len(s)
+	}
+	return n
+}
+
+// cacheOp is one step of an operation stream: kind selects the operation
+// (see checkOracle), addr its address.
+type cacheOp struct {
+	kind int
+	addr uint64
+}
+
+// checkOracle applies ops to c and to a reference cache of the same shape;
+// every observable result must agree, and so must residency after the last.
+func checkOracle(t *testing.T, c *Cache, totalBytes, ways, lineBytes int, ops []cacheOp) {
+	t.Helper()
+	ref := newRef(totalBytes, ways, lineBytes)
+	for i, op := range ops {
+		var got, want any
+		switch op.kind {
+		case 0:
+			got, want = c.Lookup(op.addr), ref.lookup(op.addr)
+		case 1:
+			c.Fill(op.addr)
+			ref.fill(op.addr)
+		case 2:
+			hit := ref.lookup(op.addr)
+			if !hit {
+				ref.fill(op.addr)
 			}
+			got, want = c.Access(op.addr), hit
+		case 3:
+			got, want = c.Invalidate(op.addr), ref.invalidate(op.addr)
+		case 4:
+			c.InvalidateAll()
+			ref.invalidateAll()
+		default:
+			got, want = c.Resident(), ref.resident()
 		}
-		// Final residency must agree.
-		total := 0
-		for _, s := range ref.sets_ {
-			total += len(s)
-		}
-		if c.Resident() != total {
-			t.Fatalf("trial %d: resident %d, oracle %d", trial, c.Resident(), total)
+		if got != want {
+			t.Fatalf("op %d (kind %d, addr %#x): cache answers %v, oracle %v", i, op.kind, op.addr, got, want)
 		}
 	}
+	if got, want := c.Resident(), ref.resident(); got != want {
+		t.Fatalf("after %d ops: resident %d, oracle %d", len(ops), got, want)
+	}
+}
+
+// randomOps is a stream of n operations over addresses below 1<<14: mostly
+// lookups, fills, accesses and invalidations, with a rare InvalidateAll and
+// a residency probe.
+func randomOps(rng *rand.Rand, n int) []cacheOp {
+	ops := make([]cacheOp, n)
+	for i := range ops {
+		kind := rng.Intn(4)
+		switch k := rng.Intn(100); {
+		case k == 0:
+			kind = 4
+		case k < 5:
+			kind = 5
+		}
+		ops[i] = cacheOp{kind: kind, addr: uint64(rng.Intn(1 << 14))}
+	}
+	return ops
+}
+
+// nearWrap is how many clock ticks below 2^32 the wrapping caches start.
+const nearWrap = 300
+
+// TestCacheMatchesOracle drives both implementations with the same random
+// operation stream; every observable result must agree. The second cache of
+// each trial starts its LRU clock nearWrap ticks below 2^32, so the stamps
+// are renumbered a few hundred operations in and the rest of the stream
+// runs on renumbered stamps.
+func TestCacheMatchesOracle(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		ops := randomOps(rand.New(rand.NewSource(int64(trial))), 5000)
+		checkOracle(t, New(4096, 4, 128), 4096, 4, 128, ops) // 32 lines, 8 sets
+
+		c := New(4096, 4, 128)
+		c.clock = math.MaxUint32 - nearWrap
+		checkOracle(t, c, 4096, 4, 128, ops)
+		if c.clock > math.MaxUint32-nearWrap {
+			t.Fatalf("trial %d: the clock never wrapped (%d)", trial, c.clock)
+		}
+	}
+}
+
+// FuzzCacheMatchesOracle: the input's bytes are an operation stream against
+// a 16-line, 2-way cache of 64-byte lines (two bytes an operation: kind,
+// then the line, over 32 lines that share the 8 sets). Its first byte sets
+// how far below 2^32 the clock starts, so the renumbering lands anywhere in
+// the stream.
+func FuzzCacheMatchesOracle(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 8, 1, 16, 0, 0, 5, 0})
+	f.Add([]byte{3, 2, 1, 2, 9, 2, 17, 2, 1, 3, 9, 4, 0, 2, 25, 0, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := New(1024, 2, 64)
+		c.clock = math.MaxUint32 - uint32(data[0])
+		ops := make([]cacheOp, 0, len(data)/2)
+		for b := data[1:]; len(b) >= 2; b = b[2:] {
+			ops = append(ops, cacheOp{kind: int(b[0] % 6), addr: uint64(b[1]%32)*64 + uint64(b[1]>>5)})
+		}
+		checkOracle(t, c, 1024, 2, 64, ops)
+	})
 }
 
 // TestNeverFilledCacheIsEmpty: a cache allocates its tag store on its first
@@ -173,7 +249,7 @@ func TestNeverFilledCacheAllocatesNothing(t *testing.T) {
 			t.Errorf("%s on a never-filled cache allocates %v times per call", name, n)
 		}
 	}
-	if c.valid != nil {
+	if c.tags != nil {
 		t.Error("a cache that was never filled holds a tag store")
 	}
 }

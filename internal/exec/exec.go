@@ -190,13 +190,20 @@ func (w *Warp) ResetRegion(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mask uin
 	}
 }
 
+// zeroRegs is what a new register file is appended from (init).
+var zeroRegs [isa.MaxRegs][isa.WarpSize]uint64
+
 // init is the one place a warp's state is established, fresh or recycled:
 // every field is assigned, the register file reads zero, and only backing
 // storage survives from w's previous use.
 func (w *Warp) init(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, shared []uint32, base simtEntry) {
 	regs := w.Regs
 	if cap(regs) < k.NumRegs {
-		regs = make([][isa.WarpSize]uint64, k.NumRegs)
+		// Appending to an empty slice gives the file its allocation's whole
+		// size class as capacity: the bytes are paid for either way, and a
+		// later kernel with a register or two more (BP's second launch, 16
+		// after 15) then fits in the same file.
+		regs = append(regs[:0:0], zeroRegs[:k.NumRegs]...)
 	} else {
 		regs = regs[:k.NumRegs]
 		clear(regs)

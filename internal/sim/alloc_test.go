@@ -13,16 +13,19 @@ import (
 // (stack SMs, offload jobs, cross-stack flights), one baseline cell that
 // stores to every page of its image (L2 misses over the GPU links), one
 // that stores to one page of 45, the read-mostly shape copy-on-write images
-// are for, and one compute cell whose 19 CTAs leave 49 of 68 main SMs idle:
-// heap bytes and objects allocated by Clone+New+Run — what a session pays
-// per cell, the run's private copies of the pages it writes included — per
-// simulated warp-instruction. The counts repeat from run to run to three
-// digits, and the ceilings sit about 10 % above what the cells allocate
-// (62.2, 13.5, 7.4 and 7.4 B; 0.313, 0.076, 0.043 and 0.030 objects). BFS's
-// is 4 %: it keeps the most warps, and a buffer that every warp owns again
-// (a 32-entry lane access buffer was 3.8 B there) must fail it. KM's fails
-// if an idle SM allocates its L1 tag store, timer ring and warp slot table
-// again (10.7 B).
+// are for, one compute cell whose 19 CTAs leave 49 of 68 main SMs idle, and
+// one cell of two kernels: heap bytes and objects allocated by
+// Clone+New+Run — what a session pays per cell, the run's private copies of
+// the pages it writes included — per simulated warp-instruction. The counts
+// repeat from run to run to three digits, and the ceilings sit about 10 %
+// above what the cells allocate (59.3, 12.3, 6.2, 6.2 and 10.8 B; 0.312,
+// 0.074, 0.042, 0.029 and 0.037 objects). BFS's is 4 %: it keeps the most
+// warps, and a buffer that every warp owns again (a 32-entry lane access
+// buffer was 3.8 B there) must fail it. KM's fails if an idle SM allocates
+// its L1 tag store, timer ring and warp slot table again (10.7 B). BP's
+// second kernel uses 16 registers after the first's 15; its ceiling fails
+// if that launch allocates its warps' register files again rather than
+// reusing the first launch's, whose size class holds 16 (12.2 B).
 func TestSteadyStateAllocBudget(t *testing.T) {
 	noctrlBmap := DefaultConfig()
 	noctrlBmap.Offload = OffloadUncontrolled
@@ -33,10 +36,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		maxBytes   float64 // per warp-instruction
 		maxMallocs float64
 	}{
-		{"BFS", "noctrl-bmap", noctrlBmap, 64.7, 0.35},
-		{"FWT", "baseline", BaselineConfig(), 14.9, 0.085},
-		{"SP", "baseline", BaselineConfig(), 8.2, 0.05}, // 36.6 B with a deep-copying Clone
-		{"KM", "baseline", BaselineConfig(), 8.2, 0.033},
+		{"BFS", "noctrl-bmap", noctrlBmap, 61.6, 0.35},
+		{"FWT", "baseline", BaselineConfig(), 13.5, 0.082},
+		{"SP", "baseline", BaselineConfig(), 6.8, 0.046}, // 36.6 B with a deep-copying Clone
+		{"KM", "baseline", BaselineConfig(), 6.8, 0.032},
+		{"BP", "baseline", BaselineConfig(), 11.9, 0.041},
 	} {
 		w, err := workloads.ByAbbr(tc.abbr)
 		if err != nil {

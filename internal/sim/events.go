@@ -39,7 +39,7 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 			st.busy.set(v)
 			st.due = minEvent(st.due, st.vaults[v].NextEvent())
 		} else {
-			sys.wheel.afterEvent(4, *ev)
+			sys.wheel.afterEvent(vaultRetryDelay, *ev)
 		}
 
 	case wevTxnDone:

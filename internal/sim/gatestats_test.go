@@ -217,7 +217,6 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		stackSM.spawnQ = append(stackSM.spawnQ, &offloadJob{
 			cand: cand, srcSM: stackSM, srcWarp: srcWarp, dest: 0,
-			dirty: map[uint64]struct{}{},
 		})
 	}
 	stackSM.trySpawn(1) // ideal mode drains the whole queue, oversubscribing

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/compiler"
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -15,15 +17,18 @@ import (
 // and live-out registers, active mask, warp identity — stays in that warp,
 // which waits in wsWaitOffload from launchOffload to finishOffload: spawn
 // reads it and sendOffloadAck writes the live-outs into it. Jobs are
-// recycled (System.jobs) from buildJob to finishOffload, keeping the emptied
-// dirty set and deliver.
+// recycled (System.jobs) from buildJob to finishOffload, keeping the dirty
+// list's capacity and deliver.
 type offloadJob struct {
 	cand    *compiler.Candidate
 	srcSM   *SM
 	srcWarp *smWarp
 	dest    int
 	vault   int // destination vault for vault-granular policies, else -1
-	dirty   map[uint64]struct{}
+	// dirty lists the lines the offloaded warp stored to, one entry per
+	// store transaction (repeats of the last line dropped) until
+	// sendOffloadAck sorts and compacts it into the set the ack carries.
+	dirty []uint64
 
 	// deliver is the link callback of both of the job's packets, bound to
 	// job.delivered once, when the job is first created: the request
@@ -197,11 +202,10 @@ func (sys *System) buildJob(sm *SM, sw *smWarp, cand *compiler.Candidate, dest, 
 	job := sys.jobs.get()
 	if job.deliver == nil {
 		job.deliver = job.delivered
-		job.dirty = make(map[uint64]struct{})
 	}
 	*job = offloadJob{
 		cand: cand, srcSM: sm, srcWarp: sw, dest: dest, vault: vault,
-		dirty: job.dirty, deliver: job.deliver,
+		dirty: job.dirty[:0], deliver: job.deliver,
 	}
 	return job
 }
@@ -296,6 +300,8 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	// must identify the requesting warp and region (see types.go).
 	ackBytes := offloadHdrBytes + cand.NumLiveOut()*isa.WarpSize*regLaneBytes
 	if sys.cfg.Coherence {
+		slices.Sort(job.dirty)
+		job.dirty = slices.Compact(job.dirty)
 		ackBytes += len(job.dirty) * dirtyAddrBytes
 	}
 	sys.stats.OffloadsAcked++
@@ -319,7 +325,7 @@ func (sys *System) finishOffload(job *offloadJob, now int64) {
 	sm := job.srcSM
 	invalidateCost := int64(0)
 	if sys.cfg.Coherence && !sys.policy.ZeroCost {
-		for line := range job.dirty {
+		for _, line := range job.dirty {
 			sm.l1.Invalidate(line)
 			sys.l2.invalidate(line)
 		}
@@ -339,7 +345,6 @@ func (sys *System) finishOffload(job *offloadJob, now int64) {
 	sw.notReadyUntil = now + 1 + invalidateCost
 	sw.state = wsWaitDep
 	sm.reconsider(sw, now)
-	clear(job.dirty)
 	sys.jobs.put(job)
 }
 

@@ -478,7 +478,7 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 			sm.lsuStalled++
 			// MSHR-full wakeups ride on fills; LSU wakeups on drain.
 			if len(sm.mshr) >= sm.cfg.MSHRsPerSM {
-				sm.sys.wheel.afterEvent(8, wheelEvent{kind: wevLSURetry, sw: sw})
+				sm.sys.wheel.afterEvent(lsuRetryDelay, wheelEvent{kind: wevLSURetry, sw: sw})
 			}
 			return
 		}
@@ -513,9 +513,11 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, lines []exec.Line, now i
 	isStore := res.Op.IsStore() || res.Op == isa.OpAtomAdd
 	if isStore {
 		sw.pendingStores += len(lines)
-		if sw.job != nil && sm.cfg.Coherence {
+		if job := sw.job; job != nil && sm.cfg.Coherence {
 			for _, li := range lines {
-				sw.job.dirty[li.Addr] = struct{}{}
+				if n := len(job.dirty); n == 0 || job.dirty[n-1] != li.Addr {
+					job.dirty = append(job.dirty, li.Addr)
+				}
 			}
 		}
 	}

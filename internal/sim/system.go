@@ -123,7 +123,7 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 			isa.LatShared: cfg.SharedLat, isa.LatMem: 1,
 		},
 	}
-	sys.wheel = newWheel(sys)
+	sys.wheel = newWheel(sys, wheelHorizonFor(cfg, pol.SpawnLat))
 	sys.stats.PCStats = compiler.GateProfile{}
 	sys.l2 = newL2(sys)
 	nSMs := cfg.MainSMs + mapping.Stacks*cfg.StackSMs

@@ -158,21 +158,33 @@ func TestFrozenWindowSemantics(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowDelayInSystem: a config whose modeled latency exceeds
-// the wheel horizon (8192) must run to completion — the seed loop panicked
-// on wheel.after(delay >= 8192).
+// TestWheelOverflowDelayInSystem: delays at or beyond the wheel's horizon
+// wait in the overflow bucket and are re-filed once in range (the seed loop
+// panicked on them). The wheel is sized from the Config, so the run is
+// built on one too short for it — 64 slots under a 1000-cycle offload
+// pipeline and a 90-cycle L2, so every offload request and every L2 return
+// passes through the overflow bucket — and must end with the memory of the
+// functional reference and the Stats of the same run on its sized wheel.
 func TestWheelOverflowDelayInSystem(t *testing.T) {
 	env := streamEnv(t, 4, 4)
 	want := refMem(t, env)
 	cfg := DefaultConfig()
 	cfg.Mapping = MapBaseline
-	cfg.OffloadPipeLat = wheelHorizon + 1000 // absurdly deep offload pipeline
-	sys := runSim(t, cfg, env)
-	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {
-		t.Fatalf("run with over-horizon latency diverged at %#x", addr)
+	cfg.OffloadPipeLat = 1000 // absurdly deep offload pipeline
+	sized := runSim(t, cfg, env)
+	short := newSim(cfg, env)
+	short.wheel = newWheel(short, 64)
+	if err := short.Run(env.launches); err != nil {
+		t.Fatal(err)
 	}
-	if sys.Stats().OffloadsSent == 0 {
+	if ok, addr := mem.Equal(want, short.global.Mem); !ok {
+		t.Fatalf("run with over-horizon latencies diverged at %#x", addr)
+	}
+	if short.Stats().OffloadsSent == 0 {
 		t.Fatal("run should still offload")
+	}
+	if got, want := short.Stats(), sized.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a 64-slot wheel changed the run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -1,31 +1,53 @@
 package sim
 
-// The wheel is the simulator's global timer: a fixed-horizon timer wheel
-// whose slots hold typed events. The hot schedulers (offload pipeline,
-// L2 routing, vault crossbar retries, warp wakeups) file small value
-// structs instead of closures. Delays at or beyond the horizon land in an
-// overflow bucket and are re-filed into the wheel once they come within
-// range — a long modeled latency (scaled PCIe, future LLM-workload delays)
-// is an input condition, not a model bug.
+// The wheel is the simulator's global timer: a timer wheel whose slots hold
+// typed events. The hot schedulers (offload pipeline, L2 routing, vault
+// crossbar retries, warp wakeups) file small value structs instead of
+// closures. Its horizon — the number of slots — comes from the Config
+// (wheelHorizonFor): the smallest power of two above every fixed delay the
+// model files, 128 cycles by default. Delays at or beyond the horizon land
+// in an overflow bucket and are re-filed into the wheel once they come
+// within range — a long modeled latency (a warp's wake-up after a long
+// invalidation, scaled PCIe, future LLM-workload delays) is an input
+// condition, not a model bug.
 //
 // Events live in one slab of nodes; a slot is the head and tail index of a
 // singly linked FIFO threaded through the slab, and fired nodes go onto a
 // free list. The slab therefore grows to the peak number of events pending
-// at once and no further — not to 8192 slots × each slot's own peak — and
-// a fresh System pays no per-slot warm-up.
+// at once and no further — not to horizon slots × each slot's own peak —
+// and a fresh System pays no per-slot warm-up.
 type wheel struct {
 	sys      *System
-	slots    [wheelHorizon]wheelSlot
+	slots    []wheelSlot // horizon entries, a power of two
+	mask     int64       // horizon - 1
 	nodes    []wheelNode
 	free     int32 // head of the free-node list, noNode when empty
 	now      int64
 	count    int
-	overflow []farEvent // due >= now+wheelHorizon; re-filed once in range
+	overflow []farEvent // due >= now+horizon; re-filed once in range
 }
 
-const wheelHorizon = 1 << 13 // 8192 cycles covers every fixed delay used
-
 const noNode int32 = -1
+
+// Fixed retry delays filed on the wheel (cycles).
+const (
+	lsuRetryDelay   = 8 // an MSHR-full load/store unit retries
+	vaultRetryDelay = 4 // a crossbar delivery retries a full vault queue
+)
+
+// wheelHorizonFor sizes the wheel for cfg: the smallest power of two above
+// every fixed delay the model files on it — the L2 and crossbar latencies,
+// the offload pipeline (or the policy's spawn latency, which replaces it)
+// and the fixed retries. A dynamic delay beyond it (a warp's wake-up after
+// a long invalidation) takes the overflow path.
+func wheelHorizonFor(cfg Config, spawnLat int64) int {
+	d := max(cfg.L2Lat, cfg.XbarLat, cfg.OffloadPipeLat, spawnLat, lsuRetryDelay, vaultRetryDelay)
+	h := 1
+	for int64(h) <= d {
+		h <<= 1
+	}
+	return h
+}
 
 // wheelSlot is one due cycle's FIFO: events fire in the order filed.
 type wheelSlot struct{ head, tail int32 }
@@ -65,8 +87,10 @@ type farEvent struct {
 	ev wheelEvent
 }
 
-func newWheel(sys *System) *wheel {
-	w := &wheel{sys: sys, free: noNode}
+// newWheel makes an empty wheel of horizon slots; horizon must be a power
+// of two.
+func newWheel(sys *System, horizon int) *wheel {
+	w := &wheel{sys: sys, slots: make([]wheelSlot, horizon), mask: int64(horizon - 1), free: noNode}
 	for i := range w.slots {
 		w.slots[i] = wheelSlot{head: noNode, tail: noNode}
 	}
@@ -85,7 +109,7 @@ func (w *wheel) afterEvent(delay int64, ev wheelEvent) {
 		delay = 1
 	}
 	w.count++
-	if delay >= wheelHorizon {
+	if delay > w.mask {
 		w.overflow = append(w.overflow, farEvent{at: w.now + delay, ev: ev})
 		return
 	}
@@ -102,7 +126,7 @@ func (w *wheel) file(at int64, ev wheelEvent) {
 		n = int32(len(w.nodes))
 		w.nodes = append(w.nodes, wheelNode{ev: ev, next: noNode})
 	}
-	s := &w.slots[at%wheelHorizon]
+	s := &w.slots[at&w.mask]
 	if s.head == noNode {
 		s.head = n
 	} else {
@@ -120,7 +144,7 @@ func (w *wheel) tick(now int64) {
 	if len(w.overflow) > 0 {
 		w.refileOverflow(now)
 	}
-	s := &w.slots[now%wheelHorizon]
+	s := &w.slots[now&w.mask]
 	n := s.head
 	*s = wheelSlot{head: noNode, tail: noNode}
 	for n != noNode {
@@ -143,7 +167,7 @@ func (w *wheel) tick(now int64) {
 func (w *wheel) refileOverflow(now int64) {
 	kept := w.overflow[:0]
 	for _, fe := range w.overflow {
-		if fe.at-now < wheelHorizon {
+		if fe.at-now <= w.mask {
 			w.file(fe.at, fe.ev)
 		} else {
 			kept = append(kept, fe)
@@ -164,8 +188,8 @@ func (w *wheel) nextDue() int64 {
 	if w.count == 0 {
 		return -1
 	}
-	for d := int64(1); d <= wheelHorizon; d++ {
-		if w.slots[(w.now+d)%wheelHorizon].head != noNode {
+	for d := int64(1); d <= w.mask+1; d++ {
+		if w.slots[(w.now+d)&w.mask].head != noNode {
 			return w.now + d
 		}
 	}

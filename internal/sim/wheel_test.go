@@ -7,8 +7,38 @@ import (
 	"testing/quick"
 )
 
+// testHorizon is the default Config's wheel horizon, which the tests below
+// run at.
+var testHorizon = int64(wheelHorizonFor(DefaultConfig(), 0))
+
+func newTestWheel() *wheel { return newWheel(&System{}, int(testHorizon)) }
+
+// TestWheelHorizonFor: the horizon is the smallest power of two strictly
+// above the largest fixed delay — 128 for the default L2 latency of 90.
+func TestWheelHorizonFor(t *testing.T) {
+	for _, tc := range []struct {
+		edit     func(*Config)
+		spawnLat int64
+		want     int
+	}{
+		{func(*Config) {}, 0, 128},
+		{func(*Config) {}, 2, 128},                                                  // mpu's spawn latency
+		{func(*Config) {}, 300, 512},                                                // a spawn latency above the L2's
+		{func(c *Config) { c.L2Lat = 128 }, 0, 256},                                 // a delay of exactly 128 needs slot 128
+		{func(c *Config) { c.OffloadPipeLat = 1000 }, 0, 1024},                      // a deep offload pipeline
+		{func(c *Config) { c.L2Lat, c.XbarLat, c.OffloadPipeLat = 1, 1, 1 }, 0, 16}, // the fixed retries
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if got := wheelHorizonFor(cfg, tc.spawnLat); got != tc.want {
+			t.Errorf("L2 %d, xbar %d, pipeline %d, spawn %d: horizon %d, want %d",
+				cfg.L2Lat, cfg.XbarLat, cfg.OffloadPipeLat, tc.spawnLat, got, tc.want)
+		}
+	}
+}
+
 func TestWheelFiresAtExactCycle(t *testing.T) {
-	w := newWheel(&System{})
+	w := newTestWheel()
 	fired := map[int64]int64{}
 	now := int64(0)
 	schedule := func(delay int64) {
@@ -17,8 +47,8 @@ func TestWheelFiresAtExactCycle(t *testing.T) {
 	}
 	schedule(1)
 	schedule(5)
-	schedule(wheelHorizon - 1)
-	for ; now < wheelHorizon+10; now++ {
+	schedule(testHorizon - 1)
+	for ; now < testHorizon+10; now++ {
 		w.tick(now)
 	}
 	for at, got := range fired {
@@ -35,7 +65,7 @@ func TestWheelFiresAtExactCycle(t *testing.T) {
 }
 
 func TestWheelZeroDelayClamped(t *testing.T) {
-	w := newWheel(&System{})
+	w := newTestWheel()
 	fired := int64(-1)
 	w.tick(0)
 	w.after(0, func(now int64) { fired = now })
@@ -52,22 +82,22 @@ func TestWheelZeroDelayClamped(t *testing.T) {
 // re-filed into range. Long modeled latencies (scaled PCIe, future workload
 // sweeps) are legitimate configs, not crashes.
 func TestWheelOverflowFiresExactly(t *testing.T) {
-	w := newWheel(&System{})
+	w := newTestWheel()
 	fired := map[int64]int64{}
 	schedule := func(delay int64) {
 		at := delay // scheduled at now=0
 		w.after(delay, func(fireNow int64) { fired[at] = fireNow })
 	}
-	schedule(wheelHorizon)     // exactly at the horizon
-	schedule(wheelHorizon + 1) // just beyond
-	schedule(10 * wheelHorizon)
+	schedule(testHorizon)     // exactly at the horizon
+	schedule(testHorizon + 1) // just beyond
+	schedule(10 * testHorizon)
 	if w.pending() != 3 {
 		t.Fatalf("pending = %d, want 3", w.pending())
 	}
-	for now := int64(0); now <= 10*wheelHorizon+5; now++ {
+	for now := int64(0); now <= 10*testHorizon+5; now++ {
 		w.tick(now)
 	}
-	for _, at := range []int64{wheelHorizon, wheelHorizon + 1, 10 * wheelHorizon} {
+	for _, at := range []int64{testHorizon, testHorizon + 1, 10 * testHorizon} {
 		if got, ok := fired[at]; !ok {
 			t.Errorf("overflow event for cycle %d never fired", at)
 		} else if got != at {
@@ -83,19 +113,19 @@ func TestWheelOverflowFiresExactly(t *testing.T) {
 // straight to nextDue; overflow events must re-file and fire under that
 // tick pattern too.
 func TestWheelOverflowSurvivesSkippedCycles(t *testing.T) {
-	w := newWheel(&System{})
+	w := newTestWheel()
 	var firedAt int64 = -1
-	w.after(3*wheelHorizon+7, func(now int64) { firedAt = now })
+	w.after(3*testHorizon+7, func(now int64) { firedAt = now })
 	for now := w.nextDue(); now >= 0; now = w.nextDue() {
 		w.tick(now)
 	}
-	if firedAt != 3*wheelHorizon+7 {
-		t.Errorf("fired at %d, want %d", firedAt, int64(3*wheelHorizon+7))
+	if firedAt != 3*testHorizon+7 {
+		t.Errorf("fired at %d, want %d", firedAt, int64(3*testHorizon+7))
 	}
 }
 
 func TestWheelNextDue(t *testing.T) {
-	w := newWheel(&System{})
+	w := newTestWheel()
 	if w.nextDue() != -1 {
 		t.Errorf("empty wheel nextDue = %d, want -1", w.nextDue())
 	}
@@ -103,19 +133,19 @@ func TestWheelNextDue(t *testing.T) {
 	if got := w.nextDue(); got != 37 {
 		t.Errorf("nextDue = %d, want 37", got)
 	}
-	w.after(2*wheelHorizon, func(int64) {})
+	w.after(2*testHorizon, func(int64) {})
 	if got := w.nextDue(); got != 37 {
 		t.Errorf("nextDue with overflow = %d, want 37", got)
 	}
 	w.tick(37)
-	if got := w.nextDue(); got != 2*wheelHorizon {
-		t.Errorf("nextDue after near event = %d, want %d", got, int64(2*wheelHorizon))
+	if got := w.nextDue(); got != 2*testHorizon {
+		t.Errorf("nextDue after near event = %d, want %d", got, int64(2*testHorizon))
 	}
 }
 
 func TestWheelCascading(t *testing.T) {
 	// Events scheduled from within events must land on later cycles.
-	w := newWheel(&System{})
+	w := newTestWheel()
 	var order []int64
 	w.after(2, func(now int64) {
 		order = append(order, now)
@@ -129,110 +159,136 @@ func TestWheelCascading(t *testing.T) {
 	}
 }
 
+// wheelFiring is one event a wheel ran: its filing sequence number and the
+// cycle it fired at.
+type wheelFiring struct {
+	id int
+	at int64
+}
+
 // TestWheelMatchesReferenceModel drives the wheel with random traffic and
 // checks it against the definition of a timer: events fire at exactly their
 // due cycle, ordered by (due cycle, filing sequence). Delays cover the
-// clamped zero, the per-slot FIFO (many events per cycle), the far end of
-// the horizon and the overflow bucket; handlers file further events while
-// their slot is being drained (so the slab grows and reuses nodes mid-tick);
-// and time advances by single cycles, by jumps that stop short of the next
-// due cycle, and by jumps straight to it, the way the event loop does.
+// clamped zero, the per-slot FIFO (many events per cycle), both ends of a
+// 64-slot and of an 8192-slot horizon and far beyond; handlers file further
+// events while their slot is being drained (so the slab grows and reuses
+// nodes mid-tick); and time advances by single cycles, by jumps that stop
+// short of the next due cycle, and by jumps straight to it, the way the
+// event loop does. Each seed's schedule runs on a 64-slot wheel, where most
+// events take the overflow path, and on an 8192-slot one, where few do: both
+// must fire the same events at the same cycles in the same order.
 func TestWheelMatchesReferenceModel(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		small := wheelSchedule(t, seed, 64)
+		large := wheelSchedule(t, seed, 8192)
+		if len(small) != len(large) {
+			t.Fatalf("seed %d: the 64-slot wheel fired %d events, the 8192-slot one %d", seed, len(small), len(large))
+		}
+		for i := range small {
+			if small[i] != large[i] {
+				t.Fatalf("seed %d: firing %d was %+v on the 64-slot wheel, %+v on the 8192-slot one", seed, i, small[i], large[i])
+			}
+		}
+	}
+}
+
+// wheelSchedule runs seed's random schedule on a wheel of horizon slots,
+// checks every nextDue and the firing order against the reference model, and
+// returns the firings.
+func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
+	t.Helper()
 	type filed struct {
 		due int64
 		id  int // filing sequence number
 	}
-	type fired struct {
-		id int
-		at int64
-	}
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		w := newWheel(&System{})
-		var model []filed // every event ever filed
-		var got []fired
-		pending := map[int]int64{} // id -> due, for the nextDue check
-		now := int64(0)
+	rng := rand.New(rand.NewSource(seed))
+	w := newWheel(&System{}, horizon)
+	var model []filed // every event ever filed
+	var got []wheelFiring
+	pending := map[int]int64{} // id -> due, for the nextDue check
+	now := int64(0)
 
-		var file func(depth int)
-		file = func(depth int) {
-			var delay int64
-			switch rng.Intn(6) {
-			case 0:
-				delay = 0 // clamped to 1
-			case 1:
-				delay = 1 + rng.Int63n(4) // crowds a few slots
-			case 2:
-				delay = 1 + rng.Int63n(200)
-			case 3:
-				delay = wheelHorizon - 1 - rng.Int63n(3)
-			case 4:
-				delay = wheelHorizon + rng.Int63n(3) // first cycles of the overflow
-			default:
-				delay = wheelHorizon + rng.Int63n(2*wheelHorizon)
-			}
-			id := len(model)
-			due := now + max(delay, 1)
-			model = append(model, filed{due: due, id: id})
-			pending[id] = due
-			w.after(delay, func(at int64) {
-				got = append(got, fired{id: id, at: at})
-				delete(pending, id)
-				for depth < 3 && rng.Intn(3) == 0 {
-					file(depth + 1)
-					depth++
-				}
-			})
+	var file func(depth int)
+	file = func(depth int) {
+		var delay int64
+		switch rng.Intn(8) {
+		case 0:
+			delay = 0 // clamped to 1
+		case 1:
+			delay = 1 + rng.Int63n(4) // crowds a few slots
+		case 2:
+			delay = 1 + rng.Int63n(200)
+		case 3:
+			delay = 62 + rng.Int63n(5) // around the 64-slot horizon
+		case 4:
+			delay = 8189 + rng.Int63n(3) // the last slots of the 8192-slot one
+		case 5:
+			delay = 8192 + rng.Int63n(3) // its first cycles of overflow
+		default:
+			delay = 8192 + rng.Int63n(2*8192)
 		}
+		id := len(model)
+		due := now + max(delay, 1)
+		model = append(model, filed{due: due, id: id})
+		pending[id] = due
+		w.after(delay, func(at int64) {
+			got = append(got, wheelFiring{id: id, at: at})
+			delete(pending, id)
+			for depth < 3 && rng.Intn(3) == 0 {
+				file(depth + 1)
+				depth++
+			}
+		})
+	}
 
+	w.tick(now)
+	for step := 0; ; step++ { // file for 1000 steps, then drain
+		if step < 1000 {
+			for n := rng.Intn(4); n > 0; n-- {
+				file(0)
+			}
+		}
+		next := w.nextDue()
+		want := int64(-1)
+		for _, due := range pending {
+			if want < 0 || due < want {
+				want = due
+			}
+		}
+		if next != want {
+			t.Fatalf("seed %d horizon %d cycle %d: nextDue = %d, earliest pending is %d", seed, horizon, now, next, want)
+		}
+		if next < 0 {
+			if step >= 1000 {
+				break
+			}
+			next = now + 1 + rng.Int63n(50)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			now++
+		case 1:
+			now += 1 + rng.Int63n(next-now) // skips cycles, never past next
+		default:
+			now = next
+		}
 		w.tick(now)
-		for step := 0; ; step++ { // file for 1000 steps, then drain
-			if step < 1000 {
-				for n := rng.Intn(4); n > 0; n-- {
-					file(0)
-				}
-			}
-			next := w.nextDue()
-			want := int64(-1)
-			for _, due := range pending {
-				if want < 0 || due < want {
-					want = due
-				}
-			}
-			if next != want {
-				t.Fatalf("seed %d cycle %d: nextDue = %d, earliest pending is %d", seed, now, next, want)
-			}
-			if next < 0 {
-				if step >= 1000 {
-					break
-				}
-				next = now + 1 + rng.Int63n(50)
-			}
-			switch rng.Intn(3) {
-			case 0:
-				now++
-			case 1:
-				now += 1 + rng.Int63n(next-now) // skips cycles, never past next
-			default:
-				now = next
-			}
-			w.tick(now)
-		}
-		if w.pending() != 0 || len(pending) != 0 {
-			t.Fatalf("seed %d: %d events still pending after the drain", seed, w.pending())
-		}
+	}
+	if w.pending() != 0 || len(pending) != 0 {
+		t.Fatalf("seed %d horizon %d: %d events still pending after the drain", seed, horizon, w.pending())
+	}
 
-		sort.SliceStable(model, func(i, j int) bool { return model[i].due < model[j].due })
-		if len(got) != len(model) {
-			t.Fatalf("seed %d: fired %d of %d events", seed, len(got), len(model))
-		}
-		for i, m := range model {
-			if got[i].id != m.id || got[i].at != m.due {
-				t.Fatalf("seed %d: firing %d was event %d at cycle %d, the model says event %d at cycle %d",
-					seed, i, got[i].id, got[i].at, m.id, m.due)
-			}
+	sort.SliceStable(model, func(i, j int) bool { return model[i].due < model[j].due })
+	if len(got) != len(model) {
+		t.Fatalf("seed %d horizon %d: fired %d of %d events", seed, horizon, len(got), len(model))
+	}
+	for i, m := range model {
+		if got[i].id != m.id || got[i].at != m.due {
+			t.Fatalf("seed %d horizon %d: firing %d was event %d at cycle %d, the model says event %d at cycle %d",
+				seed, horizon, i, got[i].id, got[i].at, m.id, m.due)
 		}
 	}
+	return got
 }
 
 // TestWheelSlabBoundedByPeakPending: the slab holds the peak number of
@@ -240,12 +296,12 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 func TestWheelSlabBoundedByPeakPending(t *testing.T) {
 	const peak = 64
 	rng := rand.New(rand.NewSource(5))
-	w := newWheel(&System{})
+	w := newTestWheel()
 	nop := func(int64) {}
 	w.tick(0)
 	for filed := 0; filed < 1_000_000; {
 		for w.pending() < peak {
-			w.after(1+rng.Int63n(2*wheelHorizon), nop)
+			w.after(1+rng.Int63n(2*testHorizon), nop)
 			filed++
 		}
 		w.tick(w.nextDue())
