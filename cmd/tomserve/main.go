@@ -59,8 +59,8 @@ func main() {
 	opts.logf = logf
 	if opts.cacheDir != "" {
 		// Startup GC: drop what this build can never replay (foreign
-		// fingerprints, torn or abandoned writes) from the run cache and the
-		// mapping store under it, before the directory grows.
+		// fingerprints, torn or abandoned writes) from the run cache, before
+		// the directory grows.
 		if n, err := core.NewDiskCache(opts.cacheDir, "").Sweep(); err != nil {
 			logf("tomserve: cache sweep: %v", err)
 		} else if n > 0 {

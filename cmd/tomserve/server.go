@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // options configures a server instance. The zero values of workers/queue/
@@ -109,13 +108,6 @@ type runRequest struct {
 	Config   string  `json:"config"`
 	Policy   string  `json:"policy,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
-	// StoredMapping consults the server's persistent mapping registry for
-	// this run (core.Session.WithStoredMapping): a transparent-mapping run
-	// whose key has a stored record installs the learned bit before cycle 0
-	// instead of learning it. Opt-in per run because the install folds into
-	// the spec digest — the stored-mapping run is a different measurement
-	// than the fresh-learning run and caches under its own record.
-	StoredMapping bool `json:"mapping_store,omitempty"`
 }
 
 // runResponse is one run's slot in the batch response, aligned with the
@@ -127,9 +119,9 @@ type runResponse struct {
 	Scale    float64        `json:"scale"`
 	Digest   string         `json:"digest,omitempty"`
 	Source   core.RunSource `json:"source,omitempty"`
-	// Mapping reports the run's data-mapping provenance: "stored" (installed
-	// from the persistent registry), "learned" (this run's learning phase),
-	// "preset" (oracle), or "baseline" (no bit mapping).
+	// Mapping reports the run's data-mapping provenance: "learned" (this
+	// run's learning phase), "preset" (in force from cycle 0: ctrl-oracle,
+	// ctrl-tmap-preset), or "baseline" (no bit mapping).
 	Mapping string          `json:"mapping,omitempty"`
 	Error   string          `json:"error,omitempty"`
 	Result  *core.RunResult `json:"result,omitempty"`
@@ -143,10 +135,6 @@ type batchSummary struct {
 	Misses    int `json:"misses"`
 	Simulated int `json:"simulated"`
 	Errors    int `json:"errors"`
-	// Stored counts runs that installed a mapping from the persistent
-	// registry (omitted when zero, so batches without mapping_store runs
-	// keep the historical summary shape).
-	Stored int `json:"stored,omitempty"`
 }
 
 type batchResponse struct {
@@ -253,9 +241,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			spec, err = spec.WithPolicy(rr.Policy)
 		}
-		if err == nil && rr.StoredMapping {
-			spec, err = s.sess.WithStoredMapping(spec)
-		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -311,18 +296,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		default:
 			sum.Hits++
 		}
-		if results[i].Mapping == sim.MappingStored {
-			sum.Stored++
-		}
 	}
 	sum.Misses = sum.Simulated + sum.Errors
 	s.reg.Counter("runs.hits").Add(uint64(sum.Hits))
 	s.reg.Counter("runs.hits_inline").Add(uint64(inline))
 	s.reg.Counter("runs.simulated").Add(uint64(sum.Simulated))
 	s.reg.Counter("runs.errors").Add(uint64(sum.Errors))
-	if sum.Stored > 0 {
-		s.reg.Counter("runs.mapping_stored").Add(uint64(sum.Stored))
-	}
 
 	s.writeJSON(w, batchResponse{Results: results, Cache: sum})
 }

@@ -197,13 +197,13 @@ func TestServerBatchErrors(t *testing.T) {
 
 // TestServerRefusesLooseBatches: a body the server would otherwise half
 // understand is refused whole with a 400 — an unknown field (a misspelt
-// mapping_store ran without the stored mapping), data after the object, a
+// policy ran under the configuration's own), data after the object, a
 // negative scale (ran at the server default) or a negative timeout_ms
 // (ignored) — and nothing is simulated.
 func TestServerRefusesLooseBatches(t *testing.T) {
 	_, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test"})
 	for _, body := range []string{
-		`{"runs":[{"workload":"KM","config":"baseline","mapping-store":true}]}`,
+		`{"runs":[{"workload":"KM","config":"baseline","polcy":"coda"}]}`,
 		`{"runs":[{"workload":"KM","config":"baseline"}]} trailing junk`,
 		`{"runs":[{"workload":"KM","config":"baseline"}]}{}`,
 		`{"runs":[{"workload":"KM","config":"baseline","scale":-0.5}]}`,
@@ -230,8 +230,8 @@ func TestServerRefusesLooseBatches(t *testing.T) {
 func FuzzBatchRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"runs":[{"workload":"LIB","config":"ctrl-tmap","scale":0.1}]}`,
-		`{"runs":[{"workload":"KM","config":"baseline","policy":"coda","mapping_store":true}],"timeout_ms":500}`,
-		`{"runs":[{"workload":"KM","config":"baseline","mapping-store":true}]}`,
+		`{"runs":[{"workload":"KM","config":"baseline","policy":"coda"}],"timeout_ms":500}`,
+		`{"runs":[{"workload":"KM","config":"baseline","polcy":"coda"}]}`,
 		`{"runs":[{"workload":"KM","config":"baseline"}]} trailing junk`,
 		`{"runs":[{"workload":"KM","scale":-0.5}]}`,
 		`{"runs":[{"workload":"KM","scale":8.0000001}],"timeout_ms":-5}`,
@@ -456,56 +456,27 @@ func TestServerMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestServerMappingStoreOptIn: a mapping_store run consults the server's
-// persistent mapping registry. The first such batch learns (mapping:
-// "learned", seeding the store); a second server instance over the same
-// cache directory installs the stored bit — mapping: "stored", zero
-// learning-phase PCIe bytes, the avoided volume reported — while plain
-// batches are untouched (their digests must not change).
-func TestServerMappingStoreOptIn(t *testing.T) {
-	dir := t.TempDir()
-	plain := batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "ctrl-tmap"}}}
-	opted := batchRequest{Runs: []runRequest{{Workload: "LIB", Config: "ctrl-tmap", StoredMapping: true}}}
-
-	_, ts1 := newTestServer(t, options{cacheDir: dir, fingerprint: "test"})
-	_, p1, _ := postBatch(t, ts1.URL, plain)
-	if p1.Cache.Stored != 0 || p1.Results[0].Mapping != "learned" {
-		t.Fatalf("plain cold batch: stored=%d mapping=%q", p1.Cache.Stored, p1.Results[0].Mapping)
+// TestServerPresetCell: ctrl-tmap-preset is one more configuration name. A
+// cold batch that asks for it beside ctrl-tmap simulates each cell once —
+// the preset cell finds or makes the ctrl-tmap run it presets from — and
+// labels them "preset" and "learned".
+func TestServerPresetCell(t *testing.T) {
+	s, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test"})
+	_, out, _ := postBatch(t, ts.URL, batchRequest{Runs: []runRequest{
+		{Workload: "LIB", Config: "ctrl-tmap-preset"}, {Workload: "LIB", Config: "ctrl-tmap"},
+	}})
+	for i, want := range []string{"preset", "learned"} {
+		if r := out.Results[i]; r.Error != "" || r.Mapping != want {
+			t.Fatalf("result %d: mapping=%q error=%q, want %q", i, r.Mapping, r.Error, want)
+		}
 	}
-	// The plain run already learned and seeded the registry, so the opted
-	// run on the same server installs it.
-	_, o1, _ := postBatch(t, ts1.URL, opted)
-	if o1.Results[0].Error != "" {
-		t.Fatalf("opted batch failed: %s", o1.Results[0].Error)
+	preset, learned := &out.Results[0].Result.Stats, &out.Results[1].Result.Stats
+	if preset.LearnedBit != learned.LearnedBit || preset.PCIeBytes != 0 {
+		t.Errorf("preset cell: bit %d pcie %d, want ctrl-tmap's bit %d and no PCIe detour",
+			preset.LearnedBit, preset.PCIeBytes, learned.LearnedBit)
 	}
-	if o1.Results[0].Mapping != "stored" || o1.Cache.Stored != 1 {
-		t.Fatalf("opted batch: mapping=%q stored=%d, want a stored install",
-			o1.Results[0].Mapping, o1.Cache.Stored)
-	}
-	if o1.Results[0].Digest == p1.Results[0].Digest {
-		t.Error("stored-mapping run must not alias the fresh-learning run's digest")
-	}
-	st := &o1.Results[0].Result.Stats
-	if st.PCIeBytes != 0 || st.LearnPCIeSaved == 0 {
-		t.Errorf("stored run pcie=%d saved=%d, want 0 learning traffic and a reported saving",
-			st.PCIeBytes, st.LearnPCIeSaved)
-	}
-
-	// Restart: the registry and both cache records persist. The plain run's
-	// digest is unchanged (opt-in means existing clients see identical
-	// responses) and the opted run replays from disk, still marked stored.
-	_, ts2 := newTestServer(t, options{cacheDir: dir, fingerprint: "test"})
-	_, p2, _ := postBatch(t, ts2.URL, plain)
-	if p2.Results[0].Digest != p1.Results[0].Digest || p2.Results[0].Source != core.SourceDisk {
-		t.Fatalf("plain warm batch: digest changed or not replayed (%q)", p2.Results[0].Source)
-	}
-	_, o2, _ := postBatch(t, ts2.URL, opted)
-	if o2.Results[0].Source != core.SourceDisk || o2.Results[0].Mapping != "stored" {
-		t.Fatalf("opted warm batch: source=%q mapping=%q, want a disk replay marked stored",
-			o2.Results[0].Source, o2.Results[0].Mapping)
-	}
-	if o2.Cache.Stored != 1 {
-		t.Errorf("opted warm summary stored=%d, want 1", o2.Cache.Stored)
+	if n := s.sess.CacheStats().Simulated; n != 2 {
+		t.Errorf("the cold batch simulated %d runs, want 2", n)
 	}
 }
 

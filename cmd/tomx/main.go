@@ -193,18 +193,12 @@ func (c *common) observe(fn func(trace obs.EventSink) (metrics any, err error)) 
 	return os.WriteFile(c.metrics, append(data, '\n'), 0o644)
 }
 
-// summarize prints the machine-parseable summary lines the CI replay jobs
-// grep: the cache line when the persistent cache is on, and the mapping
-// store line when asked.
-func summarize(stderr io.Writer, s *tom.Session, mapping bool) {
+// summarize prints the machine-parseable cache line the CI replay jobs grep
+// when the persistent cache is on.
+func summarize(stderr io.Writer, s *tom.Session) {
 	if dir := s.CacheDir(); dir != "" {
 		cs := s.CacheStats()
 		fmt.Fprintf(stderr, "cache: dir=%s hits=%d simulated=%d\n",
 			dir, cs.DiskHits, cs.Simulated)
-	}
-	if mapping {
-		ms := s.MappingStats()
-		fmt.Fprintf(stderr, "mapping: hits=%d misses=%d writes=%d saved_bytes=%d\n",
-			ms.StoreHits, ms.StoreMisses, ms.StoreWrites, ms.SavedBytes)
 	}
 }

@@ -8,7 +8,7 @@ package main
 //	tomx run -workload LIB -cache                       # replay from .tomcache/
 //	tomx run -workload LIB -trace out.trace -metrics out.json
 //	tomx run -workload LIB -trace out.trace -trace-sample 64
-//	tomx run -workload LIB -cache -mapping-store        # install a stored data mapping
+//	tomx run -workload LIB -config ctrl-tmap-preset     # the learned bit, preset
 //	tomx run -list
 //
 // After the offloads line comes the per-PC gate table (Stats.PCStats): one
@@ -16,16 +16,12 @@ package main
 // rate and mean observed trip count. It is part of the cached record, so a
 // replayed run prints the same lines.
 //
-// -mapping-store consults the persistent mapping registry under
-// -cache-dir/mappings/ (see docs/RUNCACHE.md): a transparent-mapping run
-// whose (workload, data-structure identity, configuration family) key has a
-// stored record installs the learned bit before cycle 0 — no learning
-// phase, no PCIe detour, only the one-time copy — and reports the avoided
-// traffic. Fresh learning runs under -cache always seed the registry,
-// whether or not -mapping-store is set.
+// -config ctrl-tmap-preset runs ctrl-tmap with the bit and ranges the same
+// workload's ctrl-tmap run learned (from the cache, or simulated first) in
+// force from cycle 0: no learning phase and no PCIe detour. A run that starts
+// with a mapping in force (it and ctrl-oracle) prints a "preset" line.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -47,13 +43,8 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 		strings.Join(offload.Names(), ", ")+" (\"\" = the configuration's own)")
 	compare := fs.Bool("compare", true, "also run the baseline and report speedup")
 	list := fs.Bool("list", false, "list workloads and configurations")
-	mapStore := fs.Bool("mapping-store", false,
-		"install the learned data mapping from the persistent registry when available (requires -cache)")
 	if err := parse(fs, args, 0); err != nil {
 		return err
-	}
-	if *mapStore && !c.cache {
-		return errors.New("-mapping-store requires -cache (the registry lives under -cache-dir/mappings)")
 	}
 	if err := c.check(); err != nil {
 		return err
@@ -69,11 +60,6 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	}
 	if err != nil {
 		return err
-	}
-	if *mapStore {
-		if spec, err = s.WithStoredMapping(spec); err != nil {
-			return err
-		}
 	}
 	var res *core.RunResult
 	if c.observed() {
@@ -119,9 +105,9 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "tmap learning  bit %d from %d instances in %d cycles; %d bytes re-mapped\n",
 			st.LearnedBit, st.LearnInstances, st.LearnCycles, st.CopiedBytes)
 	}
-	if st.MappingSource == sim.MappingStored {
-		fmt.Fprintf(stdout, "tmap stored    bit %d installed from the registry (%d ranges); %d bytes copied, %d PCIe bytes saved\n",
-			st.LearnedBit, len(st.MappedRanges), st.CopiedBytes, st.LearnPCIeSaved)
+	if st.MappingSource == sim.MappingPreset {
+		fmt.Fprintf(stdout, "preset         bit %d in force from cycle 0 on %d ranges\n",
+			st.LearnedBit, len(st.MappedRanges))
 	}
 	if *compare && res.Config != tom.Baseline {
 		base, err := s.Run(*workload, tom.Baseline)
@@ -131,7 +117,7 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "speedup        %.3fx over baseline (%d cycles)\n",
 			st.IPC()/base.Stats.IPC(), base.Stats.Cycles)
 	}
-	summarize(stderr, s, *mapStore)
+	summarize(stderr, s)
 	return nil
 }
 

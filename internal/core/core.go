@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/exec"
+	"repro/internal/mapping"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -50,6 +51,9 @@ const (
 	CfgCross025    ConfigName = "ctrl-tmap-x14" // §6.5: cross-stack BW 0.25x
 	CfgCross100    ConfigName = "ctrl-tmap-x1"  // §6.5: cross-stack BW 1x
 	CfgNoCoherence ConfigName = "ctrl-tmap-nc"  // §4.4.2: coherence protocol off
+	// Fig. 3: ctrl-tmap with the bit its own ctrl-tmap run learned, preset
+	// before cycle 0 — the mapping known ahead of time, learning free.
+	CfgCtrlTmapPreset ConfigName = "ctrl-tmap-preset"
 	// Extension ablation (§6.4 future work): ALU-ratio-aware control at
 	// 4x stack warp capacity, versus plain 4x (CfgWarp4x).
 	CfgWarp4xALU ConfigName = "ctrl-tmap-w4-alu"
@@ -69,7 +73,7 @@ const (
 func AllConfigNames() []ConfigName {
 	return []ConfigName{
 		CfgBaseline, CfgIdeal, CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap,
-		CfgCtrlTmap, CfgCtrlOracle, CfgWarp2x, CfgWarp4x, CfgInternal1x,
+		CfgCtrlTmap, CfgCtrlOracle, CfgCtrlTmapPreset, CfgWarp2x, CfgWarp4x, CfgInternal1x,
 		CfgCross0125, CfgCross025, CfgCross100, CfgNoCoherence, CfgWarp4xALU,
 		CfgCoda, CfgMPU,
 	}
@@ -92,8 +96,8 @@ func buildConfig(name ConfigName) (sim.Config, error) {
 		c.Offload = sim.OffloadUncontrolled
 	case CfgCtrlBmap:
 		c.Mapping = sim.MapBaseline
-	case CfgCtrlTmap:
-		// TOM default.
+	case CfgCtrlTmap, CfgCtrlTmapPreset:
+		// TOM default; the preset is the session's (presetMapping).
 	case CfgCtrlOracle:
 		c.Mapping = sim.MapOracle
 	case CfgWarp2x:
@@ -167,8 +171,7 @@ type Session struct {
 	scale    float64                          // Options.Scale
 	progress func(format string, args ...any) // Options.Progress
 
-	cache    *DiskCache                  // nil = persistent layer disabled
-	mappings *recordStore[MappingRecord] // nil = persisted learned mappings disabled
+	cache *DiskCache // nil = persistent layer disabled
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -177,7 +180,6 @@ type Session struct {
 	profiles map[instKey]*sim.Profile
 	runs     map[string]*RunResult // keyed by RunSpec digest
 	stats    CacheStats
-	ms       MappingStats
 }
 
 // instKey names one workload instance: a workload built at a problem scale.
@@ -199,9 +201,6 @@ func NewSession(opts Options) *Session {
 	}
 	if opts.CacheDir != "" {
 		s.cache = NewDiskCache(opts.CacheDir, opts.Fingerprint)
-		// Learned mappings persist beside the run records, under the same
-		// fingerprint gate (docs/RUNCACHE.md).
-		s.mappings = newMappingStore(opts.CacheDir, opts.Fingerprint)
 	}
 	return s
 }
@@ -406,9 +405,9 @@ func (s *Session) memoize(digest string, res *RunResult, count *uint64) {
 // Execute runs one fully-resolved spec, at the spec's own scale, through
 // the layered caches — the entry point under Run and Warm, and the one for
 // callers that adjusted a spec beyond a named configuration (another scale,
-// a policy override, a stored mapping). The returned source names the
-// layer that satisfied the run; batch servers account per batch with it,
-// which the cumulative CacheStats cannot once batches overlap.
+// a policy override). The returned source names the layer that satisfied
+// the run; batch servers account per batch with it, which the cumulative
+// CacheStats cannot once batches overlap.
 //
 // Each run is one flight per digest. It probes the caches through
 // Lookup — inside the flight, so a caller arriving between another's disk
@@ -454,28 +453,19 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 	}
 	cfg := spec.Cfg
 	cfg.Observer = o
-	mi := spec.MapInstall
-	if cfg.Mapping == sim.MapOracle && mi == nil {
-		// Fig. 3's oracle: the profile's best bit over all instances, on
-		// the ranges candidate instances touch.
-		prof, err := s.profile(abbr, spec.Scale)
-		if err != nil {
-			return nil, err
-		}
-		mi = &MapInstallSpec{Bit: prof.Map.BestBit(), Ranges: prof.Touched}
+	bit, ranges, err := s.presetMapping(spec)
+	if err != nil {
+		return nil, err
 	}
 	// Clone shares the pristine image's pages copy-on-write and reads
 	// nothing a session ever writes (Build returns the image sealed, and
 	// every run stores to its own clone).
 	c := in.Clone()
 	sys := sim.New(cfg, c.Mem, c.Alloc)
-	if mi != nil {
-		// Put the mapping in force before cycle 0: the run starts with the
-		// bit resident and no learning phase. A stored record that no
-		// longer matches the instance (renamed/removed range, bad bit) fails
-		// the run loudly — WithStoredMapping's validity gates should make
-		// that unreachable, but a wrong mapping must never run silently.
-		if err := sys.InstallMapping(mi.Bit, mi.Ranges, mi.SavedPCIe); err != nil {
+	if bit != mapping.Interleave {
+		// A mapping that does not fit the instance fails the run loudly:
+		// a wrong mapping must never run silently.
+		if err := sys.InstallMapping(bit, ranges); err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Key(), err)
 		}
 	}
@@ -498,10 +488,37 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 	}
 	res := &RunResult{Abbr: abbr, Config: spec.Config, Stats: *sys.Stats()}
 	res.Energy = energy.Compute(&res.Stats, cfg, energy.DefaultParams())
-	// A verified run that learned its mapping this run seeds the persistent
-	// registry ("map once, stay resident") for later sessions.
-	s.storeLearnedMapping(spec, res)
 	return res, nil
+}
+
+// presetMapping returns the mapping a spec's run puts in force before cycle
+// 0, or mapping.Interleave when the run starts without one. Fig. 3's oracle
+// presets the profile's best bit over all instances on the ranges candidate
+// instances touch. ctrl-tmap-preset presets the bit and ranges the same spec
+// learned under ctrl-tmap, a run Execute finds in the memo or on disk, or
+// simulates; when that run learned no valid mapping, nothing is preset and
+// the cell learns exactly as ctrl-tmap does.
+func (s *Session) presetMapping(spec RunSpec) (int, []string, error) {
+	switch {
+	case spec.Cfg.Mapping == sim.MapOracle:
+		prof, err := s.profile(spec.Abbr, spec.Scale)
+		if err != nil {
+			return 0, nil, err
+		}
+		return prof.Map.BestBit(), prof.Touched, nil
+	case spec.Config == CfgCtrlTmapPreset:
+		learn := spec
+		learn.Config = CfgCtrlTmap
+		res, _, err := s.Execute(learn)
+		if err != nil {
+			return 0, nil, err
+		}
+		st := &res.Stats
+		if st.LearnedBit >= mapping.MinBit && st.LearnedBit <= mapping.MaxBit && len(st.MappedRanges) > 0 {
+			return st.LearnedBit, st.MappedRanges, nil
+		}
+	}
+	return mapping.Interleave, nil, nil
 }
 
 // Abbrs returns the workload abbreviations in paper order.

@@ -1,6 +1,16 @@
 package core
 
-import "runtime/debug"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime/debug"
+	"strings"
+	"time"
+)
 
 // cacheSchemaVersion is bumped whenever the record layout (or the meaning
 // of any serialized statistic) changes; it is folded into the fingerprint
@@ -15,10 +25,11 @@ import "runtime/debug"
 // v4: exact quiescence detection (cycle counts no longer overshoot drain by
 // up to 63 cycles) and window-boundary-exact channel-busy reads — v3 cycle
 // counts and gate decisions describe the old loop.
-// v5: Stats grew the mapping-provenance fields (MappingSource, MappedRanges,
-// LearnPCIeSaved) and endLearning skips the copy/invalidate/freeze when the
-// chosen mapping is already in force — v4 records would replay without the
-// provenance the mapping registry and reports read.
+// v5: Stats grew the mapping-provenance fields (MappingSource, MappedRanges
+// and the PCIe bytes a stored install saved) and endLearning skipped the
+// copy/invalidate/freeze when the chosen mapping was already in force — v4
+// records would replay without the provenance the mapping registry and
+// reports read.
 // v6: records sit in one envelope {fingerprint, key, record} whose key must
 // equal the file name's — v5's flat records carry no key.
 // v7: the compile-time gate-feedback loop is gone: Stats lost its two
@@ -35,7 +46,11 @@ import "runtime/debug"
 // v10: every digest moved — the memory geometry (stacks, vaults per stack,
 // banks, row size) is a set of mapping constants, not configuration fields,
 // so it left the canonical configuration. The model did not change.
-const cacheSchemaVersion = "tomcache/v10"
+// v11: the persistent mapping registry is gone, and with it the field of
+// Stats that counted the PCIe bytes a stored install saved and the install
+// fold of the spec digest; mappings/ is no longer read. The model did not
+// change.
+const cacheSchemaVersion = "tomcache/v11"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.
@@ -54,26 +69,81 @@ func BuildFingerprint() string {
 	return fp
 }
 
-// DiskCache is the persistent result layer: one verified RunResult per run
-// spec digest under dir, kept by a recordStore (see there for the
-// concurrency and dead-record rules).
+// tempPattern names a put's temp file, for os.CreateTemp and for Sweep.
+// staleTempAge is how old one must be before Sweep treats it as the leftover
+// of a writer killed between CreateTemp and Rename: a put takes under a
+// millisecond (bench: core.diskcache_put_us), but anything younger may still
+// belong to a live writer in another process.
+const (
+	tempPattern  = "put-*.tmp"
+	staleTempAge = time.Hour
+)
+
+// DiskCache is the persistent result layer (docs/RUNCACHE.md): one verified
+// RunResult per run spec digest under dir, in an envelope. It is safe for
+// concurrent use by goroutines and by processes sharing dir — writes go
+// through a temp file + rename, so a reader sees a complete record or none.
+// A record this build cannot trust (torn JSON, foreign fingerprint, filed
+// under another key, or no payload) is dead: it reads as a miss, never an
+// error, and is removed on the way out so the directory does not accrete one
+// unreachable record per key per past build.
 type DiskCache struct {
-	*recordStore[RunResult]
+	dir         string
+	fingerprint string
+}
+
+// envelope is a record's on-disk form: the build fingerprint gate, the key
+// the record was filed under (it must equal the key in the file name, so a
+// record copied or renamed onto another key's path is never replayed as that
+// key's), and the result.
+type envelope struct {
+	Fingerprint string     `json:"fingerprint"`
+	Key         string     `json:"key"`
+	Record      *RunResult `json:"record"`
 }
 
 // NewDiskCache opens (creating if needed on first Put) a cache rooted at
 // dir. fingerprint gates record validity; pass "" for BuildFingerprint().
 func NewDiskCache(dir, fingerprint string) *DiskCache {
-	return &DiskCache{newRecordStore[RunResult]("cache", dir, fingerprint, nil)}
+	if fingerprint == "" {
+		fingerprint = BuildFingerprint()
+	}
+	return &DiskCache{dir: dir, fingerprint: fingerprint}
 }
 
 // Dir returns the cache root.
 func (c *DiskCache) Dir() string { return c.dir }
 
+// path returns the record file for a key.
+func (c *DiskCache) path(key string) string {
+	return filepath.Join(c.dir, key+".json")
+}
+
 // Get loads the cached result for a spec digest. A missing or dead record
 // is a miss (false); only unexpected I/O failures surface as errors.
 func (c *DiskCache) Get(digest string) (*RunResult, bool, error) {
-	return c.get(digest)
+	rec, _, err := c.load(digest)
+	return rec, rec != nil, err
+}
+
+// load is Get that also reports whether it removed a dead record (Sweep
+// counts those). A failed removal is not an error: a concurrent process may
+// have removed or replaced the record already, and the next put overwrites
+// the path either way.
+func (c *DiskCache) load(key string) (rec *RunResult, removed bool, err error) {
+	path := c.path(key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, false, nil
+		}
+		return nil, false, fmt.Errorf("cache: read %s: %w", key, err)
+	}
+	var env envelope
+	if json.Unmarshal(data, &env) != nil || env.Fingerprint != c.fingerprint || env.Key != key || env.Record == nil {
+		return nil, os.Remove(path) == nil, nil
+	}
+	return env.Record, false, nil
 }
 
 // Put stores a verified result under the spec's digest.
@@ -81,16 +151,66 @@ func (c *DiskCache) Put(spec RunSpec, res *RunResult) error {
 	return c.put(spec.Digest(), res)
 }
 
-// Sweep removes everything under the cache directory that this build can
-// never replay — dead run records, and dead records of the mapping registry
-// that lives in its mappings/ subdirectory — and reports how many files went.
-// Long-running servers call it at startup so a cache directory that outlives
-// many builds holds only what the serving binary can use.
-func (c *DiskCache) Sweep() (int, error) {
-	n, err := c.sweep()
-	if err != nil {
-		return n, err
+// put files rec under key, atomically: concurrent writers of one key and
+// readers in other processes always see a complete record.
+func (c *DiskCache) put(key string, rec *RunResult) error {
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return fmt.Errorf("cache: %w", err)
 	}
-	m, err := newMappingStore(c.dir, c.fingerprint).sweep()
-	return n + m, err
+	data, err := json.MarshalIndent(envelope{Fingerprint: c.fingerprint, Key: key, Record: rec}, "", " ")
+	if err != nil {
+		return fmt.Errorf("cache: encode %s: %w", key, err)
+	}
+	tmp, err := os.CreateTemp(c.dir, tempPattern)
+	if err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	_, err = tmp.Write(append(data, '\n'))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("cache: write %s: %w", key, err)
+	}
+	return nil
+}
+
+// Sweep removes every dead record in the cache directory, plus temp files
+// abandoned by a writer that died mid-put, and reports how many files went.
+// Records for keys this build simply has not asked for yet are live and
+// stay. Subdirectories (an older build's mappings/ or feedback/) and foreign
+// files are not touched; a missing directory is empty. Long-running servers
+// call it at startup so a cache directory that outlives many builds holds
+// only what the serving binary can use.
+func (c *DiskCache) Sweep() (int, error) {
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return 0, nil
+		}
+		return 0, fmt.Errorf("cache: sweep: %w", err)
+	}
+	removed := 0
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() {
+			continue
+		}
+		if key, ok := strings.CutSuffix(name, ".json"); ok {
+			// Read errors are a concurrent remove/replace: skip.
+			if _, dead, _ := c.load(key); dead {
+				removed++
+			}
+		} else if ok, _ := filepath.Match(tempPattern, name); ok {
+			if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > staleTempAge &&
+				os.Remove(filepath.Join(c.dir, name)) == nil {
+				removed++
+			}
+		}
+	}
+	return removed, nil
 }

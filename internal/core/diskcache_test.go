@@ -26,10 +26,9 @@ func jsonRecords(t *testing.T, dir string) int {
 
 // TestDiskCacheSweep: startup GC removes exactly what this build can never
 // replay — foreign fingerprints, torn JSON, and writers' temp files old
-// enough to be abandoned — from the run cache and from the mapping store
-// under it, and leaves live records, young temp files, foreign files and
-// every other subdirectory alone (an older build's feedback/ among them: it
-// is dead weight, but not this build's to delete).
+// enough to be abandoned — and leaves live records, young temp files,
+// foreign files and every subdirectory alone (an older build's feedback/
+// and mappings/ among them: dead weight, but not this build's to delete).
 func TestDiskCacheSweep(t *testing.T) {
 	dir := t.TempDir()
 	specA, _ := NewRunSpec("SP", 0.25, CfgBaseline)
@@ -53,32 +52,27 @@ func TestDiskCacheSweep(t *testing.T) {
 	if err := cur.Put(specB, res); err != nil {
 		t.Fatal(err)
 	}
-	live := &MappingRecord{Workload: "SP", Bit: 9, Ranges: []string{"a"}}
-	if err := newMappingStore(dir, "build-new").put("live", live); err != nil {
-		t.Fatal(err)
-	}
 	dead := []string{
 		write(filepath.Join(dir, "junk.json"), "{torn"),
-		write(filepath.Join(dir, "mappings", "x.json"), "{torn"),
-		write(filepath.Join(dir, "mappings", "put-1.tmp"), "{half a rec"),
+		write(filepath.Join(dir, "put-1.tmp"), "{half a rec"),
 	}
 	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(dead[2], old, old); err != nil {
+	if err := os.Chtimes(dead[1], old, old); err != nil {
 		t.Fatal(err)
 	}
 	kept := []string{
 		write(filepath.Join(dir, "put-2.tmp"), "{a concurrent writer's"),
 		write(filepath.Join(dir, "README"), "not a record"),
 		write(filepath.Join(dir, "feedback", "x.json"), "{torn"),
-		filepath.Join(dir, "mappings", "live.json"),
+		write(filepath.Join(dir, "mappings", "x.json"), "{torn"),
 	}
 
 	removed, err := cur.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 4 {
-		t.Errorf("swept %d files, want 4 (stale + 2 dead records + 1 abandoned temp)", removed)
+	if removed != 3 {
+		t.Errorf("swept %d files, want 3 (stale + dead record + abandoned temp)", removed)
 	}
 	if n := jsonRecords(t, dir); n != 1 {
 		t.Errorf("%d run records remain, want 1 (the fresh one)", n)

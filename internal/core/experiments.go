@@ -65,12 +65,11 @@ type group struct {
 
 // experiment is one table of the evaluation. Most are row groups and nothing
 // else; an irregular one has a build function, which fills in what groups
-// cannot express, and names in reads the configurations that function runs.
+// cannot express from profiles or estimates (it simulates nothing).
 type experiment struct {
 	id, title string
 	notes     []string
 	groups    []group
-	reads     []ConfigName
 	build     func(*Session, *Table) error
 }
 
@@ -94,9 +93,9 @@ var (
 )
 
 // experiments is the evaluation, in paper order: Figs. 2-13, §6.5, §4.4.2,
-// this repository's policy and mapping-store tables, and §6.6. It is
-// the only list of them: Experiment, ExperimentIDs, AllExperiments and its
-// warm set, and Timeline all read it.
+// this repository's policy table, and §6.6. It is the only list of them:
+// Experiment, ExperimentIDs, AllExperiments and its warm set, and Timeline
+// all read it.
 var experiments = []experiment{
 	{id: "fig2", title: "Ideal speedup with near-data processing",
 		notes: []string{"paper: avg 1.58x, max 2.19x"},
@@ -105,9 +104,13 @@ var experiments = []experiment{
 		groups: []group{{CfgBaseline, []labelled{{"ideal-NDP", CfgIdeal}}, []metric{speedup}}}},
 	{id: "fig3", title: "Effect of ideal memory mapping on NDP performance",
 		notes: []string{"paper: avg +13% over the baseline mapping"},
-		// The oracle best consecutive-2-bit mapping versus the baseline
-		// mapping, both on the NDP system with controlled offloading.
-		groups: []group{{CfgCtrlBmap, []labelled{{"ideal-mapping", CfgCtrlOracle}}, []metric{speedup}}}},
+		// The oracle best consecutive-2-bit mapping, the learned transparent
+		// mapping, and that learned bit preset with learning free, versus
+		// the baseline mapping, all on the NDP system with controlled
+		// offloading.
+		groups: []group{{CfgCtrlBmap, []labelled{
+			{"ideal-mapping", CfgCtrlOracle}, {"learned-mapping", CfgCtrlTmap}, {"preset-mapping", CfgCtrlTmapPreset},
+		}, []metric{speedup}}}},
 	{id: "fig5", title: "Fixed-offset access analysis of offloading candidates (fraction of candidates)",
 		build: fixedOffsetRows},
 	{id: "fig6", title: "Probability of accessing one memory stack per candidate instance",
@@ -156,21 +159,13 @@ var experiments = []experiment{
 			{CfgBaseline, rivals, []metric{speedup}},
 			{CfgBaseline, rivals, []metric{{" offloaded%", Mean, offloadedFrac}}},
 		}},
-	{id: "mapstore", title: "Persistent mapping registry: TOM with stored mappings installed",
-		notes: []string{
-			"stored: 1 = bit installed from the registry (map once, stay resident), 0 = learned this run",
-			"cold sessions learn and seed the store; warm sessions install and skip the PCIe detour",
-		},
-		reads: []ConfigName{CfgBaseline, CfgCtrlTmap}, build: storedMappingRows},
 	{id: "area", title: "TOM hardware storage and area (§6.6)",
 		notes: []string{"paper: 1,920 b/SM + 9,700 b + 10,320 b/SM = 0.11 mm^2, 0.018% of GPU"},
 		build: areaRows},
 }
 
 // configs lists the distinct configurations the row groups read, in order of
-// first use. The build function's reads are not among them: mapstore runs
-// ctrl-tmap through WithStoredMapping, and a plain ctrl-tmap run ahead of it
-// would seed the mapping store it consults.
+// first use.
 func (e *experiment) configs() []ConfigName {
 	var out []ConfigName
 	for _, g := range e.groups {
@@ -296,52 +291,6 @@ func coLocationRows(r *Session, t *Table) error {
 	return nil
 }
 
-// storedMappingRows reports the persistent mapping registry's effect on the
-// TOM configuration: each workload's ctrl-tmap run consults the session's
-// mapping store (WithStoredMapping) and, on a hit, installs the stored bit
-// before cycle 0 instead of learning it — zero learning-phase PCIe traffic,
-// with the avoided volume reported as learn.pcie_bytes_saved. A cold store
-// (or a session without -cache) learns fresh everywhere and seeds the store;
-// rerunning the experiment then shows every workload installed ("stored"
-// row = 1) with "learn PCIe MB" = 0.
-func storedMappingRows(r *Session, t *Table) error {
-	var speed, pcie, saved, stored []float64
-	const mb = 1 << 20
-	for _, abbr := range Abbrs() {
-		b, err := r.Run(abbr, CfgBaseline)
-		if err != nil {
-			return err
-		}
-		spec, err := r.Spec(abbr, CfgCtrlTmap)
-		if err != nil {
-			return err
-		}
-		spec, err = r.WithStoredMapping(spec)
-		if err != nil {
-			return err
-		}
-		res, _, err := r.Execute(spec)
-		if err != nil {
-			return err
-		}
-		speed = append(speed, res.Stats.IPC()/b.Stats.IPC())
-		pcie = append(pcie, float64(res.Stats.PCIeBytes)/mb)
-		saved = append(saved, float64(res.Stats.LearnPCIeSaved)/mb)
-		if spec.MapInstall != nil {
-			stored = append(stored, 1)
-		} else {
-			stored = append(stored, 0)
-		}
-	}
-	t.Rows = append(t.Rows,
-		Row{Label: "speedup", Values: withAvg(speed, GeoMean)},
-		Row{Label: "learn PCIe MB", Values: withAvg(pcie, Mean)},
-		Row{Label: "saved PCIe MB", Values: withAvg(saved, Mean)},
-		Row{Label: "stored", Values: withAvg(stored, Mean)},
-	)
-	return nil
-}
-
 // areaRows is the §6.6 hardware cost estimate; it simulates nothing.
 func areaRows(_ *Session, t *Table) error {
 	e := area.Estimate64()
@@ -395,7 +344,7 @@ func (r *Session) Experiment(id string) (*Table, error) {
 func ExperimentPairs() []Pair {
 	var cfgs []ConfigName
 	for i := range experiments {
-		cfgs = append(append(cfgs, experiments[i].configs()...), experiments[i].reads...)
+		cfgs = append(cfgs, experiments[i].configs()...)
 	}
 	return pairsOf(distinct(cfgs))
 }
@@ -427,7 +376,7 @@ func TimelineConfigs(id string) ([]ConfigName, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgs := append(e.configs(), e.reads...)
+	cfgs := e.configs()
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("core: experiment %q has no timeline (no simulated configurations)", id)
 	}

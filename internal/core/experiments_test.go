@@ -16,8 +16,7 @@ import (
 // produce rows, and every configuration a table names a registered one.
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig5", "fig6", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "xstack", "coherence", "policies", "mapstore",
-		"area"}
+		"fig11", "fig12", "fig13", "xstack", "coherence", "policies", "area"}
 	if got := ExperimentIDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ExperimentIDs() = %v, want %v", got, want)
 	}
@@ -34,15 +33,12 @@ func TestExperimentRegistry(t *testing.T) {
 		if len(e.groups) == 0 && e.build == nil {
 			t.Errorf("%s: neither row groups nor a build function", e.id)
 		}
-		if len(e.reads) > 0 && e.build == nil {
-			t.Errorf("%s: reads configurations but has no build function to read them", e.id)
-		}
 		for _, g := range e.groups {
 			if len(g.cfgs) == 0 || len(g.metrics) == 0 {
 				t.Errorf("%s: a row group without configurations or metrics", e.id)
 			}
 		}
-		for _, cfg := range append(e.configs(), e.reads...) {
+		for _, cfg := range e.configs() {
 			if _, err := buildConfig(cfg); err != nil {
 				t.Errorf("%s: %v", e.id, err)
 			}
@@ -126,39 +122,12 @@ func TestTablesDoNotDependOnPairOrder(t *testing.T) {
 	}
 }
 
-// TestMapstoreLearnsOnAFreshStore: mapstore's ctrl-tmap runs go through the
-// mapping store, so nothing may run plain ctrl-tmap ahead of them — that run
-// would learn and seed the store, and a cold session would then install
-// mappings instead of learning them.
-func TestMapstoreLearnsOnAFreshStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates mapstore at scale 0.03")
-	}
-	s := NewSession(Options{Scale: 0.03, CacheDir: t.TempDir()})
-	tab, err := s.Experiment("mapstore")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms := s.MappingStats(); ms.StoreHits != 0 {
-		t.Errorf("a fresh store reported %d hits: %+v", ms.StoreHits, ms)
-	}
-	stored := tab.Rows[len(tab.Rows)-1]
-	if stored.Label != "stored" {
-		t.Fatalf("last mapstore row is %q, want stored", stored.Label)
-	}
-	for i, v := range stored.Values {
-		if v != 0 {
-			t.Errorf("stored row, column %d = %v, want 0", i, v)
-		}
-	}
-}
-
 // timelineWant is the configuration set each experiment's timeline reran
 // (beside the baseline) when that was a hand-written switch; ids absent from
 // it had no timeline. The registry must derive the same sets.
 var timelineWant = map[string][]ConfigName{
 	"fig2":      {CfgIdeal},
-	"fig3":      {CfgCtrlBmap, CfgCtrlOracle},
+	"fig3":      {CfgCtrlBmap, CfgCtrlOracle, CfgCtrlTmap, CfgCtrlTmapPreset},
 	"fig8":      {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
 	"fig9":      {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
 	"fig10":     {CfgNoCtrlBmap, CfgNoCtrlTmap, CfgCtrlBmap, CfgCtrlTmap},
@@ -168,7 +137,6 @@ var timelineWant = map[string][]ConfigName{
 	"xstack":    {CfgCross0125, CfgCross025, CfgCtrlTmap, CfgCross100},
 	"coherence": {CfgCtrlTmap, CfgNoCoherence},
 	"policies":  {CfgCtrlTmap, CfgIdeal, CfgCoda, CfgMPU},
-	"mapstore":  {CfgCtrlTmap},
 }
 
 func sortedConfigs(cfgs []ConfigName) []string {

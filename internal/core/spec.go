@@ -23,27 +23,6 @@ type RunSpec struct {
 	// digest through its canonical string, so flipping any model parameter
 	// (even one the named configuration doesn't touch) yields a new spec.
 	Cfg sim.Config
-	// MapInstall, when non-nil, pre-installs a stored transparent mapping at
-	// system construction instead of running a learning phase (see
-	// Session.WithStoredMapping). Every field folds into the
-	// digest: a stored-mapping run and the fresh-learning run of the same
-	// configuration are different measurements (no learning-phase PCIe
-	// detour) and must never share a cache record. On a MapOracle
-	// configuration it takes the place of the oracle's own bit and ranges,
-	// installed for free.
-	MapInstall *MapInstallSpec
-}
-
-// MapInstallSpec carries a stored mapping into a run: the learned bit, the
-// allocation ranges it covers, the learning-phase PCIe byte volume the
-// install avoids (reported as Stats.LearnPCIeSaved), and the data-structure
-// identity the record was keyed by (diagnostics; the install itself
-// re-resolves ranges by name and fails loudly on a layout change).
-type MapInstallSpec struct {
-	Bit       int
-	Ranges    []string
-	SavedPCIe uint64
-	Structure string
 }
 
 // NewRunSpec resolves a named configuration into a canonical spec.
@@ -79,7 +58,9 @@ func (sp RunSpec) Key() string {
 }
 
 // Digest returns the spec's content hash: a hex SHA-256 over the workload,
-// scale, configuration name, and the canonical simulator configuration.
+// scale, configuration name, and the canonical simulator configuration. The
+// name counts: ctrl-tmap-preset has ctrl-tmap's configuration but presets
+// its mapping, so the two are different runs.
 // It is stable across processes and Go versions (the canonical string uses
 // shortest-round-trip float formatting), making it a valid persistent
 // cache key.
@@ -90,11 +71,5 @@ func (sp RunSpec) Digest() string {
 	// by the build fingerprint like every other model constant.
 	fmt.Fprintf(h, "workload=%s;scale=%v;config=%s;%s",
 		sp.Abbr, sp.Scale, sp.Config, sp.Cfg.Canonical())
-	if mi := sp.MapInstall; mi != nil {
-		// Every install parameter participates — two installs differing in
-		// bit, coverage, or provenance are different runs.
-		fmt.Fprintf(h, "mapinstall=bit:%d,ranges:%q,saved:%d,structure:%s;",
-			mi.Bit, mi.Ranges, mi.SavedPCIe, mi.Structure)
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }

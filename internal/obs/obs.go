@@ -102,10 +102,6 @@ const (
 	EvAck       = "ack"       // region done; ack queued on the RX link
 	EvFinish    = "finish"    // requesting warp resumed (N dirty lines)
 	EvLearnEnd  = "learn_end" // tmap learning phase closed
-	// EvMapInstall records a stored mapping pre-installed at construction
-	// (the "map once, stay resident" path): Bit is the installed bit, N the
-	// number of re-mapped ranges. No learning phase follows.
-	EvMapInstall = "map_install"
 )
 
 // EvTraceSampled is the synthetic per-kind summary a SamplingSink emits when

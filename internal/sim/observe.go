@@ -126,7 +126,6 @@ func (ob *obsState) flush(sys *System) {
 		{"offload.skipped_vaultfull", st.OffloadsSkippedVaultFull},
 		{"offload.drain_stalls", st.StoreDrainStalls},
 		{"coherence.invalidates", st.CoherenceInvalidates},
-		{"learn.pcie_bytes_saved", st.LearnPCIeSaved},
 	} {
 		ob.o.Registry.Counter(c.name).Add(c.v)
 	}

@@ -75,24 +75,19 @@ type Stats struct {
 	CopiedBytes    uint64
 	LearnInstances int
 	// MappingSource says how the active consecutive-bit mapping came to be:
-	// MappingLearned (a learning phase picked it this run), MappingStored
-	// (pre-installed from the persistent registry before cycle 0),
-	// MappingPreset (the oracle bit, applied for free), or "" (no bit
+	// MappingLearned (a learning phase picked it this run), MappingPreset
+	// (InstallMapping set it before cycle 0, for free), or "" (no bit
 	// mapping — baseline interleave throughout).
 	MappingSource string
 	// MappedRanges names the allocation ranges carrying the bit mapping —
-	// the data-structure identity a stored mapping re-installs later.
+	// what a preset run (ctrl-tmap-preset) installs again.
 	MappedRanges []string
-	// LearnPCIeSaved is the learning-phase PCIe byte volume a stored-mapping
-	// install avoided (the fresh run's PCIeBytes); 0 unless MappingStored.
-	LearnPCIeSaved uint64
 }
 
 // MappingSource values (Stats.MappingSource).
 const (
 	MappingLearned = "learned" // this run's learning phase picked the bit
-	MappingStored  = "stored"  // pre-installed from the persistent registry
-	MappingPreset  = "preset"  // oracle mapping, applied for free
+	MappingPreset  = "preset"  // installed before cycle 0, for free
 )
 
 // IPC returns thread-instructions per cycle.

@@ -151,7 +151,6 @@ func checkObserverMatchesStats(t *testing.T, cfg Config, env *workloadEnv, mustS
 		{"offload.spawns", st.OffloadsSent},
 		{"coherence.invalidates", st.CoherenceInvalidates},
 		{"offload.drain_stalls", st.StoreDrainStalls},
-		{"learn.pcie_bytes_saved", st.LearnPCIeSaved},
 	}
 	for _, c := range counters {
 		if got := reg.Counter(c.name).Value(); got != c.want {

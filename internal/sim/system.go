@@ -185,21 +185,15 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 // Stats returns the accumulated statistics (finalized after each Run).
 func (sys *System) Stats() *Stats { return &sys.stats }
 
-// InstallMapping puts a consecutive-bit mapping in force on the named
-// ranges before cycle 0, in place of a learning phase. On a MapTransparent
-// system it installs a stored mapping ("map once, stay resident"): the
-// one-time host→device copy is charged, but no learning-phase PCIe traffic
-// is generated (routeLoad/routeStore only take the PCIe path while
-// learning), and savedPCIe, the learning-phase volume the original fresh
-// run paid, is reported as Stats.LearnPCIeSaved. On a MapOracle system it
-// presets Fig. 3's oracle mapping for free: no copy, no savings, no event.
-// An unknown range name means the mapping describes different data
-// structures and is rejected — installing it partially could place data
-// wrongly, which a caller must treat as a store miss, never a degraded
-// install.
-func (sys *System) InstallMapping(bit int, ranges []string, savedPCIe uint64) error {
-	oracle := sys.cfg.Mapping == MapOracle
-	if sys.cfg.Mapping != MapTransparent && !oracle {
+// InstallMapping presets a consecutive-bit mapping on the named ranges
+// before cycle 0, in place of a learning phase: Fig. 3's oracle bit, or the
+// bit a ctrl-tmap run learned. The preset is free — no copy is charged, the
+// same way endLearning charges none for the copy itself: the data moves
+// where the baseline flow's host→device copy happens anyway. An unknown
+// range name means the mapping describes different data structures and is
+// rejected; installing it partially could place data wrongly.
+func (sys *System) InstallMapping(bit int, ranges []string) error {
+	if sys.cfg.Mapping != MapTransparent && sys.cfg.Mapping != MapOracle {
 		return fmt.Errorf("sim: mappings install only on transparent or oracle mapping systems (have mode %d)", sys.cfg.Mapping)
 	}
 	if bit < mapping.MinBit || bit > mapping.MaxBit {
@@ -213,20 +207,8 @@ func (sys *System) InstallMapping(bit int, ranges []string, savedPCIe uint64) er
 		}
 		resolved = append(resolved, r)
 	}
-	sys.learning = false // the installed bit replaces the learning phase
-	if oracle {
-		sys.putMapping(bit, resolved, MappingPreset)
-		return nil
-	}
-	for _, r := range resolved {
-		sys.stats.CopiedBytes += r.Size
-	}
-	sys.putMapping(bit, resolved, MappingStored)
-	sys.stats.LearnPCIeSaved = savedPCIe
-	if sys.ob != nil {
-		sys.ob.o.Emit(obs.Event{Cycle: sys.now, Kind: obs.EvMapInstall,
-			N: len(ranges), Bit: obs.BitValue(bit)})
-	}
+	sys.learning = false // the preset bit replaces the learning phase
+	sys.putMapping(bit, resolved, MappingPreset)
 	return nil
 }
 
@@ -332,31 +314,14 @@ func (sys *System) endLearning() {
 		sys.stats.LearnedBit = -1
 		return
 	}
-	bit := sys.analyzer.BestBit()
-	// The copy only moves ranges whose placement actually changes: a range
-	// already carrying this exact bit mapping (a pre-installed one — e.g. a
-	// stored mapping installed while learning was left running) stays put.
 	var touched []*mem.Range
-	var moved uint64
 	for i := range sys.alloc.Ranges {
-		r := &sys.alloc.Ranges[i]
-		if !r.CandidateTouched {
-			continue
+		if r := &sys.alloc.Ranges[i]; r.CandidateTouched {
+			sys.stats.CopiedBytes += r.Size
+			touched = append(touched, r)
 		}
-		if !(r.OffloadMapped && sys.offloadBit == bit) {
-			moved += r.Size
-		}
-		touched = append(touched, r)
 	}
-	sys.putMapping(bit, touched, MappingLearned)
-	sys.stats.CopiedBytes += moved
-	if moved == 0 {
-		// The chosen mapping was already in force for every touched range:
-		// no data moved, so there is nothing to invalidate and no
-		// interrupt/drain pause to charge (satellite of ISSUE 9 — the old
-		// code froze the GPU for 1000 cycles over a no-op copy).
-		return
-	}
+	sys.putMapping(sys.analyzer.BestBit(), touched, MappingLearned)
 	for _, sm := range sys.all {
 		sm.l1.InvalidateAll()
 	}

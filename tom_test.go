@@ -21,8 +21,8 @@ func TestPublicAPISurface(t *testing.T) {
 	if len(WorkloadAbbrs()) != 10 {
 		t.Fatalf("WorkloadAbbrs() wrong length")
 	}
-	if got := len(ExperimentIDs()); got != 15 {
-		t.Errorf("ExperimentIDs() = %d, want 15", got)
+	if got := len(ExperimentIDs()); got != 14 {
+		t.Errorf("ExperimentIDs() = %d, want 14", got)
 	}
 	cfg := DefaultConfig()
 	if cfg.MainSMs != 64 {
