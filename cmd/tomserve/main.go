@@ -12,12 +12,13 @@
 //	GET  /metrics                 server counters (obs registry snapshot, JSON)
 //	GET  /healthz                 liveness
 //
-// A batch is {"runs":[{"workload":"LIB","config":"ctrl-tmap","policy":"",
-// "scale":0.5}],"timeout_ms":0}; a run without a scale runs at -scale, and one
-// Session serves runs of every scale. Results align with the request; each slot
-// carries the spec digest, the satisfying cache layer (memo/disk/simulated),
-// and the verified result or an error. The response's "cache" object is the
-// HTTP counterpart of tomx run's "cache: hits=... simulated=..." line.
+// A batch is {"runs":[{"workload":"LIB","config":"ctrl-tmap","scale":0.5}],
+// "timeout_ms":0}; a configuration names its offload scheme, a run without a
+// scale runs at -scale, and one Session serves runs of every scale. Results
+// align with the request; each slot carries the spec digest, the satisfying
+// cache layer (memo/disk/simulated), and the verified result or an error.
+// The response's "cache" object is the HTTP counterpart of tomx run's
+// "cache: hits=... simulated=..." line.
 //
 // Concurrency: cache hits are answered on the request goroutine; misses and
 // trace re-executions run on one shared scheduler that takes a slot per item,

@@ -54,7 +54,7 @@ type server struct {
 // with it) are each capped, and a batch over a cap is refused whole.
 const (
 	maxBatchBytes = 1 << 20
-	maxBatchRuns  = 1024 // the full workload x configuration x policy matrix is 680
+	maxBatchRuns  = 1024 // the full workload x configuration matrix is 180
 	maxScale      = 8.0
 )
 
@@ -106,7 +106,6 @@ type batchRequest struct {
 type runRequest struct {
 	Workload string  `json:"workload"`
 	Config   string  `json:"config"`
-	Policy   string  `json:"policy,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 }
 
@@ -115,7 +114,6 @@ type runRequest struct {
 type runResponse struct {
 	Workload string         `json:"workload"`
 	Config   string         `json:"config"`
-	Policy   string         `json:"policy,omitempty"`
 	Scale    float64        `json:"scale"`
 	Digest   string         `json:"digest,omitempty"`
 	Source   core.RunSource `json:"source,omitempty"`
@@ -128,8 +126,11 @@ type runResponse struct {
 }
 
 // batchSummary is the per-batch cache accounting (the HTTP counterpart of
-// tomx run's "cache: hits=... simulated=..." stderr line). Misses = simulated
-// + errors: every run the cache layers could not satisfy.
+// tomx run's "cache: hits=... simulated=..." stderr line), counted in slots:
+// Simulated is the slots a fresh simulation answered, not the simulations
+// the batch caused (a ctrl-tmap-preset slot may simulate its ctrl-tmap run
+// too; the runs.simulated counter counts those). Misses = simulated +
+// errors: every slot the cache layers could not satisfy.
 type batchSummary struct {
 	Hits      int `json:"hits"`
 	Misses    int `json:"misses"`
@@ -234,13 +235,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results[i] = runResponse{
 			Workload: rr.Workload,
 			Config:   rr.Config,
-			Policy:   rr.Policy,
 			Scale:    scale,
 		}
 		spec, err := core.NewRunSpec(rr.Workload, scale, core.ConfigName(rr.Config))
-		if err == nil {
-			spec, err = spec.WithPolicy(rr.Policy)
-		}
 		if err != nil {
 			results[i].Error = err.Error()
 			continue
@@ -300,7 +297,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sum.Misses = sum.Simulated + sum.Errors
 	s.reg.Counter("runs.hits").Add(uint64(sum.Hits))
 	s.reg.Counter("runs.hits_inline").Add(uint64(inline))
-	s.reg.Counter("runs.simulated").Add(uint64(sum.Simulated))
 	s.reg.Counter("runs.errors").Add(uint64(sum.Errors))
 
 	s.writeJSON(w, batchResponse{Results: results, Cache: sum})
@@ -364,10 +360,14 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// The scheduler keeps its own running total; bring the counter up to it.
+	// The scheduler and the session keep their own running totals; bring
+	// the counters up to them. The session counts every simulation, the
+	// ctrl-tmap run a preset slot simulates inside its own flight included.
 	s.mu.Lock()
 	c := s.reg.Counter("sched.slot_wait_us")
 	c.Add(uint64(s.sched.SlotWait().Microseconds()) - c.Value())
+	c = s.reg.Counter("runs.simulated")
+	c.Add(s.sess.CacheStats().Simulated - c.Value())
 	s.mu.Unlock()
 	s.writeJSON(w, s.reg.Snapshot())
 }

@@ -4,7 +4,7 @@ package main
 // measured statistics:
 //
 //	tomx run -workload LIB -config ctrl-tmap -scale 1.0
-//	tomx run -workload LIB -policy coda                 # override the offload policy
+//	tomx run -workload LIB -config coda                 # a rival offload policy
 //	tomx run -workload LIB -cache                       # replay from .tomcache/
 //	tomx run -workload LIB -trace out.trace -metrics out.json
 //	tomx run -workload LIB -trace out.trace -trace-sample 64
@@ -24,12 +24,10 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	tom "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/offload"
 	"repro/internal/sim"
 )
 
@@ -39,8 +37,6 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	c.register(fs)
 	workload := fs.String("workload", "LIB", "workload abbreviation (see -list)")
 	config := fs.String("config", string(tom.TOM), "system configuration name")
-	policy := fs.String("policy", "", "offload-policy override: "+
-		strings.Join(offload.Names(), ", ")+" (\"\" = the configuration's own)")
 	compare := fs.Bool("compare", true, "also run the baseline and report speedup")
 	list := fs.Bool("list", false, "list workloads and configurations")
 	if err := parse(fs, args, 0); err != nil {
@@ -55,9 +51,6 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 
 	s := c.session(stderr, false)
 	spec, err := s.Spec(*workload, core.ConfigName(*config))
-	if err == nil {
-		spec, err = spec.WithPolicy(*policy)
-	}
 	if err != nil {
 		return err
 	}
@@ -77,9 +70,6 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 
 	st := &res.Stats
 	fmt.Fprintf(stdout, "workload       %s\nconfig         %s\n", res.Abbr, res.Config)
-	if *policy != "" {
-		fmt.Fprintf(stdout, "policy         %s (override)\n", *policy)
-	}
 	fmt.Fprintf(stdout, "cycles         %d\nIPC            %.2f\n", st.Cycles, st.IPC())
 	fmt.Fprintf(stdout, "thread instrs  %d (%.1f%% on stack SMs)\n", st.ThreadInstrs, st.OffloadedInstrFraction()*100)
 	fmt.Fprintf(stdout, "off-chip bytes %d (RX %d, TX %d, mem-mem %d)\n",
@@ -121,7 +111,7 @@ func runMode(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// printList enumerates the workloads, configurations and offload policies.
+// printList enumerates the workloads and configurations.
 func printList(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "workloads:")
 	for _, w := range tom.Workloads() {
@@ -130,10 +120,6 @@ func printList(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "configurations:")
 	for _, c := range core.AllConfigNames() {
 		fmt.Fprintf(stdout, "  %s\n", c)
-	}
-	fmt.Fprintln(stdout, "policies (-policy):")
-	for _, n := range offload.Names() {
-		fmt.Fprintf(stdout, "  %s\n", n)
 	}
 	return nil
 }

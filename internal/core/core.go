@@ -86,20 +86,18 @@ func buildConfig(name ConfigName) (sim.Config, error) {
 	case CfgBaseline:
 		return sim.BaselineConfig(), nil
 	case CfgIdeal:
-		c.Offload = sim.OffloadUncontrolled
 		c.Mapping = sim.MapBaseline
 		c.Policy = "ideal"
 	case CfgNoCtrlBmap:
-		c.Offload = sim.OffloadUncontrolled
 		c.Mapping = sim.MapBaseline
+		c.Policy = "noctrl"
 	case CfgNoCtrlTmap:
-		c.Offload = sim.OffloadUncontrolled
+		c.Policy = "noctrl"
 	case CfgCtrlBmap:
 		c.Mapping = sim.MapBaseline
-	case CfgCtrlTmap, CfgCtrlTmapPreset:
-		// TOM default; the preset is the session's (presetMapping).
-	case CfgCtrlOracle:
-		c.Mapping = sim.MapOracle
+	case CfgCtrlTmap, CfgCtrlTmapPreset, CfgCtrlOracle:
+		// TOM default; the preset and the oracle bit are the session's
+		// (presetMapping).
 	case CfgWarp2x:
 		c.StackWarpMult = 2
 	case CfgWarp4x:
@@ -116,7 +114,7 @@ func buildConfig(name ConfigName) (sim.Config, error) {
 		c.Coherence = false
 	case CfgWarp4xALU:
 		c.StackWarpMult = 4
-		c.ALUGate = 0.75
+		c.Policy = "tom-alu"
 	case CfgCoda:
 		c.Policy = "coda"
 	case CfgMPU:
@@ -404,8 +402,8 @@ func (s *Session) memoize(digest string, res *RunResult, count *uint64) {
 
 // Execute runs one fully-resolved spec, at the spec's own scale, through
 // the layered caches — the entry point under Run and Warm, and the one for
-// callers that adjusted a spec beyond a named configuration (another scale,
-// a policy override). The returned source names the layer that satisfied
+// callers that run a named configuration at another scale than the
+// session's. The returned source names the layer that satisfied
 // the run; batch servers account per batch with it, which the cumulative
 // CacheStats cannot once batches overlap.
 //
@@ -492,21 +490,23 @@ func (s *Session) runUncached(spec RunSpec, o *obs.Observer) (*RunResult, error)
 }
 
 // presetMapping returns the mapping a spec's run puts in force before cycle
-// 0, or mapping.Interleave when the run starts without one. Fig. 3's oracle
-// presets the profile's best bit over all instances on the ranges candidate
-// instances touch. ctrl-tmap-preset presets the bit and ranges the same spec
-// learned under ctrl-tmap, a run Execute finds in the memo or on disk, or
-// simulates; when that run learned no valid mapping, nothing is preset and
-// the cell learns exactly as ctrl-tmap does.
+// 0, or mapping.Interleave when the run starts without one. Both preset
+// configurations simulate ctrl-tmap's configuration and differ from it only
+// by name. Fig. 3's oracle (ctrl-oracle) presets the profile's best bit over
+// all instances on the ranges candidate instances touch. ctrl-tmap-preset
+// presets the bit and ranges the same spec learned under ctrl-tmap, a run
+// Execute finds in the memo or on disk, or simulates; when that run learned
+// no valid mapping, nothing is preset and the cell learns exactly as
+// ctrl-tmap does.
 func (s *Session) presetMapping(spec RunSpec) (int, []string, error) {
-	switch {
-	case spec.Cfg.Mapping == sim.MapOracle:
+	switch spec.Config {
+	case CfgCtrlOracle:
 		prof, err := s.profile(spec.Abbr, spec.Scale)
 		if err != nil {
 			return 0, nil, err
 		}
 		return prof.Map.BestBit(), prof.Touched, nil
-	case spec.Config == CfgCtrlTmapPreset:
+	case CfgCtrlTmapPreset:
 		learn := spec
 		learn.Config = CfgCtrlTmap
 		res, _, err := s.Execute(learn)

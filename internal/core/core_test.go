@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
+
+	"repro/internal/offload"
 )
 
 // TestConfigRegistry derives from AllConfigNames — the single source of
@@ -28,6 +31,55 @@ func TestConfigRegistry(t *testing.T) {
 	}
 	if _, err := buildConfig("bogus"); err == nil {
 		t.Error("unknown config should fail")
+	}
+}
+
+// TestConfigsNameOneRunEach: a configuration names its scheme once, so no
+// two configurations simulate the same sim.Config — except the preset family,
+// ctrl-tmap's configuration under three names that presetMapping tells apart
+// (learned, the learned bit preset, the oracle bit preset).
+func TestConfigsNameOneRunEach(t *testing.T) {
+	groups := map[string][]ConfigName{}
+	for _, name := range AllConfigNames() {
+		c, err := buildConfig(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[c.Canonical()] = append(groups[c.Canonical()], name)
+	}
+	preset := []ConfigName{CfgCtrlOracle, CfgCtrlTmap, CfgCtrlTmapPreset} // sorted
+	shared := 0
+	for _, g := range groups {
+		if len(g) < 2 {
+			continue
+		}
+		shared++
+		slices.Sort(g)
+		if !slices.Equal(g, preset) {
+			t.Errorf("configurations %v simulate one sim.Config; only %v may", g, preset)
+		}
+	}
+	if shared != 1 {
+		t.Errorf("%d groups of configurations share a sim.Config, want exactly the preset family", shared)
+	}
+}
+
+// TestEveryPolicyIsNamed: every row of the offload-policy table is the
+// policy of some named configuration, so no row is orphaned — a scheme runs
+// only under a configuration's name.
+func TestEveryPolicyIsNamed(t *testing.T) {
+	named := map[string]bool{}
+	for _, name := range AllConfigNames() {
+		c, err := buildConfig(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named[c.Policy] = true
+	}
+	for _, p := range offload.Names() {
+		if !named[p] {
+			t.Errorf("policy %q is the policy of no configuration", p)
+		}
 	}
 }
 

@@ -50,7 +50,12 @@ import (
 // Stats that counted the PCIe bytes a stored install saved and the install
 // fold of the spec digest; mappings/ is no longer read. The model did not
 // change.
-const cacheSchemaVersion = "tomcache/v11"
+// v12: every digest moved — the canonical configuration lost Offload and
+// ALUGate: offload control, the ALU gate and the no-offload baseline are
+// offload-policy rows ("noctrl", "tom-alu", "none") named by Policy. The
+// record layout and the model did not change, so a v11 record describes the
+// same run; only its key is gone.
+const cacheSchemaVersion = "tomcache/v12"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.

@@ -8,29 +8,27 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMapInstallDigestDistinct: ctrl-tmap-preset has ctrl-tmap's simulator
-// configuration, yet it installs a mapping before cycle 0 instead of learning
-// one, so the two never share a cache record — with or without a policy
-// override.
+// TestMapInstallDigestDistinct: ctrl-tmap-preset and ctrl-oracle have
+// ctrl-tmap's simulator configuration, yet each installs a mapping before
+// cycle 0 instead of learning one, so no two of them share a cache record.
 func TestMapInstallDigestDistinct(t *testing.T) {
 	learn, err := NewRunSpec("SP", 0.3, CfgCtrlTmap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preset, err := NewRunSpec("SP", 0.3, CfgCtrlTmapPreset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if learn.Cfg.Canonical() != preset.Cfg.Canonical() {
-		t.Fatal("ctrl-tmap-preset must simulate ctrl-tmap's configuration")
-	}
-	if learn.Digest() == preset.Digest() {
-		t.Error("ctrl-tmap-preset aliases ctrl-tmap's digest")
-	}
-	learnCoda, _ := learn.WithPolicy("coda")
-	presetCoda, _ := preset.WithPolicy("coda")
-	if learnCoda.Digest() == presetCoda.Digest() || presetCoda.Digest() == preset.Digest() {
-		t.Error("a policy override must keep the preset cell distinct from both")
+	digests := map[string]ConfigName{learn.Digest(): CfgCtrlTmap}
+	for _, name := range []ConfigName{CfgCtrlTmapPreset, CfgCtrlOracle} {
+		spec, err := NewRunSpec("SP", 0.3, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if learn.Cfg.Canonical() != spec.Cfg.Canonical() {
+			t.Errorf("%s must simulate ctrl-tmap's configuration", name)
+		}
+		if prev, dup := digests[spec.Digest()]; dup {
+			t.Errorf("%s aliases %s's digest", name, prev)
+		}
+		digests[spec.Digest()] = name
 	}
 }
 

@@ -63,7 +63,7 @@ func TestRunSpecDigestStability(t *testing.T) {
 	}
 	// Persisted records are keyed by this digest: it may not move without a
 	// cache schema bump.
-	if got, want := sp.Digest(), "8a61a1fcef27510375a8d605ceb4b8370b0033225d248d0dec00626e9e9605f2"; got != want {
+	if got, want := sp.Digest(), "919263452876058978bcf5d1575632a58e39d5bec6b2443e0a7e20ed17263362"; got != want {
 		t.Errorf("SP/ctrl-tmap @ 0.3 digest = %s, want %s", got, want)
 	}
 }
@@ -86,7 +86,7 @@ func fmtCanonical(c sim.Config) string {
 }
 
 // TestCanonicalMatchesFmt: Canonical spells every registered configuration,
-// a policy override and awkward floats exactly as fmt's %v does.
+// a hand-built one and awkward floats exactly as fmt's %v does.
 func TestCanonicalMatchesFmt(t *testing.T) {
 	var cfgs []sim.Config
 	for _, name := range AllConfigNames() {
@@ -98,7 +98,7 @@ func TestCanonicalMatchesFmt(t *testing.T) {
 	}
 	c := sim.DefaultConfig()
 	c.Policy = "coda"
-	c.ALUGate, c.GPUStackBW, c.PCIeBW = 0.75, 57.14, 1e21
+	c.GPUStackBW, c.PCIeBW = 57.14, 1e21
 	c.MaxCycles = -1
 	cfgs = append(cfgs, c)
 	for _, c := range cfgs {

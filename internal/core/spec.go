@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"repro/internal/offload"
 	"repro/internal/sim"
 )
 
@@ -34,23 +33,6 @@ func NewRunSpec(abbr string, scale float64, name ConfigName) (RunSpec, error) {
 	return RunSpec{Abbr: abbr, Scale: scale, Config: name, Cfg: cfg}, nil
 }
 
-// WithPolicy returns the spec with its offload policy overridden ("" keeps
-// the configuration's own). The name is validated against the policy table
-// here, so an unknown one fails with the list of choices instead of
-// panicking inside the simulator; it reaches the digest through the
-// canonical config string, so overridden runs never alias the base
-// configuration's cache records.
-func (sp RunSpec) WithPolicy(policy string) (RunSpec, error) {
-	if policy == "" {
-		return sp, nil
-	}
-	if _, err := offload.ByName(policy); err != nil {
-		return RunSpec{}, err
-	}
-	sp.Cfg.Policy = policy
-	return sp, nil
-}
-
 // Key returns the human-readable run identity ("ABBR/config"), used for
 // progress lines, trace run labels, and memo diagnostics.
 func (sp RunSpec) Key() string {
@@ -59,8 +41,8 @@ func (sp RunSpec) Key() string {
 
 // Digest returns the spec's content hash: a hex SHA-256 over the workload,
 // scale, configuration name, and the canonical simulator configuration. The
-// name counts: ctrl-tmap-preset has ctrl-tmap's configuration but presets
-// its mapping, so the two are different runs.
+// name counts: ctrl-tmap-preset and ctrl-oracle have ctrl-tmap's
+// configuration but preset its mapping, so the three are different runs.
 // It is stable across processes and Go versions (the canonical string uses
 // shortest-round-trip float formatting), making it a valid persistent
 // cache key.

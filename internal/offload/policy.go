@@ -3,8 +3,10 @@
 // pipeline (§3.3/§4.2), and destination choice (§4.2 footnote 4) — as one
 // Policy struct, so rival schemes (CODA's co-location-aware offloading,
 // near-bank MPU offload) can be A/B-tested against TOM over the same
-// workload matrix. The four policies are the rows of one table; a row's
-// fields are exactly where the schemes differ.
+// workload matrix. Every scheme a configuration can name — TOM with and
+// without its aggressiveness control, the §6.4 ALU-gated extension, the
+// no-offload baseline, the Fig. 2 idealization and the two rivals — is a row
+// of one table; a row's fields are exactly where the schemes differ.
 //
 // The simulator takes three steps per candidate entry, in order:
 //
@@ -77,7 +79,8 @@ type Policy struct {
 	// offload models a cheaper spawn.
 	SpawnLat int64
 	// Gate is the aggressiveness control with the destination known.
-	// Returns a gate reason or "".
+	// Returns a gate reason or "". A row with a nil Gate never offloads:
+	// its candidate entries are counted and every one executes inline.
 	Gate func(Env, *Request) string
 }
 
@@ -91,15 +94,28 @@ const codaWindow = 8
 // pipeline (request packing, metadata lookup, TX arbitration).
 const mpuSpawnLat = 2
 
+// aluGate is the §6.4 ALU-ratio threshold of the tom-alu row: a candidate
+// whose static ALU-instruction fraction exceeds it stays on the GPU while
+// its destination stack SM is more than half occupied.
+const aluGate = 0.75
+
 // tomSelect is TOM's candidate selection: loops and straight-line blocks
 // admitted by the bandwidth cost model of equations (3)/(4).
 var tomSelect = compiler.SelectOptions{Cost: compiler.DefaultCostParams()}
 
 // policies is the table of every policy.
 //
+//   - none is the baseline GPU: TOM's candidate table, so candidate entries
+//     are counted, but no Gate, so every one executes inline.
 //   - tom is the paper's scheme, bit-for-bit: conservative cost-model
 //     candidate selection (equations (3)/(4)), conditional-trip thresholds,
 //     first-access destination, and the §3.3 dynamic aggressiveness control.
+//   - noctrl is tom without the aggressiveness control: every candidate
+//     that passes the trip threshold and finds a destination offloads.
+//   - tom-alu extends tom's control with the paper's §6.4 future-work idea:
+//     compute-heavy candidates (ALU fraction above aluGate) are not
+//     offloaded while the destination stack SM is more than half occupied,
+//     keeping them from saturating the logic-layer pipeline.
 //   - ideal is the Fig. 2 idealization: TOM's candidate table with
 //     zero-cost transport and perfect co-location. Stack warp capacity
 //     still applies — the idealization removes offload overheads, not the
@@ -120,7 +136,10 @@ var tomSelect = compiler.SelectOptions{Cost: compiler.DefaultCostParams()}
 //     slots full gates further offloads to it (reason "vaultfull") while
 //     other vaults keep accepting.
 var policies = []Policy{
+	{Name: "none", Select: tomSelect},
 	{Name: "tom", Select: tomSelect, Conditional: true, DryRunLines: 1, Gate: tomGate},
+	{Name: "noctrl", Select: tomSelect, Conditional: true, DryRunLines: 1, Gate: noGate},
+	{Name: "tom-alu", Select: tomSelect, Conditional: true, DryRunLines: 1, Gate: aluTomGate},
 	{Name: "ideal", Select: tomSelect, DryRunLines: 1, ZeroCost: true, ForceColocate: true, Gate: fullGate},
 	{Name: "coda", Select: tomSelect, Conditional: true, DryRunLines: codaWindow, Gate: codaGate},
 	{Name: "mpu", Select: compiler.SelectOptions{
@@ -183,11 +202,6 @@ type Env interface {
 	// TXBusy/RXBusy are the channel-busy tags (§3.3) at the deciding cycle.
 	TXBusy(stack int) bool
 	RXBusy(stack int) bool
-	// ALUGate returns Config.ALUGate (0 = disabled).
-	ALUGate() float64
-	// Controlled reports whether dynamic aggressiveness control is on
-	// (OffloadControlled); TOM's Gate is a no-op without it.
-	Controlled() bool
 }
 
 // PreGate is TOM's conditional-offload threshold (§4.2 step 1), applied by
@@ -227,18 +241,11 @@ func (p *Policy) Dest(env Env, req *Request) string {
 	return ""
 }
 
-// tomGate is TOM's dynamic aggressiveness control (§3.3): the ALU-ratio
-// extension gate, the per-channel busy tags consulted against the 2-bit
-// savings tag, and the pending-offload cap. All of it applies only under
-// OffloadControlled.
+// tomGate is TOM's dynamic aggressiveness control (§3.3): the per-channel
+// busy tags consulted against the 2-bit savings tag, and the pending-offload
+// cap.
 func tomGate(env Env, req *Request) string {
-	if !env.Controlled() {
-		return ""
-	}
 	c, dest := req.Cand, req.Stack
-	if g := env.ALUGate(); g > 0 && c.ALUFrac > g && env.Pending(dest) > env.StackCap()/2 {
-		return ReasonALU
-	}
 	if !c.SavesTX && env.TXBusy(dest) {
 		return ReasonBusy
 	}
@@ -246,6 +253,18 @@ func tomGate(env Env, req *Request) string {
 		return ReasonBusy
 	}
 	return fullGate(env, req)
+}
+
+// noGate is the uncontrolled scheme's gate: it never fires.
+func noGate(Env, *Request) string { return "" }
+
+// aluTomGate declines a compute-heavy candidate while its destination stack
+// SM is more than half occupied, then defers to TOM's control.
+func aluTomGate(env Env, req *Request) string {
+	if req.Cand.ALUFrac > aluGate && env.Pending(req.Stack) > env.StackCap()/2 {
+		return ReasonALU
+	}
+	return tomGate(env, req)
 }
 
 // fullGate is the hard pending-offload cap: the destination stack's warp

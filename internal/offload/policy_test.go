@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,8 +18,6 @@ type fakeEnv struct {
 	pending        map[int]int
 	pendingVault   map[[2]int]int
 	txBusy, rxBusy map[int]bool
-	aluGate        float64
-	controlled     bool
 }
 
 func newFakeEnv() *fakeEnv {
@@ -39,8 +38,6 @@ func (e *fakeEnv) PendingVault(s, v int) int { return e.pendingVault[[2]int{s, v
 func (e *fakeEnv) StackCap() int             { return e.cap }
 func (e *fakeEnv) TXBusy(s int) bool         { return e.txBusy[s] }
 func (e *fakeEnv) RXBusy(s int) bool         { return e.rxBusy[s] }
-func (e *fakeEnv) ALUGate() float64          { return e.aluGate }
-func (e *fakeEnv) Controlled() bool          { return e.controlled }
 
 func mustPolicy(t *testing.T, name string) Policy {
 	t.Helper()
@@ -60,7 +57,8 @@ func condCand(minTrips int) *compiler.Candidate {
 
 func TestRegistryHasAllPolicies(t *testing.T) {
 	names := Names()
-	if want := []string{"coda", "ideal", "mpu", "tom"}; strings.Join(names, ",") != strings.Join(want, ",") {
+	want := []string{"coda", "ideal", "mpu", "noctrl", "none", "tom", "tom-alu"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("Names() = %v, want %v", names, want)
 	}
 	for _, n := range names {
@@ -68,11 +66,13 @@ func TestRegistryHasAllPolicies(t *testing.T) {
 		if p.Name != n {
 			t.Errorf("ByName(%q).Name = %q", n, p.Name)
 		}
-		if p.DryRunLines < 1 {
-			t.Errorf("policy %q has DryRunLines %d < 1", n, p.DryRunLines)
+		// Only the baseline never offloads; every other row decides with a
+		// dry run and a Gate.
+		if (p.Gate == nil) != (n == "none") {
+			t.Errorf("policy %q: Gate nil = %v, want nil only for none", n, p.Gate == nil)
 		}
-		if p.Gate == nil {
-			t.Errorf("policy %q has no Gate", n)
+		if p.Gate != nil && p.DryRunLines < 1 {
+			t.Errorf("policy %q has DryRunLines %d < 1", n, p.DryRunLines)
 		}
 	}
 }
@@ -98,7 +98,10 @@ func TestPolicyTraits(t *testing.T) {
 		name string
 		want traits
 	}{
+		{"none", traits{}},
 		{"tom", traits{conditional: true, dryRun: 1}},
+		{"noctrl", traits{conditional: true, dryRun: 1}},
+		{"tom-alu", traits{conditional: true, dryRun: 1}},
 		{"ideal", traits{zeroCost: true, forceColocate: true, dryRun: 1}},
 		{"coda", traits{conditional: true, dryRun: codaWindow}},
 		{"mpu", traits{conditional: true, vaultGranular: true, dryRun: 1, spawnLat: mpuSpawnLat}},
@@ -113,6 +116,13 @@ func TestPolicyTraits(t *testing.T) {
 	}
 	if mpu := mustPolicy(t, "mpu").Select; !mpu.SkipLoops || mpu.MaxBlockMems != 1 || mpu.Accept == nil {
 		t.Errorf("mpu selects %+v, want near-bank snippets admitted without the cost model", mpu)
+	}
+	// TOM's own schemes, the baseline included, share TOM's candidate
+	// table: they differ only in what happens at a candidate entry.
+	for _, n := range []string{"none", "noctrl", "tom-alu", "ideal", "coda"} {
+		if sel := mustPolicy(t, n).Select; !reflect.DeepEqual(sel, tomSelect) {
+			t.Errorf("%s selects %+v, want TOM's %+v", n, sel, tomSelect)
+		}
 	}
 }
 
@@ -169,33 +179,15 @@ func TestDestFirstLine(t *testing.T) {
 }
 
 func TestTomGate(t *testing.T) {
-	mk := func(mut func(*fakeEnv, *Request)) (Env, *Request) {
-		env := newFakeEnv()
-		env.controlled = true
-		req := &Request{Cand: &compiler.Candidate{SavesTX: true, SavesRX: true}, Stack: 1}
-		if mut != nil {
-			mut(env, req)
-		}
-		return env, req
-	}
 	cases := []struct {
 		name string
 		mut  func(*fakeEnv, *Request)
 		want string
 	}{
-		{"uncontrolled never gates", func(e *fakeEnv, r *Request) {
-			e.controlled = false
-			e.pending[1] = e.cap // would be full otherwise
-		}, ""},
 		{"clean pass", nil, ""},
-		{"alu gate over half-full", func(e *fakeEnv, r *Request) {
-			e.aluGate = 0.5
+		{"alu frac high over half-full is tom-alu's only", func(e *fakeEnv, r *Request) {
 			r.Cand.ALUFrac = 0.9
 			e.pending[1] = e.cap/2 + 1
-		}, ReasonALU},
-		{"alu frac high but stack idle passes", func(e *fakeEnv, r *Request) {
-			e.aluGate = 0.5
-			r.Cand.ALUFrac = 0.9
 		}, ""},
 		{"tx busy without tx savings", func(e *fakeEnv, r *Request) {
 			r.Cand.SavesTX = false
@@ -213,9 +205,100 @@ func TestTomGate(t *testing.T) {
 		}, ReasonFull},
 	}
 	for _, c := range cases {
-		env, req := mk(c.mut)
+		env, req := gateCase(c.mut)
 		if got := tomGate(env, req); got != c.want {
 			t.Errorf("%s: tomGate = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// gateCase is a clean gate decision toward stack 1 — a candidate that saves
+// on both channels, nothing pending, no channel busy — with mut applied.
+func gateCase(mut func(*fakeEnv, *Request)) (*fakeEnv, *Request) {
+	env := newFakeEnv()
+	req := &Request{Cand: &compiler.Candidate{SavesTX: true, SavesRX: true}, Stack: 1, Vault: -1,
+		Lines: []uint64{1 << 12}}
+	if mut != nil {
+		mut(env, req)
+	}
+	return env, req
+}
+
+// TestNoctrlGate: the uncontrolled scheme passes every request PreGate
+// passes — whatever the channels and the pending counts say — and gates
+// nothing PreGate would not.
+func TestNoctrlGate(t *testing.T) {
+	noctrl, tom := mustPolicy(t, "noctrl"), mustPolicy(t, "tom")
+	for _, mut := range []func(*fakeEnv, *Request){
+		nil,
+		func(e *fakeEnv, r *Request) { r.Cand.SavesTX, e.txBusy[1] = false, true },
+		func(e *fakeEnv, r *Request) { r.Cand.SavesRX, e.rxBusy[1] = false, true },
+		func(e *fakeEnv, r *Request) { e.pending[1] = 10 * e.cap },
+		func(e *fakeEnv, r *Request) { r.Cand.ALUFrac, e.pending[1] = 1, e.cap },
+	} {
+		env, req := gateCase(mut)
+		if got := noctrl.Gate(env, req); got != "" {
+			t.Errorf("noctrl Gate = %q on %+v, want pass", got, *req)
+		}
+	}
+	for _, req := range []Request{
+		{Cand: &compiler.Candidate{}, HasLeader: true, Trips: -1},
+		{Cand: condCand(4), HasLeader: false, Trips: -1},
+		{Cand: condCand(4), HasLeader: true, Trips: 3},
+		{Cand: condCand(4), HasLeader: true, Trips: 4},
+	} {
+		if got, want := noctrl.PreGate(&req), tom.PreGate(&req); got != want {
+			t.Errorf("noctrl PreGate = %q, tom's = %q on %+v", got, want, req)
+		}
+	}
+}
+
+// TestTomALUGate: tom-alu declines an ALU-heavy candidate only while its
+// destination stack SM is more than half occupied, and otherwise decides
+// exactly as TOM's control does.
+func TestTomALUGate(t *testing.T) {
+	p := mustPolicy(t, "tom-alu")
+	cases := []struct {
+		name string
+		mut  func(*fakeEnv, *Request)
+		want string
+	}{
+		{"alu-heavy over half-full", func(e *fakeEnv, r *Request) {
+			r.Cand.ALUFrac = 0.9
+			e.pending[1] = e.cap/2 + 1
+		}, ReasonALU},
+		{"alu-heavy at exactly half passes", func(e *fakeEnv, r *Request) {
+			r.Cand.ALUFrac = 0.9
+			e.pending[1] = e.cap / 2
+		}, ""},
+		{"alu-heavy on an idle stack passes", func(e *fakeEnv, r *Request) {
+			r.Cand.ALUFrac = 0.9
+		}, ""},
+		{"alu fraction at the threshold passes", func(e *fakeEnv, r *Request) {
+			r.Cand.ALUFrac = aluGate
+			e.pending[1] = e.cap/2 + 1
+		}, ""},
+		{"alu-heavy on another stack's load passes", func(e *fakeEnv, r *Request) {
+			r.Cand.ALUFrac = 0.9
+			e.pending[2] = e.cap
+		}, ""},
+		{"light candidate defers to tom: busy", func(e *fakeEnv, r *Request) {
+			r.Cand.SavesTX = false
+			e.txBusy[1] = true
+		}, ReasonBusy},
+		{"light candidate defers to tom: full", func(e *fakeEnv, r *Request) {
+			e.pending[1] = e.cap
+		}, ReasonFull},
+	}
+	for _, c := range cases {
+		env, req := gateCase(c.mut)
+		got := p.Gate(env, req)
+		if got != c.want {
+			t.Errorf("%s: tom-alu Gate = %q, want %q", c.name, got, c.want)
+		}
+		// Wherever the ALU check does not fire, tom-alu is TOM.
+		if tom := tomGate(env, req); got != ReasonALU && got != tom {
+			t.Errorf("%s: tom-alu Gate = %q, tomGate = %q", c.name, got, tom)
 		}
 	}
 }
@@ -226,7 +309,6 @@ func TestTomGate(t *testing.T) {
 func TestCodaSplitGate(t *testing.T) {
 	p := mustPolicy(t, "coda")
 	env := newFakeEnv()
-	env.controlled = true
 	cand := &compiler.Candidate{SavesTX: true, SavesRX: true}
 
 	split := &Request{Cand: cand, Stack: 0, Lines: []uint64{0 << 12, 1 << 12}}
@@ -292,7 +374,6 @@ func TestMPUDestAndVaultGate(t *testing.T) {
 func TestIdealGate(t *testing.T) {
 	p := mustPolicy(t, "ideal")
 	env := newFakeEnv()
-	env.controlled = true
 	env.txBusy[1], env.rxBusy[1] = true, true
 	req := &Request{Cand: &compiler.Candidate{}, Stack: 1}
 	if got := p.Gate(env, req); got != "" {

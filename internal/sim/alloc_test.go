@@ -28,7 +28,7 @@ import (
 // reusing the first launch's, whose size class holds 16 (12.2 B).
 func TestSteadyStateAllocBudget(t *testing.T) {
 	noctrlBmap := DefaultConfig()
-	noctrlBmap.Offload = OffloadUncontrolled
+	noctrlBmap.Policy = "noctrl"
 	noctrlBmap.Mapping = MapBaseline
 	for _, tc := range []struct {
 		abbr, name string

@@ -14,19 +14,6 @@ package sim
 
 import "repro/internal/obs"
 
-// OffloadMode selects the NDP offloading policy under evaluation.
-type OffloadMode int
-
-// Offload policies (the paper's configurations in §6).
-const (
-	// OffloadOff: baseline GPU; candidates execute inline.
-	OffloadOff OffloadMode = iota
-	// OffloadUncontrolled: always offload every candidate (no-ctrl).
-	OffloadUncontrolled
-	// OffloadControlled: dynamic offloading aggressiveness control (§3.3).
-	OffloadControlled
-)
-
 // MappingMode selects the memory-stack address mapping.
 type MappingMode int
 
@@ -38,10 +25,6 @@ const (
 	// the best consecutive-bit mapping from early candidate instances
 	// and apply it to candidate-touched ranges only.
 	MapTransparent
-	// MapOracle: like tmap but with the oracle best bit chosen from a
-	// profiling pass over all instances (the Fig. 3 idealization),
-	// applied from the start with no learning-phase cost.
-	MapOracle
 )
 
 // Config holds every model parameter. DefaultConfig mirrors Table 1.
@@ -91,21 +74,15 @@ type Config struct {
 	L2BankQueue int
 
 	// --- Offloading ---
-	Offload       OffloadMode
 	BusyThreshold float64
 	Coherence     bool // §4.4.2 protocol on (off = idealized coherence)
-	// Policy names the offload policy (a row of internal/offload's table)
+	// Policy names the offload scheme (a row of internal/offload's table)
 	// driving candidate selection, gating, and destination choice: "tom"
-	// by default, "ideal" for the Fig. 2 idealization (zero offload
-	// overhead and perfect code/data co-location). Unknown names panic in
-	// New.
+	// (dynamic aggressiveness control, §3.3) by default, "noctrl" to
+	// offload every candidate, "none" for the no-NDP baseline, "ideal" for
+	// the Fig. 2 idealization (zero offload overhead and perfect code/data
+	// co-location). Unknown names panic in New.
 	Policy string
-	// ALUGate, when positive, extends dynamic aggressiveness control
-	// with the paper's §6.4 future-work idea: candidates whose static
-	// ALU-instruction fraction exceeds the gate are not offloaded while
-	// the destination stack SM is more than half occupied, keeping
-	// compute-heavy blocks from saturating the logic-layer pipeline.
-	ALUGate float64
 
 	// --- Data mapping ---
 	Mapping   MappingMode
@@ -155,7 +132,6 @@ func DefaultConfig() Config {
 		L2MSHRs:     512,
 		L2BankQueue: 32,
 
-		Offload:       OffloadControlled,
 		BusyThreshold: 0.95,
 		Coherence:     true,
 		Policy:        "tom",
@@ -176,7 +152,7 @@ func DefaultConfig() Config {
 func BaselineConfig() Config {
 	c := DefaultConfig()
 	c.MainSMs = 68
-	c.Offload = OffloadOff
+	c.Policy = "none"
 	c.Mapping = MapBaseline
 	return c
 }

@@ -29,7 +29,7 @@ func TestTimingMatchesFunctionalAllWorkloads(t *testing.T) {
 		"ctrl-tmap": DefaultConfig,
 		"noctrl-tmap": func() Config {
 			c := DefaultConfig()
-			c.Offload = OffloadUncontrolled
+			c.Policy = "noctrl"
 			return c
 		},
 		"ideal": func() Config {

@@ -60,8 +60,6 @@ func (e polEnv) PendingVault(s, v int) int       { return e.sys.pendingVault[s][
 func (e polEnv) StackCap() int                   { return e.sys.cfg.StackSMs * e.sys.cfg.StackWarps() }
 func (e polEnv) TXBusy(s int) bool               { return e.sys.txLinks[s].Busy(e.sys.cfg.BusyThreshold, e.now) }
 func (e polEnv) RXBusy(s int) bool               { return e.sys.rxLinks[s].Busy(e.sys.cfg.BusyThreshold, e.now) }
-func (e polEnv) ALUGate() float64                { return e.sys.cfg.ALUGate }
-func (e polEnv) Controlled() bool                { return e.sys.cfg.Offload == OffloadControlled }
 
 // gate records one suppressed offload everywhere it is accounted: the
 // aggregate per-reason counter, the per-PC decision table, and (when an
@@ -114,7 +112,7 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		sw.collect = c
 		return false
 	}
-	if sys.cfg.Offload == OffloadOff {
+	if sys.policy.Gate == nil {
 		return false
 	}
 
@@ -162,30 +160,14 @@ func (sys *System) handleCandidateEntry(sm *SM, sw *smWarp, cand *compiler.Candi
 		return false
 	}
 
-	if sys.policy.ZeroCost {
-		// Zero-cost transport: the job materializes in the destination
-		// stack's spawn queue this cycle, skipping the offload pipeline,
-		// the TX link, and the store drain.
-		sm.unready(sw, wsWaitOffload)
-		job := sys.buildJob(sm, sw, cand, dest, req.Vault)
-		sys.pendingOffloads[dest]++
-		sys.stats.OffloadsSent++
-		sys.stats.PCStats.At(cand.StartPC).Sent++
-		if ob := sys.ob; ob != nil {
-			ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvSend, SM: sm.id, Stack: dest,
-				PC: cand.StartPC})
-		}
-		sys.stacks[dest].spawnTarget().enqueueJob(job)
-		return true
-	}
-
 	sys.pendingOffloads[dest]++
 	if req.Vault >= 0 {
 		sys.pendingVault[dest][req.Vault]++
 	}
-	if sys.cfg.Coherence && sw.pendingStores > 0 {
+	if sys.cfg.Coherence && sw.pendingStores > 0 && !sys.policy.ZeroCost {
 		// §4.4.2 step 1: push all memory update traffic to memory
-		// before issuing the offload request.
+		// before issuing the offload request (zero-cost transport
+		// skips the drain).
 		sw.drainCand = cand
 		sw.drainDest = dest
 		sw.drainVault = req.Vault
@@ -210,16 +192,25 @@ func (sys *System) buildJob(sm *SM, sw *smWarp, cand *compiler.Candidate, dest, 
 	return job
 }
 
-// launchOffload packs and sends the offload request.
+// launchOffload packs and sends the offload request. Under zero-cost
+// transport the job materializes in the destination stack's spawn queue this
+// cycle, skipping the offload pipeline and the TX link, and carries no bytes.
 func (sys *System) launchOffload(sm *SM, sw *smWarp, cand *compiler.Candidate, dest, vault int, now int64) {
 	sm.unready(sw, wsWaitOffload)
 	job := sys.buildJob(sm, sw, cand, dest, vault)
-	reqBytes := offloadHdrBytes + cand.NumLiveIn()*isa.WarpSize*regLaneBytes
+	reqBytes := 0
+	if !sys.policy.ZeroCost {
+		reqBytes = offloadHdrBytes + cand.NumLiveIn()*isa.WarpSize*regLaneBytes
+	}
 	sys.stats.OffloadsSent++
 	sys.stats.PCStats.At(cand.StartPC).Sent++
 	if ob := sys.ob; ob != nil {
 		ob.o.Emit(obs.Event{Cycle: now, Kind: obs.EvSend, SM: sm.id, Stack: dest,
 			PC: cand.StartPC, Bytes: reqBytes})
+	}
+	if sys.policy.ZeroCost {
+		sys.stacks[dest].spawnTarget().enqueueJob(job)
+		return
 	}
 	lat := sys.cfg.OffloadPipeLat
 	if sys.policy.SpawnLat > 0 {

@@ -34,13 +34,13 @@ func fig9PinConfigs() []pinConfig {
 		{"baseline", BaselineConfig},
 		{"noctrl-bmap", func() Config {
 			c := DefaultConfig()
-			c.Offload = OffloadUncontrolled
+			c.Policy = "noctrl"
 			c.Mapping = MapBaseline
 			return c
 		}},
 		{"noctrl-tmap", func() Config {
 			c := DefaultConfig()
-			c.Offload = OffloadUncontrolled
+			c.Policy = "noctrl"
 			return c
 		}},
 		{"ctrl-bmap", func() Config {

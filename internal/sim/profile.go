@@ -14,7 +14,7 @@ import (
 // Profile is the result of an instrumented functional pass over a workload:
 // the Memory Map Analyzer fed every offloading-candidate instance (the
 // co-location of every consecutive-bit mapping and the oracle best bit for
-// Figs. 3/6 and MapOracle runs), the baseline co-location (Fig. 6),
+// Figs. 3/6 and ctrl-oracle runs), the baseline co-location (Fig. 6),
 // per-candidate fixed-offset statistics (Fig. 5) and the candidate-touched
 // allocation ranges.
 //

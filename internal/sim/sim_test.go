@@ -134,7 +134,7 @@ func TestUncontrolledOffloadCompletes(t *testing.T) {
 	env := streamEnv(t, 8, 16)
 	want := refMem(t, env)
 	cfg := DefaultConfig()
-	cfg.Offload = OffloadUncontrolled
+	cfg.Policy = "noctrl"
 	cfg.Mapping = MapBaseline
 	sys := runSim(t, cfg, env)
 	if ok, addr := mem.Equal(want, sys.global.Mem); !ok {

@@ -176,7 +176,7 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 	}
 
 	if cfg.Mapping == MapTransparent {
-		sys.learning = cfg.Offload != OffloadOff
+		sys.learning = sys.policy.Gate != nil
 		sys.learnDeadline = cfg.LearnDeadline
 	}
 	return sys
@@ -187,14 +187,14 @@ func (sys *System) Stats() *Stats { return &sys.stats }
 
 // InstallMapping presets a consecutive-bit mapping on the named ranges
 // before cycle 0, in place of a learning phase: Fig. 3's oracle bit, or the
-// bit a ctrl-tmap run learned. The preset is free — no copy is charged, the
+// bit a ctrl-tmap run learned. Only a transparent-mapping system takes one. The preset is free — no copy is charged, the
 // same way endLearning charges none for the copy itself: the data moves
 // where the baseline flow's host→device copy happens anyway. An unknown
 // range name means the mapping describes different data structures and is
 // rejected; installing it partially could place data wrongly.
 func (sys *System) InstallMapping(bit int, ranges []string) error {
-	if sys.cfg.Mapping != MapTransparent && sys.cfg.Mapping != MapOracle {
-		return fmt.Errorf("sim: mappings install only on transparent or oracle mapping systems (have mode %d)", sys.cfg.Mapping)
+	if sys.cfg.Mapping != MapTransparent {
+		return fmt.Errorf("sim: mappings install only on transparent mapping systems (have mode %d)", sys.cfg.Mapping)
 	}
 	if bit < mapping.MinBit || bit > mapping.MaxBit {
 		return fmt.Errorf("sim: mapping bit %d outside [%d, %d]", bit, mapping.MinBit, mapping.MaxBit)

@@ -168,7 +168,7 @@ func checkStatsGolden(t *testing.T, s *Session, pairs []core.Pair) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Key(), err)
 		}
-		checkConservation(t, p.Key(), spec.Cfg.Offload != sim.OffloadOff, &res.Stats)
+		checkConservation(t, p.Key(), spec.Cfg.Policy != "none", &res.Stats)
 		js, err := json.Marshal(res.Stats)
 		if err != nil {
 			t.Fatal(err)
@@ -238,8 +238,8 @@ func checkConservation(t *testing.T, key string, offload bool, st *sim.Stats) {
 	}
 }
 
-// TestALUGateEarnsItsRow holds the measurement that keeps Config.ALUGate and
-// the ctrl-4X-warp+alu row of Figs. 11/12: at 4x stack warp capacity RD is
+// TestALUGateEarnsItsRow holds the measurement that keeps the tom-alu policy
+// and the ctrl-4X-warp+alu row of Figs. 11/12: at 4x stack warp capacity RD is
 // ALU-bound on the stack SMs (§6.4), and declining its offloads there must
 // recover at least a quarter of its IPC (measured 1.39x at scale 0.5, the
 // smallest scale at which the gate binds). No table cell at the golden's
