@@ -55,7 +55,12 @@ import (
 // offload-policy rows ("noctrl", "tom-alu", "none") named by Policy. The
 // record layout and the model did not change, so a v11 record describes the
 // same run; only its key is gone.
-const cacheSchemaVersion = "tomcache/v12"
+// v13: the model changed — a warp whose pipeline latency runs out during
+// the mapping-install freeze is ready when the freeze ends, instead of up to
+// 63 cycles later when its per-SM timer slot next comes round. Every cell
+// that closes a learning phase after observing an instance runs a different
+// number of cycles, and v12 records of them describe the old machine.
+const cacheSchemaVersion = "tomcache/v13"
 
 // BuildFingerprint identifies the producing build: the cache schema version
 // plus, when the binary carries VCS stamps, the revision and dirty flag.
