@@ -18,14 +18,15 @@ import (
 // Clone+New+Run — what a session pays per cell, the run's private copies of
 // the pages it writes included — per simulated warp-instruction. The counts
 // repeat from run to run to three digits, and the ceilings sit about 10 %
-// above what the cells allocate (59.3, 12.3, 6.2, 6.2 and 10.8 B; 0.312,
-// 0.074, 0.042, 0.029 and 0.037 objects). BFS's is 4 %: it keeps the most
-// warps, and a buffer that every warp owns again (a 32-entry lane access
-// buffer was 3.8 B there) must fail it. KM's fails if an idle SM allocates
-// its L1 tag store, timer ring and warp slot table again (10.7 B). BP's
+// above what the cells allocate (54.1, 11.1, 5.5, 5.8 and 10.3 B; 0.210,
+// 0.049, 0.026, 0.016 and 0.023 objects). BFS's byte ceiling is 4 %: it
+// keeps the most warps, and a buffer that every warp owns again (a 32-entry
+// lane access buffer was 3.8 B there) must fail it. KM's fails if an idle
+// SM allocates its L1 tag store and warp slot table again (7.6 B). BP's
 // second kernel uses 16 registers after the first's 15; its ceiling fails
 // if that launch allocates its warps' register files again rather than
-// reusing the first launch's, whose size class holds 16 (12.2 B).
+// reusing the first launch's, whose size class holds 16 (11.7 B). A per-SM
+// timer ring beside the wheel fails every object ceiling (BFS 0.312).
 func TestSteadyStateAllocBudget(t *testing.T) {
 	noctrlBmap := DefaultConfig()
 	noctrlBmap.Policy = "noctrl"
@@ -36,11 +37,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		maxBytes   float64 // per warp-instruction
 		maxMallocs float64
 	}{
-		{"BFS", "noctrl-bmap", noctrlBmap, 61.6, 0.35},
-		{"FWT", "baseline", BaselineConfig(), 13.5, 0.082},
-		{"SP", "baseline", BaselineConfig(), 6.8, 0.046}, // 36.6 B with a deep-copying Clone
-		{"KM", "baseline", BaselineConfig(), 6.8, 0.032},
-		{"BP", "baseline", BaselineConfig(), 11.9, 0.041},
+		{"BFS", "noctrl-bmap", noctrlBmap, 56.3, 0.231},
+		{"FWT", "baseline", BaselineConfig(), 12.2, 0.054},
+		{"SP", "baseline", BaselineConfig(), 6.1, 0.029}, // 36.6 B with a deep-copying Clone
+		{"KM", "baseline", BaselineConfig(), 6.4, 0.018},
+		{"BP", "baseline", BaselineConfig(), 11.3, 0.025},
 	} {
 		w, err := workloads.ByAbbr(tc.abbr)
 		if err != nil {

@@ -14,6 +14,9 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 	case wevReconsider:
 		ev.sw.sm.reconsider(ev.sw, now)
 
+	case wevRegClear:
+		ev.sw.sm.regClear(ev.sw, ev.reg, now)
+
 	case wevLSURetry:
 		// MSHR-full retry: re-ready the warp unless a fill already did.
 		if sm := ev.sw.sm; ev.sw.state == wsWaitLSU {

@@ -42,23 +42,6 @@ type SM struct {
 	freeSlots  int
 	issueWidth int
 	lsuStalled int // warps in wsWaitLSU
-
-	// evRing is a per-SM timer ring for short fixed delays (ALU pipeline
-	// occupancy, L1-hit load returns). It avoids per-instruction closure
-	// allocation on the global wheel; slot slices are reused. The first
-	// ringAfter allocates it, so an SM that never issues holds none. Which
-	// SMs hold events in which slot is the System's ringSMs/ringOcc wake sets.
-	evRing *[ringSlots][]smEvent
-}
-
-// ringSlots must exceed every latency scheduled on the ring.
-const ringSlots = 64
-
-// smEvent is a ring entry: reg >= 0 clears a pending register; reg < 0
-// reconsiders the warp's readiness.
-type smEvent struct {
-	sw  *smWarp
-	reg int8
 }
 
 type loadWaiter struct {
@@ -166,12 +149,7 @@ func (sm *SM) reconsider(sw *smWarp, now int64) {
 		return
 	}
 	if now < sw.notReadyUntil {
-		d := sw.notReadyUntil - now
-		if d < ringSlots {
-			sm.ringAfter(d, now, smEvent{sw: sw, reg: -1})
-		} else {
-			sm.sys.wheel.afterEvent(d, wheelEvent{kind: wevReconsider, sw: sw})
-		}
+		sm.sys.wheel.afterEvent(sw.notReadyUntil-now, wheelEvent{kind: wevReconsider, sw: sw})
 		return
 	}
 	if !sw.w.Done() && sw.w.NextInstr().Regs&sw.pendingRegs != 0 {
@@ -185,49 +163,7 @@ func (sm *SM) reconsider(sw *smWarp, now int64) {
 func (sm *SM) blockOnNext(sw *smWarp, lat int64, now int64) {
 	sw.notReadyUntil = now + lat
 	sm.unready(sw, wsWaitDep)
-	sm.ringAfter(lat, now, smEvent{sw: sw, reg: -1})
-}
-
-// ringAfter schedules an event on the per-SM timer ring (lat < ringSlots).
-func (sm *SM) ringAfter(lat, now int64, ev smEvent) {
-	if lat >= ringSlots {
-		lat = ringSlots - 1
-	}
-	if lat < 1 {
-		lat = 1
-	}
-	if sm.evRing == nil {
-		sm.evRing = new([ringSlots][]smEvent)
-	}
-	i := int((now + lat) % ringSlots)
-	sm.evRing[i] = append(sm.evRing[i], ev)
-	sm.sys.ringRow(i).set(sm.id)
-	sm.sys.ringOcc |= 1 << i
-}
-
-// ringTick fires due ring events.
-func (sm *SM) ringTick(now int64) {
-	if sm.evRing == nil { // never scheduled: the per-cycle loop ticks idle SMs too
-		return
-	}
-	i := int(now % ringSlots)
-	due := sm.evRing[i]
-	if len(due) == 0 {
-		return
-	}
-	sm.evRing[i] = due[:0]
-	row := sm.sys.ringRow(i)
-	row.clear(sm.id)
-	if row.empty() {
-		sm.sys.ringOcc &^= 1 << i
-	}
-	for _, ev := range due {
-		if ev.reg >= 0 {
-			sm.regClear(ev.sw, isa.Reg(ev.reg), now)
-		} else {
-			sm.reconsider(ev.sw, now)
-		}
-	}
+	sm.sys.wheel.afterEvent(lat, wheelEvent{kind: wevReconsider, sw: sw})
 }
 
 // regClear is the load-return event for one line transaction feeding reg.
@@ -380,7 +316,6 @@ func (sm *SM) pickWarp() *smWarp {
 
 // tick advances the SM by one cycle.
 func (sm *SM) tick(now int64) {
-	sm.ringTick(now)
 	// 1. Drain LSU transactions into the memory system.
 	for i := 0; i < sm.issueWidth && len(sm.lsu) > 0; i++ {
 		if !sm.port.accept(now, sm.lsu[0]) {
@@ -546,7 +481,7 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, lines []exec.Line, now i
 		}
 		if sm.l1.Lookup(li.Addr) {
 			sm.noteL1(true)
-			sm.ringAfter(sm.cfg.L1Lat, now, smEvent{sw: sw, reg: int8(reg)})
+			sm.sys.wheel.afterEvent(sm.cfg.L1Lat, wheelEvent{kind: wevRegClear, reg: reg, sw: sw})
 			continue
 		}
 		sm.noteL1(false)
@@ -588,7 +523,7 @@ func (sm *SM) fill(line uint64, now int64) {
 
 // runnableNow reports whether the SM's tick would do work this cycle:
 // ready warps to issue, LSU transactions to drain, or offload jobs to
-// spawn. Ring events are timed, not busy-now — see System.ringOcc.
+// spawn. Wake-ups on the wheel are timed, not busy-now.
 func (sm *SM) runnableNow() bool {
 	return sm.ready.any() || len(sm.lsu) > 0 || len(sm.spawnQ) > 0
 }

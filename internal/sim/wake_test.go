@@ -13,13 +13,14 @@ import (
 // checkWakeSets compares every wake set with the state it summarises
 // (TestEventLoopMatchesPerCycleStats runs it from the System.afterCycle hook
 // after each executed event-loop cycle):
-// an SM is in the runnable set iff its tick would do work, row i of ringSMs
-// holds exactly the SMs with events in ring slot i and ringOcc exactly the
-// non-empty rows, a stack's busy set covers its active vaults and its due is
-// the earliest NextEvent over the busy ones, a bank is in the L2's busy set
-// iff its queue is non-empty, and lsuStalled counts the SM's wsWaitLSU warps. The two per-SM scans (64 ring slots, every warp)
-// take the SMs in turn, a sixteenth of them per call: a wrong ring bit
-// lasts until its slot next comes round.
+// an SM is in the runnable set iff its tick would do work, a stack's busy
+// set covers its active vaults and its due is the earliest NextEvent over
+// the busy ones, a bank is in the L2's busy set iff its queue is non-empty,
+// lsuStalled counts the SM's wsWaitLSU warps, and no warp waits in
+// wsWaitDep on nothing: its latency has not run out, or its next
+// instruction reads a pending register (the wake-up that readies it is on
+// the wheel, or is the clear of that register). The per-warp scan takes the
+// SMs in turn, a sixteenth of them per call.
 func checkWakeSets(sys *System) error {
 	has := func(s wakeSet, i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
 	for id, sm := range sys.all {
@@ -32,28 +33,18 @@ func checkWakeSets(sys *System) error {
 		if (int64(id)+sys.executed)%16 != 0 {
 			continue
 		}
-		for slot := 0; slot < ringSlots; slot++ {
-			events := 0 // an SM that never scheduled an event holds no ring
-			if sm.evRing != nil {
-				events = len(sm.evRing[slot])
-			}
-			if got, want := has(sys.ringRow(slot), id), events > 0; got != want {
-				return fmt.Errorf("SM %d ring slot %d: bit %v, %d events", id, slot, got, events)
-			}
-		}
 		stalled := 0
 		for _, sw := range sm.warps {
 			if sw != nil && sw.state == wsWaitLSU {
 				stalled++
 			}
+			if sw != nil && waitsOnNothing(sw, sys.now-1) {
+				return fmt.Errorf("SM %d warp %d: waits on nothing (latency ran out at %d, cycle %d)",
+					id, sw.slot, sw.notReadyUntil, sys.now-1)
+			}
 		}
 		if sm.lsuStalled != stalled {
 			return fmt.Errorf("SM %d: lsuStalled %d, %d warps in wsWaitLSU", id, sm.lsuStalled, stalled)
-		}
-	}
-	for slot := 0; slot < ringSlots; slot++ {
-		if got, want := sys.ringOcc&(1<<slot) != 0, !sys.ringRow(slot).empty(); got != want {
-			return fmt.Errorf("ring slot %d: ringOcc bit %v, row non-empty %v", slot, got, want)
 		}
 	}
 	for _, st := range sys.stacks {
@@ -76,6 +67,14 @@ func checkWakeSets(sys *System) error {
 		}
 	}
 	return nil
+}
+
+// waitsOnNothing reports whether sw is parked in wsWaitDep at the end of
+// cycle now with nothing left to wait for: its latency has run out and its
+// next instruction reads no pending register, so no wake-up is coming.
+func waitsOnNothing(sw *smWarp, now int64) bool {
+	return sw.state == wsWaitDep && sw.notReadyUntil <= now &&
+		(sw.w.Done() || sw.w.NextInstr().Regs&sw.pendingRegs == 0)
 }
 
 // checkOffloadJobs: every offload job in flight has its requester parked in

@@ -1,15 +1,17 @@
 package sim
 
-// The wheel is the simulator's global timer: a timer wheel whose slots hold
-// typed events. The hot schedulers (offload pipeline, L2 routing, vault
-// crossbar retries, warp wakeups) file small value structs instead of
-// closures. Its horizon — the number of slots — comes from the Config
-// (wheelHorizonFor): the smallest power of two above every fixed delay the
-// model files, 128 cycles by default. Delays at or beyond the horizon land
-// in an overflow bucket and are re-filed into the wheel once they come
-// within range — a long modeled latency (a warp's wake-up after a long
-// invalidation, scaled PCIe, future LLM-workload delays) is an input
-// condition, not a model bug.
+import "repro/internal/isa"
+
+// The wheel is the simulator's one timer: a timer wheel whose slots hold
+// typed events. The hot schedulers (warp wake-ups after a pipeline latency,
+// L1-hit returns, offload pipeline, L2 routing, vault crossbar retries) file
+// small value structs instead of closures. Its horizon — the number of
+// slots — comes from the Config (wheelHorizonFor): the smallest power of two
+// above every fixed delay the model files, 128 cycles by default. Delays at
+// or beyond the horizon land in an overflow bucket and are re-filed into the
+// wheel once they come within range — a long modeled latency (a warp's
+// wake-up after a long invalidation, scaled PCIe, future LLM-workload
+// delays) is an input condition, not a model bug.
 //
 // Events live in one slab of nodes; a slot is the head and tail index of a
 // singly linked FIFO threaded through the slab, and fired nodes go onto a
@@ -36,12 +38,14 @@ const (
 )
 
 // wheelHorizonFor sizes the wheel for cfg: the smallest power of two above
-// every fixed delay the model files on it — the L2 and crossbar latencies,
-// the offload pipeline (or the policy's spawn latency, which replaces it)
-// and the fixed retries. A dynamic delay beyond it (a warp's wake-up after
-// a long invalidation) takes the overflow path.
+// every fixed delay the model files on it — the L1, L2 and crossbar
+// latencies, the pipeline latencies a warp waits out after issue, the
+// offload pipeline (or the policy's spawn latency, which replaces it) and
+// the fixed retries. A dynamic delay beyond it (a warp's wake-up after a
+// long invalidation) takes the overflow path.
 func wheelHorizonFor(cfg Config, spawnLat int64) int {
-	d := max(cfg.L2Lat, cfg.XbarLat, cfg.OffloadPipeLat, spawnLat, lsuRetryDelay, vaultRetryDelay)
+	d := max(cfg.L1Lat, cfg.L2Lat, cfg.XbarLat, cfg.ALULat, cfg.FPLat, cfg.DivLat, cfg.SharedLat,
+		cfg.OffloadPipeLat, spawnLat, lsuRetryDelay, vaultRetryDelay)
 	h := 1
 	for int64(h) <= d {
 		h <<= 1
@@ -61,7 +65,8 @@ type wheelNode struct {
 // own tests; the simulator files only the typed kinds.
 const (
 	wevFunc          uint8 = iota // fn(now)
-	wevReconsider                 // sw.sm.reconsider(sw, now): far-future warp wakeup
+	wevReconsider                 // sw.sm.reconsider(sw, now): warp wake-up after its latency
+	wevRegClear                   // sw.sm.regClear(sw, reg, now): an L1 hit returns
 	wevLSURetry                   // MSHR-full retry: re-ready sw if still stalled
 	wevSendOffload                // offload pipeline done: send job's request packet
 	wevFinishOffload              // ideal-mode ack: resume job's requesting warp
@@ -74,6 +79,7 @@ const (
 // needs are set; the struct is stored by value in the slab.
 type wheelEvent struct {
 	kind uint8
+	reg  isa.Reg // wevRegClear; packs beside kind, so the struct does not grow
 	fn   func(now int64)
 	sw   *smWarp
 	job  *offloadJob

@@ -14,7 +14,9 @@ var testHorizon = int64(wheelHorizonFor(DefaultConfig(), 0))
 func newTestWheel() *wheel { return newWheel(&System{}, int(testHorizon)) }
 
 // TestWheelHorizonFor: the horizon is the smallest power of two strictly
-// above the largest fixed delay — 128 for the default L2 latency of 90.
+// above the largest fixed delay — 128 for the default L2 latency of 90. Warp
+// wake-ups after a pipeline latency and L1-hit returns ride the wheel too,
+// so the L1 and pipeline latencies count.
 func TestWheelHorizonFor(t *testing.T) {
 	for _, tc := range []struct {
 		edit     func(*Config)
@@ -22,19 +24,30 @@ func TestWheelHorizonFor(t *testing.T) {
 		want     int
 	}{
 		{func(*Config) {}, 0, 128},
-		{func(*Config) {}, 2, 128},                                                  // mpu's spawn latency
-		{func(*Config) {}, 300, 512},                                                // a spawn latency above the L2's
-		{func(c *Config) { c.L2Lat = 128 }, 0, 256},                                 // a delay of exactly 128 needs slot 128
-		{func(c *Config) { c.OffloadPipeLat = 1000 }, 0, 1024},                      // a deep offload pipeline
-		{func(c *Config) { c.L2Lat, c.XbarLat, c.OffloadPipeLat = 1, 1, 1 }, 0, 16}, // the fixed retries
+		{func(*Config) {}, 2, 128},                                        // mpu's spawn latency
+		{func(*Config) {}, 300, 512},                                      // a spawn latency above the L2's
+		{func(c *Config) { c.L2Lat = 128 }, 0, 256},                       // a delay of exactly 128 needs slot 128
+		{func(c *Config) { c.OffloadPipeLat = 1000 }, 0, 1024},            // a deep offload pipeline
+		{func(c *Config) { c.DivLat = 200 }, 0, 256},                      // a divide slower than the L2
+		{func(c *Config) { c.L1Lat = 150 }, 0, 256},                       // an L1 hit slower than the L2
+		{func(c *Config) { *c = allLat(*c, 1) }, 0, 16},                   // the fixed retries
+		{func(c *Config) { *c = allLat(*c, 1); c.SharedLat = 40 }, 0, 64}, // shared memory
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)
 		if got := wheelHorizonFor(cfg, tc.spawnLat); got != tc.want {
-			t.Errorf("L2 %d, xbar %d, pipeline %d, spawn %d: horizon %d, want %d",
-				cfg.L2Lat, cfg.XbarLat, cfg.OffloadPipeLat, tc.spawnLat, got, tc.want)
+			t.Errorf("L1 %d, L2 %d, xbar %d, ALU/FP/div/shared %d/%d/%d/%d, pipeline %d, spawn %d: horizon %d, want %d",
+				cfg.L1Lat, cfg.L2Lat, cfg.XbarLat, cfg.ALULat, cfg.FPLat, cfg.DivLat, cfg.SharedLat,
+				cfg.OffloadPipeLat, tc.spawnLat, got, tc.want)
 		}
 	}
+}
+
+// allLat sets every fixed latency wheelHorizonFor reads to d.
+func allLat(c Config, d int64) Config {
+	c.L1Lat, c.L2Lat, c.XbarLat, c.OffloadPipeLat = d, d, d, d
+	c.ALULat, c.FPLat, c.DivLat, c.SharedLat = d, d, d, d
+	return c
 }
 
 func TestWheelFiresAtExactCycle(t *testing.T) {
