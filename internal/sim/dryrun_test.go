@@ -24,7 +24,7 @@ func dryRunWarp(t *testing.T, k *isa.Kernel, params []uint64) (*System, *smWarp)
 		t.Fatal(err)
 	}
 	w := exec.NewWarp(k, md.Info, exec.WarpInfo{NTid: 32, NCtaid: 1}, nil, params)
-	return sys, &smWarp{w: w}
+	return sys, &smWarp{w: *w}
 }
 
 // destOf is the destination stack the simulator picks at a candidate

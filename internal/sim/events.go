@@ -7,9 +7,12 @@ import "repro/internal/isa"
 // their continuation in wheelEvent fields instead of closures, so filing
 // and firing them allocates nothing.
 func (sys *System) runEvent(ev *wheelEvent, now int64) {
+	if ev.sw != nil && ev.sw.gen != ev.gen {
+		return // a warp event for a life of sw that has ended
+	}
 	switch ev.kind {
-	case wevFunc:
-		ev.fn(now)
+	case wevProbe:
+		sys.probe(*ev, now)
 
 	case wevReconsider:
 		ev.sw.sm.reconsider(ev.sw, now)

@@ -208,7 +208,7 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 		w.Step(g)
 	}
 	stackSM := sys.stacks[0].sms[0]
-	srcWarp := &smWarp{sm: stackSM, w: w, md: md}
+	srcWarp := &smWarp{sm: stackSM, w: *w, md: md}
 	capSlots := cfg.StackWarps()
 	if stackSM.freeSlots != capSlots {
 		t.Fatalf("fresh stack SM has %d free slots, config says %d", stackSM.freeSlots, capSlots)

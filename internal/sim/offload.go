@@ -249,13 +249,10 @@ func (sm *SM) spawn(job *offloadJob, now int64) {
 		sm.l1.InvalidateAll()
 	}
 	cand := job.cand
-	md, src := job.srcWarp.md, job.srcWarp.w
-	w := sm.sys.warps.get()
-	w.ResetRegion(md.Kernel, md.Info, src.WInfo, src.ActiveMask(),
+	md, src := job.srcWarp.md, &job.srcWarp.w
+	sw := sm.newWarp(nil, md, job)
+	sw.w.ResetRegion(md.Kernel, md.Info, src.WInfo, src.ActiveMask(),
 		cand.StartPC, cand.EndPC, cand.LiveIn, src.Regs)
-	slot := sm.findFreeSlot()
-	sw := &smWarp{sm: sm, slot: slot, w: w, md: md, job: job}
-	sm.warps[slot] = sw
 	// Ideal-mode oversubscription spawns past capacity without consuming a
 	// slot; remember which warps took one so retirement releases exactly
 	// what was taken and freeSlots can never exceed the configured slots.
@@ -272,12 +269,6 @@ func (sm *SM) spawn(job *offloadJob, now int64) {
 func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	sm := sw.sm
 	job := sw.job
-	sm.unready(sw, wsRetired)
-	sm.warps[sw.slot] = nil
-	if sw.tookSlot {
-		sm.freeSlots++
-	}
-
 	cand := job.cand
 	regs := job.srcWarp.w.Regs
 	for r := range regs {
@@ -285,8 +276,7 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 			regs[r] = sw.w.Regs[r]
 		}
 	}
-	sys.warps.put(sw.w)
-	sw.w = nil
+	sm.free(sw)
 	// The ack carries the same offload header as the request: per §4.4.2 it
 	// must identify the requesting warp and region (see types.go).
 	ackBytes := offloadHdrBytes + cand.NumLiveOut()*isa.WarpSize*regLaneBytes

@@ -153,7 +153,7 @@ func TestDestStackMatchesFirstAccess(t *testing.T) {
 	for g := exec.NewGlobal(m); w.PC() != cand.StartPC; {
 		w.Step(g)
 	}
-	sw := &smWarp{w: w}
+	sw := &smWarp{w: *w}
 	dest := destOf(sys, sw, cand)
 	if dest < 0 || dest >= mapping.Stacks {
 		t.Fatalf("dest = %d", dest)

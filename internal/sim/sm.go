@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/compiler"
@@ -44,9 +45,14 @@ type SM struct {
 	lsuStalled int // warps in wsWaitLSU
 }
 
+// loadWaiter is one register clear waiting on an L1 miss, stamped with its
+// warp's lifetime (smWarp.gen): a warp may retire before a load it never
+// read returns, and the fill must not clear a register of the warp's next
+// life.
 type loadWaiter struct {
 	sw  *smWarp
 	reg isa.Reg
+	gen uint32
 }
 
 // mshrEntry is one outstanding L1 miss: the register clears waiting on the
@@ -55,18 +61,20 @@ type mshrEntry struct {
 	waiters []loadWaiter
 }
 
-// smWarp is the scheduling wrapper around an architectural warp. The
-// wrapper outlives the warp: late wake-ups, MSHR waiters and a CTA's warp
-// list may still point at it after retirement, and all of them stop at the
-// state check. Only w is recycled then (and set nil).
+// smWarp is one warp: the architectural warp (w, register file included)
+// and its scheduling state. It is recycled whole (System.warps) from
+// dispatch or spawn to retirement or ack. gen counts its lives: a wheel
+// event or MSHR waiter filed for it carries the gen of the life that filed
+// it, and acts only if the warp is still in that life.
 type smWarp struct {
 	sm   *SM
 	slot int
-	w    *exec.Warp
+	w    exec.Warp
 	cta  *ctaCtx
 	md   *compiler.Metadata
 
 	state         wstate
+	gen           uint32
 	pendingRegs   uint64
 	regCount      [isa.MaxRegs]uint16
 	pendingStores int
@@ -90,6 +98,9 @@ type smWarp struct {
 	tookSlot bool
 }
 
+// ctaCtx is one resident CTA, recycled (System.ctas) from dispatch to the
+// retirement of its last warp. warps lists its live warps: retire removes
+// a warp before the warp goes back.
 type ctaCtx struct {
 	id          int
 	lc          *launchCtx
@@ -149,7 +160,7 @@ func (sm *SM) reconsider(sw *smWarp, now int64) {
 		return
 	}
 	if now < sw.notReadyUntil {
-		sm.sys.wheel.afterEvent(sw.notReadyUntil-now, wheelEvent{kind: wevReconsider, sw: sw})
+		sm.wakeAfter(sw.notReadyUntil-now, wevReconsider, sw, 0)
 		return
 	}
 	if !sw.w.Done() && sw.w.NextInstr().Regs&sw.pendingRegs != 0 {
@@ -163,7 +174,13 @@ func (sm *SM) reconsider(sw *smWarp, now int64) {
 func (sm *SM) blockOnNext(sw *smWarp, lat int64, now int64) {
 	sw.notReadyUntil = now + lat
 	sm.unready(sw, wsWaitDep)
-	sm.sys.wheel.afterEvent(lat, wheelEvent{kind: wevReconsider, sw: sw})
+	sm.wakeAfter(lat, wevReconsider, sw, 0)
+}
+
+// wakeAfter files a warp event of kind on the wheel, stamped with sw's
+// current life.
+func (sm *SM) wakeAfter(delay int64, kind uint8, sw *smWarp, reg isa.Reg) {
+	sm.sys.wheel.afterEvent(delay, wheelEvent{kind: kind, reg: reg, gen: sw.gen, sw: sw})
 }
 
 // regClear is the load-return event for one line transaction feeding reg.
@@ -193,8 +210,6 @@ func (sm *SM) storeAck(sw *smWarp, now int64) {
 // stores: barrier entry, offload launch, retirement, or offload-ack send.
 func (sm *SM) drainComplete(sw *smWarp, now int64) {
 	switch {
-	case sw.w == nil:
-		return
 	case sw.job != nil && sw.w.Done():
 		sm.sys.sendOffloadAck(sw, now)
 	case sw.w.Done():
@@ -209,16 +224,13 @@ func (sm *SM) drainComplete(sw *smWarp, now int64) {
 	}
 }
 
+// retire ends a main-SM warp: its slot, its place in its CTA's warp list
+// and the warp itself go back.
 func (sm *SM) retire(sw *smWarp, now int64) {
-	sm.unready(sw, wsRetired)
-	sm.warps[sw.slot] = nil
-	sm.freeSlots++
-	sm.sys.warps.put(sw.w)
-	sw.w = nil
-	if sw.job != nil {
-		return // stack warps have no CTA
-	}
 	cta := sw.cta
+	i := slices.Index(cta.warps, sw)
+	cta.warps = slices.Delete(cta.warps, i, i+1)
+	sm.free(sw)
 	cta.activeWarps--
 	sm.checkBarrier(cta, now)
 	if cta.activeWarps == 0 {
@@ -226,14 +238,34 @@ func (sm *SM) retire(sw *smWarp, now int64) {
 	}
 }
 
-func (sm *SM) releaseCTA(done *ctaCtx) {
-	for i, c := range sm.ctas {
-		if c == done {
-			sm.ctas = append(sm.ctas[:i], sm.ctas[i+1:]...)
-			break
-		}
+// newWarp takes a warp from the System's free list into a free slot; the
+// caller resets sw.w.
+func (sm *SM) newWarp(cta *ctaCtx, md *compiler.Metadata, job *offloadJob) *smWarp {
+	sw := sm.sys.warps.get()
+	slot := sm.findFreeSlot()
+	*sw = smWarp{sm: sm, slot: slot, w: sw.w, cta: cta, md: md, job: job, gen: sw.gen}
+	sm.warps[slot] = sw
+	return sw
+}
+
+// free empties sw's slot and returns sw to the free list, in its next life:
+// the events and MSHR waiters of the life that ends are stale from here on.
+func (sm *SM) free(sw *smWarp) {
+	sm.unready(sw, wsRetired)
+	sm.warps[sw.slot] = nil
+	if sw.job == nil || sw.tookSlot {
+		sm.freeSlots++
 	}
+	sw.gen++
+	sm.sys.warps.put(sw)
+}
+
+func (sm *SM) releaseCTA(done *ctaCtx) {
+	i := slices.Index(sm.ctas, done)
+	sm.ctas = slices.Delete(sm.ctas, i, i+1)
 	done.lc.doneCTAs++
+	*done = ctaCtx{shared: done.shared[:0], warps: done.warps[:0]}
+	sm.sys.ctas.put(done)
 }
 
 func (sm *SM) enterBarrier(sw *smWarp, now int64) {
@@ -263,20 +295,17 @@ func (sm *SM) dispatchCTAs(lc *launchCtx) {
 	if len(sm.ctas) < sm.cfg.MaxCTAsPerSM && sm.freeSlots >= wpc && lc.nextCTA < lc.totalCTAs {
 		ctaID := lc.nextCTA
 		lc.nextCTA++
-		cta := &ctaCtx{
-			id: ctaID, lc: lc,
-			shared:      make([]uint32, (lc.l.Kernel.SharedBytes+3)/4),
-			activeWarps: wpc,
-		}
+		cta := sm.sys.ctas.get()
+		n := (lc.l.Kernel.SharedBytes + 3) / 4
+		shared := slices.Grow(cta.shared, n)[:n]
+		clear(shared)
+		*cta = ctaCtx{id: ctaID, lc: lc, shared: shared, activeWarps: wpc, warps: cta.warps}
 		for wi := 0; wi < wpc; wi++ {
-			slot := sm.findFreeSlot()
-			w := sm.sys.warps.get()
-			w.Reset(lc.l.Kernel, lc.md.Info, exec.WarpInfo{
+			sw := sm.newWarp(cta, lc.md, nil)
+			sw.w.Reset(lc.l.Kernel, lc.md.Info, exec.WarpInfo{
 				CtaID: ctaID, WarpInCTA: wi, NTid: lc.l.Block, NCtaid: lc.l.Grid,
 			}, cta.shared, lc.l.Params)
-			sw := &smWarp{sm: sm, slot: slot, w: w, cta: cta, md: lc.md}
 			cta.warps = append(cta.warps, sw)
-			sm.warps[slot] = sw
 			sm.freeSlots--
 			sm.setReady(sw)
 		}
@@ -354,7 +383,7 @@ func (sm *SM) retryLSUStalls(now int64) {
 
 // issue executes one instruction of sw and charges its timing.
 func (sm *SM) issue(sw *smWarp, now int64) {
-	w := sw.w
+	w := &sw.w
 
 	// Retirement path: the warp finished on a previous step.
 	if w.Done() {
@@ -413,7 +442,7 @@ func (sm *SM) issue(sw *smWarp, now int64) {
 			sm.lsuStalled++
 			// MSHR-full wakeups ride on fills; LSU wakeups on drain.
 			if len(sm.mshr) >= sm.cfg.MSHRsPerSM {
-				sm.sys.wheel.afterEvent(lsuRetryDelay, wheelEvent{kind: wevLSURetry, sw: sw})
+				sm.wakeAfter(lsuRetryDelay, wevLSURetry, sw, 0)
 			}
 			return
 		}
@@ -476,17 +505,17 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, lines []exec.Line, now i
 		// Load path.
 		sw.regCount[reg]++
 		if e, outstanding := sm.mshr[li.Addr]; outstanding {
-			e.waiters = append(e.waiters, loadWaiter{sw: sw, reg: reg})
+			e.waiters = append(e.waiters, loadWaiter{sw: sw, reg: reg, gen: sw.gen})
 			continue
 		}
 		if sm.l1.Lookup(li.Addr) {
 			sm.noteL1(true)
-			sm.sys.wheel.afterEvent(sm.cfg.L1Lat, wheelEvent{kind: wevRegClear, reg: reg, sw: sw})
+			sm.wakeAfter(sm.cfg.L1Lat, wevRegClear, sw, reg)
 			continue
 		}
 		sm.noteL1(false)
 		e := sm.sys.mshrs.get()
-		*e = mshrEntry{waiters: append(e.waiters[:0], loadWaiter{sw: sw, reg: reg})}
+		*e = mshrEntry{waiters: append(e.waiters[:0], loadWaiter{sw: sw, reg: reg, gen: sw.gen})}
 		sm.mshr[li.Addr] = e
 		sm.sys.inflight++
 		sm.lsu = append(sm.lsu, sm.sys.newTxn(txn{line: li.Addr, sm: sm}))
@@ -513,7 +542,9 @@ func (sm *SM) fill(line uint64, now int64) {
 	if e := sm.mshr[line]; e != nil {
 		delete(sm.mshr, line)
 		for _, wt := range e.waiters {
-			sm.regClear(wt.sw, wt.reg, now)
+			if wt.gen == wt.sw.gen {
+				sm.regClear(wt.sw, wt.reg, now)
+			}
 		}
 		sm.sys.mshrs.put(e)
 	}

@@ -83,15 +83,19 @@ type System struct {
 	// either loop mode, with that cycle's number (tests: invariants over the
 	// state, which only executed cycles change).
 	afterCycle func(cycle int64)
+	// probe runs the wevProbe events (the wheel's tests; the model files
+	// none).
+	probe func(ev wheelEvent, now int64)
 
 	mdCache map[*isa.Kernel]*compiler.Metadata
 
 	// ob is non-nil iff cfg.Observer is set (see observe.go).
 	ob *obsState
 
-	// Free lists of the per-request objects (pool.go): Run allocates in
-	// steady state only when one of them is empty.
-	warps     freeList[exec.Warp]
+	// Free lists of the per-request, per-warp and per-CTA objects (pool.go):
+	// Run allocates in steady state only when one of them is empty.
+	warps     freeList[smWarp]
+	ctas      freeList[ctaCtx]
 	txns      freeList[txn]
 	flights   freeList[flight]
 	mshrs     freeList[mshrEntry]

@@ -110,9 +110,10 @@ func TestFrozenWindowSemantics(t *testing.T) {
 	// due holds the warps whose pipeline latency runs out inside the
 	// freeze, taken at the end of the cycle that started it; stuck is
 	// what the first cycle after the freeze finds of them still parked
-	// on that latency alone.
+	// on that latency alone, in the same life.
 	type parked struct {
 		sw    *smWarp
+		gen   uint32
 		until int64
 	}
 	var due, stuck []parked
@@ -122,7 +123,7 @@ func TestFrozenWindowSemantics(t *testing.T) {
 			for _, sm := range sys.all {
 				for _, sw := range sm.warps {
 					if sw != nil && sw.state == wsWaitDep && sw.notReadyUntil > cycle {
-						due = append(due, parked{sw, sw.notReadyUntil})
+						due = append(due, parked{sw, sw.gen, sw.notReadyUntil})
 					}
 				}
 			}
@@ -130,7 +131,7 @@ func TestFrozenWindowSemantics(t *testing.T) {
 		if fu := sys.frozenUntil; fu > 0 && firstAfter < 0 && cycle >= fu {
 			firstAfter = cycle
 			for _, p := range due {
-				if p.sw.notReadyUntil == p.until && waitsOnNothing(p.sw, cycle) {
+				if p.sw.gen == p.gen && p.sw.notReadyUntil == p.until && waitsOnNothing(p.sw, cycle) {
 					stuck = append(stuck, p)
 				}
 			}
@@ -284,9 +285,10 @@ func eventLoopPinConfigs() []pinConfig {
 // the event-driven loop: over the Fig. 9 workload×config matrix and the
 // wake-set shapes, jumping idle cycles must produce byte-identical Stats to
 // ticking every cycle. It also pins what Stats cannot see: the wake sets
-// agree with the state they summarise and every in-flight offload job's
-// requester is parked after every executed event-loop cycle (checkWakeSets,
-// checkOffloadJobs; the per-cycle loop keeps no wake sets), the event loop
+// agree with the state they summarise, every in-flight offload job's
+// requester is parked and nothing reaches a recycled warp after every
+// executed event-loop cycle (checkWakeSets, checkOffloadJobs,
+// lateHolderCheck; the per-cycle loop keeps no wake sets), the event loop
 // executes no more cycles than the per-cycle loop, and on the Fig. 9 cells
 // exactly as many as fig9_ticked.json records — a stale wake bit costs a
 // no-op cycle and changes no statistic.
@@ -319,11 +321,15 @@ func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 					sys := New(cfg, run.Mem, run.Alloc)
 					sys.SetPerCycleLoop(perCycle)
 					if !perCycle {
+						checkLateHolders := lateHolderCheck()
 						sys.afterCycle = func(cycle int64) {
 							if err := checkWakeSets(sys); err != nil {
 								t.Fatalf("after cycle %d: %v", cycle, err)
 							}
 							if err := checkOffloadJobs(sys); err != nil {
+								t.Fatalf("after cycle %d: %v", cycle, err)
+							}
+							if _, err := checkLateHolders(sys); err != nil {
 								t.Fatalf("after cycle %d: %v", cycle, err)
 							}
 						}

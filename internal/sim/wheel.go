@@ -61,10 +61,11 @@ type wheelNode struct {
 	next int32
 }
 
-// Event kinds. wevFunc runs an arbitrary callback and exists for the wheel's
-// own tests; the simulator files only the typed kinds.
+// Event kinds. The three warp kinds (sw set) carry the gen of the warp's
+// life that filed them and are dropped if that life has ended. wevProbe
+// hands the event to System.probe, the wheel tests' hook.
 const (
-	wevFunc          uint8 = iota // fn(now)
+	wevProbe         uint8 = iota // sys.probe(ev, now)
 	wevReconsider                 // sw.sm.reconsider(sw, now): warp wake-up after its latency
 	wevRegClear                   // sw.sm.regClear(sw, reg, now): an L1 hit returns
 	wevLSURetry                   // MSHR-full retry: re-ready sw if still stalled
@@ -79,8 +80,8 @@ const (
 // needs are set; the struct is stored by value in the slab.
 type wheelEvent struct {
 	kind uint8
-	reg  isa.Reg // wevRegClear; packs beside kind, so the struct does not grow
-	fn   func(now int64)
+	reg  isa.Reg // wevRegClear; reg and gen pack beside kind
+	gen  uint32  // the warp kinds: sw's life (smWarp.gen) when filed
 	sw   *smWarp
 	job  *offloadJob
 	t    *txn
@@ -101,11 +102,6 @@ func newWheel(sys *System, horizon int) *wheel {
 		w.slots[i] = wheelSlot{head: noNode, tail: noNode}
 	}
 	return w
-}
-
-// after schedules fn to run at now+delay (delay >= 1).
-func (w *wheel) after(delay int64, fn func(now int64)) {
-	w.afterEvent(delay, wheelEvent{kind: wevFunc, fn: fn})
 }
 
 // afterEvent schedules ev to run at now+delay (delay >= 1). Delays at or

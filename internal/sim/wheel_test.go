@@ -11,7 +11,36 @@ import (
 // run at.
 var testHorizon = int64(wheelHorizonFor(DefaultConfig(), 0))
 
-func newTestWheel() *wheel { return newWheel(&System{}, int(testHorizon)) }
+// probeWheel makes a wheel of horizon slots and the function its tests file
+// callbacks with: each is a wevProbe event whose line field numbers the
+// callback, and the System's probe hook runs it when the event fires.
+func probeWheel(horizon int) (w *wheel, after func(delay int64, fn func(now int64))) {
+	sys := &System{}
+	var fns []func(int64)
+	var freeIDs []uint64
+	sys.probe = func(ev wheelEvent, now int64) {
+		fn := fns[ev.line]
+		fns[ev.line] = nil
+		freeIDs = append(freeIDs, ev.line)
+		fn(now)
+	}
+	w = newWheel(sys, horizon)
+	after = func(delay int64, fn func(now int64)) {
+		id := uint64(len(fns))
+		if n := len(freeIDs); n > 0 {
+			id, freeIDs = freeIDs[n-1], freeIDs[:n-1]
+			fns[id] = fn
+		} else {
+			fns = append(fns, fn)
+		}
+		w.afterEvent(delay, wheelEvent{kind: wevProbe, line: id})
+	}
+	return w, after
+}
+
+func newTestWheel() (*wheel, func(delay int64, fn func(now int64))) {
+	return probeWheel(int(testHorizon))
+}
 
 // TestWheelHorizonFor: the horizon is the smallest power of two strictly
 // above the largest fixed delay — 128 for the default L2 latency of 90. Warp
@@ -51,12 +80,12 @@ func allLat(c Config, d int64) Config {
 }
 
 func TestWheelFiresAtExactCycle(t *testing.T) {
-	w := newTestWheel()
+	w, after := newTestWheel()
 	fired := map[int64]int64{}
 	now := int64(0)
 	schedule := func(delay int64) {
 		at := now + delay
-		w.after(delay, func(fireNow int64) { fired[at] = fireNow })
+		after(delay, func(fireNow int64) { fired[at] = fireNow })
 	}
 	schedule(1)
 	schedule(5)
@@ -78,10 +107,10 @@ func TestWheelFiresAtExactCycle(t *testing.T) {
 }
 
 func TestWheelZeroDelayClamped(t *testing.T) {
-	w := newTestWheel()
+	w, after := newTestWheel()
 	fired := int64(-1)
 	w.tick(0)
-	w.after(0, func(now int64) { fired = now })
+	after(0, func(now int64) { fired = now })
 	for now := int64(1); now < 4; now++ {
 		w.tick(now)
 	}
@@ -95,11 +124,11 @@ func TestWheelZeroDelayClamped(t *testing.T) {
 // re-filed into range. Long modeled latencies (scaled PCIe, future workload
 // sweeps) are legitimate configs, not crashes.
 func TestWheelOverflowFiresExactly(t *testing.T) {
-	w := newTestWheel()
+	w, after := newTestWheel()
 	fired := map[int64]int64{}
 	schedule := func(delay int64) {
 		at := delay // scheduled at now=0
-		w.after(delay, func(fireNow int64) { fired[at] = fireNow })
+		after(delay, func(fireNow int64) { fired[at] = fireNow })
 	}
 	schedule(testHorizon)     // exactly at the horizon
 	schedule(testHorizon + 1) // just beyond
@@ -126,9 +155,9 @@ func TestWheelOverflowFiresExactly(t *testing.T) {
 // straight to nextDue; overflow events must re-file and fire under that
 // tick pattern too.
 func TestWheelOverflowSurvivesSkippedCycles(t *testing.T) {
-	w := newTestWheel()
+	w, after := newTestWheel()
 	var firedAt int64 = -1
-	w.after(3*testHorizon+7, func(now int64) { firedAt = now })
+	after(3*testHorizon+7, func(now int64) { firedAt = now })
 	for now := w.nextDue(); now >= 0; now = w.nextDue() {
 		w.tick(now)
 	}
@@ -138,15 +167,15 @@ func TestWheelOverflowSurvivesSkippedCycles(t *testing.T) {
 }
 
 func TestWheelNextDue(t *testing.T) {
-	w := newTestWheel()
+	w, after := newTestWheel()
 	if w.nextDue() != -1 {
 		t.Errorf("empty wheel nextDue = %d, want -1", w.nextDue())
 	}
-	w.after(37, func(int64) {})
+	after(37, func(int64) {})
 	if got := w.nextDue(); got != 37 {
 		t.Errorf("nextDue = %d, want 37", got)
 	}
-	w.after(2*testHorizon, func(int64) {})
+	after(2*testHorizon, func(int64) {})
 	if got := w.nextDue(); got != 37 {
 		t.Errorf("nextDue with overflow = %d, want 37", got)
 	}
@@ -158,11 +187,11 @@ func TestWheelNextDue(t *testing.T) {
 
 func TestWheelCascading(t *testing.T) {
 	// Events scheduled from within events must land on later cycles.
-	w := newTestWheel()
+	w, after := newTestWheel()
 	var order []int64
-	w.after(2, func(now int64) {
+	after(2, func(now int64) {
 		order = append(order, now)
-		w.after(3, func(now2 int64) { order = append(order, now2) })
+		after(3, func(now2 int64) { order = append(order, now2) })
 	})
 	for now := int64(0); now < 10; now++ {
 		w.tick(now)
@@ -215,7 +244,7 @@ func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 		id  int // filing sequence number
 	}
 	rng := rand.New(rand.NewSource(seed))
-	w := newWheel(&System{}, horizon)
+	w, after := probeWheel(horizon)
 	var model []filed // every event ever filed
 	var got []wheelFiring
 	pending := map[int]int64{} // id -> due, for the nextDue check
@@ -244,7 +273,7 @@ func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 		due := now + max(delay, 1)
 		model = append(model, filed{due: due, id: id})
 		pending[id] = due
-		w.after(delay, func(at int64) {
+		after(delay, func(at int64) {
 			got = append(got, wheelFiring{id: id, at: at})
 			delete(pending, id)
 			for depth < 3 && rng.Intn(3) == 0 {
@@ -309,12 +338,12 @@ func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 func TestWheelSlabBoundedByPeakPending(t *testing.T) {
 	const peak = 64
 	rng := rand.New(rand.NewSource(5))
-	w := newTestWheel()
+	w, after := newTestWheel()
 	nop := func(int64) {}
 	w.tick(0)
 	for filed := 0; filed < 1_000_000; {
 		for w.pending() < peak {
-			w.after(1+rng.Int63n(2*testHorizon), nop)
+			after(1+rng.Int63n(2*testHorizon), nop)
 			filed++
 		}
 		w.tick(w.nextDue())
