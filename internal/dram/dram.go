@@ -7,8 +7,8 @@
 // number, so FR-FCFS arbitration is an O(banks) pick over bank heads (plus
 // a short in-bank scan for the oldest open-row hit) instead of a scan of
 // the whole queue — and NextEvent can report the exact first cycle any
-// queued request can issue, letting the event-driven loop skip the cycles
-// in between entirely.
+// queued request can issue, letting the event-driven loop leave the vault
+// untouched on the cycles in between.
 package dram
 
 import (
@@ -132,7 +132,7 @@ func (v *Vault) Active() bool { return v.queued > 0 || len(v.compl) > 0 }
 // queued bank is free AND the data bus has drained below the backpressure
 // point. Any value at or before the caller's current cycle means "ready
 // now"; -1 means idle. Between the returned cycle and now the vault is
-// provably inert, so the event-driven loop may skip straight there.
+// provably inert, so the event-driven loop need not tick it before then.
 func (v *Vault) NextEvent() int64 {
 	if !v.horizonValid {
 		v.horizon = v.computeHorizon()

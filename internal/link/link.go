@@ -10,8 +10,8 @@
 // buckets, BytesSent) advances lazily in bulk when the link is next
 // observed. AdvanceTo(now) — which Tick aliases — is therefore free to
 // jump across any span in which no packet is delivered: the skipped cycles
-// are reconstructed exactly. The per-cycle reference loop simply calls
-// AdvanceTo once per cycle and exercises the same code.
+// are reconstructed exactly. The simulator calls AdvanceTo once per cycle
+// on every active link; the jumps are exercised by this package's tests.
 package link
 
 import "math"
@@ -179,8 +179,8 @@ func (l *Link) account(target int64) {
 // AdvanceTo advances the link to cycle `now`: serialization effects for
 // every cycle through `now` are applied in bulk, and packets whose
 // propagation completed are delivered. Calling it once per cycle (the
-// per-cycle reference loop) and calling it only at NextEvent cycles (the
-// event-driven loop) produce identical state and identical delivery times.
+// simulator) and calling it only at NextEvent cycles produce identical
+// state and identical delivery times.
 func (l *Link) AdvanceTo(now int64) {
 	l.account(now)
 	for l.inflight.len() > 0 && l.inflight.front().at <= now {
@@ -205,10 +205,12 @@ func (l *Link) SkipTo(now int64) {
 
 // NextEvent returns the next cycle at which this link does observable work
 // — delivers a packet — or -1 when fully idle. Serialization progress in
-// between is invisible (it is accounted lazily), so the event-driven loop
-// may jump straight to this cycle. In-flight entries are sorted by
-// delivery cycle because PropLatency is constant and finish cycles are
-// monotone; the head queued packet's delivery can never precede them.
+// between is invisible (it is accounted lazily), so a caller may jump
+// straight to this cycle. In-flight entries are sorted by delivery cycle
+// because PropLatency is constant and finish cycles are monotone; the head
+// queued packet's delivery can never precede them. The simulator does not
+// call it: its only caller outside this package's tests is the repository
+// benchmark's link driver (bench/layers.go).
 func (l *Link) NextEvent() int64 {
 	next := int64(-1)
 	if l.inflight.len() > 0 {

@@ -53,8 +53,8 @@ func TestDecodeReadsOnlyItsBits(t *testing.T) {
 // bank) pairs a sequential 4 MB sweep reaches under each mapping. Vault and
 // bank fold address bits that a consecutive-bit mapping holds constant
 // within a stack, so bits 8–10 leave part of every stack's bank-level
-// parallelism unreachable (ROADMAP item 3, h7). Squeezing the stack bits out
-// before the vault and bank folds would make every row 256.
+// parallelism unreachable (ROADMAP item 2(d), h7). Squeezing the stack bits
+// out before the vault and bank folds would make every row 256.
 func TestDecodeReachPerStack(t *testing.T) {
 	want := map[int]int{Interleave: 256, 7: 256, 8: 128, 9: 64, 10: 128,
 		11: 256, 12: 256, 13: 256, 14: 256, 15: 256, 16: 256}

@@ -136,10 +136,9 @@ func TestMaxCyclesTruncationClosesLearning(t *testing.T) {
 	}
 }
 
-// TestLearnDeadlineExactInBothLoopModes pins the watchdog's event-loop
-// semantics: the deadline is in the wake-horizon set, so the event-driven
-// loop may never jump sys.now past it — learning must close at exactly
-// LearnDeadline in both loop modes when the instance goal is unreachable.
+// TestLearnDeadlineExactInBothLoopModes pins the watchdog: learning must
+// close at exactly LearnDeadline in both loop modes when the instance goal
+// is unreachable.
 func TestLearnDeadlineExactInBothLoopModes(t *testing.T) {
 	env := streamEnv(t, 8, 8)
 	const deadline = 3000

@@ -100,8 +100,8 @@ func TestConcurrentSystemsShareNothing(t *testing.T) {
 // again, under a new CTA, before they land. No Table 2 kernel retires with a
 // load pending, so this kernel exists to: every warp stores its thread index,
 // loads a word nobody reads, and exits, on a grid twice the GPU's residency.
-// The late clears must stay stale (lateHolderCheck, on one executed cycle
-// in eight), and the run must end with the functional reference's memory.
+// The late clears must stay stale (lateHolderCheck, on one cycle in
+// eight), and the run must end with the functional reference's memory.
 func TestLateHoldersMissARecycledWarp(t *testing.T) {
 	b := isa.NewBuilder("deadload", 2) // r0 = in, r1 = out
 	b.Mov(2, isa.Sp(isa.SpGtid))
@@ -140,5 +140,5 @@ func TestLateHoldersMissARecycledWarp(t *testing.T) {
 	if ok, addr := mem.Equal(refMem(t, env), sys.global.Mem); !ok {
 		t.Errorf("memory diverges from the functional reference at %#x", addr)
 	}
-	t.Logf("%d stale holders seen over %d executed cycles", stale, sys.executed)
+	t.Logf("%d stale holders seen over %d cycles", stale, sys.now)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/compiler"
 	"repro/internal/exec"
@@ -47,9 +46,8 @@ type System struct {
 	links            []*link.Link // all of the above, in tick order
 
 	// Wake sets (DESIGN.md "Wake sets"): what the event-driven loop visits
-	// in an executed cycle and peeks at to find the next one. runnable holds
-	// the SMs (by id) whose tick would do work now; vaults and L2 banks keep
-	// theirs in stackNode.busy and l2sys.busy.
+	// in a cycle. runnable holds the SMs (by id) whose tick would do work
+	// now; vaults and L2 banks keep theirs in stackNode.busy and l2sys.busy.
 	runnable wakeSet
 
 	pendingOffloads [mapping.Stacks]int
@@ -70,18 +68,16 @@ type System struct {
 	learnSeen  int
 	learnGoal  int
 
-	now           int64
-	executed      int64 // cycles actually stepped (== now in per-cycle mode)
-	inflight      int
-	frozenUntil   int64
-	learnDeadline int64
+	now         int64
+	inflight    int
+	frozenUntil int64
 
-	// perCycle forces the naive tick-every-cycle loop (diagnostics and the
+	// perCycle forces the naive tick-everything loop (diagnostics and the
 	// event-driven/per-cycle equivalence tests).
 	perCycle bool
-	// afterCycle, when non-nil, runs at the end of every executed cycle in
-	// either loop mode, with that cycle's number (tests: invariants over the
-	// state, which only executed cycles change).
+	// afterCycle, when non-nil, runs at the end of every cycle in either
+	// loop mode, with that cycle's number (tests: invariants over the
+	// state).
 	afterCycle func(cycle int64)
 	// probe runs the wevProbe events (the wheel's tests; the model files
 	// none).
@@ -175,7 +171,6 @@ func New(cfg Config, m *mem.Flat, alloc *mem.AllocTable) *System {
 
 	if cfg.Mapping == MapTransparent {
 		sys.learning = sys.policy.Gate != nil
-		sys.learnDeadline = cfg.LearnDeadline
 	}
 	return sys
 }
@@ -393,10 +388,11 @@ func (sys *System) Run(launches []exec.Launch) error {
 	return sys.stats.DrainError()
 }
 
-// SetPerCycleLoop selects the naive tick-every-cycle loop instead of the
-// event-driven one. Both produce identical Stats (tested); the per-cycle
-// loop is the equivalence baseline. It is exported only because the
-// benchmark (bench/simseg.go) times that loop for sim.percycle_ratio.
+// SetPerCycleLoop selects the naive loop, which ticks every component on
+// every cycle, instead of the event-driven one, which visits only the
+// members of the wake sets. Both produce identical Stats (tested); the
+// per-cycle loop is the equivalence baseline. It is exported only because
+// the benchmark (bench/simseg.go) times that loop for sim.percycle_ratio.
 func (sys *System) SetPerCycleLoop(v bool) { sys.perCycle = v }
 
 func (sys *System) runLaunch(l exec.Launch) error {
@@ -413,35 +409,28 @@ func (sys *System) runLaunch(l exec.Launch) error {
 	for {
 		sys.stepCycle(lc, !perCycle)
 
-		// Exact quiescence: state only changes on executed cycles, so
-		// checking after every one of them ends the launch on the first
-		// cycle past the last component activity (the old amortized check
-		// overshot by up to 63 cycles). The check short-circuits on
-		// doneCTAs during the bulk of the run.
+		// Exact quiescence: checking after every cycle ends the launch on
+		// the first cycle past the last component activity (the old
+		// amortized check overshot by up to 63 cycles). The check
+		// short-circuits on doneCTAs during the bulk of the run.
 		if lc.doneCTAs == lc.totalCTAs && sys.quiet() {
 			return nil
 		}
 		// A run that quiesces exactly at the MaxCycles boundary succeeds;
 		// the error fires at sys.now == MaxCycles+1, i.e. after cycle
-		// MaxCycles executed without reaching quiescence.
+		// MaxCycles ran without reaching quiescence.
 		if sys.cfg.MaxCycles > 0 && sys.now > sys.cfg.MaxCycles {
 			return fmt.Errorf("exceeded MaxCycles=%d", sys.cfg.MaxCycles)
-		}
-		if !perCycle {
-			if next := sys.nextEventCycle(lc); next > sys.now {
-				sys.now = next
-			}
 		}
 	}
 }
 
 // stepCycle executes one simulated cycle at sys.now and advances sys.now.
-// It is the shared body of both loop modes; the event-driven loop simply
-// skips cycles this body would no-op through. With elide set (event mode),
-// component ticks that are provable no-ops are skipped within the executed
-// cycle too: only the members of the wake sets are visited, in the order
-// the per-cycle reference loop ticks everything, and the Fig. 9 equivalence
-// test pins that both produce identical Stats.
+// Both loop modes run it on every cycle. With elide set (event mode),
+// component ticks that are provable no-ops are skipped: only the members of
+// the wake sets are visited, in the order the per-cycle reference loop ticks
+// everything, and the Fig. 9 equivalence test pins that both produce
+// identical Stats.
 func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 	now := sys.now
 	if ob := sys.ob; ob != nil && now >= ob.next {
@@ -450,7 +439,7 @@ func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 	// Learning watchdog: close the phase at the deadline with whatever has
 	// been observed; with nothing observed, give up on the learned mapping
 	// entirely (tmap degrades to bmap).
-	if sys.learning && sys.cfg.LearnDeadline > 0 && now >= sys.learnDeadline {
+	if sys.learning && sys.cfg.LearnDeadline > 0 && now >= sys.cfg.LearnDeadline {
 		sys.endLearning()
 	}
 	sys.wheel.tick(now)
@@ -478,8 +467,6 @@ func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 		}
 	}
 	sys.l2.tick(now, elide)
-	// AdvanceTo, not a per-cycle Tick: in event mode `now` may be far past
-	// the last executed cycle, and the links bulk-account the skipped span.
 	// Idle links take the SkipTo fast path — it only moves the accounting
 	// point, which Send needs to see (a send from a later deliver callback
 	// this cycle must start its burst next cycle, exactly as if the idle
@@ -491,7 +478,6 @@ func (sys *System) stepCycle(lc *launchCtx, elide bool) {
 			l.SkipTo(now)
 		}
 	}
-	sys.executed++
 	sys.now++
 	if sys.afterCycle != nil {
 		sys.afterCycle(now)
@@ -513,114 +499,11 @@ func (sys *System) tickRunnable(lo, hi int, now int64) {
 	}
 }
 
-// anyRunnable reports whether some SM's tick would do work now. A set bit
-// is verified (and a stale one dropped), so the answer is exact.
-func (sys *System) anyRunnable() bool {
-	n := len(sys.all)
-	for i := sys.runnable.next(0, n); i >= 0; i = sys.runnable.next(i+1, n) {
-		if sys.all[i].runnableNow() {
-			return true
-		}
-		sys.runnable.clear(i)
-	}
-	return false
-}
-
-// ExecutedCycles returns how many cycles the loop actually stepped. In
-// per-cycle mode this equals Stats().Cycles; in event mode the difference
-// is the number of skipped (provably inert) cycles. Deliberately not part
-// of Stats: the two loop modes are pinned byte-identical on Stats, and this
-// is precisely the number that differs between them.
-func (sys *System) ExecutedCycles() int64 { return sys.executed }
-
-// dispatchPending reports whether stepCycle's CTA dispatch would place a
-// CTA right now. Mirrors the gates in stepCycle exactly: waiting CTAs, the
-// learning-phase residency cap, and at least one SM with a free slot.
-func (sys *System) dispatchPending(lc *launchCtx) bool {
-	if lc.nextCTA >= lc.totalCTAs {
-		return false
-	}
-	if sys.learning && sys.activeCTAs() >= learnCTACap {
-		return false
-	}
-	wpc := lc.l.WarpsPerCTA()
-	for _, sm := range sys.sms {
-		if len(sm.ctas) < sys.cfg.MaxCTAsPerSM && sm.freeSlots >= wpc {
-			return true
-		}
-	}
-	return false
-}
-
-// nextEventCycle computes the earliest cycle >= sys.now at which any
-// component can make progress. Skipped cycles are provable no-ops for every
-// component, so the event-driven loop produces bit-identical Stats to the
-// per-cycle loop (tested over the Fig. 9 matrix). It scans no component:
-// busy-now is a wake-set test and the timed horizons are read only from the
-// members of the sets. An over-inclusive answer would only cost a no-op
-// cycle, never correctness — and the executed-cycle pin would catch it.
-func (sys *System) nextEventCycle(lc *launchCtx) int64 {
-	now := sys.now
-	// Busy now, freeze or not: an L2 bank with queued transactions. (Links
-	// are not in this set: serialization is accounted lazily, so a link
-	// mid-packet has no per-cycle work — NextEvent below is its delivery.)
-	if !sys.l2.busy.empty() {
-		return now
-	}
-	// Busy now unless frozen: a runnable SM, or a CTA that dispatch would
-	// place. Under the learning freeze their next chance is frozenUntil.
-	// (A vault with queued requests is not "busy now": its NextEvent is the
-	// exact first cycle issue arbitration can accept work.)
-	gateBase := max(now, sys.frozenUntil)
-	next := int64(math.MaxInt64)
-	if sys.anyRunnable() || sys.dispatchPending(lc) {
-		if gateBase == now {
-			return now
-		}
-		next = gateBase
-	}
-	upd := func(t int64) { // t < 0: the source holds nothing
-		if t >= 0 && t < next {
-			next = t
-		}
-	}
-
-	// The wheel first: when it already has an event for this very cycle
-	// there is nothing left to find out.
-	upd(sys.wheel.nextDue())
-	if next <= now {
-		return now
-	}
-	// Link deliveries fire regardless of the freeze; vault horizons (issue
-	// opportunities and completions) hold until gateBase.
-	for _, l := range sys.links {
-		upd(l.NextEvent())
-	}
-	for _, st := range sys.stacks {
-		if st.due != math.MaxInt64 {
-			upd(max(st.due, gateBase))
-		}
-	}
-
-	// Caps: observer sampling boundaries, the learning watchdog, and the
-	// MaxCycles limit must all be hit exactly, never jumped over.
-	if ob := sys.ob; ob != nil {
-		upd(ob.next)
-	}
-	if sys.learning && sys.cfg.LearnDeadline > 0 {
-		upd(sys.learnDeadline)
-	}
-	if next == math.MaxInt64 {
-		// No component holds future work yet the run is not quiescent
-		// (a deadlocked workload): fall back to per-cycle stepping so the
-		// MaxCycles guard fires exactly as in the per-cycle loop.
-		return now
-	}
-	if sys.cfg.MaxCycles > 0 && next > sys.cfg.MaxCycles {
-		next = sys.cfg.MaxCycles
-	}
-	return next
-}
+// ExecutedCycles returns how many cycles the loop stepped: every cycle, so
+// it equals Stats().Cycles. It stays only because the repository benchmark
+// (bench/simseg.go) reads it for its sim.cycles_ticked and sim.skip_ratio
+// rows.
+func (sys *System) ExecutedCycles() int64 { return sys.now }
 
 func (sys *System) quiet() bool {
 	if sys.inflight != 0 || sys.wheel.pending() != 0 || len(sys.l2mshr) != 0 {

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	_ "embed"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -26,8 +23,8 @@ func runSimMode(t testing.TB, cfg Config, env *workloadEnv, perCycle bool) *Syst
 // TestExactQuiescence: the run must end on the first cycle after the last
 // component activity — the old amortized check (every 64 cycles) overshot
 // the true drain cycle by up to 63 cycles, inflating every reported cycle
-// count. The hook observes quiescence at the end of every executed cycle of
-// the event loop: only the last one may end quiescent.
+// count. The hook observes quiescence at the end of every cycle of the
+// event loop: only the last one may end quiescent.
 func TestExactQuiescence(t *testing.T) {
 	env := streamEnv(t, 8, 8)
 	sys := newSim(BaselineConfig(), env)
@@ -43,16 +40,16 @@ func TestExactQuiescence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(quietEnds) != 1 || quietEnds[0] != last {
-		t.Errorf("executed cycles that ended quiescent: %v, want only the last (%d) — drain is not exact",
+		t.Errorf("cycles that ended quiescent: %v, want only the last (%d) — drain is not exact",
 			quietEnds, last)
 	}
 	if got := sys.Stats().Cycles; got != last+1 {
-		t.Errorf("Cycles = %d, want %d (last executed cycle %d + 1)", got, last+1, last)
+		t.Errorf("Cycles = %d, want %d (last cycle %d + 1)", got, last+1, last)
 	}
 }
 
 // TestMaxCyclesBoundary pins the limit's exact semantics in both loop
-// modes: the run may execute cycles 0..MaxCycles; if it reaches quiescence
+// modes: the run may step cycles 0..MaxCycles; if it reaches quiescence
 // when sys.now passes the limit, quiescence wins (a drain finishing exactly
 // at the boundary is a success), otherwise the error fires with
 // sys.now == MaxCycles+1.
@@ -63,8 +60,8 @@ func TestMaxCyclesBoundary(t *testing.T) {
 	for _, perCycle := range []bool{false, true} {
 		mode := map[bool]string{true: "percycle", false: "event"}[perCycle]
 
-		// The last executed cycle of a natural run is natural-1, so
-		// MaxCycles = natural-1 must still succeed...
+		// The last cycle of a natural run is natural-1, so MaxCycles =
+		// natural-1 must still succeed...
 		cfg := BaselineConfig()
 		cfg.MaxCycles = natural - 1
 		sys := runSimMode(t, cfg, env, perCycle)
@@ -73,7 +70,7 @@ func TestMaxCyclesBoundary(t *testing.T) {
 		}
 
 		// ...and MaxCycles = natural-2 must fail, with the error raised at
-		// exactly MaxCycles+1 in both modes (event jumps may not leap it).
+		// exactly MaxCycles+1 in both modes.
 		cfg2 := BaselineConfig()
 		cfg2.MaxCycles = natural - 2
 		sys2 := newSim(cfg2, env)
@@ -103,9 +100,9 @@ func TestFrozenWindowSemantics(t *testing.T) {
 		dramOps    uint64
 		pcieBytes  uint64
 	}
-	// samples holds the state each executed cycle started from: the state
-	// at the end of the executed cycle before it.
-	samples := map[int64]snap{}
+	// samples[c] is the state cycle c started from: the state at the end
+	// of cycle c-1.
+	var samples []snap
 	var prev snap
 	// due holds the warps whose pipeline latency runs out inside the
 	// freeze, taken at the end of the cycle that started it; stuck is
@@ -117,7 +114,6 @@ func TestFrozenWindowSemantics(t *testing.T) {
 		until int64
 	}
 	var due, stuck []parked
-	firstAfter := int64(-1)
 	sys.afterCycle = func(cycle int64) {
 		if fu := sys.frozenUntil; fu > 0 && due == nil && cycle < fu {
 			for _, sm := range sys.all {
@@ -128,15 +124,14 @@ func TestFrozenWindowSemantics(t *testing.T) {
 				}
 			}
 		}
-		if fu := sys.frozenUntil; fu > 0 && firstAfter < 0 && cycle >= fu {
-			firstAfter = cycle
+		if fu := sys.frozenUntil; fu > 0 && cycle == fu {
 			for _, p := range due {
 				if p.sw.gen == p.gen && p.sw.notReadyUntil == p.until && waitsOnNothing(p.sw, cycle) {
 					stuck = append(stuck, p)
 				}
 			}
 		}
-		samples[cycle] = prev
+		samples = append(samples, prev)
 		prev = snap{warpInstrs: sys.stats.WarpInstrs,
 			pcieBytes: sys.pcieTX.BytesSent + sys.pcieRX.BytesSent}
 		for _, st := range sys.stacks {
@@ -148,16 +143,10 @@ func TestFrozenWindowSemantics(t *testing.T) {
 	if err := sys.Run(env.launches); err != nil {
 		t.Fatal(err)
 	}
-	// A cycle the event loop skipped has no sample; reading it as a zero
-	// snap would let every equality below pass vacuously.
-	at := func(cycle int64) snap {
-		s, ok := samples[cycle]
-		if !ok {
-			t.Fatalf("cycle %d was not executed, so there is no sample of its start", cycle)
-		}
-		return s
-	}
 	st := sys.Stats()
+	if int64(len(samples)) != st.Cycles {
+		t.Fatalf("%d cycles sampled, the run took %d", len(samples), st.Cycles)
+	}
 	if st.LearnCycles == 0 {
 		t.Fatal("no learning phase happened")
 	}
@@ -168,7 +157,7 @@ func TestFrozenWindowSemantics(t *testing.T) {
 	// endLearning may fire mid-cycle (the instance goal is hit inside an
 	// SM tick), so cycle fz itself can still execute a few instructions on
 	// SMs later in the fan-out; cycles fz+1..fz+999 are fully frozen.
-	start, end := at(fz+1), at(fz+1000)
+	start, end := samples[fz+1], samples[fz+1000]
 	if start.warpInstrs != end.warpInstrs {
 		t.Errorf("SMs executed %d instructions during the freeze window",
 			end.warpInstrs-start.warpInstrs)
@@ -189,9 +178,6 @@ func TestFrozenWindowSemantics(t *testing.T) {
 	// comes round.
 	if len(due) == 0 {
 		t.Fatal("no warp's pipeline latency ran out inside the freeze")
-	}
-	if firstAfter != sys.frozenUntil {
-		t.Fatalf("first executed cycle after the freeze is %d, want frozenUntil = %d", firstAfter, sys.frozenUntil)
 	}
 	for _, p := range stuck {
 		t.Errorf("warp %d of SM %d: latency ran out at cycle %d inside the freeze, still waiting at frozenUntil = %d",
@@ -229,16 +215,6 @@ func TestWheelOverflowDelayInSystem(t *testing.T) {
 	}
 }
 
-const fig9TickedPath = "testdata/fig9_ticked.json"
-
-// fig9Ticked is the event loop's executed-cycle count of each Fig. 9 cell at
-// scale 0.03 (sum 1,190,171 of 1,366,577 simulated). Regenerate with:
-//
-//	GOLDEN_UPDATE=1 go test ./internal/sim -run TestEventLoopMatchesPerCycleStats
-//
-//go:embed testdata/fig9_ticked.json
-var fig9Ticked []byte
-
 // eventLoopPinConfigs is the Fig. 9 matrix plus the shapes that stress the
 // event loop's wake sets.
 func eventLoopPinConfigs() []pinConfig {
@@ -251,9 +227,8 @@ func eventLoopPinConfigs() []pinConfig {
 		}})
 	}
 	// The watchdog closes learning at the deadline here (the instance goal
-	// is out of reach), so the cell exercises the deadline entry in the
-	// event loop's wake horizon: a jump past it would end learning late and
-	// shift every downstream statistic.
+	// is out of reach), so the freeze starts on a cycle that no SM tick
+	// chose.
 	with("ctrl-tmap-deadline", func(c *Config) {
 		c.LearnMin = 1 << 30
 		c.LearnDeadline = 2500
@@ -283,61 +258,61 @@ func eventLoopPinConfigs() []pinConfig {
 
 // TestEventLoopMatchesPerCycleStats is the equivalence guarantee behind
 // the event-driven loop: over the Fig. 9 workload×config matrix and the
-// wake-set shapes, jumping idle cycles must produce byte-identical Stats to
-// ticking every cycle. It also pins what Stats cannot see: the wake sets
-// agree with the state they summarise, every in-flight offload job's
-// requester is parked and nothing reaches a recycled warp after every
-// executed event-loop cycle (checkWakeSets, checkOffloadJobs,
-// lateHolderCheck; the per-cycle loop keeps no wake sets), the event loop
-// executes no more cycles than the per-cycle loop, and on the Fig. 9 cells
-// exactly as many as fig9_ticked.json records — a stale wake bit costs a
-// no-op cycle and changes no statistic.
+// wake-set shapes, visiting only the members of the wake sets must produce
+// byte-identical Stats to ticking every component. Both loops step every
+// cycle: the hook runs once per simulated cycle, in order, in either mode.
+// The test also pins what Stats cannot see: the wake sets agree with the
+// state they summarise, every in-flight offload job's requester is parked
+// and nothing reaches a recycled warp after every event-loop cycle
+// (checkWakeSets, checkOffloadJobs, lateHolderCheck; the per-cycle loop
+// keeps no wake sets). A stale wake bit costs a probe and changes no
+// statistic.
 func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-system simulations")
 	}
-	update := os.Getenv("GOLDEN_UPDATE") != ""
-	var ticked map[string]int64
-	if err := json.Unmarshal(fig9Ticked, &ticked); err != nil {
-		t.Fatal(err)
-	}
-	fresh := map[string]int64{}
-	nFig9 := len(fig9PinConfigs()) // eventLoopPinConfigs starts with them
 	for _, w := range workloads.All() {
 		inst, err := w.Build(0.03)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Abbr, err)
 		}
-		for j, c := range eventLoopPinConfigs() {
-			cell := fmt.Sprintf("%s/%s", w.Abbr, c.name)
-			t.Run(cell, func(t *testing.T) {
+		for _, c := range eventLoopPinConfigs() {
+			t.Run(fmt.Sprintf("%s/%s", w.Abbr, c.name), func(t *testing.T) {
 				var stats [2]*Stats
 				var mems [2]*mem.Flat
-				var executed [2]int64
 				for i, perCycle := range []bool{false, true} {
 					run := inst.Clone()
 					cfg := c.mk()
 					cfg.MaxCycles = 100_000_000
 					sys := New(cfg, run.Mem, run.Alloc)
 					sys.SetPerCycleLoop(perCycle)
-					if !perCycle {
-						checkLateHolders := lateHolderCheck()
-						sys.afterCycle = func(cycle int64) {
-							if err := checkWakeSets(sys); err != nil {
-								t.Fatalf("after cycle %d: %v", cycle, err)
-							}
-							if err := checkOffloadJobs(sys); err != nil {
-								t.Fatalf("after cycle %d: %v", cycle, err)
-							}
-							if _, err := checkLateHolders(sys); err != nil {
-								t.Fatalf("after cycle %d: %v", cycle, err)
-							}
+					checkLateHolders := lateHolderCheck()
+					var steps int64
+					sys.afterCycle = func(cycle int64) {
+						if cycle != steps {
+							t.Fatalf("cycle %d ran as step %d", cycle, steps)
+						}
+						steps++
+						if perCycle {
+							return
+						}
+						if err := checkWakeSets(sys); err != nil {
+							t.Fatalf("after cycle %d: %v", cycle, err)
+						}
+						if err := checkOffloadJobs(sys); err != nil {
+							t.Fatalf("after cycle %d: %v", cycle, err)
+						}
+						if _, err := checkLateHolders(sys); err != nil {
+							t.Fatalf("after cycle %d: %v", cycle, err)
 						}
 					}
 					if err := sys.Run(run.Launches); err != nil {
 						t.Fatal(err)
 					}
-					stats[i], mems[i], executed[i] = sys.Stats(), run.Mem, sys.ExecutedCycles()
+					stats[i], mems[i] = sys.Stats(), run.Mem
+					if steps != stats[i].Cycles {
+						t.Errorf("perCycle=%v: the hook ran %d times over %d cycles", perCycle, steps, stats[i].Cycles)
+					}
 				}
 				if !reflect.DeepEqual(stats[0], stats[1]) {
 					t.Errorf("event-driven and per-cycle Stats diverge:\nevent:    %+v\npercycle: %+v",
@@ -346,20 +321,7 @@ func TestEventLoopMatchesPerCycleStats(t *testing.T) {
 				if ok, addr := mem.Equal(mems[0], mems[1]); !ok {
 					t.Errorf("memory images diverge at %#x", addr)
 				}
-				if executed[0] > executed[1] {
-					t.Errorf("event loop executed %d cycles, per-cycle loop %d", executed[0], executed[1])
-				}
-				if j >= nFig9 {
-					return
-				}
-				fresh[cell] = executed[0]
-				if want := ticked[cell]; !update && executed[0] != want {
-					t.Errorf("event loop executed %d cycles, recorded %d", executed[0], want)
-				}
 			})
 		}
-	}
-	if update && !t.Failed() {
-		writeGolden(t, fig9TickedPath, fresh)
 	}
 }

@@ -85,8 +85,8 @@ const (
 
 // bitset is a small dense bitset for warp readiness (stack SMs can hold
 // 4x48 = 192 warps in the §6.4 study). nz counts nonzero words so any()
-// — the wake-horizon computation's hottest probe, called for every SM on
-// every executed cycle — is a field read instead of a scan.
+// — runnableNow's probe, called for every SM the event loop ticks on
+// every cycle — is a field read instead of a scan.
 type bitset struct {
 	w  []uint64
 	nz int

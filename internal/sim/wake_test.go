@@ -12,7 +12,7 @@ import (
 
 // checkWakeSets compares every wake set with the state it summarises
 // (TestEventLoopMatchesPerCycleStats runs it from the System.afterCycle hook
-// after each executed event-loop cycle):
+// after each event-loop cycle):
 // an SM is in the runnable set iff its tick would do work, a stack's busy
 // set covers its active vaults and its due is the earliest NextEvent over
 // the busy ones, a bank is in the L2's busy set iff its queue is non-empty,
@@ -30,7 +30,7 @@ func checkWakeSets(sys *System) error {
 		if got, want := has(sys.runnable, id), sm.runnableNow(); got != want {
 			return fmt.Errorf("SM %d: runnable bit %v, runnableNow %v", id, got, want)
 		}
-		if (int64(id)+sys.executed)%16 != 0 {
+		if (int64(id)+sys.now)%16 != 0 {
 			continue
 		}
 		stalled := 0
@@ -85,7 +85,7 @@ func waitsOnNothing(sw *smWarp, now int64) bool {
 // those riding a link are covered by a count: the pending-offload counters
 // equal the requesters in wsWaitOffload plus those still draining stores
 // ahead of their request. The count scans every main-SM warp, so it is taken
-// on one executed cycle in eight (every cycle it costs the test a third).
+// on one cycle in eight (every cycle it costs the test a third).
 func checkOffloadJobs(sys *System) error {
 	var bad *offloadJob
 	var where string
@@ -100,7 +100,7 @@ func checkOffloadJobs(sys *System) error {
 	for _, fe := range sys.wheel.overflow {
 		check(fe.ev.job, "on the wheel")
 	}
-	count := sys.executed%8 == 0
+	count := sys.now%8 == 0
 	waiting, pending := 0, 0
 	for _, sm := range sys.all {
 		if !sm.isStack && !count {
@@ -151,13 +151,13 @@ type regHold struct {
 // the wheel finds it live with stores pending; a txn carries no stamp,
 // because a warp retires or acks only once its stores drained. A CTA's warp
 // list holds exactly its live warps. The check walks every holder, so it
-// runs on one executed cycle in eight (every cycle, it doubles the test's
+// runs on one cycle in eight (every cycle, it doubles the test's
 // time); the holders it looks for stay pending for 8 cycles (an LSU retry)
 // to hundreds (a load from DRAM).
 func lateHolderCheck() func(sys *System) (stale int, err error) {
 	held := map[regHold]int{} // reused from call to call
 	return func(sys *System) (stale int, err error) {
-		if sys.executed%8 != 0 {
+		if sys.now%8 != 0 {
 			return 0, nil
 		}
 		clear(held)
@@ -323,7 +323,7 @@ func endlessKernel(load bool) *isa.Kernel {
 
 // steadyStepper builds the shape's system, runs it into its steady state
 // (every CTA resident, free lists filled) and returns a function that
-// executes one cycle of the event loop and jumps to the next.
+// executes one cycle of the event loop.
 func steadyStepper(tb testing.TB, ctas int, load bool) (step func()) {
 	tb.Helper()
 	alloc := mem.NewAllocTable()
@@ -339,13 +339,8 @@ func steadyStepper(tb testing.TB, ctas int, load bool) (step func()) {
 		tb.Fatal(err)
 	}
 	lc := &launchCtx{l: l, md: md, totalCTAs: l.Grid}
-	step = func() {
-		sys.stepCycle(lc, true)
-		if next := sys.nextEventCycle(lc); next > sys.now {
-			sys.now = next
-		}
-	}
-	for sys.executed < 30_000 {
+	step = func() { sys.stepCycle(lc, true) }
+	for sys.now < 30_000 {
 		step()
 	}
 	if lc.nextCTA != lc.totalCTAs {
@@ -354,10 +349,9 @@ func steadyStepper(tb testing.TB, ctas int, load bool) (step func()) {
 	return step
 }
 
-// BenchmarkExecutedCycle prices one executed cycle of the event loop —
-// stepCycle plus nextEventCycle — in three steady states (ns/op is ns per
-// executed cycle): the in-package twin of the repository benchmark's
-// sim.ns_per_ticked_cycle.
+// BenchmarkExecutedCycle prices one cycle of the event loop — one
+// stepCycle — in three steady states (ns/op is ns per cycle): the
+// in-package twin of the repository benchmark's sim.ns_per_ticked_cycle.
 func BenchmarkExecutedCycle(b *testing.B) {
 	for _, sh := range executedCycleShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -377,7 +371,7 @@ func TestExecutedCycleDoesNotAllocate(t *testing.T) {
 	for _, sh := range executedCycleShapes {
 		step := steadyStepper(t, sh.ctas, sh.load)
 		if n := testing.AllocsPerRun(5000, step); n != 0 {
-			t.Errorf("%s: %.3f allocations per executed cycle, want 0", sh.name, n)
+			t.Errorf("%s: %.3f allocations per cycle, want 0", sh.name, n)
 		}
 	}
 }

@@ -137,10 +137,9 @@ func (w *wheel) file(at int64, ev wheelEvent) {
 	s.tail = n
 }
 
-// tick runs events due at cycle `now`. Must be called with monotonically
-// increasing now; cycles with no due events may be skipped entirely (the
-// event-driven loop jumps them), which is safe because a slot's due cycle
-// is unique within the horizon.
+// tick runs events due at cycle `now`. The run loop calls it once per
+// cycle, with now increasing by one each time: a skipped cycle would leave
+// its slot's events unfired until the wheel came round again.
 func (w *wheel) tick(now int64) {
 	w.now = now
 	if len(w.overflow) > 0 {
@@ -181,26 +180,3 @@ func (w *wheel) refileOverflow(now int64) {
 
 // pending reports scheduled-but-unfired events (overflow included).
 func (w *wheel) pending() int { return w.count }
-
-// nextDue returns the earliest cycle > w.now with a pending event, or -1.
-// The scan walks slot heads forward from w.now, so its cost is proportional
-// to the distance to the next event — the same distance the event-driven
-// loop is about to skip.
-func (w *wheel) nextDue() int64 {
-	if w.count == 0 {
-		return -1
-	}
-	for d := int64(1); d <= w.mask+1; d++ {
-		if w.slots[(w.now+d)&w.mask].head != noNode {
-			return w.now + d
-		}
-	}
-	// Only far-future (overflow) events remain.
-	best := int64(-1)
-	for _, fe := range w.overflow {
-		if best < 0 || fe.at < best {
-			best = fe.at
-		}
-	}
-	return best
-}

@@ -151,40 +151,6 @@ func TestWheelOverflowFiresExactly(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowSurvivesSkippedCycles: the event-driven loop may jump
-// straight to nextDue; overflow events must re-file and fire under that
-// tick pattern too.
-func TestWheelOverflowSurvivesSkippedCycles(t *testing.T) {
-	w, after := newTestWheel()
-	var firedAt int64 = -1
-	after(3*testHorizon+7, func(now int64) { firedAt = now })
-	for now := w.nextDue(); now >= 0; now = w.nextDue() {
-		w.tick(now)
-	}
-	if firedAt != 3*testHorizon+7 {
-		t.Errorf("fired at %d, want %d", firedAt, int64(3*testHorizon+7))
-	}
-}
-
-func TestWheelNextDue(t *testing.T) {
-	w, after := newTestWheel()
-	if w.nextDue() != -1 {
-		t.Errorf("empty wheel nextDue = %d, want -1", w.nextDue())
-	}
-	after(37, func(int64) {})
-	if got := w.nextDue(); got != 37 {
-		t.Errorf("nextDue = %d, want 37", got)
-	}
-	after(2*testHorizon, func(int64) {})
-	if got := w.nextDue(); got != 37 {
-		t.Errorf("nextDue with overflow = %d, want 37", got)
-	}
-	w.tick(37)
-	if got := w.nextDue(); got != 2*testHorizon {
-		t.Errorf("nextDue after near event = %d, want %d", got, int64(2*testHorizon))
-	}
-}
-
 func TestWheelCascading(t *testing.T) {
 	// Events scheduled from within events must land on later cycles.
 	w, after := newTestWheel()
@@ -214,9 +180,8 @@ type wheelFiring struct {
 // clamped zero, the per-slot FIFO (many events per cycle), both ends of a
 // 64-slot and of an 8192-slot horizon and far beyond; handlers file further
 // events while their slot is being drained (so the slab grows and reuses
-// nodes mid-tick); and time advances by single cycles, by jumps that stop
-// short of the next due cycle, and by jumps straight to it, the way the
-// event loop does. Each seed's schedule runs on a 64-slot wheel, where most
+// nodes mid-tick); and time advances one cycle per tick, the way the run
+// loop drives it. Each seed's schedule runs on a 64-slot wheel, where most
 // events take the overflow path, and on an 8192-slot one, where few do: both
 // must fire the same events at the same cycles in the same order.
 func TestWheelMatchesReferenceModel(t *testing.T) {
@@ -235,8 +200,8 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 }
 
 // wheelSchedule runs seed's random schedule on a wheel of horizon slots,
-// checks every nextDue and the firing order against the reference model, and
-// returns the firings.
+// checks the firing order against the reference model, and returns the
+// firings.
 func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 	t.Helper()
 	type filed struct {
@@ -247,7 +212,6 @@ func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 	w, after := probeWheel(horizon)
 	var model []filed // every event ever filed
 	var got []wheelFiring
-	pending := map[int]int64{} // id -> due, for the nextDue check
 	now := int64(0)
 
 	var file func(depth int)
@@ -272,10 +236,8 @@ func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 		id := len(model)
 		due := now + max(delay, 1)
 		model = append(model, filed{due: due, id: id})
-		pending[id] = due
 		after(delay, func(at int64) {
 			got = append(got, wheelFiring{id: id, at: at})
-			delete(pending, id)
 			for depth < 3 && rng.Intn(3) == 0 {
 				file(depth + 1)
 				depth++
@@ -284,40 +246,14 @@ func wheelSchedule(t *testing.T, seed int64, horizon int) []wheelFiring {
 	}
 
 	w.tick(now)
-	for step := 0; ; step++ { // file for 1000 steps, then drain
+	for step := 0; step < 1000 || w.pending() > 0; step++ { // file for 1000 cycles, then drain
 		if step < 1000 {
 			for n := rng.Intn(4); n > 0; n-- {
 				file(0)
 			}
 		}
-		next := w.nextDue()
-		want := int64(-1)
-		for _, due := range pending {
-			if want < 0 || due < want {
-				want = due
-			}
-		}
-		if next != want {
-			t.Fatalf("seed %d horizon %d cycle %d: nextDue = %d, earliest pending is %d", seed, horizon, now, next, want)
-		}
-		if next < 0 {
-			if step >= 1000 {
-				break
-			}
-			next = now + 1 + rng.Int63n(50)
-		}
-		switch rng.Intn(3) {
-		case 0:
-			now++
-		case 1:
-			now += 1 + rng.Int63n(next-now) // skips cycles, never past next
-		default:
-			now = next
-		}
+		now++
 		w.tick(now)
-	}
-	if w.pending() != 0 || len(pending) != 0 {
-		t.Fatalf("seed %d horizon %d: %d events still pending after the drain", seed, horizon, w.pending())
 	}
 
 	sort.SliceStable(model, func(i, j int) bool { return model[i].due < model[j].due })
@@ -340,13 +276,15 @@ func TestWheelSlabBoundedByPeakPending(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w, after := newTestWheel()
 	nop := func(int64) {}
-	w.tick(0)
+	now := int64(0)
+	w.tick(now)
 	for filed := 0; filed < 1_000_000; {
 		for w.pending() < peak {
 			after(1+rng.Int63n(2*testHorizon), nop)
 			filed++
 		}
-		w.tick(w.nextDue())
+		now++
+		w.tick(now)
 	}
 	if len(w.nodes) > peak {
 		t.Errorf("slab grew to %d nodes with at most %d events pending", len(w.nodes), peak)
