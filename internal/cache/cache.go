@@ -5,29 +5,23 @@
 // This mirrors the paper's GPU caches (write-through L1/L2, §4.4.2) and is
 // what makes the offload coherence protocol a pure timing concern.
 //
-// A line costs 12 bytes of host memory: a uint64 tag that holds the line
+// A line costs 8 bytes of host memory: a uint64 tag that holds the line
 // number plus one, so 0 marks an empty way and no separate valid bit is
-// kept, and a uint32 LRU stamp. Stamps come from a per-cache clock; when it
-// would wrap, the stamps of the resident lines are renumbered 1..n in their
-// order, which leaves every replacement decision as it was.
+// kept. No LRU stamp is stored either: each set keeps its ways in recency
+// order, most recently used first, so the least recently used line of a
+// full set is its last way. Invalidation leaves a hole that the next fill
+// of the set closes; the lines around it keep their order.
 package cache
 
-import (
-	"math"
-	"slices"
-)
-
 // Cache is a set-associative tag store with LRU replacement. The store is
-// allocated by the first Fill: until then tags and stamp are nil and the
-// cache answers as an empty one does, so a cache that is never filled (the
-// L1 of an SM that never runs a warp) costs only this header.
+// allocated by the first Fill: until then tags is nil and the cache answers
+// as an empty one does, so a cache that is never filled (the L1 of an SM
+// that never runs a warp) costs only this header.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      []uint64 // sets*ways entries once allocated: line+1, 0 = empty way
-	stamp     []uint32 // LRU stamps, meaningful for non-empty ways
-	clock     uint32
+	tags      []uint64 // sets*ways entries once allocated: line+1, 0 = empty way; each set most recent first
 
 	// Stats.
 	Hits, Misses, Fills, Invalidations uint64
@@ -48,52 +42,26 @@ func New(totalBytes, ways, lineBytes int) *Cache {
 	return &Cache{sets: sets, ways: ways, lineShift: shift}
 }
 
-// index returns the first way of addr's set and the tag addr's line has
-// when resident.
-func (c *Cache) index(addr uint64) (base int, tag uint64) {
+// set returns the ways of addr's set, most recent first, and the tag addr's
+// line has when resident.
+func (c *Cache) set(addr uint64) (ways []uint64, tag uint64) {
 	line := addr >> c.lineShift
-	return int(line%uint64(c.sets)) * c.ways, line + 1
+	base := int(line%uint64(c.sets)) * c.ways
+	return c.tags[base : base+c.ways], line + 1
 }
 
-// tick advances the LRU clock and returns the new stamp.
-func (c *Cache) tick() uint32 {
-	if c.clock == math.MaxUint32 {
-		c.renumber()
-	}
-	c.clock++
-	return c.clock
-}
-
-// renumber replaces the stamps of the resident lines by their ranks 1..n
-// and sets the clock to n. Each clock tick stamps one way, so resident
-// stamps are distinct and the ranks keep their order exactly.
-func (c *Cache) renumber() {
-	live := make([]uint32, 0, len(c.tags))
-	for i, t := range c.tags {
-		if t != 0 {
-			live = append(live, c.stamp[i])
-		}
-	}
-	slices.Sort(live)
-	for i, t := range c.tags {
-		if t != 0 {
-			r, _ := slices.BinarySearch(live, c.stamp[i])
-			c.stamp[i] = uint32(r) + 1
-		}
-	}
-	c.clock = uint32(len(live))
-}
-
-// Lookup probes the cache without modifying contents; a hit refreshes LRU.
+// Lookup probes the cache without modifying contents; a hit moves the line
+// to the front of its set.
 func (c *Cache) Lookup(addr uint64) bool {
 	if c.tags == nil { // never filled
 		c.Misses++
 		return false
 	}
-	base, tag := c.index(addr)
-	for i, t := range c.tags[base : base+c.ways] {
+	set, tag := c.set(addr)
+	for i, t := range set {
 		if t == tag {
-			c.stamp[base+i] = c.tick()
+			copy(set[1:i+1], set[:i])
+			set[0] = tag
 			c.Hits++
 			return true
 		}
@@ -102,33 +70,29 @@ func (c *Cache) Lookup(addr uint64) bool {
 	return false
 }
 
-// Fill installs the line containing addr, evicting LRU if needed.
-// Write-through means evictions are silent (no dirty writeback).
+// Fill installs the line containing addr at the front of its set, closing
+// the set's first empty way or, when the set is full, evicting its last
+// (least recently used) way. Write-through means evictions are silent (no
+// dirty writeback).
 func (c *Cache) Fill(addr uint64) {
 	if c.tags == nil {
-		n := c.sets * c.ways
-		c.tags, c.stamp = make([]uint64, n), make([]uint32, n)
+		c.tags = make([]uint64, c.sets*c.ways)
 	}
-	base, tag := c.index(addr)
-	victim := -1
-	for i := base; i < base+c.ways; i++ {
+	set, tag := c.set(addr)
+	hole := -1
+	for i, t := range set {
 		switch {
-		case c.tags[i] == tag: // already present
+		case t == tag: // already present
 			return
-		case c.tags[i] == 0 && victim < 0:
-			victim = i // the first empty way
+		case t == 0 && hole < 0:
+			hole = i // the first empty way
 		}
 	}
-	if victim < 0 { // the set is full: evict its least recently used way
-		victim = base
-		for i := base + 1; i < base+c.ways; i++ {
-			if c.stamp[i] < c.stamp[victim] {
-				victim = i
-			}
-		}
+	if hole < 0 { // the set is full: evict its least recently used way
+		hole = len(set) - 1
 	}
-	c.tags[victim] = tag
-	c.stamp[victim] = c.tick()
+	copy(set[1:hole+1], set[:hole])
+	set[0] = tag
 	c.Fills++
 }
 
@@ -149,10 +113,10 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	if c.tags == nil { // never filled
 		return false
 	}
-	base, tag := c.index(addr)
-	for i, t := range c.tags[base : base+c.ways] {
+	set, tag := c.set(addr)
+	for i, t := range set {
 		if t == tag {
-			c.tags[base+i] = 0
+			set[i] = 0
 			c.Invalidations++
 			return true
 		}

@@ -1,8 +1,8 @@
 package cache
 
 import (
-	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -150,47 +150,27 @@ func randomOps(rng *rand.Rand, n int) []cacheOp {
 	return ops
 }
 
-// nearWrap is how many clock ticks below 2^32 the wrapping caches start.
-const nearWrap = 300
-
 // TestCacheMatchesOracle drives both implementations with the same random
-// operation stream; every observable result must agree. The second cache of
-// each trial starts its LRU clock nearWrap ticks below 2^32, so the stamps
-// are renumbered a few hundred operations in and the rest of the stream
-// runs on renumbered stamps.
+// operation stream; every observable result must agree.
 func TestCacheMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ops := randomOps(rand.New(rand.NewSource(int64(trial))), 5000)
 		checkOracle(t, New(4096, 4, 128), 4096, 4, 128, ops) // 32 lines, 8 sets
-
-		c := New(4096, 4, 128)
-		c.clock = math.MaxUint32 - nearWrap
-		checkOracle(t, c, 4096, 4, 128, ops)
-		if c.clock > math.MaxUint32-nearWrap {
-			t.Fatalf("trial %d: the clock never wrapped (%d)", trial, c.clock)
-		}
 	}
 }
 
 // FuzzCacheMatchesOracle: the input's bytes are an operation stream against
 // a 16-line, 2-way cache of 64-byte lines (two bytes an operation: kind,
-// then the line, over 32 lines that share the 8 sets). Its first byte sets
-// how far below 2^32 the clock starts, so the renumbering lands anywhere in
-// the stream.
+// then the line, over 32 lines that share the 8 sets).
 func FuzzCacheMatchesOracle(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 1, 8, 1, 16, 0, 0, 5, 0})
-	f.Add([]byte{3, 2, 1, 2, 9, 2, 17, 2, 1, 3, 9, 4, 0, 2, 25, 0, 17})
+	f.Add([]byte{1, 0, 1, 8, 1, 16, 0, 0, 5, 0})
+	f.Add([]byte{2, 1, 2, 9, 2, 17, 2, 1, 3, 9, 4, 0, 2, 25, 0, 17})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		c := New(1024, 2, 64)
-		c.clock = math.MaxUint32 - uint32(data[0])
 		ops := make([]cacheOp, 0, len(data)/2)
-		for b := data[1:]; len(b) >= 2; b = b[2:] {
+		for b := data; len(b) >= 2; b = b[2:] {
 			ops = append(ops, cacheOp{kind: int(b[0] % 6), addr: uint64(b[1]%32)*64 + uint64(b[1]>>5)})
 		}
-		checkOracle(t, c, 1024, 2, 64, ops)
+		checkOracle(t, New(1024, 2, 64), 1024, 2, 64, ops)
 	})
 }
 
@@ -251,5 +231,30 @@ func TestNeverFilledCacheAllocatesNothing(t *testing.T) {
 	}
 	if c.tags != nil {
 		t.Error("a cache that was never filled holds a tag store")
+	}
+}
+
+// TestFirstFillAllocatesOnlyTags: the first Fill allocates the tag store and
+// nothing else, 8 bytes a line, for an L1's shape and an L2 bank's.
+func TestFirstFillAllocatesOnlyTags(t *testing.T) {
+	for _, tc := range []struct{ totalBytes, ways, lineBytes int }{
+		{32 << 10, 4, 128},  // an L1: 2 KB of tags
+		{64 << 10, 16, 128}, // an L2 bank: 4 KB of tags
+		{1024, 2, 64},
+	} {
+		want := uint64(tc.totalBytes / tc.lineBytes * 8)
+		got := ^uint64(0)
+		for range 5 { // the least of a few tries: the runtime may allocate beside the Fill
+			c := New(tc.totalBytes, tc.ways, tc.lineBytes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.Fill(0x1000)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got != want {
+			t.Errorf("%d B, %d-way, %d B lines: the first Fill allocates %d B, want %d (8 a line)",
+				tc.totalBytes, tc.ways, tc.lineBytes, got, want)
+		}
 	}
 }

@@ -5,10 +5,12 @@
 //
 // Requests queue per bank, in arrival order tagged with a global sequence
 // number, so FR-FCFS arbitration is an O(banks) pick over bank heads (plus
-// a short in-bank scan for the oldest open-row hit) instead of a scan of
+// a short in-bank walk for the oldest open-row hit) instead of a scan of
 // the whole queue — and NextEvent can report the exact first cycle any
 // queued request can issue, letting the event-driven loop leave the vault
-// untouched on the cycles in between.
+// untouched on the cycles in between. A bank's queue is a list threaded
+// through the requests themselves, so queueing costs no allocation and a
+// bank is 32 bytes.
 package dram
 
 import (
@@ -46,16 +48,17 @@ type Request struct {
 	Addr  uint64
 	Bytes int
 	Write bool
-	// Done runs when the data burst completes.
-	Done func(now int64)
-
 	// bank, row, and seq are assigned at Enqueue: bank/row so arbitration
 	// indexes directly instead of re-deriving them, seq (global arrival
 	// order) so the per-bank queues can reconstruct FR-FCFS's "oldest
-	// first" exactly as the former single arrival-ordered queue did.
-	bank int
+	// first" exactly as one arrival-ordered queue would. bank sits beside
+	// Write, in what would otherwise be padding.
+	bank uint8
+	// Done runs when the data burst completes.
+	Done func(now int64)
 	row  uint64
 	seq  uint64
+	next *Request // the next request in its bank's queue; nil once popped
 }
 
 // Vault.occ holds one bit per bank: this constant overflows, failing the
@@ -63,10 +66,9 @@ type Request struct {
 const _ uint64 = 1 << (mapping.Banks - 1)
 
 type bank struct {
-	openRow   uint64
-	hasRow    bool
-	busyUntil int64
-	queue     []*Request // this bank's waiting requests, arrival order
+	openRow    uint64 // the open row plus one; 0 = no row open
+	busyUntil  int64
+	head, tail *Request // this bank's waiting requests, arrival order, linked through next
 }
 
 type completion struct {
@@ -78,7 +80,7 @@ type completion struct {
 type Vault struct {
 	t         Timing
 	banks     [mapping.Banks]bank
-	occ       uint64 // bit b set iff banks[b].queue is non-empty
+	occ       uint64 // bit b set iff banks[b].head != nil
 	queued    int    // total waiting requests across all bank queues
 	seq       uint64
 	busFreeAt int64
@@ -107,16 +109,22 @@ func NewVault(t Timing) *Vault {
 // Full reports whether the request queue is at capacity.
 func (v *Vault) Full() bool { return v.queued >= v.t.QueueDepth }
 
-// Enqueue adds a request; returns false if the queue is full.
+// Enqueue adds a request; returns false if the queue is full. The bank
+// queue links r in place, so r may sit in at most one queue at a time: it
+// may be enqueued again once its Done has run, not before.
 func (v *Vault) Enqueue(r *Request) bool {
 	if v.Full() {
 		return false
 	}
 	pl := mapping.Decode(r.Addr, mapping.Interleave) // bank and row do not depend on the stack mapping
-	r.bank, r.row = pl.Bank, pl.Row
+	r.bank, r.row = uint8(pl.Bank), pl.Row
 	r.seq = v.seq
 	v.seq++
-	v.banks[r.bank].queue = append(v.banks[r.bank].queue, r)
+	if b := &v.banks[r.bank]; b.head == nil {
+		b.head, b.tail = r, r
+	} else {
+		b.tail.next, b.tail = r, r
+	}
 	v.occ |= 1 << r.bank
 	v.queued++
 	v.horizonValid = false
@@ -214,54 +222,56 @@ func (v *Vault) Tick(now int64) {
 		// Data bus hopelessly backed up: let it drain.
 		return
 	}
-	var pick *Request
-	pickBank, pickIdx := -1, -1
+	// r is the pick, prev its predecessor in its bank's queue.
+	var r, prev *Request
 	for m := v.occ; m != 0; m &= m - 1 { // first-ready row hit: oldest open-row hit over free banks
-		i := bits.TrailingZeros64(m)
-		b := &v.banks[i]
-		if b.busyUntil > now || !b.hasRow {
+		b := &v.banks[bits.TrailingZeros64(m)]
+		if b.busyUntil > now || b.openRow == 0 {
 			continue
 		}
-		for qi, r := range b.queue {
-			if r.row == b.openRow {
-				if pick == nil || r.seq < pick.seq {
-					pick, pickBank, pickIdx = r, i, qi
+		for p, q := (*Request)(nil), b.head; q != nil; p, q = q, q.next {
+			if q.row+1 == b.openRow {
+				if r == nil || q.seq < r.seq {
+					r, prev = q, p
 				}
 				break
 			}
 		}
 	}
-	if pick == nil {
+	if r == nil {
 		for m := v.occ; m != 0; m &= m - 1 { // oldest to a free bank: min seq over bank heads
-			i := bits.TrailingZeros64(m)
-			b := &v.banks[i]
-			if b.busyUntil > now {
-				continue
-			}
-			if r := b.queue[0]; pick == nil || r.seq < pick.seq {
-				pick, pickBank, pickIdx = r, i, 0
+			b := &v.banks[bits.TrailingZeros64(m)]
+			if b.busyUntil <= now && (r == nil || b.head.seq < r.seq) {
+				r = b.head
 			}
 		}
 	}
-	if pick == nil {
+	if r == nil {
 		return
 	}
-	b := &v.banks[pickBank]
-	b.queue = slices.Delete(b.queue, pickIdx, pickIdx+1)
-	if len(b.queue) == 0 {
-		v.occ &^= 1 << pickBank
+	b := &v.banks[r.bank]
+	if prev == nil {
+		b.head = r.next
+	} else {
+		prev.next = r.next
+	}
+	if b.tail == r {
+		b.tail = prev
+	}
+	r.next = nil
+	if b.head == nil {
+		v.occ &^= 1 << r.bank
 	}
 	v.queued--
 	v.horizonValid = false
-	r := pick
 	var lat int64
-	if b.hasRow && b.openRow == r.row {
+	if b.openRow == r.row+1 {
 		lat = v.t.TCL
 		v.RowHits++
 	} else {
 		lat = v.t.TRP + v.t.TRCD + v.t.TCL
 		v.Activations++
-		b.openRow, b.hasRow = r.row, true
+		b.openRow = r.row + 1
 	}
 	var burst int64
 	if r.Bytes > 0 {

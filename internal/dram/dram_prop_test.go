@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -121,9 +122,10 @@ func TestBankFoldPreservesRowResidency(t *testing.T) {
 // the vault is provably inert, so a reported horizon that is ever too late
 // (skipping a cycle where the per-cycle vault issues or completes) shows up
 // here as a completion-time or counter divergence. The last trial pushes
-// 10^5 requests through one vault; in every trial the completion list's and
-// the bank queues' capacity must stay within a small multiple of their peak
-// occupancy.
+// 10^5 requests through one vault; in every trial the completion list's
+// capacity must stay within a small multiple of its peak occupancy, after
+// every tick the bank queues must be well formed (checkQueues), and no
+// request may still link to another when its Done runs.
 func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 	type arrival struct {
 		at    int64
@@ -158,23 +160,26 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 			for i := range doneAt {
 				doneAt[i] = -1
 			}
-			peakCompl, peakBank := 0, 0
+			peakCompl, now := 0, int64(0)
 			observe := func() {
 				peakCompl = max(peakCompl, len(v.compl))
-				for b := range v.banks {
-					peakBank = max(peakBank, len(v.banks[b].queue))
+				if err := checkQueues(v); err != nil {
+					t.Fatalf("trial %d cycle %d: %v", trial, now, err)
 				}
 			}
 			i := 0
-			now := int64(0)
 			for i < len(sched) || v.Active() {
 				blocked := false
 				for i < len(sched) && sched[i].at <= now {
 					id := i
-					ok := v.Enqueue(&Request{
-						Addr: sched[i].addr, Bytes: sched[i].bytes, Write: sched[i].write,
-						Done: func(c int64) { doneAt[id] = c },
-					})
+					r := &Request{Addr: sched[i].addr, Bytes: sched[i].bytes, Write: sched[i].write}
+					r.Done = func(c int64) {
+						doneAt[id] = c
+						if r.next != nil {
+							t.Fatalf("trial %d: request %d completes still linked to another", trial, id)
+						}
+					}
+					ok := v.Enqueue(r)
 					if !ok {
 						blocked = true // queue full: retry next cycle, like wevVaultTry
 						break
@@ -224,11 +229,6 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 			if c := cap(v.compl); c > 4*peakCompl {
 				t.Errorf("trial %d: completion list capacity %d with at most %d bursts in flight", trial, c, peakCompl)
 			}
-			for b := range v.banks {
-				if c := cap(v.banks[b].queue); c > 4*peakBank {
-					t.Errorf("trial %d: bank %d queue capacity %d with at most %d requests queued", trial, b, c, peakBank)
-				}
-			}
 			return doneAt, v.Snapshot(), v.RowHits, v.Activations
 		}
 
@@ -277,4 +277,32 @@ func TestVaultSteadyStateDoesNotAllocate(t *testing.T) {
 	if done != 102*len(reqs) {
 		t.Errorf("%d requests completed, %d enqueued", done, 102*len(reqs))
 	}
+}
+
+// checkQueues checks the invariants of v's bank queues: occ bit b is set
+// exactly when bank b's queue is non-empty, each tail is its queue's last
+// node, and the queues hold v.queued requests between them.
+func checkQueues(v *Vault) error {
+	n := 0
+	for i := range v.banks {
+		b := &v.banks[i]
+		if got, want := v.occ&(1<<i) != 0, b.head != nil; got != want {
+			return fmt.Errorf("bank %d: occ bit %v, queue non-empty %v", i, got, want)
+		}
+		var last *Request
+		for r := b.head; r != nil; r = r.next {
+			if int(r.bank) != i {
+				return fmt.Errorf("bank %d queues a request for bank %d", i, r.bank)
+			}
+			last = r
+			n++
+		}
+		if b.tail != last {
+			return fmt.Errorf("bank %d: tail is not the queue's last node", i)
+		}
+	}
+	if n != v.queued {
+		return fmt.Errorf("%d requests in the bank queues, %d counted", n, v.queued)
+	}
+	return nil
 }

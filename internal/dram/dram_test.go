@@ -3,6 +3,7 @@ package dram
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mapping"
 )
@@ -143,5 +144,24 @@ func TestCompletionOrderMonotonic(t *testing.T) {
 		if times[i] < times[i-1] {
 			t.Fatalf("completions ran backwards: %v", times)
 		}
+	}
+}
+
+// TestTableSizes: a bank (its open row, busy cycle and the two ends of its
+// request list) is 32 bytes, so a vault of 16 fits the 704-byte size class;
+// bank sits in Request's padding, so the request the simulator embeds in
+// each in-flight record stays 56 bytes.
+func TestTableSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Request{}); got != 56 {
+		t.Errorf("Request is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(bank{}); got != 32 {
+		t.Errorf("bank is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Vault{}); got > 704 {
+		t.Errorf("Vault is %d bytes, want at most 704", got)
 	}
 }

@@ -23,17 +23,18 @@ import (
 // Clone+New+Run — what a session pays per cell, the run's private copies of
 // the pages it writes included — per simulated warp-instruction. The counts
 // repeat from run to run to three digits, and the ceilings sit about 10 %
-// above what the cells allocate (45.6, 10.1, 5.5, 5.8 and 10.2 B; 0.154,
-// 0.042, 0.026, 0.016 and 0.022 objects). BFS's byte ceiling is 4 %: it
+// above what the cells allocate (43.9, 9.2, 4.8, 5.2 and 9.6 B; 0.142,
+// 0.030, 0.016, 0.013 and 0.014 objects). BFS's byte ceiling is 4 %: it
 // keeps the most warps, and a buffer that every warp owns again (a 32-entry
 // lane access buffer was 3.8 B there) must fail it, as must a warp or CTA
 // context allocated per dispatch rather than recycled (54.0 B and 0.210
 // objects, when a warp's scheduling shell was). KM's fails if an idle
-// SM allocates its L1 tag store and warp slot table again (7.6 B). BP's
-// second kernel uses 16 registers after the first's 15; its ceiling fails
-// if that launch allocates its warps' register files again rather than
-// reusing the first launch's, whose size class holds 16 (11.7 B). A per-SM
-// timer ring beside the wheel fails every object ceiling (BFS 0.312).
+// SM allocates its L1 tag store again (6.3 B with every tag store built by
+// New). BP's second kernel uses 16 registers after the first's 15; its
+// ceiling fails if that launch allocates its warps' register files again
+// rather than reusing the first launch's, whose size class holds 16 (about
+// 1.5 B more). A per-SM timer ring beside the wheel fails every object
+// ceiling (BFS 0.312).
 func TestSteadyStateAllocBudget(t *testing.T) {
 	noctrlBmap := DefaultConfig()
 	noctrlBmap.Policy = "noctrl"
@@ -44,11 +45,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		maxBytes   float64 // per warp-instruction
 		maxMallocs float64
 	}{
-		{"BFS", "noctrl-bmap", noctrlBmap, 47.4, 0.169},
-		{"FWT", "baseline", BaselineConfig(), 11.1, 0.046},
-		{"SP", "baseline", BaselineConfig(), 6.1, 0.029}, // 36.6 B with a deep-copying Clone
-		{"KM", "baseline", BaselineConfig(), 6.4, 0.018},
-		{"BP", "baseline", BaselineConfig(), 11.2, 0.024},
+		{"BFS", "noctrl-bmap", noctrlBmap, 45.6, 0.156},
+		{"FWT", "baseline", BaselineConfig(), 10.1, 0.033},
+		{"SP", "baseline", BaselineConfig(), 5.3, 0.018}, // 36.6 B with a deep-copying Clone
+		{"KM", "baseline", BaselineConfig(), 5.7, 0.015},
+		{"BP", "baseline", BaselineConfig(), 10.6, 0.016},
 	} {
 		w, err := workloads.ByAbbr(tc.abbr)
 		if err != nil {
@@ -89,12 +90,12 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // newSystemCells are the Systems BenchmarkNewSystem builds over KM at scale
 // 0.03: baseline (68 main SMs) and ctrl-tmap (64), each with 4 stack SMs,
 // with TestNewSystemAllocCeiling's ceiling on the bytes each one allocates,
-// about 5 % above its B/op (109,531 and 107,835).
+// about 5 % above its B/op (86,261 and 84,656).
 var newSystemCells = []struct {
 	name     string
 	cfg      Config
 	maxBytes uint64
-}{{"baseline", BaselineConfig(), 115_000}, {"ctrl-tmap", DefaultConfig(), 113_200}}
+}{{"baseline", BaselineConfig(), 90_600}, {"ctrl-tmap", DefaultConfig(), 88_900}}
 
 // TestNewSystemAllocCeiling turns BenchmarkNewSystem's B/op into a ceiling,
 // so that a fixed-size table added to New fails go test instead of showing
@@ -217,5 +218,16 @@ func TestWarpStampsFitInPadding(t *testing.T) {
 		if tc.got != tc.want {
 			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)
 		}
+	}
+}
+
+// TestFlightSize: a flight embeds the dram.Request it hands its vault, whose
+// queue links requests in place; the record stays 144 bytes, one size class.
+func TestFlightSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(flight{}); got != 144 {
+		t.Errorf("flight is %d bytes, want 144", got)
 	}
 }
